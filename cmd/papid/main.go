@@ -65,12 +65,12 @@ func main() {
 	shards := flag.Int("shards", 16, "session-registry shard count")
 	cacheSize := flag.Int("cache", 256, "allocation-cache entries")
 	tick := flag.Duration("tick", 50*time.Millisecond, "snapshot fan-out interval")
-	queue := flag.Int("queue", 32, "per-subscriber queue depth (oldest snapshot dropped when full)")
+	queue := flag.Int("queue", 0, "deprecated: the per-subscriber queue is gone (one queue per connection remains); the value is added to -write-queue so a two-queue command line keeps the buffering it asked for")
 	tickWorkers := flag.Int("tick-workers", 0, "parallel tick sweep width; 0 picks min(GOMAXPROCS, shards), 1 runs the serial pipeline")
 	keyframeEvery := flag.Int("keyframe-every", 10, "full keyframe cadence for delta-mode subscribers, in fan-outs per view")
 	readIdle := flag.Duration("read-idle", 2*time.Minute, "evict a connection idle this long with no subscription (0 disables)")
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline; a trip evicts the connection (0 disables)")
-	writeQueue := flag.Int("write-queue", 64, "per-connection outbound frame queue depth (snapshots dropped oldest-first when full)")
+	writeQueue := flag.Int("write-queue", 64, "per-connection outbound frame queue depth, the only queue between fan-out and the socket (subscriber frames dropped oldest-first when full)")
 	retention := flag.Duration("retention", 15*time.Minute, "history age limit for QUERY (0 keeps until -tsdb-mem evicts)")
 	tsdbMem := flag.Int64("tsdb-mem", 8<<20, "history store memory budget in bytes (0 disables QUERY history)")
 	dataDir := flag.String("data-dir", "", "directory for durable history (WAL + sealed segments); empty keeps history RAM-only")
@@ -138,11 +138,10 @@ func main() {
 		CacheSize:       *cacheSize,
 		TickInterval:    *tick,
 		TickWorkers:     *tickWorkers,
-		QueueDepth:      *queue,
 		KeyframeEvery:   *keyframeEvery,
 		ReadIdleTimeout: idle,
 		WriteTimeout:    wt,
-		WriteQueueDepth: *writeQueue,
+		WriteQueueDepth: *writeQueue + *queue,
 		TSDBMaxBytes:    mem,
 		TSDBRetention:   age,
 		DataDir:         *dataDir,
@@ -185,8 +184,8 @@ func main() {
 	st := srv.Stats()
 	log.Printf("papid: %d ticks, %d snapshots sent (%d dropped), alloc cache %.0f%% hits",
 		st.Ticks, st.SnapshotsSent, st.SnapshotsDropped, 100*st.CacheHitRate())
-	log.Printf("papid: %d evictions (%d deadline trips), %d resyncs, %d write drops",
-		st.Evictions, st.DeadlineTrips, st.Resyncs, st.WriteDrops)
+	log.Printf("papid: %d evictions (%d deadline trips), %d resyncs",
+		st.Evictions, st.DeadlineTrips, st.Resyncs)
 	log.Printf("papid: %d keyframes, %d deltas sent (%d dropped), %d derived sent (%d dropped), %d encode failures",
 		st.Keyframes, st.DeltasSent, st.DeltasDropped, st.DerivedSent, st.DerivedDropped, st.EncodeFailures)
 	log.Printf("papid: wire json %d frames / %d bytes, binary %d frames / %d bytes",

@@ -40,14 +40,14 @@ func BenchmarkDerivedFanout(b *testing.B) {
 	if !ok {
 		b.Fatal("session vanished")
 	}
-	// Detached v3 subscribers: push fills their queues and then drops
-	// oldest — the benchmark measures evaluation and encode, not socket
-	// drain.
-	c := &conn{srv: srv, q: newWriteQueue(4)}
-	c.version.Store(3)
+	// Writerless v3 connections: push fills their queues and then
+	// drops oldest — the benchmark measures evaluation and encode, not
+	// socket drain.
 	subs := make([]*subscriber, 4)
 	for i := range subs {
-		subs[i] = &subscriber{c: c, ch: make(chan frame, 1), done: make(chan struct{})}
+		c := testConn(srv, 1)
+		c.version.Store(3)
+		subs[i] = c.follow(b, sess, nil, false)
 	}
 	vals := []int64{0, 0, 0, 0}
 	snap := wire.Response{Op: wire.OpSnapshot, OK: true, Session: created.Session,
@@ -117,27 +117,17 @@ func BenchmarkServerFanoutInterest(b *testing.B) {
 				}
 				sessions[i] = sess
 			}
-			c := &conn{srv: srv, q: newWriteQueue(4)}
-			c.version.Store(wire.MinProtocolFilter)
-			sig, canon := filterSig(mode.filter, mode.delta)
-			subs := make([]*subscriber, nSubs)
-			for i := range subs {
-				sub := &subscriber{c: c, ch: make(chan frame, 2*nSessions),
-					done: make(chan struct{}), events: canon, delta: mode.delta, sig: sig}
-				if mode.delta {
-					sub.needKey.Store(true)
-				}
-				subs[i] = sub
+			conns := make([]*conn, nSubs)
+			for i := range conns {
+				c := testConn(srv, 2*nSessions)
+				c.version.Store(wire.MinProtocolFilter)
+				conns[i] = c
+				follow := sessions
 				if mode.perSession {
-					if _, err := sessions[i%nSessions].addSubscriber(sub); err != nil {
-						b.Fatal(err)
-					}
-					continue
+					follow = sessions[i%nSessions : i%nSessions+1]
 				}
-				for _, sess := range sessions {
-					if _, err := sess.addSubscriber(sub); err != nil {
-						b.Fatal(err)
-					}
+				for _, sess := range follow {
+					c.follow(b, sess, mode.filter, mode.delta)
 				}
 			}
 			vals := make([]int64, nEvents)
@@ -154,16 +144,14 @@ func BenchmarkServerFanoutInterest(b *testing.B) {
 						b.Fatal(resp.Error)
 					}
 				}
-				for _, sub := range subs {
-				drain:
+				for _, c := range conns {
 					for {
-						select {
-						case f := <-sub.ch:
-							bytes += int64(len(f.payload))
-							f.release()
-						default:
-							break drain
+						f, ok := c.q.pop(false)
+						if !ok {
+							break
 						}
+						bytes += int64(len(f.payload))
+						f.release()
 					}
 				}
 			}
@@ -175,6 +163,40 @@ func BenchmarkServerFanoutInterest(b *testing.B) {
 					st.SnapshotsDropped+st.DeltasDropped)
 			}
 		})
+	}
+}
+
+// BenchmarkWriteQueuePushFull prices the overload path of the one
+// outbound queue: a push into a full queue behind a stalled consumer,
+// which evicts the oldest droppable frame. It runs on the tick workers
+// and PUBLISH readers, so it must not scale with the queue's depth —
+// only with the (few) reply frames queued ahead of the victim.
+func BenchmarkWriteQueuePushFull(b *testing.B) {
+	srv := New(Config{TickInterval: time.Hour, TSDBMaxBytes: -1})
+	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
+	if !created.OK {
+		b.Fatal(created.Error)
+	}
+	sess, _ := srv.reg.get(created.Session)
+	for _, depth := range []int{64, 8192} {
+		for _, replies := range []int{0, 4} {
+			b.Run(fmt.Sprintf("depth=%d/replies=%d", depth, replies), func(b *testing.B) {
+				c := testConn(srv, depth)
+				snap := frame{kind: kindSnapshot, sub: c.follow(b, sess, nil, false)}
+				for i := 0; i < depth; i++ {
+					if i < replies {
+						c.q.push(frame{kind: kindReply})
+					} else {
+						c.q.push(snap)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.q.push(snap)
+				}
+			})
+		}
 	}
 }
 

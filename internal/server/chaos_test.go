@@ -37,7 +37,6 @@ func TestChaosSurvivesPathologicalPeers(t *testing.T) {
 		ReadIdleTimeout: 400 * time.Millisecond,
 		WriteTimeout:    250 * time.Millisecond,
 		WriteQueueDepth: 8,
-		QueueDepth:      4,
 		// Derived evaluation joins the storm: the ipc group runs on every
 		// covered session each tick, and the (always-true, strict)
 		// threshold rule must fire and be scrapable mid-chaos.
@@ -229,8 +228,8 @@ func TestChaosSurvivesPathologicalPeers(t *testing.T) {
 		t.Errorf("deadline_trips = %d, want >= %d (idle peers trip the read deadline)",
 			st["deadline_trips"], nIdle)
 	}
-	if st["write_drops"] == 0 {
-		t.Error("write_drops = 0: stalled subscribers never hit the socket-level drop policy")
+	if st["snapshots_dropped"] == 0 {
+		t.Error("snapshots_dropped = 0: stalled subscribers never hit the write-queue drop policy")
 	}
 
 	// The healthy session is still fully usable after the storm.
@@ -255,8 +254,8 @@ func TestChaosSurvivesPathologicalPeers(t *testing.T) {
 	}
 	hc.CloseIdleConnections()
 
-	// No goroutine may outlive the drain: reader, writer, subscriber
-	// loops of evicted connections, and the admin HTTP server included.
+	// No goroutine may outlive the drain: readers and writers of evicted
+	// connections, and the admin HTTP server included.
 	var n int
 	for end := time.Now().Add(5 * time.Second); ; {
 		if n = runtime.NumGoroutine(); n <= baseGoroutines+3 {

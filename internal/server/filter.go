@@ -15,9 +15,10 @@
 // keyframe (wire.Response.Base names it by Seq), with absolute values.
 // Each delta therefore fully supersedes the previous one, and a
 // dropped delta can never corrupt client state. The only frame whose
-// loss matters is a keyframe — any drop on a delta subscriber marks it
-// needKey, and the next fan-out re-keys the whole view (an extra
-// keyframe for its in-sync peers, full resync for the lagging one).
+// loss matters is a keyframe — any lost frame of a delta subscription
+// marks it needKey (frame.drop), and that session's next fan-out
+// re-keys the whole view (an extra keyframe for its in-sync peers, full
+// resync for the lagging one).
 // A periodic cadence (Config.KeyframeEvery) bounds both delta growth
 // within an epoch and the time any desynced client waits.
 package server
@@ -111,6 +112,15 @@ func (vs *viewState) project(snap *wire.Response) (rekeyed bool) {
 	return rekeyed
 }
 
+// projected is the full SNAPSHOT frame of the view's current
+// projection — a filtered subscriber's every frame, a delta view's
+// keyframe.
+func (vs *viewState) projected(snap *wire.Response) *wire.Response {
+	return &wire.Response{Op: wire.OpSnapshot, OK: true, Session: snap.Session,
+		Events: vs.events, Values: vs.cur, RealUsec: snap.RealUsec,
+		Seq: snap.Seq, Source: snap.Source}
+}
+
 // view returns (creating if needed) the session's viewState for the
 // subscriber's filter signature. Callers hold sess.fanMu.
 func (sess *session) view(sub *subscriber) *viewState {
@@ -185,19 +195,8 @@ func (s *Server) fanoutView(t *tracing.Trace, parent tracing.SpanRef, vs *viewSt
 	if len(vs.events) == 0 {
 		return // the filter matches none of this session's events
 	}
-	detailed := t.Detailed()
 	if !vs.delta {
-		resp := wire.Response{Op: wire.OpSnapshot, OK: true, Session: snap.Session,
-			Events: vs.events, Values: vs.cur, RealUsec: snap.RealUsec,
-			Seq: snap.Seq, Source: snap.Source}
-		enc := encCache{resp: &resp}
-		if detailed {
-			enc.trc, enc.parent = t, parent
-		}
-		for _, sub := range subs {
-			s.pushSnapshot(&enc, sub)
-		}
-		enc.done()
+		s.deliverAll(t, parent, vs.projected(snap), kindSnapshot, subs)
 		return
 	}
 	vs.sinceKey++
@@ -206,17 +205,7 @@ func (s *Server) fanoutView(t *tracing.Trace, parent tracing.SpanRef, vs *viewSt
 		vs.keySeq = snap.Seq
 		vs.keyVals = append(vs.keyVals[:0], vs.cur...)
 		vs.sinceKey = 0
-		resp := wire.Response{Op: wire.OpSnapshot, OK: true, Session: snap.Session,
-			Events: vs.events, Values: vs.cur, RealUsec: snap.RealUsec,
-			Seq: snap.Seq, Source: snap.Source}
-		enc := encCache{resp: &resp}
-		if detailed {
-			enc.trc, enc.parent = t, parent
-		}
-		for _, sub := range subs {
-			s.pushKeyframe(&enc, sub)
-		}
-		enc.done()
+		s.deliverAll(t, parent, vs.projected(snap), kindKeyframe, subs)
 		return
 	}
 	vs.changed = vs.changed[:0]
@@ -230,49 +219,19 @@ func (s *Server) fanoutView(t *tracing.Trace, parent tracing.SpanRef, vs *viewSt
 	if len(vs.changed) == 0 {
 		return
 	}
-	resp := wire.Response{Op: wire.OpDelta, OK: true, Session: snap.Session,
-		Seq: snap.Seq, Base: vs.keySeq, Idx: vs.changed, Values: vs.cvals}
-	enc := encCache{resp: &resp}
-	if detailed {
+	s.deliverAll(t, parent, &wire.Response{Op: wire.OpDelta, OK: true, Session: snap.Session,
+		Seq: snap.Seq, Base: vs.keySeq, Idx: vs.changed, Values: vs.cvals}, kindDelta, subs)
+}
+
+// deliverAll encodes one view frame at most once per codec and delivers
+// it to every subscriber of the view.
+func (s *Server) deliverAll(t *tracing.Trace, parent tracing.SpanRef, resp *wire.Response, kind frameKind, subs []*subscriber) {
+	enc := encCache{resp: resp}
+	if t.Detailed() {
 		enc.trc, enc.parent = t, parent
 	}
 	for _, sub := range subs {
-		codec := sub.c.codecNow()
-		sb, ok := enc.get(s, "delta", codec)
-		if !ok {
-			s.m.deltaDropped.Inc()
-			sub.needKey.Store(true)
-			continue
-		}
-		s.m.deltaSent.Inc()
-		sb.ref()
-		if sub.push(frame{payload: sb.buf, codec: codec, droppable: true, shared: sb}) {
-			s.m.deltaDropped.Inc()
-			sub.needKey.Store(true)
-		}
+		s.deliver(&enc, kind, sub)
 	}
 	enc.done()
-}
-
-// pushKeyframe enqueues one keyframe snapshot to a delta subscriber.
-// Any failure to deliver — encode failure or a drop from the full
-// queue — leaves needKey set so the next fan-out re-keys; only a clean
-// enqueue clears it.
-func (s *Server) pushKeyframe(enc *encCache, sub *subscriber) {
-	codec := sub.c.codecNow()
-	sb, ok := enc.get(s, "keyframe", codec)
-	if !ok {
-		s.m.snapDropped.Inc()
-		sub.needKey.Store(true)
-		return
-	}
-	s.m.snapSent.Inc()
-	s.m.keyframes.Inc()
-	sb.ref()
-	if sub.push(frame{payload: sb.buf, codec: codec, droppable: true, shared: sb}) {
-		s.m.snapDropped.Inc()
-		sub.needKey.Store(true)
-	} else {
-		sub.needKey.Store(false)
-	}
 }

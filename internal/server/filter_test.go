@@ -263,62 +263,118 @@ func TestDeltaKeyframeCadence(t *testing.T) {
 
 // TestDeltaResyncAfterQueueDrop drives the real publish → fanout →
 // push path against a delta subscriber that never drains: the drop
-// marks it for resync, and the next fan-out re-keys instead of
-// shipping a delta the client could no longer anchor.
+// marks the view the lost frame belonged to for resync, and that
+// session's next fan-out re-keys instead of shipping a delta the client
+// could no longer anchor. The wildcard case is the regression test for
+// the resync landing on the wrong session: with one subscription across
+// sessions A and B, losing A's keyframe must re-key A — not whichever
+// session happens to fan out next — so a client applying the surviving
+// frames never sees a DELTA it cannot anchor.
 func TestDeltaResyncAfterQueueDrop(t *testing.T) {
-	srv := New(Config{TickInterval: time.Hour, KeyframeEvery: 100})
-	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
-	if !created.OK {
-		t.Fatal(created.Error)
+	type step struct {
+		sess    int   // index into the test's sessions
+		v       int64 // published value of counter b
+		pop     int   // frames the client manages to read before this publish
+		wantOp  string
+		needKey []bool // per session, after the publish
 	}
-	sess, ok := srv.reg.get(created.Session)
-	if !ok {
-		t.Fatal("session not registered")
-	}
-	c := &conn{srv: srv, q: newWriteQueue(4)}
-	c.version.Store(wire.MinProtocolFilter)
-	sig, canon := filterSig(nil, true)
-	stalled := &subscriber{c: c, ch: make(chan frame, 1), done: make(chan struct{}),
-		events: canon, delta: true, sig: sig}
-	stalled.needKey.Store(true)
-	if _, err := sess.addSubscriber(stalled); err != nil {
-		t.Fatal(err)
-	}
-
-	publish := func(v int64) {
-		t.Helper()
-		resp := srv.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: created.Session,
-			Events: []string{"a", "b"}, Values: []int64{1, v}})
-		if !resp.OK {
-			t.Fatal(resp.Error)
-		}
-	}
-	publish(2) // first frame: keyframe, queued cleanly
-	if stalled.needKey.Load() {
-		t.Fatal("clean keyframe delivery left needKey set")
-	}
-	publish(3) // delta; queue full → a frame drops → resync requested
-	if !stalled.needKey.Load() {
-		t.Fatal("dropped frame did not mark the delta subscriber for resync")
-	}
-	publish(4) // resync: the whole view re-keys
-
-	var latest wire.Response
-	if err := json.Unmarshal((<-stalled.ch).payload, &latest); err != nil {
-		t.Fatalf("frame payload: %v", err)
-	}
-	if latest.Op != wire.OpSnapshot {
-		t.Fatalf("post-drop frame is %s, want a keyframe SNAPSHOT", latest.Op)
-	}
-	if !slices.Equal(latest.Events, []string{"a", "b"}) || !slices.Equal(latest.Values, []int64{1, 4}) {
-		t.Errorf("keyframe %v=%v, want [a b]=[1 4]", latest.Events, latest.Values)
-	}
-	st := srv.Stats()
-	if st.Keyframes != 2 {
-		t.Errorf("keyframes %d, want 2 (initial + resync)", st.Keyframes)
-	}
-	if st.DeltasSent != 1 {
-		t.Errorf("deltas sent %d, want 1", st.DeltasSent)
+	for _, tc := range []struct {
+		name      string
+		sessions  int
+		depth     int
+		steps     []step
+		keyframes uint64
+		deltas    uint64
+	}{
+		{name: "single session", sessions: 1, depth: 1, keyframes: 2, deltas: 1, steps: []step{
+			{sess: 0, v: 2, wantOp: wire.OpSnapshot, needKey: []bool{false}}, // keyframe, queued cleanly
+			{sess: 0, v: 3, wantOp: wire.OpDelta, needKey: []bool{true}},     // evicts the keyframe
+			{sess: 0, v: 4, wantOp: wire.OpSnapshot, needKey: []bool{true}},  // resync (evicts the delta)
+		}},
+		{name: "wildcard: the lost keyframe's session re-keys", sessions: 2, depth: 2, keyframes: 3, deltas: 3, steps: []step{
+			{sess: 0, v: 2, wantOp: wire.OpSnapshot, needKey: []bool{false, true}},  // A's keyframe
+			{sess: 1, v: 2, wantOp: wire.OpSnapshot, needKey: []bool{false, false}}, // B's keyframe
+			{sess: 1, v: 3, wantOp: wire.OpDelta, needKey: []bool{true, false}},     // evicts A's keyframe
+			{sess: 1, v: 4, pop: 2, wantOp: wire.OpDelta, needKey: []bool{true, false}},
+			{sess: 0, v: 3, pop: 1, wantOp: wire.OpSnapshot, needKey: []bool{false, false}}, // A re-keys
+			{sess: 0, v: 4, pop: 1, wantOp: wire.OpDelta, needKey: []bool{false, false}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := New(Config{TickInterval: time.Hour, KeyframeEvery: 100})
+			c := testConn(srv, tc.depth)
+			c.version.Store(wire.MinProtocolFilter)
+			var ids []uint64
+			var subs []*subscriber
+			for i := 0; i < tc.sessions; i++ {
+				created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
+				if !created.OK {
+					t.Fatal(created.Error)
+				}
+				sess, ok := srv.reg.get(created.Session)
+				if !ok {
+					t.Fatal("session not registered")
+				}
+				ids = append(ids, created.Session)
+				subs = append(subs, c.follow(t, sess, nil, true))
+			}
+			// The client applies every frame that survives the queue; after
+			// a keyframe loss it may skip frames, but must never be handed a
+			// DELTA chained to a keyframe it did not get.
+			var tracker wire.DeltaTracker
+			read := func(n int) (row wire.Response) {
+				t.Helper()
+				for ; n > 0; n-- {
+					f, ok := c.q.pop(false)
+					if !ok {
+						t.Fatal("queue empty")
+					}
+					var resp wire.Response
+					if err := json.Unmarshal(f.payload, &resp); err != nil {
+						t.Fatalf("frame payload: %v", err)
+					}
+					f.release()
+					var err error
+					if row, err = tracker.Apply(resp); err != nil {
+						t.Fatalf("session %d seq %d: %v", resp.Session, resp.Seq, err)
+					}
+				}
+				return row
+			}
+			var v int64
+			for i, st := range tc.steps {
+				read(st.pop)
+				resp := srv.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: ids[st.sess],
+					Events: []string{"a", "b"}, Values: []int64{1, st.v}})
+				if !resp.OK {
+					t.Fatal(resp.Error)
+				}
+				v = st.v
+				for j, want := range st.needKey {
+					if got := subs[j].needKey.Load(); got != want {
+						t.Fatalf("step %d: session %d needKey=%v, want %v", i, j, got, want)
+					}
+				}
+				// The newest frame is at the back of the queue.
+				frames := c.q.len()
+				if newest := *c.q.slot(frames - 1); !strings.Contains(string(newest.payload), `"op":"`+st.wantOp+`"`) {
+					t.Fatalf("step %d: pushed %s, want %s", i, newest.payload, st.wantOp)
+				}
+			}
+			row := read(c.q.len())
+			last := tc.steps[len(tc.steps)-1]
+			if row.Session != ids[last.sess] {
+				t.Fatalf("last frame is session %d's, want %d's", row.Session, ids[last.sess])
+			}
+			if !slices.Equal(row.Events, []string{"a", "b"}) || !slices.Equal(row.Values, []int64{1, v}) {
+				t.Errorf("reassembled %v=%v, want [a b]=[1 %d]", row.Events, row.Values, v)
+			}
+			st := srv.Stats()
+			if st.Keyframes != tc.keyframes || st.DeltasSent != tc.deltas {
+				t.Errorf("keyframes=%d deltas=%d, want %d and %d",
+					st.Keyframes, st.DeltasSent, tc.keyframes, tc.deltas)
+			}
+		})
 	}
 }
 
@@ -618,13 +674,10 @@ func TestFanoutEncodeFailure(t *testing.T) {
 	if !ok {
 		t.Fatal("session not registered")
 	}
-	c := &conn{srv: srv, q: newWriteQueue(4)}
+	c := testConn(srv, 4)
 	c.version.Store(wire.MinProtocolFilter)
 	for i := 0; i < 2; i++ {
-		sub := &subscriber{c: c, ch: make(chan frame, 4), done: make(chan struct{})}
-		if _, err := sess.addSubscriber(sub); err != nil {
-			t.Fatal(err)
-		}
+		c.follow(t, sess, nil, false)
 	}
 	resp := srv.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: created.Session,
 		Events: []string{"a"}, Values: []int64{1}})

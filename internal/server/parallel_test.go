@@ -9,20 +9,21 @@ package server
 
 import (
 	"context"
-	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/tsdb"
 	"repro/internal/wire"
 )
 
 // parallelHarness builds a hand-ticked server with nSessions counting
-// sessions, one detached subscriber each (channel capacity queueCap,
+// sessions, one subscribed testConn each (queue depth queueCap,
 // caller-drained), spread across registry shards.
 type parallelHarness struct {
-	srv  *Server
-	ids  []uint64
-	subs []*subscriber
+	srv   *Server
+	ids   []uint64
+	conns []*conn
 }
 
 func newParallelHarness(t *testing.T, cfg Config, nSessions, queueCap int) *parallelHarness {
@@ -43,37 +44,16 @@ func newParallelHarness(t *testing.T, cfg Config, nSessions, queueCap int) *para
 		if !ok {
 			t.Fatal("session not registered")
 		}
-		sub := &subscriber{ch: make(chan frame, queueCap), done: make(chan struct{})}
-		if _, err := sess.addSubscriber(sub); err != nil {
-			t.Fatal(err)
-		}
+		c := testConn(h.srv, queueCap)
+		c.follow(t, sess, nil, false)
 		if resp := h.srv.dispatch(nil, &wire.Request{Op: wire.OpStart,
 			Session: created.Session}); !resp.OK {
 			t.Fatal(resp.Error)
 		}
 		h.ids = append(h.ids, created.Session)
-		h.subs = append(h.subs, sub)
+		h.conns = append(h.conns, c)
 	}
 	return h
-}
-
-// drain empties one subscriber queue, decoding each frame.
-func drainFrames(t *testing.T, sub *subscriber) []wire.Response {
-	t.Helper()
-	var out []wire.Response
-	for {
-		select {
-		case f := <-sub.ch:
-			var resp wire.Response
-			if err := json.Unmarshal(f.payload, &resp); err != nil {
-				t.Fatalf("frame payload: %v", err)
-			}
-			f.release()
-			out = append(out, resp)
-		default:
-			return out
-		}
-	}
 }
 
 // TestParallelTickSeqMonotonic: with the sweep at full width, every
@@ -88,8 +68,8 @@ func TestParallelTickSeqMonotonic(t *testing.T) {
 	for i := 0; i < nTicks; i++ {
 		h.srv.tick()
 	}
-	for i, sub := range h.subs {
-		frames := drainFrames(t, sub)
+	for i, c := range h.conns {
+		frames := c.popResponses(t)
 		if len(frames) != nTicks {
 			t.Fatalf("session %d: %d frames, want %d", h.ids[i], len(frames), nTicks)
 		}
@@ -124,17 +104,8 @@ func TestParallelSerialEquivalence(t *testing.T) {
 			h.srv.tick()
 		}
 		streams := make(map[uint64][]string, nSessions)
-		for i, sub := range h.subs {
-		drain:
-			for {
-				select {
-				case f := <-sub.ch:
-					streams[h.ids[i]] = append(streams[h.ids[i]], string(f.payload))
-					f.release()
-				default:
-					break drain
-				}
-			}
+		for i, c := range h.conns {
+			streams[h.ids[i]] = c.popAll()
 		}
 		return streams
 	}
@@ -160,7 +131,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 // concurrent sweep workers plus backpressure.
 func TestParallelDeltaRekeyAfterDrop(t *testing.T) {
 	srv := New(Config{TickInterval: time.Hour, TickWorkers: 8,
-		QueueDepth: 2, KeyframeEvery: 1 << 30})
+		KeyframeEvery: 1 << 30})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -172,20 +143,15 @@ func TestParallelDeltaRekeyAfterDrop(t *testing.T) {
 		t.Fatal(created.Error)
 	}
 	sess, _ := srv.reg.get(created.Session)
-	sig, canon := filterSig(nil, true)
-	sub := &subscriber{ch: make(chan frame, srv.cfg.QueueDepth),
-		done: make(chan struct{}), events: canon, delta: true, sig: sig}
-	sub.needKey.Store(true)
-	if _, err := sess.addSubscriber(sub); err != nil {
-		t.Fatal(err)
-	}
+	c := testConn(srv, 2)
+	c.follow(t, sess, nil, true)
 	if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpStart,
 		Session: created.Session}); !resp.OK {
 		t.Fatal(resp.Error)
 	}
 
 	srv.tick() // anchors the epoch
-	frames := drainFrames(t, sub)
+	frames := c.popResponses(t)
 	if len(frames) != 1 || frames[0].Op != wire.OpSnapshot {
 		t.Fatalf("first frame: %+v, want one keyframe SNAPSHOT", frames)
 	}
@@ -197,9 +163,9 @@ func TestParallelDeltaRekeyAfterDrop(t *testing.T) {
 	if st := srv.Stats(); st.DeltasDropped == 0 {
 		t.Fatal("no deltas dropped; the test never created the resync condition")
 	}
-	drainFrames(t, sub)
+	c.popAll()
 	srv.tick()
-	after := drainFrames(t, sub)
+	after := c.popResponses(t)
 	if len(after) == 0 {
 		t.Fatal("no frame after resync tick")
 	}
@@ -220,9 +186,7 @@ func TestParallelDerivedFollowsSnapshot(t *testing.T) {
 		srv.Shutdown(ctx)
 	})
 	const nSessions, nTicks = 8, 6
-	c := &conn{srv: srv, q: newWriteQueue(4)}
-	c.version.Store(int32(wire.MinProtocolDerived))
-	var subs []*subscriber
+	var conns []*conn
 	for i := 0; i < nSessions; i++ {
 		created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
 			Events: []string{"PAPI_TOT_INS", "PAPI_TOT_CYC"}, Workload: "dot", N: 8})
@@ -230,22 +194,21 @@ func TestParallelDerivedFollowsSnapshot(t *testing.T) {
 			t.Fatal(created.Error)
 		}
 		sess, _ := srv.reg.get(created.Session)
-		sub := &subscriber{c: c, ch: make(chan frame, 4*nTicks), done: make(chan struct{})}
-		if _, err := sess.addSubscriber(sub); err != nil {
-			t.Fatal(err)
-		}
+		c := testConn(srv, 4*nTicks)
+		c.version.Store(int32(wire.MinProtocolDerived))
+		c.follow(t, sess, nil, false)
 		if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpStart,
 			Session: created.Session}); !resp.OK {
 			t.Fatal(resp.Error)
 		}
-		subs = append(subs, sub)
+		conns = append(conns, c)
 	}
 	for i := 0; i < nTicks; i++ {
 		srv.tick()
 	}
 	derived := 0
-	for _, sub := range subs {
-		frames := drainFrames(t, sub)
+	for _, c := range conns {
+		frames := c.popResponses(t)
 		var lastSnap uint64
 		for _, f := range frames {
 			switch f.Op {
@@ -328,20 +291,49 @@ func TestAsyncWALHandoffDurable(t *testing.T) {
 	}
 	cl.Close()
 
-	want := durableQueries(t, srv, id, 0, 1<<60)
+	// Ticks keep producing rows until Shutdown, so the row set is only
+	// final afterwards: one row per snapshot the session took (its seq).
+	// What QUERY served before the drain must survive as a prefix, and
+	// the restart must replay exactly seq rows per event — a row still
+	// queued to the appender at Shutdown is journaled, not abandoned.
+	rawRows := func(s *Server) []tsdb.Series {
+		t.Helper()
+		resp := s.dispatch(nil, &wire.Request{Op: wire.OpQuery, Session: id, From: 0, To: 1 << 60})
+		if !resp.OK {
+			t.Fatalf("QUERY: %s", resp.Error)
+		}
+		return resp.Series
+	}
+	sess, _ := srv.reg.get(id)
+	want := rawRows(srv)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
+	sess.mu.Lock()
+	produced := int(sess.seq)
+	sess.mu.Unlock()
 
 	srv2 := New(Config{TickInterval: time.Hour, TSDBRetention: -1, DataDir: dir, Fsync: "off"})
 	if srv2.walErr != nil {
 		t.Fatalf("wal reopen: %v", srv2.walErr)
 	}
 	defer srv2.Shutdown(context.Background())
-	if got := durableQueries(t, srv2, id, 0, 1<<60); got != want {
-		t.Errorf("QUERY diverged across restart (queued rows lost?):\nbefore: %s\nafter:  %s",
-			want, got)
+	got := rawRows(srv2)
+	if len(got) != len(want) {
+		t.Fatalf("%d series after restart, %d before", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if len(g.Buckets) != produced {
+			t.Errorf("%s: %d rows replayed, ticks produced %d (queued rows lost?)",
+				g.Event, len(g.Buckets), produced)
+		}
+		if g.Event != w.Event || len(g.Buckets) < len(w.Buckets) ||
+			!slices.Equal(g.Buckets[:len(w.Buckets)], w.Buckets) {
+			t.Errorf("%s: rows served before the restart are not a prefix of the replayed ones:\nbefore: %v\nafter:  %v",
+				w.Event, w.Buckets, g.Buckets)
+		}
 	}
 }

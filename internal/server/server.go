@@ -25,24 +25,23 @@
 //   - an opt-in binary wire codec (protocol v3, internal/wire) cutting
 //     frame bytes and encode/decode allocations for clients that
 //     negotiate it, with JSON lines as the transparent fallback;
-//   - bounded per-subscriber send queues with a drop-oldest policy, so
-//     one slow consumer can neither block the tick loop nor grow memory
-//     without bound;
 //   - an embedded time-series store (internal/tsdb) recording every
 //     tick's snapshot, so late subscribers and offline tools can QUERY
 //     downsampled history instead of getting nothing;
 //   - a hardened connection lifecycle — per-connection read-idle and
-//     write deadlines, one bounded outbound write queue per connection
-//     drained by a dedicated writer goroutine (snapshots dropped
-//     oldest-first under pressure, the connection evicted when even
-//     reply frames cannot make progress), with evictions, deadline
-//     trips and protocol resyncs all counted in STATS;
+//     write deadlines, and exactly one bounded outbound queue per
+//     connection, filled directly by fan-out and drained by the
+//     connection's writer goroutine (subscriber frames dropped
+//     oldest-first under pressure, each drop counted against its own
+//     kind; the connection evicted when even reply frames cannot make
+//     progress), so one slow consumer can neither block the tick loop
+//     nor grow memory without bound — evictions, deadline trips and
+//     protocol resyncs all counted in STATS;
 //   - context-based graceful shutdown that stops accepting, folds final
 //     counts into every running session, and drains all connections.
 package server
 
 import (
-	"bufio"
 	"cmp"
 	"context"
 	"errors"
@@ -82,9 +81,6 @@ type Config struct {
 	// TickInterval is the coalesced snapshot/advance period
 	// (default 50ms).
 	TickInterval time.Duration
-	// QueueDepth bounds each subscriber's send queue; when full the
-	// oldest queued snapshot is dropped (default 32).
-	QueueDepth int
 	// TickWorkers is the parallel tick sweep width (papid
 	// -tick-workers): registry shards are partitioned across this many
 	// workers each tick, every worker running the full
@@ -113,10 +109,11 @@ type Config struct {
 	// peer stopped reading and the connection is evicted
 	// (default 10s; negative disables).
 	WriteTimeout time.Duration
-	// WriteQueueDepth bounds each connection's outbound frame queue
-	// (default 64). Snapshot frames are dropped oldest-first when the
-	// queue is full; a queue jammed with undroppable reply frames
-	// evicts the connection instead of blocking the server.
+	// WriteQueueDepth bounds each connection's outbound frame queue —
+	// the only queue between fan-out and the socket (default 64).
+	// Subscriber frames are dropped oldest-first when the queue is
+	// full; a queue jammed with undroppable reply frames evicts the
+	// connection instead of blocking the server.
 	WriteQueueDepth int
 	// TSDBMaxBytes bounds the embedded history store's memory
 	// (default 8 MiB); negative disables history entirely.
@@ -209,9 +206,6 @@ func (c *Config) fill() {
 	if c.TickInterval <= 0 {
 		c.TickInterval = 50 * time.Millisecond
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 32
-	}
 	if c.TickWorkers == 0 {
 		c.TickWorkers = min(runtime.GOMAXPROCS(0), c.Shards)
 	}
@@ -257,10 +251,15 @@ func (c *Config) fill() {
 
 // Stats is a point-in-time view of the server's counters.
 type Stats struct {
-	Sessions         int
-	Connections      int
-	CacheHits        uint64
-	CacheMisses      uint64
+	Sessions    int
+	Connections int
+	CacheHits   uint64
+	CacheMisses uint64
+	// Every fan-out ledger reads the same way: Sent counts frames handed
+	// to a connection's write queue, Dropped those that then never
+	// reached the socket (evicted from the full queue, unwritten when
+	// the connection went away) or could not be encoded — each charged
+	// once, to its own kind, so Sent − Dropped is what sockets took.
 	SnapshotsSent    uint64
 	SnapshotsDropped uint64
 	Ticks            uint64
@@ -273,10 +272,6 @@ type Stats struct {
 	// Resyncs counts malformed frames answered with an ERROR frame
 	// and skipped — per-line resynchronization events.
 	Resyncs uint64
-	// WriteDrops counts snapshot frames dropped from per-connection
-	// write queues (socket-level backpressure, beyond the
-	// per-subscriber SnapshotsDropped).
-	WriteDrops uint64
 	// DerivedSent/DerivedDropped count DERIVED fan-out frames — kept
 	// apart from the snapshot counters, which count full SNAPSHOT
 	// frames only (keyframes included; Keyframes tallies those again
@@ -632,7 +627,6 @@ func (s *Server) Stats() Stats {
 		Evictions:        s.m.evictions.Value(),
 		DeadlineTrips:    s.m.deadlineTrips.Value(),
 		Resyncs:          s.m.resyncs.Value(),
-		WriteDrops:       s.m.writeDrops.Value(),
 		TickStalls:       s.m.tickStalls.Value(),
 		DerivedSent:      s.m.derivedSent.Value(),
 		DerivedDropped:   s.m.derivedDropped.Value(),
@@ -674,8 +668,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// Drain sessions first so no EventSet is abandoned mid-count.
 	s.reg.forEach(func(sess *session) { sess.close() })
-	// Closing queues and sockets unblocks every reader, writer and
-	// subscriber loop.
+	// Closing queues and sockets unblocks every reader and writer.
 	s.connsMu.Lock()
 	for c := range s.conns {
 		c.q.close()
@@ -835,8 +828,8 @@ type encCache struct {
 
 // get returns the encoded frame for codec, serializing on first use.
 // ok is false when the encode failed (now or earlier this fan-out);
-// the caller counts the drop for its frame kind. An ok buffer stays
-// valid until done(); a caller enqueuing it must sb.ref() first.
+// deliver counts the drop for its frame kind. An ok buffer stays valid
+// until done(); a caller enqueuing it must sb.ref() first.
 func (e *encCache) get(s *Server, what string, codec wire.Codec) (sb *sharedBuf, ok bool) {
 	if e.failed[codec] {
 		return nil, false
@@ -875,7 +868,7 @@ func (e *encCache) get(s *Server, what string, codec wire.Codec) (sb *sharedBuf,
 
 // done drops the cache's own reference on every buffer it encoded.
 // Call exactly once, after the fan-out loop that used the cache — a
-// buffer no subscriber queue took goes straight back to the pool.
+// buffer no connection queue took goes straight back to the pool.
 func (e *encCache) done() {
 	for i, sb := range e.shared {
 		if sb != nil {
@@ -910,7 +903,7 @@ func (s *Server) fanout(t *tracing.Trace, parent tracing.SpanRef, sess *session,
 			viewSubs = append(viewSubs, sub)
 			continue
 		}
-		s.pushSnapshot(&enc, sub)
+		s.deliver(&enc, kindSnapshot, sub)
 	}
 	if len(viewSubs) > 0 {
 		s.fanoutViews(t, parent, sess, &resp, viewSubs)
@@ -923,20 +916,34 @@ func (s *Server) fanout(t *tracing.Trace, parent tracing.SpanRef, sess *session,
 	viewSubsPool.Put(vp)
 }
 
-// pushSnapshot enqueues one full snapshot frame, counting it sent or
-// dropped (an encode failure counts as a drop for this subscriber).
-func (s *Server) pushSnapshot(enc *encCache, sub *subscriber) {
+// deliver is the one fan-out push site: it hands sub its frame of the
+// encode-once payload by pushing straight into the owning connection's
+// write queue, and counts the frame sent. Every way the frame can then
+// fail to reach the socket — an encode failure here, eviction from the
+// full queue, a closed or abandoned queue — ends in frame.drop, which
+// counts it against the same kind and marks a delta view for re-key.
+func (s *Server) deliver(enc *encCache, kind frameKind, sub *subscriber) {
+	if !sub.live.Load() {
+		return // not acked yet: the stream starts after its SUBSCRIBE reply
+	}
 	codec := sub.c.codecNow()
-	sb, ok := enc.get(s, "snapshot", codec)
+	f := frame{codec: codec, kind: kind, sub: sub}
+	sb, ok := enc.get(s, kindNames[kind], codec)
 	if !ok {
-		s.m.snapDropped.Inc()
+		f.drop()
 		return
 	}
-	s.m.snapSent.Inc()
-	sb.ref()
-	if sub.push(frame{payload: sb.buf, codec: codec, droppable: true, shared: sb}) {
-		s.m.snapDropped.Inc()
+	s.m.sent[kind].Inc()
+	if kind == kindKeyframe {
+		s.m.keyframes.Inc()
+		// Cleared before the push, never after: a concurrent eviction of
+		// this very keyframe sets the flag again, and a clear landing
+		// after that set would lose the resync.
+		sub.needKey.Store(false)
 	}
+	sb.ref()
+	f.payload, f.shared = sb.buf, sb
+	sub.c.q.push(f)
 }
 
 // fanoutDerived evaluates the session's performance groups over one
@@ -963,19 +970,8 @@ func (s *Server) fanoutDerived(t *tracing.Trace, parent tracing.SpanRef, sess *s
 				enc.trc, enc.parent = t, parent
 			}
 			for _, sub := range subs {
-				if sub.c == nil || sub.c.version.Load() < wire.MinProtocolDerived {
-					continue
-				}
-				codec := sub.c.codecNow()
-				sb, ok := enc.get(s, "derived", codec)
-				if !ok {
-					s.m.derivedDropped.Inc()
-					continue
-				}
-				s.m.derivedSent.Inc()
-				sb.ref()
-				if sub.push(frame{payload: sb.buf, codec: codec, droppable: true, shared: sb}) {
-					s.m.derivedDropped.Inc()
+				if sub.c.version.Load() >= wire.MinProtocolDerived {
+					s.deliver(&enc, kindDerived, sub)
 				}
 			}
 			enc.done()
@@ -1033,16 +1029,36 @@ func (s *Server) queryDerived(c *conn, req *wire.Request) wire.Response {
 	return wire.Response{Op: req.Op, OK: true, Session: req.Session, Derived: out}
 }
 
+// frameKind names what a queued frame is, so whoever discards it knows
+// which ledger to charge: a request reply (never dropped under
+// pressure) or one of the four fan-out kinds.
+type frameKind uint8
+
+const (
+	kindReply frameKind = iota
+	kindSnapshot
+	kindKeyframe // a delta view's anchoring SNAPSHOT
+	kindDelta
+	kindDerived
+	numKinds
+)
+
+var kindNames = [numKinds]string{"reply", "snapshot", "keyframe", "delta", "derived"}
+
 // frame is one pre-serialized outbound frame: the bytes on the wire,
-// ready for a plain socket write. Snapshot frames are droppable and
-// may share their payload with other connections' queues; request
-// replies are not droppable — a client must never miss the answer to a
-// request it is waiting on — and may carry a pooled buffer returned
-// after the write.
+// ready for a plain socket write. Fan-out frames are droppable and
+// share their payload with other connections' queues; request replies
+// are not droppable — a client must never miss the answer to a request
+// it is waiting on — and may carry a pooled buffer returned after the
+// write.
 type frame struct {
-	payload   []byte
-	codec     wire.Codec
-	droppable bool
+	payload []byte
+	codec   wire.Codec
+	kind    frameKind
+	// sub, on a fan-out frame, is the subscription the frame was for —
+	// one subscriber on one session — which is all drop needs to charge
+	// the right counter and re-key the right delta view.
+	sub *subscriber
 	// poolBuf, when non-nil, owns payload's backing array; the writer
 	// returns it to framePool after the socket write. Only
 	// single-owner reply frames set it.
@@ -1058,11 +1074,13 @@ type frame struct {
 	trace *traceDone
 }
 
+func (f *frame) droppable() bool { return f.kind != kindReply }
+
 // traceDone defers a request trace's completion to whoever consumes
 // its reply frame — the writer after the socket write, or any discard
-// path (queue eviction, jam, closed queue). After handing one to a
-// frame, the producing goroutine must not touch the trace again: the
-// writer may finish and recycle it concurrently.
+// path (jam, closed queue, writer exit). After handing one to a frame,
+// the producing goroutine must not touch the trace again: the writer
+// may finish and recycle it concurrently.
 type traceDone struct {
 	tr *tracing.Tracer
 	t  *tracing.Trace
@@ -1080,11 +1098,9 @@ func (td *traceDone) done() {
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // release returns a frame's pooled reply buffer or drops its shared
-// fan-out reference, whichever it holds. Every path that is done with
-// a frame — socket write, queue eviction, jam, closed queue — calls
-// it; a frame simply abandoned (e.g. stuck in a torn-down channel) is
-// never released and its buffer falls to the GC, which is a pool miss
-// but never a reuse-while-referenced.
+// fan-out reference, whichever it holds, and finishes a riding trace.
+// Every frame ends here exactly once: directly after its socket write,
+// or through drop on every path that discards it unwritten.
 func (f *frame) release() {
 	if f.poolBuf != nil {
 		if cap(f.payload) <= maxPooledFrame {
@@ -1103,15 +1119,29 @@ func (f *frame) release() {
 	}
 }
 
-// subscriber is one SUBSCRIBE registration: a bounded queue drained by
-// a dedicated goroutine feeding the owning connection's write queue.
-// When the queue is full the oldest snapshot is dropped — a slow
-// viewer sees a gappy stream, never a stalled server. A wildcard
-// SUBSCRIBE registers one subscriber on every matched session.
+// drop discards a frame that will never reach the socket. It is the
+// single drop ledger: a fan-out frame is charged to its own kind's
+// dropped counter — whichever frame the queue chose to evict, not
+// whichever push triggered the eviction — and any lost frame of a delta
+// subscription marks exactly that subscription's view for a fresh
+// keyframe, since the lost frame may have been the one it anchors on.
+func (f *frame) drop() {
+	if f.sub != nil {
+		f.sub.c.srv.m.dropped[f.kind].Inc()
+		if f.sub.delta {
+			f.sub.needKey.Store(true)
+		}
+	}
+	f.release()
+}
+
+// subscriber is one SUBSCRIBE registration on one session: the filter
+// it asked for and the connection whose write queue its frames go to.
+// It owns no queue and no goroutine. A wildcard SUBSCRIBE registers one
+// subscriber per matched session.
 type subscriber struct {
 	c    *conn
-	ch   chan frame
-	done chan struct{}
+	sess *session
 
 	// The v4 filter, immutable after subscribe: events is the canonical
 	// event-name filter (nil = all), delta requests delta frames, and
@@ -1120,78 +1150,40 @@ type subscriber struct {
 	events []string
 	delta  bool
 	sig    string
-	// needKey, on a delta subscriber, requests a keyframe at the next
-	// fan-out: set at subscribe (the first frame anchors the stream)
-	// and on any dropped frame — a drop may have taken a keyframe with
-	// it, and re-keying is cheap next to silently corrupt state.
+	// needKey, on a delta subscriber, requests a keyframe at this
+	// session's next fan-out: set at subscribe (the first frame anchors
+	// the stream) and by frame.drop on any lost frame.
 	needKey atomic.Bool
+	// live opens the stream: fan-out skips the subscription until its
+	// SUBSCRIBE reply is queued, so with fan-out pushing straight into
+	// the connection's queue no frame can overtake the ack that tells
+	// the client which sessions it now follows.
+	live atomic.Bool
 }
 
-// push enqueues f, dropping the oldest queued frame if the queue is
-// full. It reports whether anything was dropped.
-func (sub *subscriber) push(f frame) (dropped bool) {
-	select {
-	case sub.ch <- f:
-		return false
-	default:
-	}
-	// Full: evict the oldest, then retry once. The consumer may have
-	// drained concurrently, in which case the eviction select falls
-	// through and the send succeeds — either way one frame was lost
-	// from this subscriber's point of view only if the final send
-	// also fails. Discarded frames release their shared buffers here;
-	// a frame the channel accepted is released downstream.
-	select {
-	case old := <-sub.ch:
-		old.release()
-		dropped = true
-	default:
-	}
-	select {
-	case sub.ch <- f:
-	default:
-		f.release()
-		dropped = true
-	}
-	return dropped
-}
-
-func (sub *subscriber) loop() {
-	defer sub.c.srv.wg.Done()
-	for {
-		select {
-		case <-sub.done:
-			return
-		case f := <-sub.ch:
-			dropped, ok := sub.c.q.push(f)
-			if dropped {
-				sub.c.srv.m.writeDrops.Inc()
-				if sub.delta {
-					// The write queue evicts oldest-droppable without
-					// saying which frame went; it could have been a
-					// keyframe, so resync.
-					sub.needKey.Store(true)
-				}
-			}
-			if !ok {
-				return
-			}
-		}
-	}
-}
-
-// writeQueue is the bounded per-connection outbound frame queue,
-// drained by exactly one writer goroutine per connection. It extends
-// the drop-oldest subscriber policy down to the socket: when the queue
-// is full the oldest droppable frame is evicted first, and a queue
-// jammed with undroppable reply frames reports failure so the
-// connection is evicted instead of wedging the server.
+// writeQueue is the bounded per-connection outbound frame queue — the
+// only queue between fan-out and the socket — filled by the reader
+// (replies), the tick workers and PUBLISH handlers (fan-out), and
+// drained by the connection's one writer goroutine. When it is full the
+// oldest droppable frame is evicted first, and a queue jammed with
+// undroppable reply frames reports failure so the connection is
+// evicted instead of wedging the server.
+//
+// It is a ring that grows on demand up to max, so an idle connection
+// costs a few slots however deep the bound, and eviction costs the few
+// (usually zero) reply frames queued ahead of the oldest droppable one,
+// never the queue's depth.
 type writeQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	frames []frame
-	max    int
-	closed bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	ring []frame
+	head int // index of the oldest frame
+	n    int // frames queued
+	// droppable counts the queued fan-out frames, so a queue holding
+	// only replies is recognized without scanning it.
+	droppable int
+	max       int
+	closed    bool
 }
 
 func newWriteQueue(depth int) *writeQueue {
@@ -1200,68 +1192,100 @@ func newWriteQueue(depth int) *writeQueue {
 	return q
 }
 
-// push enqueues one frame. dropped reports that a droppable frame (the
-// oldest queued one, or the new frame itself) was discarded to respect
-// the bound; ok is false when the queue is closed or jammed with
-// undroppable frames.
-func (q *writeQueue) push(f frame) (dropped, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		f.release()
-		return false, false
+// slot returns the i-th queued frame's ring slot, counting from the
+// oldest; callers hold mu.
+func (q *writeQueue) slot(i int) *frame {
+	i += q.head
+	if i >= len(q.ring) {
+		i -= len(q.ring)
 	}
-	if len(q.frames) >= q.max {
-		evicted := false
-		for i := range q.frames {
-			if q.frames[i].droppable {
-				q.frames[i].release()
-				q.frames = append(q.frames[:i], q.frames[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			if f.droppable {
-				f.release()
-				return true, true // every queued frame outranks the new one
-			}
-			f.release()
-			return false, false // jammed: replies cannot make progress
-		}
-		dropped = true
-	}
-	q.frames = append(q.frames, f)
-	q.cond.Signal()
-	return dropped, true
+	return &q.ring[i]
 }
 
-// pop blocks until a frame is available; after close it drains the
-// backlog, then reports done.
-func (q *writeQueue) pop() (frame, bool) {
+// push enqueues one frame, evicting (frame.drop) the oldest droppable
+// one if the queue is at its bound. A droppable frame that finds the
+// queue full of replies is itself the one dropped — every queued frame
+// outranks it. ok is false only when f was a reply that could not be
+// queued: the queue is closed, or jammed with undroppable frames.
+func (q *writeQueue) push(f frame) (ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.frames) == 0 && !q.closed {
+	if q.closed || (q.n >= q.max && q.droppable == 0) {
+		f.drop()
+		return !q.closed && f.droppable()
+	}
+	if q.n >= q.max {
+		q.evictOldest()
+	}
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	*q.slot(q.n) = f
+	q.n++
+	if f.droppable() {
+		q.droppable++
+	}
+	q.cond.Signal()
+	return true
+}
+
+// evictOldest drops the oldest droppable frame: the replies queued
+// ahead of it each move up one slot, over it, and the head advances.
+// FIFO order of everything kept is preserved. Callers hold mu and have
+// checked droppable > 0.
+func (q *writeQueue) evictOldest() {
+	i := 0
+	for !q.slot(i).droppable() {
+		i++
+	}
+	q.slot(i).drop()
+	for ; i > 0; i-- {
+		*q.slot(i) = *q.slot(i - 1)
+	}
+	q.popLocked()
+	q.droppable--
+}
+
+// grow doubles the ring (bounded by max), unrolling it to start at 0.
+func (q *writeQueue) grow() {
+	ring := make([]frame, min(max(2*len(q.ring), 8), q.max))
+	for i := range q.n {
+		ring[i] = *q.slot(i)
+	}
+	q.ring, q.head = ring, 0
+}
+
+// popLocked removes the oldest frame, zeroing its slot so the ring
+// pins no released buffer. Callers hold mu and have checked n > 0.
+func (q *writeQueue) popLocked() frame {
+	s := q.slot(0)
+	f := *s
+	*s = frame{}
+	q.head++
+	if q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.n--
+	return f
+}
+
+// pop dequeues the oldest frame. With wait set it blocks until a frame
+// arrives or the queue closes — after close it still hands out the
+// backlog, then reports done; without, it returns at once, which is how
+// the writer batches every already-queued frame into one socket write.
+func (q *writeQueue) pop(wait bool) (frame, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for wait && q.n == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.frames) == 0 {
+	if q.n == 0 {
 		return frame{}, false
 	}
-	f := q.frames[0]
-	q.frames = q.frames[1:]
-	return f, true
-}
-
-// tryPop dequeues without blocking — the writer uses it to batch every
-// already-queued frame into one buffered flush.
-func (q *writeQueue) tryPop() (frame, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.frames) == 0 {
-		return frame{}, false
+	f := q.popLocked()
+	if f.droppable() {
+		q.droppable--
 	}
-	f := q.frames[0]
-	q.frames = q.frames[1:]
 	return f, true
 }
 
@@ -1285,13 +1309,13 @@ func (q *writeQueue) isClosed() bool {
 func (q *writeQueue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.frames)
+	return q.n
 }
 
-// conn is one client connection: a reader loop dispatching requests, a
-// writer loop draining the bounded outbound queue, and any subscriber
-// goroutines it registered. All socket writes funnel through the
-// writer loop, so one write deadline governs them uniformly. Frames
+// conn is one client connection: a reader loop dispatching requests and
+// a writer loop draining the bounded outbound queue — two goroutines,
+// however many subscriptions it holds. All socket writes funnel through
+// the writer loop, so one write deadline governs them uniformly. Frames
 // are serialized at enqueue time (replies) or at fan-out time
 // (snapshots, shared across subscribers); the writer only moves bytes.
 type conn struct {
@@ -1323,18 +1347,11 @@ type conn struct {
 	trc *tracing.Trace
 
 	mu   sync.Mutex
-	subs []subRef
+	subs []*subscriber
 }
 
-// codecNow reports the connection's negotiated codec. Nil-safe:
-// detached subscribers (tests drive fanout without a conn) read as
-// JSON.
-func (c *conn) codecNow() wire.Codec {
-	if c == nil {
-		return wire.CodecJSON
-	}
-	return wire.Codec(c.codec.Load())
-}
+// codecNow reports the connection's negotiated codec.
+func (c *conn) codecNow() wire.Codec { return wire.Codec(c.codec.Load()) }
 
 // reqTrace is the in-flight request's trace. Nil-safe: tests drive
 // dispatch without a conn, and tracing may be off.
@@ -1343,14 +1360,6 @@ func (c *conn) reqTrace() *tracing.Trace {
 		return nil
 	}
 	return c.trc
-}
-
-// subRef ties one subscriber to the sessions it is registered on —
-// several for a wildcard SUBSCRIBE — so teardown unregisters it
-// everywhere but closes its done channel exactly once.
-type subRef struct {
-	sessions []*session
-	sub      *subscriber
 }
 
 func (s *Server) handle(nc net.Conn) {
@@ -1445,6 +1454,7 @@ func (s *Server) handle(nc net.Conn) {
 			wr := t.StartSpan(tracing.NoSpan, "write")
 			ok = c.sendTraced(resp, t, wr)
 		}
+		c.goLive()
 		s.m.observeOp(req.Op, c.codecNow(), t0)
 		if d := s.cfg.SlowOp; d > 0 {
 			if elapsed := time.Since(t0); elapsed >= d {
@@ -1476,47 +1486,77 @@ func (s *Server) handle(nc net.Conn) {
 	}
 }
 
+// writeBatchBytes is how many payload bytes the writer gathers from
+// already-queued frames before it goes to the socket.
+const writeBatchBytes = 4096
+
 // writeLoop is the connection's single socket writer: it drains the
-// outbound queue of pre-serialized frames, bounding each write by
-// WriteTimeout, and batches every already-queued frame into one
-// buffered flush so a burst of snapshots costs one syscall, not one
-// per frame. A deadline trip or write error evicts the connection — a
-// peer that stopped reading is cut loose rather than wedging a
-// goroutine and unbounded memory behind it. Closing the socket on exit
-// also unblocks the reader.
+// outbound queue of pre-serialized frames, gathering every
+// already-queued frame (up to writeBatchBytes) into one socket write
+// bounded by WriteTimeout, so a burst of snapshots costs one syscall,
+// not one per frame. A deadline trip or write error evicts the
+// connection — a peer that stopped reading is cut loose rather than
+// wedging a goroutine and unbounded memory behind it. Closing the
+// socket on exit also unblocks the reader.
+//
+// The writer settles every frame it takes: written whole, it is counted
+// sent and released; cut short by a failed write, or still queued when
+// the writer gives up, it goes through frame.drop like a queue
+// eviction — buffers return to their pools, a riding request trace
+// finishes, and the sent−dropped ledger equals what the socket took.
 func (c *conn) writeLoop() {
 	defer c.srv.wg.Done()
 	defer c.nc.Close()
-	bw := bufio.NewWriterSize(c.nc, 4096)
+	var (
+		batch []frame
+		buf   []byte
+	)
 	for {
-		f, ok := c.q.pop()
+		f, ok := c.q.pop(true)
 		if !ok {
-			bw.Flush() // best-effort: the BYE reply of a clean teardown
 			return
 		}
-		for {
-			if d := c.srv.cfg.WriteTimeout; d > 0 {
-				c.nc.SetWriteDeadline(time.Now().Add(d))
+		// A lone large frame (a QUERY reply) is written from its own
+		// buffer; small frames are copied together.
+		batch = append(batch[:0], f)
+		out := f.payload
+		if len(out) < writeBatchBytes {
+			buf = append(buf[:0], out...)
+			for len(buf) < writeBatchBytes {
+				if f, ok = c.q.pop(false); !ok {
+					break
+				}
+				batch, buf = append(batch, f), append(buf, f.payload...)
 			}
-			_, err := bw.Write(f.payload)
-			if err == nil {
+			out = buf
+		}
+		if d := c.srv.cfg.WriteTimeout; d > 0 {
+			c.nc.SetWriteDeadline(time.Now().Add(d))
+		}
+		n, err := c.nc.Write(out)
+		for i := range batch {
+			f := &batch[i]
+			if n -= len(f.payload); n >= 0 {
 				c.srv.m.framesSent[f.codec].Inc()
 				c.srv.m.bytesSent[f.codec].Add(uint64(len(f.payload)))
+				f.release()
+			} else {
+				f.drop()
 			}
-			f.release()
-			if err != nil {
-				c.evict("write", err)
-				return
-			}
-			if next, more := c.q.tryPop(); more {
-				f = next
-				continue
-			}
-			break
+			*f = frame{}
 		}
-		if err := bw.Flush(); err != nil {
+		if cap(buf) > maxPooledFrame {
+			buf = nil
+		}
+		if err != nil {
 			c.evict("write", err)
-			return
+			for {
+				f, ok := c.q.pop(false)
+				if !ok {
+					return
+				}
+				f.drop()
+			}
 		}
 	}
 }
@@ -1554,7 +1594,7 @@ func (c *conn) sendTraced(resp wire.Response, t *tracing.Trace, wr tracing.SpanR
 		t.AnnotateInt(wr, "bytes", int64(len(payload)))
 		f.trace = &traceDone{tr: c.srv.trc, t: t, sp: wr}
 	}
-	if _, ok := c.q.push(f); ok {
+	if c.q.push(f) {
 		return true
 	}
 	if !c.q.isClosed() {
@@ -1600,11 +1640,8 @@ func (c *conn) teardown() {
 	subs := c.subs
 	c.subs = nil
 	c.mu.Unlock()
-	for _, ref := range subs {
-		for _, sess := range ref.sessions {
-			sess.removeSubscriber(ref.sub)
-		}
-		close(ref.sub.done)
+	for _, sub := range subs {
+		sub.sess.removeSubscriber(sub)
 	}
 }
 
@@ -1728,7 +1765,6 @@ func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 			"evictions":          st.Evictions,
 			"deadline_trips":     st.DeadlineTrips,
 			"resyncs":            st.Resyncs,
-			"write_drops":        st.WriteDrops,
 			"tick_stalls":        st.TickStalls,
 			"frames_sent_json":   st.FramesSentJSON,
 			"frames_sent_binary": st.FramesSentBinary,
@@ -1812,7 +1848,7 @@ func errResp(req *wire.Request, err error) wire.Response {
 
 // subscribe answers an OpSubscribe: the classic single-session form
 // (Session != 0) with optional derive groups, or the v4 wildcard form
-// (Sessions / Labels) that registers one shared subscriber on every
+// (Sessions / Labels) that registers one subscriber on every
 // matched session. Both forms accept the v4 event filter and delta
 // mode; every v4 feature is gated on the peer having announced
 // protocol >= wire.MinProtocolFilter at HELLO, so pre-v4 peers keep
@@ -1838,12 +1874,10 @@ func (s *Server) subscribe(c *conn, req *wire.Request) wire.Response {
 					return errResp(req, err)
 				}
 			}
-			sub := s.newSubscriber(c, req)
-			names, err := sess.addSubscriber(sub)
+			names, err := s.addSubscriber(c, sess, req)
 			if err != nil {
 				return errResp(req, err)
 			}
-			s.attachSub(c, sub, sess)
 			return wire.Response{Op: req.Op, OK: true, Session: sess.id, Events: names}
 		})
 	}
@@ -1868,48 +1902,46 @@ func (s *Server) subscribe(c *conn, req *wire.Request) wire.Response {
 		}
 	})
 	slices.SortFunc(matched, func(a, b *session) int { return cmp.Compare(a.id, b.id) })
-	sub := s.newSubscriber(c, req)
 	var ids []uint64
-	var attached []*session
 	for _, sess := range matched {
-		if _, err := sess.addSubscriber(sub); err != nil {
+		if _, err := s.addSubscriber(c, sess, req); err != nil {
 			continue // closed between the registry scan and here
 		}
-		attached = append(attached, sess)
 		ids = append(ids, sess.id)
 	}
-	if len(attached) == 0 {
+	if len(ids) == 0 {
 		return errResp(req, errors.New("wildcard SUBSCRIBE matched no live session"))
 	}
-	s.attachSub(c, sub, attached...)
 	return wire.Response{Op: req.Op, OK: true, Sessions: ids}
 }
 
-// newSubscriber builds a subscriber carrying the request's filter. A
-// delta subscriber starts with needKey set: its first frame must be a
+// addSubscriber registers c on sess with the request's filter and
+// records the subscription on the connection for teardown. A delta
+// subscriber starts with needKey set: its first frame must be a
 // keyframe to anchor the stream.
-func (s *Server) newSubscriber(c *conn, req *wire.Request) *subscriber {
+func (s *Server) addSubscriber(c *conn, sess *session, req *wire.Request) ([]string, error) {
 	sig, canon := filterSig(req.Events, req.Delta)
-	sub := &subscriber{c: c, ch: make(chan frame, s.cfg.QueueDepth),
-		done: make(chan struct{}), events: canon, delta: req.Delta, sig: sig}
-	if req.Delta {
-		sub.needKey.Store(true)
-	}
-	return sub
-}
-
-// attachSub records the subscriber on its connection and starts its
-// drain loop. A nil conn (direct dispatch in tests) gets neither: the
-// caller owns the channel and drains it itself.
-func (s *Server) attachSub(c *conn, sub *subscriber, sessions ...*session) {
-	if c == nil {
-		return
+	sub := &subscriber{c: c, sess: sess, events: canon, delta: req.Delta, sig: sig}
+	sub.needKey.Store(req.Delta)
+	names, err := sess.addSubscriber(sub)
+	if err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
-	c.subs = append(c.subs, subRef{sessions: slices.Clone(sessions), sub: sub})
+	c.subs = append(c.subs, sub)
 	c.mu.Unlock()
-	s.wg.Add(1)
-	go sub.loop()
+	return names, nil
+}
+
+// goLive opens the streams of the subscriptions the request just
+// answered registered — the not-yet-live tail of c.subs; handle calls
+// it once the reply is queued.
+func (c *conn) goLive() {
+	c.mu.Lock()
+	for i := len(c.subs) - 1; i >= 0 && !c.subs[i].live.Load(); i-- {
+		c.subs[i].live.Store(true)
+	}
+	c.mu.Unlock()
 }
 
 // createSession builds a session: a private System on the requested

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -40,6 +42,53 @@ func dialT(t testing.TB, addr string) *Client {
 	}
 	t.Cleanup(func() { cl.Close() })
 	return cl
+}
+
+// testConn is a connection with no socket and no writer goroutine:
+// fan-out lands in its depth-bounded write queue — the one queue a
+// subscriber frame crosses — and the test pops it, standing in for a
+// consumer as slow or as fast as the test wants.
+func testConn(srv *Server, depth int) *conn {
+	return &conn{srv: srv, q: newWriteQueue(depth)}
+}
+
+// follow subscribes the connection to sess exactly as SUBSCRIBE does,
+// reply already queued.
+func (c *conn) follow(tb testing.TB, sess *session, events []string, delta bool) *subscriber {
+	tb.Helper()
+	if _, err := c.srv.addSubscriber(c, sess, &wire.Request{Events: events, Delta: delta}); err != nil {
+		tb.Fatal(err)
+	}
+	c.goLive()
+	return c.subs[len(c.subs)-1]
+}
+
+// popAll empties the connection's queue as its writer would, returning
+// each frame's payload in queue order.
+func (c *conn) popAll() []string {
+	var out []string
+	for {
+		f, ok := c.q.pop(false)
+		if !ok {
+			return out
+		}
+		out = append(out, string(f.payload))
+		f.release()
+	}
+}
+
+// popResponses is popAll with every (JSON) frame decoded.
+func (c *conn) popResponses(tb testing.TB) []wire.Response {
+	tb.Helper()
+	var out []wire.Response
+	for _, p := range c.popAll() {
+		var resp wire.Response
+		if err := json.Unmarshal([]byte(p), &resp); err != nil {
+			tb.Fatalf("frame payload: %v", err)
+		}
+		out = append(out, resp)
+	}
+	return out
 }
 
 func TestSessionLifecycle(t *testing.T) {
@@ -240,45 +289,99 @@ func TestSubscribeFanout(t *testing.T) {
 	}
 }
 
-// TestDropOldestPolicy verifies the bounded-queue policy at the
-// subscriber level: pushing into a full queue evicts the oldest frame
-// and keeps the newest.
+// TestDropOldestPolicy verifies the bounded-queue policy of the
+// connection write queue, the only queue a subscriber frame crosses: a
+// push into a full queue evicts the oldest droppable frame and keeps
+// the newest, replies are never the victim and keep their place, a
+// droppable frame that finds only replies queued is itself dropped, a
+// reply that does is a jam — and every drop lands in the ledger of the
+// frame that was actually lost.
 func TestDropOldestPolicy(t *testing.T) {
-	sub := &subscriber{ch: make(chan frame, 2), done: make(chan struct{})}
-	mk := func(seq uint64) frame {
+	srv := New(Config{TickInterval: time.Hour})
+	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
+	sess, _ := srv.reg.get(created.Session)
+	mk := func(c *conn, kind frameKind, seq uint64) frame {
 		payload, err := wire.AppendFrame(nil, wire.CodecJSON, &wire.Response{Seq: seq})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return frame{payload: payload, droppable: true}
-	}
-	seqOf := func(f frame) uint64 {
-		var resp wire.Response
-		if err := json.Unmarshal(f.payload, &resp); err != nil {
-			t.Fatalf("frame payload: %v", err)
+		f := frame{payload: payload, kind: kind}
+		if kind != kindReply {
+			f.sub = c.subs[0]
 		}
-		return resp.Seq
+		return f
 	}
-	if sub.push(mk(1)) {
-		t.Error("dropped on an empty queue")
+	const R, S, D = kindReply, kindSnapshot, kindDerived
+	type push struct {
+		kind frameKind
+		ok   bool
 	}
-	sub.push(mk(2))
-	if !sub.push(mk(3)) {
-		t.Error("no drop reported on a full queue")
-	}
-	got1, got2 := seqOf(<-sub.ch), seqOf(<-sub.ch)
-	if got1 != 2 || got2 != 3 {
-		t.Errorf("queue holds seq %d,%d; want 2,3 (oldest dropped)", got1, got2)
+	for _, tc := range []struct {
+		name        string
+		depth       int
+		pushes      []push // seq = 1-based position
+		pops        int    // frames the consumer takes after the first two pushes
+		want        []uint64
+		snapDropped uint64
+		derDropped  uint64
+	}{
+		{name: "oldest droppable goes", depth: 2,
+			pushes: []push{{S, true}, {S, true}, {S, true}}, want: []uint64{2, 3}, snapDropped: 1},
+		{name: "replies ahead of the victim keep their place", depth: 4,
+			pushes: []push{{R, true}, {R, true}, {S, true}, {S, true}, {S, true}},
+			want:   []uint64{1, 2, 4, 5}, snapDropped: 1},
+		{name: "the evicted frame's kind is charged, not the pusher's", depth: 2,
+			pushes: []push{{S, true}, {D, true}, {D, true}}, want: []uint64{2, 3}, snapDropped: 1},
+		{name: "every queued reply outranks a new droppable", depth: 2,
+			pushes: []push{{R, true}, {R, true}, {D, true}}, want: []uint64{1, 2}, derDropped: 1},
+		{name: "replies alone jam", depth: 2,
+			pushes: []push{{R, true}, {R, true}, {R, false}}, want: []uint64{1, 2}},
+		{name: "ring wraps across pops and growth", depth: 16, pops: 2,
+			pushes: []push{{S, true}, {S, true}, {S, true}, {R, true}, {S, true}, {S, true},
+				{S, true}, {S, true}, {S, true}, {S, true}, {S, true}, {S, true}},
+			want: []uint64{3, 4, 5, 6, 7, 8, 9, 10, 11, 12}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := srv.Stats()
+			c := testConn(srv, tc.depth)
+			c.follow(t, sess, nil, false)
+			for i, p := range tc.pushes {
+				if i == 2 {
+					for range tc.pops {
+						f, _ := c.q.pop(false)
+						f.release()
+					}
+				}
+				if ok := c.q.push(mk(c, p.kind, uint64(i+1))); ok != p.ok {
+					t.Errorf("push %d: ok=%v, want %v", i+1, ok, p.ok)
+				}
+			}
+			var got []uint64
+			for _, resp := range c.popResponses(t) {
+				got = append(got, resp.Seq)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("queue holds seq %v, want %v", got, tc.want)
+			}
+			st := srv.Stats()
+			if d := st.SnapshotsDropped - before.SnapshotsDropped; d != tc.snapDropped {
+				t.Errorf("snapshots_dropped +%d, want +%d", d, tc.snapDropped)
+			}
+			if d := st.DerivedDropped - before.DerivedDropped; d != tc.derDropped {
+				t.Errorf("derived_dropped +%d, want +%d", d, tc.derDropped)
+			}
+			c.teardown()
+		})
 	}
 }
 
 // TestSlowConsumerDropsViaTick drives the real tick → fanout → push
-// path against a maximally slow consumer (a subscriber with no drain
-// loop): old snapshots are dropped, the newest survives, and the tick
+// path against a maximally slow consumer (a connection with no
+// writer): old snapshots are dropped, the newest survives, and the tick
 // loop never blocks. TCP buffering would mask this end to end, so the
 // ticks are driven directly.
 func TestSlowConsumerDropsViaTick(t *testing.T) {
-	srv := New(Config{QueueDepth: 1, TickInterval: time.Hour})
+	srv := New(Config{TickInterval: time.Hour})
 	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
 		Events: []string{"PAPI_TOT_CYC"}, Workload: "dot", N: 8})
 	if !created.OK {
@@ -288,10 +391,8 @@ func TestSlowConsumerDropsViaTick(t *testing.T) {
 	if !ok {
 		t.Fatal("session not registered")
 	}
-	stalled := &subscriber{ch: make(chan frame, srv.cfg.QueueDepth), done: make(chan struct{})}
-	if _, err := sess.addSubscriber(stalled); err != nil {
-		t.Fatal(err)
-	}
+	stalled := testConn(srv, 1)
+	stalled.follow(t, sess, nil, false)
 	if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpStart, Session: created.Session}); !resp.OK {
 		t.Fatal(resp.Error)
 	}
@@ -305,12 +406,101 @@ func TestSlowConsumerDropsViaTick(t *testing.T) {
 	if st.SnapshotsDropped != 2 {
 		t.Errorf("dropped %d snapshots, want 2", st.SnapshotsDropped)
 	}
-	var latest wire.Response
-	if err := json.Unmarshal((<-stalled.ch).payload, &latest); err != nil {
-		t.Fatalf("frame payload: %v", err)
+	held := stalled.popResponses(t)
+	if len(held) != 1 || held[0].Seq != 3 {
+		t.Errorf("stalled queue holds %+v, want only the newest (seq 3)", held)
 	}
-	if latest.Seq != 3 {
-		t.Errorf("stalled queue holds seq %d, want the newest (3)", latest.Seq)
+}
+
+// TestFramesWaitForSubscribeReply: fan-out pushes straight into the
+// connection's queue, so a tick racing a SUBSCRIBE could put a frame
+// ahead of the reply that tells the client what it subscribed to. A
+// registered subscription stays silent until its reply is queued.
+func TestFramesWaitForSubscribeReply(t *testing.T) {
+	srv := New(Config{TickInterval: time.Hour})
+	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
+		Events: []string{"PAPI_TOT_CYC"}, Workload: "dot", N: 8})
+	if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpStart, Session: created.Session}); !resp.OK {
+		t.Fatal(resp.Error)
+	}
+	c := testConn(srv, 8)
+	req := &wire.Request{Op: wire.OpSubscribe, Session: created.Session}
+	reply := srv.dispatch(c, req) // what handle does, step by step
+	srv.tick()
+	if n := c.q.len(); n != 0 {
+		t.Fatalf("%d frames queued ahead of the SUBSCRIBE reply", n)
+	}
+	c.send(reply)
+	c.goLive()
+	srv.tick()
+	var ops []string
+	for _, resp := range c.popResponses(t) {
+		ops = append(ops, resp.Op)
+	}
+	if want := []string{wire.OpSubscribe, wire.OpSnapshot}; !slices.Equal(ops, want) {
+		t.Errorf("queue holds %v, want %v", ops, want)
+	}
+	if st := srv.Stats(); st.SnapshotsSent != 1 || st.SnapshotsDropped != 0 {
+		t.Errorf("sent=%d dropped=%d, want 1/0: the silent tick must count nothing",
+			st.SnapshotsSent, st.SnapshotsDropped)
+	}
+}
+
+// TestConnGoroutinesIndependentOfSubscriptions: a connection costs the
+// server a reader and a writer, and a subscription costs it no
+// goroutine at all — one subscription or sixty-five, the count is the
+// same.
+func TestConnGoroutinesIndependentOfSubscriptions(t *testing.T) {
+	srv, addr := startServer(t, Config{TickInterval: time.Hour})
+	const nSessions = 64
+	var first uint64
+	for i := 0; i < nSessions; i++ {
+		created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none", Label: "fleet"})
+		if !created.OK {
+			t.Fatal(created.Error)
+		}
+		if first == 0 {
+			first = created.Session
+		}
+	}
+	// settled waits for a goroutine count that holds still, so stragglers
+	// of earlier tests do not skew the baseline.
+	settled := func() int {
+		n, same := runtime.NumGoroutine(), 0
+		for deadline := time.Now().Add(5 * time.Second); same < 5 && time.Now().Before(deadline); {
+			time.Sleep(2 * time.Millisecond)
+			if now := runtime.NumGoroutine(); now == n {
+				same++
+			} else {
+				n, same = now, 0
+			}
+		}
+		return n
+	}
+	idle := settled()
+	cl := dialT(t, addr)
+	if _, err := cl.Hello(); err != nil {
+		t.Fatal(err)
+	}
+	connected := settled()
+	if connected != idle+2 {
+		t.Fatalf("a connection holds %d server goroutines, want 2 (reader + writer)", connected-idle)
+	}
+	if _, err := cl.Do(wire.Request{Op: wire.OpSubscribe, Session: first}); err != nil {
+		t.Fatal(err)
+	}
+	if n := settled(); n != connected {
+		t.Errorf("1 subscription: %d goroutines, want %d", n, connected)
+	}
+	resp, err := cl.Do(wire.Request{Op: wire.OpSubscribe, Labels: []string{"fleet"}, Delta: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Sessions) != nSessions {
+		t.Fatalf("wildcard matched %d sessions, want %d", len(resp.Sessions), nSessions)
+	}
+	if n := settled(); n != connected {
+		t.Errorf("%d subscriptions: %d goroutines, want %d", nSessions+1, n, connected)
 	}
 }
 

@@ -64,7 +64,6 @@ type metrics struct {
 	evictions     *telemetry.Counter
 	deadlineTrips *telemetry.Counter
 	resyncs       *telemetry.Counter
-	writeDrops    *telemetry.Counter
 	// tickStalls counts ticks that blocked on a full async-WAL handoff
 	// queue (tick.go) — the disk falling behind the tick rate.
 	tickStalls *telemetry.Counter
@@ -81,6 +80,9 @@ type metrics struct {
 	deltaDropped   *telemetry.Counter
 	keyframes      *telemetry.Counter
 	encodeFailures *telemetry.Counter
+	// sent and dropped index those same pairs by frameKind for deliver
+	// and frame.drop; keyframes share the snapshot pair.
+	sent, dropped [numKinds]*telemetry.Counter
 
 	// Per-codec outbound traffic, indexed by wire.Codec.
 	framesSent [2]*telemetry.Counter
@@ -113,29 +115,31 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	m.snapSent = reg.NewCounter(telemetry.Opts{Name: "papid_snapshots_sent_total",
 		Help: "Snapshot frames enqueued to subscribers."})
 	m.snapDropped = reg.NewCounter(telemetry.Opts{Name: "papid_snapshots_dropped_total",
-		Help: "Snapshot frames dropped from full subscriber queues."})
+		Help: "Snapshot frames (keyframes included) that never reached the socket: evicted from a full connection write queue, unwritten when the connection went away, or failed encodes."})
 	m.evictions = reg.NewCounter(telemetry.Opts{Name: "papid_evictions_total",
 		Help: "Connections the server cut loose (idle, deadline trips, jammed queues)."})
 	m.deadlineTrips = reg.NewCounter(telemetry.Opts{Name: "papid_deadline_trips_total",
 		Help: "Read/write deadline expirations that led to an eviction."})
 	m.resyncs = reg.NewCounter(telemetry.Opts{Name: "papid_resyncs_total",
 		Help: "Malformed frames answered with an ERROR frame and skipped."})
-	m.writeDrops = reg.NewCounter(telemetry.Opts{Name: "papid_write_drops_total",
-		Help: "Snapshot frames dropped from per-connection write queues."})
 	m.tickStalls = reg.NewCounter(telemetry.Opts{Name: "papid_tick_stalls_total",
 		Help: "Ticks that blocked handing a history row to the WAL appender (full queue)."})
 	m.derivedSent = reg.NewCounter(telemetry.Opts{Name: "papid_derived_sent_total",
 		Help: "DERIVED frames enqueued to subscribers."})
 	m.derivedDropped = reg.NewCounter(telemetry.Opts{Name: "papid_derived_dropped_total",
-		Help: "DERIVED frames dropped from full subscriber queues or failed encodes."})
+		Help: "DERIVED frames that never reached the socket (write-queue eviction, connection gone, failed encodes)."})
 	m.deltaSent = reg.NewCounter(telemetry.Opts{Name: "papid_deltas_sent_total",
 		Help: "DELTA frames enqueued to delta-mode subscribers."})
 	m.deltaDropped = reg.NewCounter(telemetry.Opts{Name: "papid_deltas_dropped_total",
-		Help: "DELTA frames dropped from full subscriber queues or failed encodes."})
+		Help: "DELTA frames that never reached the socket (write-queue eviction, connection gone, failed encodes)."})
 	m.keyframes = reg.NewCounter(telemetry.Opts{Name: "papid_keyframes_sent_total",
 		Help: "Keyframe snapshots enqueued to delta-mode subscribers (cadence, subscribe, or drop resync)."})
 	m.encodeFailures = reg.NewCounter(telemetry.Opts{Name: "papid_encode_failures_total",
 		Help: "Fan-out frames that failed to serialize (logged once, dropped for every subscriber on the codec)."})
+	m.sent = [numKinds]*telemetry.Counter{kindSnapshot: m.snapSent, kindKeyframe: m.snapSent,
+		kindDelta: m.deltaSent, kindDerived: m.derivedSent}
+	m.dropped = [numKinds]*telemetry.Counter{kindSnapshot: m.snapDropped, kindKeyframe: m.snapDropped,
+		kindDelta: m.deltaDropped, kindDerived: m.derivedDropped}
 	for _, codec := range []wire.Codec{wire.CodecJSON, wire.CodecBinary} {
 		label := telemetry.Label{Name: "codec", Value: codec.String()}
 		m.framesSent[codec] = reg.NewCounter(telemetry.Opts{

@@ -266,13 +266,12 @@ const maxPooledFrame = 1 << 16
 
 // sharedBuf is a reference-counted, pooled encode buffer for fan-out
 // frames. A fan-out serializes each distinct frame once per codec and
-// shares the bytes across every subscriber queue; the refcount is one
-// for the encCache that owns the encode plus one per enqueued frame,
-// and whoever drops the last reference returns the buffer to the pool.
-// Every deliberate discard path releases (queue drop-oldest, write
-// queue eviction, jam, the socket write itself); frames abandoned
-// inside a torn-down subscriber channel are simply never released and
-// fall to the GC — a pool miss, never a reuse-while-referenced.
+// shares the bytes across every subscriber's connection queue; the
+// refcount is one for the encCache that owns the encode plus one per
+// enqueued frame, and whoever drops the last reference returns the
+// buffer to the pool. Every frame is settled exactly once — the socket
+// write, or frame.drop on eviction, jam, closed queue and writer exit —
+// so no reference is left behind.
 type sharedBuf struct {
 	buf  []byte
 	refs atomic.Int32

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"context"
 	"fmt"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/faultnet"
 	"repro/internal/telemetry/tracing"
 	"repro/internal/wire"
 )
@@ -254,6 +257,60 @@ func TestTracePublishStages(t *testing.T) {
 		if !names[want] {
 			t.Errorf("PUBLISH trace lacks span %q; has %v", want, names)
 		}
+	}
+}
+
+// TestTraceFinishedWhenWriterAbandonsBacklog: a request trace rides its
+// reply frame and finishes when the frame is consumed, so a writer that
+// gives up on a dead peer must settle the replies still queued behind
+// the failed write — every started trace finishes, none leaks with its
+// reply buffer. The peer pipelines requests and never reads; the
+// connection's writes stall, the deadline trips, and the eviction finds
+// a backlog several socket writes deep.
+func TestTraceFinishedWhenWriterAbandonsBacklog(t *testing.T) {
+	srv := New(Config{TickInterval: time.Hour, TraceSample: 1,
+		WriteTimeout: 50 * time.Millisecond, WriteQueueDepth: 1024})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Serve(faultnet.Wrap(ln, func(int, net.Conn) faultnet.Faults {
+		return faultnet.Faults{StallAfter: 512}
+	}))
+	nc, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	const nReqs = 400 // ~70 reply bytes each: six write batches' worth
+	var reqs []byte
+	for i := 0; i < nReqs; i++ {
+		if reqs, err = wire.AppendFrame(reqs, wire.CodecJSON, &wire.Request{Op: wire.OpHello}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := nc.Write(reqs); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); srv.Stats().Evictions == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("stalled peer never evicted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Every trace is head-sampled, so finishing one retains it.
+	ts := srv.trc.TracerStats()
+	if ts.Started < nReqs/2 {
+		t.Fatalf("only %d traces started; the backlog never built", ts.Started)
+	}
+	if ts.Started != ts.Retained {
+		t.Errorf("trace_started=%d but only %d finished: the abandoned backlog leaked its traces",
+			ts.Started, ts.Retained)
 	}
 }
 

@@ -20,7 +20,7 @@ if [ "${1:-}" = "compare" ]; then
     tmp=$(mktemp /tmp/bench-server-compare.XXXXXX.json)
     trap 'rm -f "$tmp"' EXIT
     go run ./cmd/benchjson -benchmem -benchtime 3s -out "$tmp" \
-        -bench 'Server|TickParallel' ./internal/server .
+        -bench 'Server|TickParallel|WriteQueuePushFull' ./internal/server .
     go run ./cmd/benchjson -diff \
         -gate 'ServerQuery|ServerFanout|ServerThroughput' -max-regress 25 \
         BENCH_server.json "$tmp"
@@ -36,8 +36,10 @@ go run ./cmd/benchjson -benchmem -out BENCH_wal.json -bench 'WAL|Replay' ./inter
 # FanoutInterest benchmark rides along, tracking bytes/sub-tick for
 # the v4 subscription shapes (broadcast vs interest-filtered vs
 # event-projected vs delta) so a regression in the filtered fan-out's
-# frame sizes shows up in the committed baseline.
-go run ./cmd/benchjson -benchmem -benchtime 3s -out BENCH_server.json -bench 'Server|TickParallel' ./internal/server .
+# frame sizes shows up in the committed baseline. WriteQueuePushFull
+# prices eviction from a full connection write queue at depth 64 and
+# 8192; its ns/op must stay flat in depth.
+go run ./cmd/benchjson -benchmem -benchtime 3s -out BENCH_server.json -bench 'Server|TickParallel|WriteQueuePushFull' ./internal/server .
 # Derived-metric engine costs: compiled-formula evaluation (the
 # per-metric per-tick unit), the full engine tick, and the server's
 # derived fan-out (evaluate + encode-once DERIVED frame across v3

@@ -49,9 +49,13 @@ echo "bench regression gate OK"
 # per-op latency histograms, queue-depth gauge, cache counters — and
 # that /statusz is valid JSON. The race-enabled telemetry tests above
 # already cover concurrent recording; this covers the binary + flag
-# wiring end to end.
+# wiring end to end. papid starts with exactly the flags the benchmark
+# pins (commonFlags in bench/papistorm/papid.go, deprecated -queue
+# included), so a flag that stops parsing fails here before it fails
+# the benchmark.
 go build -o /tmp/papid-ci-smoke ./cmd/papid
-/tmp/papid-ci-smoke -addr 127.0.0.1:0 -http 127.0.0.1:61780 -quiet &
+/tmp/papid-ci-smoke -addr 127.0.0.1:0 -http 127.0.0.1:61780 \
+    -tick 50ms -queue 4096 -write-queue 4096 -quiet &
 papid_pid=$!
 trap 'kill $papid_pid 2>/dev/null || true' EXIT
 ok=""
@@ -62,13 +66,18 @@ for i in $(seq 1 50); do
     fi
     sleep 0.1
 done
-[ -n "$ok" ] || { echo "papid -http never came up" >&2; exit 1; }
+[ -n "$ok" ] || { echo "papid -http never came up (do the benchmark's pinned flags still parse?)" >&2; exit 1; }
 for family in papid_sessions papid_connections papid_write_queue_frames \
-    papid_alloc_cache_hits_total papid_uptime_seconds \
-    papid_tick_duration_seconds papid_goroutines; do
+    papid_snapshots_dropped_total papid_alloc_cache_hits_total \
+    papid_uptime_seconds papid_tick_duration_seconds papid_goroutines; do
     echo "$metrics" | grep -q "$family" || {
         echo "/metrics lacks $family" >&2; exit 1; }
 done
+# One queue per connection means one drop ledger: the second one must
+# stay gone.
+if echo "$metrics" | grep -q papid_write_drops_total; then
+    echo "/metrics still exposes papid_write_drops_total" >&2; exit 1
+fi
 statusz=$(curl -sf http://127.0.0.1:61780/statusz)
 echo "$statusz" | grep -q '"stats"' || { echo "/statusz lacks stats" >&2; exit 1; }
 echo "$statusz" | grep -q '"hists"' || { echo "/statusz lacks hists" >&2; exit 1; }
