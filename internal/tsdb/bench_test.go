@@ -2,12 +2,17 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// benchEvents is one papid session's row: 8 events.
+var benchEvents = []string{"PAPI_TOT_CYC", "PAPI_FP_OPS", "PAPI_L1_DCM", "PAPI_TOT_INS",
+	"PAPI_BR_MSP", "PAPI_TLB_DM", "PAPI_L2_TCM", "PAPI_TOT_IIS"}
 
 // benchSamples is a realistic papid stream: 50ms ticks, near-constant
 // counter rate with jitter.
@@ -82,8 +87,7 @@ func BenchmarkTSDBDecode(b *testing.B) {
 // events per op — batched (one lock round per shard) against the
 // sequential per-event path it replaced.
 func BenchmarkTSDBAppendBatch(b *testing.B) {
-	events := []string{"PAPI_TOT_CYC", "PAPI_FP_OPS", "PAPI_L1_DCM", "PAPI_TOT_INS",
-		"PAPI_BR_MSP", "PAPI_TLB_DM", "PAPI_L2_TCM", "PAPI_TOT_IIS"}
+	events := benchEvents
 	for _, mode := range []string{"batched", "serial"} {
 		for _, width := range []int{2, 8} {
 			b.Run(fmt.Sprintf("%s/events-%d", mode, width), func(b *testing.B) {
@@ -153,6 +157,44 @@ func BenchmarkTSDBQuery(b *testing.B) {
 				}()
 			}
 			wg.Wait()
+		})
+	}
+}
+
+// BenchmarkTSDBQueryRawRange measures the raw-decoded range query —
+// what `perfometer -step 1s` and derive-mode QUERY send, since no
+// rollup width divides a step under 10s: a whole-history step=1s read
+// of one session of 8 events x 4,000 rows. "burst" packs the rows
+// 250us apart (a preload: ~1s of history, a handful of windows);
+// "tick-50ms" spaces them like a live session (200 windows). B/op is
+// the guard: it must follow the windows returned, not the 32,000
+// samples scanned.
+func BenchmarkTSDBQueryRawRange(b *testing.B) {
+	events := benchEvents
+	for _, sp := range []struct {
+		name   string
+		period int64
+	}{{"burst", 250}, {"tick-50ms", 50_000}} {
+		b.Run(sp.name, func(b *testing.B) {
+			st := New(Config{MaxBytes: 1 << 30, MaxAge: -1})
+			rng := rand.New(rand.NewSource(3))
+			row := make([]int64, len(events))
+			var ts int64
+			for i := 0; i < 4000; i++ {
+				ts += sp.period + rng.Int63n(31)
+				for e := range row {
+					row[e] += 1_000_000 + rng.Int63n(997)
+				}
+				st.AppendBatch(1, ts, events, row)
+			}
+			q := Query{From: 0, To: math.MaxInt64, Step: 1_000_000}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res := st.Query(1, q); len(res) != len(events) {
+					b.Fatalf("query returned %d series, want %d", len(res), len(events))
+				}
+			}
 		})
 	}
 }

@@ -103,7 +103,9 @@ func (b *block) iter() blockIter {
 }
 
 // next returns the next sample; ok is false when the block is
-// exhausted.
+// exhausted, or when its bytes run out or hold an overlong varint —
+// IterBlock is fed segment bytes read back from disk, so corrupt input
+// must end the iteration, not panic or invent samples.
 func (it *blockIter) next() (ts, v int64, ok bool) {
 	if it.i >= it.n {
 		return 0, 0, false
@@ -123,12 +125,21 @@ func (it *blockIter) next() (ts, v int64, ok bool) {
 		it.ts += it.tsDelta
 		it.v += it.vDelta
 	}
+	if it.n == 0 { // readZigzag hit bad bytes
+		return 0, 0, false
+	}
 	it.i++
 	return it.ts, it.v, true
 }
 
+// readZigzag decodes one varint. On a truncated buffer (n == 0) or an
+// overlong varint (n < 0) it stops the iterator by zeroing it.n.
 func (it *blockIter) readZigzag() int64 {
 	u, n := binary.Uvarint(it.buf)
+	if n <= 0 {
+		it.n = 0
+		return 0
+	}
 	it.buf = it.buf[n:]
 	return unzigzag(u)
 }

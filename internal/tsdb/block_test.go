@@ -1,6 +1,8 @@
 package tsdb
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -78,4 +80,61 @@ func TestBlockCompression(t *testing.T) {
 		t.Errorf("compression ratio %.2fx (encoded %d bytes for %d raw), want >= 4x",
 			ratio, len(b.buf), raw)
 	}
+}
+
+// FuzzIterBlock feeds IterBlock — which replay and compaction hand
+// segment bytes read back from disk — arbitrary bytes and counts. It
+// must never panic nor yield more than n samples; and reading data as
+// a sample log instead, the encoded block must decode to exactly those
+// samples, a truncated one to a prefix of them.
+func FuzzIterBlock(f *testing.F) {
+	var b block
+	rng := rand.New(rand.NewSource(5))
+	ts, v := int64(-40_000), int64(0)
+	for i := 0; i < 64; i++ {
+		ts += 50_000 + rng.Int63n(31)
+		v += 1_000_000 + rng.Int63n(997)
+		b.appendSample(ts, v)
+	}
+	f.Add(b.buf, b.n)
+	f.Add(b.buf[:len(b.buf)/2], b.n)               // truncated mid-block
+	f.Add(b.buf[:1], b.n)                          // truncated inside the first sample
+	f.Add(b.buf, b.n+100)                          // header claims more than the bytes hold
+	f.Add(bytes.Repeat([]byte{0xff}, 24), 3)       // overlong varints
+	f.Add(append([]byte{0x80}, b.buf[1:]...), b.n) // continuation bit flipped in
+	flipped := append([]byte(nil), b.buf...)
+	flipped[len(flipped)/3] ^= 0x40
+	f.Add(flipped, b.n)
+	f.Add([]byte{}, -1)
+
+	f.Fuzz(func(t *testing.T, data []byte, n int) {
+		got := 0
+		IterBlock(data, n, func(int64, int64) bool { got++; return true })
+		if got > max(n, 0) {
+			t.Fatalf("IterBlock(%d bytes, n=%d) yielded %d samples", len(data), n, got)
+		}
+
+		var enc block
+		var want []sample
+		for ; len(data) >= 16; data = data[16:] {
+			s := sample{int64(binary.LittleEndian.Uint64(data)), int64(binary.LittleEndian.Uint64(data[8:]))}
+			enc.appendSample(s.ts, s.v)
+			want = append(want, s)
+		}
+		cut := len(enc.buf)
+		if n > 0 {
+			cut -= n % (len(enc.buf) + 1)
+		}
+		i := 0
+		IterBlock(enc.buf[:cut], enc.n, func(ts, v int64) bool {
+			if i >= len(want) || want[i] != (sample{ts, v}) {
+				t.Fatalf("sample %d of %d (cut %d/%d bytes) decoded as (%d,%d)", i, len(want), cut, len(enc.buf), ts, v)
+			}
+			i++
+			return true
+		})
+		if cut == len(enc.buf) && i != len(want) {
+			t.Fatalf("unmutated block decoded %d of %d samples", i, len(want))
+		}
+	})
 }

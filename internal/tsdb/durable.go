@@ -84,13 +84,8 @@ func (s *Store) SealAllActive() int {
 func (s *Store) InstallSealed(sb SealedBlock, mapped, fold bool) {
 	sh := s.shardFor(sb.Key)
 	sh.mu.Lock()
-	sr := sh.m[sb.Key]
-	if sr == nil {
-		sr = newSeries(sb.Key, s.widths)
-		sh.m[sb.Key] = sr
-		s.indexAdd(sb.Key)
-	}
-	before := sr.bytes()
+	sr := s.seriesFor(sh, sb.Key)
+	before := sr.mutableBytes()
 	// Replay installs only blocks read back from segment files, so by
 	// construction every installed block is persisted.
 	b := &block{buf: sb.Buf, n: sb.N, minTS: sb.MinTS, maxTS: sb.MaxTS, mapped: mapped, persisted: true}
@@ -110,7 +105,7 @@ func (s *Store) InstallSealed(sb SealedBlock, mapped, fold bool) {
 			return true
 		})
 	}
-	delta := sr.bytes() - before
+	delta := b.bytes() + sr.mutableBytes() - before
 	sh.mu.Unlock()
 	s.samples.Add(uint64(sb.N))
 	s.bytes.Add(delta)
@@ -128,12 +123,7 @@ func (s *Store) InstallRollup(key SeriesKey, width int64, buckets []Bucket) bool
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sr := sh.m[key]
-	if sr == nil {
-		sr = newSeries(key, s.widths)
-		sh.m[key] = sr
-		s.indexAdd(key)
-	}
+	sr := s.seriesFor(sh, key)
 	for i := range sr.levels {
 		if sr.levels[i].width != width {
 			continue

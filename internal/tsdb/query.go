@@ -1,7 +1,9 @@
 package tsdb
 
 import (
+	"math"
 	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/telemetry"
@@ -97,62 +99,65 @@ func (s *Store) pickWidth(step int64) int64 {
 }
 
 func (s *Store) querySeries(key SeriesKey, q Query) (Series, bool) {
-	if !q.Valid() {
-		return Series{}, false
-	}
 	sh := s.shardFor(key)
 
 	if q.Step <= 0 {
-		// Raw samples, no windowing.
-		sealed, active, ok := s.snapshotBlocks(sh, key, q.From, q.To)
-		if !ok {
-			return Series{}, false
+		// Raw samples, no windowing: one bucket per sample, allocated
+		// once at the overlapping blocks' sample count.
+		sc, n := s.snapshotBlocks(sh, key, q.From, q.To)
+		out := make([]Bucket, 0, n)
+		for ts, v, ok := sc.next(); ok; ts, v, ok = sc.next() {
+			out = append(out, Bucket{Start: ts, Count: 1, Min: v, Max: v, Sum: v, Last: v})
 		}
-		bks := rawBuckets(sealed, active, q.From, q.To)
-		if len(bks) == 0 {
-			return Series{}, false
-		}
-		return Series{Event: key.Event, Buckets: bks}, true
+		return Series{Event: key.Event, Buckets: out}, len(out) > 0
 	}
 
 	effFrom := q.From - mod(q.From, q.Step)           // align the first window down
 	effTo := q.To + (q.Step-mod(q.To, q.Step))%q.Step // align the last window up:
 	// a window starting before To is aggregated whole, even past To
 	if effTo < q.To { // alignment overflowed (To near MaxInt64)
-		effTo = 1<<63 - 1
+		effTo = math.MaxInt64
 	}
 	width := s.pickWidth(q.Step)
 
-	var src []Bucket
-	if width > 0 {
-		sh.mu.RLock()
-		sr := sh.m[key]
-		if sr == nil {
-			sh.mu.RUnlock()
-			return Series{}, false
-		}
-		for i := range sr.levels {
-			if sr.levels[i].width == width {
-				src = sr.levels[i].snapshotRange(effFrom, effTo)
-				break
+	var out []Bucket
+	if width == 0 {
+		// No rollup divides the step: fold each raw sample into its
+		// window as it decodes. Samples arrive in time order, so only
+		// the last window is open and memory is O(windows).
+		sc, _ := s.snapshotBlocks(sh, key, effFrom, effTo)
+		var end int64 // exclusive end of the open window
+		for ts, v, ok := sc.next(); ok; ts, v, ok = sc.next() {
+			if len(out) == 0 || ts >= end {
+				w := ts - mod(ts, q.Step)
+				if end = w + q.Step; end < w { // the window runs past MaxInt64,
+					end = math.MaxInt64 // and every scanned ts is below effTo
+				}
+				out = append(out, Bucket{Start: w})
 			}
+			out[len(out)-1].merge(v)
 		}
-		sh.mu.RUnlock()
-	} else {
-		sealed, active, ok := s.snapshotBlocks(sh, key, effFrom, effTo)
-		if !ok {
-			return Series{}, false
-		}
-		src = rawBuckets(sealed, active, effFrom, effTo)
+		return Series{Event: key.Event, Buckets: out}, len(out) > 0
 	}
-	if len(src) == 0 {
+
+	var src []Bucket
+	sh.mu.RLock()
+	sr := sh.m[key]
+	if sr == nil {
+		sh.mu.RUnlock()
 		return Series{}, false
 	}
+	for i := range sr.levels {
+		if sr.levels[i].width == width {
+			src = sr.levels[i].snapshotRange(effFrom, effTo)
+			break
+		}
+	}
+	sh.mu.RUnlock()
 
 	// Fold grid-aligned source buckets into step windows. Source
 	// buckets arrive in time order and each lies wholly inside one
 	// window, so this is a single merge pass.
-	var out []Bucket
 	for _, bk := range src {
 		w := bk.Start - mod(bk.Start, q.Step)
 		if w < effFrom || w >= q.To {
@@ -166,36 +171,39 @@ func (s *Store) querySeries(key SeriesKey, q Query) (Series, bool) {
 			out = append(out, win)
 		}
 	}
-	if len(out) == 0 {
-		return Series{}, false
-	}
-	return Series{Event: key.Event, Width: width, Buckets: out}, true
+	return Series{Event: key.Event, Width: width, Buckets: out}, len(out) > 0
 }
 
-// snapshotBlocks captures, under the shard lock, immutable refs to the
-// sealed blocks overlapping [from, to) plus a copy of the active block
-// — decoding then happens lock-free.
-func (s *Store) snapshotBlocks(sh *storeShard, key SeriesKey, from, to int64) (sealed []*block, active *block, ok bool) {
+// snapshotBlocks captures, under the shard read lock, immutable refs to
+// the series' sealed blocks overlapping [from, to) and a copy of its
+// active block, and returns a scanner over them — decoding then
+// happens lock-free — with the sample count they hold, an upper bound
+// on what the scan yields. sealed is time-ordered: the first overlap
+// is binary-searched and the walk stops at the first block past to.
+func (s *Store) snapshotBlocks(sh *storeShard, key SeriesKey, from, to int64) (sc blockScan, n int) {
+	sc.from, sc.to = from, to
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	sr := sh.m[key]
 	if sr == nil {
-		return nil, nil, false
+		return sc, 0
 	}
-	for _, b := range sr.sealed {
-		if b.maxTS >= from && b.minTS < to {
-			sealed = append(sealed, b)
-		}
+	lo := sort.Search(len(sr.sealed), func(i int) bool { return sr.sealed[i].maxTS >= from })
+	hi := lo
+	for ; hi < len(sr.sealed) && sr.sealed[hi].minTS < to; hi++ {
+		n += sr.sealed[hi].n
 	}
+	sc.blocks = append(make([]*block, 0, hi-lo+1), sr.sealed[lo:hi]...)
 	if a := sr.active; a != nil && a.n > 0 && a.maxTS >= from && a.minTS < to {
-		active = &block{
+		sc.blocks = append(sc.blocks, &block{
 			buf:   append([]byte(nil), a.buf...),
 			n:     a.n,
 			minTS: a.minTS,
 			maxTS: a.maxTS,
-		}
+		})
+		n += a.n
 	}
-	return sealed, active, true
+	return sc, n
 }
 
 // mod is a floor modulo for window alignment that behaves for negative

@@ -67,7 +67,7 @@ type rollupLevel struct {
 // append folds one raw sample into the level, sealing the current
 // bucket when the sample crosses into a new window.
 func (rl *rollupLevel) append(ts, v int64) {
-	start := ts - ts%rl.width
+	start := ts - mod(ts, rl.width)
 	if rl.curSet && start != rl.cur.Start {
 		rl.buckets = append(rl.buckets, rl.cur)
 		rl.cur = Bucket{}

@@ -36,7 +36,7 @@ func (sr *series) append(ts, v int64, blockSamples int, seq uint64) (deltaBytes 
 	if sr.samples > 0 && ts < sr.lastTS {
 		ts = sr.lastTS
 	}
-	before := sr.bytes()
+	before := sr.mutableBytes()
 	if sr.active == nil {
 		sr.active = &block{}
 	}
@@ -54,20 +54,33 @@ func (sr *series) append(ts, v int64, blockSamples int, seq uint64) (deltaBytes 
 	}
 	sr.lastTS = ts
 	sr.samples++
-	return sr.bytes() - before, sealed
+	deltaBytes = sr.mutableBytes() - before
+	if sealed != nil {
+		deltaBytes += sealed.bytes() // left the mutable part, still charged
+	}
+	return deltaBytes, sealed
 }
 
-// bytes is the series' total budget charge.
-func (sr *series) bytes() int64 {
+// mutableBytes is the budget charge of the parts an append can grow:
+// the active block and the rollup levels. Budget deltas are taken
+// around it, so their cost does not depend on how many sealed blocks
+// the series retains.
+func (sr *series) mutableBytes() int64 {
 	var n int64
 	if sr.active != nil {
 		n += sr.active.bytes()
 	}
-	for _, b := range sr.sealed {
-		n += b.bytes()
-	}
 	for i := range sr.levels {
 		n += sr.levels[i].bytes()
+	}
+	return n
+}
+
+// bytes is the series' total budget charge, recounted from scratch.
+func (sr *series) bytes() int64 {
+	n := sr.mutableBytes()
+	for _, b := range sr.sealed {
+		n += b.bytes()
 	}
 	return n
 }
@@ -110,32 +123,32 @@ func (sr *series) evictExpired(cutoff int64) (freed int64, events uint64) {
 	return freed, events
 }
 
-// rawBuckets decodes the raw samples in [from, to) into single-sample
-// buckets. sealedRefs and activeCopy come from snapshotBlocks, so no
-// lock is held while decoding.
-func rawBuckets(sealedRefs []*block, activeCopy *block, from, to int64) []Bucket {
-	var out []Bucket
-	scan := func(b *block) {
-		if b.n == 0 || b.maxTS < from || b.minTS >= to {
-			return
-		}
-		it := b.iter()
-		for {
-			ts, v, ok := it.next()
-			if !ok || ts >= to {
-				return
+// blockScan streams the raw samples in [from, to) out of a series'
+// time-ordered blocks, one at a time. The blocks come from
+// snapshotBlocks, so no lock is held while decoding.
+type blockScan struct {
+	blocks   []*block // still to be decoded
+	it       blockIter
+	from, to int64
+}
+
+// next returns the next in-range sample; ok is false once a sample at
+// or past to is met or the blocks run out.
+func (sc *blockScan) next() (ts, v int64, ok bool) {
+	for {
+		ts, v, ok = sc.it.next()
+		switch {
+		case !ok:
+			if len(sc.blocks) == 0 {
+				return 0, 0, false
 			}
-			if ts < from {
-				continue
-			}
-			out = append(out, Bucket{Start: ts, Count: 1, Min: v, Max: v, Sum: v, Last: v})
+			sc.it = sc.blocks[0].iter()
+			sc.blocks = sc.blocks[1:]
+		case ts >= sc.to:
+			sc.blocks, sc.it = nil, blockIter{}
+			return 0, 0, false
+		case ts >= sc.from:
+			return ts, v, true
 		}
 	}
-	for _, b := range sealedRefs {
-		scan(b)
-	}
-	if activeCopy != nil {
-		scan(activeCopy)
-	}
-	return out
 }

@@ -207,12 +207,7 @@ func (s *Store) appendOne(session uint64, event string, ts, v int64, seq uint64)
 // block this sample sealed into seals — the caller fires the storage
 // hook after releasing the lock.
 func (s *Store) appendLocked(sh *storeShard, key SeriesKey, ts, v int64, seq uint64, seals *[]SealedBlock) (delta int64, evicted uint64) {
-	sr := sh.m[key]
-	if sr == nil {
-		sr = newSeries(key, s.widths)
-		sh.m[key] = sr
-		s.indexAdd(key)
-	}
+	sr := s.seriesFor(sh, key)
 	d, sealed := sr.append(ts, v, s.cfg.BlockSamples, seq)
 	delta = d
 	if sealed != nil {
@@ -224,6 +219,21 @@ func (s *Store) appendLocked(sh *storeShard, key SeriesKey, ts, v int64, seq uin
 		evicted = events
 	}
 	return delta, evicted
+}
+
+// seriesFor returns the key's series, creating it on first use and
+// charging its fixed footprint (the levels' in-progress buckets), so
+// the running total always equals a recount of series.bytes(). The
+// caller holds sh.mu.
+func (s *Store) seriesFor(sh *storeShard, key SeriesKey) *series {
+	sr := sh.m[key]
+	if sr == nil {
+		sr = newSeries(key, s.widths)
+		sh.m[key] = sr
+		s.indexAdd(key)
+		s.bytes.Add(sr.bytes())
+	}
+	return sr
 }
 
 // AppendRow records one timestamp's values for several events of one

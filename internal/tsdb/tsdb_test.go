@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -390,5 +391,218 @@ func TestDropSealedUpToSparesUnpersisted(t *testing.T) {
 	}
 	if n := st.DropSealedUpTo(map[SeriesKey]int64{key: 1 << 60}); n != 2 {
 		t.Fatalf("dropped %d blocks, want exactly the 2 persisted ones", n)
+	}
+}
+
+// bruteRaw is the reference for step=0: the samples in [from, to), one
+// bucket each.
+func bruteRaw(samples []sample, from, to int64) []Bucket {
+	var out []Bucket
+	for _, s := range samples {
+		if s.ts >= from && s.ts < to {
+			out = append(out, Bucket{Start: s.ts, Count: 1, Min: s.v, Max: s.v, Sum: s.v, Last: s.v})
+		}
+	}
+	return out
+}
+
+// TestQueryEquivalenceSeeded checks Store.Query against brute force
+// over the appended samples on seeded random schedules: irregular,
+// duplicate and backwards (clamped) timestamps, histories that start
+// below zero, blocks small enough that windows straddle seals and the
+// active block, From/To mid-window, To at and near MaxInt64, steps no
+// rollup divides (raw fold), steps one does (rollup fold), step 0, and
+// event filters against nil. A failure names its seed and query, which
+// replay it.
+func TestQueryEquivalenceSeeded(t *testing.T) {
+	events := []string{"A", "B", "C"}
+	steps := []int64{0, 1, 7, 333, 999, 1000, 2000, 5000, 6000, 12_000, 4096, 1 << 50}
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := New(Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: 4 + rng.Intn(60),
+			Rollups: []time.Duration{time.Millisecond, 6 * time.Millisecond}})
+		model := map[string][]sample{}
+		ts := rng.Int63n(40_000) - 30_000
+		lo := ts
+		for i, n := 0, 50+rng.Intn(800); i < n; i++ {
+			switch rng.Intn(10) {
+			case 0: // same instant again
+			case 1:
+				ts -= rng.Int63n(500) // clock stepped back: the store clamps
+			case 2:
+				ts += rng.Int63n(20_000) // a gap of several windows
+			default:
+				ts += 1 + rng.Int63n(50)
+			}
+			for _, ev := range events {
+				if rng.Intn(4) == 0 {
+					continue // series of one session need not tick together
+				}
+				got, v := ts, rng.Int63n(1<<40)-(1<<39)
+				if m := model[ev]; len(m) > 0 && got < m[len(m)-1].ts {
+					got = m[len(m)-1].ts
+				}
+				model[ev] = append(model[ev], sample{got, v})
+				st.Append(9, ev, ts, v)
+			}
+		}
+		hi := ts
+		for qi := 0; qi < 80; qi++ {
+			q := Query{Step: steps[rng.Intn(len(steps))]}
+			q.From = lo - 3000 + rng.Int63n(hi-lo+6000)
+			switch rng.Intn(5) {
+			case 0:
+				q.To = math.MaxInt64
+			case 1:
+				q.To = math.MaxInt64 - rng.Int63n(20_000)
+			default:
+				q.To = q.From + 1 + rng.Int63n(hi-q.From+3000)
+			}
+			want := events
+			if rng.Intn(2) == 0 {
+				q.Events = []string{events[rng.Intn(3)], "never-recorded"}
+				want = q.Events[:1]
+			}
+			res := st.Query(9, q)
+			label := fmt.Sprintf("seed %d query %d %+v", seed, qi, q)
+			for _, ev := range want {
+				exp := bruteRaw(model[ev], q.From, q.To)
+				if q.Step > 0 {
+					exp = bruteQuery(model[ev], q.From, q.To, q.Step)
+				}
+				if len(exp) == 0 {
+					continue // empty series are omitted from the reply
+				}
+				if len(res) == 0 || res[0].Event != ev {
+					t.Fatalf("%s: series %s missing from %d-series reply", label, ev, len(res))
+				}
+				if res[0].Width != st.pickWidth(q.Step) {
+					t.Fatalf("%s: %s served from width %d", label, ev, res[0].Width)
+				}
+				sameBuckets(t, label+" "+ev, res[0].Buckets, exp)
+				res = res[1:]
+			}
+			if len(res) != 0 {
+				t.Fatalf("%s: %d unexpected series, first %q", label, len(res), res[0].Event)
+			}
+		}
+	}
+}
+
+// TestQueryWindowPastEndOfTime: a step window whose end would overflow
+// int64 still aggregates whole instead of splitting per sample.
+func TestQueryWindowPastEndOfTime(t *testing.T) {
+	st := New(Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: 2})
+	var samples []sample
+	for i, back := range []int64{5000, 4000, 900, 500, 2} {
+		samples = append(samples, sample{math.MaxInt64 - back, int64(i) * 3})
+		st.Append(1, "E", math.MaxInt64-back, int64(i)*3)
+	}
+	for _, step := range []int64{7, 1000, 1 << 50} {
+		res := st.Query(1, Query{From: math.MaxInt64 - 4500, To: math.MaxInt64, Step: step})
+		if len(res) != 1 {
+			t.Fatalf("step %d: %d series", step, len(res))
+		}
+		sameBuckets(t, fmt.Sprintf("step %d", step), res[0].Buckets,
+			bruteQuery(samples, math.MaxInt64-4500, math.MaxInt64, step))
+	}
+}
+
+// TestQueryRawRangeAllocs is the timing-free guard against a per-sample
+// intermediate coming back on the raw-decoded range path: eight times
+// the samples in the same four windows must cost exactly the same
+// allocations, and a handful at that.
+func TestQueryRawRangeAllocs(t *testing.T) {
+	allocs := func(samples int) float64 {
+		st := New(Config{MaxBytes: 1 << 30, MaxAge: -1})
+		for i := 0; i < samples; i++ {
+			st.Append(1, "PAPI_TOT_CYC", int64(i)*4_000_000/int64(samples), int64(i)*1000)
+		}
+		q := Query{From: 0, To: math.MaxInt64, Step: 1_000_000} // no rollup divides 1s
+		if res := st.Query(1, q); len(res) != 1 || res[0].Width != 0 || len(res[0].Buckets) != 4 {
+			t.Fatalf("%d samples: want one raw-decoded series of 4 windows, got %+v", samples, res)
+		}
+		return testing.AllocsPerRun(20, func() { st.Query(1, q) })
+	}
+	sparse, dense := allocs(2_100), allocs(16_800)
+	if sparse != dense || dense > 8 {
+		t.Errorf("allocs per query: %v over 2,100 samples, %v over 16,800, both in 4 windows; want equal and <= 8",
+			sparse, dense)
+	}
+}
+
+// recountBytes sums every live series' footprint from scratch.
+func recountBytes(st *Store) int64 {
+	var n int64
+	for i := range st.shards {
+		sh := &st.shards[i]
+		sh.mu.RLock()
+		for _, sr := range sh.m {
+			n += sr.bytes()
+		}
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// TestBudgetRunningTotalMatchesRecount: the store keeps its byte total
+// by deltas taken around what each operation changed, never by
+// recounting a series; after every step of a seeded schedule of
+// appends, budget and age evictions, sweeps, force-seals, replay
+// installs and compaction drops, that total must equal a full recount.
+func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	st := New(Config{MaxBytes: 24 << 10, MaxAge: 2 * time.Second, BlockSamples: 32})
+	events := []string{"A", "B", "C", "D"}
+	check := func(op string, i int) {
+		t.Helper()
+		if got, want := st.Stats().Bytes, recountBytes(st); got != want {
+			t.Fatalf("after %s at step %d: running total %d, recount %d", op, i, got, want)
+		}
+	}
+	var ts int64
+	row := make([]int64, len(events))
+	for i := 0; i < 30_000; i++ {
+		ts += 500 + rng.Int63n(2_000)
+		for e := range row {
+			row[e] += rng.Int63n(1 << uint(10+rng.Intn(30)))
+		}
+		switch sess := uint64(1 + rng.Intn(3)); rng.Intn(40) {
+		case 0:
+			st.Sweep(ts)
+			check("Sweep", i)
+		case 1:
+			st.SealAllActive()
+			check("SealAllActive", i)
+		case 2:
+			var b block
+			for k := int64(0); k < 20; k++ {
+				b.appendSample(ts+k, k)
+			}
+			ts += 20
+			st.InstallSealed(sealedBlockOf(SeriesKey{Session: 50 + sess, Event: "R"}, &b, 0), rng.Intn(2) == 0, true)
+			check("InstallSealed", i)
+		case 3:
+			st.InstallRollup(SeriesKey{Session: 50 + sess, Event: "R"}, st.widths[0],
+				[]Bucket{{Start: ts - mod(ts, st.widths[0]), Count: 1}})
+			check("InstallRollup", i)
+		case 4:
+			st.DropSealedOlder(ts - 500_000)
+			check("DropSealedOlder", i)
+		case 5:
+			st.Append(sess, events[0], ts, row[0])
+			check("Append", i)
+		default:
+			st.AppendBatch(sess, ts, events, row)
+			check("AppendBatch", i)
+		}
+	}
+	if st.Stats().Evictions == 0 {
+		t.Error("the schedule never evicted; it no longer exercises the eviction deltas")
+	}
+	st.Sweep(ts + time.Hour.Microseconds())
+	check("final Sweep", -1)
+	if got := st.Stats(); got.Series != 0 || got.Bytes != 0 {
+		t.Errorf("after everything expired: %+v, want no series and 0 bytes", got)
 	}
 }

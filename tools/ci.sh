@@ -24,6 +24,10 @@ go test -race -timeout 2m -run 'TestChaos|TestDoTimeout|TestReconn|TestDialRetry
 # One-iteration benchmark smoke: catches benchmarks that no longer
 # compile or crash, without paying for a real measurement run.
 go test -run='^$' -bench=. -benchtime=1x ./...
+# A few seconds of fuzzing on the block decoder, which replay and
+# compaction feed with bytes read back from segment files: truncated
+# or corrupt input must end the iteration, never panic.
+go test -run='^$' -fuzz='^FuzzIterBlock$' -fuzztime=5s ./internal/tsdb
 # Server benches once with -benchmem: the encode-once fan-out's
 # allocation profile is a correctness property here — this catches a
 # reintroduced per-subscriber serialization as an allocs/op jump even
