@@ -1,6 +1,9 @@
 package hwsim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Stream supplies instructions to a CPU. Next fills buf and returns the
 // number filled; returning 0 ends the stream. Implementations generate
@@ -60,7 +63,18 @@ type CPU struct {
 	stealQuantum uint64
 	stealAmount  uint64
 	nextSteal    uint64
+
+	// runBuf is Run's instruction batch, made by the first Run. It
+	// lives on the CPU because a local array escapes through the Stream
+	// interface: 8 KiB of heap per Run call. inRun marks it taken, so a
+	// Run nested inside a handler of an outer Run gets a buffer of its
+	// own.
+	runBuf []Instr
+	inRun  bool
 }
+
+// runBatch is how many instructions Run asks the stream for at a time.
+const runBatch = 256
 
 // NewCPU builds a core for the given architecture. The seed drives every
 // stochastic choice (skid, sampling jitter) so runs are reproducible.
@@ -229,16 +243,24 @@ func (c *CPU) advanceMode(n uint64, mode Domain) {
 	}
 }
 
-// Run executes the stream to completion.
+// Run executes the stream to completion, batching it through the
+// CPU's own buffer, so after the first call a run allocates nothing (a
+// core that never runs a program never pays for the buffer). A handler
+// may call Run on the core it interrupted; that nested run pays for a
+// temporary batch buffer.
 func (c *CPU) Run(s Stream) {
-	var buf [256]Instr
-	for {
-		n := s.Next(buf[:])
-		if n == 0 {
-			return
-		}
+	if c.runBuf == nil {
+		c.runBuf = make([]Instr, runBatch)
+	}
+	buf, nested := c.runBuf, c.inRun
+	if nested {
+		buf = make([]Instr, runBatch) // the outer Run is still retiring from runBuf
+	}
+	c.inRun = true
+	for n := s.Next(buf); n > 0; n = s.Next(buf) {
 		c.ExecSlice(buf[:n])
 	}
+	c.inRun = nested
 }
 
 // ExecSlice executes the instructions in order.
@@ -302,10 +324,8 @@ func (c *CPU) exec(in *Instr) {
 
 	// Raise all per-instruction signals on truth counters and the PMU.
 	running := c.pmu.running
-	for s := Signal(0); s < NumSignals; s++ {
-		if sigs&(1<<s) == 0 {
-			continue
-		}
+	for m := uint32(sigs); m != 0; m &= m - 1 {
+		s := Signal(bits.TrailingZeros32(m))
 		c.truth[s]++
 		if running {
 			ovf |= c.pmu.add(s, 1, DomainUser)

@@ -1,0 +1,330 @@
+package hwsim_test
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"hash"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/hwsim"
+	"repro/workload"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/exact.golden from this tree's simulator")
+
+// exactRNG is the test's own splitmix64, so the generated streams do
+// not depend on math/rand's algorithm.
+type exactRNG uint64
+
+func (r *exactRNG) next() uint64 {
+	*r += 0x9e3779b97f4a7c15
+	z := uint64(*r)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func (r *exactRNG) intn(n int) int { return int(r.next() % uint64(n)) }
+
+// randomStream builds n instructions of basic blocks over a text range
+// wide enough to miss the I-cache, ending in branches that mostly loop
+// among a hot set of blocks, with data addresses that stream, stay in a
+// cache-sized window, or scatter over 256 MiB (TLB and L2 misses).
+func randomStream(seed uint64, n int) []hwsim.Instr {
+	r := exactRNG(seed)
+	ops := []hwsim.Op{hwsim.OpNop, hwsim.OpInt, hwsim.OpInt, hwsim.OpLoad, hwsim.OpLoad,
+		hwsim.OpStore, hwsim.OpFPAdd, hwsim.OpFPMul, hwsim.OpFPDiv, hwsim.OpFMA, hwsim.OpFPRound}
+	const text, data = 0x400000, 0x20000000
+	hot := make([]uint64, 48)
+	for i := range hot {
+		hot[i] = text + uint64(r.intn(1<<14))*hwsim.InstrBytes
+	}
+	out := make([]hwsim.Instr, 0, n)
+	pc, seq := hot[0], uint64(data)
+	for len(out) < n {
+		for k := 1 + r.intn(24); k > 0 && len(out) < n-1; k-- {
+			in := hwsim.Instr{Op: ops[r.intn(len(ops))], Addr: pc}
+			if in.Op == hwsim.OpLoad || in.Op == hwsim.OpStore {
+				switch r.intn(4) {
+				case 0:
+					in.Mem = seq
+					seq += 8
+				case 1, 2:
+					in.Mem = data + uint64(r.intn(1<<15))*8
+				default:
+					in.Mem = data + uint64(r.intn(1<<25))*8
+				}
+			}
+			out = append(out, in)
+			pc += hwsim.InstrBytes
+		}
+		taken := r.intn(3) != 0
+		out = append(out, hwsim.Instr{Op: hwsim.OpBranch, Addr: pc, Taken: taken})
+		pc += hwsim.InstrBytes
+		if taken {
+			if r.intn(16) == 0 {
+				pc = text + uint64(r.intn(1<<20))*hwsim.InstrBytes // cold far jump
+			} else {
+				pc = hot[r.intn(len(hot))]
+			}
+		}
+	}
+	return out
+}
+
+// exactStreams are the programs every configuration runs: two seeded
+// random streams and the three kernels papid sessions tick.
+func exactStreams(t *testing.T) map[string]func() hwsim.Stream {
+	streams := map[string]func() hwsim.Stream{}
+	for _, seed := range []uint64{1, 2} {
+		instrs := randomStream(seed, 30000)
+		streams[fmt.Sprintf("random%d", seed)] = func() hwsim.Stream {
+			return &hwsim.SliceStream{Instrs: instrs}
+		}
+	}
+	for _, name := range []string{"dot", "triad", "matmul"} {
+		p, err := workload.ByName(name, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[name] = func() hwsim.Stream { p.Reset(); return p }
+	}
+	return streams
+}
+
+// digest accumulates everything observable about a run.
+type digest struct {
+	h hash.Hash
+	b [8]byte
+}
+
+func (d *digest) u64(vs ...uint64) {
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(d.b[:], v)
+		d.h.Write(d.b[:])
+	}
+}
+
+// programAll arms as many native events as the register file takes,
+// first fit in table order among events that add a signal, and returns
+// the armed register indices.
+func programAll(t *testing.T, c *hwsim.CPU) []int {
+	a := c.Arch()
+	assign := map[int]hwsim.NativeEvent{}
+	var covered hwsim.SignalMask
+	for _, ev := range a.Events {
+		if ev.Signals&^covered == 0 {
+			continue // prefer events that watch a signal no armed one does
+		}
+		for r := 0; r < a.NumCounters; r++ {
+			if _, used := assign[r]; !used && ev.CounterMask&(1<<uint(r)) != 0 {
+				assign[r] = ev
+				covered |= ev.Signals
+				break
+			}
+		}
+	}
+	if err := c.PMU().Program(assign); err != nil {
+		t.Fatal(err)
+	}
+	regs := make([]int, 0, len(assign))
+	for r := range assign {
+		regs = append(regs, r)
+	}
+	sort.Ints(regs)
+	return regs
+}
+
+// runExact drives one architecture variant through one stream with
+// every mechanism armed — overflow on every register, the overflow
+// handler charging its own cost, hardware sampling where the
+// architecture has it, the cycle timer, interference — twice, with a
+// stop / domain change / reset in between, and digests all of it.
+func runExact(t *testing.T, a *hwsim.Arch, stream func() hwsim.Stream) string {
+	c, err := hwsim.NewCPU(a, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &digest{h: sha256.New()}
+	regs := programAll(t, c)
+	for i, r := range regs {
+		if err := c.PMU().SetOverflow(r, uint64(53+31*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.PMU().SetHandler(func(pc uint64, reg int) {
+		d.u64(pc, uint64(reg), c.Cycles())
+		c.Charge(40, 12)
+	})
+	if a.HWSampling {
+		err := c.ConfigureSampling(37, func(batch []hwsim.Sample) {
+			for _, s := range batch {
+				d.u64(s.PC, uint64(s.Op), uint64(s.Signals), uint64(s.Cost))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.SetTimer(1500, func() {
+		d.u64(c.Cycles(), c.Retired())
+		c.Charge(25, 6)
+	})
+	c.SetInterference(4000, 650)
+
+	state := func() {
+		for s := hwsim.Signal(0); s < hwsim.NumSignals; s++ {
+			d.u64(c.Truth(s))
+		}
+		vals := make([]uint64, a.NumCounters)
+		c.PMU().ReadAll(vals)
+		d.u64(vals...)
+		d.u64(c.Cycles(), c.RealCycles(), c.Retired(), c.SamplesTaken())
+	}
+
+	c.PMU().Start()
+	c.Run(stream())
+	state()
+	c.PMU().Stop()
+	c.Run(stream()) // counters off: truth moves, registers do not
+	state()
+	c.PMU().SetDomain(hwsim.DomainUser)
+	c.PMU().Reset()
+	c.PMU().Start()
+	c.Run(stream())
+	d.u64(uint64(c.FlushSamples()))
+	state()
+	return fmt.Sprintf("%x", d.h.Sum(nil))
+}
+
+// TestExactCounts pins the simulator's observable behaviour to digests
+// recorded before the retire loop was optimized: any drift in a truth
+// total, a register, a clock, the (pc, reg) overflow sequence or the
+// sample stream — on any built-in architecture, with overflow
+// interrupts delivered in order and skidded — fails here. Regenerate
+// with -update only for a deliberate change to the model.
+func TestExactCounts(t *testing.T) {
+	got := map[string]string{}
+	streams := exactStreams(t)
+	for _, base := range hwsim.Architectures() {
+		for _, skid := range []struct {
+			name     string
+			min, max int
+		}{{"inorder", 0, 0}, {"skid", 2, 7}} {
+			a := *base
+			a.SkidMin, a.SkidMax = skid.min, skid.max
+			for name, stream := range streams {
+				got[a.Platform+"/"+skid.name+"/"+name] = runExact(t, &a, stream)
+			}
+		}
+	}
+	keys := make([]string, 0, len(got))
+	for k := range got {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+
+	path := filepath.Join("testdata", "exact.golden")
+	if *update {
+		var sb strings.Builder
+		for _, k := range keys {
+			fmt.Fprintf(&sb, "%s %s\n", k, got[k])
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		if k, v, ok := strings.Cut(sc.Text(), " "); ok {
+			want[k] = v
+		}
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden has %d cases, this tree runs %d", len(want), len(got))
+	}
+	for _, k := range keys {
+		if want[k] != got[k] {
+			t.Errorf("%s: digest %s, golden %s", k, got[k][:16], want[k])
+		}
+	}
+}
+
+// TestRunDoesNotAllocate pins the run buffer's ownership: executing a
+// reset workload on a counting core costs no heap at all (it was one
+// 8 KiB instruction batch per call while Run declared the batch
+// locally and Stream's interface call made it escape).
+func TestRunDoesNotAllocate(t *testing.T) {
+	a, _ := hwsim.ArchByPlatform(hwsim.PlatformAIXPower3)
+	c := hwsim.MustNewCPU(a, 1)
+	programAll(t, c)
+	c.PMU().Start()
+	p, err := workload.ByName("dot", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Reset()
+	c.Run(p) // the program's own queue grows once
+	if n := testing.AllocsPerRun(50, func() { p.Reset(); c.Run(p) }); n != 0 {
+		t.Errorf("CPU.Run allocates %v times per call, want 0", n)
+	}
+}
+
+// TestNestedRun checks the one case the CPU-owned buffer could break: a
+// handler that itself calls Run while the outer Run's batch is still
+// being retired must not overwrite that batch.
+func TestNestedRun(t *testing.T) {
+	a, _ := hwsim.ArchByPlatform(hwsim.PlatformCrayT3E) // in order: no skid
+	c := hwsim.MustNewCPU(a, 1)
+	regs := programAll(t, c)
+	if err := c.PMU().SetOverflow(regs[len(regs)-1], 100); err != nil {
+		t.Fatal(err)
+	}
+	inner := make([]hwsim.Instr, 300) // spans two batches
+	for i := range inner {
+		inner[i] = hwsim.Instr{Op: hwsim.OpFPDiv, Addr: 0x500000 + uint64(i)*hwsim.InstrBytes}
+	}
+	fires := 0
+	c.PMU().SetHandler(func(uint64, int) {
+		if fires++; fires == 1 {
+			c.Run(&hwsim.SliceStream{Instrs: inner})
+		}
+	})
+	outer := randomStream(3, 2000)
+	var wantLoads uint64
+	for _, in := range outer {
+		if in.Op == hwsim.OpLoad {
+			wantLoads++
+		}
+	}
+	c.PMU().Start()
+	c.Run(&hwsim.SliceStream{Instrs: outer})
+	if fires == 0 {
+		t.Fatal("no overflow fired; the nested Run never happened")
+	}
+	if got := c.Truth(hwsim.SigFPDiv); got < uint64(len(inner)) {
+		t.Errorf("nested stream retired %d of its %d instructions", got, len(inner))
+	}
+	if got := c.Truth(hwsim.SigLoads); got != wantLoads {
+		t.Errorf("outer stream retired %d loads, want %d: nested Run clobbered its batch", got, wantLoads)
+	}
+	if got, want := c.Retired(), uint64(len(outer)+len(inner)); got != want {
+		t.Errorf("retired %d, want %d", got, want)
+	}
+}

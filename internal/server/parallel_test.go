@@ -9,7 +9,13 @@ package server
 
 import (
 	"context"
+	"log/slog"
+	"net"
+	"runtime"
 	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,9 +98,10 @@ func TestParallelTickSeqMonotonic(t *testing.T) {
 
 // TestParallelSerialEquivalence: a TickWorkers=1 server and a
 // TickWorkers=8 server fed identical inputs produce byte-identical
-// per-subscriber frame streams. Width 1 is the exact pre-parallel
-// serial pipeline; this pins that higher widths change scheduling
-// only, never any session's stream content or order.
+// per-subscriber frame streams. Width 1 is the same sweep with no
+// helpers — every shard in order on the tick goroutine; this pins that
+// higher widths change scheduling only, never any session's stream
+// content or order.
 func TestParallelSerialEquivalence(t *testing.T) {
 	const nSessions, nTicks = 16, 6
 	run := func(workers int) map[uint64][]string {
@@ -335,5 +342,165 @@ func TestAsyncWALHandoffDurable(t *testing.T) {
 			t.Errorf("%s: rows served before the restart are not a prefix of the replayed ones:\nbefore: %v\nafter:  %v",
 				w.Event, w.Buckets, g.Buckets)
 		}
+	}
+}
+
+// sinkConn is the socket under a recConn for a hand-built connection:
+// it takes every byte and counts the writes that completed while the
+// test had a tick in flight. With gate set, every Write first waits
+// for the gate to close — a peer that has stopped reading.
+type sinkConn struct {
+	net.Conn   // nil: only the methods writeLoop uses are implemented
+	inTick     atomic.Bool
+	duringTick atomic.Int32
+	gate       chan struct{}
+	blocked    chan struct{} // closed when the first gated Write parks
+	parked     sync.Once
+}
+
+func (c *sinkConn) Write(p []byte) (int, error) {
+	if c.gate != nil {
+		c.parked.Do(func() { close(c.blocked) })
+		<-c.gate
+	}
+	if c.inTick.Load() {
+		c.duringTick.Add(1)
+	}
+	return len(p), nil
+}
+
+func (c *sinkConn) Close() error                     { return nil }
+func (c *sinkConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestSweepHandsFramesOffBeforeItEnds pins the shard-boundary
+// scheduling point (tick.go, runSweep) in the configuration where it is
+// deterministic: one P, one sweep worker. The connection's writer can
+// only run if the sweep yields, so at least one socket write completing
+// before tick() returns is the yield; without it the count is 0 and
+// every frame waits for the sweep to end. Frames must still arrive in
+// per-session seq order, and a second subscriber whose socket has
+// stopped taking bytes must not hold the sweep: tick() returns with
+// that writer still parked in Write.
+func TestSweepHandsFramesOffBeforeItEnds(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const nSessions, nTicks = 64, 5
+	srv := New(Config{TickInterval: time.Hour, TickWorkers: 1})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	sink := &sinkConn{}
+	stuck := &sinkConn{gate: make(chan struct{}), blocked: make(chan struct{})}
+	rec, stuckRec := &recConn{Conn: sink}, &recConn{Conn: stuck}
+	conns := make([]*conn, 2)
+	for i, nc := range []net.Conn{rec, stuckRec} {
+		c := testConn(srv, nSessions*nTicks+1)
+		c.nc, c.log = nc, slog.New(slog.DiscardHandler)
+		srv.wg.Add(1)
+		go c.writeLoop()
+		conns[i] = c
+	}
+	t.Cleanup(func() {
+		close(stuck.gate)
+		for _, c := range conns {
+			c.q.close()
+		}
+	})
+	shards := map[*regShard]bool{}
+	for i := 0; i < nSessions; i++ {
+		created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
+			Events: []string{"PAPI_TOT_INS", "PAPI_TOT_CYC"}, Workload: "dot", N: 8})
+		if !created.OK {
+			t.Fatal(created.Error)
+		}
+		sess, _ := srv.reg.get(created.Session)
+		shards[srv.reg.shardFor(sess.id)] = true
+		for _, c := range conns {
+			c.follow(t, sess, nil, false)
+		}
+		if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpStart, Session: created.Session}); !resp.OK {
+			t.Fatal(resp.Error)
+		}
+	}
+	if len(shards) < 4 {
+		t.Fatalf("sessions landed in %d shards, want >= 4", len(shards))
+	}
+
+	for i := 0; i < nTicks; i++ {
+		sink.inTick.Store(true)
+		srv.tick()
+		sink.inTick.Store(false)
+	}
+	select {
+	case <-stuck.blocked:
+	default:
+		t.Error("the stuck subscriber's writer never reached its socket during the ticks")
+	}
+	if n := len(stuckRec.frames()); n != 0 {
+		t.Errorf("the stuck subscriber's socket took %d frames", n)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	var frames []wire.Response
+	for len(frames) < nSessions*nTicks {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d frames reached the socket", len(frames), nSessions*nTicks)
+		}
+		runtime.Gosched()
+		frames = rec.frames()
+	}
+	if sink.duringTick.Load() == 0 {
+		t.Error("no socket write completed before tick() returned: the sweep never yielded to the writers")
+	}
+	next := map[uint64]uint64{}
+	for _, f := range frames {
+		if next[f.Session]++; f.Seq != next[f.Session] {
+			t.Fatalf("session %d: seq %d arrived where %d was due", f.Session, f.Seq, next[f.Session])
+		}
+	}
+	if st := srv.Stats(); st.SnapshotsDropped != 0 {
+		t.Errorf("%d snapshots dropped with queues deeper than the run", st.SnapshotsDropped)
+	}
+}
+
+// TestTicksSkipped drives the tick clock by hand: ticks that start on
+// the interval grid, or late by less than one interval, count nothing;
+// a tick that starts after whole intervals went by unanswered counts
+// each of them, including under a sustained overrun where every single
+// gap is under two intervals.
+func TestTicksSkipped(t *testing.T) {
+	const iv = int64(50_000) // 50 ms in the clock's microseconds
+	for _, tc := range []struct {
+		name   string
+		starts []float64 // tick start times, in intervals
+		want   uint64
+	}{
+		{"on time with jitter", []float64{0.02, 1.0, 2.01, 2.99, 4.0}, 0},
+		{"one long sweep", []float64{0, 2.7, 3.0, 4.0}, 1},
+		{"sustained 1.5x overrun", []float64{0, 1.5, 3.0, 4.5, 6.0}, 2},
+		{"late tick then longer sweep", []float64{0, 2.7, 5.2, 6.0}, 3},
+		{"hand-driven burst", []float64{0, 0.001, 0.002, 0.003}, 0},
+	} {
+		var clock int64
+		srv := New(Config{TickInterval: time.Duration(iv) * time.Microsecond, TickWorkers: 1,
+			now: func() int64 { return clock }})
+		for _, at := range tc.starts {
+			clock = 1_700_000_000_000_000 + int64(at*float64(iv))
+			srv.tick()
+		}
+		if got := srv.m.ticksSkipped.Value(); got != tc.want {
+			t.Errorf("%s: %d ticks skipped, want %d", tc.name, got, tc.want)
+		}
+		var sb strings.Builder
+		if err := srv.Telemetry().WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), "papid_ticks_skipped_total") {
+			t.Errorf("%s: /metrics lacks papid_ticks_skipped_total", tc.name)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		srv.Shutdown(ctx)
+		cancel()
 	}
 }

@@ -360,6 +360,9 @@ type Server struct {
 	// (tick.go); unbuffered, so a worker either takes a job now or the
 	// tick spawns an ephemeral helper instead.
 	tickWork chan *tickJob
+	// tickDue is when the latest tick was due, in cfg.now microseconds
+	// (countSkipped); only the tick goroutine touches it.
+	tickDue int64
 
 	// The async WAL handoff (tick.go): tick rows queue on histCh and
 	// the histLoop appender journals them in batches. All nil/false on
@@ -764,17 +767,8 @@ func (s *Server) tick() {
 	// no-ops.
 	t := s.trc.Start("tick", "tick")
 	now := s.cfg.now()
-	if s.cfg.TickWorkers > 1 {
-		s.tickParallel(now, t)
-	} else {
-		sp := t.StartSpan(tracing.NoSpan, "sweep")
-		n := 0
-		s.reg.forEach(func(sess *session) { n++; s.tickSession(sess, now, t, sp) })
-		if t != nil {
-			t.AnnotateInt(sp, "sessions", int64(n))
-			t.EndSpan(sp)
-		}
-	}
+	s.countSkipped(now)
+	s.sweep(now, t)
 	if s.hist != nil {
 		// Age out history of idle and closed sessions too — appends
 		// only sweep the series they touch.
@@ -786,6 +780,24 @@ func (s *Server) tick() {
 		}
 	}
 	s.trc.Finish(t)
+}
+
+// countSkipped keeps the grid of times ticks were due (tickDue, one
+// TickInterval apart) and counts the grid points a late tick passed
+// over: the ticker holds one firing for a busy receiver and silently
+// drops the rest. A tick arriving before its due time re-anchors the
+// grid, so it follows the ticker's phase and hand-driven ticks count
+// nothing.
+func (s *Server) countSkipped(now int64) {
+	iv := max(s.cfg.TickInterval.Microseconds(), 1)
+	due := s.tickDue + iv
+	if s.tickDue == 0 || now < due {
+		due = now
+	} else if n := (now - due) / iv; n > 0 {
+		s.m.ticksSkipped.Add(uint64(n))
+		due += n * iv
+	}
+	s.tickDue = due
 }
 
 // appendHistory records one tick row, through the WAL when history is

@@ -67,6 +67,9 @@ type metrics struct {
 	// tickStalls counts ticks that blocked on a full async-WAL handoff
 	// queue (tick.go) — the disk falling behind the tick rate.
 	tickStalls *telemetry.Counter
+	// ticksSkipped counts ticker firings no sweep answered: a sweep
+	// that outlasts TickInterval makes time.Ticker drop them silently.
+	ticksSkipped *telemetry.Counter
 
 	// DERIVED and DELTA fan-out keep their own sent/dropped pairs so
 	// snapshot accounting stays pure: snapSent/snapDropped count full
@@ -124,6 +127,8 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		Help: "Malformed frames answered with an ERROR frame and skipped."})
 	m.tickStalls = reg.NewCounter(telemetry.Opts{Name: "papid_tick_stalls_total",
 		Help: "Ticks that blocked handing a history row to the WAL appender (full queue)."})
+	m.ticksSkipped = reg.NewCounter(telemetry.Opts{Name: "papid_ticks_skipped_total",
+		Help: "Tick intervals that passed without a sweep starting (the previous sweep overran)."})
 	m.derivedSent = reg.NewCounter(telemetry.Opts{Name: "papid_derived_sent_total",
 		Help: "DERIVED frames enqueued to subscribers."})
 	m.derivedDropped = reg.NewCounter(telemetry.Opts{Name: "papid_derived_dropped_total",

@@ -24,6 +24,7 @@
 package server
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -57,14 +58,27 @@ func (s *Server) runSweep(job *tickJob, worker int) {
 			return
 		}
 		sp := job.trc.StartSpan(tracing.NoSpan, "shard")
+		queued := false
 		swept := s.reg.sweepShard(int(i), func(sess *session) {
-			s.tickSession(sess, job.now, job.trc, sp)
+			if s.tickSession(sess, job.now, job.trc, sp) {
+				queued = true
+			}
 		})
 		if job.trc != nil {
 			job.trc.AnnotateInt(sp, "shard", i)
 			job.trc.AnnotateInt(sp, "worker", int64(worker))
 			job.trc.AnnotateInt(sp, "sessions", int64(swept))
 			job.trc.EndSpan(sp)
+		}
+		if queued {
+			// The sweep holds every P for the whole tick, so the
+			// connection writers this shard's fan-out just woke would
+			// otherwise wait for the sweep to end. Yielding lets them
+			// put the shard's frames on their sockets, one batched
+			// write each, while the next shard simulates (DESIGN.md
+			// S31). A shard nobody subscribes to does not yield: that
+			// would only cut the WAL appender's per-tick batch up.
+			runtime.Gosched()
 		}
 	}
 }
@@ -86,14 +100,15 @@ func (s *Server) tickWorker(worker int) {
 	}
 }
 
-// tickParallel sweeps the registry with TickWorkers-wide parallelism.
-// The tick goroutine always participates as worker zero; up to
+// sweep runs one tick's sweep of the registry, TickWorkers wide. The
+// tick goroutine always participates as worker zero — at TickWorkers 1
+// it is the whole sweep, shards in order on one goroutine — and up to
 // TickWorkers-1 pool workers join via the unbuffered handoff channel.
 // A helper slot whose pool worker is not immediately ready — or the
 // pool is not running at all, as when tests and benchmarks drive
 // tick() directly without Serve — is filled by an ephemeral goroutine,
 // so the sweep width is TickWorkers either way.
-func (s *Server) tickParallel(now int64, t *tracing.Trace) {
+func (s *Server) sweep(now int64, t *tracing.Trace) {
 	job := &tickJob{now: now, trc: t}
 	helpers := s.cfg.TickWorkers - 1
 	job.wg.Add(helpers)
@@ -116,25 +131,25 @@ func (s *Server) tickParallel(now int64, t *tracing.Trace) {
 }
 
 // tickSession is the per-session tick unit: snapshot → history append
-// → snapshot fan-out → derived fan-out. It is the loop body of both
-// the serial sweep (TickWorkers 1, exactly the pre-parallel pipeline)
-// and each parallel worker.
+// → snapshot fan-out → derived fan-out, the loop body of every sweep
+// worker. It reports whether the session had subscribers to fan out
+// to, i.e. whether connection writers now have frames waiting.
 //
 // Stage spans are recorded only on detailed (head-sampled) traces:
 // with thousands of sessions, per-session spans on every
 // tail-candidate tick would dwarf the work they measure. Coarse
 // shard spans (runSweep) and the WAL-stall error mark stay
 // unconditional.
-func (s *Server) tickSession(sess *session, now int64, t *tracing.Trace, parent tracing.SpanRef) {
+func (s *Server) tickSession(sess *session, now int64, t *tracing.Trace, parent tracing.SpanRef) bool {
 	if !t.Detailed() {
 		resp, subs, ok := sess.snapshot()
 		if !ok {
-			return
+			return false
 		}
 		s.appendTickHistory(t, resp.Session, now, resp.Events, resp.Values)
 		s.fanout(t, parent, sess, resp, subs)
 		s.fanoutDerived(t, parent, sess, resp, subs, now)
-		return
+		return len(subs) > 0
 	}
 	ss := t.StartSpan(parent, "session")
 	t.AnnotateInt(ss, "session", int64(sess.id))
@@ -143,7 +158,7 @@ func (s *Server) tickSession(sess *session, now int64, t *tracing.Trace, parent 
 	t.EndSpan(sp)
 	if !ok {
 		t.EndSpan(ss)
-		return
+		return false
 	}
 	hs := t.StartSpan(ss, "tsdb.append")
 	s.appendTickHistory(t, resp.Session, now, resp.Events, resp.Values)
@@ -156,6 +171,7 @@ func (s *Server) tickSession(sess *session, now int64, t *tracing.Trace, parent 
 	s.fanoutDerived(t, ds, sess, resp, subs, now)
 	t.EndSpan(ds)
 	t.EndSpan(ss)
+	return len(subs) > 0
 }
 
 // histRow is one tick row in flight to the WAL appender. Both slices

@@ -40,6 +40,11 @@ go run ./cmd/benchjson -benchmem -out BENCH_wal.json -bench 'WAL|Replay' ./inter
 # prices eviction from a full connection write queue at depth 64 and
 # 8192; its ns/op must stay flat in depth.
 go run ./cmd/benchjson -benchmem -benchtime 3s -out BENCH_server.json -bench 'Server|TickParallel|WriteQueuePushFull' ./internal/server .
+# The simulator priced apart from the service it feeds: retired
+# instructions per host second with the PMU idle, and overflow-interrupt
+# dispatch through a counting PMU. -benchmem because CPU.Run must stay
+# at zero bytes per call (it was one 8 KiB instruction batch per call).
+go run ./cmd/benchjson -benchmem -out BENCH_hwsim.json -bench 'SimulatedExecution|OverflowDispatch' .
 # Derived-metric engine costs: compiled-formula evaluation (the
 # per-metric per-tick unit), the full engine tick, and the server's
 # derived fan-out (evaluate + encode-once DERIVED frame across v3

@@ -255,8 +255,16 @@ for span in dispatch tsdb.append fanout derive write; do
     printf '%s' "$pub_chrome" | grep -q "\"$span\"" || {
         echo "PUBLISH chrome export lacks stage span $span" >&2; exit 1; }
 done
-tick_id=$(printf '%s' "$tracez" | sed -n 's/.*"id":"\([0-9a-f]\{16\}\)","kind":"tick".*/\1/p')
-[ -n "$tick_id" ] || { echo "/tracez lists no tick trace" >&2; exit 1; }
+# papirun can publish within one tick interval of papid's start, before
+# the first tick trace has finished: poll for it (2 s = 40 intervals).
+tick_id=""
+for i in $(seq 1 20); do
+    tick_id=$(printf '%s' "$tracez" | sed -n 's/.*"id":"\([0-9a-f]\{16\}\)","kind":"tick".*/\1/p')
+    [ -n "$tick_id" ] && break
+    sleep 0.1
+    tracez=$(curl -sf "http://127.0.0.1:61786/tracez?format=json")
+done
+[ -n "$tick_id" ] || { echo "/tracez lists no tick trace after 2 s" >&2; exit 1; }
 tick_chrome=$(curl -sf "http://127.0.0.1:61786/debug/trace?id=$tick_id&format=chrome")
 for span in shard tsdb.sweep; do
     printf '%s' "$tick_chrome" | grep -q "\"$span\"" || {
