@@ -4,10 +4,13 @@
 //
 //	benchjson -out BENCH_tsdb.json -bench TSDB ./internal/tsdb
 //
-// The output records the environment (goos/goarch/cpu), the exact
-// command, and one entry per benchmark with every metric Go reported —
-// standard ones (ns/op, MB/s, B/op) and custom ReportMetric units
-// (x-compression, B/sample) alike.
+// The output records the environment (goos/goarch/cpu/gomaxprocs), the
+// exact command, and one entry per benchmark with every metric Go
+// reported — standard ones (ns/op, MB/s, B/op) and custom ReportMetric
+// units (x-compression, B/sample) alike. A benchmark is named as the
+// source names it: the "-N" Go appends when GOMAXPROCS is N ≠ 1 is
+// stripped, a sub-benchmark's own "-8" ("ServerQuery/queriers-8") is
+// not, so rows recorded on hosts of different widths carry one name.
 //
 // -diff compares two such files — the regression gate behind
 // tools/bench.sh compare and the CI smoke check:
@@ -20,10 +23,10 @@
 // matching the -gate regexp regressed its ns/op by more than
 // -max-regress percent. -gate-allocs additionally gates allocs/op and
 // B/op regressions for the same benchmarks (opt-in: allocation counts
-// are stable, but byte sizes can shift with Go releases). The regexp
-// matches the procs-qualified label (e.g. "ServerQuery/queriers-8"),
-// so one parallelism level can be gated alone. Benchmarks present in
-// only one file are reported but never gate.
+// are stable, but byte sizes can shift with Go releases). Rows align by
+// (package, name); benchmarks present in only one file are reported but
+// never gate — and a -gate that aligned no pair at all fails, so a gate
+// that compares nothing cannot pass.
 package main
 
 import (
@@ -34,6 +37,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,25 +48,27 @@ import (
 type Result struct {
 	Package    string             `json:"package"`
 	Name       string             `json:"name"`
-	Procs      int                `json:"procs"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
 // File is the emitted document.
 type File struct {
-	Generated string   `json:"generated"`
-	Command   string   `json:"command"`
-	GOOS      string   `json:"goos,omitempty"`
-	GOARCH    string   `json:"goarch,omitempty"`
-	CPU       string   `json:"cpu,omitempty"`
-	Results   []Result `json:"results"`
+	Generated string `json:"generated"`
+	Command   string `json:"command"`
+	GOOS      string `json:"goos,omitempty"`
+	GOARCH    string `json:"goarch,omitempty"`
+	CPU       string `json:"cpu,omitempty"`
+	// GOMAXPROCS the benchmarks ran at: go test inherits it from this
+	// process's environment. Zero in files older than the field.
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	Results    []Result `json:"results"`
 }
 
 // benchLine matches e.g.
 //
 //	BenchmarkTSDBQuery/queriers-8-4   12  94888 ns/op  5.5 x-compression
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.+)$`)
+var benchLine = regexp.MustCompile(`^Benchmark(\S+)\s+(\d+)\s+(.+)$`)
 
 func main() {
 	out := flag.String("out", "", "output JSON file (required)")
@@ -106,8 +112,9 @@ func main() {
 	}
 
 	doc := File{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Command:   "go " + strings.Join(args, " "),
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		Command:    "go " + strings.Join(args, " "),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	sc := bufio.NewScanner(stdout)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -125,7 +132,7 @@ func main() {
 		case strings.HasPrefix(line, "cpu: "):
 			doc.CPU = strings.TrimPrefix(line, "cpu: ")
 		default:
-			if r, ok := parseBench(line, pkg); ok {
+			if r, ok := parseBench(line, pkg, doc.GOMAXPROCS); ok {
 				doc.Results = append(doc.Results, r)
 			}
 		}
@@ -150,24 +157,21 @@ func main() {
 	fmt.Printf("benchjson: %d results -> %s\n", len(doc.Results), *out)
 }
 
-// parseBench turns one "BenchmarkX-P  N  v unit  v unit..." line into
-// a Result.
-func parseBench(line, pkg string) (Result, bool) {
+// parseBench turns one "BenchmarkX-P  N  v unit  v unit..." line of a
+// run at GOMAXPROCS gomaxprocs into a Result. Go appends "-P" only when
+// P ≠ 1, so a trailing "-8" is the GOMAXPROCS suffix on an 8-wide run
+// and part of the sub-benchmark's name ("queriers-8") on any other.
+func parseBench(line, pkg string, gomaxprocs int) (Result, bool) {
 	m := benchLine.FindStringSubmatch(line)
 	if m == nil {
 		return Result{}, false
 	}
-	r := Result{
-		Package: pkg,
-		Name:    strings.TrimPrefix(m[1], "Benchmark"),
-		Procs:   1,
-		Metrics: map[string]float64{},
+	r := Result{Package: pkg, Name: m[1], Metrics: map[string]float64{}}
+	if gomaxprocs != 1 {
+		r.Name = strings.TrimSuffix(r.Name, "-"+strconv.Itoa(gomaxprocs))
 	}
-	if m[2] != "" {
-		r.Procs, _ = strconv.Atoi(m[2])
-	}
-	r.Iterations, _ = strconv.ParseInt(m[3], 10, 64)
-	fields := strings.Fields(m[4])
+	r.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
+	fields := strings.Fields(m[3])
 	for i := 0; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -179,9 +183,10 @@ func parseBench(line, pkg string) (Result, bool) {
 }
 
 // runDiff implements -diff: load two result files, align them by
-// (package, name, procs), print every metric's delta, and return the
-// process exit code — non-zero when a gated benchmark's ns/op (or,
-// with -gate-allocs, allocs/op or B/op) regressed past the threshold.
+// (package, name), print every metric's delta, and return the process
+// exit code — non-zero when a gated benchmark's ns/op (or, with
+// -gate-allocs, allocs/op or B/op) regressed past the threshold, or
+// when -gate is set and no gated benchmark is in both files.
 func runDiff(args []string, gate string, maxRegress float64, gateAllocs bool) int {
 	if len(args) != 2 {
 		fmt.Fprintln(os.Stderr, "benchjson: -diff needs exactly two files: old.json new.json")
@@ -207,11 +212,8 @@ func runDiff(args []string, gate string, maxRegress float64, gateAllocs bool) in
 		return 1
 	}
 
-	type key struct {
-		pkg, name string
-		procs     int
-	}
-	keyOf := func(r Result) key { return key{r.Package, r.Name, r.Procs} }
+	type key struct{ pkg, name string }
+	keyOf := func(r Result) key { return key{r.Package, r.Name} }
 	oldBy := make(map[key]Result, len(oldDoc.Results))
 	for _, r := range oldDoc.Results {
 		oldBy[keyOf(r)] = r
@@ -219,31 +221,34 @@ func runDiff(args []string, gate string, maxRegress float64, gateAllocs bool) in
 	seen := make(map[key]bool, len(newDoc.Results))
 
 	fmt.Printf("benchjson diff: %s -> %s\n", args[0], args[1])
-	failures := 0
+	procsNote := ""
+	if oldDoc.GOMAXPROCS != newDoc.GOMAXPROCS {
+		procsNote = fmt.Sprintf("gomaxprocs differs, %d -> %d (0: the file predates the field and may name rows differently)",
+			oldDoc.GOMAXPROCS, newDoc.GOMAXPROCS)
+		fmt.Println("  note:", procsNote)
+	}
+	failures, gatedPairs := 0, 0
 	// Iterate the new file in order so the table reads like its source.
 	for _, nr := range newDoc.Results {
 		k := keyOf(nr)
 		seen[k] = true
-		label := nr.Name
-		if nr.Procs != 1 {
-			label = fmt.Sprintf("%s-%d", nr.Name, nr.Procs)
-		}
 		or, ok := oldBy[k]
 		if !ok {
-			fmt.Printf("  %-52s (new benchmark; no baseline)\n", label)
+			fmt.Printf("  %-52s (new benchmark; no baseline)\n", nr.Name)
 			continue
 		}
-		// The gate matches the procs-qualified label ("Query/queriers-8"),
-		// so a gate can single out one parallelism level.
-		gated := gateRe != nil && gateRe.MatchString(label)
+		gated := gateRe != nil && gateRe.MatchString(nr.Name)
+		if gated {
+			gatedPairs++
+		}
 		for _, metric := range sortedMetricNames(or.Metrics, nr.Metrics) {
 			ov, haveOld := or.Metrics[metric]
 			nv, haveNew := nr.Metrics[metric]
 			switch {
 			case !haveOld:
-				fmt.Printf("  %-52s %-14s %14s -> %12.4g\n", label, metric, "(none)", nv)
+				fmt.Printf("  %-52s %-14s %14s -> %12.4g\n", nr.Name, metric, "(none)", nv)
 			case !haveNew:
-				fmt.Printf("  %-52s %-14s %12.4g -> %14s\n", label, metric, ov, "(gone)")
+				fmt.Printf("  %-52s %-14s %12.4g -> %14s\n", nr.Name, metric, ov, "(gone)")
 			default:
 				pct := 0.0
 				if ov != 0 {
@@ -257,7 +262,7 @@ func runDiff(args []string, gate string, maxRegress float64, gateAllocs bool) in
 					failures++
 				}
 				fmt.Printf("  %-52s %-14s %12.4g -> %12.4g  %+7.1f%%%s\n",
-					label, metric, ov, nv, pct, verdict)
+					nr.Name, metric, ov, nv, pct, verdict)
 			}
 		}
 	}
@@ -271,7 +276,14 @@ func runDiff(args []string, gate string, maxRegress float64, gateAllocs bool) in
 			failures, maxRegress)
 		return 1
 	}
-	fmt.Println("benchjson: no gated regressions")
+	if gateRe != nil && gatedPairs == 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: -gate %q matched no benchmark present in both files: nothing was compared\n", gate)
+		if procsNote != "" {
+			fmt.Fprintln(os.Stderr, "benchjson:", procsNote)
+		}
+		return 1
+	}
+	fmt.Printf("benchjson: no gated regressions (%d gated pairs)\n", gatedPairs)
 	return 0
 }
 

@@ -1,7 +1,7 @@
 // papid is the counter-collection daemon: a long-running service that
 // accepts many concurrent TCP clients speaking the wire protocol of
-// internal/wire — JSON lines by default, with v3 clients able to
-// negotiate the compact binary codec at HELLO — each session owning an
+// internal/wire — JSON lines by default, the compact binary codec for
+// clients that negotiate it at HELLO — each session owning an
 // EventSet on a simulated machine of any supported architecture. It is the serving-scale
 // successor to the one-process perfometer pipeline of §2 — many tools,
 // one shared monitoring surface.
@@ -16,8 +16,8 @@
 //
 // With -groups papid evaluates derived-metric performance groups
 // (internal/derive) on every tick of each session whose event set
-// covers them, streaming the values to protocol >= 3 subscribers as
-// DERIVED frames; -derive-rules arms threshold alerts on the derived
+// covers them, streaming the values to its subscribers as DERIVED
+// frames; -derive-rules arms threshold alerts on the derived
 // values:
 //
 //	papid -groups ipc,l2miss -derive-rules 'ipc<0.5:3'

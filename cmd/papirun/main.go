@@ -28,8 +28,8 @@ func main() {
 	multiplex := flag.Bool("multiplex", false, "enable software multiplexing (low-level opt-in)")
 	serve := flag.String("serve", "", "also publish the counter snapshot(s) to a running papid at this address")
 	serveTimeout := flag.Duration("serve-timeout", 5*time.Second, "per-request deadline when publishing to papid")
-	serveBinary := flag.Bool("serve-binary", false, "negotiate the compact binary wire codec when publishing (falls back to JSON against older papid)")
-	serveStats := flag.Bool("serve-stats", false, "after publishing, print papid's per-op latency quantiles (needs a protocol 3 server)")
+	serveBinary := flag.Bool("serve-binary", false, "negotiate the compact binary wire codec when publishing (stays on JSON if papid does not confirm it)")
+	serveStats := flag.Bool("serve-stats", false, "after publishing, print papid's per-op latency quantiles")
 	serveLabel := flag.String("serve-label", "papirun", "session label when publishing; label globs in wildcard SUBSCRIBE requests match it")
 	flag.Parse()
 
@@ -189,11 +189,7 @@ func (p *publisher) stats() error {
 	if err != nil {
 		return err
 	}
-	if t := telemetry.FormatSummaryTable(resp.Hists, nil); t != "" {
-		fmt.Printf("papid latency quantiles:\n%s", t)
-	} else {
-		fmt.Println("papid sent no latency histograms (protocol < 3 server)")
-	}
+	fmt.Printf("papid latency quantiles:\n%s", telemetry.FormatSummaryTable(resp.Hists, nil))
 	return nil
 }
 

@@ -62,12 +62,12 @@ func main() {
 	last := flag.Duration("last", time.Minute, "history mode: how far back to query")
 	step := flag.Duration("step", 10*time.Second, "history mode: output window width")
 	timeout := flag.Duration("timeout", 5*time.Second, "history mode: per-request deadline against papid")
-	binary := flag.Bool("binary", false, "history mode: negotiate the compact binary wire codec (falls back to JSON against older papid)")
+	binary := flag.Bool("binary", false, "history mode: negotiate the compact binary wire codec (stays on JSON if papid does not confirm it)")
 	stats := flag.Bool("stats", false, "with -papid: print the server's counters and per-op latency quantiles instead of querying history")
 	tracez := flag.String("tracez", "", "print a papid flight-recorder view fetched from this admin (-http) address's /tracez endpoint")
 	derive := flag.String("derive", "", "with -papid: comma-separated derived-metric groups — query history in finished metrics, or stream them live with -watch")
 	watch := flag.Duration("watch", 0, "with -papid -derive: subscribe and stream live DERIVED frames for this long instead of querying history")
-	follow := flag.Duration("follow", 0, "with -papid: subscribe and stream live snapshot frames for this long (v4 server)")
+	follow := flag.Duration("follow", 0, "with -papid: subscribe and stream live snapshot frames for this long")
 	sessions := flag.String("sessions", "", "follow mode: comma-separated session IDs for a wildcard SUBSCRIBE (default: the one -session)")
 	labels := flag.String("labels", "", "follow mode: comma-separated session-label globs for a wildcard SUBSCRIBE")
 	filterEvents := flag.String("filter-events", "", "follow mode: comma-separated event names to limit frames to")
@@ -127,15 +127,6 @@ func runHistory(addr string, session uint64, event string, groups []string, last
 		return fmt.Errorf("dialing papid at %s: %w", addr, err)
 	}
 	defer cl.Close()
-	hello := cl.Hello()
-	if hello.Protocol < wire.MinProtocolQuery {
-		return fmt.Errorf("papid at %s speaks protocol %d; QUERY needs >= %d (upgrade the server)",
-			addr, hello.Protocol, wire.MinProtocolQuery)
-	}
-	if len(groups) > 0 && hello.Protocol < wire.MinProtocolDerived {
-		return fmt.Errorf("papid at %s speaks protocol %d; derive needs >= %d (upgrade the server)",
-			addr, hello.Protocol, wire.MinProtocolDerived)
-	}
 	to := time.Now().UnixMicro()
 	req := wire.Request{Op: wire.OpQuery, Session: session, Derive: groups,
 		From: to - last.Microseconds(), To: to, Step: step.Microseconds()}
@@ -179,13 +170,8 @@ func runWatch(addr string, session uint64, groups []string, watch time.Duration,
 		return fmt.Errorf("dialing papid at %s: %w", addr, err)
 	}
 	defer cl.Close()
-	hello, err := cl.Hello()
-	if err != nil {
+	if _, err := cl.Hello(); err != nil {
 		return err
-	}
-	if hello.Protocol < wire.MinProtocolDerived {
-		return fmt.Errorf("papid at %s speaks protocol %d; DERIVED needs >= %d (upgrade the server)",
-			addr, hello.Protocol, wire.MinProtocolDerived)
 	}
 	if _, err := cl.Do(wire.Request{Op: wire.OpSubscribe, Session: session, Derive: groups}); err != nil {
 		return err
@@ -276,13 +262,8 @@ func runFollow(addr string, o followOpts) error {
 		return fmt.Errorf("dialing papid at %s: %w", addr, err)
 	}
 	defer cl.Close()
-	hello, err := cl.Hello()
-	if err != nil {
+	if _, err := cl.Hello(); err != nil {
 		return err
-	}
-	if filtered := wildcard || len(o.events) > 0 || o.delta; filtered && hello.Protocol < wire.MinProtocolFilter {
-		return fmt.Errorf("papid at %s speaks protocol %d; filtered/delta subscriptions need >= %d (upgrade the server)",
-			addr, hello.Protocol, wire.MinProtocolFilter)
 	}
 	req := wire.Request{Op: wire.OpSubscribe, Events: o.events, Delta: o.delta}
 	if wildcard {
@@ -364,9 +345,8 @@ func parseIDs(s string) ([]uint64, error) {
 	return ids, nil
 }
 
-// runStats is -papid -stats: one STATS round-trip, rendered. A v3
-// papid answers with latency histograms attached; an older one sends
-// the counter map alone and the renderer says so.
+// runStats is -papid -stats: one STATS round-trip — counters, latency
+// histograms, recent slow ops — rendered.
 func runStats(addr string, timeout time.Duration, binary bool) error {
 	cl, err := server.DialReconn(addr, server.RetryConfig{Timeout: timeout, PreferBinary: binary})
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 
 // BenchmarkDerivedFanout measures the per-tick cost the derived-metric
 // path adds for one session with two groups (ipc + l2miss, four
-// metrics) fanning out to 4 v3 subscribers: delta computation, four
+// metrics) fanning out to 4 subscribers: delta computation, four
 // formula evaluations, threshold-rule checks, and the encode-once
 // DERIVED frame shared across subscriber queues. This is the number
 // behind the "evaluation is allocation-bounded" claim — steady state
@@ -40,15 +40,13 @@ func BenchmarkDerivedFanout(b *testing.B) {
 	if !ok {
 		b.Fatal("session vanished")
 	}
-	// Writerless v3 connections: push fills their queues and then
-	// drops oldest — the benchmark measures evaluation and encode, not
-	// socket drain.
-	subs := make([]*subscriber, 4)
-	for i := range subs {
-		c := testConn(srv, 1)
-		c.version.Store(3)
-		subs[i] = c.follow(b, sess, nil, false)
+	// Writerless connections: push fills their queues and then drops
+	// oldest — the benchmark measures evaluation and encode, not socket
+	// drain.
+	for i := 0; i < 4; i++ {
+		testConn(srv, 1).follow(b, sess, nil, false)
 	}
+	views := sess.views
 	vals := []int64{0, 0, 0, 0}
 	snap := wire.Response{Op: wire.OpSnapshot, OK: true, Session: created.Session,
 		Events: events, Values: vals}
@@ -62,17 +60,16 @@ func BenchmarkDerivedFanout(b *testing.B) {
 		vals[3] += 9_000
 		ts += 2_000
 		snap.Seq++
-		srv.fanoutDerived(nil, tracing.NoSpan, sess, snap, subs, ts)
+		srv.fanoutDerived(nil, tracing.NoSpan, sess, snap, views, ts)
 	}
 }
 
 // BenchmarkServerFanoutInterest measures what one fan-out tick costs —
-// and ships — per subscriber under the v4 subscription shapes, for 32
+// and ships — per subscriber under each subscription shape, for 32
 // publish sessions with 32 counters each and 64 subscribers:
 //
 //   - broadcast: every subscriber follows every session unfiltered,
-//     the pre-v4 dashboard shape — 32 full frames per subscriber per
-//     tick;
+//     the dashboard shape — 32 full frames per subscriber per tick;
 //   - interest: each subscriber follows exactly one session — the
 //     filtered fan-out's headline win, ~32x fewer bytes/sub-tick;
 //   - events: every session followed, projected to 4 of 32 counters;
@@ -120,7 +117,6 @@ func BenchmarkServerFanoutInterest(b *testing.B) {
 			conns := make([]*conn, nSubs)
 			for i := range conns {
 				c := testConn(srv, 2*nSessions)
-				c.version.Store(wire.MinProtocolFilter)
 				conns[i] = c
 				follow := sessions
 				if mode.perSession {

@@ -32,18 +32,18 @@ type Client struct {
 	// PreferBinary asks the server for the compact binary codec during
 	// Hello. The handshake itself is always JSON; if the server's reply
 	// confirms the upgrade both directions switch for every subsequent
-	// frame, and if it doesn't (a v2 server) the connection transparently
-	// stays on JSON lines. Set it before Hello.
+	// frame, and if it doesn't the connection transparently stays on JSON
+	// lines. Set it before Hello.
 	PreferBinary bool
 
 	// OnSnapshot, when set, receives SNAPSHOT frames that arrive while
 	// Do is waiting for a request's reply.
 	OnSnapshot func(wire.Response)
 	// OnDerived receives asynchronous DERIVED frames the same way —
-	// pushed to v3+ subscribers whose session evaluates performance
-	// groups. Unset, such frames are silently skipped by Do.
+	// pushed to subscribers whose session evaluates performance groups.
+	// Unset, such frames are silently skipped by Do.
 	OnDerived func(wire.Response)
-	// OnDelta receives asynchronous DELTA frames (v4 delta-mode
+	// OnDelta receives asynchronous DELTA frames (delta-mode
 	// subscriptions). Unset, such frames are silently skipped by Do —
 	// they must never be mistaken for a request's reply.
 	OnDelta func(wire.Response)
@@ -64,15 +64,19 @@ func Dial(addr string) (*Client, error) {
 
 // Hello performs the version handshake: it announces this client's
 // protocol version (and codec preference, see PreferBinary) and
-// returns the server's reply, whose Protocol field callers compare
-// against op-specific minimums (e.g. wire.MinProtocolQuery) to detect
-// older servers before issuing ops they would reject.
+// returns the server's reply. A server speaking any other protocol
+// version is an error — the one place the client compares versions, so
+// no caller checks Protocol before issuing an op.
 func (c *Client) Hello() (wire.Response, error) {
 	req := wire.Request{Op: wire.OpHello, Version: wire.ProtocolVersion}
 	if c.PreferBinary {
 		req.Codec = wire.CodecNameBinary
 	}
 	resp, err := c.Do(req)
+	if err == nil && resp.Protocol != wire.ProtocolVersion {
+		err = fmt.Errorf("papid: HELLO: server speaks protocol %d, this client speaks %d",
+			resp.Protocol, wire.ProtocolVersion)
+	}
 	if err == nil && req.Codec == wire.CodecNameBinary && resp.Codec == wire.CodecNameBinary {
 		// The server confirmed the upgrade and switches right after its
 		// (JSON) reply; mirror it on both halves of this connection.
@@ -313,12 +317,10 @@ type ReconnClient struct {
 	OnDelta func(wire.Response)
 }
 
-// SubOptions parameterizes a SUBSCRIBE: the classic single-session
-// form (Session, optionally with Derive groups) or the v4 wildcard
-// form (Sessions and/or Labels with Session left 0), either one
-// optionally narrowed to Events and switched to Delta mode. The v4
-// fields need a v4 server — compare Hello().Protocol against
-// wire.MinProtocolFilter before using them.
+// SubOptions parameterizes a SUBSCRIBE: the single-session form
+// (Session, optionally with Derive groups) or the wildcard form
+// (Sessions and/or Labels with Session left 0), either one optionally
+// narrowed to Events and switched to Delta mode.
 type SubOptions struct {
 	Session  uint64   // single-session form: the session to follow
 	Sessions []uint64 // wildcard form: explicit session IDs

@@ -34,7 +34,7 @@ func dialBinary(t testing.TB, addr string) *Client {
 	return cl
 }
 
-// TestBinaryNegotiationEndToEnd drives the whole v3 upgrade path: a
+// TestBinaryNegotiationEndToEnd drives the whole binary upgrade path: a
 // JSON HELLO asking for binary, a confirming reply, then every papid
 // op — create/start/read, a subscription snapshot stream, QUERY over
 // accumulated history, STATS — on binary frames, with the per-codec
@@ -120,11 +120,11 @@ func TestBinaryNegotiationEndToEnd(t *testing.T) {
 	}
 }
 
-// TestV2JSONClientUnmodified pins backward compatibility at the byte
-// level: a plain JSON-lines peer that never mentions codecs speaks to
-// the v3 server exactly as before — every reply byte is a parseable
-// JSON line and the binary counters stay at zero.
-func TestV2JSONClientUnmodified(t *testing.T) {
+// TestRawJSONPeerNeverSeesBinary: a plain JSON-lines peer that never
+// mentions codecs — or a version: the HELLO is the hand-typed one —
+// is served in JSON throughout: every reply byte is a parseable JSON
+// line and the binary counters stay at zero.
+func TestRawJSONPeerNeverSeesBinary(t *testing.T) {
 	srv, addr := startServer(t, Config{TickInterval: time.Millisecond})
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -149,12 +149,9 @@ func TestV2JSONClientUnmodified(t *testing.T) {
 		return resp
 	}
 
-	hello := roundTrip(`{"op":"HELLO","version":2}`)
-	if !hello.OK || hello.Codec != "" {
-		t.Fatalf("v2 HELLO reply: %+v", hello)
-	}
-	if hello.Protocol < 2 {
-		t.Fatalf("server protocol %d < 2", hello.Protocol)
+	hello := roundTrip(`{"op":"HELLO"}`)
+	if !hello.OK || hello.Codec != "" || hello.Protocol != wire.ProtocolVersion {
+		t.Fatalf("HELLO reply: %+v", hello)
 	}
 	created := roundTrip(`{"op":"CREATE_SESSION","events":["PAPI_TOT_CYC"],"workload":"dot","n":64}`)
 	if !created.OK {
@@ -173,24 +170,6 @@ func TestV2JSONClientUnmodified(t *testing.T) {
 	}
 	if st.FramesSentJSON == 0 || st.BytesSentJSON == 0 {
 		t.Errorf("JSON counters empty: %+v", st)
-	}
-}
-
-// TestV2HelloDoesNotUpgrade: a v2 peer that (incoherently) asks for
-// the binary codec must be left on JSON — the codec floor is the v3
-// protocol bump, not the request field.
-func TestV2HelloDoesNotUpgrade(t *testing.T) {
-	_, addr := startServer(t, Config{})
-	cl := dialT(t, addr)
-	resp, err := cl.Do(wire.Request{Op: wire.OpHello, Version: 2, Codec: wire.CodecNameBinary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Codec != "" {
-		t.Fatalf("v2 HELLO got codec %q", resp.Codec)
-	}
-	if cl.Codec() != wire.CodecJSON {
-		t.Fatalf("client codec %s, want json", cl.Codec())
 	}
 }
 
@@ -221,15 +200,16 @@ func TestHelloAfterSubscribeStaysJSON(t *testing.T) {
 	}
 }
 
-// TestV3ClientAgainstJSONOnlyServer: a PreferBinary client dialing a
-// server that never confirms the codec (a v2 papid, simulated by a
-// minimal JSON-lines responder) must transparently stay on JSON.
-func TestV3ClientAgainstJSONOnlyServer(t *testing.T) {
+// jsonOnlyServer is a minimal JSON-lines responder that answers every
+// request OK, announces the given protocol version and never confirms
+// a codec.
+func jsonOnlyServer(t *testing.T, protocol int) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -243,8 +223,7 @@ func TestV3ClientAgainstJSONOnlyServer(t *testing.T) {
 			if err := dec.Decode(&req); err != nil {
 				return
 			}
-			// A v2 server: echoes OK replies, never sets Codec.
-			resp := wire.Response{Op: req.Op, OK: true, Protocol: 2}
+			resp := wire.Response{Op: req.Op, OK: true, Protocol: protocol}
 			if req.Op == wire.OpRead {
 				resp.Values = []int64{42}
 			}
@@ -253,8 +232,14 @@ func TestV3ClientAgainstJSONOnlyServer(t *testing.T) {
 			}
 		}
 	}()
+	return ln.Addr().String()
+}
 
-	cl, err := DialRetry(ln.Addr().String(), RetryConfig{Timeout: 10 * time.Second, PreferBinary: true})
+// TestClientStaysJSONWhenReplyNamesNoCodec: a PreferBinary client whose
+// HELLO reply confirms no codec must transparently stay on JSON.
+func TestClientStaysJSONWhenReplyNamesNoCodec(t *testing.T) {
+	cl, err := DialRetry(jsonOnlyServer(t, wire.ProtocolVersion),
+		RetryConfig{Timeout: 10 * time.Second, PreferBinary: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,6 +255,28 @@ func TestV3ClientAgainstJSONOnlyServer(t *testing.T) {
 	read, err := cl.Do(wire.Request{Op: wire.OpRead})
 	if err != nil || len(read.Values) != 1 || read.Values[0] != 42 {
 		t.Fatalf("READ on the fallback path: %+v, %v", read, err)
+	}
+}
+
+// TestClientRefusesOtherProtocol: the client's one version check — a
+// server whose HELLO reply names any protocol but this client's is an
+// error from Hello, and from the reconnecting client's dial.
+func TestClientRefusesOtherProtocol(t *testing.T) {
+	cl, err := DialRetry(jsonOnlyServer(t, 3), RetryConfig{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	_, err = cl.Hello()
+	if err == nil || !strings.Contains(err.Error(), "protocol 3") ||
+		!strings.Contains(err.Error(), fmt.Sprint(wire.ProtocolVersion)) {
+		t.Fatalf("Hello against a protocol-3 server: err %v, want both versions named", err)
+	}
+	if IsTransport(err) {
+		t.Errorf("version mismatch reported as a transport failure: %v", err)
+	}
+	if _, err := DialReconn(jsonOnlyServer(t, 3), RetryConfig{Timeout: 10 * time.Second}); err == nil {
+		t.Error("DialReconn accepted a protocol-3 server")
 	}
 }
 

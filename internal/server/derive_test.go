@@ -14,7 +14,7 @@ import (
 // every platform's counter budget, including linux-x86's two.
 var ipcEvents = []string{"PAPI_TOT_INS", "PAPI_TOT_CYC"}
 
-// TestDerivedSubscribeStream is the live end-to-end path: a v3 client
+// TestDerivedSubscribeStream is the live end-to-end path: a client
 // registers the ipc group at SUBSCRIBE time and must receive DERIVED
 // frames carrying finite, plausible values alongside its snapshots.
 func TestDerivedSubscribeStream(t *testing.T) {
@@ -66,79 +66,9 @@ func TestDerivedSubscribeStream(t *testing.T) {
 	}
 }
 
-// TestDerivedV2Isolation pins the mixed-version contract: with default
-// groups armed server-side, a v2 subscriber's stream must carry no
-// DERIVED frame and no derived field — while a concurrent v3
-// subscriber on the same session proves evaluation was actually live.
-func TestDerivedV2Isolation(t *testing.T) {
-	_, addr := startServer(t, Config{
-		TickInterval: 2 * time.Millisecond,
-		Groups:       []string{"ipc"},
-	})
-
-	ctl := dialT(t, addr)
-	created, err := ctl.Do(wire.Request{Op: wire.OpCreate,
-		Events: ipcEvents, Workload: "dot", N: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := created.Session
-	if _, err := ctl.Do(wire.Request{Op: wire.OpStart, Session: id}); err != nil {
-		t.Fatal(err)
-	}
-
-	// v3 witness: subscribes and must see DERIVED traffic.
-	v3 := dialT(t, addr)
-	if _, err := v3.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v3.Do(wire.Request{Op: wire.OpSubscribe, Session: id}); err != nil {
-		t.Fatal(err)
-	}
-
-	// v2 peer: announces version 2 and subscribes plainly.
-	v2 := dialT(t, addr)
-	if _, err := v2.Do(wire.Request{Op: wire.OpHello, Version: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v2.Do(wire.Request{Op: wire.OpSubscribe, Session: id}); err != nil {
-		t.Fatal(err)
-	}
-
-	sawDerived := false
-	deadline := time.Now().Add(10 * time.Second)
-	for !sawDerived {
-		if time.Now().After(deadline) {
-			t.Fatal("v3 witness saw no DERIVED frame — default groups never evaluated")
-		}
-		resp, err := v3.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Op == wire.OpDerived {
-			sawDerived = true
-		}
-	}
-
-	// Evaluation is provably live; now audit a window of the v2 stream.
-	for i := 0; i < 50; i++ {
-		resp, err := v2.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Op == wire.OpDerived {
-			t.Fatalf("v2 peer received a DERIVED frame: %+v", resp)
-		}
-		if len(resp.Metrics) != 0 || len(resp.DValues) != 0 || len(resp.Derived) != 0 {
-			t.Fatalf("v2 frame carries derived fields: %+v", resp)
-		}
-	}
-}
-
 // TestSubscribeDeriveValidation: a derive registration naming an
-// unknown group, needing events the session does not count, or coming
-// from a pre-v3 peer is a wire ERROR — and leaves no subscription
-// behind.
+// unknown group or needing events the session does not count is a wire
+// ERROR — and leaves no subscription behind.
 func TestSubscribeDeriveValidation(t *testing.T) {
 	srv, addr := startServer(t, Config{TickInterval: time.Hour})
 	cl := dialT(t, addr)
@@ -164,23 +94,13 @@ func TestSubscribeDeriveValidation(t *testing.T) {
 	srv.reg.forEach(func(sess *session) {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
-		if len(sess.subs) != 0 {
-			t.Errorf("rejected SUBSCRIBE left %d subscribers", len(sess.subs))
+		if len(sess.views) != 0 {
+			t.Errorf("rejected SUBSCRIBE left %d views", len(sess.views))
 		}
 		if len(sess.deriveGroups) != 0 {
 			t.Errorf("rejected SUBSCRIBE left groups %v registered", sess.deriveGroups)
 		}
 	})
-
-	// A peer that never announced v3 cannot register derive groups.
-	old := dialT(t, addr)
-	if _, err := old.Do(wire.Request{Op: wire.OpHello, Version: 2}); err != nil {
-		t.Fatal(err)
-	}
-	_, err = old.Do(wire.Request{Op: wire.OpSubscribe, Session: id, Derive: []string{"ipc"}})
-	if err == nil || !strings.Contains(err.Error(), "protocol") {
-		t.Errorf("pre-v3 derive error = %v", err)
-	}
 }
 
 // publishTicks drives a publish-only session through n evenly spaced
@@ -269,8 +189,8 @@ func TestQueryDerived(t *testing.T) {
 }
 
 // TestQueryDeriveErrors pins the loud-validation satellite: unknown
-// groups, missing history, and pre-v3 peers all earn a wire ERROR —
-// never an empty reply.
+// groups and missing history both earn a wire ERROR — never an empty
+// reply.
 func TestQueryDeriveErrors(t *testing.T) {
 	var clock atomic.Int64
 	clock.Store(1_000_000)
@@ -297,16 +217,6 @@ func TestQueryDeriveErrors(t *testing.T) {
 		From: 0, To: clock.Load() + 1, Derive: []string{"bogus"}})
 	if err == nil || !strings.Contains(err.Error(), "unknown group") {
 		t.Errorf("unknown-group derive QUERY error = %v", err)
-	}
-
-	old := dialT(t, addr)
-	if _, err := old.Do(wire.Request{Op: wire.OpHello, Version: 2}); err != nil {
-		t.Fatal(err)
-	}
-	_, err = old.Do(wire.Request{Op: wire.OpQuery, Session: id,
-		From: 0, To: clock.Load() + 1, Derive: []string{"ipc"}})
-	if err == nil || !strings.Contains(err.Error(), "protocol") {
-		t.Errorf("pre-v3 derive QUERY error = %v", err)
 	}
 }
 

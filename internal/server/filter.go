@@ -1,14 +1,13 @@
-// Filtered and delta subscriptions (protocol v4): instead of every
-// subscriber receiving every session's full snapshot every tick, a
-// subscriber may narrow its stream to selected sessions (by ID list or
-// label glob), selected counters (by event name), and delta mode —
-// only the counters that changed since its last keyframe.
+// Subscription views: every subscriber follows one view of its session
+// — the (event filter, delta mode) pair it subscribed with — and may
+// narrow what it follows to selected sessions (by ID list or label
+// glob). The broadcast view, no filter and no delta, is every counter
+// of every tick.
 //
-// The fan-out stays encode-once: subscribers are partitioned by filter
-// signature (filterSig), each distinct view is projected and encoded
-// at most once per codec per tick, and the shared immutable []byte
-// flows through every subscriber of that view exactly like the
-// unfiltered path.
+// The fan-out is encode-once per view: subscribers are grouped by view
+// when they subscribe (session.addSubscriber), each view is projected
+// and encoded at most once per codec per tick, and the shared immutable
+// []byte flows through every subscriber of that view.
 //
 // Delta frames chain from keyframes, not from each other: a DELTA
 // carries every counter whose value differs from the view's last
@@ -26,46 +25,27 @@ package server
 import (
 	"path"
 	"slices"
-	"strings"
 
 	"repro/internal/telemetry/tracing"
 	"repro/internal/wire"
 )
 
-// filterSig canonicalizes a subscriber's (event filter, delta) pair
-// into the signature fanout partitions by: subscribers with the same
-// signature share one viewState and one encoded frame per codec. The
-// empty signature is the unfiltered, non-delta fast path. canon is the
-// sorted, deduplicated filter the view matches against (nil = every
-// event).
-func filterSig(events []string, delta bool) (sig string, canon []string) {
-	if len(events) == 0 && !delta {
-		return "", nil
+// canonEvents is the sorted, deduplicated form of a SUBSCRIBE event
+// filter, so two subscribers naming the same counters share one view;
+// nil selects every event.
+func canonEvents(events []string) []string {
+	if len(events) == 0 {
+		return nil
 	}
-	if len(events) > 0 {
-		canon = slices.Clone(events)
-		slices.Sort(canon)
-		canon = slices.Compact(canon)
-	}
-	var b strings.Builder
-	if delta {
-		b.WriteString("d|")
-	} else {
-		b.WriteString("f|")
-	}
-	for i, ev := range canon {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(ev)
-	}
-	return b.String(), canon
+	canon := slices.Clone(events)
+	slices.Sort(canon)
+	return slices.Compact(canon)
 }
 
-// viewState is one distinct filtered view of one session: the
-// projection of the session's event list through the filter, and — for
-// delta views — the keyframe epoch the next delta chains from. Guarded
-// by the session's fanMu.
+// viewState is one distinct view of one session: the projection of the
+// session's event list through the filter, and — for delta views — the
+// keyframe epoch the next delta chains from. filter and delta are
+// immutable; everything else is guarded by the session's fanMu.
 type viewState struct {
 	filter []string // canonical event filter; nil selects every event
 	delta  bool
@@ -84,6 +64,13 @@ type viewState struct {
 	cur     []int64
 	changed []uint32
 	cvals   []int64
+}
+
+// viewSubs is one entry of a session's subscriber index: a view and
+// its subscribers, in subscription order.
+type viewSubs struct {
+	vs   *viewState
+	subs []*subscriber
 }
 
 // project refreshes the view's projection of the session snapshot and
@@ -121,20 +108,6 @@ func (vs *viewState) projected(snap *wire.Response) *wire.Response {
 		Seq: snap.Seq, Source: snap.Source}
 }
 
-// view returns (creating if needed) the session's viewState for the
-// subscriber's filter signature. Callers hold sess.fanMu.
-func (sess *session) view(sub *subscriber) *viewState {
-	vs := sess.views[sub.sig]
-	if vs == nil {
-		if sess.views == nil {
-			sess.views = make(map[string]*viewState)
-		}
-		vs = &viewState{filter: sub.events, delta: sub.delta}
-		sess.views[sub.sig] = vs
-	}
-	return vs
-}
-
 // matches reports whether a wildcard SUBSCRIBE's filters select this
 // session: its ID is listed, or its label matches any glob. id and
 // label are immutable after createSession, so no lock is needed.
@@ -150,77 +123,67 @@ func (sess *session) matches(ids []uint64, globs []string) bool {
 	return false
 }
 
-// fanoutViews delivers one tick to the filtered/delta subscribers,
-// grouped by filter signature so each distinct view is projected and
-// encoded at most once per codec. sess.fanMu serializes concurrent
-// fan-outs of the same session (the tick loop and PUBLISH handlers),
-// keeping per-view baselines consistent.
-// t/parent thread the enclosing trace so detailed traces record the
-// per-view encode spans; both may be nil/zero.
-func (s *Server) fanoutViews(t *tracing.Trace, parent tracing.SpanRef, sess *session, snap *wire.Response, subs []*subscriber) {
+// fanout hands one snapshot to every view of the session, each
+// serializing its frame at most once per codec in use: with N
+// subscribers of a view on one codec the tick pays for one encode, not
+// N, and the refcount on each shared buffer (see sharedBuf) returns it
+// to the pool once every queue is done with it. fanMu serializes
+// concurrent fan-outs of the same session (the tick loop and PUBLISH
+// handlers), keeping per-view baselines consistent.
+//
+// t/parent thread the enclosing trace (tick or PUBLISH request) so
+// detailed traces record per-codec encode spans; both may be nil/zero.
+func (s *Server) fanout(t *tracing.Trace, parent tracing.SpanRef, sess *session, snap wire.Response, views []viewSubs) {
 	sess.fanMu.Lock()
 	defer sess.fanMu.Unlock()
-	type group struct {
-		vs      *viewState
-		subs    []*subscriber
-		needKey bool
-	}
-	groups := make(map[string]*group, 1)
-	order := make([]*group, 0, 1)
-	for _, sub := range subs {
-		g := groups[sub.sig]
-		if g == nil {
-			g = &group{vs: sess.view(sub)}
-			groups[sub.sig] = g
-			order = append(order, g)
-		}
-		g.subs = append(g.subs, sub)
-		if sub.delta && sub.needKey.Load() {
-			g.needKey = true
-		}
-	}
-	for _, g := range order {
-		s.fanoutView(t, parent, g.vs, g.subs, g.needKey, snap)
+	for _, v := range views {
+		s.fanoutView(t, parent, v, &snap)
 	}
 }
 
-// fanoutView delivers one tick to the subscribers of one view: a
-// projected full snapshot for filtered non-delta views; for delta
-// views a keyframe when the epoch must (re)start — first frame,
-// projection change, resync request, cadence — and otherwise a DELTA
-// of everything that drifted from the keyframe. An empty delta sends
-// nothing at all.
-func (s *Server) fanoutView(t *tracing.Trace, parent tracing.SpanRef, vs *viewState, subs []*subscriber, needKey bool, snap *wire.Response) {
+// fanoutView delivers one tick to the subscribers of one view: the
+// snapshot itself for the broadcast view, a projected full snapshot for
+// filtered non-delta views; for delta views a keyframe when the epoch
+// must (re)start — first frame, projection change, resync request,
+// cadence — and otherwise a DELTA of everything that drifted from the
+// keyframe. An empty delta sends nothing at all.
+func (s *Server) fanoutView(t *tracing.Trace, parent tracing.SpanRef, v viewSubs, snap *wire.Response) {
+	vs := v.vs
+	if vs.filter == nil && !vs.delta {
+		s.deliverAll(t, parent, snap, kindSnapshot, v.subs) // nothing to project
+		return
+	}
 	rekeyed := vs.project(snap)
 	if len(vs.events) == 0 {
 		return // the filter matches none of this session's events
 	}
 	if !vs.delta {
-		s.deliverAll(t, parent, vs.projected(snap), kindSnapshot, subs)
+		s.deliverAll(t, parent, vs.projected(snap), kindSnapshot, v.subs)
 		return
 	}
+	needKey := slices.ContainsFunc(v.subs, func(sub *subscriber) bool { return sub.needKey.Load() })
 	vs.sinceKey++
 	if !vs.primed || rekeyed || needKey || vs.sinceKey >= s.cfg.KeyframeEvery {
 		vs.primed = true
 		vs.keySeq = snap.Seq
 		vs.keyVals = append(vs.keyVals[:0], vs.cur...)
 		vs.sinceKey = 0
-		s.deliverAll(t, parent, vs.projected(snap), kindKeyframe, subs)
+		s.deliverAll(t, parent, vs.projected(snap), kindKeyframe, v.subs)
 		return
 	}
 	vs.changed = vs.changed[:0]
 	vs.cvals = vs.cvals[:0]
-	for i, v := range vs.cur {
-		if v != vs.keyVals[i] {
+	for i, val := range vs.cur {
+		if val != vs.keyVals[i] {
 			vs.changed = append(vs.changed, uint32(i))
-			vs.cvals = append(vs.cvals, v)
+			vs.cvals = append(vs.cvals, val)
 		}
 	}
 	if len(vs.changed) == 0 {
 		return
 	}
 	s.deliverAll(t, parent, &wire.Response{Op: wire.OpDelta, OK: true, Session: snap.Session,
-		Seq: snap.Seq, Base: vs.keySeq, Idx: vs.changed, Values: vs.cvals}, kindDelta, subs)
+		Seq: snap.Seq, Base: vs.keySeq, Idx: vs.changed, Values: vs.cvals}, kindDelta, v.subs)
 }
 
 // deliverAll encodes one view frame at most once per codec and delivers

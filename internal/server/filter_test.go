@@ -1,15 +1,16 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,7 +29,7 @@ func pubSession(t *testing.T, cl *Client, label string) uint64 {
 	return created.Session
 }
 
-// helloT performs the v4 handshake on a test client.
+// helloT performs the handshake on a test client.
 func helloT(t *testing.T, cl *Client) wire.Response {
 	t.Helper()
 	hello, err := cl.Hello()
@@ -133,8 +134,8 @@ func TestSubscribeWildcard(t *testing.T) {
 	}
 }
 
-// TestSubscribeValidation: every malformed or under-versioned
-// SUBSCRIBE earns a loud ERROR and registers nothing.
+// TestSubscribeValidation: every malformed SUBSCRIBE earns a loud
+// ERROR and registers nothing.
 func TestSubscribeValidation(t *testing.T) {
 	_, addr := startServer(t, Config{TickInterval: time.Hour})
 	pub := dialT(t, addr)
@@ -158,23 +159,6 @@ func TestSubscribeValidation(t *testing.T) {
 		_, err := cl.Do(tc.req)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err %v, want mention of %q", tc.name, err, tc.want)
-		}
-	}
-
-	// A v3 peer asking for any v4 feature is refused before anything
-	// registers.
-	v3 := dialT(t, addr)
-	if _, err := v3.Do(wire.Request{Op: wire.OpHello, Version: 3}); err != nil {
-		t.Fatal(err)
-	}
-	for _, req := range []wire.Request{
-		{Op: wire.OpSubscribe, Session: id, Delta: true},
-		{Op: wire.OpSubscribe, Session: id, Events: []string{"x"}},
-		{Op: wire.OpSubscribe, Labels: []string{"val"}},
-	} {
-		_, err := v3.Do(req)
-		if err == nil || !strings.Contains(err.Error(), "protocol") {
-			t.Errorf("v3 filtered subscribe: err %v, want protocol gate", err)
 		}
 	}
 }
@@ -303,7 +287,6 @@ func TestDeltaResyncAfterQueueDrop(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := New(Config{TickInterval: time.Hour, KeyframeEvery: 100})
 			c := testConn(srv, tc.depth)
-			c.version.Store(wire.MinProtocolFilter)
 			var ids []uint64
 			var subs []*subscriber
 			for i := 0; i < tc.sessions; i++ {
@@ -575,83 +558,6 @@ func TestReconnClientReplaysDeltaSub(t *testing.T) {
 	}
 }
 
-// TestMixedVersionUnfilteredStream pins backward compatibility at the
-// byte level: a v2 JSON peer subscribed without filters receives
-// exactly the SNAPSHOT lines older servers sent — no DELTA frames, no
-// idx/base fields — and any v4 feature it tries is refused.
-func TestMixedVersionUnfilteredStream(t *testing.T) {
-	_, addr := startServer(t, Config{TickInterval: time.Hour, KeyframeEvery: 2})
-	pub := dialT(t, addr)
-	id := pubSession(t, pub, "mixed")
-
-	// A v4 delta subscriber runs alongside, so the session is serving
-	// delta views while the v2 stream must stay untouched.
-	deltaCl := dialT(t, addr)
-	helloT(t, deltaCl)
-	if _, err := deltaCl.Do(wire.Request{Op: wire.OpSubscribe, Session: id, Delta: true}); err != nil {
-		t.Fatal(err)
-	}
-
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	br := bufio.NewReader(nc)
-	send := func(req wire.Request) string {
-		t.Helper()
-		buf, err := wire.AppendFrame(nil, wire.CodecJSON, &req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := nc.Write(buf); err != nil {
-			t.Fatal(err)
-		}
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return line
-	}
-	if line := send(wire.Request{Op: wire.OpHello, Version: 2}); !strings.Contains(line, `"ok":true`) {
-		t.Fatalf("v2 hello refused: %s", line)
-	}
-	if line := send(wire.Request{Op: wire.OpSubscribe, Session: id, Delta: true}); !strings.Contains(line, "protocol") {
-		t.Fatalf("v2 delta subscribe not version-gated: %s", line)
-	}
-	if line := send(wire.Request{Op: wire.OpSubscribe, Session: id}); !strings.Contains(line, `"ok":true`) {
-		t.Fatalf("v2 plain subscribe refused: %s", line)
-	}
-
-	for i := int64(1); i <= 4; i++ {
-		if _, err := pub.Do(wire.Request{Op: wire.OpPublish, Session: id,
-			Events: []string{"a", "b"}, Values: []int64{i, i * 10}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(line, `"op":"SNAPSHOT"`) {
-			t.Errorf("v2 stream line %d is not a SNAPSHOT: %s", i, line)
-		}
-		for _, leak := range []string{`"idx"`, `"base"`, `"DELTA"`} {
-			if strings.Contains(line, leak) {
-				t.Errorf("v2 stream line leaks v4 field %s: %s", leak, line)
-			}
-		}
-		var resp wire.Response
-		if err := json.Unmarshal([]byte(line), &resp); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(resp.Events, []string{"a", "b"}) || len(resp.Values) != 2 {
-			t.Errorf("v2 frame %d not the full snapshot: %v=%v", i, resp.Events, resp.Values)
-		}
-	}
-}
-
 // TestFanoutEncodeFailure pins the fixed fan-out failure path: an
 // encode failure is attempted and logged once per codec per tick, the
 // failure is counted, and every subscriber on that codec records a
@@ -675,7 +581,6 @@ func TestFanoutEncodeFailure(t *testing.T) {
 		t.Fatal("session not registered")
 	}
 	c := testConn(srv, 4)
-	c.version.Store(wire.MinProtocolFilter)
 	for i := 0; i < 2; i++ {
 		c.follow(t, sess, nil, false)
 	}
@@ -706,7 +611,7 @@ func TestQueryDeriveNoHistory(t *testing.T) {
 		From: 0, To: 100}
 	for name, resp := range map[string]wire.Response{
 		"dispatch":     srv.dispatch(nil, req),
-		"queryDerived": srv.queryDerived(nil, req),
+		"queryDerived": srv.queryDerived(req),
 	} {
 		if resp.OK {
 			t.Errorf("%s: derive QUERY with history disabled succeeded", name)
@@ -763,5 +668,190 @@ func TestDerivedCountersDistinct(t *testing.T) {
 	}
 	if fmt.Sprint(resp.Stats["derived_sent"]) != fmt.Sprint(st.DerivedSent) {
 		t.Errorf("STATS derived_sent %d != Stats() %d", resp.Stats["derived_sent"], st.DerivedSent)
+	}
+}
+
+// TestViewMembershipChurn races subscribes and connection teardowns
+// against PUBLISH fan-out on one session (run it under -race): the
+// subscriber index is copy-on-write, so a fan-out may finish on the
+// list it was handed while membership moves on. Whatever the
+// interleaving, every subscriber's frames are a gap-free run of seqs
+// that reassembles to the published rows, a subscription's first frame
+// is a full SNAPSHOT — also when its view had just been dropped by its
+// last leaver — and sent − dropped equals the frames the queues took.
+func TestViewMembershipChurn(t *testing.T) {
+	srv := New(Config{TickInterval: time.Hour, TSDBMaxBytes: -1, KeyframeEvery: 5})
+	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
+	if !created.OK {
+		t.Fatal(created.Error)
+	}
+	sess, _ := srv.reg.get(created.Session)
+	events := []string{"a", "b", "c"}
+	const publishes = 400
+	truth := make([][]int64, publishes+1) // by seq; written before the publish that carries it
+	publish := func(seq int) {
+		row := []int64{int64(seq), int64(seq * 2), 7}
+		truth[seq] = row
+		if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: sess.id,
+			Events: events, Values: row}); !resp.OK || resp.Seq != uint64(seq) {
+			t.Errorf("publish %d: %+v", seq, resp)
+		}
+	}
+	// check drains a torn-down connection and audits its one stream.
+	popped := 0
+	check := func(c *conn, filter []string, delta bool) {
+		t.Helper()
+		var tracker wire.DeltaTracker
+		var last uint64
+		for i, f := range c.popResponses(t) {
+			popped++
+			if i == 0 && f.Op != wire.OpSnapshot {
+				t.Errorf("stream opens with %s seq %d, want a full SNAPSHOT", f.Op, f.Seq)
+			}
+			if f.Op == wire.OpDelta && !delta {
+				t.Errorf("DELTA seq %d on a non-delta subscription", f.Seq)
+			}
+			row, err := tracker.Apply(f)
+			if err != nil {
+				t.Fatalf("seq %d (%s): %v", f.Seq, f.Op, err)
+			}
+			if last != 0 && row.Seq != last+1 {
+				t.Errorf("seq %d follows %d: a gap with nothing dropped before the close", row.Seq, last)
+			}
+			last = row.Seq
+			var want []int64
+			for j, ev := range events {
+				if filter == nil || slices.Contains(filter, ev) {
+					want = append(want, truth[row.Seq][j])
+				}
+			}
+			if !slices.Equal(row.Values, want) {
+				t.Errorf("seq %d reassembled %v, want %v", row.Seq, row.Values, want)
+			}
+		}
+	}
+
+	shapes := []struct {
+		filter []string
+		delta  bool
+	}{{nil, false}, {[]string{"a", "c"}, false}, {nil, true}, {[]string{"b", "a"}, true}}
+	type stream struct {
+		c     *conn
+		shape int
+	}
+	const nChurners = 4
+	streams := make([][]stream, nChurners)
+	var stop atomic.Bool
+	var churners sync.WaitGroup
+	for g := 0; g < nChurners; g++ {
+		churners.Add(1)
+		go func() {
+			defer churners.Done()
+			for n := g; !stop.Load(); n++ {
+				shape := shapes[n%len(shapes)]
+				c := testConn(srv, 2*publishes) // deep enough that nothing is evicted
+				if _, err := srv.addSubscriber(c, sess, &wire.Request{Events: shape.filter, Delta: shape.delta}); err != nil {
+					t.Error(err)
+					return
+				}
+				c.goLive()
+				// Stay for one to three fan-outs, so every stream overlaps
+				// the publisher, then hang up under its feet.
+				for stay := 1 + n/len(shapes)%3; c.q.len() < stay && !stop.Load(); {
+					runtime.Gosched()
+				}
+				c.teardown()
+				streams[g] = append(streams[g], stream{c, n % len(shapes)})
+			}
+		}()
+	}
+	for seq := 1; seq <= publishes; seq++ {
+		publish(seq)
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	churners.Wait()
+
+	if n := len(sess.views); n != 0 {
+		t.Errorf("%d views left after every subscriber went; the last leaver takes its view", n)
+	}
+	for _, ss := range streams {
+		for _, st := range ss {
+			check(st.c, canonEvents(shapes[st.shape].filter), shapes[st.shape].delta)
+		}
+	}
+	st := srv.Stats()
+	if took := st.SnapshotsSent - st.SnapshotsDropped + st.DeltasSent - st.DeltasDropped; took != uint64(popped) {
+		t.Errorf("sent − dropped = %d frames, but the queues held %d", took, popped)
+	}
+	if popped < publishes/4 || st.DeltasSent == 0 {
+		t.Errorf("%d frames, %d deltas: the churn barely overlapped the publishes", popped, st.DeltasSent)
+	}
+}
+
+// TestViewOrderAndRekey is the deterministic half of the membership
+// contract: subscribers of a view are served in subscription order, and
+// a view dropped by its last leaver starts over — keyframe first — for
+// whoever subscribes with that filter next.
+func TestViewOrderAndRekey(t *testing.T) {
+	srv := New(Config{TickInterval: time.Hour, TSDBMaxBytes: -1, KeyframeEvery: 100})
+	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
+	if !created.OK {
+		t.Fatal(created.Error)
+	}
+	sess, _ := srv.reg.get(created.Session)
+	publish := func(v int64) {
+		t.Helper()
+		if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: sess.id,
+			Events: []string{"a", "b"}, Values: []int64{1, v}}); !resp.OK {
+			t.Fatal(resp.Error)
+		}
+	}
+	served := func(c *conn) (subs []*subscriber) {
+		for f, ok := c.q.pop(false); ok; f, ok = c.q.pop(false) {
+			subs = append(subs, f.sub)
+			f.release()
+		}
+		return subs
+	}
+
+	// One connection, four subscriptions to the same view.
+	c := testConn(srv, 16)
+	var subs []*subscriber
+	for i := 0; i < 4; i++ {
+		subs = append(subs, c.follow(t, sess, []string{"b"}, false))
+	}
+	publish(1)
+	if got := served(c); !slices.Equal(got, subs) {
+		t.Errorf("served %v, want subscription order %v", got, subs)
+	}
+	sess.removeSubscriber(subs[1])
+	subs = append(slices.Delete(subs, 1, 2), c.follow(t, sess, []string{"b"}, false))
+	publish(2)
+	if got := served(c); !slices.Equal(got, subs) {
+		t.Errorf("after a leave and a join served %v, want %v", got, subs)
+	}
+	if n := len(sess.views); n != 1 {
+		t.Fatalf("%d views for one filter", n)
+	}
+
+	// A delta view: keyframe, delta; the last leaver drops the view, and
+	// the same filter subscribed again opens with a keyframe.
+	d := testConn(srv, 16)
+	first := d.follow(t, sess, nil, true)
+	publish(3)
+	publish(4)
+	sess.removeSubscriber(first)
+	if n := len(sess.views); n != 1 {
+		t.Fatalf("%d views after the delta view's only subscriber left, want 1", n)
+	}
+	d.follow(t, sess, nil, true)
+	publish(5)
+	var ops []string
+	for _, f := range d.popResponses(t) {
+		ops = append(ops, f.Op)
+	}
+	if want := []string{wire.OpSnapshot, wire.OpDelta, wire.OpSnapshot}; !slices.Equal(ops, want) {
+		t.Errorf("delta stream ops %v, want %v", ops, want)
 	}
 }

@@ -202,7 +202,6 @@ func TestParallelDerivedFollowsSnapshot(t *testing.T) {
 		}
 		sess, _ := srv.reg.get(created.Session)
 		c := testConn(srv, 4*nTicks)
-		c.version.Store(int32(wire.MinProtocolDerived))
 		c.follow(t, sess, nil, false)
 		if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpStart,
 			Session: created.Session}); !resp.OK {

@@ -22,9 +22,9 @@
 //     serialization is a per-tick cost instead of a per-subscriber
 //     cost (the paper's 1–2%-overhead lesson applied to the serving
 //     path);
-//   - an opt-in binary wire codec (protocol v3, internal/wire) cutting
-//     frame bytes and encode/decode allocations for clients that
-//     negotiate it, with JSON lines as the transparent fallback;
+//   - an opt-in binary wire codec (internal/wire) cutting frame bytes
+//     and encode/decode allocations for clients that negotiate it, with
+//     JSON lines as the transparent fallback;
 //   - an embedded time-series store (internal/tsdb) recording every
 //     tick's snapshot, so late subscribers and offline tools can QUERY
 //     downsampled history instead of getting nothing;
@@ -170,9 +170,9 @@ type Config struct {
 	// Groups names performance groups from the internal/derive library
 	// (papid -groups). Each tick, every session whose event set covers a
 	// named group's requirements gets that group evaluated and the
-	// derived values fanned out to its v3+ subscribers as DERIVED
-	// frames. Sessions may register further groups via SUBSCRIBE.
-	// Unknown names are a startup error, surfaced by Listen.
+	// derived values fanned out to its subscribers as DERIVED frames.
+	// Sessions may register further groups via SUBSCRIBE. Unknown names
+	// are a startup error, surfaced by Listen.
 	Groups []string
 	// DeriveRules are threshold alert specs ("metric<bound[:N]", see
 	// derive.ParseRule) armed on every evaluated session: N consecutive
@@ -890,44 +890,6 @@ func (e *encCache) done() {
 	}
 }
 
-// fanout serializes one snapshot at most once per codec in use and
-// hands the shared bytes to every subscriber — the encode-once path.
-// With N subscribers on one codec the tick pays for one Marshal, not
-// N; the bytes are never mutated while shared, and the refcount on
-// each buffer (see sharedBuf) returns it to the pool once the cache
-// and every queue are done with it. Filtered and delta subscribers
-// peel off to fanoutViews (filter.go), which applies the same
-// encode-once discipline per distinct view; their scratch slice is
-// pooled too — fan-out runs every tick for every session, so even
-// small per-call allocations are worth retiring.
-//
-// t/parent thread the enclosing trace (tick or PUBLISH request) so
-// detailed traces record per-codec encode spans; both may be nil/zero.
-func (s *Server) fanout(t *tracing.Trace, parent tracing.SpanRef, sess *session, resp wire.Response, subs []*subscriber) {
-	enc := encCache{resp: &resp}
-	if t.Detailed() {
-		enc.trc, enc.parent = t, parent
-	}
-	vp := viewSubsPool.Get().(*[]*subscriber)
-	viewSubs := (*vp)[:0]
-	for _, sub := range subs {
-		if sub.sig != "" {
-			viewSubs = append(viewSubs, sub)
-			continue
-		}
-		s.deliver(&enc, kindSnapshot, sub)
-	}
-	if len(viewSubs) > 0 {
-		s.fanoutViews(t, parent, sess, &resp, viewSubs)
-	}
-	enc.done()
-	for i := range viewSubs {
-		viewSubs[i] = nil // no subscriber outlives its tick via the pool
-	}
-	*vp = viewSubs[:0]
-	viewSubsPool.Put(vp)
-}
-
 // deliver is the one fan-out push site: it hands sub its frame of the
 // encode-once payload by pushing straight into the owning connection's
 // write queue, and counts the frame sent. Every way the frame can then
@@ -959,13 +921,11 @@ func (s *Server) deliver(enc *encCache, kind frameKind, sub *subscriber) {
 }
 
 // fanoutDerived evaluates the session's performance groups over one
-// snapshot and pushes the resulting DERIVED frame to its v3+
-// subscribers, encode-once like fanout. Evaluation runs even with no
-// eligible subscriber — threshold rules alert server-side regardless
-// of who is watching — but pre-v3 peers never receive the frame
-// (wire.MinProtocolDerived): their stream stays exactly what older
-// servers sent.
-func (s *Server) fanoutDerived(t *tracing.Trace, parent tracing.SpanRef, sess *session, snap wire.Response, subs []*subscriber, ts int64) {
+// snapshot and pushes the resulting DERIVED frame to every subscriber
+// of every view, encode-once like fanout. Evaluation runs even with no
+// subscriber — threshold rules alert server-side regardless of who is
+// watching.
+func (s *Server) fanoutDerived(t *tracing.Trace, parent tracing.SpanRef, sess *session, snap wire.Response, views []viewSubs, ts int64) {
 	groups := sess.derivedGroups(s.defGroups)
 	if len(groups) == 0 {
 		return
@@ -981,8 +941,8 @@ func (s *Server) fanoutDerived(t *tracing.Trace, parent tracing.SpanRef, sess *s
 			if t.Detailed() {
 				enc.trc, enc.parent = t, parent
 			}
-			for _, sub := range subs {
-				if sub.c.version.Load() >= wire.MinProtocolDerived {
+			for _, v := range views {
+				for _, sub := range v.subs {
 					s.deliver(&enc, kindDerived, sub)
 				}
 			}
@@ -999,19 +959,15 @@ func (s *Server) fanoutDerived(t *tracing.Trace, parent tracing.SpanRef, sess *s
 
 // queryDerived answers a derive-mode QUERY: the named groups' formulas
 // evaluated over the session's history window. Validation is loud on
-// purpose: an unknown group, a pre-v3 peer, or a formula referencing
-// an event the session never recorded earns a wire ERROR naming the
-// gap — never an empty reply a client could mistake for "no data".
-func (s *Server) queryDerived(c *conn, req *wire.Request) wire.Response {
+// purpose: an unknown group or a formula referencing an event the
+// session never recorded earns a wire ERROR naming the gap — never an
+// empty reply a client could mistake for "no data".
+func (s *Server) queryDerived(req *wire.Request) wire.Response {
 	if s.hist == nil {
 		// Defense in depth: dispatch already rejects QUERY on a
 		// history-less server, but this path dereferences s.hist twice
 		// below — a future caller must get the wire ERROR, not a panic.
 		return errResp(req, errors.New("history disabled (papid -tsdb-mem 0)"))
-	}
-	if c != nil && c.version.Load() < wire.MinProtocolDerived {
-		return errResp(req, fmt.Errorf(
-			"derive requires protocol >= %d (announce your version in HELLO)", wire.MinProtocolDerived))
 	}
 	groups, err := s.derive.Registry().Resolve(req.Derive)
 	if err != nil {
@@ -1155,13 +1111,11 @@ type subscriber struct {
 	c    *conn
 	sess *session
 
-	// The v4 filter, immutable after subscribe: events is the canonical
-	// event-name filter (nil = all), delta requests delta frames, and
-	// sig is the filter signature fanout partitions by ("" = the
-	// unfiltered, non-delta fast path). See filter.go.
+	// The view it follows, immutable after subscribe: events is the
+	// canonical event-name filter (nil = all), delta requests delta
+	// frames. See filter.go.
 	events []string
 	delta  bool
-	sig    string
 	// needKey, on a delta subscriber, requests a keyframe at this
 	// session's next fan-out: set at subscribe (the first frame anchors
 	// the stream) and by frame.drop on any lost frame.
@@ -1345,11 +1299,6 @@ type conn struct {
 	// confirmed the upgrade was enqueued.
 	codec   atomic.Uint32
 	evicted atomic.Bool
-	// version is the protocol version the peer announced at HELLO
-	// (0 until then). It gates version-dependent reply content: STATS
-	// histogram summaries go only to v3+ peers, so a v2 JSON client
-	// never sees a field it does not know.
-	version atomic.Int32
 
 	// trc is the in-flight request's trace, set by handle around
 	// dispatch so deep dispatch paths (PUBLISH fan-out) can hang stage
@@ -1457,12 +1406,7 @@ func (s *Server) handle(nc net.Conn) {
 			if !resp.OK && resp.Error != "" {
 				t.SetError(resp.Error)
 			}
-			// The reply names its trace for v4+ peers only: older binary
-			// decoders reject unknown presence bits, older JSON clients
-			// reject unknown fields in strict harnesses.
-			if c.version.Load() >= int32(wire.MinProtocolTrace) {
-				resp.TraceID = tid
-			}
+			resp.TraceID = tid
 			wr := t.StartSpan(tracing.NoSpan, "write")
 			ok = c.sendTraced(resp, t, wr)
 		}
@@ -1660,17 +1604,20 @@ func (c *conn) teardown() {
 func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 	switch req.Op {
 	case wire.OpHello:
-		if c != nil {
-			c.version.Store(int32(req.Version))
+		// The one place a peer's version is compared. A HELLO that names
+		// none (hand-typed JSON) is served like a connection that sent no
+		// HELLO at all: as the current protocol.
+		if req.Version != 0 && req.Version != wire.ProtocolVersion {
+			return errResp(req, fmt.Errorf("protocol version %d not supported: this papid speaks only %d",
+				req.Version, wire.ProtocolVersion))
 		}
 		resp := wire.Response{Op: req.Op, OK: true,
 			Protocol: wire.ProtocolVersion, Platform: s.cfg.DefaultPlatform}
-		// Confirm the binary upgrade only for v3+ peers that asked, and
-		// only before any subscription exists: a snapshot encoded
-		// concurrently with the codec flip could otherwise straddle the
-		// negotiation. (Clients negotiate first; this enforces it.)
-		if req.Codec == wire.CodecNameBinary && req.Version >= wire.MinProtocolBinary &&
-			(c == nil || !c.subscribing()) {
+		// Confirm the binary upgrade only before any subscription exists:
+		// a snapshot encoded concurrently with the codec flip could
+		// otherwise straddle the negotiation. (Clients negotiate first;
+		// this enforces it.)
+		if req.Codec == wire.CodecNameBinary && (c == nil || !c.subscribing()) {
 			resp.Codec = wire.CodecNameBinary
 		}
 		return resp
@@ -1704,7 +1651,7 @@ func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 		return s.subscribe(c, req)
 	case wire.OpPublish:
 		return s.withSession(req, func(sess *session) wire.Response {
-			snap, subs, err := sess.publish(req.Events, req.Values)
+			snap, views, err := sess.publish(req.Events, req.Values)
 			if err != nil {
 				return errResp(req, err)
 			}
@@ -1717,11 +1664,11 @@ func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 			s.appendHistory(sess.id, now, snap.Events, snap.Values)
 			t.EndSpan(hs)
 			fs := t.StartSpan(tracing.NoSpan, "fanout")
-			t.AnnotateInt(fs, "subs", int64(len(subs)))
-			s.fanout(t, fs, sess, snap, subs)
+			t.AnnotateInt(fs, "views", int64(len(views)))
+			s.fanout(t, fs, sess, snap, views)
 			t.EndSpan(fs)
 			ds := t.StartSpan(tracing.NoSpan, "derive")
-			s.fanoutDerived(t, ds, sess, snap, subs, now)
+			s.fanoutDerived(t, ds, sess, snap, views, now)
 			t.EndSpan(ds)
 			return wire.Response{Op: req.Op, OK: true, Session: sess.id, Seq: snap.Seq}
 		})
@@ -1756,7 +1703,7 @@ func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 			return errResp(req, fmt.Errorf("bad step %d: must be >= 0 (0 returns raw samples)", req.Step))
 		}
 		if len(req.Derive) > 0 {
-			return s.queryDerived(c, req)
+			return s.queryDerived(req)
 		}
 		// No live-session check: history legitimately outlives its
 		// session, which is half the point of keeping it.
@@ -1827,18 +1774,8 @@ func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 			resp.Stats["trace_kept_slow"] = ts.KeptSlow
 			resp.Stats["trace_kept_err"] = ts.KeptErr
 		}
-		// Histogram summaries are a v3 addition: only peers that
-		// announced version >= 3 at HELLO receive them, so a v2 JSON
-		// client's STATS reply stays byte-compatible with what PR 2's
-		// server sent (see wire.MinProtocolStatsHists).
-		if c != nil && c.version.Load() >= wire.MinProtocolStatsHists {
-			resp.Hists = s.m.reg.Summaries()
-		}
-		// Recent slow-op samples (op, session, duration, trace ID) are a
-		// v4 addition, gated like TraceID itself.
-		if c != nil && c.version.Load() >= wire.MinProtocolTrace {
-			resp.Slow = s.slowOps.samples()
-		}
+		resp.Hists = s.m.reg.Summaries()
+		resp.Slow = s.slowOps.samples()
 		return resp
 	case wire.OpBye:
 		return wire.Response{Op: req.Op, OK: true}
@@ -1858,30 +1795,17 @@ func errResp(req *wire.Request, err error) wire.Response {
 	return wire.Response{Op: req.Op, OK: false, Session: req.Session, Error: err.Error()}
 }
 
-// subscribe answers an OpSubscribe: the classic single-session form
-// (Session != 0) with optional derive groups, or the v4 wildcard form
-// (Sessions / Labels) that registers one subscriber on every
-// matched session. Both forms accept the v4 event filter and delta
-// mode; every v4 feature is gated on the peer having announced
-// protocol >= wire.MinProtocolFilter at HELLO, so pre-v4 peers keep
-// the exact streams earlier servers sent.
+// subscribe answers an OpSubscribe: the single-session form
+// (Session != 0) with optional derive groups, or the wildcard form
+// (Sessions / Labels) that registers one subscriber on every matched
+// session. Both forms accept the event filter and delta mode.
 func (s *Server) subscribe(c *conn, req *wire.Request) wire.Response {
-	filtered := len(req.Events) > 0 || req.Delta || len(req.Sessions) > 0 || len(req.Labels) > 0
-	if filtered && c != nil && c.version.Load() < wire.MinProtocolFilter {
-		return errResp(req, fmt.Errorf(
-			"filtered/delta subscriptions require protocol >= %d (announce your version in HELLO)",
-			wire.MinProtocolFilter))
-	}
 	if len(req.Sessions) == 0 && len(req.Labels) == 0 {
 		return s.withSession(req, func(sess *session) wire.Response {
 			if len(req.Derive) > 0 {
 				// Validate the derive registration before the subscriber
 				// exists: a rejected group must leave no half-registered
 				// state and no subscription behind.
-				if c != nil && c.version.Load() < wire.MinProtocolDerived {
-					return errResp(req, fmt.Errorf(
-						"derive requires protocol >= %d (announce your version in HELLO)", wire.MinProtocolDerived))
-				}
 				if err := sess.registerDerive(s.derive.Registry(), req.Derive); err != nil {
 					return errResp(req, err)
 				}
@@ -1932,8 +1856,7 @@ func (s *Server) subscribe(c *conn, req *wire.Request) wire.Response {
 // subscriber starts with needKey set: its first frame must be a
 // keyframe to anchor the stream.
 func (s *Server) addSubscriber(c *conn, sess *session, req *wire.Request) ([]string, error) {
-	sig, canon := filterSig(req.Events, req.Delta)
-	sub := &subscriber{c: c, sess: sess, events: canon, delta: req.Delta, sig: sig}
+	sub := &subscriber{c: c, sess: sess, events: canonEvents(req.Events), delta: req.Delta}
 	sub.needKey.Store(req.Delta)
 	names, err := sess.addSubscriber(sub)
 	if err != nil {
@@ -1976,7 +1899,6 @@ func (s *Server) createSession(req *wire.Request) wire.Response {
 		sys:      sys,
 		th:       th,
 		es:       th.NewEventSet(),
-		subs:     make(map[*subscriber]struct{}),
 	}
 	names, err := sess.addEvents(s, req.Events)
 	if err != nil {

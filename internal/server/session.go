@@ -23,13 +23,11 @@ type session struct {
 	// wildcard SUBSCRIBE label globs. Immutable after creation.
 	label string
 
-	// fanMu guards views — the per-filter-signature delta/projection
-	// state (see filter.go). It is separate from mu and never held
-	// together with it from the fan-out side: fanout runs with mu
-	// already released, and fanMu serializes concurrent fan-outs of
-	// this session (tick loop vs PUBLISH handlers).
+	// fanMu serializes this session's fan-outs (tick loop vs PUBLISH
+	// handlers) and guards the state of every viewState in views (see
+	// filter.go). It is never held together with mu: fan-out runs with
+	// mu already released.
 	fanMu sync.Mutex
-	views map[string]*viewState
 
 	mu      sync.Mutex
 	sys     *papi.System
@@ -41,13 +39,14 @@ type session struct {
 	closed  bool
 	seq     uint64
 	last    []int64 // latest snapshot: live read, publish, or final stop
-	subs    map[*subscriber]struct{}
-	// subsList is the copy-on-write flattening of subs, rebuilt on
-	// every membership change: snapshot() hands it out every tick, so
-	// the per-tick cost is a slice read instead of a map walk and an
-	// allocation. Frames encoded outside mu may still hold the old
-	// slice — rebuilds allocate fresh, never mutate in place.
-	subsList []*subscriber
+	// views is the one subscriber index: an entry per distinct view, in
+	// the order the views were first subscribed to, each holding its
+	// subscribers in subscription order. It is copy-on-write —
+	// snapshot() and publish() hand it out every tick and the fan-out
+	// walks it with mu released, possibly finishing on an old list — so
+	// a membership change builds a fresh list and a fresh subs slice and
+	// never mutates either in place.
+	views []viewSubs
 
 	// deriveGroups are the performance groups SUBSCRIBE registered on
 	// this session; tickGroups caches their union with the server-default
@@ -157,9 +156,9 @@ func (sess *session) stop() ([]string, []int64, error) {
 }
 
 // publish stores an externally measured snapshot (papirun -serve) and
-// returns it as a fan-out frame plus the subscribers to push it to.
+// returns it as a fan-out frame plus the views to push it to.
 // Publishing is only legal on sessions papid is not driving itself.
-func (sess *session) publish(names []string, values []int64) (wire.Response, []*subscriber, error) {
+func (sess *session) publish(names []string, values []int64) (wire.Response, []viewSubs, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.closed {
@@ -186,13 +185,13 @@ func (sess *session) publish(names []string, values []int64) (wire.Response, []*
 	sess.last = values
 	resp := wire.Response{Op: wire.OpSnapshot, OK: true, Session: sess.id,
 		Events: sess.names, Values: values, Seq: sess.seq, Source: "published"}
-	return resp, sess.subscribers(), nil
+	return resp, sess.views, nil
 }
 
 // snapshot is the coalesced per-tick read: advance the workload one
-// chunk, read the counters once, and return the frame plus every
-// subscriber it fans out to. ok is false when there is nothing to do.
-func (sess *session) snapshot() (resp wire.Response, subs []*subscriber, ok bool) {
+// chunk, read the counters once, and return the frame plus every view
+// it fans out to. ok is false when there is nothing to do.
+func (sess *session) snapshot() (resp wire.Response, views []viewSubs, ok bool) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.closed || !sess.running {
@@ -211,38 +210,28 @@ func (sess *session) snapshot() (resp wire.Response, subs []*subscriber, ok bool
 	resp = wire.Response{Op: wire.OpSnapshot, OK: true, Session: sess.id,
 		Events: sess.names, Values: vals, RealUsec: sess.th.RealUsec(),
 		Seq: sess.seq, Source: "live"}
-	return resp, sess.subscribers(), true
+	return resp, sess.views, true
 }
 
-// subscribers returns the current subscriber list; callers hold mu.
-// The slice is the copy-on-write subsList — safe to use after mu is
-// released, never mutated, only replaced.
-func (sess *session) subscribers() []*subscriber {
-	return sess.subsList
-}
-
-// rebuildSubsLocked reflattens subs into a fresh subsList; callers
-// hold mu.
-func (sess *session) rebuildSubsLocked() {
-	if len(sess.subs) == 0 {
-		sess.subsList = nil
-		return
-	}
-	subs := make([]*subscriber, 0, len(sess.subs))
-	for sub := range sess.subs {
-		subs = append(subs, sub)
-	}
-	sess.subsList = subs
-}
-
+// addSubscriber files sub under the view it asked for, creating the
+// view with its first subscriber.
 func (sess *session) addSubscriber(sub *subscriber) ([]string, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.closed {
 		return nil, errSessionClosed
 	}
-	sess.subs[sub] = struct{}{}
-	sess.rebuildSubsLocked()
+	views := slices.Clone(sess.views)
+	i := slices.IndexFunc(views, func(v viewSubs) bool {
+		return v.vs.delta == sub.delta && slices.Equal(v.vs.filter, sub.events)
+	})
+	if i < 0 {
+		i = len(views)
+		views = append(views, viewSubs{vs: &viewState{filter: sub.events, delta: sub.delta}})
+	}
+	// Clipped, so the append copies instead of growing the shared array.
+	views[i].subs = append(slices.Clip(views[i].subs), sub)
+	sess.views = views
 	return append([]string(nil), sess.names...), nil
 }
 
@@ -316,28 +305,26 @@ func (sess *session) derivedGroups(defaults []*derive.Group) []string {
 	return sess.tickGroups
 }
 
+// removeSubscriber takes sub out of its view. The last leaver takes the
+// view with it, so a churn of distinct filters cannot grow the index —
+// and whoever subscribes with that filter next starts a fresh view,
+// keyframe first.
 func (sess *session) removeSubscriber(sub *subscriber) {
 	sess.mu.Lock()
-	delete(sess.subs, sub)
-	sess.rebuildSubsLocked()
-	shared := false
-	if sub.sig != "" {
-		for other := range sess.subs {
-			if other.sig == sub.sig {
-				shared = true
-				break
-			}
+	defer sess.mu.Unlock()
+	for i, v := range sess.views {
+		j := slices.Index(v.subs, sub)
+		if j < 0 {
+			continue
 		}
-	}
-	sess.mu.Unlock()
-	// Prune the filter view when its last subscriber leaves, so a churn
-	// of distinct filters cannot grow the view map without bound. A
-	// racing re-subscribe with the same signature just re-primes: its
-	// first frame is a keyframe either way.
-	if sub.sig != "" && !shared {
-		sess.fanMu.Lock()
-		delete(sess.views, sub.sig)
-		sess.fanMu.Unlock()
+		views := slices.Clone(sess.views)
+		if len(v.subs) == 1 {
+			views = slices.Delete(views, i, i+1)
+		} else {
+			views[i].subs = slices.Delete(slices.Clone(v.subs), j, j+1)
+		}
+		sess.views = views
+		return
 	}
 }
 
@@ -358,8 +345,7 @@ func (sess *session) close() []int64 {
 		}
 		sess.running = false
 	}
-	sess.subs = make(map[*subscriber]struct{})
-	sess.subsList = nil
+	sess.views = nil
 	return sess.last
 }
 

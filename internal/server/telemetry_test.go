@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -158,78 +156,6 @@ func shutdownServer(t *testing.T, srv *Server) {
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
-	}
-}
-
-// TestStatsHistsMixedVersion pins the wire-compatibility contract for
-// the v3 STATS extension: a v3 client sees latency quantiles, while a
-// v2 JSON client's STATS reply carries no "hists" key at all — byte
-// compatible with what pre-telemetry servers sent.
-func TestStatsHistsMixedVersion(t *testing.T) {
-	_, addr := startServer(t, Config{TickInterval: time.Hour})
-
-	// v3 client (Client.Hello announces ProtocolVersion = 3).
-	v3 := dialT(t, addr)
-	if _, err := v3.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v3.Do(wire.Request{Op: wire.OpCreate, Workload: "dot", N: 8,
-		Events: []string{"PAPI_TOT_CYC"}}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := v3.Do(wire.Request{Op: wire.OpStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Hists) == 0 {
-		t.Fatal("v3 STATS reply has no hists")
-	}
-	if s, ok := resp.Hists["op/HELLO/json"]; !ok || s.Count == 0 {
-		t.Errorf("v3 hists lack op/HELLO/json: %v", resp.Hists)
-	}
-	if s, ok := resp.Hists["op/CREATE_SESSION/json"]; !ok || s.Max < s.Min {
-		t.Errorf("v3 hists lack a consistent op/CREATE_SESSION/json: %+v", s)
-	}
-
-	// Raw v2 JSON client: same server, no hists in the raw reply bytes.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(30 * time.Second))
-	br := bufio.NewReader(nc)
-	raw := func(line string) []byte {
-		t.Helper()
-		if _, err := fmt.Fprintln(nc, line); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := br.ReadBytes('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reply
-	}
-	if reply := raw(`{"op":"HELLO","version":2}`); !bytes.Contains(reply, []byte(`"ok":true`)) {
-		t.Fatalf("v2 HELLO: %s", reply)
-	}
-	reply := raw(`{"op":"STATS"}`)
-	if bytes.Contains(reply, []byte(`"hists"`)) {
-		t.Errorf("v2 STATS reply leaks hists: %s", reply)
-	}
-	var v2 wire.Response
-	if err := json.Unmarshal(bytes.TrimSpace(reply), &v2); err != nil || !v2.OK || v2.Stats == nil {
-		t.Fatalf("v2 STATS reply: %s (%v)", reply, err)
-	}
-
-	// A client that never said HELLO is version 0 — also no hists.
-	silent := dialT(t, addr)
-	resp, err = silent.Do(wire.Request{Op: wire.OpStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Hists) != 0 {
-		t.Errorf("HELLO-less client got hists: %v", resp.Hists)
 	}
 }
 

@@ -135,43 +135,37 @@ func (s *Server) sweep(now int64, t *tracing.Trace) {
 // worker. It reports whether the session had subscribers to fan out
 // to, i.e. whether connection writers now have frames waiting.
 //
-// Stage spans are recorded only on detailed (head-sampled) traces:
-// with thousands of sessions, per-session spans on every
-// tail-candidate tick would dwarf the work they measure. Coarse
-// shard spans (runSweep) and the WAL-stall error mark stay
+// Stage spans hang on d, which is the trace only when it is detailed
+// (head-sampled) and nil — every span call a no-op — otherwise: with
+// thousands of sessions, per-session spans on every tail-candidate tick
+// would dwarf the work they measure. Coarse shard spans (runSweep) and
+// the WAL-stall and alert error marks, which take t, stay
 // unconditional.
 func (s *Server) tickSession(sess *session, now int64, t *tracing.Trace, parent tracing.SpanRef) bool {
-	if !t.Detailed() {
-		resp, subs, ok := sess.snapshot()
-		if !ok {
-			return false
-		}
-		s.appendTickHistory(t, resp.Session, now, resp.Events, resp.Values)
-		s.fanout(t, parent, sess, resp, subs)
-		s.fanoutDerived(t, parent, sess, resp, subs, now)
-		return len(subs) > 0
+	var d *tracing.Trace
+	if t.Detailed() {
+		d = t
 	}
-	ss := t.StartSpan(parent, "session")
-	t.AnnotateInt(ss, "session", int64(sess.id))
-	sp := t.StartSpan(ss, "snapshot")
-	resp, subs, ok := sess.snapshot()
-	t.EndSpan(sp)
+	ss := d.StartSpan(parent, "session")
+	defer d.EndSpan(ss)
+	d.AnnotateInt(ss, "session", int64(sess.id))
+	sp := d.StartSpan(ss, "snapshot")
+	resp, views, ok := sess.snapshot()
+	d.EndSpan(sp)
 	if !ok {
-		t.EndSpan(ss)
 		return false
 	}
-	hs := t.StartSpan(ss, "tsdb.append")
+	hs := d.StartSpan(ss, "tsdb.append")
 	s.appendTickHistory(t, resp.Session, now, resp.Events, resp.Values)
-	t.EndSpan(hs)
-	fs := t.StartSpan(ss, "fanout")
-	t.AnnotateInt(fs, "subs", int64(len(subs)))
-	s.fanout(t, fs, sess, resp, subs)
-	t.EndSpan(fs)
-	ds := t.StartSpan(ss, "derive")
-	s.fanoutDerived(t, ds, sess, resp, subs, now)
-	t.EndSpan(ds)
-	t.EndSpan(ss)
-	return len(subs) > 0
+	d.EndSpan(hs)
+	fs := d.StartSpan(ss, "fanout")
+	d.AnnotateInt(fs, "views", int64(len(views)))
+	s.fanout(t, fs, sess, resp, views)
+	d.EndSpan(fs)
+	ds := d.StartSpan(ss, "derive")
+	s.fanoutDerived(t, ds, sess, resp, views, now)
+	d.EndSpan(ds)
+	return len(views) > 0
 }
 
 // histRow is one tick row in flight to the WAL appender. Both slices
@@ -314,7 +308,3 @@ func (sb *sharedBuf) release() {
 		}
 	}
 }
-
-// viewSubsPool recycles the filtered-subscriber scratch slice fanout
-// builds each session-tick (see Server.fanout).
-var viewSubsPool = sync.Pool{New: func() any { return new([]*subscriber) }}

@@ -17,7 +17,7 @@ import (
 
 // TestTraceSlowOpRetained is the flight recorder's headline promise:
 // a SlowOp-triggering request produces a warn line carrying a trace
-// ID, the reply returns the same ID to the v4 client, and the trace
+// ID, the reply returns the same ID to the client, and the trace
 // is tail-retained — retrievable through /debug/trace?id= in both
 // native and Chrome trace-event form — even though head sampling
 // never picked it.
@@ -44,7 +44,7 @@ func TestTraceSlowOpRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.TraceID == 0 {
-		t.Fatal("v4 reply carries no trace ID")
+		t.Fatal("reply carries no trace ID")
 	}
 	id := tracing.FormatID(resp.TraceID)
 
@@ -96,7 +96,7 @@ func TestTraceSlowOpRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(resp2.Slow) == 0 {
-		t.Fatal("v4 STATS reply has no slow samples after a breach")
+		t.Fatal("STATS reply has no slow samples after a breach")
 	}
 	found := false
 	for _, s := range resp2.Slow {
@@ -110,40 +110,6 @@ func TestTraceSlowOpRetained(t *testing.T) {
 	// And the tracer's own counters surface through STATS.
 	if resp2.Stats["trace_started"] == 0 || resp2.Stats["trace_kept_slow"] == 0 {
 		t.Errorf("trace_* STATS keys missing or zero: %v", resp2.Stats)
-	}
-}
-
-// TestTraceIDGatedByVersion: a v3 peer must see neither TraceID nor
-// slow samples in its replies, even on a tracing server with breaches
-// recorded — older strict decoders reject unknown fields.
-func TestTraceIDGatedByVersion(t *testing.T) {
-	_, addr := startServer(t, Config{TickInterval: time.Hour,
-		SlowOp: time.Nanosecond, TraceSample: 1})
-	v3 := dialT(t, addr)
-	if _, err := v3.Do(wire.Request{Op: wire.OpHello, Version: 3}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := v3.Do(wire.Request{Op: wire.OpStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.TraceID != 0 {
-		t.Errorf("v3 reply carries trace ID %x", resp.TraceID)
-	}
-	if len(resp.Slow) != 0 {
-		t.Errorf("v3 STATS reply carries slow samples: %+v", resp.Slow)
-	}
-
-	v4 := dialT(t, addr)
-	if _, err := v4.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	resp4, err := v4.Do(wire.Request{Op: wire.OpStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp4.TraceID == 0 {
-		t.Error("v4 reply on the same server carries no trace ID")
 	}
 }
 

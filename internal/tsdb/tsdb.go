@@ -236,13 +236,6 @@ func (s *Store) seriesFor(sh *storeShard, key SeriesKey) *series {
 	return sr
 }
 
-// AppendRow records one timestamp's values for several events of one
-// session — papid's per-tick shape. It is AppendBatch under its
-// historical name.
-func (s *Store) AppendRow(session uint64, ts int64, events []string, vals []int64) {
-	s.AppendBatch(session, ts, events, vals)
-}
-
 // AppendBatch records one timestamp's values for several events of one
 // session, taking each touched shard's lock exactly once instead of
 // once per (session, event) — papid's tick loop appends every running

@@ -243,15 +243,15 @@ func TestRetentionAge(t *testing.T) {
 	}
 }
 
-// TestMultiSeries checks session/event addressing: AppendRow fans one
+// TestMultiSeries checks session/event addressing: AppendBatch fans one
 // tick into per-event series, queries filter and sort, and sessions
 // are isolated.
 func TestMultiSeries(t *testing.T) {
 	st := New(Config{MaxAge: -1})
 	events := []string{"PAPI_TOT_CYC", "PAPI_FP_OPS"}
 	for i := int64(1); i <= 100; i++ {
-		st.AppendRow(1, i*1000, events, []int64{i * 10, i * 3})
-		st.AppendRow(2, i*1000, events[:1], []int64{i * 7})
+		st.AppendBatch(1, i*1000, events, []int64{i * 10, i * 3})
+		st.AppendBatch(2, i*1000, events[:1], []int64{i * 7})
 	}
 	if got := st.Stats().Series; got != 3 {
 		t.Fatalf("%d series, want 3", got)
@@ -358,8 +358,9 @@ func TestAppendBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestAppendBatchRaggedRow: extra values without names are ignored,
-// mirroring AppendRow's historical min(len) contract.
+// TestAppendBatchRaggedRow: a row is as long as the shorter of its two
+// slices; extra values without names, or names without values, are
+// ignored.
 func TestAppendBatchRaggedRow(t *testing.T) {
 	st := New(Config{MaxBytes: 1 << 30, MaxAge: -1})
 	st.AppendBatch(1, 100, []string{"A", "B"}, []int64{1, 2, 3})

@@ -1,4 +1,4 @@
-// The binary codec (protocol v3): an opt-in replacement for the
+// The binary codec: an opt-in replacement for the
 // JSON-lines framing on connections where frame volume lives —
 // snapshot fan-out and QUERY replies. One frame is a uvarint length
 // prefix followed by that many payload bytes; the payload is a
@@ -11,7 +11,7 @@
 // `"codec":"binary"` (still JSON) is answered by a JSON HELLO reply
 // echoing the codec, and both sides switch from the next frame on.
 // Peers that never ask — or servers that never confirm — stay on JSON
-// lines, so a v2 binary never meets a v3 binary frame.
+// lines and never meet a binary byte.
 //
 // Framing errors are classified by recoverability: a payload that
 // fails to decode inside a well-delimited frame is an ordinary

@@ -1,4 +1,4 @@
-// Delta reassembly (protocol v4): a subscriber that asked for delta
+// Delta reassembly: a subscriber that asked for delta
 // mode receives full SNAPSHOT keyframes interleaved with compact DELTA
 // frames. Every delta is complete relative to its keyframe — Idx lists
 // each counter whose value differs from the keyframe identified by

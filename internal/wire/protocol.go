@@ -5,16 +5,18 @@ import (
 	"repro/internal/tsdb"
 )
 
-// The papid protocol: JSON-lines request/response over TCP, one
-// Request per line from the client, one Response per line from the
-// server. A connection that has issued SUBSCRIBE additionally receives
-// asynchronous OpSnapshot responses interleaved with its request
-// replies; clients distinguish them by the Op field.
+// The papid protocol: request/response over TCP, one Request per frame
+// from the client, one Response per frame from the server. A connection
+// that has issued SUBSCRIBE additionally receives asynchronous
+// OpSnapshot, OpDelta and OpDerived responses interleaved with its
+// request replies; clients distinguish them by the Op field. Frames
+// are JSON lines — the codec a human can type — unless HELLO
+// negotiated the binary codec (binary.go).
 //
 // A typical exchange (client lines prefixed >, server lines <):
 //
-//	> {"op":"HELLO","version":2}
-//	< {"op":"HELLO","ok":true,"protocol":2,"platform":"linux-x86"}
+//	> {"op":"HELLO","version":4}
+//	< {"op":"HELLO","ok":true,"protocol":4,"platform":"linux-x86"}
 //	> {"op":"CREATE_SESSION","platform":"aix-power3","events":["PAPI_FP_INS","PAPI_TOT_CYC"]}
 //	< {"op":"CREATE_SESSION","ok":true,"session":1,"events":["PAPI_FP_INS","PAPI_TOT_CYC"]}
 //	> {"op":"START","session":1}
@@ -27,68 +29,17 @@ import (
 //	> {"op":"BYE"}
 //	< {"op":"BYE","ok":true}
 
-// ProtocolVersion is echoed in the HELLO response; clients reject
-// servers speaking a different major version. Since version 2 a client
-// may also announce its own version in the HELLO request, and should
-// compare the server's reply against the op-specific minimums below
-// instead of failing on an unknown op.
-//
-// History: 1 = initial papid protocol; 2 = HELLO carries the client
-// version and QUERY serves tsdb history; 3 = HELLO may negotiate the
-// compact binary codec (see binary.go), STATS carries histogram
-// summaries, and subscribers may receive DERIVED frames; 4 = SUBSCRIBE
-// accepts filters (session IDs, label globs, event names) and delta
-// mode, and filtered subscribers may receive DELTA frames (see
-// delta.go).
+// ProtocolVersion is the one protocol papid speaks. A client announces
+// it in HELLO (Request.Version) and the server echoes it in the reply
+// (Response.Protocol); each side refuses a peer naming any other
+// number, so nothing past the handshake is version-dependent. A HELLO
+// naming no version, or no HELLO at all, is a hand-typed JSON session
+// and is served as this version. Versions 1–3 (no QUERY; no binary
+// codec, histograms or DERIVED; no filters, DELTA or trace IDs) had no
+// peers outside this repository and are no longer spoken. Room to grow
+// without a new number stays: JSON decoders ignore unknown fields, and
+// the binary codec's presence bitmaps name exactly the fields sent.
 const ProtocolVersion = 4
-
-// MinProtocolQuery is the lowest server protocol that understands
-// OpQuery; QUERY-aware clients check the HELLO reply against it to
-// detect older servers.
-const MinProtocolQuery = 2
-
-// MinProtocolBinary is the lowest protocol whose HELLO can negotiate
-// the binary codec. A client announces `"codec":"binary"` in its HELLO
-// request; a server that agrees echoes the codec in its (still
-// JSON-encoded) HELLO reply, and both sides switch every subsequent
-// frame to binary framing. Either side omitting the field falls back
-// to JSON lines transparently — a v2 peer never sees a binary byte.
-const MinProtocolBinary = 3
-
-// MinProtocolStatsHists is the lowest client protocol whose STATS
-// replies carry histogram summaries (Response.Hists): the server's
-// per-op latency quantiles, tick duration, and tsdb timings. A peer
-// that announced an older version (or never sent HELLO) receives the
-// plain counter map only, so a v2 JSON client's STATS reply stays
-// exactly what older servers sent.
-const MinProtocolStatsHists = 3
-
-// MinProtocolDerived is the lowest client protocol that receives
-// derived-metric traffic: asynchronous OpDerived frames after a
-// SUBSCRIBE naming groups, and DerivedSeries in a derive-mode QUERY
-// reply. The server never sends either to a peer that announced an
-// older version (or never sent HELLO) — a v2 JSON client's stream
-// stays exactly what older servers sent.
-const MinProtocolDerived = 3
-
-// MinProtocolFilter is the lowest client protocol that may subscribe
-// with filters (Request.Sessions, Labels, Events on SUBSCRIBE) or
-// request delta frames (Request.Delta). The server rejects filtered
-// SUBSCRIBEs from older peers with a wire ERROR, and never sends a
-// DELTA frame to a subscriber that did not ask for delta mode — an
-// unfiltered v2/v3 peer's snapshot stream stays byte-identical to what
-// older servers sent.
-const MinProtocolFilter = 4
-
-// MinProtocolTrace is the lowest client protocol whose replies carry
-// the server-side trace ID (Response.TraceID) when papid traced the
-// request, and whose STATS replies include recent slow-op samples
-// (Response.Slow). The server never attaches either to a peer that
-// announced an older version (or never sent HELLO) — a v2/v3 peer's
-// replies stay byte-identical to what older servers sent (the binary
-// codec rejects unknown presence bits, so these fields must never
-// reach a v3 decoder).
-const MinProtocolTrace = 4
 
 // Request operations.
 const (
@@ -113,7 +64,7 @@ const (
 const OpSnapshot = "SNAPSHOT"
 
 // OpDelta marks asynchronous delta frames pushed to subscribers that
-// requested delta mode (protocol >= MinProtocolFilter): Idx lists the
+// requested delta mode: Idx lists the
 // counters whose values differ from the keyframe identified by Base,
 // and Values carries their absolute current values (parallel slices,
 // indices into the keyframe's Events order). Each delta is complete
@@ -122,12 +73,11 @@ const OpSnapshot = "SNAPSHOT"
 // appears as a request.
 const OpDelta = "DELTA"
 
-// OpDerived marks asynchronous derived-metric frames pushed to v3+
+// OpDerived marks asynchronous derived-metric frames pushed to
 // subscribers whose session has performance groups registered: Metrics
 // names the derived values, DValues carries them (parallel slices),
 // Units their display units, and Seq echoes the source snapshot's
-// sequence number. Never appears as a request and is never sent to
-// pre-v3 peers (MinProtocolDerived).
+// sequence number. Never appears as a request.
 const OpDerived = "DERIVED"
 
 // OpError marks server-originated error frames that do not correspond
@@ -150,12 +100,16 @@ type Request struct {
 	N        int     `json:"n,omitempty"`      // workload size parameter
 	Values   []int64 `json:"values,omitempty"` // PUBLISH payload
 	Label    string  `json:"label,omitempty"`  // optional client name
-	// Version is the client's ProtocolVersion, announced in HELLO so
-	// the server can adapt to older clients (0 means a pre-v2 client).
+	// Version is the client's ProtocolVersion, announced in HELLO; the
+	// server refuses any other number (0, unannounced, is served as
+	// ProtocolVersion).
 	Version int `json:"version,omitempty"`
 	// Codec, in a HELLO request, asks the server to switch the
 	// connection to the named frame codec ("binary"); empty keeps the
-	// JSON-lines default. See MinProtocolBinary.
+	// JSON-lines default. A server that agrees echoes the codec in its
+	// (still JSON-encoded) HELLO reply, and both sides switch every
+	// subsequent frame to binary framing; a reply naming no codec leaves
+	// the connection on JSON lines.
 	Codec string `json:"codec,omitempty"`
 	// QUERY range: [From, To) in µs with Step-wide output windows.
 	// Step 0 returns raw samples; see tsdb.Query for the exact window
@@ -167,22 +121,20 @@ type Request struct {
 	// groups for per-tick evaluation on the session (the subscriber then
 	// receives OpDerived frames); in a QUERY it switches the reply from
 	// raw Series to Derived — the groups' formulas evaluated over the
-	// history window. Requires protocol >= MinProtocolDerived.
+	// history window.
 	Derive []string `json:"derive,omitempty"`
 	// Sessions, in a SUBSCRIBE with Session == 0, is a wildcard filter:
-	// subscribe to every listed session that currently exists. Requires
-	// protocol >= MinProtocolFilter.
+	// subscribe to every listed session that currently exists.
 	Sessions []uint64 `json:"sessions,omitempty"`
 	// Labels, in a SUBSCRIBE with Session == 0, is a wildcard filter by
 	// session label: path.Match-style globs against the Label each
-	// CREATE_SESSION recorded. Requires protocol >= MinProtocolFilter.
+	// CREATE_SESSION recorded.
 	Labels []string `json:"labels,omitempty"`
 	// Delta, in a SUBSCRIBE, requests delta mode: the subscriber
 	// receives a full SNAPSHOT keyframe first and periodically, and
 	// compact DELTA frames in between carrying only the counters that
-	// changed since the keyframe. Requires protocol >= MinProtocolFilter.
-	// (Events, on a SUBSCRIBE from a v4+ peer, narrows the stream to the
-	// named counters; the same field names the events of a
+	// changed since the keyframe. (Events, on a SUBSCRIBE, narrows the
+	// stream to the named counters; the same field names the events of a
 	// CREATE_SESSION or PUBLISH.)
 	Delta bool `json:"delta,omitempty"`
 }
@@ -217,10 +169,9 @@ type Response struct {
 	Source   string            `json:"source,omitempty"` // snapshot origin: "live" or "published"
 	Stats    map[string]uint64 `json:"stats,omitempty"`
 	// Hists carries the server's latency-histogram summaries in a
-	// v3 STATS reply, keyed compactly: "op/<OP>/<codec>" for per-op
+	// STATS reply, keyed compactly: "op/<OP>/<codec>" for per-op
 	// wire latency, "tick" for fan-out tick duration, "tsdb/append"
 	// and "tsdb/query" for the history store. Values are nanoseconds.
-	// Omitted entirely for pre-v3 peers (MinProtocolStatsHists).
 	Hists map[string]telemetry.Summary `json:"hists,omitempty"`
 	// Series carries a QUERY reply: one entry per event, each holding
 	// the downsampled min/max/sum/count/last buckets for the range.
@@ -230,7 +181,7 @@ type Response struct {
 	Codec string `json:"codec,omitempty"`
 	// Metrics, Units and DValues are the parallel payload of an
 	// OpDerived frame: derived-metric names, display units and values
-	// for one tick. v3+ subscribers only (MinProtocolDerived).
+	// for one tick.
 	Metrics []string  `json:"metrics,omitempty"`
 	Units   []string  `json:"units,omitempty"`
 	DValues []float64 `json:"dvalues,omitempty"`
@@ -249,12 +200,12 @@ type Response struct {
 	Idx  []uint32 `json:"idx,omitempty"`
 	Base uint64   `json:"base,omitempty"`
 	// TraceID identifies the server-side trace of this request's
-	// handling (tracing enabled, v4+ peers only — MinProtocolTrace).
-	// Rendered in hex it keys /debug/trace?id= on papid's admin
-	// endpoint; the same ID appears in SlowOp warn lines, so a slow
-	// reply, its log line and its flight-recorder trace all link up.
+	// handling, set when papid runs the flight recorder. Rendered in hex
+	// it keys /debug/trace?id= on papid's admin endpoint; the same ID
+	// appears in SlowOp warn lines, so a slow reply, its log line and its
+	// flight-recorder trace all link up.
 	TraceID uint64 `json:"trace,omitempty"`
-	// Slow, in a v4 STATS reply, lists the server's most recent
+	// Slow, in a STATS reply, lists the server's most recent
 	// SlowOp-threshold breaches with their trace IDs (newest first).
 	Slow []SlowSample `json:"slow,omitempty"`
 }

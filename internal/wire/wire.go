@@ -3,7 +3,7 @@
 // papid's counter-collection protocol. The default framing is
 // newline-delimited JSON — one JSON value per line, trivially
 // inspectable with nc/jq, resynchronizable by line, and cheap to
-// produce. Protocol v3 peers may negotiate the compact binary codec
+// produce. papid peers may negotiate the compact binary codec
 // (binary.go) per connection; Encoder and Decoder switch codecs in
 // place so the negotiation handshake and the upgraded stream share one
 // buffered reader and writer.

@@ -34,9 +34,9 @@ go run ./cmd/benchjson -benchmem -out BENCH_wal.json -bench 'WAL|Replay' ./inter
 # snapshot fan-out, so short windows are noisy at 64 subscribers; 3s
 # per benchmark keeps the committed numbers representative. The
 # FanoutInterest benchmark rides along, tracking bytes/sub-tick for
-# the v4 subscription shapes (broadcast vs interest-filtered vs
-# event-projected vs delta) so a regression in the filtered fan-out's
-# frame sizes shows up in the committed baseline. WriteQueuePushFull
+# the subscription shapes (broadcast vs interest-filtered vs
+# event-projected vs delta) so a regression in a view's frame sizes or
+# allocations shows up in the committed baseline. WriteQueuePushFull
 # prices eviction from a full connection write queue at depth 64 and
 # 8192; its ns/op must stay flat in depth.
 go run ./cmd/benchjson -benchmem -benchtime 3s -out BENCH_server.json -bench 'Server|TickParallel|WriteQueuePushFull' ./internal/server .
@@ -47,7 +47,7 @@ go run ./cmd/benchjson -benchmem -benchtime 3s -out BENCH_server.json -bench 'Se
 go run ./cmd/benchjson -benchmem -out BENCH_hwsim.json -bench 'SimulatedExecution|OverflowDispatch' .
 # Derived-metric engine costs: compiled-formula evaluation (the
 # per-metric per-tick unit), the full engine tick, and the server's
-# derived fan-out (evaluate + encode-once DERIVED frame across v3
+# derived fan-out (evaluate + encode-once DERIVED frame across
 # subscriber queues) — the numbers behind the "sub-microsecond per
 # group, allocation-bounded" claim in DESIGN.md S29.
 go run ./cmd/benchjson -benchmem -out BENCH_derive.json -bench 'DeriveEval|EngineTick|DerivedFanout' ./internal/derive ./internal/server

@@ -31,8 +31,15 @@ go test -run='^$' -fuzz='^FuzzIterBlock$' -fuzztime=5s ./internal/tsdb
 # Server benches once with -benchmem: the encode-once fan-out's
 # allocation profile is a correctness property here — this catches a
 # reintroduced per-subscriber serialization as an allocs/op jump even
-# when wall-clock noise hides it.
+# when wall-clock noise hides it. The `events` and `delta` rows of
+# ServerFanoutInterest (BENCH_server.json, 96 allocs/op) are the same
+# property for projecting views — one projected frame per view-tick,
+# nothing per subscriber and nothing for grouping — and a one-iteration
+# run cannot show it under the warm-up, so TestFanoutAllocs asserts it:
+# built without -race, because the race detector makes sync.Pool drop
+# entries at random.
 go test -run='^$' -bench='ServerThroughput' -benchtime=1x -benchmem .
+go test -run='^TestFanoutAllocs$' -count=1 ./internal/server/
 # Regression-gate smoke: one-iteration ServerQuery numbers through the
 # full benchjson pipeline — emit JSON, then -diff against the committed
 # baseline. Single-iteration runs pay every cold-start cost (first
@@ -178,7 +185,7 @@ echo "derived-metric smoke OK"
 # wildcard SUBSCRIBE in delta mode. runFollow reassembles DELTA frames
 # against keyframes locally, self-heals across queue-full drops at the
 # next keyframe, and exits non-zero on any frame outside the
-# subscribed set — so a green run certifies the v4 filter + delta +
+# subscribed set — so a green run certifies the filter + delta +
 # resync path end to end. The summary line must show both keyframes
 # and DELTA frames on the wire.
 /tmp/papid-ci-smoke -addr 127.0.0.1:61784 -keyframe-every 3 -quiet &
@@ -280,3 +287,19 @@ done
 kill $trace_pid
 wait $trace_pid 2>/dev/null || true
 echo "flight-recorder smoke OK"
+# End-to-end output checks from outside: papistorm builds papid, runs it
+# as a separate process and drives all four workloads over real TCP for
+# a few seconds each, checking every frame and reply (gap-free seq per
+# subscription, frame == generated row, history == acked rows across a
+# kill -9). It prints INVALID or FAILED and exits non-zero when a check
+# fails — it caught frames overtaking the SUBSCRIBE reply (PR 13) that
+# no unit test saw. No timing is asserted here; bounds on the metrics
+# are `papistorm -compare` against BENCHMARK.json.
+storm_out=$(mktemp -d /tmp/papid-ci-storm.XXXXXX)
+trap 'kill -9 $papid_pid $wal_pid $derive_pid $delta_pid $pub_pid $trace_pid 2>/dev/null || true; rm -rf "$wal_dir" "$follow_log" "$trace_log" "$storm_out"' EXIT
+go run ./bench/papistorm -seed 1 -seconds 6 -trace 0 -out "$storm_out" >"$storm_out/log" 2>&1 || {
+    echo "papistorm exited non-zero:" >&2; cat "$storm_out/log" >&2; exit 1; }
+if grep -E 'INVALID|FAILED' "$storm_out/log" >&2; then
+    echo "papistorm reported a failed output check" >&2; exit 1
+fi
+echo "papistorm output checks OK"

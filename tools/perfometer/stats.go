@@ -13,8 +13,8 @@ import (
 )
 
 // RenderStats prints a papid STATS reply: the lifetime counter map,
-// then — when the server is new enough to send them (protocol >= 3) —
-// the latency-quantile table for the wire ops, fan-out tick, and tsdb.
+// then the latency-quantile tables for the wire ops, fan-out tick, and
+// tsdb.
 // Per-op keys arrive as "op/<OP>/<codec>"; the single-word keys
 // ("tick", "tsdb/append", "tsdb/query") are internal stages.
 func RenderStats(w io.Writer, stats map[string]uint64, hists map[string]telemetry.Summary) {
@@ -26,10 +26,6 @@ func RenderStats(w io.Writer, stats map[string]uint64, hists map[string]telemetr
 	fmt.Fprintln(w, "counters:")
 	for _, k := range keys {
 		fmt.Fprintf(w, "  %-24s %d\n", k, stats[k])
-	}
-	if len(hists) == 0 {
-		fmt.Fprintln(w, "no latency histograms (papid predates protocol 3)")
-		return
 	}
 	if t := telemetry.FormatSummaryTable(hists, func(k string) bool {
 		return strings.HasPrefix(k, "op/")
@@ -44,10 +40,10 @@ func RenderStats(w io.Writer, stats map[string]uint64, hists map[string]telemetr
 }
 
 // RenderSlow prints the server's recent SlowOp breaches (STATS
-// resp.Slow, protocol >= 4), newest first. When the server runs the
-// flight recorder each sample carries the trace ID its warn line
-// logged — the handle /debug/trace?id= (or perfometer -tracez) takes.
-// Silent for older servers and clean runs alike.
+// resp.Slow), newest first. When the server runs the flight recorder
+// each sample carries the trace ID its warn line logged — the handle
+// /debug/trace?id= (or perfometer -tracez) takes. Silent on a clean
+// run.
 func RenderSlow(w io.Writer, slow []wire.SlowSample) {
 	if len(slow) == 0 {
 		return

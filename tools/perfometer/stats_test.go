@@ -51,17 +51,9 @@ func TestRenderStats(t *testing.T) {
 	}
 }
 
-func TestRenderStatsOldServer(t *testing.T) {
-	var sb strings.Builder
-	RenderStats(&sb, map[string]uint64{"ticks": 1}, nil)
-	if !strings.Contains(sb.String(), "predates protocol 3") {
-		t.Errorf("no hint for pre-v3 servers:\n%s", sb.String())
-	}
-}
-
 func TestRenderSlow(t *testing.T) {
 	var sb strings.Builder
-	RenderSlow(&sb, nil) // pre-v4 servers and clean runs: silent
+	RenderSlow(&sb, nil) // a clean run: silent
 	if sb.Len() != 0 {
 		t.Errorf("RenderSlow(nil) printed:\n%s", sb.String())
 	}
