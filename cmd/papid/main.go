@@ -30,7 +30,7 @@
 //	curl -s 127.0.0.1:6118/metrics | grep papid_op_latency
 //
 // A pipeline flight recorder (-trace-sample, on by default at 1/64)
-// traces sampled ticks, requests and WAL batches with per-stage spans,
+// traces sampled ticks and requests with per-stage spans,
 // always retains slow or errored units, and serves the ring on the
 // admin endpoint: /tracez lists retained traces slowest-first and
 // /debug/trace?id=<hex>&format=chrome exports one as Chrome
@@ -182,8 +182,8 @@ func main() {
 		os.Exit(1)
 	}
 	st := srv.Stats()
-	log.Printf("papid: %d ticks, %d snapshots sent (%d dropped), alloc cache %.0f%% hits",
-		st.Ticks, st.SnapshotsSent, st.SnapshotsDropped, 100*st.CacheHitRate())
+	log.Printf("papid: %d ticks (%d skipped), %d snapshots sent (%d dropped), alloc cache %.0f%% hits",
+		st.Ticks, st.TicksSkipped, st.SnapshotsSent, st.SnapshotsDropped, 100*st.CacheHitRate())
 	log.Printf("papid: %d evictions (%d deadline trips), %d resyncs",
 		st.Evictions, st.DeadlineTrips, st.Resyncs)
 	log.Printf("papid: %d keyframes, %d deltas sent (%d dropped), %d derived sent (%d dropped), %d encode failures",

@@ -29,7 +29,7 @@ func main() {
 	serve := flag.String("serve", "", "also publish the counter snapshot(s) to a running papid at this address")
 	serveTimeout := flag.Duration("serve-timeout", 5*time.Second, "per-request deadline when publishing to papid")
 	serveBinary := flag.Bool("serve-binary", false, "negotiate the compact binary wire codec when publishing (stays on JSON if papid does not confirm it)")
-	serveStats := flag.Bool("serve-stats", false, "after publishing, print papid's per-op latency quantiles")
+	serveStats := flag.Bool("serve-stats", false, "after publishing, print papid's tick counts and per-op latency quantiles")
 	serveLabel := flag.String("serve-label", "papirun", "session label when publishing; label globs in wildcard SUBSCRIBE requests match it")
 	flag.Parse()
 
@@ -189,6 +189,8 @@ func (p *publisher) stats() error {
 	if err != nil {
 		return err
 	}
+	fmt.Printf("papid ticks: %d run, %d skipped (sweep overran -tick)\n",
+		resp.Stats["ticks"], resp.Stats["ticks_skipped"])
 	fmt.Printf("papid latency quantiles:\n%s", telemetry.FormatSummaryTable(resp.Hists, nil))
 	return nil
 }

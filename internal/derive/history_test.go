@@ -170,7 +170,7 @@ func TestEvalHistoryCounterReset(t *testing.T) {
 func TestEvalHistoryMissingEvent(t *testing.T) {
 	st := tsdb.New(tsdb.Config{MaxBytes: 1 << 20, MaxAge: -1})
 	for i := int64(1); i <= 3; i++ {
-		st.Append(1, "PAPI_TOT_INS", i*1e6, i*1000)
+		st.AppendBatch(1, i*1e6, []string{"PAPI_TOT_INS"}, []int64{i * 1000})
 	}
 	series := st.Query(1, tsdb.Query{From: 0, To: 1 << 62})
 	if out := EvalHistory([]*Group{ipcGroup(t)}, series); len(out) != 0 {

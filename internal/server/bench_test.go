@@ -282,8 +282,6 @@ func BenchmarkServerQuery(b *testing.B) {
 // spans on the head-sampled ones — and it is the number the 25% bench
 // gate (tools/bench.sh compare) holds the tracing work to.
 func BenchmarkTickTraced(b *testing.B) {
-	const nSessions = 256
-	events := []string{"PAPI_TOT_INS", "PAPI_TOT_CYC", "PAPI_L2_TCM", "PAPI_L2_TCA"}
 	for _, mode := range []struct {
 		name   string
 		sample int
@@ -292,27 +290,7 @@ func BenchmarkTickTraced(b *testing.B) {
 		{"recorder=1in64", 64},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			srv := New(Config{
-				TickInterval: time.Hour, // ticks driven by hand below
-				TickWorkers:  4,
-				TraceSample:  mode.sample,
-			})
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				srv.Shutdown(ctx)
-			}()
-			for i := 0; i < nSessions; i++ {
-				created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
-					Platform: "aix-power3", Events: events, N: 8})
-				if !created.OK {
-					b.Fatal(created.Error)
-				}
-				if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpStart,
-					Session: created.Session}); !resp.OK {
-					b.Fatal(resp.Error)
-				}
-			}
+			srv := tickBenchServer(b, Config{TickWorkers: 4, TraceSample: mode.sample}, 256)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
@@ -337,29 +315,9 @@ func BenchmarkTickTraced(b *testing.B) {
 // measurement the tuning section of the README refers to.
 func BenchmarkTickParallel(b *testing.B) {
 	const nSessions = 256
-	events := []string{"PAPI_TOT_INS", "PAPI_TOT_CYC", "PAPI_L2_TCM", "PAPI_L2_TCA"}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			srv := New(Config{
-				TickInterval: time.Hour, // ticks driven by hand below
-				TickWorkers:  workers,
-			})
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				srv.Shutdown(ctx)
-			}()
-			for i := 0; i < nSessions; i++ {
-				created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
-					Platform: "aix-power3", Events: events, N: 8})
-				if !created.OK {
-					b.Fatal(created.Error)
-				}
-				if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpStart,
-					Session: created.Session}); !resp.OK {
-					b.Fatal(resp.Error)
-				}
-			}
+			srv := tickBenchServer(b, Config{TickWorkers: workers}, nSessions)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
@@ -369,6 +327,62 @@ func BenchmarkTickParallel(b *testing.B) {
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(nSessions)*float64(b.N)/secs, "sessions/s")
 			}
+		})
+	}
+}
+
+// tickBenchServer builds a hand-ticked server (shut down with the
+// benchmark) holding nSessions running aix-power3 sessions of the
+// 4-event set BenchmarkTickParallel describes.
+func tickBenchServer(b *testing.B, cfg Config, nSessions int) *Server {
+	b.Helper()
+	cfg.TickInterval = time.Hour
+	srv := New(cfg)
+	if srv.walErr != nil {
+		b.Fatal(srv.walErr)
+	}
+	b.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	for i := 0; i < nSessions; i++ {
+		created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Platform: "aix-power3",
+			Events: []string{"PAPI_TOT_INS", "PAPI_TOT_CYC", "PAPI_L2_TCM", "PAPI_L2_TCA"}, N: 8})
+		if !created.OK {
+			b.Fatal(created.Error)
+		}
+		if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpStart,
+			Session: created.Session}); !resp.OK {
+			b.Fatal(resp.Error)
+		}
+	}
+	return srv
+}
+
+// BenchmarkTickParallelDurable prices the journal's share of a tick:
+// the TickParallel sweep over 64 sessions, two workers wide, on a
+// durable server. Against -fsync off, -fsync always adds the fsyncs a
+// tick waits for, and that wait is inside papid_tick_duration_seconds.
+// fsyncs/tick is one per sweep worker's batch, not one per row
+// (TestTickRowsDurableWhenTickReturns asserts it tick by tick); over a
+// long run it reads a little above TickWorkers, because every 512th
+// tick seals a block in every series and each session's seal syncs the
+// segment file, and a WAL rotation syncs the file it leaves.
+func BenchmarkTickParallelDurable(b *testing.B) {
+	const nSessions = 64
+	for _, policy := range []string{"off", "always"} {
+		b.Run("fsync="+policy, func(b *testing.B) {
+			srv := tickBenchServer(b, Config{TickWorkers: 2, TSDBRetention: -1,
+				DataDir: b.TempDir(), Fsync: policy}, nSessions)
+			fsyncs := srv.wal.Stats().Fsyncs
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				srv.tick()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(srv.wal.Stats().Fsyncs-fsyncs)/float64(b.N), "fsyncs/tick")
 		})
 	}
 }

@@ -155,6 +155,79 @@ func TestDurableRestartAfterCrash(t *testing.T) {
 	}
 }
 
+// TestTickRowsDurableWhenTickReturns: every row a returned tick()
+// produced is journaled and, under -fsync always, on disk. The WAL is
+// abandoned with no Shutdown (the kill -9 shape) and the restart must
+// hold exactly one row per tick for every session and event. The batch
+// is still a batch: a tick costs at most one fsync per sweep worker,
+// not one per session.
+func TestTickRowsDurableWhenTickReturns(t *testing.T) {
+	const nSessions, nTicks = 64, 5
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			clock := int64(1_000_000)
+			cfg := Config{
+				TickInterval:  time.Hour,
+				TickWorkers:   workers,
+				TSDBRetention: -1,
+				DataDir:       t.TempDir(),
+				Fsync:         "always",
+				now:           func() int64 { return clock },
+			}
+			srv := New(cfg)
+			if srv.walErr != nil {
+				t.Fatalf("wal open: %v", srv.walErr)
+			}
+			var ids []uint64
+			for i := 0; i < nSessions; i++ {
+				created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
+					Events: []string{"PAPI_TOT_INS", "PAPI_TOT_CYC"}, Workload: "dot", N: 8})
+				if !created.OK {
+					t.Fatal(created.Error)
+				}
+				if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpStart, Session: created.Session}); !resp.OK {
+					t.Fatal(resp.Error)
+				}
+				ids = append(ids, created.Session)
+			}
+			for i := 0; i < nTicks; i++ {
+				clock += 50_000
+				before := srv.wal.Stats().Fsyncs
+				srv.tick()
+				if n := srv.wal.Stats().Fsyncs - before; n < 1 || n > uint64(workers) {
+					t.Errorf("tick %d: %d fsyncs for %d rows, want between 1 and TickWorkers (%d)",
+						i, n, nSessions, workers)
+				}
+			}
+			srv.wal.Abandon() // no goroutines to join: Serve was never called
+
+			srv2 := New(cfg)
+			if srv2.walErr != nil {
+				t.Fatalf("wal reopen: %v", srv2.walErr)
+			}
+			defer srv2.Shutdown(context.Background())
+			if rs := srv2.Replay(); rs.Rows != nSessions*nTicks {
+				t.Errorf("replayed %d rows, want %d (%+v)", rs.Rows, nSessions*nTicks, rs)
+			}
+			for _, id := range ids {
+				resp := srv2.dispatch(nil, &wire.Request{Op: wire.OpQuery, Session: id, From: 0, To: 1 << 60})
+				if !resp.OK {
+					t.Fatalf("QUERY: %s", resp.Error)
+				}
+				if len(resp.Series) != 2 {
+					t.Fatalf("session %d: %d series after restart, want 2", id, len(resp.Series))
+				}
+				for _, sr := range resp.Series {
+					if len(sr.Buckets) != nTicks {
+						t.Errorf("session %d %s: %d rows after restart, want %d",
+							id, sr.Event, len(sr.Buckets), nTicks)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestDurableOpenFailureRefusesToServe: a data dir that cannot be used
 // must fail loudly at Listen, not silently fall back to RAM-only.
 func TestDurableOpenFailureRefusesToServe(t *testing.T) {

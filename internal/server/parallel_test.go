@@ -1,7 +1,7 @@
 // Tests for the parallel tick pipeline (tick.go, DESIGN.md S31): the
 // per-session ordering invariants the sharded sweep must preserve at
 // every worker count, the serial-equivalence guarantee of width 1, and
-// the async WAL handoff's durability semantics. Run under -race by
+// the durability of served tick rows. Run under -race by
 // tools/ci.sh — most of what these tests certify is the absence of
 // cross-worker interference, which only the race detector and the
 // byte-level stream comparisons can see.
@@ -237,12 +237,12 @@ func TestParallelDerivedFollowsSnapshot(t *testing.T) {
 	}
 }
 
-// TestAsyncWALHandoffDurable: on a durable server the tick's history
-// rows flow through the async appender — yet QUERY sees them (the
-// handoff adds latency, never loss), STATS exposes the tick_stalls
-// counter, and a graceful shutdown drains the queue so a restart
-// replays every row a tick produced.
-func TestAsyncWALHandoffDurable(t *testing.T) {
+// TestServedTickRowsSurviveShutdown: on a durable server whose tick
+// loop is running, the rows QUERY serves before a graceful shutdown are
+// a prefix of what a restart serves, and the restart holds exactly one
+// row per snapshot the session took — Shutdown joins the tick loop, and
+// every tick that returned has already journaled its rows.
+func TestServedTickRowsSurviveShutdown(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		TickInterval:  time.Millisecond,
@@ -250,7 +250,6 @@ func TestAsyncWALHandoffDurable(t *testing.T) {
 		TSDBRetention: -1,
 		DataDir:       dir,
 		Fsync:         "off",
-		WALQueueRows:  4, // tiny queue: batches and (likely) stalls both exercised
 	}
 	srv, addr := startServer(t, cfg)
 	cl := dialT(t, addr)
@@ -260,48 +259,28 @@ func TestAsyncWALHandoffDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := created.Session
+	if _, err := cl.Do(wire.Request{Op: wire.OpSubscribe, Session: id}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := cl.Do(wire.Request{Op: wire.OpStart, Session: id}); err != nil {
 		t.Fatal(err)
 	}
-	// Ticks flow through histCh → histLoop → wal.AppendRows; poll until
-	// QUERY serves a healthy row count to prove the async path lands in
-	// the same store the synchronous one did.
-	deadline := time.Now().Add(10 * time.Second)
+	// The 40th snapshot arriving means at least 39 ticks have returned.
 	for {
-		resp, err := cl.Do(wire.Request{Op: wire.OpQuery, Session: id,
-			From: 0, To: 1 << 62, Step: 0})
+		snap, err := cl.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := 0
-		for _, s := range resp.Series {
-			rows += len(s.Buckets)
-		}
-		if rows >= 40 {
+		if snap.Seq >= 40 {
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("async handoff never surfaced history: %d raw rows", rows)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	stats, err := cl.Do(wire.Request{Op: wire.OpStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := stats.Stats["tick_stalls"]; !ok {
-		t.Fatalf("STATS lacks tick_stalls: %v", stats.Stats)
-	}
-	if stats.Stats["wal_rows"] == 0 {
-		t.Fatal("wal_rows = 0: async rows never reached the journal")
 	}
 	cl.Close()
 
 	// Ticks keep producing rows until Shutdown, so the row set is only
 	// final afterwards: one row per snapshot the session took (its seq).
 	// What QUERY served before the drain must survive as a prefix, and
-	// the restart must replay exactly seq rows per event — a row still
-	// queued to the appender at Shutdown is journaled, not abandoned.
+	// the restart must replay exactly seq rows per event.
 	rawRows := func(s *Server) []tsdb.Series {
 		t.Helper()
 		resp := s.dispatch(nil, &wire.Request{Op: wire.OpQuery, Session: id, From: 0, To: 1 << 60})
@@ -332,8 +311,12 @@ func TestAsyncWALHandoffDurable(t *testing.T) {
 	}
 	for i, w := range want {
 		g := got[i]
+		if len(w.Buckets) < 39 {
+			t.Errorf("%s: QUERY served %d rows after the 40th snapshot arrived: a returned tick's row was not yet in the store",
+				w.Event, len(w.Buckets))
+		}
 		if len(g.Buckets) != produced {
-			t.Errorf("%s: %d rows replayed, ticks produced %d (queued rows lost?)",
+			t.Errorf("%s: %d rows after restart, ticks produced %d",
 				g.Event, len(g.Buckets), produced)
 		}
 		if g.Event != w.Event || len(g.Buckets) < len(w.Buckets) ||
@@ -467,7 +450,8 @@ func TestSweepHandsFramesOffBeforeItEnds(t *testing.T) {
 // the interval grid, or late by less than one interval, count nothing;
 // a tick that starts after whole intervals went by unanswered counts
 // each of them, including under a sustained overrun where every single
-// gap is under two intervals.
+// gap is under two intervals. The count reads the same from Stats, the
+// STATS reply and /metrics.
 func TestTicksSkipped(t *testing.T) {
 	const iv = int64(50_000) // 50 ms in the clock's microseconds
 	for _, tc := range []struct {
@@ -488,8 +472,11 @@ func TestTicksSkipped(t *testing.T) {
 			clock = 1_700_000_000_000_000 + int64(at*float64(iv))
 			srv.tick()
 		}
-		if got := srv.m.ticksSkipped.Value(); got != tc.want {
+		if got := srv.Stats().TicksSkipped; got != tc.want {
 			t.Errorf("%s: %d ticks skipped, want %d", tc.name, got, tc.want)
+		}
+		if got, ok := srv.dispatch(nil, &wire.Request{Op: wire.OpStats}).Stats["ticks_skipped"]; !ok || got != tc.want {
+			t.Errorf("%s: STATS ticks_skipped = %d (present: %v), want %d", tc.name, got, ok, tc.want)
 		}
 		var sb strings.Builder
 		if err := srv.Telemetry().WritePrometheus(&sb); err != nil {

@@ -84,16 +84,11 @@ type Config struct {
 	// TickWorkers is the parallel tick sweep width (papid
 	// -tick-workers): registry shards are partitioned across this many
 	// workers each tick, every worker running the full
-	// snapshot→history→encode→fan-out unit for its shards' sessions.
+	// snapshot→encode→fan-out unit for its shards' sessions and then
+	// writing their rows to history as one batch.
 	// Default min(GOMAXPROCS, Shards); 1 runs the exact serial
 	// pipeline. See tick.go and DESIGN.md S31.
 	TickWorkers int
-	// WALQueueRows bounds the async WAL handoff queue on a durable
-	// server (default 256): tick rows queue here and a dedicated
-	// appender goroutine journals them in per-tick batches, off the
-	// tick's critical path. A full queue stalls the tick (counted in
-	// tick_stalls) rather than dropping rows.
-	WALQueueRows int
 	// KeyframeEvery is the delta-subscription keyframe cadence: every
 	// Nth fan-out of a delta view is a full SNAPSHOT keyframe even
 	// without drops, bounding both delta growth within an epoch and how
@@ -153,7 +148,7 @@ type Config struct {
 	// negative disables).
 	SlowOp time.Duration
 	// TraceSample enables the pipeline flight recorder (papid
-	// -trace-sample): 1 in TraceSample ticks/requests/WAL batches is
+	// -trace-sample): 1 in TraceSample ticks and requests is
 	// head-sampled into the /tracez ring with detailed per-session
 	// stage spans. 0 disables tracing entirely — unlike the other
 	// knobs, the zero value is off, so embedders and tests get exactly
@@ -211,9 +206,6 @@ func (c *Config) fill() {
 	}
 	if c.TickWorkers < 1 {
 		c.TickWorkers = 1
-	}
-	if c.WALQueueRows <= 0 {
-		c.WALQueueRows = 256
 	}
 	if c.KeyframeEvery <= 0 {
 		c.KeyframeEvery = 10
@@ -292,12 +284,12 @@ type Stats struct {
 	FramesSentBinary uint64
 	BytesSentJSON    uint64
 	BytesSentBinary  uint64
-	// TickStalls counts ticks that blocked handing a history row to
-	// the async WAL appender because its queue was full (durable
-	// servers only) — sustained growth means the disk cannot keep up
-	// with the tick rate.
-	TickStalls uint64
-	TSDB       tsdb.Stats // zero when history is disabled
+	// TicksSkipped counts tick intervals that passed without a sweep
+	// starting because the previous one — simulation, fan-out and, on a
+	// durable server, the journal write and its fsync — overran
+	// TickInterval: the one sign that the tick cannot keep up.
+	TicksSkipped uint64
+	TSDB         tsdb.Stats // zero when history is disabled
 	// Durable reports whether a data directory is attached; WAL is its
 	// durability layer's counters (zero otherwise).
 	Durable bool
@@ -363,18 +355,6 @@ type Server struct {
 	// tickDue is when the latest tick was due, in cfg.now microseconds
 	// (countSkipped); only the tick goroutine touches it.
 	tickDue int64
-
-	// The async WAL handoff (tick.go): tick rows queue on histCh and
-	// the histLoop appender journals them in batches. All nil/false on
-	// non-durable servers and until Serve starts the appender; histOn
-	// is the producers' switch, histStarted/histQuitOnce the shutdown
-	// handshake.
-	histCh       chan histRow
-	histQuit     chan struct{}
-	histDone     chan struct{}
-	histQuitOnce sync.Once
-	histOn       atomic.Bool
-	histStarted  bool
 }
 
 // New builds a Server; call Listen to start serving.
@@ -473,11 +453,6 @@ func New(cfg Config) *Server {
 		}
 	}
 	s.tickWork = make(chan *tickJob)
-	if s.wal != nil {
-		s.histCh = make(chan histRow, cfg.WALQueueRows)
-		s.histQuit = make(chan struct{})
-		s.histDone = make(chan struct{})
-	}
 	s.registerServerFuncs()
 	return s
 }
@@ -516,15 +491,6 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 // peers. Listen is Serve on a fresh TCP listener.
 func (s *Server) Serve(ln net.Listener) net.Addr {
 	s.ln = ln
-	// The WAL appender starts before the tick loop so the first tick
-	// already sees histOn; it is deliberately not in s.wg — Shutdown
-	// joins the producers first (wg.Wait), then tells it to drain and
-	// exit (histQuit/histDone), then closes the WAL.
-	if s.histCh != nil {
-		s.histStarted = true
-		s.histOn.Store(true)
-		go s.histLoop()
-	}
 	for i := 1; i < s.cfg.TickWorkers; i++ {
 		s.wg.Add(1)
 		go s.tickWorker(i)
@@ -630,7 +596,7 @@ func (s *Server) Stats() Stats {
 		Evictions:        s.m.evictions.Value(),
 		DeadlineTrips:    s.m.deadlineTrips.Value(),
 		Resyncs:          s.m.resyncs.Value(),
-		TickStalls:       s.m.tickStalls.Value(),
+		TicksSkipped:     s.m.ticksSkipped.Value(),
 		DerivedSent:      s.m.derivedSent.Value(),
 		DerivedDropped:   s.m.derivedDropped.Value(),
 		DeltasSent:       s.m.deltaSent.Value(),
@@ -690,20 +656,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
-	// The WAL appender quits after every producer has: the tick loop
-	// and workers joined above, so closing histQuit lets histLoop
-	// journal what is still queued and exit before the WAL closes
-	// beneath it. Bounded by ctx like the drain itself.
-	if s.histStarted {
-		s.histQuitOnce.Do(func() { close(s.histQuit) })
-		select {
-		case <-s.histDone:
-		case <-ctx.Done():
-			if err == nil {
-				err = ctx.Err()
-			}
-		}
-	}
 	// The durability layer closes last, after the tick loop has joined
 	// (clean drain) so no append races the final flush: every active
 	// block is sealed into the current segment, the segment finalized,
@@ -762,8 +714,8 @@ func (s *Server) tick() {
 	s.m.ticks.Inc()
 	// Every tick is a traced unit while the recorder is on: coarse
 	// shard spans always, per-session stage spans when head-sampled,
-	// tail retention when the tick was slow or errored (WAL stall,
-	// derive alert). t is nil with tracing off — every span call
+	// tail retention when the tick was slow or errored (WAL write
+	// failure, derive alert). t is nil with tracing off — every span call
 	// no-ops.
 	t := s.trc.Start("tick", "tick")
 	now := s.cfg.now()
@@ -798,18 +750,6 @@ func (s *Server) countSkipped(now int64) {
 		due += n * iv
 	}
 	s.tickDue = due
-}
-
-// appendHistory records one tick row, through the WAL when history is
-// durable (write-ahead: the row hits the journal before the store) and
-// directly into the store otherwise.
-func (s *Server) appendHistory(session uint64, ts int64, events []string, vals []int64) {
-	switch {
-	case s.wal != nil:
-		s.wal.AppendBatch(session, ts, events, vals)
-	case s.hist != nil:
-		s.hist.AppendBatch(session, ts, events, vals)
-	}
 }
 
 // appendFrameFn is wire.AppendFrame behind a seam so tests can force
@@ -1657,12 +1597,10 @@ func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 			}
 			now := s.cfg.now()
 			// Stage spans on the request trace (all no-ops untraced): a
-			// slow PUBLISH shows whether the synchronous WAL append, the
-			// fan-out encodes, or the derive evaluation ate the budget.
+			// slow PUBLISH shows whether the WAL append, the fan-out
+			// encodes, or the derive evaluation ate the budget.
 			t := c.reqTrace()
-			hs := t.StartSpan(tracing.NoSpan, "tsdb.append")
-			s.appendHistory(sess.id, now, snap.Events, snap.Values)
-			t.EndSpan(hs)
+			s.appendRows(t, []wal.Row{{Session: sess.id, TS: now, Events: snap.Events, Vals: snap.Values}})
 			fs := t.StartSpan(tracing.NoSpan, "fanout")
 			t.AnnotateInt(fs, "views", int64(len(views)))
 			s.fanout(t, fs, sess, snap, views)
@@ -1724,7 +1662,7 @@ func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 			"evictions":          st.Evictions,
 			"deadline_trips":     st.DeadlineTrips,
 			"resyncs":            st.Resyncs,
-			"tick_stalls":        st.TickStalls,
+			"ticks_skipped":      st.TicksSkipped,
 			"frames_sent_json":   st.FramesSentJSON,
 			"frames_sent_binary": st.FramesSentBinary,
 			"bytes_sent_json":    st.BytesSentJSON,

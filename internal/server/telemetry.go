@@ -64,11 +64,10 @@ type metrics struct {
 	evictions     *telemetry.Counter
 	deadlineTrips *telemetry.Counter
 	resyncs       *telemetry.Counter
-	// tickStalls counts ticks that blocked on a full async-WAL handoff
-	// queue (tick.go) — the disk falling behind the tick rate.
-	tickStalls *telemetry.Counter
 	// ticksSkipped counts ticker firings no sweep answered: a sweep
-	// that outlasts TickInterval makes time.Ticker drop them silently.
+	// that outlasts TickInterval — slow simulation, slow fan-out or a
+	// disk slower than the tick's journal write — makes time.Ticker drop
+	// them silently.
 	ticksSkipped *telemetry.Counter
 
 	// DERIVED and DELTA fan-out keep their own sent/dropped pairs so
@@ -92,8 +91,9 @@ type metrics struct {
 	bytesSent  [2]*telemetry.Counter
 
 	// tickDur tracks one fan-out tick end to end: workload advances,
-	// counter reads, tsdb appends, and snapshot encodes for every
-	// running session.
+	// counter reads, snapshot encodes, and the history write — on a
+	// durable server the journal and its fsync — for every running
+	// session.
 	tickDur *telemetry.Histogram
 
 	// opLat holds one wire-latency histogram per (request op, codec):
@@ -125,8 +125,6 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		Help: "Read/write deadline expirations that led to an eviction."})
 	m.resyncs = reg.NewCounter(telemetry.Opts{Name: "papid_resyncs_total",
 		Help: "Malformed frames answered with an ERROR frame and skipped."})
-	m.tickStalls = reg.NewCounter(telemetry.Opts{Name: "papid_tick_stalls_total",
-		Help: "Ticks that blocked handing a history row to the WAL appender (full queue)."})
 	m.ticksSkipped = reg.NewCounter(telemetry.Opts{Name: "papid_ticks_skipped_total",
 		Help: "Tick intervals that passed without a sweep starting (the previous sweep overran)."})
 	m.derivedSent = reg.NewCounter(telemetry.Opts{Name: "papid_derived_sent_total",
@@ -156,7 +154,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	}
 	m.tickDur = reg.NewLatencyHistogram(telemetry.Opts{
 		Name: "papid_tick_duration_seconds",
-		Help: "Snapshot fan-out tick duration (advance + read + append + encode).",
+		Help: "Snapshot fan-out tick duration (advance + read + encode + history append, journal and fsync included).",
 		Key:  "tick"})
 	m.opLat = make(map[string]*[2]*telemetry.Histogram, len(opLatencyOps))
 	for _, op := range opLatencyOps {
@@ -237,14 +235,6 @@ func (s *Server) registerServerFuncs() {
 		Help: "Configured parallel tick sweep width."}, func() float64 {
 		return float64(s.cfg.TickWorkers)
 	})
-	reg.NewGaugeFunc(telemetry.Opts{Name: "papid_wal_queue_rows",
-		Help: "Tick rows currently queued to the async WAL appender (0 when not durable)."},
-		func() float64 {
-			if s.histCh == nil {
-				return 0
-			}
-			return float64(len(s.histCh))
-		})
 	reg.NewGaugeFunc(telemetry.Opts{Name: "papid_goroutines",
 		Help: "Goroutines in the papid process."}, func() float64 {
 		return float64(runtime.NumGoroutine())
@@ -258,7 +248,7 @@ func (s *Server) registerServerFuncs() {
 	// tracing off (nil tracer) TracerStats is zero, so the series
 	// simply read 0 rather than disappearing between configs.
 	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_started_total",
-		Help: "Traced units started (ticks, requests, WAL batches)."}, func() uint64 {
+		Help: "Traced units started (ticks and requests)."}, func() uint64 {
 		return s.trc.TracerStats().Started
 	})
 	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_retained_total",

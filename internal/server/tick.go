@@ -1,16 +1,10 @@
-// Parallel tick pipeline (DESIGN.md S31). Two independent pieces live
-// here:
-//
-//   - the sharded parallel sweep — the per-tick walk over the session
-//     registry partitioned across a fixed pool of workers
-//     (Config.TickWorkers), each running the full per-session unit
-//     (snapshot → history → derive → encode → fan-out) for the
-//     sessions of the shards it claims;
-//   - the async WAL handoff — on a durable server, tick rows go to a
-//     bounded queue drained by one dedicated appender goroutine that
-//     batches each drain into a single wal.AppendRows call, taking
-//     journal writes (and under -fsync always, fsyncs) off the tick's
-//     critical path.
+// Parallel tick pipeline (DESIGN.md S31): the per-tick walk over the
+// session registry, partitioned by registry shard across
+// Config.TickWorkers sweep workers. Each worker runs the full
+// per-session unit (snapshot → derive → encode → fan-out) for the
+// sessions of the shards it claims, keeps the row each session read,
+// and writes those rows to history itself — one batch per worker —
+// before tick() returns.
 //
 // Why partitioning by shard is enough for correctness: every ordering
 // guarantee the fan-out makes is per-session (per-subscriber seq
@@ -46,21 +40,24 @@ type tickJob struct {
 	trc *tracing.Trace
 }
 
-// runSweep claims and sweeps shards until the job is exhausted.
+// runSweep claims and sweeps shards until the job is exhausted, then
+// writes the rows it read to history in one batch: on a durable server
+// one WAL lock round and at most one fsync per worker per tick.
 // worker identifies the sweeping goroutine (0 is the tick goroutine)
 // in shard-span annotations — the Perfetto export maps it to a thread
 // track, making the sweep's actual parallelism visible.
 func (s *Server) runSweep(job *tickJob, worker int) {
 	n := int64(len(s.reg.shards))
+	var rows []wal.Row
 	for {
 		i := job.cursor.Add(1) - 1
 		if i >= n {
-			return
+			break
 		}
 		sp := job.trc.StartSpan(tracing.NoSpan, "shard")
 		queued := false
 		swept := s.reg.sweepShard(int(i), func(sess *session) {
-			if s.tickSession(sess, job.now, job.trc, sp) {
+			if s.tickSession(sess, job.now, job.trc, sp, &rows) {
 				queued = true
 			}
 		})
@@ -76,11 +73,12 @@ func (s *Server) runSweep(job *tickJob, worker int) {
 			// otherwise wait for the sweep to end. Yielding lets them
 			// put the shard's frames on their sockets, one batched
 			// write each, while the next shard simulates (DESIGN.md
-			// S31). A shard nobody subscribes to does not yield: that
-			// would only cut the WAL appender's per-tick batch up.
+			// S31). A shard nobody subscribes to woke no writer, so
+			// there is nothing to yield to.
 			runtime.Gosched()
 		}
 	}
+	s.appendRows(job.trc, rows)
 }
 
 // tickWorker is one pool worker, started by Serve: it waits for tick
@@ -107,7 +105,10 @@ func (s *Server) tickWorker(worker int) {
 // A helper slot whose pool worker is not immediately ready — or the
 // pool is not running at all, as when tests and benchmarks drive
 // tick() directly without Serve — is filled by an ephemeral goroutine,
-// so the sweep width is TickWorkers either way.
+// so the sweep width is TickWorkers either way. The pool stays because
+// it measures: starting the helpers afresh each tick instead read
+// live_fanout delivery lag +4.2% (worse in 9 of 10 pairs, CHANGES.md
+// PR 18).
 func (s *Server) sweep(now int64, t *tracing.Trace) {
 	job := &tickJob{now: now, trc: t}
 	helpers := s.cfg.TickWorkers - 1
@@ -130,18 +131,21 @@ func (s *Server) sweep(now int64, t *tracing.Trace) {
 	job.wg.Wait()
 }
 
-// tickSession is the per-session tick unit: snapshot → history append
-// → snapshot fan-out → derived fan-out, the loop body of every sweep
-// worker. It reports whether the session had subscribers to fan out
+// tickSession is the per-session tick unit: snapshot → snapshot fan-out
+// → derived fan-out, the loop body of every sweep worker. It adds the
+// row the snapshot read to rows, the worker's history batch — both
+// slices are safe to keep past the tick: Events is the session's
+// copy-on-write name slice and Vals the snapshot's freshly allocated
+// values — and reports whether the session had subscribers to fan out
 // to, i.e. whether connection writers now have frames waiting.
 //
 // Stage spans hang on d, which is the trace only when it is detailed
 // (head-sampled) and nil — every span call a no-op — otherwise: with
 // thousands of sessions, per-session spans on every tail-candidate tick
-// would dwarf the work they measure. Coarse shard spans (runSweep) and
-// the WAL-stall and alert error marks, which take t, stay
-// unconditional.
-func (s *Server) tickSession(sess *session, now int64, t *tracing.Trace, parent tracing.SpanRef) bool {
+// would dwarf the work they measure. Coarse shard spans (runSweep), the
+// history write's spans (appendRows) and the alert error marks, which
+// take t, stay unconditional.
+func (s *Server) tickSession(sess *session, now int64, t *tracing.Trace, parent tracing.SpanRef, rows *[]wal.Row) bool {
 	var d *tracing.Trace
 	if t.Detailed() {
 		d = t
@@ -155,9 +159,7 @@ func (s *Server) tickSession(sess *session, now int64, t *tracing.Trace, parent 
 	if !ok {
 		return false
 	}
-	hs := d.StartSpan(ss, "tsdb.append")
-	s.appendTickHistory(t, resp.Session, now, resp.Events, resp.Values)
-	d.EndSpan(hs)
+	*rows = append(*rows, wal.Row{Session: resp.Session, TS: now, Events: resp.Events, Vals: resp.Values})
 	fs := d.StartSpan(ss, "fanout")
 	d.AnnotateInt(fs, "views", int64(len(views)))
 	s.fanout(t, fs, sess, resp, views)
@@ -168,105 +170,27 @@ func (s *Server) tickSession(sess *session, now int64, t *tracing.Trace, parent 
 	return len(views) > 0
 }
 
-// histRow is one tick row in flight to the WAL appender. Both slices
-// are safe to retain past the tick: Events is the session's
-// copy-on-write name slice and Vals the tick's freshly allocated
-// snapshot values — nothing reuses either after the handoff.
-type histRow struct {
-	session uint64
-	ts      int64
-	events  []string
-	vals    []int64
-}
-
-// appendTickHistory records one tick row. On a durable server with the
-// appender running, the row goes to the bounded handoff queue and the
-// journal write leaves the tick's critical path; a full queue blocks
-// the tick (counted in tick_stalls) rather than dropping the row —
-// backpressure, never silent data loss. PUBLISH rows and non-durable
-// history keep the synchronous path: a PUBLISH ack must continue to
-// imply the row was journaled, and RAM-only appends are too cheap to
-// be worth a queue.
-func (s *Server) appendTickHistory(t *tracing.Trace, session uint64, ts int64, events []string, vals []int64) {
-	if s.histOn.Load() {
-		row := histRow{session: session, ts: ts, events: events, vals: vals}
-		select {
-		case s.histCh <- row:
-			return
-		default:
-		}
-		s.m.tickStalls.Inc()
-		// A stall marks the tick's trace as errored, so the flight
-		// recorder always keeps the evidence of a disk that cannot keep
-		// up — the span measures exactly the blocked handoff.
-		sp := t.StartSpan(tracing.NoSpan, "wal.stall")
-		s.histCh <- row
-		if t != nil {
-			t.EndSpan(sp)
-			t.SetError("tick stalled on full WAL handoff queue")
+// appendRows is the server's one history write: the sweep workers hand
+// it what they read in a tick, PUBLISH its one row. On a durable server
+// the rows go through the WAL as one batch — journaled before the store
+// sees them and, under -fsync always, synced before this returns, which
+// is what a PUBLISH ack and a returned tick() both promise; a row whose
+// journal write failed stays RAM-only, counted and logged by the WAL,
+// and marks the trace. Otherwise they go straight into the store.
+func (s *Server) appendRows(t *tracing.Trace, rows []wal.Row) {
+	if s.hist == nil || len(rows) == 0 {
+		return
+	}
+	sp := t.StartSpan(tracing.NoSpan, "tsdb.append")
+	defer t.EndSpan(sp)
+	if s.wal == nil {
+		for i := range rows {
+			s.hist.AppendBatch(rows[i].Session, rows[i].TS, rows[i].Events, rows[i].Vals)
 		}
 		return
 	}
-	s.appendHistory(session, ts, events, vals)
-}
-
-// histBatchMax bounds how many rows one appender drain coalesces into
-// a single wal.AppendRows call.
-const histBatchMax = 256
-
-// histLoop is the dedicated WAL appender: it drains the handoff queue,
-// coalescing every immediately available row into one batched
-// AppendRows call — one WAL lock acquisition and (under -fsync always)
-// one fsync per drained batch, which in steady state is one tick's
-// rows. Write-ahead ordering relative to seal/truncate is untouched:
-// batching sits above wal.Log, and inside AppendRows every row still
-// hits the journal before the store sees it. A WAL write failure
-// degrades exactly as the synchronous path did — that row stays
-// RAM-only, counted and logged by the WAL itself.
-//
-// Shutdown protocol: Shutdown closes histQuit only after the tick loop
-// and workers have joined, so no new rows can arrive; histLoop then
-// drains what is queued, journals it, and closes histDone — the signal
-// that wal.Close may run without abandoning acked-to-the-queue rows.
-func (s *Server) histLoop() {
-	defer close(s.histDone)
-	batch := make([]wal.Row, 0, histBatchMax)
-	for {
-		var row histRow
-		select {
-		case row = <-s.histCh:
-		case <-s.histQuit:
-			s.histOn.Store(false)
-			for {
-				select {
-				case row = <-s.histCh:
-					s.wal.AppendBatch(row.session, row.ts, row.events, row.vals)
-				default:
-					return
-				}
-			}
-		}
-		batch = append(batch[:0], wal.Row{Session: row.session, TS: row.ts,
-			Events: row.events, Vals: row.vals})
-		for len(batch) < histBatchMax {
-			select {
-			case row = <-s.histCh:
-				batch = append(batch, wal.Row{Session: row.session, TS: row.ts,
-					Events: row.events, Vals: row.vals})
-				continue
-			default:
-			}
-			break
-		}
-		// Each drained batch is its own traced unit ("wal" kind): the
-		// journal-write and fsync spans live inside AppendRowsTraced,
-		// and a write error tail-retains the batch's trace.
-		t := s.trc.Start("wal", "wal.batch")
-		t.AnnotateInt(tracing.NoSpan, "rows", int64(len(batch)))
-		if err := s.wal.AppendRowsTraced(batch, t); err != nil && t != nil {
-			t.SetError(err.Error())
-		}
-		s.trc.Finish(t)
+	if err := s.wal.AppendRowsTraced(rows, t); err != nil && t != nil {
+		t.SetError(err.Error())
 	}
 }
 

@@ -141,10 +141,13 @@ func TestTraceDisabledByDefault(t *testing.T) {
 // server and asserts the tick trace's anatomy: a root, one "shard"
 // span per registry shard spread across the sweep workers, and — the
 // detailed (sampled) extras — per-session spans with the
-// snapshot/tsdb.append/fanout/derive stage children.
+// snapshot/fanout/derive stage children. The server is durable under
+// -fsync always, so the tick trace also carries what its history write
+// cost: tsdb.append around each worker's batch, wal.append annotated
+// with the rows it journaled, and wal.fsync.
 func TestTraceTickStructure(t *testing.T) {
 	srv, _ := startServer(t, Config{TickInterval: time.Hour, TickWorkers: 2,
-		TraceSample: 1, TraceRing: 8})
+		TraceSample: 1, TraceRing: 8, DataDir: t.TempDir(), Fsync: "always"})
 	for i := 0; i < 3; i++ {
 		created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
 			Platform: "aix-power3", Events: []string{"PAPI_FP_INS"}, N: 8})
@@ -175,19 +178,28 @@ func TestTraceTickStructure(t *testing.T) {
 	}
 	names := spanNames(*tick)
 	for _, want := range []string{"tick", "shard", "session", "snapshot",
-		"tsdb.append", "fanout", "derive", "tsdb.sweep"} {
+		"tsdb.append", "wal.append", "wal.fsync", "fanout", "derive", "tsdb.sweep"} {
 		if !names[want] {
 			t.Errorf("tick trace lacks span %q; has %v", want, names)
 		}
 	}
-	shards, sessions := 0, 0
+	shards, sessions, journaled := 0, 0, int64(0)
 	for _, sp := range tick.Spans {
 		switch sp.Name {
 		case "shard":
 			shards++
 		case "session":
 			sessions++
+		case "wal.append":
+			for _, a := range sp.Attrs {
+				if a.Key == "rows" {
+					journaled += a.Int
+				}
+			}
 		}
+	}
+	if journaled != 3 {
+		t.Errorf("wal.append spans account for %d rows, want 3", journaled)
 	}
 	if want := len(srv.reg.shards); shards != want {
 		t.Errorf("%d shard spans, want %d", shards, want)
@@ -198,9 +210,12 @@ func TestTraceTickStructure(t *testing.T) {
 }
 
 // TestTracePublishStages: a traced PUBLISH records its pipeline stages
-// (tsdb.append, fanout, derive) under the dispatch span.
+// (tsdb.append, fanout, derive) in the request trace and, on a durable
+// server under -fsync always, the journal write and fsync its ack
+// waited for.
 func TestTracePublishStages(t *testing.T) {
-	srv, addr := startServer(t, Config{TickInterval: time.Hour, TraceSample: 1})
+	srv, addr := startServer(t, Config{TickInterval: time.Hour, TraceSample: 1,
+		DataDir: t.TempDir(), Fsync: "always"})
 	cl := dialT(t, addr)
 	if _, err := cl.Hello(); err != nil {
 		t.Fatal(err)
@@ -219,7 +234,8 @@ func TestTracePublishStages(t *testing.T) {
 	}
 	tr := waitTrace(t, srv, resp.TraceID)
 	names := spanNames(tr.View())
-	for _, want := range []string{"PUBLISH", "dispatch", "tsdb.append", "fanout", "derive", "write"} {
+	for _, want := range []string{"PUBLISH", "dispatch", "tsdb.append", "wal.append", "wal.fsync",
+		"fanout", "derive", "write"} {
 		if !names[want] {
 			t.Errorf("PUBLISH trace lacks span %q; has %v", want, names)
 		}

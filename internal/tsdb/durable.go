@@ -1,5 +1,7 @@
 package tsdb
 
+import "slices"
+
 // This file is the store's durability surface: the hook interface a
 // persistence layer (internal/tsdb/wal) implements, and the ingestion
 // APIs replay uses to rebuild in-memory state from disk. The store
@@ -120,26 +122,26 @@ func (s *Store) InstallRollup(key SeriesKey, width int64, buckets []Bucket) bool
 	if len(buckets) == 0 {
 		return true
 	}
+	// The width is looked up before the series: a run nobody can file
+	// must not leave an empty series behind.
+	i := slices.Index(s.widths, width)
+	if i < 0 {
+		return false
+	}
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sr := s.seriesFor(sh, key)
-	for i := range sr.levels {
-		if sr.levels[i].width != width {
-			continue
-		}
-		before := sr.levels[i].bytes()
-		sr.levels[i].install(buckets)
-		last := buckets[len(buckets)-1]
-		if last.Start > sr.lastTS {
-			// Rollup-only history still positions the series in time so
-			// retention sweeps age it correctly.
-			sr.lastTS = last.Start
-		}
-		s.bytes.Add(sr.levels[i].bytes() - before)
-		return true
+	lv := &sr.levels[i]
+	before := lv.bytes()
+	lv.install(buckets)
+	if last := buckets[len(buckets)-1]; last.Start > sr.lastTS {
+		// Rollup-only history still positions the series in time so
+		// retention sweeps age it correctly.
+		sr.lastTS = last.Start
 	}
-	return false
+	s.bytes.Add(lv.bytes() - before)
+	return true
 }
 
 // Remap swaps a sealed block's heap buffer for a memory-mapped one

@@ -95,7 +95,7 @@ type Store struct {
 	evictions atomic.Uint64
 
 	// appendLat/queryLat, when non-nil, record per-call latency
-	// (appendLat once per Append or AppendBatch row, not per sample).
+	// (appendLat once per AppendBatch row, not per sample).
 	appendLat *telemetry.Histogram
 	queryLat  *telemetry.Histogram
 
@@ -166,44 +166,22 @@ func New(cfg Config) *Store {
 	return s
 }
 
-func (s *Store) shardFor(key SeriesKey) *storeShard {
+// shardIndex hashes a series key onto one of the storeShards.
+func shardIndex(key SeriesKey) uint8 {
 	h := key.Session*0x9e3779b97f4a7c15 + 1
 	for i := 0; i < len(key.Event); i++ {
 		h = (h ^ uint64(key.Event[i])) * 0x100000001b3
 	}
-	return &s.shards[(h>>32)%storeShards]
+	return uint8((h >> 32) % storeShards)
 }
 
-// Append records one sample (timestamp in µs) for the series.
-func (s *Store) Append(session uint64, event string, ts, v int64) {
-	if s.appendLat != nil {
-		defer func(t0 time.Time) { s.appendLat.Observe(telemetry.Since(t0)) }(time.Now())
-	}
-	s.appendOne(session, event, ts, v, 0)
-}
-
-func (s *Store) appendOne(session uint64, event string, ts, v int64, seq uint64) {
-	key := SeriesKey{Session: session, Event: event}
-	sh := s.shardFor(key)
-	var seals []SealedBlock
-	sh.mu.Lock()
-	delta, evicted := s.appendLocked(sh, key, ts, v, seq, &seals)
-	sh.mu.Unlock()
-	s.samples.Add(1)
-	if evicted > 0 {
-		s.evictions.Add(evicted)
-	}
-	// Persist before any budget eviction can run: a sealed block must
-	// reach the storage layer before the store is allowed to drop it.
-	s.fireSeals(seals)
-	if s.bytes.Add(delta) > s.cfg.MaxBytes {
-		s.evictToBudget()
-	}
+func (s *Store) shardFor(key SeriesKey) *storeShard {
+	return &s.shards[shardIndex(key)]
 }
 
 // appendLocked is the per-sample core; the caller holds sh.mu. It
 // returns the budget delta and the retention-eviction event count so
-// batch callers can fold the atomics once per batch, and collects any
+// AppendBatchSeq folds the atomics once per batch, and collects any
 // block this sample sealed into seals — the caller fires the storage
 // hook after releasing the lock.
 func (s *Store) appendLocked(sh *storeShard, key SeriesKey, ts, v int64, seq uint64, seals *[]SealedBlock) (delta int64, evicted uint64) {
@@ -238,25 +216,30 @@ func (s *Store) seriesFor(sh *storeShard, key SeriesKey) *series {
 
 // AppendBatch records one timestamp's values for several events of one
 // session, taking each touched shard's lock exactly once instead of
-// once per (session, event) — papid's tick loop appends every running
-// session's whole row through here, so with E events per session the
-// lock traffic drops E-fold. The batch is equivalent to E sequential
-// Appends at the same timestamp.
+// once per (session, event) — papid appends every session's whole row
+// through here, so with E events per session the lock traffic drops
+// E-fold. The batch is equivalent to E one-event batches at the same
+// timestamp, in order.
 func (s *Store) AppendBatch(session uint64, ts int64, events []string, vals []int64) {
 	s.AppendBatchSeq(session, ts, events, vals, 0)
 }
 
-// AppendBatchSeq is AppendBatch carrying the WAL row sequence number
-// of the batch (internal/tsdb/wal assigns it before handing the row
-// down). Seal events capture the newest sequence a block covers, which
-// is what lets replay skip exactly the WAL rows already persisted
-// inside sealed segments. Seq 0 means "no durability layer".
+// AppendBatchSeq is the store's one append: AppendBatch carrying the
+// WAL row sequence number of the batch (internal/tsdb/wal assigns it
+// before handing the row down). Seal events capture the newest
+// sequence a block covers, which is what lets replay skip exactly the
+// WAL rows already persisted inside sealed segments. Seq 0 means "no
+// durability layer".
 func (s *Store) AppendBatchSeq(session uint64, ts int64, events []string, vals []int64, seq uint64) {
-	n := len(events)
-	if len(vals) < n {
-		n = len(vals)
-	}
+	n := min(len(events), len(vals))
 	if n == 0 {
+		return
+	}
+	if n > 64 {
+		// The grouping bitmap below covers 64 events; a wider row (papid
+		// sessions hold a handful) goes in as chunks of at most 64.
+		s.AppendBatchSeq(session, ts, events[:64], vals[:64], seq)
+		s.AppendBatchSeq(session, ts, events[64:n], vals[64:n], seq)
 		return
 	}
 	if s.appendLat != nil {
@@ -265,17 +248,9 @@ func (s *Store) AppendBatchSeq(session uint64, ts int64, events []string, vals [
 		// papid calls in here.
 		defer func(t0 time.Time) { s.appendLat.Observe(telemetry.Since(t0)) }(time.Now())
 	}
-	if n > 64 {
-		// The grouping bitmap below covers 64 events; a row wider than
-		// that (papid sessions hold a handful) degrades gracefully.
-		for i := 0; i < n; i++ {
-			s.appendOne(session, events[i], ts, vals[i], seq)
-		}
-		return
-	}
-	var shards [64]*storeShard
+	var shards [64]uint8
 	for i := 0; i < n; i++ {
-		shards[i] = s.shardFor(SeriesKey{Session: session, Event: events[i]})
+		shards[i] = shardIndex(SeriesKey{Session: session, Event: events[i]})
 	}
 	var delta int64
 	var evicted uint64
@@ -285,10 +260,10 @@ func (s *Store) AppendBatchSeq(session uint64, ts int64, events []string, vals [
 		if done&(1<<i) != 0 {
 			continue
 		}
-		sh := shards[i]
+		sh := &s.shards[shards[i]]
 		sh.mu.Lock()
 		for j := i; j < n; j++ {
-			if done&(1<<j) != 0 || shards[j] != sh {
+			if done&(1<<j) != 0 || shards[j] != shards[i] {
 				continue
 			}
 			done |= 1 << j
@@ -302,6 +277,8 @@ func (s *Store) AppendBatchSeq(session uint64, ts int64, events []string, vals [
 	if evicted > 0 {
 		s.evictions.Add(evicted)
 	}
+	// Persist before any budget eviction can run: a sealed block must
+	// reach the storage layer before the store is allowed to drop it.
 	s.fireSeals(seals)
 	if s.bytes.Add(delta) > s.cfg.MaxBytes {
 		s.evictToBudget()
@@ -453,9 +430,11 @@ func (s *Store) Sweep(now int64) (evicted int64) {
 			s.bytes.Add(-freed)
 			s.evictions.Add(events)
 			evicted += int64(events)
-			if sr.samples > 0 && sr.lastTS < cutoff && sr.active == nil &&
-				len(sr.sealed) == 0 {
-				// Fully expired: drop the series itself.
+			if sr.lastTS < cutoff && sr.active == nil && len(sr.sealed) == 0 {
+				// Fully expired: drop the series itself. A series that
+				// only ever held installed rollup buckets (its raw blocks
+				// were compacted away) has no samples and goes the same
+				// way.
 				s.bytes.Add(-sr.bytes())
 				delete(sh.m, key)
 				dropped = append(dropped, key)

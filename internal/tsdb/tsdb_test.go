@@ -10,6 +10,13 @@ import (
 
 type sample struct{ ts, v int64 }
 
+// Append records one sample as a one-event row. papid only ever appends
+// whole rows, so the method lives here: it keeps the tests, the `serial`
+// benchmark rows and the equivalence reference readable.
+func (s *Store) Append(session uint64, event string, ts, v int64) {
+	s.AppendBatch(session, ts, []string{event}, []int64{v})
+}
+
 // bruteQuery is the reference implementation of Query's window
 // semantics over an uncompressed sample log: every window on the
 // absolute Step grid overlapping [from, to) aggregates all samples
@@ -593,6 +600,16 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 		case 5:
 			st.Append(sess, events[0], ts, row[0])
 			check("Append", i)
+		case 6:
+			// A series that only ever gets rollup buckets, and a run of a
+			// width the store does not keep (which must create nothing).
+			key, start := SeriesKey{Session: 60 + sess, Event: "O"}, ts-mod(ts, st.widths[0])
+			st.InstallRollup(key, st.widths[0], []Bucket{{Start: start, Count: 1}})
+			check("InstallRollup (rollup-only series)", i)
+			if st.InstallRollup(key, st.widths[0]+1, []Bucket{{Start: start, Count: 1}}) {
+				t.Fatalf("step %d: InstallRollup filed a run of a width the store does not keep", i)
+			}
+			check("InstallRollup (unknown width)", i)
 		default:
 			st.AppendBatch(sess, ts, events, row)
 			check("AppendBatch", i)
@@ -605,5 +622,49 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 	check("final Sweep", -1)
 	if got := st.Stats(); got.Series != 0 || got.Bytes != 0 {
 		t.Errorf("after everything expired: %+v, want no series and 0 bytes", got)
+	}
+}
+
+// dropRecorder is a Storage that remembers which series the store
+// reported as dropped.
+type dropRecorder struct{ dropped []SeriesKey }
+
+func (*dropRecorder) OnSeal([]SealedBlock)            {}
+func (d *dropRecorder) OnDropSeries(keys []SeriesKey) { d.dropped = append(d.dropped, keys...) }
+
+// TestSweepDropsRollupOnlySeries: a series holding only installed
+// rollup buckets — what replay builds for a series whose raw blocks
+// compaction folded away — expires like any other: Sweep takes it out
+// of the shard map, the session event index and the byte charge, and
+// tells the storage layer once. A run of a width the store does not
+// keep is refused before any series is created for it.
+func TestSweepDropsRollupOnlySeries(t *testing.T) {
+	hook := &dropRecorder{}
+	st := New(Config{MaxBytes: 1 << 30, MaxAge: time.Minute, Storage: hook})
+	empty := st.Stats()
+	key, w := SeriesKey{Session: 7, Event: "E"}, st.widths[0]
+
+	if st.InstallRollup(key, w+1, []Bucket{{Start: 0, Count: 1}}) {
+		t.Fatal("InstallRollup filed a run of a width the store does not keep")
+	}
+	if got := st.Stats(); got != empty || len(st.Events(key.Session)) != 0 {
+		t.Fatalf("refused run left state behind: %+v, events %v", got, st.Events(key.Session))
+	}
+
+	if !st.InstallRollup(key, w, []Bucket{{Start: 0, Count: 3}, {Start: w, Count: 3}, {Start: 2 * w, Count: 1}}) {
+		t.Fatal("InstallRollup refused a configured width")
+	}
+	if got := st.Stats(); got.Series != 1 || got.Bytes <= empty.Bytes {
+		t.Fatalf("after install: %+v", got)
+	}
+	st.Sweep(2*w + time.Hour.Microseconds())
+	if got := st.Stats(); got.Series != 0 || got.Bytes != empty.Bytes {
+		t.Errorf("after Sweep past MaxAge: %+v, want no series and %d bytes", got, empty.Bytes)
+	}
+	if ev := st.Events(key.Session); len(ev) != 0 {
+		t.Errorf("session event index still lists %v", ev)
+	}
+	if len(hook.dropped) != 1 || hook.dropped[0] != key {
+		t.Errorf("OnDropSeries got %v, want exactly [%v]", hook.dropped, key)
 	}
 }

@@ -59,7 +59,7 @@ func appendFrame(dst, payload []byte) []byte {
 // every torn-tail shape: truncated header, truncated payload, absurd
 // length, CRC mismatch.
 func readFrame(buf []byte, off int) (payload []byte, next int, err error) {
-	if off+recHeaderLen > len(buf) {
+	if off < 0 || off+recHeaderLen > len(buf) {
 		return nil, 0, errTorn
 	}
 	n := int(binary.LittleEndian.Uint32(buf[off : off+4]))
@@ -145,13 +145,16 @@ func appendRow(dst []byte, seq, session uint64, ts int64, events []string, vals 
 }
 
 func decodeRow(payload []byte) (rowRecord, error) {
-	r := reader{buf: payload[1:]}
 	var row rowRecord
+	if len(payload) == 0 || payload[0] != recRow {
+		return row, errTorn
+	}
+	r := reader{buf: payload[1:]}
 	row.seq = r.uvarint()
 	row.session = r.uvarint()
 	row.ts = r.zigzag()
 	n := r.uvarint()
-	if r.err == nil && n > 1<<16 {
+	if r.err != nil || n > 1<<16 || n > uint64(len(r.buf))/2 { // an event takes two bytes or more
 		return row, errTorn
 	}
 	row.events = make([]string, 0, n)
@@ -228,7 +231,7 @@ func decodeRollup(payload []byte) (rollupRecord, error) {
 	rec.key.Event = r.str()
 	rec.width = r.zigzag()
 	n := r.uvarint()
-	if r.err == nil && n > 1<<24 {
+	if r.err != nil || n > 1<<24 || n > uint64(len(r.buf))/6 { // a bucket takes six bytes or more
 		return rec, errTorn
 	}
 	rec.buckets = make([]tsdb.Bucket, 0, n)

@@ -151,10 +151,6 @@ func (l *Log) replayWALFile(m *walFileMeta, rs *ReplayStats) (torn bool, err err
 			return true, nil
 		}
 		off = next
-		if len(payload) == 0 || payload[0] != recRow {
-			rs.TornRecords++
-			return true, nil
-		}
 		row, derr := decodeRow(payload)
 		if derr != nil {
 			rs.TornRecords++

@@ -101,10 +101,19 @@ func loadSegment(path string, seq uint64) (*segment, error) {
 		return nil, fmt.Errorf("wal: mmap %s: %w", path, err)
 	}
 	s := &segment{path: path, seq: seq, size: size, data: data, mapped: mapped}
+	if err := s.parse(); err != nil {
+		return nil, fmt.Errorf("wal: %s: %w", path, err)
+	}
+	return s, nil
+}
+
+// parse fills the segment from s.data, the file's bytes.
+func (s *segment) parse() error {
+	data := s.data
 	if err := checkHeader(data, segMagic); err != nil {
 		// Not even a header: a crash right after create. Treat as empty.
 		s.torn = 1
-		return s, nil
+		return nil
 	}
 	offsets, finalized := s.indexOffsets()
 	s.finalized = finalized
@@ -112,13 +121,13 @@ func loadSegment(path string, seq uint64) (*segment, error) {
 		for _, off := range offsets {
 			payload, _, err := readFrame(data, int(off))
 			if err != nil || len(payload) == 0 {
-				return nil, fmt.Errorf("wal: %s: corrupt record at %d in finalized segment", path, off)
+				return fmt.Errorf("corrupt record at %d in finalized segment", off)
 			}
 			if err := s.addRecord(payload); err != nil {
-				return nil, fmt.Errorf("wal: %s: %w", path, err)
+				return err
 			}
 		}
-		return s, nil
+		return nil
 	}
 	// No footer: scan until torn tail.
 	off := len(segMagic)
@@ -138,10 +147,13 @@ func loadSegment(path string, seq uint64) (*segment, error) {
 		}
 		off = next
 	}
-	return s, nil
+	return nil
 }
 
-// indexOffsets validates the footer and returns every record offset.
+// indexOffsets validates the footer and returns every record offset,
+// each inside the file and past its header. An index that names any
+// other offset does not prove a clean finalize: the segment loads by
+// scan instead.
 func (s *segment) indexOffsets() ([]uint64, bool) {
 	if len(s.data) < footerLen {
 		return nil, false
@@ -160,13 +172,19 @@ func (s *segment) indexOffsets() ([]uint64, bool) {
 	}
 	r := reader{buf: payload[1:]}
 	n := r.uvarint()
-	if r.err != nil || n > uint64(len(s.data)) {
+	if r.err != nil || n > uint64(len(r.buf)) { // an offset takes a byte or more
 		return nil, false
 	}
 	offsets := make([]uint64, 0, n)
 	var off uint64
 	for i := uint64(0); i < n; i++ {
-		off += r.uvarint()
+		d := r.uvarint()
+		if d >= uint64(len(s.data))-off { // off+d past the file, or past 2^64
+			return nil, false
+		}
+		if off += d; off < uint64(len(segMagic)) {
+			return nil, false
+		}
 		offsets = append(offsets, off)
 	}
 	if r.err != nil {

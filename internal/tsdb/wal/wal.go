@@ -166,7 +166,7 @@ type Log struct {
 	store *tsdb.Store
 
 	// mu serializes WAL appends end-to-end, including the store append
-	// inside AppendBatch — row sequence order is store insertion order,
+	// inside AppendRowsTraced — row sequence order is store insertion order,
 	// which replay relies on. Lock order: mu → stateMu, mu → segMu,
 	// mu → store shard locks; segMu → shard locks (Remap, compaction);
 	// stateMu is a leaf.
@@ -380,54 +380,7 @@ func sortWALMetas(ms []walFileMeta) {
 	}
 }
 
-// AppendBatch journals one tick row and applies it to the store. The
-// WAL write happens first (write-ahead); the store append runs under
-// the same lock so sequence order equals store insertion order. A WAL
-// write failure degrades to RAM-only for that row — availability over
-// durability — and is counted and logged.
-func (l *Log) AppendBatch(session uint64, ts int64, events []string, vals []int64) error {
-	if len(events) > len(vals) {
-		events = events[:len(vals)]
-	}
-	if len(events) == 0 {
-		return nil
-	}
-	if l.closed.Load() {
-		return ErrClosed
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.lastSeq++
-	seq := l.lastSeq
-	payload := appendRow(l.scratch[:0], seq, session, ts, events, vals)
-	rec := appendFrame(payload[len(payload):], payload)
-	l.scratch = payload[:0]
-	var werr error
-	if l.wf != nil {
-		if _, werr = l.wwr.Write(rec); werr == nil {
-			l.wfBytes += int64(len(rec))
-			l.wfMaxSeq = seq
-			l.rows.Add(1)
-			if l.opts.Fsync == FsyncAlways {
-				l.fsyncWALLocked()
-			} else {
-				l.walDirty = true
-			}
-		} else {
-			l.writeErrs.Add(1)
-			l.logger.Error("wal append failed; row is RAM-only", "err", werr, "seq", seq)
-		}
-	}
-	l.noteRows(session, ts, events, seq)
-	l.store.AppendBatchSeq(session, ts, events, vals, seq)
-	if l.wf != nil && werr == nil && l.wfBytes >= l.opts.SegmentBytes {
-		l.rotateWALLocked()
-	}
-	return werr
-}
-
-// Row is one tick row for AppendRows: the (session, timestamp, events,
-// values) tuple AppendBatch takes as arguments.
+// Row is one tick row: every event of one session at one timestamp.
 type Row struct {
 	Session uint64
 	TS      int64
@@ -435,28 +388,34 @@ type Row struct {
 	Vals    []int64
 }
 
-// AppendRows journals a batch of tick rows under one lock acquisition
-// and — under FsyncAlways — at most one fsync for the whole batch,
-// instead of one per row. papid's async WAL appender drains its
-// handoff queue through here so one tick's rows cost one lock/fsync
-// round regardless of session count. Semantics match len(rows)
-// sequential AppendBatch calls: every row hits the journal before the
-// store sees it (write-ahead order, which is also what keeps
-// seal/truncate bookkeeping honest — a row is journaled before any
-// seal it lands in can mark it covered), a failed journal write leaves
-// exactly that row RAM-only (counted and logged), and the first write
-// error is returned. The only divergence is fsync timing: rows early
-// in a batch are synced with the batch, not individually — acceptable
-// because tick rows are never acked to a client, unlike PUBLISH rows,
-// which keep using AppendBatch's per-row sync.
+// AppendBatch journals one row and applies it to the store: the one-row
+// AppendRows, so under FsyncAlways the row is synced before it returns
+// — what a PUBLISH ack promises.
+func (l *Log) AppendBatch(session uint64, ts int64, events []string, vals []int64) error {
+	return l.AppendRowsTraced([]Row{{Session: session, TS: ts, Events: events, Vals: vals}}, nil)
+}
+
+// AppendRows is AppendRowsTraced without a trace.
 func (l *Log) AppendRows(rows []Row) error { return l.AppendRowsTraced(rows, nil) }
 
-// AppendRowsTraced is AppendRows with flight-recorder spans: a
-// "wal.append" span over the journal writes and store applies, and —
-// when the batch syncs (FsyncAlways) — a "wal.fsync" span over the
-// sync itself, so a retained trace shows whether a slow batch spent
-// its time writing or waiting on the disk. A nil trace records
-// nothing.
+// AppendRowsTraced is the log's one append: it journals a batch of rows
+// and applies them to the store under one lock acquisition and — under
+// FsyncAlways — one fsync for the whole batch, so what a papid sweep
+// worker read in one tick costs one lock/fsync round regardless of
+// session count. Every row hits the journal before the store sees it
+// (write-ahead order, which is also what keeps seal/truncate
+// bookkeeping honest — a row is journaled before any seal it lands in
+// can mark it covered), and the store append runs under the same lock
+// so sequence order equals store insertion order. A failed journal
+// write leaves exactly that row RAM-only — availability over
+// durability — counted and logged, and the first such error is
+// returned. Rows early in a batch are synced with the batch, not
+// individually; the call returns only after the sync.
+//
+// t, when non-nil, gets flight-recorder spans: "wal.append" over the
+// journal writes and store applies, and — when the batch syncs —
+// "wal.fsync" over the sync itself, so a retained trace shows whether
+// a slow batch spent its time writing or waiting on the disk.
 func (l *Log) AppendRowsTraced(rows []Row, t *tracing.Trace) error {
 	if l.closed.Load() {
 		return ErrClosed

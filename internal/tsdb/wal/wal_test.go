@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -132,6 +133,92 @@ func TestCrashRecoveryReplaysWAL(t *testing.T) {
 			if got := queryAll(t, store2, 3, 0, 1<<60); got != want {
 				t.Errorf("query mismatch after crash recovery:\nbefore: %s\nafter:  %s", want, got)
 			}
+		})
+	}
+}
+
+// TestAppendRowsMatchesSequentialAppendBatch: a batch through
+// AppendRows leaves log and store exactly as the same rows appended one
+// AppendBatch at a time — same sequence numbers, same row count, same
+// answer to every QUERY, and the same again after a crash and replay —
+// however the rows are cut into batches, under every fsync policy. The
+// seeded rows include the awkward ones: empty rows, rows with more
+// names than values and the reverse, one wider than the store's
+// 64-event grouping, repeated timestamps, and enough samples to seal
+// blocks and rotate the WAL mid-batch.
+func TestAppendRowsMatchesSequentialAppendBatch(t *testing.T) {
+	names := []string{"PAPI_TOT_CYC", "PAPI_TOT_INS", "PAPI_FP_OPS", "PAPI_L1_DCM", "PAPI_BR_MSP", "PAPI_TLB_DM"}
+	wide := make([]string, 70)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("WIDE_%02d", i)
+	}
+	const sessions = 3
+	for pi, policy := range []string{FsyncAlways, FsyncInterval, FsyncOff} {
+		t.Run(policy, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(17 + pi)))
+			var rows []Row
+			ts := int64(1_000_000)
+			for i := 0; i < 600; i++ {
+				if rng.Intn(5) > 0 { // one row in five repeats the timestamp before it
+					ts += 50_000 + rng.Int63n(31)
+				}
+				events := names[:rng.Intn(len(names)+1)]
+				if i == 300 {
+					events = wide
+				}
+				vals := make([]int64, max(0, len(events)+rng.Intn(3)-1))
+				for j := range vals {
+					vals[j] = int64(i)*1000 + int64(j)
+				}
+				rows = append(rows, Row{Session: uint64(1 + rng.Intn(sessions)), TS: ts, Events: events, Vals: vals})
+			}
+
+			opts := noCompact(Options{Fsync: policy, SegmentBytes: 16 << 10})
+			cfg := tsdb.Config{BlockSamples: 32}
+			dirA, dirB := t.TempDir(), t.TempDir()
+			batched, storeA, _ := openPair(t, dirA, opts, cfg)
+			serial, storeB, _ := openPair(t, dirB, opts, cfg)
+			for rest := rows; len(rest) > 0; {
+				n := min(1+rng.Intn(40), len(rest))
+				if err := batched.AppendRows(rest[:n]); err != nil {
+					t.Fatalf("AppendRows: %v", err)
+				}
+				rest = rest[n:]
+			}
+			for _, r := range rows {
+				if err := serial.AppendBatch(r.Session, r.TS, r.Events, r.Vals); err != nil {
+					t.Fatalf("AppendBatch: %v", err)
+				}
+			}
+
+			same := func(when string, a, b *tsdb.Store) {
+				t.Helper()
+				for sess := uint64(1); sess <= sessions; sess++ {
+					if got, want := queryAll(t, a, sess, 0, 1<<60), queryAll(t, b, sess, 0, 1<<60); got != want {
+						t.Errorf("%s: session %d answers differ:\nbatched: %s\nserial:  %s", when, sess, got, want)
+					}
+				}
+			}
+			same("live", storeA, storeB)
+			if batched.lastSeq != serial.lastSeq || batched.lastSeq == 0 {
+				t.Errorf("last sequence: batched %d, serial %d", batched.lastSeq, serial.lastSeq)
+			}
+			if a, b := batched.Stats(), serial.Stats(); a.Rows != b.Rows || a.SealedBlocks != b.SealedBlocks ||
+				a.SealedBlocks == 0 || a.TruncatedWALFiles+uint64(a.WALFiles) < 2 {
+				t.Errorf("stats: batched %+v, serial %+v (want equal rows and seals, some seals, a rotated WAL)", a, b)
+			}
+			batched.Abandon()
+			serial.Abandon()
+
+			batched2, storeA2, rsA := openPair(t, dirA, opts, cfg)
+			defer batched2.Close()
+			serial2, storeB2, rsB := openPair(t, dirB, opts, cfg)
+			defer serial2.Close()
+			if rsA.Rows != rsB.Rows || rsA.Samples != rsB.Samples || rsA.Rows == 0 {
+				t.Errorf("replay: batched %+v, serial %+v", rsA, rsB)
+			}
+			same("after replay", storeA2, storeB2)
+			same("across the crash", storeA2, storeB)
 		})
 	}
 }

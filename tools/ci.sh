@@ -28,6 +28,10 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 # compaction feed with bytes read back from segment files: truncated
 # or corrupt input must end the iteration, never panic.
 go test -run='^$' -fuzz='^FuzzIterBlock$' -fuzztime=5s ./internal/tsdb
+# The same for the two parsers Open and replay run over files found on
+# disk: a segment's records and footer index, and a WAL row record.
+go test -run='^$' -fuzz='^FuzzLoadSegment$' -fuzztime=5s ./internal/tsdb/wal
+go test -run='^$' -fuzz='^FuzzDecodeRow$' -fuzztime=5s ./internal/tsdb/wal
 # Server benches once with -benchmem: the encode-once fan-out's
 # allocation profile is a correctness property here — this catches a
 # reintroduced per-subscriber serialization as an allocs/op jump even
@@ -80,15 +84,19 @@ done
 [ -n "$ok" ] || { echo "papid -http never came up (do the benchmark's pinned flags still parse?)" >&2; exit 1; }
 for family in papid_sessions papid_connections papid_write_queue_frames \
     papid_snapshots_dropped_total papid_alloc_cache_hits_total \
-    papid_uptime_seconds papid_tick_duration_seconds papid_goroutines; do
+    papid_uptime_seconds papid_tick_duration_seconds papid_ticks_skipped_total \
+    papid_goroutines; do
     echo "$metrics" | grep -q "$family" || {
         echo "/metrics lacks $family" >&2; exit 1; }
 done
-# One queue per connection means one drop ledger: the second one must
-# stay gone.
-if echo "$metrics" | grep -q papid_write_drops_total; then
-    echo "/metrics still exposes papid_write_drops_total" >&2; exit 1
-fi
+# One queue per connection means one drop ledger, and one history
+# write path means no queue in front of the WAL: the second ledger, the
+# queue's gauge and its stall counter must stay gone.
+for gone in papid_write_drops_total papid_tick_stalls_total papid_wal_queue_rows; do
+    if echo "$metrics" | grep -q "$gone"; then
+        echo "/metrics still exposes $gone" >&2; exit 1
+    fi
+done
 statusz=$(curl -sf http://127.0.0.1:61780/statusz)
 echo "$statusz" | grep -q '"stats"' || { echo "/statusz lacks stats" >&2; exit 1; }
 echo "$statusz" | grep -q '"hists"' || { echo "/statusz lacks hists" >&2; exit 1; }

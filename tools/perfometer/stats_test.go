@@ -12,7 +12,7 @@ func TestRenderStats(t *testing.T) {
 	var sb strings.Builder
 	RenderStats(&sb,
 		map[string]uint64{"ticks": 42, "evictions": 1,
-			"tick_stalls": 7, "encode_failures": 3},
+			"ticks_skipped": 7, "encode_failures": 3},
 		map[string]telemetry.Summary{
 			"op/READ/json":  {Count: 10, P50: 30_000, P90: 60_000, P99: 90_000, Max: 95_000},
 			"op/STATS/json": {Count: 2, P50: 10_000, P90: 12_000, P99: 12_000, Max: 12_500},
@@ -20,14 +20,14 @@ func TestRenderStats(t *testing.T) {
 			"tsdb/append":   {Count: 5, P50: 500, P90: 800, P99: 800, Max: 900},
 		})
 	out := sb.String()
-	// Counters come first, sorted. tick_stalls and encode_failures
-	// (PRs 8-9) must reach the remote table like any other counter.
+	// Counters come first, sorted. ticks_skipped and encode_failures
+	// must reach the remote table like any other counter.
 	if !strings.Contains(out, "evictions") || !strings.Contains(out, "42") {
 		t.Errorf("counters missing:\n%s", out)
 	}
-	if !strings.Contains(out, "tick_stalls") || !strings.Contains(out, "7") ||
+	if !strings.Contains(out, "ticks_skipped") || !strings.Contains(out, "7") ||
 		!strings.Contains(out, "encode_failures") || !strings.Contains(out, "3") {
-		t.Errorf("tick_stalls/encode_failures not rendered:\n%s", out)
+		t.Errorf("ticks_skipped/encode_failures not rendered:\n%s", out)
 	}
 	if strings.Index(out, "evictions") > strings.Index(out, "ticks") {
 		t.Errorf("counters not sorted:\n%s", out)
