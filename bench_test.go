@@ -287,6 +287,37 @@ func BenchmarkSimulatedExecution(b *testing.B) {
 	b.ReportMetric(float64(perRun*uint64(b.N))/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
+// BenchmarkSimulatedReplay prices the other way a program reaches the
+// core: dot n=8 fits one batch, so after the first run Reset+Run lends
+// the same 320 instructions again, ungenerated (SimulatedExecution's
+// triad is longer than a batch and regenerates every run). It is a live
+// papid session's tick without the server: aix-power3, four events
+// counting, 0 B/op.
+func BenchmarkSimulatedReplay(b *testing.B) {
+	sys := papi.MustInit(papi.Options{Platform: papi.PlatformAIXPower3})
+	th := sys.Main()
+	es := th.NewEventSet()
+	if err := es.AddAll(papi.TOT_INS, papi.TOT_CYC, papi.L2_TCM, papi.L2_TCA); err != nil {
+		b.Fatal(err)
+	}
+	if err := es.Start(); err != nil {
+		b.Fatal(err)
+	}
+	prog, err := workload.ByName("dot", 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	perRun := prog.Expected().Instrs
+	th.Run(prog) // generates the queue
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prog.Reset()
+		th.Run(prog)
+	}
+	b.ReportMetric(float64(perRun*uint64(b.N))/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}
+
 // BenchmarkEventSetReadHostCost measures the host-side (Go) cost of a
 // counter read through the full stack.
 func BenchmarkEventSetReadHostCost(b *testing.B) {

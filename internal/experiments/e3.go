@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/hwsim"
 	"repro/papi"
 	"repro/workload"
 )
@@ -76,13 +75,23 @@ func e3Run(platform string, iters, grain int) (uint64, error) {
 	if grain <= 0 {
 		th.Run(prog)
 	} else {
-		buf := make([]hwsim.Instr, grain)
-		for {
-			n := prog.Next(buf)
-			if n == 0 {
-				break
+		// Cut the lent batches into grain-sized pieces; left carries a
+		// piece across the end of a batch.
+		left := grain
+		for b := prog.Next(); len(b) > 0; b = prog.Next() {
+			for len(b) > 0 {
+				n := min(left, len(b))
+				th.Exec(b[:n])
+				b, left = b[n:], left-n
+				if left == 0 {
+					if err := es.Read(vals); err != nil {
+						return 0, err
+					}
+					left = grain
+				}
 			}
-			th.Exec(buf[:n])
+		}
+		if left < grain { // the last, short piece is read too
 			if err := es.Read(vals); err != nil {
 				return 0, err
 			}

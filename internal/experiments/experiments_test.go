@@ -1,11 +1,18 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/hwsim"
 	"repro/papi"
+	"repro/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/tables.golden from this tree's experiments")
 
 // The tests assert the *shape* of each experiment against the paper's
 // claims: who wins, by roughly what factor, where crossovers fall.
@@ -102,6 +109,56 @@ func TestE3Shape(t *testing.T) {
 	// …but stays moderate with register-level access.
 	if byPlat[papi.PlatformCrayT3E][0].Overhead > 0.5 {
 		t.Errorf("t3e at 48 instrs/read: overhead %.2f, want modest", byPlat[papi.PlatformCrayT3E][0].Overhead)
+	}
+}
+
+// TestE3GrainAcrossBatches pins e3Run's carry: cutting the lent
+// batches into grain-sized pieces must read the counters at the same
+// instructions as slicing the whole materialised program by grain —
+// for grains below, at, just around and far above a batch.
+func TestE3GrainAcrossBatches(t *testing.T) {
+	const iters = 40_000
+	reference := func(grain int) uint64 {
+		sys, err := papi.Init(papi.Options{Platform: papi.PlatformLinuxX86})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := sys.Main()
+		es := th.NewEventSet()
+		if err := es.AddAll(papi.FP_INS, papi.TOT_CYC); err != nil {
+			t.Fatal(err)
+		}
+		prog := workload.Triad(workload.TriadConfig{N: 4096, Reps: (iters + 4095) / 4096})
+		var all []hwsim.Instr
+		for b := prog.Next(); len(b) > 0; b = prog.Next() {
+			all = append(all, b...)
+		}
+		start := th.CPU().Cycles()
+		if err := es.Start(); err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]int64, 2)
+		for len(all) > 0 {
+			n := min(grain, len(all))
+			th.Exec(all[:n])
+			all = all[n:]
+			if err := es.Read(vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := es.Stop(vals); err != nil {
+			t.Fatal(err)
+		}
+		return th.CPU().Cycles() - start
+	}
+	for _, grain := range []int{48, 1200, 4095, 4096, 4097, 30_000} {
+		got, err := e3Run(papi.PlatformLinuxX86, iters, grain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := reference(grain); got != want {
+			t.Errorf("grain %d: e3Run took %d cycles, slicing the whole program %d", grain, got, want)
+		}
 	}
 }
 
@@ -325,7 +382,20 @@ func TestF2Shape(t *testing.T) {
 	}
 }
 
+// TestAllRunnersProduceTables runs and renders every experiment, and
+// pins the rendering to testdata/tables.golden — the output of
+// `go run ./cmd/experiments`, recorded before the instruction streams
+// were lent and replayed. The experiments are deterministic, so the
+// simulator's exactness rule (DESIGN.md §6: a speed-up may not move a
+// simulated count by one) reaches the paper's tables here. Regenerate
+// with -update only for a deliberate change to the model or a table.
 func TestAllRunnersProduceTables(t *testing.T) {
+	path := filepath.Join("testdata", "tables.golden")
+	golden, err := os.ReadFile(path)
+	if err != nil && !*update {
+		t.Fatal(err)
+	}
+	var out strings.Builder
 	for _, runner := range All() {
 		tab, err := runner.Run()
 		if err != nil {
@@ -338,9 +408,26 @@ func TestAllRunnersProduceTables(t *testing.T) {
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s: empty table", runner.ID)
 		}
-		if !strings.Contains(tab.String(), tab.Title) {
+		text := tab.String() + "\n" // as cmd/experiments prints it
+		if !strings.Contains(text, tab.Title) {
 			t.Errorf("%s: rendering broken", runner.ID)
 		}
+		if !*update && !strings.Contains(string(golden), text) {
+			t.Errorf("%s: table differs from %s:\n%s", runner.ID, path, text)
+		}
+		out.WriteString(text)
+	}
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if out.Len() != len(golden) {
+		t.Errorf("tables render to %d bytes, %s has %d", out.Len(), path, len(golden))
 	}
 }
 

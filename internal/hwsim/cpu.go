@@ -5,12 +5,16 @@ import (
 	"math/bits"
 )
 
-// Stream supplies instructions to a CPU. Next fills buf and returns the
-// number filled; returning 0 ends the stream. Implementations generate
-// instructions lazily so arbitrarily long programs run in constant
-// memory.
+// Stream supplies instructions to a CPU. Next lends the stream's next
+// instructions, in order; an empty slice ends the stream. The slice
+// belongs to the stream: the caller only reads it, and it is valid
+// until that stream's next Next (or Reset, for streams that have one).
+// So an overflow or timer handler may Run any other stream on the core
+// it interrupted, but must not advance the one being retired.
+// Implementations generate at most a batch at a time, so arbitrarily
+// long programs run in constant memory.
 type Stream interface {
-	Next(buf []Instr) int
+	Next() []Instr
 }
 
 // SliceStream adapts a fixed instruction slice into a Stream.
@@ -19,11 +23,11 @@ type SliceStream struct {
 	pos    int
 }
 
-// Next implements Stream.
-func (s *SliceStream) Next(buf []Instr) int {
-	n := copy(buf, s.Instrs[s.pos:])
-	s.pos += n
-	return n
+// Next implements Stream: everything not yet lent, once.
+func (s *SliceStream) Next() []Instr {
+	b := s.Instrs[s.pos:]
+	s.pos = len(s.Instrs)
+	return b
 }
 
 // pendingOvf is an overflow interrupt in flight: on out-of-order cores
@@ -63,18 +67,7 @@ type CPU struct {
 	stealQuantum uint64
 	stealAmount  uint64
 	nextSteal    uint64
-
-	// runBuf is Run's instruction batch, made by the first Run. It
-	// lives on the CPU because a local array escapes through the Stream
-	// interface: 8 KiB of heap per Run call. inRun marks it taken, so a
-	// Run nested inside a handler of an outer Run gets a buffer of its
-	// own.
-	runBuf []Instr
-	inRun  bool
 }
-
-// runBatch is how many instructions Run asks the stream for at a time.
-const runBatch = 256
 
 // NewCPU builds a core for the given architecture. The seed drives every
 // stochastic choice (skid, sampling jitter) so runs are reproducible.
@@ -243,24 +236,14 @@ func (c *CPU) advanceMode(n uint64, mode Domain) {
 	}
 }
 
-// Run executes the stream to completion, batching it through the
-// CPU's own buffer, so after the first call a run allocates nothing (a
-// core that never runs a program never pays for the buffer). A handler
-// may call Run on the core it interrupted; that nested run pays for a
-// temporary batch buffer.
+// Run executes the stream to completion, retiring each lent batch in
+// place: the core owns no instruction memory, so a run allocates
+// nothing of its own and a handler may Run another stream on the core
+// it interrupted (see Stream).
 func (c *CPU) Run(s Stream) {
-	if c.runBuf == nil {
-		c.runBuf = make([]Instr, runBatch)
+	for b := s.Next(); len(b) > 0; b = s.Next() {
+		c.ExecSlice(b)
 	}
-	buf, nested := c.runBuf, c.inRun
-	if nested {
-		buf = make([]Instr, runBatch) // the outer Run is still retiring from runBuf
-	}
-	c.inRun = true
-	for n := s.Next(buf); n > 0; n = s.Next(buf) {
-		c.ExecSlice(buf[:n])
-	}
-	c.inRun = nested
 }
 
 // ExecSlice executes the instructions in order.

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/hwsim"
 	"repro/workload"
@@ -266,29 +267,93 @@ func TestExactCounts(t *testing.T) {
 	}
 }
 
-// TestRunDoesNotAllocate pins the run buffer's ownership: executing a
-// reset workload on a counting core costs no heap at all (it was one
-// 8 KiB instruction batch per call while Run declared the batch
-// locally and Stream's interface call made it escape).
+// TestRunDoesNotAllocate pins who owns instruction memory: the core
+// owns none, and a program owns one queue made by its first run. After
+// that a reset workload on a counting core costs no heap at all —
+// whether the program fit one batch and replays it (dot n=8) or
+// regenerates batch by batch into the same queue (triad n=4096).
 func TestRunDoesNotAllocate(t *testing.T) {
 	a, _ := hwsim.ArchByPlatform(hwsim.PlatformAIXPower3)
-	c := hwsim.MustNewCPU(a, 1)
-	programAll(t, c)
-	c.PMU().Start()
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"dot", 8}, {"triad", 4096}} {
+		c := hwsim.MustNewCPU(a, 1)
+		programAll(t, c)
+		c.PMU().Start()
+		p, err := workload.ByName(tc.name, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Run(p) // the program's queue is made here
+		if n := testing.AllocsPerRun(5, func() { p.Reset(); c.Run(p) }); n != 0 {
+			t.Errorf("%s: Reset+Run allocates %v times per call, want 0", p.Name(), n)
+		}
+	}
+}
+
+// TestLentSliceIsReadOnly holds the core to its side of the lending
+// contract: with every register armed and overflowing, the handler and
+// the timer installed, a hundred runs leave a replayed program's queue
+// bit for bit as it was generated.
+func TestLentSliceIsReadOnly(t *testing.T) {
+	a, _ := hwsim.ArchByPlatform(hwsim.PlatformLinuxX86) // out of order: skidded delivery too
+	c := hwsim.MustNewCPU(a, 7)
+	for i, r := range programAll(t, c) {
+		if err := c.PMU().SetOverflow(r, uint64(53+31*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.PMU().SetHandler(func(uint64, int) { c.Charge(40, 12) })
+	c.SetTimer(1500, func() { c.Charge(25, 6) })
 	p, err := workload.ByName("dot", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Reset()
-	c.Run(p) // the program's own queue grows once
-	if n := testing.AllocsPerRun(50, func() { p.Reset(); c.Run(p) }); n != 0 {
-		t.Errorf("CPU.Run allocates %v times per call, want 0", n)
+	sum := func() string {
+		p.Reset()
+		d := &digest{h: sha256.New()}
+		n := 0
+		for b := p.Next(); len(b) > 0; b = p.Next() {
+			for _, in := range b {
+				taken := uint64(0)
+				if in.Taken {
+					taken = 1
+				}
+				d.u64(in.Addr, in.Mem, uint64(in.Op), taken)
+			}
+			n += len(b)
+		}
+		if want := p.Expected().Instrs; uint64(n) != want {
+			t.Fatalf("%s lends %d instructions, want %d", p.Name(), n, want)
+		}
+		return fmt.Sprintf("%x", d.h.Sum(nil))
+	}
+	before := sum()
+	c.PMU().Start()
+	for i := 0; i < 100; i++ {
+		p.Reset()
+		c.Run(p)
+	}
+	if after := sum(); after != before {
+		t.Errorf("queue digest %s after 100 runs, %s before: the core wrote through a lent slice", after[:16], before[:16])
 	}
 }
 
-// TestNestedRun checks the one case the CPU-owned buffer could break: a
+// TestInstrSize pins the field order that packs an instruction into
+// three words: a replayed program's queue is what stays resident.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(hwsim.Instr{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(hwsim.Instr{}) = %d, want 24", got)
+	}
+}
+
+// TestNestedRun checks the case lending makes safe by construction: a
 // handler that itself calls Run while the outer Run's batch is still
-// being retired must not overwrite that batch.
+// being retired. The core holds no buffer the nested run could
+// overwrite, so outer and inner each retire exactly their own
+// instructions — for a fixed slice, and for a workload program run
+// inside a replayed instance of the same workload.
 func TestNestedRun(t *testing.T) {
 	a, _ := hwsim.ArchByPlatform(hwsim.PlatformCrayT3E) // in order: no skid
 	c := hwsim.MustNewCPU(a, 1)
@@ -296,7 +361,7 @@ func TestNestedRun(t *testing.T) {
 	if err := c.PMU().SetOverflow(regs[len(regs)-1], 100); err != nil {
 		t.Fatal(err)
 	}
-	inner := make([]hwsim.Instr, 300) // spans two batches
+	inner := make([]hwsim.Instr, 300)
 	for i := range inner {
 		inner[i] = hwsim.Instr{Op: hwsim.OpFPDiv, Addr: 0x500000 + uint64(i)*hwsim.InstrBytes}
 	}
@@ -326,5 +391,38 @@ func TestNestedRun(t *testing.T) {
 	}
 	if got, want := c.Retired(), uint64(len(outer)+len(inner)); got != want {
 		t.Errorf("retired %d, want %d", got, want)
+	}
+
+	// A workload program inside a replayed one: the handler runs a
+	// fresh dot n=8 while the core is retiring the outer dot's queue.
+	prog, err := workload.ByName("dot", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.PMU().Stop()
+	c.Run(prog) // first run generates; the runs below replay
+	exp := prog.Expected()
+	for run := 0; run < 2; run++ {
+		fires = 0
+		c.PMU().SetHandler(func(uint64, int) {
+			if fires++; fires == 1 {
+				in, _ := workload.ByName("dot", 8)
+				c.Run(in)
+			}
+		})
+		retired, loads := c.Retired(), c.Truth(hwsim.SigLoads)
+		c.PMU().Start()
+		prog.Reset()
+		c.Run(prog)
+		c.PMU().Stop()
+		if fires == 0 {
+			t.Fatal("no overflow fired inside the replayed program")
+		}
+		if got, want := c.Retired()-retired, 2*exp.Instrs; got != want {
+			t.Errorf("run %d: outer and nested dot retired %d instructions, want %d", run, got, want)
+		}
+		if got, want := c.Truth(hwsim.SigLoads)-loads, 2*exp.Loads; got != want {
+			t.Errorf("run %d: outer and nested dot retired %d loads, want %d", run, got, want)
+		}
 	}
 }

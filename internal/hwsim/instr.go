@@ -54,11 +54,12 @@ func (o Op) IsFP() bool {
 
 // Instr is one simulated instruction. Addr is the text (program counter)
 // address; Mem is the effective address for loads and stores; Taken
-// marks whether a branch is taken.
+// marks whether a branch is taken. The fields are ordered to pack into
+// 24 bytes: a program that fits one batch keeps its instructions.
 type Instr struct {
-	Op    Op
 	Addr  uint64
 	Mem   uint64
+	Op    Op
 	Taken bool
 }
 

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"fmt"
+	"log/slog"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -328,6 +330,54 @@ func BenchmarkTickParallel(b *testing.B) {
 				b.ReportMetric(float64(nSessions)*float64(b.N)/secs, "sessions/s")
 			}
 		})
+	}
+}
+
+// BenchmarkTickFanout is BenchmarkTickParallel with somebody listening:
+// the in-process twin of papistorm's live_fanout. The same 256 sessions
+// on a server started with the ipc group, two sweep workers, and two
+// connections — one binary, one JSON — each subscribed to every session
+// in the wildcard form, their writers draining into sockets that
+// discard. TickParallel has no subscriber, so it prices the snapshot,
+// the history append and derive; this row adds what a live tick does
+// besides: encode once per codec, deliver, and the writers' batched
+// socket writes (they run beside the sweep, as under Serve).
+// frames/tick is 4 x 256 in steady state: each connection gets every
+// session's SNAPSHOT and its DERIVED frame.
+func BenchmarkTickFanout(b *testing.B) {
+	const nSessions = 256
+	srv := tickBenchServer(b, Config{TickWorkers: 2, Groups: []string{"ipc"}}, nSessions)
+	var ids []uint64
+	srv.reg.forEach(func(sess *session) { ids = append(ids, sess.id) })
+	var conns []*conn
+	for _, codec := range []wire.Codec{wire.CodecBinary, wire.CodecJSON} {
+		c := testConn(srv, 4096)
+		c.nc, c.log = &sinkConn{}, slog.New(slog.DiscardHandler)
+		c.codec.Store(uint32(codec))
+		srv.wg.Add(1)
+		go c.writeLoop()
+		b.Cleanup(c.q.close)
+		if resp := srv.dispatch(c, &wire.Request{Op: wire.OpSubscribe, Sessions: ids}); !resp.OK {
+			b.Fatal(resp.Error)
+		}
+		c.goLive()
+		conns = append(conns, c)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		srv.tick()
+	}
+	for _, c := range conns {
+		for c.q.len() > 0 {
+			runtime.Gosched() // the writers finish inside the timed region
+		}
+	}
+	b.StopTimer()
+	st := srv.Stats()
+	b.ReportMetric(float64(st.FramesSentJSON+st.FramesSentBinary)/float64(b.N), "frames/tick")
+	if dropped := st.SnapshotsDropped + st.DerivedDropped; dropped > 0 {
+		b.Fatalf("%d frames dropped: the writers did not keep up with the sweep", dropped)
 	}
 }
 

@@ -1817,6 +1817,45 @@ func (c *conn) goLive() {
 	c.mu.Unlock()
 }
 
+// CREATE_SESSION's limits on a live session's program. A tick runs the
+// whole program under the session lock, so one that cannot be ticked
+// is refused at CREATE, not discovered by ticks_skipped.
+const (
+	// maxWorkloadN bounds n itself: building a workload allocates in
+	// proportion to n (chase keeps two n-node tables). It is the
+	// largest n any workload fits into maxTickInstrs with (chase, 16
+	// instructions per n).
+	maxWorkloadN = 1 << 16
+	// maxTickInstrs is the most instructions a program may run per
+	// tick: about 30 ms of simulation on the reference host.
+	maxTickInstrs = 1 << 20
+)
+
+// liveProgram builds the workload a live session's tick will run; name
+// and n come off the wire (empty and non-positive mean the defaults).
+// n is refused before anything is built in proportion to it, then the
+// built program against the per-tick budget.
+func liveProgram(name string, n int) (workload.Program, error) {
+	if name == "" {
+		name = "dot"
+	}
+	if n <= 0 {
+		n = 24
+	}
+	if n > maxWorkloadN {
+		return nil, fmt.Errorf("workload %s: n %d exceeds the limit %d", name, n, maxWorkloadN)
+	}
+	prog, err := workload.ByName(name, n)
+	if err != nil {
+		return nil, err
+	}
+	if instrs := prog.Expected().Instrs; instrs > maxTickInstrs {
+		return nil, fmt.Errorf("workload %s n=%d runs %d instructions per tick, the limit is %d",
+			name, n, instrs, maxTickInstrs)
+	}
+	return prog, nil
+}
+
 // createSession builds a session: a private System on the requested
 // platform, its events resolved and admission-checked through the
 // allocation cache, and the workload the tick loop will advance.
@@ -1842,21 +1881,10 @@ func (s *Server) createSession(req *wire.Request) wire.Response {
 	if err != nil {
 		return errResp(req, err)
 	}
-	n := req.N
-	if n <= 0 {
-		n = 24
-	}
-	switch req.Workload {
-	case "none":
-		// Publish-only session; papid never drives it.
-	case "":
-		sess.prog, _ = workload.ByName("dot", n)
-	default:
-		prog, err := workload.ByName(req.Workload, n)
-		if err != nil {
+	if req.Workload != "none" { // "none" is publish-only: papid never drives it
+		if sess.prog, err = liveProgram(req.Workload, req.N); err != nil {
 			return errResp(req, err)
 		}
-		sess.prog = prog
 	}
 	s.reg.put(sess)
 	s.slog.Info("papid: session created", "session", sess.id,

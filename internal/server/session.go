@@ -417,21 +417,21 @@ func (r *registry) count() int {
 // the callback runs, so callbacks may take session locks freely.
 func (r *registry) forEach(f func(*session)) {
 	for i := range r.shards {
-		r.sweepShard(i, f)
+		r.sweepShard(i, nil, f)
 	}
 }
 
 // sweepShard visits every session of one shard — the unit of work the
-// parallel tick sweep claims (tick.go). The shard lock is released
-// before any callback runs, same contract as forEach; distinct shards
-// may be swept concurrently, and a session belongs to exactly one
-// shard, so one sweep visits it exactly once. It reports how many
-// sessions it visited, which the tick's flight-recorder shard span
-// records.
-func (r *registry) sweepShard(i int, f func(*session)) int {
+// parallel tick sweep claims (tick.go). The shard's sessions are
+// appended to batch (a sweep worker's scratch, so a tick does not
+// allocate per shard; nil for a one-off walk) and the shard lock is
+// released before any callback runs, same contract as forEach;
+// distinct shards may be swept concurrently, and a session belongs to
+// exactly one shard, so one sweep visits it exactly once. It returns
+// the batch it visited, grown if it had to be.
+func (r *registry) sweepShard(i int, batch []*session, f func(*session)) []*session {
 	sh := &r.shards[i]
 	sh.mu.RLock()
-	batch := make([]*session, 0, len(sh.m))
 	for _, sess := range sh.m {
 		batch = append(batch, sess)
 	}
@@ -439,5 +439,5 @@ func (r *registry) sweepShard(i int, f func(*session)) int {
 	for _, sess := range batch {
 		f(sess)
 	}
-	return len(batch)
+	return batch
 }

@@ -49,6 +49,7 @@ type tickJob struct {
 func (s *Server) runSweep(job *tickJob, worker int) {
 	n := int64(len(s.reg.shards))
 	var rows []wal.Row
+	var swept []*session // one shard's sessions at a time
 	for {
 		i := job.cursor.Add(1) - 1
 		if i >= n {
@@ -56,7 +57,7 @@ func (s *Server) runSweep(job *tickJob, worker int) {
 		}
 		sp := job.trc.StartSpan(tracing.NoSpan, "shard")
 		queued := false
-		swept := s.reg.sweepShard(int(i), func(sess *session) {
+		swept = s.reg.sweepShard(int(i), swept[:0], func(sess *session) {
 			if s.tickSession(sess, job.now, job.trc, sp, &rows) {
 				queued = true
 			}
@@ -64,7 +65,7 @@ func (s *Server) runSweep(job *tickJob, worker int) {
 		if job.trc != nil {
 			job.trc.AnnotateInt(sp, "shard", i)
 			job.trc.AnnotateInt(sp, "worker", int64(worker))
-			job.trc.AnnotateInt(sp, "sessions", int64(swept))
+			job.trc.AnnotateInt(sp, "sessions", int64(len(swept)))
 			job.trc.EndSpan(sp)
 		}
 		if queued {

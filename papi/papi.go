@@ -78,7 +78,11 @@ type (
 )
 
 // Stream is an instruction stream runnable on a simulated core; the
-// workload package provides implementations.
+// workload package provides implementations. Next lends the stream's
+// next instructions: the slice stays the stream's, is read-only to the
+// caller and valid until that stream's next Next or Reset, so an
+// overflow or timer handler may Run another stream on the thread it
+// interrupted but never the one being retired.
 type Stream = hwsim.Stream
 
 // Init initializes the library (PAPI_library_init).

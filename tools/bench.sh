@@ -7,23 +7,30 @@
 # allocs/op so allocation regressions on the serving path are tracked
 # alongside latency.
 #
-# `tools/bench.sh compare` runs the server benchmarks against the
-# committed BENCH_server.json instead of overwriting it: a fresh
-# measurement goes to a temp file and `benchjson -diff` gates on the
-# serving-path benchmarks, failing when any gated ns/op regressed more
-# than 25% against the baseline. Use it before regenerating baselines
-# so a regression is a loud diff, not a silently re-baselined number.
+# `tools/bench.sh compare` runs the server and simulator benchmarks
+# against the committed BENCH_server.json and BENCH_hwsim.json instead
+# of overwriting them: a fresh measurement goes to a temp file and
+# `benchjson -diff` gates on the serving-path, tick and simulator
+# benchmarks, failing when any gated ns/op regressed more than 25%
+# against the baseline. Use it before regenerating baselines so a
+# regression is a loud diff, not a silently re-baselined number.
 set -eu
 cd "$(dirname "$0")/.."
 
+server_bench='Server|TickParallel|TickFanout|WriteQueuePushFull'
+hwsim_bench='SimulatedExecution|SimulatedReplay|OverflowDispatch'
+
 if [ "${1:-}" = "compare" ]; then
-    tmp=$(mktemp /tmp/bench-server-compare.XXXXXX.json)
+    tmp=$(mktemp /tmp/bench-compare.XXXXXX.json)
     trap 'rm -f "$tmp"' EXIT
     go run ./cmd/benchjson -benchmem -benchtime 3s -out "$tmp" \
-        -bench 'Server|TickParallel|WriteQueuePushFull' ./internal/server .
+        -bench "$server_bench" ./internal/server .
     go run ./cmd/benchjson -diff \
-        -gate 'ServerQuery|ServerFanout|ServerThroughput' -max-regress 25 \
+        -gate 'ServerQuery|ServerFanout|ServerThroughput|TickParallel|TickFanout' -max-regress 25 \
         BENCH_server.json "$tmp"
+    go run ./cmd/benchjson -benchmem -out "$tmp" -bench "$hwsim_bench" .
+    go run ./cmd/benchjson -diff -gate 'Simulated' -max-regress 25 \
+        BENCH_hwsim.json "$tmp"
     exit 0
 fi
 go run ./cmd/benchjson -benchmem -out BENCH_tsdb.json -bench 'TSDB' ./internal/tsdb
@@ -38,13 +45,18 @@ go run ./cmd/benchjson -benchmem -out BENCH_wal.json -bench 'WAL|Replay' ./inter
 # event-projected vs delta) so a regression in a view's frame sizes or
 # allocations shows up in the committed baseline. WriteQueuePushFull
 # prices eviction from a full connection write queue at depth 64 and
-# 8192; its ns/op must stay flat in depth.
-go run ./cmd/benchjson -benchmem -benchtime 3s -out BENCH_server.json -bench 'Server|TickParallel|WriteQueuePushFull' ./internal/server .
+# 8192; its ns/op must stay flat in depth. TickParallel is the tick
+# sweep with nobody listening, TickFanout the same sweep fanned out to
+# one binary and one JSON subscriber (papistorm's live_fanout, in
+# process).
+go run ./cmd/benchjson -benchmem -benchtime 3s -out BENCH_server.json -bench "$server_bench" ./internal/server .
 # The simulator priced apart from the service it feeds: retired
-# instructions per host second with the PMU idle, and overflow-interrupt
-# dispatch through a counting PMU. -benchmem because CPU.Run must stay
-# at zero bytes per call (it was one 8 KiB instruction batch per call).
-go run ./cmd/benchjson -benchmem -out BENCH_hwsim.json -bench 'SimulatedExecution|OverflowDispatch' .
+# instructions per host second with the PMU idle, streaming (a program
+# longer than a batch regenerates every run) and replayed (one that fits
+# a batch is lent again, four events counting), and overflow-interrupt
+# dispatch through a counting PMU. -benchmem because a run must stay at
+# zero allocations (the program's queue is made once, by its first run).
+go run ./cmd/benchjson -benchmem -out BENCH_hwsim.json -bench "$hwsim_bench" .
 # Derived-metric engine costs: compiled-formula evaluation (the
 # per-metric per-tick unit), the full engine tick, and the server's
 # derived fan-out (evaluate + encode-once DERIVED frame across

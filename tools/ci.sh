@@ -2,7 +2,12 @@
 # The repo's verification gate: formatting, vet, then the full test
 # suite under the race detector (the papid stress tests put 64+
 # concurrent clients through the server, so -race is what actually
-# certifies the service).
+# certifies the service). The suite carries the two exactness goldens,
+# so they need no stage of their own: TestExactCounts
+# (internal/hwsim/testdata/exact.golden — no simulated count may move)
+# and TestAllRunnersProduceTables
+# (internal/experiments/testdata/tables.golden — nor may a table of the
+# paper's evaluation).
 set -eu
 cd "$(dirname "$0")/.."
 # Formatting gate: gofmt -l prints offending files; any output fails.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/hwsim"
 )
@@ -29,42 +30,44 @@ func LU(cfg LUConfig) Program {
 	un := uint64(n)
 
 	// One iteration = one (k,i) elimination row: a divide to form the
-	// multiplier plus an update across columns j>k.
-	type kiPair struct{ k, i int }
-	var pairs []kiPair
+	// multiplier plus an update across columns j>k. Step k has n-k-1
+	// rows; first[k] is its first iteration — n entries, so building
+	// the program costs memory in proportion to n, not n².
+	first := make([]int, n)
 	var exp Expected
 	for k := 0; k < n-1; k++ {
-		for i := k + 1; i < n; i++ {
-			pairs = append(pairs, kiPair{k, i})
-			cols := uint64(n - k - 1)
-			// load a[i][k], load a[k][k], div, store multiplier,
-			// then per column: load a[k][j], load a[i][j], fma (or
-			// mul+add), store a[i][j]; plus the loop branch.
-			exp.Loads += 2 + 2*cols
-			exp.Stores += 1 + cols
-			exp.FPDiv++
-			if cfg.UseFMA {
-				exp.FMA += cols
-				exp.Instrs += 4 + 4*cols + 1
-			} else {
-				exp.FPMul += cols
-				exp.FPAdd += cols
-				exp.Instrs += 4 + 5*cols + 1
-			}
-			exp.Branches++
+		rows := uint64(n - k - 1)
+		cols := rows
+		first[k+1] = first[k] + int(rows)
+		// load a[i][k], load a[k][k], div, store multiplier,
+		// then per column: load a[k][j], load a[i][j], fma (or
+		// mul+add), store a[i][j]; plus the loop branch.
+		exp.Loads += rows * (2 + 2*cols)
+		exp.Stores += rows * (1 + cols)
+		exp.FPDiv += rows
+		if cfg.UseFMA {
+			exp.FMA += rows * cols
+			exp.Instrs += rows * (4 + 4*cols + 1)
+		} else {
+			exp.FPMul += rows * cols
+			exp.FPAdd += rows * cols
+			exp.Instrs += rows * (4 + 5*cols + 1)
 		}
+		exp.Branches += rows
 	}
+	iters := first[n-1]
 
 	perIterMax := 4 + 5*(n-1) + 1
 	p := &iterProgram{
 		name:     fmt.Sprintf("lu(n=%d,fma=%v)", n, cfg.UseFMA),
-		iters:    len(pairs),
+		iters:    iters,
 		expected: exp,
 	}
 	p.regions = []Region{{Name: "lu_kernel", Lo: TextBase, Hi: TextBase + uint64(perIterMax)*hwsim.InstrBytes}}
 	p.gen = func(iter int, q []hwsim.Instr) []hwsim.Instr {
-		pr := pairs[iter]
-		k, i := uint64(pr.k), uint64(pr.i)
+		step := sort.Search(n-1, func(k int) bool { return first[k+1] > iter })
+		k := uint64(step)
+		i := k + 1 + uint64(iter-first[step])
 		e := emitter{pc: TextBase, q: q}
 		e.mem(hwsim.OpLoad, base+(i*un+k)*8)
 		e.mem(hwsim.OpLoad, base+(k*un+k)*8)
@@ -81,7 +84,7 @@ func LU(cfg LUConfig) Program {
 			}
 			e.mem(hwsim.OpStore, base+(i*un+j)*8)
 		}
-		e.branch(iter != len(pairs)-1)
+		e.branch(iter != iters-1)
 		return e.q
 	}
 	return p

@@ -57,21 +57,12 @@ func TestExtraReplayAndRegions(t *testing.T) {
 	}
 	for _, p := range progs {
 		var first, second []hwsim.Instr
-		var buf [64]hwsim.Instr
-		for {
-			n := p.Next(buf[:])
-			if n == 0 {
-				break
-			}
-			first = append(first, buf[:n]...)
+		for b := p.Next(); len(b) > 0; b = p.Next() {
+			first = append(first, b...)
 		}
 		p.Reset()
-		for {
-			n := p.Next(buf[:])
-			if n == 0 {
-				break
-			}
-			second = append(second, buf[:n]...)
+		for b := p.Next(); len(b) > 0; b = p.Next() {
+			second = append(second, b...)
 		}
 		if len(first) != len(second) {
 			t.Fatalf("%s: replay length mismatch", p.Name())

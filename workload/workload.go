@@ -7,8 +7,10 @@
 // the paper's micro-benchmarks with "expected counts" play in §4.
 //
 // Programs implement papi.Stream (hwsim.Stream) and generate
-// instructions lazily, so arbitrarily long runs execute in constant
-// memory. All programs are deterministic.
+// instructions lazily, a batch at a time, so arbitrarily long runs
+// execute in constant memory (one batch: 4,096 instructions, 96 KiB); a
+// program that fits one batch generates it once and replays it on every
+// later run. All programs are deterministic.
 package workload
 
 import (
@@ -68,13 +70,25 @@ type Program interface {
 	Regions() []Region
 	// Expected returns the analytic operation counts for a full run.
 	Expected() Expected
-	// Reset rewinds the program so it can be run again.
+	// Reset rewinds the program so it can be run again. A program
+	// that fit one batch keeps its instructions and lends them again;
+	// a longer one regenerates them.
 	Reset()
 }
 
+// batchInstrs is how many instructions a program generates before it
+// lends them: one batch is the most memory a program holds (96 KiB of
+// hwsim.Instr), and a program that fits one is generated once.
+const batchInstrs = 4096
+
 // iterProgram drives a per-iteration generator: gen appends iteration
-// i's instructions to the queue; iterations are pure functions of their
-// index, so Reset is just a rewind.
+// i's instructions to the queue. Next generates whole iterations into
+// the queue until the next one would not fit a batch, and lends the
+// queue. When the first batch ended the program, the queue is the
+// program: Reset rewinds without discarding it and every later run
+// lends it again, ungenerated. A longer program regenerates batch by
+// batch into the same queue: gen is deterministic from iteration 0, so
+// for it too Reset is just a rewind.
 type iterProgram struct {
 	name     string
 	regions  []Region
@@ -82,37 +96,41 @@ type iterProgram struct {
 	iters    int
 	gen      func(i int, q []hwsim.Instr) []hwsim.Instr
 
-	done  int
-	queue []hwsim.Instr
-	qpos  int
+	done  int           // iterations lent so far
+	queue []hwsim.Instr // the batch last lent
+	whole bool          // queue holds every iteration
 }
 
 func (p *iterProgram) Name() string       { return p.name }
 func (p *iterProgram) Regions() []Region  { return p.regions }
 func (p *iterProgram) Expected() Expected { return p.expected }
 
-func (p *iterProgram) Reset() {
-	p.done = 0
-	p.queue = p.queue[:0]
-	p.qpos = 0
-}
+func (p *iterProgram) Reset() { p.done = 0 }
 
-func (p *iterProgram) Next(buf []hwsim.Instr) int {
-	n := 0
-	for n < len(buf) {
-		if p.qpos == len(p.queue) {
-			if p.done >= p.iters {
-				break
-			}
-			p.queue = p.gen(p.done, p.queue[:0])
-			p.qpos = 0
-			p.done++
-		}
-		c := copy(buf[n:], p.queue[p.qpos:])
-		p.qpos += c
-		n += c
+func (p *iterProgram) Next() []hwsim.Instr {
+	if p.done >= p.iters {
+		return nil
 	}
-	return n
+	if p.whole {
+		p.done = p.iters
+		return p.queue
+	}
+	if p.queue == nil {
+		p.queue = make([]hwsim.Instr, 0, min(p.expected.Instrs, batchInstrs))
+	}
+	first := p.done == 0
+	q := p.queue[:0]
+	for p.done < p.iters {
+		n := len(q)
+		q = p.gen(p.done, q)
+		p.done++
+		if len(q)+(len(q)-n) > batchInstrs {
+			break // another iteration as long as this one would not fit
+		}
+	}
+	p.queue = q
+	p.whole = first && p.done == p.iters
+	return q
 }
 
 // emitter lays out instructions at sequential text addresses.
@@ -544,13 +562,13 @@ func (c *Concat) Reset() {
 	}
 }
 
-// Next implements hwsim.Stream.
-func (c *Concat) Next(buf []hwsim.Instr) int {
+// Next implements hwsim.Stream: it lends what the current phase lends.
+func (c *Concat) Next() []hwsim.Instr {
 	for c.cur < len(c.Programs) {
-		if n := c.Programs[c.cur].Next(buf); n > 0 {
-			return n
+		if b := c.Programs[c.cur].Next(); len(b) > 0 {
+			return b
 		}
 		c.cur++
 	}
-	return 0
+	return nil
 }

@@ -94,14 +94,10 @@ func TestResetReplaysIdentically(t *testing.T) {
 	for _, p := range progs {
 		collect := func() []hwsim.Instr {
 			var out []hwsim.Instr
-			var buf [64]hwsim.Instr
-			for {
-				n := p.Next(buf[:])
-				if n == 0 {
-					return out
-				}
-				out = append(out, buf[:n]...)
+			for b := p.Next(); len(b) > 0; b = p.Next() {
+				out = append(out, b...) // a copy: the lent slice is the stream's
 			}
+			return out
 		}
 		first := collect()
 		p.Reset()
@@ -131,13 +127,8 @@ func TestRegionsCoverInstructions(t *testing.T) {
 	}
 	for _, p := range progs {
 		regions := p.Regions()
-		var buf [64]hwsim.Instr
-		for {
-			n := p.Next(buf[:])
-			if n == 0 {
-				break
-			}
-			for _, in := range buf[:n] {
+		for b := p.Next(); len(b) > 0; b = p.Next() {
+			for _, in := range b {
 				inside := false
 				for _, r := range regions {
 					if r.Contains(in.Addr) {
@@ -156,13 +147,8 @@ func TestRegionsCoverInstructions(t *testing.T) {
 func TestChaseHitsManyDistinctLines(t *testing.T) {
 	p := PointerChase(ChaseConfig{Nodes: 512, Steps: 512})
 	seen := map[uint64]bool{}
-	var buf [64]hwsim.Instr
-	for {
-		n := p.Next(buf[:])
-		if n == 0 {
-			break
-		}
-		for _, in := range buf[:n] {
+	for b := p.Next(); len(b) > 0; b = p.Next() {
+		for _, in := range b {
 			if in.Op == hwsim.OpLoad {
 				seen[in.Mem] = true
 			}
@@ -203,5 +189,109 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if MixedPrecision(MixedPrecisionConfig{}).Expected().FPRound == 0 {
 		t.Error("mixedprec default")
+	}
+}
+
+// armAll programs as many native events as the register file takes,
+// first fit in table order, and starts the counters.
+func armAll(t *testing.T, c *hwsim.CPU) {
+	t.Helper()
+	a := c.Arch()
+	assign := map[int]hwsim.NativeEvent{}
+	for _, ev := range a.Events {
+		for r := 0; r < a.NumCounters; r++ {
+			if _, used := assign[r]; !used && ev.CounterMask&(1<<uint(r)) != 0 {
+				assign[r] = ev
+				break
+			}
+		}
+	}
+	if err := c.PMU().Program(assign); err != nil {
+		t.Fatal(err)
+	}
+	c.PMU().Start()
+}
+
+// coreState is everything a run leaves observable on a core.
+func coreState(c *hwsim.CPU) []uint64 {
+	st := []uint64{c.Cycles(), c.RealCycles(), c.Retired()}
+	for s := hwsim.Signal(0); s < hwsim.NumSignals; s++ {
+		st = append(st, c.Truth(s))
+	}
+	regs := make([]uint64, c.Arch().NumCounters)
+	c.PMU().ReadAll(regs)
+	return append(st, regs...)
+}
+
+// TestReplayEqualsFreshProgram is the exactness rule for replay: a core
+// that runs one program instance three times — lent again from its
+// queue when it fit a batch, regenerated when it did not — ends every
+// run in the state of a core that ran a freshly built program each
+// time. chase is in the table on purpose: its generator carries the
+// walk's position between iterations, which replay must not depend on
+// regenerating.
+func TestReplayEqualsFreshProgram(t *testing.T) {
+	type maker func() Program
+	byName := func(name string, n int) maker {
+		return func() Program {
+			p, err := ByName(name, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+	}
+	// Per workload, a size that fits one batch and one that does not.
+	long := map[string]int{"matmul": 16, "triad": 128, "chase": 300, "stencil": 16,
+		"branchy": 40, "mixedprec": 32, "lu": 20, "gups": 40, "dot": 32}
+	var fit, stream []maker
+	for _, name := range Names() {
+		fit = append(fit, byName(name, 8))
+		stream = append(stream, byName(name, long[name]))
+	}
+	fit = append(fit,
+		func() Program { return BlockedMatMul(BlockedMatMulConfig{N: 8, Block: 4}) },
+		func() Program { return HotColdLoop(HotColdConfig{Iters: 100}) },
+		func() Program { return NewConcat("fit", byName("dot", 8)(), byName("chase", 8)()) })
+	stream = append(stream,
+		func() Program { return BlockedMatMul(BlockedMatMulConfig{N: 16, Block: 8}) },
+		func() Program { return HotColdLoop(HotColdConfig{Iters: 400}) },
+		// one phase replays, the other regenerates
+		func() Program { return NewConcat("mixed", byName("dot", 8)(), byName("chase", 300)()) })
+
+	check := func(a *hwsim.Arch, mk maker, fits bool) {
+		t.Helper()
+		fresh, replay := hwsim.MustNewCPU(a, 17), hwsim.MustNewCPU(a, 17)
+		armAll(t, fresh)
+		armAll(t, replay)
+		p := mk()
+		if c, ok := p.(*Concat); !ok {
+			if got := p.Expected().Instrs <= batchInstrs; got != fits {
+				t.Fatalf("%s: fits one batch = %v, the table says %v", p.Name(), got, fits)
+			}
+		} else if got := c.Programs[1].Expected().Instrs <= batchInstrs; got != fits {
+			t.Fatalf("%s: second phase fits one batch = %v, the table says %v", p.Name(), got, fits)
+		}
+		for run := 0; run < 3; run++ {
+			fresh.Run(mk())
+			p.Reset()
+			replay.Run(p)
+			want, got := coreState(fresh), coreState(replay)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s on %s, run %d: state[%d] = %d replayed, %d fresh", p.Name(), a.Platform, run, i, got[i], want[i])
+				}
+			}
+		}
+		if ip, ok := p.(*iterProgram); ok && ip.whole != fits {
+			t.Errorf("%s: kept whole = %v, want %v", p.Name(), ip.whole, fits)
+		}
+	}
+	t3e, _ := hwsim.ArchByPlatform(hwsim.PlatformCrayT3E)
+	for i := range fit {
+		for _, a := range hwsim.Architectures() {
+			check(a, fit[i], true)
+		}
+		check(t3e, stream[i], false)
 	}
 }
