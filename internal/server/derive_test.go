@@ -188,6 +188,72 @@ func TestQueryDerived(t *testing.T) {
 	}
 }
 
+// TestQueryDerivedSeesWholeRows: a derived metric is only meaningful
+// over counters taken at the same instant, so a QUERY reply must never
+// hold part of a row. One connection PUBLISHes cumulative rows in which
+// PAPI_TOT_INS is exactly twice PAPI_TOT_CYC while another asks for
+// `ipc` over step windows: a reply that took one event's newest sample
+// and not the other's would put a point off 2.
+func TestQueryDerivedSeesWholeRows(t *testing.T) {
+	var clock atomic.Int64
+	clock.Store(1_000_000)
+	srv, addr := startServer(t, Config{
+		TickInterval: time.Hour, // history driven by PUBLISH below
+		now:          func() int64 { return clock.Load() },
+	})
+	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
+	if !created.OK {
+		t.Fatal(created.Error)
+	}
+	id := created.Session
+	pub, qry := dialT(t, addr), dialT(t, addr)
+	publish := func(i int64) error {
+		clock.Add(100) // ten rows per step window below
+		cyc := i * (i + 1_000)
+		_, err := pub.Do(wire.Request{Op: wire.OpPublish, Session: id,
+			Events: ipcEvents, Values: []int64{2 * cyc, cyc}})
+		return err
+	}
+	if err := publish(1); err != nil { // derive-mode QUERY refuses a session with no history
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(2); i <= 5_000; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := publish(i); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for n := 0; ; n++ {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		resp, err := qry.Do(wire.Request{Op: wire.OpQuery, Session: id,
+			From: 0, To: math.MaxInt64, Step: 1_000, Derive: []string{"ipc"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ds := range resp.Derived {
+			for _, p := range ds.Points {
+				if ds.Metric == "ipc" && p.Value != 2 {
+					t.Fatalf("reply %d: ipc at window %d = %v, want exactly 2", n, p.Start, p.Value)
+				}
+			}
+		}
+	}
+}
+
 // TestQueryDeriveErrors pins the loud-validation satellite: unknown
 // groups and missing history both earn a wire ERROR — never an empty
 // reply.

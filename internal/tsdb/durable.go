@@ -1,6 +1,9 @@
 package tsdb
 
-import "slices"
+import (
+	"bytes"
+	"slices"
+)
 
 // This file is the store's durability surface: the hook interface a
 // persistence layer (internal/tsdb/wal) implements, and the ingestion
@@ -61,14 +64,16 @@ func (s *Store) SealAllActive() int {
 		sh := &s.shards[i]
 		var seals []SealedBlock
 		sh.mu.Lock()
-		for key, sr := range sh.m {
-			if sr.active == nil || sr.active.n == 0 {
-				continue
+		for _, e := range sh.m {
+			for _, sr := range e.series {
+				if sr.active == nil || sr.active.n == 0 {
+					continue
+				}
+				sealed := sr.active
+				sr.sealed = append(sr.sealed, sealed)
+				sr.active = nil
+				seals = append(seals, sealedBlockOf(sr.key, sealed, sr.lastSeq))
 			}
-			sealed := sr.active
-			sr.sealed = append(sr.sealed, sealed)
-			sr.active = nil
-			seals = append(seals, sealedBlockOf(key, sealed, sr.lastSeq))
 		}
 		sh.mu.Unlock()
 		s.fireSeals(seals)
@@ -84,9 +89,9 @@ func (s *Store) SealAllActive() int {
 // levels — true for raw blocks, false when the levels were already
 // rebuilt from finer-grained persisted state.
 func (s *Store) InstallSealed(sb SealedBlock, mapped, fold bool) {
-	sh := s.shardFor(sb.Key)
+	sh := s.shardFor(sb.Key.Session)
 	sh.mu.Lock()
-	sr := s.seriesFor(sh, sb.Key)
+	sr := s.seriesFor(sh.entryFor(sb.Key.Session), sb.Key)
 	before := sr.mutableBytes()
 	// Replay installs only blocks read back from segment files, so by
 	// construction every installed block is persisted.
@@ -128,10 +133,10 @@ func (s *Store) InstallRollup(key SeriesKey, width int64, buckets []Bucket) bool
 	if i < 0 {
 		return false
 	}
-	sh := s.shardFor(key)
+	sh := s.shardFor(key.Session)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sr := s.seriesFor(sh, key)
+	sr := s.seriesFor(sh.entryFor(key.Session), key)
 	lv := &sr.levels[i]
 	before := lv.bytes()
 	lv.install(buckets)
@@ -150,24 +155,23 @@ func (s *Store) InstallRollup(key SeriesKey, width int64, buckets []Bucket) bool
 // matched by (minTS, n) and verified byte-equal; a block already
 // evicted, already mapped, or not matching is left alone.
 func (s *Store) Remap(key SeriesKey, minTS int64, n int, buf []byte) bool {
-	sh := s.shardFor(key)
+	sh := s.shardFor(key.Session)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sr := sh.m[key]
+	sr := sh.lookup(key)
 	if sr == nil {
 		return false
 	}
-	for _, b := range sr.sealed {
-		if b.mapped || b.minTS != minTS || b.n != n || len(b.buf) != len(buf) {
+	for i, b := range sr.sealed {
+		if b.mapped || b.minTS != minTS || b.n != n || !bytes.Equal(b.buf, buf) {
 			continue
 		}
-		if !bytesEqual(b.buf, buf) {
-			continue
-		}
-		old := b.bytes()
-		b.buf = buf
-		b.mapped = true
-		s.bytes.Add(b.bytes() - old)
+		// A sealed block is immutable — a Query may be decoding it with
+		// no lock held — so the mapped bytes go into a new block that
+		// takes its place in the ring.
+		mapped := &block{buf: buf, n: b.n, minTS: b.minTS, maxTS: b.maxTS, mapped: true, persisted: b.persisted}
+		sr.sealed[i] = mapped
+		s.bytes.Add(mapped.bytes() - b.bytes())
 		return true
 	}
 	return false
@@ -181,10 +185,10 @@ func (s *Store) Remap(key SeriesKey, minTS int64, n int, buf []byte) bool {
 // seal order — the oldest unmarked match is the one whose write just
 // completed, since seals and writes share one order.
 func (s *Store) MarkPersisted(key SeriesKey, minTS int64, n int) bool {
-	sh := s.shardFor(key)
+	sh := s.shardFor(key.Session)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sr := sh.m[key]
+	sr := sh.lookup(key)
 	if sr == nil {
 		return false
 	}
@@ -197,50 +201,22 @@ func (s *Store) MarkPersisted(key SeriesKey, minTS int64, n int) bool {
 	return false
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// DropSealedOlder evicts every sealed block whose newest sample is at
-// or before cutoff, across all series, leaving rollup levels intact.
+// DropSealedUpTo evicts sealed blocks whose newest sample is at or
+// before their series' cutoff, leaving rollup levels intact.
 // Compaction calls it after merging old raw segments into
 // rollup-resolution segments: once raw data below the horizon exists
 // only as rollups on disk, memory must stop serving it raw too, or a
-// restart would change query answers.
-func (s *Store) DropSealedOlder(cutoff int64) (blocks int) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, sr := range sh.m {
-			for len(sr.sealed) > 0 && sr.sealed[0].maxTS <= cutoff {
-				s.bytes.Add(-sr.evictOldestSealed())
-				blocks++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return blocks
-}
-
-// DropSealedUpTo is the per-series variant: cutoffs maps each series
-// to the newest sample timestamp of its own compacted blocks, so a
-// series whose blocks were not part of this compaction round keeps its
-// raw data in memory. A global cutoff would evict a slow series' raw
+// restart would change query answers. cutoffs maps each series to the
+// newest sample timestamp of its own compacted blocks, so a series
+// whose blocks were not part of this compaction round keeps its raw
+// data in memory — a global cutoff would evict a slow series' raw
 // blocks that still exist raw on disk, and a restart would then serve
-// them again — a pre/post-restart mismatch this avoids.
+// them again.
 func (s *Store) DropSealedUpTo(cutoffs map[SeriesKey]int64) (blocks int) {
 	for key, cutoff := range cutoffs {
-		sh := s.shardFor(key)
+		sh := s.shardFor(key.Session)
 		sh.mu.Lock()
-		if sr := sh.m[key]; sr != nil {
+		if sr := sh.lookup(key); sr != nil {
 			// Stop at the first non-persisted block: it exists nowhere
 			// but memory (its segment write failed), so evicting it —
 			// or anything behind it, to keep the ring time-ordered —

@@ -42,8 +42,14 @@ func (q Query) Valid() bool {
 }
 
 // Query answers q against one session's series. Results are sorted by
-// event name; windows with no samples are omitted. An invalid q (see
-// Query.Valid) yields nil without scanning.
+// event name (in filter order when q.Events is set); windows with no
+// samples are omitted. An invalid q (see Query.Valid) yields nil
+// without scanning.
+//
+// Every series the reply draws on is captured under one hold of the
+// session's shard read lock, so the reply holds all of an appended row
+// or none of it. Decoding and folding happen after the lock is
+// released.
 func (s *Store) Query(session uint64, q Query) []Series {
 	if !q.Valid() {
 		return nil
@@ -51,14 +57,42 @@ func (s *Store) Query(session uint64, q Query) []Series {
 	if s.queryLat != nil {
 		defer func(t0 time.Time) { s.queryLat.Observe(telemetry.Since(t0)) }(time.Now())
 	}
-	events := q.Events
-	if len(events) == 0 {
-		events = s.sessionEvents(session)
+	from, to, width := q.From, q.To, int64(0)
+	if q.Step > 0 {
+		from = q.From - mod(q.From, q.Step)           // align the first window down
+		to = q.To + (q.Step-mod(q.To, q.Step))%q.Step // align the last window up:
+		// a window starting before To is aggregated whole, even past To
+		if to < q.To { // alignment overflowed (To near MaxInt64)
+			to = math.MaxInt64
+		}
+		width = s.pickWidth(q.Step)
 	}
-	out := make([]Series, 0, len(events))
-	for _, ev := range events {
-		if sr, ok := s.querySeries(SeriesKey{Session: session, Event: ev}, q); ok {
-			out = append(out, sr)
+	level := slices.Index(s.widths, width) // -1: no rollup serves q, decode raw
+
+	var caps []capture
+	sh := s.shardFor(session)
+	sh.mu.RLock()
+	if e := sh.m[session]; e != nil {
+		if len(q.Events) == 0 {
+			caps = make([]capture, len(e.series))
+			for i, sr := range e.series {
+				caps[i] = sr.capture(level, from, to)
+			}
+		} else {
+			caps = make([]capture, 0, len(q.Events))
+			for _, ev := range q.Events {
+				if i, found := e.find(ev); found {
+					caps = append(caps, e.series[i].capture(level, from, to))
+				}
+			}
+		}
+	}
+	sh.mu.RUnlock()
+
+	out := make([]Series, 0, len(caps))
+	for i := range caps {
+		if bks := caps[i].fold(q, width, from, to); len(bks) > 0 {
+			out = append(out, Series{Event: caps[i].event, Width: width, Buckets: bks})
 		}
 	}
 	return out
@@ -70,19 +104,17 @@ func (s *Store) Query(session uint64, q Query) []Series {
 // the session never recorded, instead of returning an empty reply the
 // client could mistake for "no data".
 func (s *Store) Events(session uint64) []string {
-	return slices.Clone(s.sessionEvents(session))
-}
-
-// sessionEvents lists the session's series names, sorted, straight
-// from the copy-on-write session index — one RLock, no shard locks, no
-// sort. This used to scan all shards under exclusive locks per query,
-// which is what made papid's filterless QUERY path *slower* with more
-// concurrent queriers. The returned slice is shared and must not be
-// mutated; Events clones for external callers.
-func (s *Store) sessionEvents(session uint64) []string {
-	s.sessMu.RLock()
-	names := s.sessions[session]
-	s.sessMu.RUnlock()
+	sh := s.shardFor(session)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	e := sh.m[session]
+	if e == nil {
+		return nil
+	}
+	names := make([]string, len(e.series))
+	for i, sr := range e.series {
+		names[i] = sr.key.Event
+	}
 	return names
 }
 
@@ -98,112 +130,96 @@ func (s *Store) pickWidth(step int64) int64 {
 	return best
 }
 
-func (s *Store) querySeries(key SeriesKey, q Query) (Series, bool) {
-	sh := s.shardFor(key)
-
-	if q.Step <= 0 {
-		// Raw samples, no windowing: one bucket per sample, allocated
-		// once at the overlapping blocks' sample count.
-		sc, n := s.snapshotBlocks(sh, key, q.From, q.To)
-		out := make([]Bucket, 0, n)
-		for ts, v, ok := sc.next(); ok; ts, v, ok = sc.next() {
-			out = append(out, Bucket{Start: ts, Count: 1, Min: v, Max: v, Sum: v, Last: v})
-		}
-		return Series{Event: key.Event, Buckets: out}, len(out) > 0
-	}
-
-	effFrom := q.From - mod(q.From, q.Step)           // align the first window down
-	effTo := q.To + (q.Step-mod(q.To, q.Step))%q.Step // align the last window up:
-	// a window starting before To is aggregated whole, even past To
-	if effTo < q.To { // alignment overflowed (To near MaxInt64)
-		effTo = math.MaxInt64
-	}
-	width := s.pickWidth(q.Step)
-
-	var out []Bucket
-	if width == 0 {
-		// No rollup divides the step: fold each raw sample into its
-		// window as it decodes. Samples arrive in time order, so only
-		// the last window is open and memory is O(windows).
-		sc, _ := s.snapshotBlocks(sh, key, effFrom, effTo)
-		var end int64 // exclusive end of the open window
-		for ts, v, ok := sc.next(); ok; ts, v, ok = sc.next() {
-			if len(out) == 0 || ts >= end {
-				w := ts - mod(ts, q.Step)
-				if end = w + q.Step; end < w { // the window runs past MaxInt64,
-					end = math.MaxInt64 // and every scanned ts is below effTo
-				}
-				out = append(out, Bucket{Start: w})
-			}
-			out[len(out)-1].merge(v)
-		}
-		return Series{Event: key.Event, Buckets: out}, len(out) > 0
-	}
-
-	var src []Bucket
-	sh.mu.RLock()
-	sr := sh.m[key]
-	if sr == nil {
-		sh.mu.RUnlock()
-		return Series{}, false
-	}
-	for i := range sr.levels {
-		if sr.levels[i].width == width {
-			src = sr.levels[i].snapshotRange(effFrom, effTo)
-			break
-		}
-	}
-	sh.mu.RUnlock()
-
-	// Fold grid-aligned source buckets into step windows. Source
-	// buckets arrive in time order and each lies wholly inside one
-	// window, so this is a single merge pass.
-	for _, bk := range src {
-		w := bk.Start - mod(bk.Start, q.Step)
-		if w < effFrom || w >= q.To {
-			continue
-		}
-		if n := len(out); n > 0 && out[n-1].Start == w {
-			out[n-1].mergeBucket(bk)
-		} else {
-			win := Bucket{Start: w}
-			win.mergeBucket(bk)
-			out = append(out, win)
-		}
-	}
-	return Series{Event: key.Event, Width: width, Buckets: out}, len(out) > 0
+// capture is what Query takes of one series under the shard read lock:
+// either immutable refs to the sealed blocks overlapping the range
+// plus a copy of the active block's bytes, or a copy of one rollup
+// level's buckets in range — nothing that grows with the samples
+// stored.
+type capture struct {
+	event  string
+	blocks []*block // raw path, time-ordered
+	n      int      // samples blocks hold: an upper bound on what a scan yields
+	src    []Bucket // rollup path
 }
 
-// snapshotBlocks captures, under the shard read lock, immutable refs to
-// the series' sealed blocks overlapping [from, to) and a copy of its
-// active block, and returns a scanner over them — decoding then
-// happens lock-free — with the sample count they hold, an upper bound
-// on what the scan yields. sealed is time-ordered: the first overlap
-// is binary-searched and the walk stops at the first block past to.
-func (s *Store) snapshotBlocks(sh *storeShard, key SeriesKey, from, to int64) (sc blockScan, n int) {
-	sc.from, sc.to = from, to
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	sr := sh.m[key]
-	if sr == nil {
-		return sc, 0
+// capture snapshots sr for [from, to): rollup level `level`, or the
+// raw blocks when level is negative. The caller holds the shard's read
+// lock. sealed is time-ordered: the first overlap is binary-searched
+// and the walk stops at the first block past to.
+func (sr *series) capture(level int, from, to int64) capture {
+	c := capture{event: sr.key.Event}
+	if level >= 0 {
+		c.src = sr.levels[level].snapshotRange(from, to)
+		return c
 	}
 	lo := sort.Search(len(sr.sealed), func(i int) bool { return sr.sealed[i].maxTS >= from })
 	hi := lo
 	for ; hi < len(sr.sealed) && sr.sealed[hi].minTS < to; hi++ {
-		n += sr.sealed[hi].n
+		c.n += sr.sealed[hi].n
 	}
-	sc.blocks = append(make([]*block, 0, hi-lo+1), sr.sealed[lo:hi]...)
+	c.blocks = append(make([]*block, 0, hi-lo+1), sr.sealed[lo:hi]...)
 	if a := sr.active; a != nil && a.n > 0 && a.maxTS >= from && a.minTS < to {
-		sc.blocks = append(sc.blocks, &block{
+		c.blocks = append(c.blocks, &block{
 			buf:   append([]byte(nil), a.buf...),
 			n:     a.n,
 			minTS: a.minTS,
 			maxTS: a.maxTS,
 		})
-		n += a.n
+		c.n += a.n
 	}
-	return sc, n
+	return c
+}
+
+// fold turns a capture into q's buckets, with no lock held; width is
+// the rollup width captured (0: raw blocks) and from and to are q's
+// range aligned to its step grid, as capture was given them.
+func (c *capture) fold(q Query, width, from, to int64) []Bucket {
+	if width > 0 {
+		// Fold grid-aligned source buckets into step windows. Source
+		// buckets arrive in time order and each lies wholly inside one
+		// window, so this is a single merge pass.
+		var out []Bucket
+		for _, bk := range c.src {
+			w := bk.Start - mod(bk.Start, q.Step)
+			if w < from || w >= q.To {
+				continue
+			}
+			if n := len(out); n > 0 && out[n-1].Start == w {
+				out[n-1].mergeBucket(bk)
+			} else {
+				win := Bucket{Start: w}
+				win.mergeBucket(bk)
+				out = append(out, win)
+			}
+		}
+		return out
+	}
+	sc := blockScan{blocks: c.blocks, from: from, to: to}
+	if q.Step <= 0 {
+		// Raw samples, no windowing: one bucket per sample, allocated
+		// once at the overlapping blocks' sample count.
+		out := make([]Bucket, 0, c.n)
+		for ts, v, ok := sc.next(); ok; ts, v, ok = sc.next() {
+			out = append(out, Bucket{Start: ts, Count: 1, Min: v, Max: v, Sum: v, Last: v})
+		}
+		return out
+	}
+	// No rollup divides the step: fold each raw sample into its window
+	// as it decodes. Samples arrive in time order, so only the last
+	// window is open and memory is O(windows).
+	var out []Bucket
+	var end int64 // exclusive end of the open window
+	for ts, v, ok := sc.next(); ok; ts, v, ok = sc.next() {
+		if len(out) == 0 || ts >= end {
+			w := ts - mod(ts, q.Step)
+			if end = w + q.Step; end < w { // the window runs past MaxInt64,
+				end = math.MaxInt64 // and every scanned ts is below to
+			}
+			out = append(out, Bucket{Start: w})
+		}
+		out[len(out)-1].merge(v)
+	}
+	return out
 }
 
 // mod is a floor modulo for window alignment that behaves for negative

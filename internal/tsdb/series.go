@@ -2,9 +2,13 @@ package tsdb
 
 // series holds one (session, event) stream: an active append block,
 // the time-ordered ring of sealed blocks behind it, and one rollupLevel
-// per configured resolution. All mutation happens under the owning
-// shard's lock; sealed blocks are immutable and safe to decode after
-// the lock is released.
+// per configured resolution. It lives in its session's entry
+// (sessionSeries, tsdb.go), beside the session's other series and
+// under the one shard lock that guards them all: a tick row is
+// appended to every series it touches, and a Query captures every
+// series it reads, under a single hold of that lock. Sealed blocks are
+// immutable — Remap replaces one, it never writes into it — and safe
+// to decode after the lock is released.
 type series struct {
 	key     SeriesKey
 	active  *block
@@ -124,8 +128,8 @@ func (sr *series) evictExpired(cutoff int64) (freed int64, events uint64) {
 }
 
 // blockScan streams the raw samples in [from, to) out of a series'
-// time-ordered blocks, one at a time. The blocks come from
-// snapshotBlocks, so no lock is held while decoding.
+// time-ordered blocks, one at a time. The blocks come from a capture
+// (query.go), so no lock is held while decoding.
 type blockScan struct {
 	blocks   []*block // still to be decoded
 	it       blockIter

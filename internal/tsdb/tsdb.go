@@ -14,10 +14,20 @@
 // O(points stored) raw samples. A fixed byte budget is enforced by
 // evicting the globally oldest sealed block (ring-buffer semantics),
 // and a retention age expires both raw blocks and rollup buckets.
+//
+// The unit of the store is the tick row, as the unit of the paper's
+// interface is the EventSet: the store is sharded by session, a
+// session's series live side by side in one entry sorted by event name
+// (the entry is the event index — there is no other), a row is
+// appended under one hold of its shard's lock and a Query captures
+// every series it answers from under one hold of the read lock. A
+// reply therefore holds all of a row or none of it, which is what a
+// metric derived from two counters needs.
 package tsdb
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,34 +112,50 @@ type Store struct {
 	// evictMu serializes budget-eviction scans so concurrent appenders
 	// don't stampede the same candidate.
 	evictMu sync.Mutex
-
-	// sessMu guards sessions, the per-session sorted event-name index.
-	// Before it existed, answering "which events does session N have
-	// history for" meant taking every shard lock exclusively and
-	// sorting — the scan every filterless QUERY paid, and the lock
-	// papid's parallel queriers serialized on. Slices are copy-on-write
-	// so a reader may keep a returned slice after the lock drops.
-	// sessMu is a leaf lock: it is taken (briefly) while a shard lock
-	// is held at series creation, and never the other way around.
-	sessMu   sync.RWMutex
-	sessions map[uint64][]string
 }
 
+// storeShard holds the sessions that hash onto it. mu guards m, every
+// entry in it and every series of those entries.
 type storeShard struct {
 	mu sync.RWMutex
-	m  map[SeriesKey]*series
+	m  map[uint64]*sessionSeries
+}
+
+// sessionSeries is one session's entry: its series, sorted by event
+// name. An entry is never empty — it is made for its first series and
+// leaves the map with its last.
+type sessionSeries struct {
+	series []*series
+}
+
+// find returns where event's series is, or would be inserted, in e.
+func (e *sessionSeries) find(event string) (int, bool) {
+	return slices.BinarySearchFunc(e.series, event, func(sr *series, event string) int {
+		return strings.Compare(sr.key.Event, event)
+	})
+}
+
+// lookup returns the key's series, or nil when the store holds none.
+// The caller holds sh.mu.
+func (sh *storeShard) lookup(key SeriesKey) *series {
+	if e := sh.m[key.Session]; e != nil {
+		if i, found := e.find(key.Event); found {
+			return e.series[i]
+		}
+	}
+	return nil
 }
 
 // New builds a Store.
 func New(cfg Config) *Store {
 	cfg.fill()
-	s := &Store{cfg: cfg, sessions: make(map[uint64][]string)}
+	s := &Store{cfg: cfg}
 	s.widths = make([]int64, len(cfg.Rollups))
 	for i, d := range cfg.Rollups {
 		s.widths[i] = d.Microseconds()
 	}
 	for i := range s.shards {
-		s.shards[i].m = make(map[SeriesKey]*series)
+		s.shards[i].m = make(map[uint64]*sessionSeries)
 	}
 	if reg := cfg.Registry; reg != nil {
 		s.appendLat = reg.NewLatencyHistogram(telemetry.Opts{
@@ -146,13 +172,7 @@ func New(cfg Config) *Store {
 		})
 		reg.NewGaugeFunc(telemetry.Opts{Name: "papid_tsdb_series",
 			Help: "Live history series."}, func() float64 {
-			n := 0
-			for i := range s.shards {
-				s.shards[i].mu.RLock()
-				n += len(s.shards[i].m)
-				s.shards[i].mu.RUnlock()
-			}
-			return float64(n)
+			return float64(s.Stats().Series)
 		})
 		reg.NewCounterFunc(telemetry.Opts{Name: "papid_tsdb_samples_total",
 			Help: "Samples ever appended to the history store."}, func() uint64 {
@@ -166,60 +186,41 @@ func New(cfg Config) *Store {
 	return s
 }
 
-// shardIndex hashes a series key onto one of the storeShards.
-func shardIndex(key SeriesKey) uint8 {
-	h := key.Session*0x9e3779b97f4a7c15 + 1
-	for i := 0; i < len(key.Event); i++ {
-		h = (h ^ uint64(key.Event[i])) * 0x100000001b3
-	}
-	return uint8((h >> 32) % storeShards)
+// shardFor returns the shard that holds every series of the session.
+func (s *Store) shardFor(session uint64) *storeShard {
+	return &s.shards[(session*0x9e3779b97f4a7c15)>>32%storeShards]
 }
 
-func (s *Store) shardFor(key SeriesKey) *storeShard {
-	return &s.shards[shardIndex(key)]
+// entryFor returns the session's entry, creating it on first use; the
+// caller holds sh.mu and goes on to seriesFor, so no empty entry is
+// left behind.
+func (sh *storeShard) entryFor(session uint64) *sessionSeries {
+	e := sh.m[session]
+	if e == nil {
+		e = &sessionSeries{}
+		sh.m[session] = e
+	}
+	return e
 }
 
-// appendLocked is the per-sample core; the caller holds sh.mu. It
-// returns the budget delta and the retention-eviction event count so
-// AppendBatchSeq folds the atomics once per batch, and collects any
-// block this sample sealed into seals — the caller fires the storage
-// hook after releasing the lock.
-func (s *Store) appendLocked(sh *storeShard, key SeriesKey, ts, v int64, seq uint64, seals *[]SealedBlock) (delta int64, evicted uint64) {
-	sr := s.seriesFor(sh, key)
-	d, sealed := sr.append(ts, v, s.cfg.BlockSamples, seq)
-	delta = d
-	if sealed != nil {
-		*seals = append(*seals, sealedBlockOf(key, sealed, sr.lastSeq))
-	}
-	if s.cfg.MaxAge > 0 {
-		freed, events := sr.evictExpired(ts - s.cfg.MaxAge.Microseconds())
-		delta -= freed
-		evicted = events
-	}
-	return delta, evicted
-}
-
-// seriesFor returns the key's series, creating it on first use and
-// charging its fixed footprint (the levels' in-progress buckets), so
-// the running total always equals a recount of series.bytes(). The
-// caller holds sh.mu.
-func (s *Store) seriesFor(sh *storeShard, key SeriesKey) *series {
-	sr := sh.m[key]
-	if sr == nil {
-		sr = newSeries(key, s.widths)
-		sh.m[key] = sr
-		s.indexAdd(key)
+// seriesFor returns the key's series in its session's entry e,
+// creating it on first use and charging its fixed footprint (the
+// levels' in-progress buckets), so the running total always equals a
+// recount of series.bytes(). The caller holds the shard's lock.
+func (s *Store) seriesFor(e *sessionSeries, key SeriesKey) *series {
+	i, found := e.find(key.Event)
+	if !found {
+		sr := newSeries(key, s.widths)
+		e.series = slices.Insert(e.series, i, sr)
 		s.bytes.Add(sr.bytes())
 	}
-	return sr
+	return e.series[i]
 }
 
 // AppendBatch records one timestamp's values for several events of one
-// session, taking each touched shard's lock exactly once instead of
-// once per (session, event) — papid appends every session's whole row
-// through here, so with E events per session the lock traffic drops
-// E-fold. The batch is equivalent to E one-event batches at the same
-// timestamp, in order.
+// session — papid appends every session's whole row through here. The
+// batch is equivalent to E one-event batches at the same timestamp, in
+// order, except that no Query sees part of it.
 func (s *Store) AppendBatch(session uint64, ts int64, events []string, vals []int64) {
 	s.AppendBatchSeq(session, ts, events, vals, 0)
 }
@@ -235,44 +236,32 @@ func (s *Store) AppendBatchSeq(session uint64, ts int64, events []string, vals [
 	if n == 0 {
 		return
 	}
-	if n > 64 {
-		// The grouping bitmap below covers 64 events; a wider row (papid
-		// sessions hold a handful) goes in as chunks of at most 64.
-		s.AppendBatchSeq(session, ts, events[:64], vals[:64], seq)
-		s.AppendBatchSeq(session, ts, events[64:n], vals[64:n], seq)
-		return
-	}
 	if s.appendLat != nil {
 		// One observation per batch call, not per sample: the
 		// histogram answers "what does a tick row cost", matching how
 		// papid calls in here.
 		defer func(t0 time.Time) { s.appendLat.Observe(telemetry.Since(t0)) }(time.Now())
 	}
-	var shards [64]uint8
-	for i := 0; i < n; i++ {
-		shards[i] = shardIndex(SeriesKey{Session: session, Event: events[i]})
-	}
 	var delta int64
 	var evicted uint64
-	var done uint64
 	var seals []SealedBlock
+	sh := s.shardFor(session)
+	sh.mu.Lock()
+	e := sh.entryFor(session)
 	for i := 0; i < n; i++ {
-		if done&(1<<i) != 0 {
-			continue
+		sr := s.seriesFor(e, SeriesKey{Session: session, Event: events[i]})
+		d, sealed := sr.append(ts, vals[i], s.cfg.BlockSamples, seq)
+		delta += d
+		if sealed != nil {
+			seals = append(seals, sealedBlockOf(sr.key, sealed, sr.lastSeq))
 		}
-		sh := &s.shards[shards[i]]
-		sh.mu.Lock()
-		for j := i; j < n; j++ {
-			if done&(1<<j) != 0 || shards[j] != shards[i] {
-				continue
-			}
-			done |= 1 << j
-			d, ev := s.appendLocked(sh, SeriesKey{Session: session, Event: events[j]}, ts, vals[j], seq, &seals)
-			delta += d
-			evicted += ev
+		if s.cfg.MaxAge > 0 {
+			freed, dropped := sr.evictExpired(ts - s.cfg.MaxAge.Microseconds())
+			delta -= freed
+			evicted += dropped
 		}
-		sh.mu.Unlock()
 	}
+	sh.mu.Unlock()
 	s.samples.Add(uint64(n))
 	if evicted > 0 {
 		s.evictions.Add(evicted)
@@ -285,44 +274,6 @@ func (s *Store) AppendBatchSeq(session uint64, ts int64, events []string, vals [
 	}
 }
 
-// indexAdd records a freshly created series in the session event
-// index. Copy-on-write: the slice a concurrent sessionEvents reader
-// already holds is never mutated.
-func (s *Store) indexAdd(key SeriesKey) {
-	s.sessMu.Lock()
-	names := s.sessions[key.Session]
-	if i, found := slices.BinarySearch(names, key.Event); !found {
-		grown := make([]string, 0, len(names)+1)
-		grown = append(grown, names[:i]...)
-		grown = append(grown, key.Event)
-		grown = append(grown, names[i:]...)
-		s.sessions[key.Session] = grown
-	}
-	s.sessMu.Unlock()
-}
-
-// indexRemove drops fully-expired series from the session event index
-// (the counterpart of Sweep's series deletion).
-func (s *Store) indexRemove(keys []SeriesKey) {
-	s.sessMu.Lock()
-	for _, key := range keys {
-		names := s.sessions[key.Session]
-		i, found := slices.BinarySearch(names, key.Event)
-		if !found {
-			continue
-		}
-		if len(names) == 1 {
-			delete(s.sessions, key.Session)
-			continue
-		}
-		pruned := make([]string, 0, len(names)-1)
-		pruned = append(pruned, names[:i]...)
-		pruned = append(pruned, names[i+1:]...)
-		s.sessions[key.Session] = pruned
-	}
-	s.sessMu.Unlock()
-}
-
 // evictToBudget drops globally-oldest sealed blocks until the store is
 // back under MaxBytes. If no sealed block exists anywhere (pathological
 // budgets), the oldest series' active block is sealed and dropped so
@@ -331,73 +282,71 @@ func (s *Store) evictToBudget() {
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
 	for s.bytes.Load() > s.cfg.MaxBytes {
-		var (
-			victimShard *storeShard
-			victimKey   SeriesKey
-			oldest      int64
-			found       bool
-		)
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.RLock()
-			for key, sr := range sh.m {
-				if ts, ok := sr.oldestSealedTS(); ok && (!found || ts < oldest) {
-					victimShard, victimKey, oldest, found = sh, key, ts, true
-				}
-			}
-			sh.mu.RUnlock()
-		}
+		key, found := s.oldest((*series).oldestSealedTS)
 		if !found {
 			if !s.sealOldestActive() {
 				return // nothing evictable; give up rather than spin
 			}
 			continue
 		}
-		victimShard.mu.Lock()
-		if sr := victimShard.m[victimKey]; sr != nil {
+		sh := s.shardFor(key.Session)
+		sh.mu.Lock()
+		if sr := sh.lookup(key); sr != nil {
 			if freed := sr.evictOldestSealed(); freed > 0 {
 				s.bytes.Add(-freed)
 				s.evictions.Add(1)
 			}
 		}
-		victimShard.mu.Unlock()
+		sh.mu.Unlock()
 	}
+}
+
+// oldest walks every series under the shards' read locks and names the
+// one with the smallest age(sr), skipping those age reports !ok for.
+// The series may be gone by the time the caller locks its shard to act
+// on it, hence a key and not a pointer.
+func (s *Store) oldest(age func(*series) (int64, bool)) (key SeriesKey, found bool) {
+	var oldest int64
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, e := range sh.m {
+			for _, sr := range e.series {
+				if ts, ok := age(sr); ok && (!found || ts < oldest) {
+					key, oldest, found = sr.key, ts, true
+				}
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return key, found
 }
 
 // sealOldestActive force-seals the active block of the series with the
 // oldest data so evictToBudget has a victim. Reports whether anything
 // was sealed.
 func (s *Store) sealOldestActive() bool {
-	var (
-		victimShard *storeShard
-		victimKey   SeriesKey
-		oldest      int64
-		found       bool
-	)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for key, sr := range sh.m {
-			if sr.active != nil && sr.active.n > 0 && (!found || sr.active.minTS < oldest) {
-				victimShard, victimKey, oldest, found = sh, key, sr.active.minTS, true
-			}
+	key, found := s.oldest(func(sr *series) (int64, bool) {
+		if sr.active == nil || sr.active.n == 0 {
+			return 0, false
 		}
-		sh.mu.RUnlock()
-	}
+		return sr.active.minTS, true
+	})
 	if !found {
 		return false
 	}
-	victimShard.mu.Lock()
-	sr := victimShard.m[victimKey]
+	sh := s.shardFor(key.Session)
+	sh.mu.Lock()
+	sr := sh.lookup(key)
 	if sr == nil || sr.active == nil || sr.active.n == 0 {
-		victimShard.mu.Unlock()
+		sh.mu.Unlock()
 		return false
 	}
 	sealed := sr.active
 	sr.sealed = append(sr.sealed, sealed)
 	sr.active = nil
-	sb := sealedBlockOf(victimKey, sealed, sr.lastSeq)
-	victimShard.mu.Unlock()
+	sb := sealedBlockOf(key, sealed, sr.lastSeq)
+	sh.mu.Unlock()
 	s.fireSeals([]SealedBlock{sb})
 	return true
 }
@@ -417,36 +366,42 @@ func (s *Store) Sweep(now int64) (evicted int64) {
 		var seals []SealedBlock
 		var dropped []SeriesKey
 		sh.mu.Lock()
-		for key, sr := range sh.m {
-			if sr.active != nil && sr.active.maxTS < cutoff {
-				// A finished session stops appending, so its last
-				// partial block would otherwise never seal or expire.
-				sealed := sr.active
-				sr.sealed = append(sr.sealed, sealed)
-				sr.active = nil
-				seals = append(seals, sealedBlockOf(key, sealed, sr.lastSeq))
-			}
-			freed, events := sr.evictExpired(cutoff)
-			s.bytes.Add(-freed)
-			s.evictions.Add(events)
-			evicted += int64(events)
-			if sr.lastTS < cutoff && sr.active == nil && len(sr.sealed) == 0 {
-				// Fully expired: drop the series itself. A series that
-				// only ever held installed rollup buckets (its raw blocks
-				// were compacted away) has no samples and goes the same
-				// way.
+		for session, e := range sh.m {
+			kept := e.series[:0]
+			for _, sr := range e.series {
+				if sr.active != nil && sr.active.maxTS < cutoff {
+					// A finished session stops appending, so its last
+					// partial block would otherwise never seal or expire.
+					sealed := sr.active
+					sr.sealed = append(sr.sealed, sealed)
+					sr.active = nil
+					seals = append(seals, sealedBlockOf(sr.key, sealed, sr.lastSeq))
+				}
+				freed, events := sr.evictExpired(cutoff)
+				s.bytes.Add(-freed)
+				s.evictions.Add(events)
+				evicted += int64(events)
+				if sr.lastTS >= cutoff || sr.active != nil || len(sr.sealed) > 0 {
+					kept = append(kept, sr)
+					continue
+				}
+				// Fully expired: the series leaves its entry here, under
+				// the lock that decided it. A series that only ever held
+				// installed rollup buckets (its raw blocks were compacted
+				// away) has no samples and goes the same way.
 				s.bytes.Add(-sr.bytes())
-				delete(sh.m, key)
-				dropped = append(dropped, key)
+				dropped = append(dropped, sr.key)
+			}
+			clear(e.series[len(kept):])
+			e.series = kept
+			if len(kept) == 0 {
+				delete(sh.m, session)
 			}
 		}
 		sh.mu.Unlock()
 		s.fireSeals(seals)
-		if len(dropped) > 0 {
-			s.indexRemove(dropped)
-			if s.cfg.Storage != nil {
-				s.cfg.Storage.OnDropSeries(dropped)
-			}
+		if len(dropped) > 0 && s.cfg.Storage != nil {
+			s.cfg.Storage.OnDropSeries(dropped)
 		}
 	}
 	return evicted
@@ -456,9 +411,12 @@ func (s *Store) Sweep(now int64) (evicted int64) {
 func (s *Store) Stats() Stats {
 	n := 0
 	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		n += len(s.shards[i].m)
-		s.shards[i].mu.RUnlock()
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, e := range sh.m {
+			n += len(e.series)
+		}
+		sh.mu.RUnlock()
 	}
 	return Stats{
 		Bytes:     s.bytes.Load(),

@@ -1,11 +1,15 @@
 package tsdb
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 type sample struct{ ts, v int64 }
@@ -319,13 +323,116 @@ func TestConcurrentAppendQuery(t *testing.T) {
 	}
 }
 
+// TestQuerySeesWholeRows: a row is appended, and a reply captured,
+// under one hold of the session's shard lock, so whatever a Query
+// returns while rows are landing — raw samples, windows folded from
+// raw samples, windows folded from rollup buckets — every event of the
+// session has the same number of samples in it and ends in the same
+// bucket. Every event of a row carries the same value, so equal
+// buckets mean the same rows.
+func TestQuerySeesWholeRows(t *testing.T) {
+	st := New(Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: 64,
+		Rollups: []time.Duration{time.Millisecond}})
+	row := make([]int64, len(benchEvents))
+	st.AppendBatch(1, 0, benchEvents, row)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(1); i <= 20_000; i++ {
+			for e := range row {
+				row[e] = i * i
+			}
+			st.AppendBatch(1, i*100, benchEvents, row) // ten rows per millisecond
+		}
+	}()
+	tally := func(sr Series) (samples uint64, last Bucket) {
+		for _, bk := range sr.Buckets {
+			samples += bk.Count
+		}
+		return samples, sr.Buckets[len(sr.Buckets)-1]
+	}
+	steps := []int64{0, 700, 1000} // raw, raw fold, rollup fold
+	var from int64
+	for n := 0; ; n++ {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		q := Query{From: from, To: math.MaxInt64, Step: steps[n%len(steps)]}
+		res := st.Query(1, q)
+		if len(res) != len(benchEvents) {
+			t.Fatalf("reply %d %+v: %d series, want %d", n, q, len(res), len(benchEvents))
+		}
+		samples, last := tally(res[0])
+		for _, sr := range res[1:] {
+			if s, l := tally(sr); s != samples || l != last {
+				t.Fatalf("reply %d %+v holds part of a row: %s has %d samples ending %+v, %s has %d ending %+v",
+					n, q, res[0].Event, samples, last, sr.Event, s, l)
+			}
+		}
+		from = max(0, last.Start-7_000) // keep the replies short and the querier fast
+	}
+}
+
+// TestRemapWhileScanning: a sealed block is immutable, so remapping —
+// which the storage layer does whenever a segment file finalizes — may
+// run while queries decode the series with no lock held. Run under
+// -race, this is the gate: Remap must put the mapped bytes in a new
+// block, never assign into one a scan may hold.
+func TestRemapWhileScanning(t *testing.T) {
+	hook := &hookRecorder{}
+	st := New(Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: 8, Storage: hook})
+	key := SeriesKey{Session: 1, Event: "E"}
+	for _, s := range genCounter(8*512+3, 1000, 7) {
+		st.Append(key.Session, key.Event, s.ts, s.v)
+	}
+	if len(hook.sealed) != 512 {
+		t.Fatalf("%d blocks sealed, want 512", len(hook.sealed))
+	}
+	q := Query{From: 0, To: math.MaxInt64}
+	want := st.Query(key.Session, q)[0].Buckets
+
+	scanning, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if res := st.Query(key.Session, q); len(res) != 1 || !slices.Equal(res[0].Buckets, want) {
+				t.Error("a query racing Remap did not return the series' samples")
+				return
+			}
+			if n == 0 {
+				close(scanning)
+			}
+		}
+	}()
+	<-scanning
+	for _, sb := range hook.sealed {
+		if !st.Remap(key, sb.MinTS, sb.N, bytes.Clone(sb.Buf)) {
+			t.Errorf("Remap refused the sealed block at %d", sb.MinTS)
+		}
+	}
+	close(stop)
+	<-done
+	if got, want := st.Stats().Bytes, recountBytes(st); got != want {
+		t.Errorf("after remapping: running total %d, recount %d", got, want)
+	}
+	if st.Remap(key, hook.sealed[0].MinTS, hook.sealed[0].N, hook.sealed[0].Buf) {
+		t.Error("Remap re-matched an already-mapped block")
+	}
+}
+
 // TestAppendBatchEquivalence: a batched row must leave the store in
 // exactly the state E sequential Appends would — same query results,
-// same sample/byte accounting — including rows whose events collide
-// into one shard and rows wider than the grouping bitmap.
+// same sample/byte accounting — at any row width.
 func TestAppendBatchEquivalence(t *testing.T) {
 	const sessions, ticks = 3, 400
-	events := make([]string, 70) // > 64 forces the wide-row fallback too
+	events := make([]string, 70)
 	for i := range events {
 		events[i] = fmt.Sprintf("PAPI_EV_%02d", i)
 	}
@@ -545,12 +652,30 @@ func recountBytes(st *Store) int64 {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
-		for _, sr := range sh.m {
-			n += sr.bytes()
+		for _, e := range sh.m {
+			for _, sr := range e.series {
+				n += sr.bytes()
+			}
 		}
 		sh.mu.RUnlock()
 	}
 	return n
+}
+
+// oldestUnpersisted returns the key's oldest sealed block no storage
+// layer has vouched for, or nil.
+func oldestUnpersisted(st *Store, key SeriesKey) *block {
+	sh := st.shardFor(key.Session)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if sr := sh.lookup(key); sr != nil {
+		for _, b := range sr.sealed {
+			if !b.persisted {
+				return b
+			}
+		}
+	}
+	return nil
 }
 
 // TestBudgetRunningTotalMatchesRecount: the store keeps its byte total
@@ -569,6 +694,7 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 		}
 	}
 	var ts int64
+	var compacted int
 	row := make([]int64, len(events))
 	for i := 0; i < 30_000; i++ {
 		ts += 500 + rng.Int63n(2_000)
@@ -595,8 +721,16 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 				[]Bucket{{Start: ts - mod(ts, st.widths[0]), Count: 1}})
 			check("InstallRollup", i)
 		case 4:
-			st.DropSealedOlder(ts - 500_000)
-			check("DropSealedOlder", i)
+			// Compaction's eviction, per-series cutoffs: a replay-installed
+			// series (persisted by construction) and an appended one, whose
+			// sealed blocks go only as far as MarkPersisted has vouched.
+			inst := SeriesKey{Session: 50 + sess, Event: "R"}
+			app := SeriesKey{Session: sess, Event: events[rng.Intn(len(events))]}
+			if b := oldestUnpersisted(st, app); b != nil && rng.Intn(2) == 0 {
+				st.MarkPersisted(app, b.minTS, b.n)
+			}
+			compacted += st.DropSealedUpTo(map[SeriesKey]int64{inst: ts - 500_000, app: ts - 500_000})
+			check("DropSealedUpTo", i)
 		case 5:
 			st.Append(sess, events[0], ts, row[0])
 			check("Append", i)
@@ -615,8 +749,9 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 			check("AppendBatch", i)
 		}
 	}
-	if st.Stats().Evictions == 0 {
-		t.Error("the schedule never evicted; it no longer exercises the eviction deltas")
+	if st.Stats().Evictions == 0 || compacted == 0 {
+		t.Errorf("the schedule made %d evictions and dropped %d compacted blocks; it no longer exercises the eviction deltas",
+			st.Stats().Evictions, compacted)
 	}
 	st.Sweep(ts + time.Hour.Microseconds())
 	check("final Sweep", -1)
@@ -625,21 +760,73 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 	}
 }
 
-// dropRecorder is a Storage that remembers which series the store
-// reported as dropped.
-type dropRecorder struct{ dropped []SeriesKey }
+// hookRecorder is a Storage that remembers the blocks the store sealed
+// and the series it reported as dropped.
+type hookRecorder struct {
+	sealed  []SealedBlock
+	dropped []SeriesKey
+}
 
-func (*dropRecorder) OnSeal([]SealedBlock)            {}
-func (d *dropRecorder) OnDropSeries(keys []SeriesKey) { d.dropped = append(d.dropped, keys...) }
+func (h *hookRecorder) OnSeal(blocks []SealedBlock)   { h.sealed = append(h.sealed, blocks...) }
+func (h *hookRecorder) OnDropSeries(keys []SeriesKey) { h.dropped = append(h.dropped, keys...) }
+
+// TestSweepThenRecreate: the session's entry is the event index, so
+// Events, a filterless Query, Stats().Series and the papid_tsdb_series
+// gauge cannot disagree — after a session expires entirely, after it
+// appends again, after only some of its series expire — and an entry
+// leaves the shard map with its last series: a session ever seen must
+// not cost memory forever.
+func TestSweepThenRecreate(t *testing.T) {
+	const minute = int64(time.Minute / time.Microsecond)
+	reg := telemetry.NewRegistry()
+	st := New(Config{MaxBytes: 1 << 30, MaxAge: time.Minute, Registry: reg})
+	agree := func(step string, want ...string) {
+		t.Helper()
+		var listed []string
+		for _, sr := range st.Query(5, Query{From: 0, To: math.MaxInt64}) {
+			listed = append(listed, sr.Event)
+		}
+		entries := 0
+		for i := range st.shards {
+			entries += len(st.shards[i].m)
+		}
+		gauge := -1.0
+		for _, m := range reg.MetricsJSON() {
+			if m.Name == "papid_tsdb_series" {
+				gauge = m.Value
+			}
+		}
+		if ev := st.Events(5); !slices.Equal(ev, want) || !slices.Equal(listed, want) ||
+			st.Stats().Series != len(want) || gauge != float64(len(want)) || entries != min(len(want), 1) {
+			t.Fatalf("%s: want %v; Events %v, Query lists %v, Stats().Series %d, papid_tsdb_series %v, %d session entries",
+				step, want, ev, listed, st.Stats().Series, gauge, entries)
+		}
+	}
+	agree("empty store")
+	st.AppendBatch(5, 1, []string{"B", "A"}, []int64{1, 2})
+	agree("first rows", "A", "B")
+	st.Sweep(3 * minute)
+	agree("session expired")
+	st.AppendBatch(5, 3*minute, []string{"C", "B"}, []int64{3, 4})
+	agree("session appends again", "B", "C")
+	st.AppendBatch(5, 5*minute, []string{"C"}, []int64{5})
+	st.Sweep(5 * minute)
+	agree("one series expired", "C")
+	st.Sweep(7 * minute)
+	agree("session expired again")
+	if got := st.Stats().Bytes; got != 0 {
+		t.Errorf("an empty store charges %d bytes", got)
+	}
+}
 
 // TestSweepDropsRollupOnlySeries: a series holding only installed
 // rollup buckets — what replay builds for a series whose raw blocks
 // compaction folded away — expires like any other: Sweep takes it out
-// of the shard map, the session event index and the byte charge, and
-// tells the storage layer once. A run of a width the store does not
+// of its session's entry and the byte charge, and tells the storage
+// layer once. A run of a width the store does not
 // keep is refused before any series is created for it.
 func TestSweepDropsRollupOnlySeries(t *testing.T) {
-	hook := &dropRecorder{}
+	hook := &hookRecorder{}
 	st := New(Config{MaxBytes: 1 << 30, MaxAge: time.Minute, Storage: hook})
 	empty := st.Stats()
 	key, w := SeriesKey{Session: 7, Event: "E"}, st.widths[0]

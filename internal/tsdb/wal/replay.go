@@ -121,6 +121,9 @@ func (l *Log) Start(store *tsdb.Store) (ReplayStats, error) {
 	return rs, nil
 }
 
+// stateFor returns the key's replay bookkeeping, creating it on first
+// use. The caller holds stateMu — or is Start's replay, which runs
+// before anything else can reach the log.
 func (l *Log) stateFor(key tsdb.SeriesKey) *seriesState {
 	st := l.state[key]
 	if st == nil {

@@ -453,7 +453,7 @@ func (l *Log) AppendRowsTraced(rows []Row, t *tracing.Trace) error {
 				}
 			}
 		}
-		l.noteRows(r.Session, r.TS, events, seq)
+		l.noteRows(r.Session, events, seq)
 		l.store.AppendBatchSeq(r.Session, r.TS, events, vals, seq)
 	}
 	if t != nil {
@@ -476,22 +476,16 @@ func (l *Log) AppendRowsTraced(rows []Row, t *tracing.Trace) error {
 }
 
 // noteRows updates per-series pins before the store append.
-func (l *Log) noteRows(session uint64, ts int64, events []string, seq uint64) {
+func (l *Log) noteRows(session uint64, events []string, seq uint64) {
 	l.stateMu.Lock()
 	for _, ev := range events {
-		key := tsdb.SeriesKey{Session: session, Event: ev}
-		st := l.state[key]
-		if st == nil {
-			st = &seriesState{}
-			l.state[key] = st
-		}
+		st := l.stateFor(tsdb.SeriesKey{Session: session, Event: ev})
 		st.lastRow = seq
 		if st.pinned == 0 {
 			st.pinned = seq
 		}
 	}
 	l.stateMu.Unlock()
-	_ = ts
 }
 
 // maxPending bounds the segment-write retry queue. Beyond it, newly
@@ -557,11 +551,7 @@ func (l *Log) OnSeal(blocks []tsdb.SealedBlock) {
 
 	l.stateMu.Lock()
 	for _, sb := range written {
-		st := l.state[sb.Key]
-		if st == nil {
-			st = &seriesState{}
-			l.state[sb.Key] = st
-		}
+		st := l.stateFor(sb.Key)
 		if sb.LastSeq > st.sealedThrough {
 			st.sealedThrough = sb.LastSeq
 		}

@@ -7,13 +7,14 @@
 # allocs/op so allocation regressions on the serving path are tracked
 # alongside latency.
 #
-# `tools/bench.sh compare` runs the server and simulator benchmarks
-# against the committed BENCH_server.json and BENCH_hwsim.json instead
-# of overwriting them: a fresh measurement goes to a temp file and
-# `benchjson -diff` gates on the serving-path, tick and simulator
-# benchmarks, failing when any gated ns/op regressed more than 25%
-# against the baseline. Use it before regenerating baselines so a
-# regression is a loud diff, not a silently re-baselined number.
+# `tools/bench.sh compare` runs the server, simulator and store
+# benchmarks against the committed BENCH_server.json, BENCH_hwsim.json
+# and BENCH_tsdb.json instead of overwriting them: a fresh measurement
+# goes to a temp file and `benchjson -diff` gates on the serving-path,
+# tick, simulator, row-append and history-query benchmarks, failing
+# when any gated ns/op regressed more than 25% against the baseline.
+# Use it before regenerating baselines so a regression is a loud diff,
+# not a silently re-baselined number.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -31,6 +32,9 @@ if [ "${1:-}" = "compare" ]; then
     go run ./cmd/benchjson -benchmem -out "$tmp" -bench "$hwsim_bench" .
     go run ./cmd/benchjson -diff -gate 'Simulated' -max-regress 25 \
         BENCH_hwsim.json "$tmp"
+    go run ./cmd/benchjson -benchmem -out "$tmp" -bench 'TSDB' ./internal/tsdb
+    go run ./cmd/benchjson -diff -gate 'TSDBAppendBatch/batched|TSDBQuery' -max-regress 25 \
+        BENCH_tsdb.json "$tmp"
     exit 0
 fi
 go run ./cmd/benchjson -benchmem -out BENCH_tsdb.json -bench 'TSDB' ./internal/tsdb

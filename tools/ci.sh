@@ -37,6 +37,17 @@ go test -run='^$' -fuzz='^FuzzIterBlock$' -fuzztime=5s ./internal/tsdb
 # disk: a segment's records and footer index, and a WAL row record.
 go test -run='^$' -fuzz='^FuzzLoadSegment$' -fuzztime=5s ./internal/tsdb/wal
 go test -run='^$' -fuzz='^FuzzDecodeRow$' -fuzztime=5s ./internal/tsdb/wal
+# And for the parsers that read what a peer sent: the JSON and binary
+# request/response decoders, resync after a fault-injected stream, and
+# the binary codec's round trip.
+for target in FuzzDecode FuzzFaultnetResync FuzzBinaryDecode FuzzBinaryRoundTrip; do
+    go test -run='^$' -fuzz="^$target\$" -fuzztime=5s ./internal/wire
+done
+# The store's two reader-against-writer gates again, many times over:
+# a QUERY racing appends must never return part of a tick row, and one
+# racing Remap must never see a sealed block change under it. Both are
+# interleaving-dependent, so one pass in the suite above is thin.
+go test -race -count=20 -run '^(TestQuerySeesWholeRows|TestRemapWhileScanning)$' ./internal/tsdb
 # Server benches once with -benchmem: the encode-once fan-out's
 # allocation profile is a correctness property here — this catches a
 # reintroduced per-subscriber serialization as an allocs/op jump even
