@@ -63,7 +63,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:6117", "listen address")
 	platform := flag.String("platform", papi.PlatformLinuxX86, "default platform for sessions that do not name one")
 	shards := flag.Int("shards", 16, "session-registry shard count")
-	cacheSize := flag.Int("cache", 256, "allocation-cache entries")
 	tick := flag.Duration("tick", 50*time.Millisecond, "snapshot fan-out interval")
 	queue := flag.Int("queue", 0, "deprecated: the per-subscriber queue is gone (one queue per connection remains); the value is added to -write-queue so a two-queue command line keeps the buffering it asked for")
 	tickWorkers := flag.Int("tick-workers", 0, "parallel tick sweep width; 0 picks min(GOMAXPROCS, shards), 1 runs the serial pipeline")
@@ -135,7 +134,6 @@ func main() {
 		Groups:          splitList(*groups),
 		DeriveRules:     splitList(*deriveRules),
 		Shards:          *shards,
-		CacheSize:       *cacheSize,
 		TickInterval:    *tick,
 		TickWorkers:     *tickWorkers,
 		KeyframeEvery:   *keyframeEvery,
@@ -182,22 +180,22 @@ func main() {
 		os.Exit(1)
 	}
 	st := srv.Stats()
-	log.Printf("papid: %d ticks (%d skipped), %d snapshots sent (%d dropped), alloc cache %.0f%% hits",
-		st.Ticks, st.TicksSkipped, st.SnapshotsSent, st.SnapshotsDropped, 100*st.CacheHitRate())
+	log.Printf("papid: %d ticks (%d skipped), %d snapshots sent (%d dropped)",
+		st["ticks"], st["ticks_skipped"], st["snapshots_sent"], st["snapshots_dropped"])
 	log.Printf("papid: %d evictions (%d deadline trips), %d resyncs",
-		st.Evictions, st.DeadlineTrips, st.Resyncs)
+		st["evictions"], st["deadline_trips"], st["resyncs"])
 	log.Printf("papid: %d keyframes, %d deltas sent (%d dropped), %d derived sent (%d dropped), %d encode failures",
-		st.Keyframes, st.DeltasSent, st.DeltasDropped, st.DerivedSent, st.DerivedDropped, st.EncodeFailures)
+		st["keyframes_sent"], st["deltas_sent"], st["deltas_dropped"], st["derived_sent"], st["derived_dropped"], st["encode_failures"])
 	log.Printf("papid: wire json %d frames / %d bytes, binary %d frames / %d bytes",
-		st.FramesSentJSON, st.BytesSentJSON, st.FramesSentBinary, st.BytesSentBinary)
+		st["frames_sent_json"], st["bytes_sent_json"], st["frames_sent_binary"], st["bytes_sent_binary"])
 	log.Printf("papid: tsdb %d bytes across %d series, %d samples, %d evictions",
-		st.TSDB.Bytes, st.TSDB.Series, st.TSDB.Samples, st.TSDB.Evictions)
-	if st.Durable {
+		st["tsdb_bytes"], st["tsdb_series"], st["tsdb_samples"], st["tsdb_evictions"])
+	if *dataDir != "" {
 		// The WAL closed inside Shutdown, before this report: the active
 		// segment is sealed and the clean marker written by now.
 		log.Printf("papid: wal %d rows, %d sealed blocks, %d fsyncs, %d segments, %d bytes on disk, %d compactions",
-			st.WAL.Rows, st.WAL.SealedBlocks, st.WAL.Fsyncs, st.WAL.Segments,
-			st.WAL.DiskBytes, st.WAL.Compactions)
+			st["wal_rows"], st["wal_sealed_blocks"], st["wal_fsyncs"], st["wal_segments"],
+			st["wal_disk_bytes"], st["wal_compactions"])
 	}
 	if table := telemetry.FormatSummaryTable(srv.Telemetry().Summaries(), nil); table != "" {
 		log.Printf("papid: latency quantiles:\n%s", strings.TrimRight(table, "\n"))

@@ -148,9 +148,8 @@ func TestServePublishes(t *testing.T) {
 	if err := run("aix-power3", "PAPI_FP_OPS,PAPI_TOT_CYC", "dot", 8, 1, false, addr.String(), "papirun", 10*time.Second, true, true); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
-	if st.TSDB.Samples != 2 {
-		t.Errorf("published snapshot recorded %d tsdb samples, want 2", st.TSDB.Samples)
+	if n := srv.Stats()["tsdb_samples"]; n != 2 {
+		t.Errorf("published snapshot recorded %d tsdb samples, want 2", n)
 	}
 	// The published values are queryable history.
 	cl, err := server.Dial(addr.String())
@@ -190,9 +189,8 @@ func TestServeTrajectoryDerives(t *testing.T) {
 		addr.String(), "papirun", 10*time.Second, false, false); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
-	if want := uint64(2 * reps); st.TSDB.Samples != want {
-		t.Errorf("trajectory recorded %d tsdb samples, want %d", st.TSDB.Samples, want)
+	if n, want := srv.Stats()["tsdb_samples"], uint64(2*reps); n != want {
+		t.Errorf("trajectory recorded %d tsdb samples, want %d", n, want)
 	}
 
 	cl, err := server.Dial(addr.String())

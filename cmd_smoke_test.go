@@ -115,7 +115,7 @@ func TestCmdPerfometerHistory(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if st := srv.Stats(); st.TSDB.Samples >= 20 {
+		if srv.Stats()["tsdb_samples"] >= 20 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -302,12 +302,10 @@ func AssignGrouped(items []Item, numCounters int, groups [][]uint32) (Result, in
 	return newResult(len(items)), -1, false
 }
 
-// Key returns a canonical cache key for a native-event subset: the
-// codes sorted, deduplicated and hex-encoded. Two requests that differ
-// only in event order or duplication share a key, which is what makes
-// memoizing matching results sound — a matching depends only on the
-// subset of items, never on their arrival order. papid's allocation
-// cache keys on (architecture, Key(codes)).
+// Key returns a canonical key for a native-event subset: the codes
+// sorted, deduplicated and hex-encoded. Two requests that differ only
+// in event order or duplication share a key — a matching depends only
+// on the subset of items, never on their arrival order.
 func Key(codes []uint32) string {
 	sorted := append([]uint32(nil), codes...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })

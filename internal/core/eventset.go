@@ -110,9 +110,7 @@ func (es *EventSet) NumEvents() int { return len(es.events) }
 
 // NativeCodes returns the deduplicated native event codes backing the
 // set, in first-added order. This is the subset the allocator actually
-// places on counters, so services memoizing allocation results (papid's
-// cache keys on alloc.Key of exactly this slice) use it rather than the
-// preset-level Events list.
+// places on counters, as opposed to the preset-level Events list.
 func (es *EventSet) NativeCodes() []uint32 {
 	return append([]uint32(nil), es.natives...)
 }

@@ -155,10 +155,9 @@ func BenchmarkServerFanoutInterest(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(bytes)/float64(nSubs)/float64(b.N), "bytes/sub-tick")
-			st := srv.Stats()
-			if st.SnapshotsDropped+st.DeltasDropped > 0 {
+			if stat(b, srv, "snapshots_dropped")+stat(b, srv, "deltas_dropped") > 0 {
 				b.Fatalf("%d frames dropped; bytes/sub-tick would undercount",
-					st.SnapshotsDropped+st.DeltasDropped)
+					stat(b, srv, "snapshots_dropped")+stat(b, srv, "deltas_dropped"))
 			}
 		})
 	}
@@ -374,9 +373,8 @@ func BenchmarkTickFanout(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	st := srv.Stats()
-	b.ReportMetric(float64(st.FramesSentJSON+st.FramesSentBinary)/float64(b.N), "frames/tick")
-	if dropped := st.SnapshotsDropped + st.DerivedDropped; dropped > 0 {
+	b.ReportMetric(float64(stat(b, srv, "frames_sent_json")+stat(b, srv, "frames_sent_binary"))/float64(b.N), "frames/tick")
+	if dropped := stat(b, srv, "snapshots_dropped") + stat(b, srv, "derived_dropped"); dropped > 0 {
 		b.Fatalf("%d frames dropped: the writers did not keep up with the sweep", dropped)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -54,7 +55,7 @@ func TestCreateSessionRefusesUntickablePrograms(t *testing.T) {
 	var ms runtime.MemStats
 	for _, c := range cases {
 		name := fmt.Sprintf("%s n=%d", c.workload, c.n)
-		sessions := srv.Stats().Sessions
+		sessions := stat(t, srv, "sessions")
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		resp := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
@@ -64,7 +65,7 @@ func TestCreateSessionRefusesUntickablePrograms(t *testing.T) {
 			t.Fatalf("%s: ok=%v (%s), want %v", name, resp.OK, resp.Error, c.ok)
 		}
 		if !c.ok {
-			if got := srv.Stats().Sessions; got != sessions {
+			if got := stat(t, srv, "sessions"); got != sessions {
 				t.Errorf("%s: refused, yet %d sessions registered, was %d", name, got, sessions)
 			}
 			if got := ms.TotalAlloc - before; got > 1<<20 {
@@ -110,5 +111,92 @@ func TestCreateSessionRefusesUntickablePrograms(t *testing.T) {
 	sess, _ := srv.reg.get(resp.Session)
 	if got, want := sess.prog.Name(), "dot(n=576,fma=false)"; got != want {
 		t.Errorf("default session runs %s, want %s", got, want)
+	}
+}
+
+// TestAdmissionRefusesConflictingSet: EventSet.Add's own allocation
+// solve is the admission check — there is no second answer beside it.
+// Three events cannot share linux-x86's two counters: CREATE_SESSION
+// and ADD_EVENTS both refuse with the substrate's error, as often as
+// they are asked, and leave no session and no event behind; the same
+// three fit aix-power3's eight counters.
+func TestAdmissionRefusesConflictingSet(t *testing.T) {
+	srv := New(Config{TickInterval: time.Hour})
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	two := []string{"PAPI_TOT_CYC", "PAPI_TOT_INS"}
+	three := append(two[:2:2], "PAPI_FP_INS")
+	refused := func(what string, resp wire.Response) {
+		t.Helper()
+		for _, want := range []string{"PAPI_FP_INS", "counter-conflict", "linux-x86", "2 counters"} {
+			if resp.OK || !strings.Contains(resp.Error, want) {
+				t.Errorf("%s: ok=%v, error %q does not name %s", what, resp.OK, resp.Error, want)
+			}
+		}
+	}
+	for i := 0; i < 2; i++ {
+		refused("CREATE_SESSION", srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
+			Platform: "linux-x86", Events: three}))
+		if n := stat(t, srv, "sessions"); n != 0 {
+			t.Fatalf("a refused CREATE_SESSION left %d sessions", n)
+		}
+	}
+	if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Platform: "aix-power3", Events: three}); !resp.OK {
+		t.Errorf("aix-power3 refused %v: %s", three, resp.Error)
+	}
+
+	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Platform: "linux-x86", Events: two})
+	if !created.OK {
+		t.Fatal(created.Error)
+	}
+	for i := 0; i < 2; i++ {
+		refused("ADD_EVENTS", srv.dispatch(nil, &wire.Request{Op: wire.OpAddEvents,
+			Session: created.Session, Events: three[2:]}))
+		if have := srv.dispatch(nil, &wire.Request{Op: wire.OpAddEvents, Session: created.Session}); !slices.Equal(have.Events, two) {
+			t.Fatalf("after a refused ADD_EVENTS the session counts %v, want %v", have.Events, two)
+		}
+	}
+	if r := srv.dispatch(nil, &wire.Request{Op: wire.OpStart, Session: created.Session}); !r.OK {
+		t.Fatalf("START after the refusals: %s", r.Error)
+	}
+	srv.tick()
+	if read := srv.dispatch(nil, &wire.Request{Op: wire.OpRead, Session: created.Session}); !read.OK ||
+		len(read.Values) != 2 || read.Values[0] == 0 || read.Values[1] == 0 {
+		t.Errorf("READ after the refusals = %v (%s), want two running counters", read.Values, read.Error)
+	}
+}
+
+// TestAdmissionIdenticalSets: a set asked for again — the same events,
+// or the same events in another order — is admitted again and counts
+// the same: each session solves its own allocation on its own machine,
+// and nothing is remembered between them.
+func TestAdmissionIdenticalSets(t *testing.T) {
+	srv := New(Config{TickInterval: time.Hour})
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	for _, platform := range []string{"linux-x86", "cray-t3e"} {
+		var reads [][]int64
+		for _, events := range [][]string{
+			{"PAPI_TOT_CYC", "PAPI_TOT_INS"},
+			{"PAPI_TOT_CYC", "PAPI_TOT_INS"},
+			{"PAPI_TOT_INS", "PAPI_TOT_CYC"},
+		} {
+			created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Platform: platform,
+				Events: events, Workload: "dot", N: 8})
+			if !created.OK || !slices.Equal(created.Events, events) {
+				t.Fatalf("%s %v: ok=%v events %v (%s)", platform, events, created.OK, created.Events, created.Error)
+			}
+			if r := srv.dispatch(nil, &wire.Request{Op: wire.OpStart, Session: created.Session}); !r.OK {
+				t.Fatalf("%s %v: START: %s", platform, events, r.Error)
+			}
+			srv.tick()
+			stopped := srv.dispatch(nil, &wire.Request{Op: wire.OpStop, Session: created.Session})
+			if !stopped.OK {
+				t.Fatalf("%s %v: STOP: %s", platform, events, stopped.Error)
+			}
+			reads = append(reads, stopped.Values)
+		}
+		swapped := []int64{reads[2][1], reads[2][0]}
+		if reads[0][0] == 0 || !slices.Equal(reads[0], reads[1]) || !slices.Equal(reads[0], swapped) {
+			t.Errorf("%s: the same set counted %v, %v and (reordered) %v", platform, reads[0], reads[1], reads[2])
+		}
 	}
 }

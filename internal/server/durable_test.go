@@ -96,8 +96,8 @@ func TestDurableRestartCleanShutdown(t *testing.T) {
 	}
 	defer srv2.Shutdown(context.Background())
 	rs := srv2.Replay()
-	if !rs.CleanStart {
-		t.Errorf("restart after clean shutdown: CleanStart=false (%+v)", rs)
+	if !rs.CleanStart || stat(t, srv2, "wal_clean_start") != 1 {
+		t.Errorf("restart after clean shutdown: CleanStart=false or wal_clean_start != 1 (%+v)", rs)
 	}
 	if rs.Rows != 0 {
 		t.Errorf("clean restart replayed %d rows, want 0", rs.Rows)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"runtime"
 	"slices"
@@ -239,9 +238,8 @@ func TestDeltaKeyframeCadence(t *testing.T) {
 	if !slices.Equal(ops, wantOps) {
 		t.Errorf("frame ops %v, want cadence %v", ops, wantOps)
 	}
-	st := srv.Stats()
-	if st.Keyframes != 3 || st.DeltasSent != 4 {
-		t.Errorf("stats keyframes=%d deltas=%d, want 3 and 4", st.Keyframes, st.DeltasSent)
+	if keys, deltas := stat(t, srv, "keyframes_sent"), stat(t, srv, "deltas_sent"); keys != 3 || deltas != 4 {
+		t.Errorf("stats keyframes=%d deltas=%d, want 3 and 4", keys, deltas)
 	}
 }
 
@@ -352,10 +350,8 @@ func TestDeltaResyncAfterQueueDrop(t *testing.T) {
 			if !slices.Equal(row.Events, []string{"a", "b"}) || !slices.Equal(row.Values, []int64{1, v}) {
 				t.Errorf("reassembled %v=%v, want [a b]=[1 %d]", row.Events, row.Values, v)
 			}
-			st := srv.Stats()
-			if st.Keyframes != tc.keyframes || st.DeltasSent != tc.deltas {
-				t.Errorf("keyframes=%d deltas=%d, want %d and %d",
-					st.Keyframes, st.DeltasSent, tc.keyframes, tc.deltas)
+			if keys, deltas := stat(t, srv, "keyframes_sent"), stat(t, srv, "deltas_sent"); keys != tc.keyframes || deltas != tc.deltas {
+				t.Errorf("keyframes=%d deltas=%d, want %d and %d", keys, deltas, tc.keyframes, tc.deltas)
 			}
 		})
 	}
@@ -592,13 +588,11 @@ func TestFanoutEncodeFailure(t *testing.T) {
 	if attempts != 1 {
 		t.Errorf("%d encode attempts, want 1 (failure negative-cached per tick)", attempts)
 	}
-	st := srv.Stats()
-	if st.EncodeFailures != 1 {
-		t.Errorf("encode failures %d, want 1", st.EncodeFailures)
+	if n := stat(t, srv, "encode_failures"); n != 1 {
+		t.Errorf("encode failures %d, want 1", n)
 	}
-	if st.SnapshotsSent != 0 || st.SnapshotsDropped != 2 {
-		t.Errorf("sent=%d dropped=%d, want 0 sent and both subscribers' drops counted",
-			st.SnapshotsSent, st.SnapshotsDropped)
+	if sent, dropped := stat(t, srv, "snapshots_sent"), stat(t, srv, "snapshots_dropped"); sent != 0 || dropped != 2 {
+		t.Errorf("sent=%d dropped=%d, want 0 sent and both subscribers' drops counted", sent, dropped)
 	}
 }
 
@@ -647,15 +641,14 @@ func TestDerivedCountersDistinct(t *testing.T) {
 	publish(300, 200) // primes the delta-based engine
 	publish(700, 400) // second sample after priming: the group evaluates
 
-	st := srv.Stats()
-	if st.DerivedSent == 0 {
+	if stat(t, srv, "derived_sent") == 0 {
 		t.Fatal("no DERIVED frame counted in derived_sent")
 	}
-	if st.SnapshotsSent != 2 {
-		t.Errorf("snapshots_sent %d, want 2 (DERIVED frames must not inflate it)", st.SnapshotsSent)
+	if n := stat(t, srv, "snapshots_sent"); n != 2 {
+		t.Errorf("snapshots_sent %d, want 2 (DERIVED frames must not inflate it)", n)
 	}
-	if st.DerivedDropped != 0 || st.SnapshotsDropped != 0 {
-		t.Errorf("dropped counters derived=%d snap=%d, want 0", st.DerivedDropped, st.SnapshotsDropped)
+	if der, snap := stat(t, srv, "derived_dropped"), stat(t, srv, "snapshots_dropped"); der != 0 || snap != 0 {
+		t.Errorf("dropped counters derived=%d snap=%d, want 0", der, snap)
 	}
 	resp, err := sub.Do(wire.Request{Op: wire.OpStats})
 	if err != nil {
@@ -666,8 +659,8 @@ func TestDerivedCountersDistinct(t *testing.T) {
 			t.Errorf("STATS reply missing %q", key)
 		}
 	}
-	if fmt.Sprint(resp.Stats["derived_sent"]) != fmt.Sprint(st.DerivedSent) {
-		t.Errorf("STATS derived_sent %d != Stats() %d", resp.Stats["derived_sent"], st.DerivedSent)
+	if n := stat(t, srv, "derived_sent"); resp.Stats["derived_sent"] != n {
+		t.Errorf("STATS derived_sent %d != Stats() %d", resp.Stats["derived_sent"], n)
 	}
 }
 
@@ -780,12 +773,12 @@ func TestViewMembershipChurn(t *testing.T) {
 			check(st.c, canonEvents(shapes[st.shape].filter), shapes[st.shape].delta)
 		}
 	}
-	st := srv.Stats()
-	if took := st.SnapshotsSent - st.SnapshotsDropped + st.DeltasSent - st.DeltasDropped; took != uint64(popped) {
+	deltas := stat(t, srv, "deltas_sent")
+	if took := stat(t, srv, "snapshots_sent") - stat(t, srv, "snapshots_dropped") + deltas - stat(t, srv, "deltas_dropped"); took != uint64(popped) {
 		t.Errorf("sent − dropped = %d frames, but the queues held %d", took, popped)
 	}
-	if popped < publishes/4 || st.DeltasSent == 0 {
-		t.Errorf("%d frames, %d deltas: the churn barely overlapped the publishes", popped, st.DeltasSent)
+	if popped < publishes/4 || deltas == 0 {
+		t.Errorf("%d frames, %d deltas: the churn barely overlapped the publishes", popped, deltas)
 	}
 }
 

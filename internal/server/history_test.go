@@ -83,12 +83,11 @@ func TestQuery100kTicks(t *testing.T) {
 		}
 	}
 
-	st := srv.Stats()
-	if st.TSDB.Samples != uint64(nTicks*len(events)) {
-		t.Fatalf("tsdb holds %d samples, want %d", st.TSDB.Samples, nTicks*len(events))
+	if n := stat(t, srv, "tsdb_samples"); n != uint64(nTicks*len(events)) {
+		t.Fatalf("tsdb holds %d samples, want %d", n, nTicks*len(events))
 	}
-	if st.TSDB.Bytes > 2<<20 {
-		t.Errorf("tsdb %d bytes exceeds the 2 MiB budget", st.TSDB.Bytes)
+	if n := stat(t, srv, "tsdb_bytes"); n > 2<<20 {
+		t.Errorf("tsdb %d bytes exceeds the 2 MiB budget", n)
 	}
 
 	from, to := tss[0], tss[len(tss)-1]+1

@@ -289,27 +289,21 @@ func runLedgerSeed(t *testing.T, seed int64) {
 			}
 		}
 	}
-	st := srv.Stats()
-	t.Logf("%d clients, %d evictions; snapshots %d−%d, deltas %d−%d, derived %d−%d, %d frames on sockets",
-		nClients, st.Evictions, st.SnapshotsSent, st.SnapshotsDropped, st.DeltasSent, st.DeltasDropped,
-		st.DerivedSent, st.DerivedDropped, all)
+	t.Logf("%d clients, %d evictions, %d frames on sockets", nClients, stat(t, srv, "evictions"), all)
 	for _, k := range []struct {
-		kind                   string
-		sent, dropped, written uint64
-	}{
-		{"snapshots", st.SnapshotsSent, st.SnapshotsDropped, snaps},
-		{"deltas", st.DeltasSent, st.DeltasDropped, deltas},
-		{"derived", st.DerivedSent, st.DerivedDropped, derived},
-	} {
-		if k.sent-k.dropped != k.written {
+		kind    string
+		written uint64
+	}{{"snapshots", snaps}, {"deltas", deltas}, {"derived", derived}} {
+		sent, dropped := stat(t, srv, k.kind+"_sent"), stat(t, srv, k.kind+"_dropped")
+		if sent-dropped != k.written {
 			t.Errorf("%s: sent %d − dropped %d = %d, but %d reached the sockets",
-				k.kind, k.sent, k.dropped, k.sent-k.dropped, k.written)
+				k.kind, sent, dropped, sent-dropped, k.written)
 		}
-		if k.sent == 0 {
+		if sent == 0 {
 			t.Errorf("%s: none sent; the schedule never exercised the kind", k.kind)
 		}
 	}
-	if sent := st.FramesSentJSON + st.FramesSentBinary; sent != all {
+	if sent := stat(t, srv, "frames_sent_json") + stat(t, srv, "frames_sent_binary"); sent != all {
 		t.Errorf("frames_sent %d, but %d whole frames reached the sockets", sent, all)
 	}
 

@@ -89,10 +89,9 @@ func TestParallelTickSeqMonotonic(t *testing.T) {
 			}
 		}
 	}
-	if st := h.srv.Stats(); st.SnapshotsDropped != 0 ||
-		st.SnapshotsSent != uint64(nSessions*nTicks) {
-		t.Fatalf("sent=%d dropped=%d, want %d/0", st.SnapshotsSent,
-			st.SnapshotsDropped, nSessions*nTicks)
+	if sent, dropped := stat(t, h.srv, "snapshots_sent"), stat(t, h.srv, "snapshots_dropped"); dropped != 0 ||
+		sent != uint64(nSessions*nTicks) {
+		t.Fatalf("sent=%d dropped=%d, want %d/0", sent, dropped, nSessions*nTicks)
 	}
 }
 
@@ -167,7 +166,7 @@ func TestParallelDeltaRekeyAfterDrop(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		srv.tick()
 	}
-	if st := srv.Stats(); st.DeltasDropped == 0 {
+	if stat(t, srv, "deltas_dropped") == 0 {
 		t.Fatal("no deltas dropped; the test never created the resync condition")
 	}
 	c.popAll()
@@ -441,8 +440,8 @@ func TestSweepHandsFramesOffBeforeItEnds(t *testing.T) {
 			t.Fatalf("session %d: seq %d arrived where %d was due", f.Session, f.Seq, next[f.Session])
 		}
 	}
-	if st := srv.Stats(); st.SnapshotsDropped != 0 {
-		t.Errorf("%d snapshots dropped with queues deeper than the run", st.SnapshotsDropped)
+	if n := stat(t, srv, "snapshots_dropped"); n != 0 {
+		t.Errorf("%d snapshots dropped with queues deeper than the run", n)
 	}
 }
 
@@ -472,7 +471,7 @@ func TestTicksSkipped(t *testing.T) {
 			clock = 1_700_000_000_000_000 + int64(at*float64(iv))
 			srv.tick()
 		}
-		if got := srv.Stats().TicksSkipped; got != tc.want {
+		if got := stat(t, srv, "ticks_skipped"); got != tc.want {
 			t.Errorf("%s: %d ticks skipped, want %d", tc.name, got, tc.want)
 		}
 		if got, ok := srv.dispatch(nil, &wire.Request{Op: wire.OpStats}).Stats["ticks_skipped"]; !ok || got != tc.want {

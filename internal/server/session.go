@@ -57,12 +57,11 @@ type session struct {
 	tickGroupsOK bool
 }
 
-// addEvents resolves and adds the named events, then memoizes the
-// grown set's allocation in the server's cache. The EventSet has
-// already validated allocatability during Add; the cache entry is what
-// lets the *next* identical session skip the matching solve. It
-// returns the session's full event-name list, copied under the lock.
-func (sess *session) addEvents(srv *Server, names []string) ([]string, error) {
+// addEvents resolves and adds the named events — EventSet.Add is the
+// admission check: it solves the grown set's counter allocation and
+// refuses an event that does not fit. It returns the session's full
+// event-name list, copied under the lock.
+func (sess *session) addEvents(names []string) ([]string, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.closed {
@@ -86,11 +85,6 @@ func (sess *session) addEvents(srv *Server, names []string) ([]string, error) {
 		}
 		sess.names = append(sess.names, name)
 		sess.tickGroupsOK = false // a grown event set may cover more groups
-	}
-	if len(sess.names) > 0 {
-		if _, err := srv.cache.assign(sess.sys.Arch(), sess.es.NativeCodes()); err != nil {
-			return nil, err
-		}
 	}
 	return append([]string(nil), sess.names...), nil
 }

@@ -1,0 +1,291 @@
+// The registry is the only ledger: the STATS reply, Server.Stats() and
+// the stats object of /statusz are one walk of it, under one naming
+// rule, and value for value what /metrics exposes.
+package server
+
+import (
+	"encoding/json"
+	"fmt"
+	"maps"
+	"math"
+	"math/rand"
+	"net"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/wire"
+)
+
+// statKeyOf is the naming rule written out a second time, from a
+// /metrics sample ("papid_frames_sent_total{codec=\"json\"}") to the
+// STATS key it must appear under: the metric name minus "papid_" and
+// "_total", plus "_<value>" per label.
+func statKeyOf(sample string) string {
+	name, labels, _ := strings.Cut(sample, "{")
+	key := strings.TrimSuffix(strings.TrimPrefix(name, "papid_"), "_total")
+	for _, kv := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+		if _, v, ok := strings.Cut(kv, "="); ok {
+			key += "_" + strings.Trim(v, `"`)
+		}
+	}
+	return key
+}
+
+// scrapeStats fetches /metrics and returns every counter and gauge
+// sample, keyed as the exposition prints it.
+func scrapeStats(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	samples := make(map[string]float64)
+	kind := ""
+	for _, line := range strings.Split(adminGet(t, base+"/metrics"), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			kind = f[3]
+		}
+		if line == "" || line[0] == '#' || kind == "histogram" {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("sample line %q: %v", line, err)
+		}
+		samples[line[:sp]] = v
+	}
+	return samples
+}
+
+// statsDiff lists where a and b disagree: a key only one of them holds,
+// or — unless it is one of the volatile keys, which move on their own —
+// a key they hold different values for.
+func statsDiff(a, b map[string]uint64, volatile ...string) []string {
+	var diff []string
+	for k, v := range a {
+		if w, ok := b[k]; !ok {
+			diff = append(diff, k+" only in the first")
+		} else if v != w && !slices.Contains(volatile, k) {
+			diff = append(diff, fmt.Sprintf("%s: %d vs %d", k, v, w))
+		}
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			diff = append(diff, k+" only in the second")
+		}
+	}
+	slices.Sort(diff)
+	return diff
+}
+
+// TestStatsIsTheRegistry drives a seeded mix of create, subscribe,
+// publish, tick, query and garbage through a durable, traced papid,
+// lets it settle, and reads its numbers four ways. Every counter and
+// gauge sample of the /metrics scrape must equal the STATS key the rule
+// gives it, STATS must hold no key without a sample and no key twice,
+// and the wire STATS reply, Server.Stats() and /statusz must carry the
+// same map.
+func TestStatsIsTheRegistry(t *testing.T) {
+	srv, addr := startServer(t, Config{TickInterval: time.Hour, KeyframeEvery: 3,
+		DataDir: t.TempDir(), Fsync: "always", TraceSample: 1, Groups: []string{"ipc"}})
+	aaddr, err := srv.ListenAdmin("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + aaddr.String()
+	rng := rand.New(rand.NewSource(22))
+	events := []string{"PAPI_TOT_INS", "PAPI_TOT_CYC"}
+
+	ctl := dialT(t, addr)
+	var ids []uint64
+	for i := 0; i < 4; i++ {
+		created, err := ctl.Do(wire.Request{Op: wire.OpCreate, Workload: "none", Label: fmt.Sprint("pub-", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, created.Session)
+	}
+	live, err := ctl.Do(wire.Request{Op: wire.OpCreate, Events: events, Workload: "dot", N: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl.Do(wire.Request{Op: wire.OpStart, Session: live.Session}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A binary subscriber: plain on the first session and the live one,
+	// delta on the second, projected on the third; the fourth has none.
+	sub := dialBinary(t, addr)
+	for _, req := range []wire.Request{
+		{Op: wire.OpSubscribe, Session: ids[0]},
+		{Op: wire.OpSubscribe, Session: live.Session},
+		{Op: wire.OpSubscribe, Session: ids[1], Delta: true},
+		{Op: wire.OpSubscribe, Session: ids[2], Events: events[:1]},
+	} {
+		if _, err := sub.Do(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var drained sync.WaitGroup
+	drained.Add(1)
+	go func() {
+		defer drained.Done()
+		for {
+			if _, err := sub.Next(); err != nil {
+				return
+			}
+		}
+	}()
+
+	vals := make([]int64, len(ids))
+	for step := 0; step < 200; step++ {
+		switch i := rng.Intn(len(ids)); rng.Intn(5) {
+		case 0:
+			srv.tick()
+		case 1:
+			q := wire.Request{Op: wire.OpQuery, Session: ids[i], To: math.MaxInt64,
+				Step: int64(rng.Intn(2)) * int64(10*time.Second/time.Microsecond)}
+			if _, err := ctl.Do(q); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			vals[i] += 1 + int64(rng.Intn(1000))
+			if _, err := ctl.Do(wire.Request{Op: wire.OpPublish, Session: ids[i],
+				Events: events, Values: []int64{2 * vals[i], vals[i]}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// One malformed line, answered and survived.
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	fmt.Fprintln(raw, "{nonsense")
+	if _, err := raw.Read(make([]byte, 512)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Settle: every queue empty, every request trace finished by the
+	// writer that sent its reply, and two reads apart agreeing.
+	volatile := []string{"goroutines", "uptime_seconds"}
+	var direct map[string]uint64
+	waitFor(t, 10*time.Second, func() bool {
+		first := srv.Stats()
+		time.Sleep(20 * time.Millisecond)
+		direct = srv.Stats()
+		return direct["write_queue_frames"] == 0 && direct["traces_started"] == direct["traces_retained"] &&
+			len(statsDiff(first, direct, volatile...)) == 0
+	})
+	for _, k := range []string{"sessions", "connections", "ticks", "snapshots_sent", "deltas_sent",
+		"keyframes_sent", "derived_sent", "derive_evals", "frames_sent_json", "frames_sent_binary",
+		"bytes_sent_binary", "resyncs", "tsdb_samples", "tsdb_bytes", "wal_rows", "wal_fsyncs",
+		"wal_disk_bytes", "wal_files", "traces_started", "tick_workers"} {
+		if stat(t, srv, k) == 0 {
+			t.Errorf("%s is 0 after the mix: the comparison below would not see it move", k)
+		}
+	}
+
+	// /metrics against Stats(): the rule maps each sample to one key
+	// with the sample's value, and covers every key.
+	byKey := make(map[string]uint64)
+	for sample, v := range scrapeStats(t, base) {
+		key := statKeyOf(sample)
+		if _, dup := byKey[key]; dup {
+			t.Errorf("two /metrics samples map to the STATS key %s", key)
+		}
+		byKey[key] = uint64(v)
+	}
+	if diff := statsDiff(byKey, direct, volatile...); len(diff) != 0 {
+		t.Errorf("/metrics and Stats() differ on %v", diff)
+	}
+
+	// /statusz carries the same map.
+	var status struct {
+		Stats map[string]uint64 `json:"stats"`
+	}
+	if err := json.Unmarshal([]byte(adminGet(t, base+"/statusz")), &status); err != nil {
+		t.Fatal(err)
+	}
+	if diff := statsDiff(status.Stats, direct, volatile...); len(diff) != 0 {
+		t.Errorf("/statusz stats and Stats() differ on %v", diff)
+	}
+
+	// So does the wire reply — walked inside its own request, whose
+	// trace has started and whose reply frame is not yet written.
+	reply, err := ctl.Do(wire.Request{Op: wire.OpStats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := maps.Clone(direct)
+	want["traces_started"]++
+	if diff := statsDiff(reply.Stats, want, volatile...); len(diff) != 0 {
+		t.Errorf("the STATS reply and Stats() differ on %v", diff)
+	}
+
+	sub.Close()
+	drained.Wait()
+}
+
+// TestStatsKeysClientsRead pins the rule on the exact keys papid's
+// clients read by name — bench/papistorm's report.go and run.go,
+// papirun -serve-stats — each against the /metrics sample it must
+// equal. (papistorm also reads cache_hits, cache_misses, tick_stalls
+// and write_drops, whose instruments are gone: absent, they read 0.)
+func TestStatsKeysClientsRead(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{TickInterval: time.Hour, DataDir: dir, Fsync: "always"}
+	first := New(cfg)
+	created := first.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
+	for i := int64(1); i <= 3; i++ {
+		if r := first.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: created.Session,
+			Events: []string{"EV"}, Values: []int64{i}}); !r.OK {
+			t.Fatal(r.Error)
+		}
+	}
+	first.wal.Abandon() // a crash: the restart below replays the three rows
+
+	srv, _ := startServer(t, cfg)
+	aaddr, err := srv.ListenAdmin("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := scrapeStats(t, "http://"+aaddr.String())
+	for key, sample := range map[string]string{
+		"frames_sent_json":   `papid_frames_sent_total{codec="json"}`,
+		"frames_sent_binary": `papid_frames_sent_total{codec="binary"}`,
+		"bytes_sent_json":    `papid_bytes_sent_total{codec="json"}`,
+		"bytes_sent_binary":  `papid_bytes_sent_total{codec="binary"}`,
+		"snapshots_dropped":  "papid_snapshots_dropped_total",
+		"deltas_dropped":     "papid_deltas_dropped_total",
+		"derived_dropped":    "papid_derived_dropped_total",
+		"encode_failures":    "papid_encode_failures_total",
+		"evictions":          "papid_evictions_total",
+		"keyframes_sent":     "papid_keyframes_sent_total",
+		"deltas_sent":        "papid_deltas_sent_total",
+		"tsdb_bytes":         "papid_tsdb_bytes",
+		"tsdb_samples":       "papid_tsdb_samples_total",
+		"wal_fsyncs":         "papid_wal_fsyncs_total",
+		"wal_disk_bytes":     "papid_wal_disk_bytes",
+		"wal_rows":           "papid_wal_rows_total",
+		"wal_replayed_rows":  "papid_wal_replayed_rows_total",
+		"ticks":              "papid_ticks_total",
+		"ticks_skipped":      "papid_ticks_skipped_total",
+	} {
+		v, ok := samples[sample]
+		if !ok {
+			t.Errorf("/metrics has no sample %s", sample)
+		}
+		if got := stat(t, srv, key); got != uint64(v) {
+			t.Errorf("%s = %d, but %s = %v", key, got, sample, v)
+		}
+	}
+	if got := stat(t, srv, "wal_replayed_rows"); got != 3 {
+		t.Errorf("wal_replayed_rows = %d after replaying 3 rows", got)
+	}
+	if got := stat(t, srv, "wal_clean_start"); got != 0 {
+		t.Errorf("wal_clean_start = %d after a crash", got)
+	}
+}

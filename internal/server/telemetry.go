@@ -51,16 +51,14 @@ func (r *slowRing) samples() []wire.SlowSample {
 	return out
 }
 
-// metrics is the server's instrument set: every counter the old
-// hand-maintained Stats plumbing tracked, now registry-backed so one
-// increment feeds Stats(), the Prometheus /metrics exposition, the
-// /statusz document, and the wire STATS histograms alike.
+// metrics is the server's instrument set, registry-backed so one
+// increment feeds the STATS reply, Stats(), /statusz and the Prometheus
+// /metrics exposition alike: the registry is the only ledger, and a new
+// number is one registration here.
 type metrics struct {
 	reg *telemetry.Registry
 
 	ticks         *telemetry.Counter
-	snapSent      *telemetry.Counter
-	snapDropped   *telemetry.Counter
 	evictions     *telemetry.Counter
 	deadlineTrips *telemetry.Counter
 	resyncs       *telemetry.Counter
@@ -70,21 +68,19 @@ type metrics struct {
 	// them silently.
 	ticksSkipped *telemetry.Counter
 
-	// DERIVED and DELTA fan-out keep their own sent/dropped pairs so
-	// snapshot accounting stays pure: snapSent/snapDropped count full
-	// SNAPSHOT frames only (keyframes included, tallied separately in
-	// keyframes). encodeFailures counts fan-out frames that could not
-	// be serialized at all — each costs every subscriber on that codec
-	// its frame, which the matching dropped counter also records.
-	derivedSent    *telemetry.Counter
-	derivedDropped *telemetry.Counter
-	deltaSent      *telemetry.Counter
-	deltaDropped   *telemetry.Counter
+	// sent and dropped are the fan-out ledgers, indexed by frameKind for
+	// deliver and frame.drop. Each kind reads the same way: sent counts
+	// frames handed to a connection's write queue, dropped those that
+	// then never reached the socket or could not be encoded, each
+	// charged once, so sent − dropped is what sockets took. SNAPSHOT,
+	// DELTA and DERIVED frames keep their own pairs; keyframes share the
+	// snapshot pair and are tallied again in keyframes. encodeFailures
+	// counts fan-out frames that could not be serialized at all — each
+	// costs every subscriber on that codec its frame, which the matching
+	// dropped counter also records.
+	sent, dropped  [numKinds]*telemetry.Counter
 	keyframes      *telemetry.Counter
 	encodeFailures *telemetry.Counter
-	// sent and dropped index those same pairs by frameKind for deliver
-	// and frame.drop; keyframes share the snapshot pair.
-	sent, dropped [numKinds]*telemetry.Counter
 
 	// Per-codec outbound traffic, indexed by wire.Codec.
 	framesSent [2]*telemetry.Counter
@@ -115,10 +111,11 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	m := &metrics{reg: reg}
 	m.ticks = reg.NewCounter(telemetry.Opts{Name: "papid_ticks_total",
 		Help: "Snapshot fan-out ticks run."})
-	m.snapSent = reg.NewCounter(telemetry.Opts{Name: "papid_snapshots_sent_total",
+	m.sent[kindSnapshot] = reg.NewCounter(telemetry.Opts{Name: "papid_snapshots_sent_total",
 		Help: "Snapshot frames enqueued to subscribers."})
-	m.snapDropped = reg.NewCounter(telemetry.Opts{Name: "papid_snapshots_dropped_total",
+	m.dropped[kindSnapshot] = reg.NewCounter(telemetry.Opts{Name: "papid_snapshots_dropped_total",
 		Help: "Snapshot frames (keyframes included) that never reached the socket: evicted from a full connection write queue, unwritten when the connection went away, or failed encodes."})
+	m.sent[kindKeyframe], m.dropped[kindKeyframe] = m.sent[kindSnapshot], m.dropped[kindSnapshot]
 	m.evictions = reg.NewCounter(telemetry.Opts{Name: "papid_evictions_total",
 		Help: "Connections the server cut loose (idle, deadline trips, jammed queues)."})
 	m.deadlineTrips = reg.NewCounter(telemetry.Opts{Name: "papid_deadline_trips_total",
@@ -127,22 +124,18 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		Help: "Malformed frames answered with an ERROR frame and skipped."})
 	m.ticksSkipped = reg.NewCounter(telemetry.Opts{Name: "papid_ticks_skipped_total",
 		Help: "Tick intervals that passed without a sweep starting (the previous sweep overran)."})
-	m.derivedSent = reg.NewCounter(telemetry.Opts{Name: "papid_derived_sent_total",
+	m.sent[kindDerived] = reg.NewCounter(telemetry.Opts{Name: "papid_derived_sent_total",
 		Help: "DERIVED frames enqueued to subscribers."})
-	m.derivedDropped = reg.NewCounter(telemetry.Opts{Name: "papid_derived_dropped_total",
+	m.dropped[kindDerived] = reg.NewCounter(telemetry.Opts{Name: "papid_derived_dropped_total",
 		Help: "DERIVED frames that never reached the socket (write-queue eviction, connection gone, failed encodes)."})
-	m.deltaSent = reg.NewCounter(telemetry.Opts{Name: "papid_deltas_sent_total",
+	m.sent[kindDelta] = reg.NewCounter(telemetry.Opts{Name: "papid_deltas_sent_total",
 		Help: "DELTA frames enqueued to delta-mode subscribers."})
-	m.deltaDropped = reg.NewCounter(telemetry.Opts{Name: "papid_deltas_dropped_total",
+	m.dropped[kindDelta] = reg.NewCounter(telemetry.Opts{Name: "papid_deltas_dropped_total",
 		Help: "DELTA frames that never reached the socket (write-queue eviction, connection gone, failed encodes)."})
 	m.keyframes = reg.NewCounter(telemetry.Opts{Name: "papid_keyframes_sent_total",
 		Help: "Keyframe snapshots enqueued to delta-mode subscribers (cadence, subscribe, or drop resync)."})
 	m.encodeFailures = reg.NewCounter(telemetry.Opts{Name: "papid_encode_failures_total",
 		Help: "Fan-out frames that failed to serialize (logged once, dropped for every subscriber on the codec)."})
-	m.sent = [numKinds]*telemetry.Counter{kindSnapshot: m.snapSent, kindKeyframe: m.snapSent,
-		kindDelta: m.deltaSent, kindDerived: m.derivedSent}
-	m.dropped = [numKinds]*telemetry.Counter{kindSnapshot: m.snapDropped, kindKeyframe: m.snapDropped,
-		kindDelta: m.deltaDropped, kindDerived: m.derivedDropped}
 	for _, codec := range []wire.Codec{wire.CodecJSON, wire.CodecBinary} {
 		label := telemetry.Label{Name: "codec", Value: codec.String()}
 		m.framesSent[codec] = reg.NewCounter(telemetry.Opts{
@@ -191,8 +184,8 @@ func (m *metrics) observeOp(op string, codec wire.Codec, start time.Time) {
 
 // registerServerFuncs wires the scrape-time views of state that lives
 // outside the instrument set: registry size, live connections, queued
-// frames, allocation-cache totals, and process-level gauges. Called
-// once from New, after the server's components exist.
+// frames, and process-level gauges. Called once from New, after the
+// server's components exist.
 func (s *Server) registerServerFuncs() {
 	reg := s.m.reg
 	reg.NewGaugeFunc(telemetry.Opts{Name: "papid_sessions",
@@ -221,16 +214,6 @@ func (s *Server) registerServerFuncs() {
 			}
 			return float64(total)
 		})
-	reg.NewCounterFunc(telemetry.Opts{Name: "papid_alloc_cache_hits_total",
-		Help: "Allocation-cache hits."}, func() uint64 {
-		hits, _ := s.cache.counters()
-		return hits
-	})
-	reg.NewCounterFunc(telemetry.Opts{Name: "papid_alloc_cache_misses_total",
-		Help: "Allocation-cache misses."}, func() uint64 {
-		_, misses := s.cache.counters()
-		return misses
-	})
 	reg.NewGaugeFunc(telemetry.Opts{Name: "papid_tick_workers",
 		Help: "Configured parallel tick sweep width."}, func() float64 {
 		return float64(s.cfg.TickWorkers)

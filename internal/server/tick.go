@@ -195,18 +195,20 @@ func (s *Server) appendRows(t *tracing.Trace, rows []wal.Row) {
 	}
 }
 
-// maxPooledFrame bounds what the frame-buffer pools retain; a rare
+// maxPooledFrame bounds what the frame-buffer pool retains; a rare
 // oversized frame is left to the GC instead of pinning its array.
 const maxPooledFrame = 1 << 16
 
-// sharedBuf is a reference-counted, pooled encode buffer for fan-out
-// frames. A fan-out serializes each distinct frame once per codec and
-// shares the bytes across every subscriber's connection queue; the
-// refcount is one for the encCache that owns the encode plus one per
-// enqueued frame, and whoever drops the last reference returns the
-// buffer to the pool. Every frame is settled exactly once — the socket
-// write, or frame.drop on eviction, jam, closed queue and writer exit —
-// so no reference is left behind.
+// sharedBuf is a reference-counted, pooled encode buffer — the one
+// owner of every outbound frame's bytes. A fan-out serializes each
+// distinct frame once per codec and shares the bytes across every
+// subscriber's connection queue: the refcount is one for the encCache
+// that owns the encode plus one per enqueued frame. A reply is encoded
+// for one frame, which takes over the maker's one reference. Whoever
+// drops the last reference returns the buffer to the pool. Every frame
+// is settled exactly once — the socket write, or frame.drop on
+// eviction, jam, closed queue and writer exit — so no reference is left
+// behind.
 type sharedBuf struct {
 	buf  []byte
 	refs atomic.Int32
@@ -214,8 +216,7 @@ type sharedBuf struct {
 
 var sharedBufPool = sync.Pool{New: func() any { return new(sharedBuf) }}
 
-// newSharedBuf takes a pooled buffer with one reference (the encoding
-// cache's own).
+// newSharedBuf takes a pooled buffer with one reference, its maker's.
 func newSharedBuf() *sharedBuf {
 	sb := sharedBufPool.Get().(*sharedBuf)
 	sb.refs.Store(1)

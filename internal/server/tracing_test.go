@@ -2,11 +2,9 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -22,19 +20,14 @@ import (
 // native and Chrome trace-event form — even though head sampling
 // never picked it.
 func TestTraceSlowOpRetained(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
+	var log logBuffer
 	srv, addr := startServer(t, Config{TickInterval: time.Hour,
 		SlowOp: time.Nanosecond, // every op breaches
 		// Head sampling effectively off: only tail retention can keep
 		// the trace.
 		TraceSample: 1 << 30,
 		TraceSlow:   time.Nanosecond,
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			lines = append(lines, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		}})
+		Logger:      log.logger()})
 	cl := dialT(t, addr)
 	if _, err := cl.Hello(); err != nil {
 		t.Fatal(err)
@@ -48,14 +41,13 @@ func TestTraceSlowOpRetained(t *testing.T) {
 	}
 	id := tracing.FormatID(resp.TraceID)
 
-	mu.Lock()
+	lines := log.lines()
 	warned := false
 	for _, l := range lines {
 		if strings.Contains(l, "slow op") && strings.Contains(l, "trace="+id) {
 			warned = true
 		}
 	}
-	mu.Unlock()
 	if !warned {
 		t.Errorf("no slow-op warn line carrying trace=%s in %q", id, lines)
 	}
@@ -108,13 +100,14 @@ func TestTraceSlowOpRetained(t *testing.T) {
 		t.Errorf("slow samples lack the STATS breach with trace %s: %+v", id, resp2.Slow)
 	}
 	// And the tracer's own counters surface through STATS.
-	if resp2.Stats["trace_started"] == 0 || resp2.Stats["trace_kept_slow"] == 0 {
-		t.Errorf("trace_* STATS keys missing or zero: %v", resp2.Stats)
+	if resp2.Stats["traces_started"] == 0 || resp2.Stats["traces_kept_slow"] == 0 {
+		t.Errorf("traces_* STATS keys missing or zero: %v", resp2.Stats)
 	}
 }
 
 // TestTraceDisabledByDefault: the Config zero value runs the untraced
-// pipeline — no trace IDs, no trace_* STATS keys, no tracer.
+// pipeline — no trace IDs, no tracer, and the traces_* STATS keys read
+// 0 the way their /metrics families do.
 func TestTraceDisabledByDefault(t *testing.T) {
 	srv, addr := startServer(t, Config{TickInterval: time.Hour})
 	if srv.trc != nil {
@@ -131,8 +124,8 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	if resp.TraceID != 0 {
 		t.Errorf("untraced server returned trace ID %x", resp.TraceID)
 	}
-	if _, ok := resp.Stats["trace_started"]; ok {
-		t.Errorf("untraced server reports trace_* keys: %v", resp.Stats)
+	if n, ok := resp.Stats["traces_started"]; !ok || n != 0 {
+		t.Errorf("untraced server: traces_started = %d (present %v), want 0", n, ok)
 	}
 	srv.tick() // must not panic with a nil tracer
 }
@@ -274,7 +267,7 @@ func TestTraceFinishedWhenWriterAbandonsBacklog(t *testing.T) {
 	if _, err := nc.Write(reqs); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); srv.Stats().Evictions == 0; {
+	for deadline := time.Now().Add(10 * time.Second); stat(t, srv, "evictions") == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("stalled peer never evicted")
 		}
@@ -291,7 +284,7 @@ func TestTraceFinishedWhenWriterAbandonsBacklog(t *testing.T) {
 		t.Fatalf("only %d traces started; the backlog never built", ts.Started)
 	}
 	if ts.Started != ts.Retained {
-		t.Errorf("trace_started=%d but only %d finished: the abandoned backlog leaked its traces",
+		t.Errorf("traces_started=%d but only %d finished: the abandoned backlog leaked its traces",
 			ts.Started, ts.Retained)
 	}
 }

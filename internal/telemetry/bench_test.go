@@ -64,7 +64,7 @@ func BenchmarkPrometheusScrape(b *testing.B) {
 	for _, name := range []string{"a_total", "b_total", "c_total", "d_total"} {
 		reg.NewCounter(Opts{Name: name}).Add(12345)
 	}
-	reg.NewGauge(Opts{Name: "g"}).Set(7)
+	reg.NewGaugeFunc(Opts{Name: "g"}, func() float64 { return 7 })
 	for _, name := range []string{"h1_seconds", "h2_seconds", "h3_seconds"} {
 		h := reg.NewLatencyHistogram(Opts{Name: name, Key: name})
 		for v := int64(100); v < 1_000_000_000; v *= 3 {

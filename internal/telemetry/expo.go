@@ -1,12 +1,10 @@
 // Exposition: the registry rendered as Prometheus text format
-// (/metrics) and as a JSON document (/statusz). Both are relaxed
-// point-in-time reads — instruments keep recording while a scrape is
-// in flight.
+// (/metrics) — a relaxed point-in-time read; instruments keep recording
+// while a scrape is in flight.
 package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"strconv"
 )
@@ -38,28 +36,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		labels := labelString(inst.desc.labels)
 		switch inst.kind {
 		case kindCounter:
-			v := uint64(0)
-			if inst.counter != nil {
-				v = inst.counter.Value()
-			} else {
-				v = inst.counterFunc()
-			}
 			bw.WriteString(inst.desc.name)
 			bw.WriteString(labels)
 			bw.WriteByte(' ')
-			bw.WriteString(strconv.FormatUint(v, 10))
+			bw.WriteString(strconv.FormatUint(inst.count(), 10))
 			bw.WriteByte('\n')
 		case kindGauge:
-			var v float64
-			if inst.gauge != nil {
-				v = float64(inst.gauge.Value())
-			} else {
-				v = inst.gaugeFunc()
-			}
 			bw.WriteString(inst.desc.name)
 			bw.WriteString(labels)
 			bw.WriteByte(' ')
-			bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+			bw.WriteString(strconv.FormatFloat(inst.gaugeFunc(), 'g', -1, 64))
 			bw.WriteByte('\n')
 		case kindHistogram:
 			writeHistogram(bw, inst.desc.name, inst.desc.labels, inst.hist)
@@ -110,56 +96,4 @@ func writeHistogram(bw *bufio.Writer, name string, labels []Label, h *Histogram)
 // consistent ones.
 func labelStringWith(labels []Label, extra Label) string {
 	return labelString(append(append(make([]Label, 0, len(labels)+1), labels...), extra))
-}
-
-// JSONMetric is one instrument in the WriteJSON document.
-type JSONMetric struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Kind   string            `json:"kind"`
-	Value  float64           `json:"value,omitempty"`
-	Hist   *Summary          `json:"hist,omitempty"`
-}
-
-// WriteJSON renders the registry as a JSON array of metrics — the
-// machine-readable /statusz body. Histograms appear as quantile
-// summaries (raw recording unit) rather than full bucket vectors.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.MetricsJSON())
-}
-
-// MetricsJSON returns WriteJSON's document as a value, for embedding
-// in a larger /statusz body.
-func (r *Registry) MetricsJSON() []JSONMetric {
-	var doc []JSONMetric
-	for _, inst := range r.snapshot() {
-		m := JSONMetric{Name: inst.desc.name, Kind: inst.kind.String()}
-		if len(inst.desc.labels) > 0 {
-			m.Labels = make(map[string]string, len(inst.desc.labels))
-			for _, l := range inst.desc.labels {
-				m.Labels[l.Name] = l.Value
-			}
-		}
-		switch inst.kind {
-		case kindCounter:
-			if inst.counter != nil {
-				m.Value = float64(inst.counter.Value())
-			} else {
-				m.Value = float64(inst.counterFunc())
-			}
-		case kindGauge:
-			if inst.gauge != nil {
-				m.Value = float64(inst.gauge.Value())
-			} else {
-				m.Value = inst.gaugeFunc()
-			}
-		case kindHistogram:
-			sum := inst.hist.Summary()
-			m.Hist = &sum
-		}
-		doc = append(doc, m)
-	}
-	return doc
 }

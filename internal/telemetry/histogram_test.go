@@ -147,14 +147,13 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording hammers one counter, one gauge, and one
+// TestConcurrentRecording hammers one counter and one
 // histogram from many goroutines; totals must be exact (run under
 // -race this also proves the recording paths are data-race-free).
 func TestConcurrentRecording(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter(Opts{Name: "c_total"})
-	g := reg.NewGauge(Opts{Name: "g"})
-	h := reg.NewHistogram(Opts{Name: "h", Key: "h"})
+	h := reg.NewLatencyHistogram(Opts{Name: "h", Key: "h"})
 	const workers, per = 8, 10000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -164,7 +163,6 @@ func TestConcurrentRecording(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(rng.Int63n(1 << 30))
 			}
 		}(int64(w))
@@ -177,15 +175,13 @@ func TestConcurrentRecording(t *testing.T) {
 			_ = c.Value()
 			_ = h.Summary()
 			_ = reg.Summaries()
+			_ = reg.Stats()
 		}
 	}()
 	wg.Wait()
 	<-done
 	if v := c.Value(); v != workers*per {
 		t.Errorf("counter = %d, want %d", v, workers*per)
-	}
-	if v := g.Value(); v != workers*per {
-		t.Errorf("gauge = %d, want %d", v, workers*per)
 	}
 	if s := h.Summary(); s.Count != workers*per {
 		t.Errorf("histogram count = %d, want %d", s.Count, workers*per)

@@ -21,7 +21,7 @@ var processStart = time.Now()
 
 // BuildInfo identifies the running binary: what was built, from which
 // revision, and how long it has been up. It answers the 3am question
-// "what is actually deployed here?" that a metrics-only /statusz
+// "what is actually deployed here?" that the metrics alone
 // could not.
 type BuildInfo struct {
 	GoVersion  string    `json:"go_version"`
@@ -65,23 +65,16 @@ func ReadBuild() BuildInfo {
 	return bi
 }
 
-// Handler returns the observability mux.
-//
-// statusz, when non-nil, supplies the top-level /statusz document
-// (typically the daemon's Stats view plus uptime); the registry's
-// metrics are embedded under its "metrics" key. With a nil statusz,
-// /statusz serves the build identity and the metrics array.
+// HandlerWith returns the observability mux: /metrics is the registry
+// as Prometheus text, /statusz the JSON document statusz returns (the
+// daemon's build identity, its Registry.Stats map and its histogram
+// summaries — the one place the registry is embedded in it), plus
+// extra handlers mounted by path (papid adds the /tracez flight
+// recorder and /debug/trace export), which the index page links.
 //
 // The pprof handlers are mounted explicitly rather than through
 // net/http/pprof's DefaultServeMux side effect, so importing telemetry
 // never silently adds debug endpoints to an unrelated mux.
-func Handler(reg *Registry, statusz func() any) http.Handler {
-	return HandlerWith(reg, statusz, nil)
-}
-
-// HandlerWith is Handler plus extra handlers mounted by path (papid
-// adds the /tracez flight recorder and /debug/trace export). Extra
-// paths are linked from the index page.
 func HandlerWith(reg *Registry, statusz func() any, extra map[string]http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
@@ -92,13 +85,6 @@ func HandlerWith(reg *Registry, statusz func() any, extra map[string]http.Handle
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if statusz == nil {
-			enc.Encode(struct {
-				Build   BuildInfo `json:"build"`
-				Metrics any       `json:"metrics"`
-			}{ReadBuild(), reg.MetricsJSON()})
-			return
-		}
 		enc.Encode(statusz())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -9,52 +9,20 @@ import (
 	"testing"
 )
 
+// noStatus is the /statusz document of tests that never fetch it.
+func noStatus() any { return nil }
+
 func TestHandlerMetricsEndpoint(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter(Opts{Name: "papid_http_test_total", Help: "test counter"})
 	c.Add(3)
 	rec := httptest.NewRecorder()
-	Handler(reg, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	HandlerWith(reg, noStatus, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("/metrics content-type = %q", ct)
 	}
 	if !strings.Contains(rec.Body.String(), "papid_http_test_total 3") {
 		t.Fatalf("/metrics missing counter:\n%s", rec.Body.String())
-	}
-}
-
-func TestHandlerStatuszNil(t *testing.T) {
-	reg := NewRegistry()
-	reg.NewCounter(Opts{Name: "papid_http_statusz_total", Help: "x"}).Inc()
-	rec := httptest.NewRecorder()
-	Handler(reg, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/statusz", nil))
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("/statusz content-type = %q", ct)
-	}
-	var doc struct {
-		Build   BuildInfo    `json:"build"`
-		Metrics []JSONMetric `json:"metrics"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("nil-statusz body is not the build+metrics document: %v\n%s", err, rec.Body.String())
-	}
-	if doc.Build.GoVersion != runtime.Version() {
-		t.Fatalf("build.go_version = %q, want %q", doc.Build.GoVersion, runtime.Version())
-	}
-	if doc.Build.GOMAXPROCS != runtime.GOMAXPROCS(0) {
-		t.Fatalf("build.gomaxprocs = %d, want %d", doc.Build.GOMAXPROCS, runtime.GOMAXPROCS(0))
-	}
-	if doc.Build.Uptime == "" || doc.Build.Start.IsZero() {
-		t.Fatalf("build start/uptime missing: %+v", doc.Build)
-	}
-	found := false
-	for _, m := range doc.Metrics {
-		if m.Name == "papid_http_statusz_total" && m.Value == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("metrics array missing registered counter: %+v", doc.Metrics)
 	}
 }
 
@@ -64,7 +32,7 @@ func TestHandlerStatuszCustom(t *testing.T) {
 		return map[string]any{"daemon": "papid", "build": ReadBuild()}
 	}
 	rec := httptest.NewRecorder()
-	Handler(reg, statusz).ServeHTTP(rec, httptest.NewRequest("GET", "/statusz", nil))
+	HandlerWith(reg, statusz, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/statusz", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("/statusz content-type = %q", ct)
 	}
@@ -87,7 +55,7 @@ func TestHandlerStatuszCustom(t *testing.T) {
 func TestHandlerIndexLinks(t *testing.T) {
 	reg := NewRegistry()
 	rec := httptest.NewRecorder()
-	Handler(reg, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	HandlerWith(reg, noStatus, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
 		t.Fatalf("index content-type = %q", ct)
 	}
@@ -103,7 +71,7 @@ func TestHandlerIndexLinks(t *testing.T) {
 
 	// Unknown paths 404 rather than serving the index.
 	rec = httptest.NewRecorder()
-	Handler(reg, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/nonesuch", nil))
+	HandlerWith(reg, noStatus, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/nonesuch", nil))
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("GET /nonesuch = %d, want 404", rec.Code)
 	}
@@ -118,7 +86,7 @@ func TestHandlerWithExtras(t *testing.T) {
 			w.Write([]byte("tracez here"))
 		}),
 	}
-	h := HandlerWith(reg, nil, extra)
+	h := HandlerWith(reg, noStatus, extra)
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))

@@ -1,81 +1,19 @@
-// Structured logging glue: papid logs through log/slog so every line
-// carries machine-readable context (connection IDs, ops, durations),
-// while the pre-slog Config.Logf hook keeps working — tests and
-// embedders that capture printf-style lines see the same events,
-// rendered.
+// Logging and report glue shared by papid and its clients: the discard
+// logger embedded servers default to, and the quantile table every tool
+// prints histogram summaries with.
 package telemetry
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"sort"
 	"strings"
 )
 
-// NewLogfLogger bridges a printf-style sink into a *slog.Logger:
-// every record renders as "msg key=val key=val" through logf. It is
-// how internal/server keeps its legacy Config.Logf contract while
-// logging structurally inside.
-func NewLogfLogger(logf func(format string, args ...any), level slog.Level) *slog.Logger {
-	return slog.New(&logfHandler{logf: logf, level: level})
-}
-
 // Discard returns a logger that drops everything — the default for
 // embedded servers that configured no sink.
 func Discard() *slog.Logger {
 	return slog.New(slog.DiscardHandler)
-}
-
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	level slog.Level
-	attrs []slog.Attr
-	group string
-}
-
-func (h *logfHandler) Enabled(_ context.Context, l slog.Level) bool {
-	return l >= h.level
-}
-
-func (h *logfHandler) Handle(_ context.Context, rec slog.Record) error {
-	var sb strings.Builder
-	sb.WriteString(rec.Message)
-	emit := func(a slog.Attr) {
-		if a.Key == "" {
-			return
-		}
-		key := a.Key
-		if h.group != "" {
-			key = h.group + "." + key
-		}
-		fmt.Fprintf(&sb, " %s=%v", key, a.Value.Resolve().Any())
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	rec.Attrs(func(a slog.Attr) bool {
-		emit(a)
-		return true
-	})
-	h.logf("%s", sb.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	nh := *h
-	nh.attrs = append(append([]slog.Attr(nil), h.attrs...), attrs...)
-	return &nh
-}
-
-func (h *logfHandler) WithGroup(name string) slog.Handler {
-	nh := *h
-	if nh.group != "" {
-		nh.group += "." + name
-	} else {
-		nh.group = name
-	}
-	return &nh
 }
 
 // FormatSummaryTable renders keyed histogram summaries as an aligned

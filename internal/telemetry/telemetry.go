@@ -11,20 +11,21 @@
 //   - Counter: a monotonically increasing total, striped across
 //     padded atomic cells so concurrent hot-path increments from many
 //     connections do not serialize on one cache line;
-//   - Gauge: a settable level (queue depth, live sessions), plus
-//     CounterFunc/GaugeFunc for values that already live elsewhere and
-//     only need reading at scrape time;
+//   - CounterFunc/GaugeFunc: a total or a level (queue depth, live
+//     sessions) that already lives elsewhere and only needs reading at
+//     scrape time;
 //   - Histogram: a log-linear-bucket latency distribution (bounded
 //     relative error, fixed memory, lock-free recording) from which
 //     p50/p90/p99/max are extracted on demand — the per-op latency
 //     shape DCPI-style always-on profiling demands at near-zero
 //     recording cost.
 //
-// A Registry owns a set of named instruments and renders them as
-// Prometheus text exposition (WritePrometheus), as JSON (WriteJSON for
-// /statusz), and as compact wire summaries (Summaries) that ride the
-// papid STATS op so remote tools can see the daemon's own latency
-// quantiles.
+// A Registry owns a set of named instruments and renders them three
+// ways: as Prometheus text exposition (WritePrometheus), as one flat
+// map of every counter and gauge (Stats — the papid STATS reply,
+// Server.Stats() and the stats object of /statusz are this map), and
+// as compact quantile summaries of the histograms (Summaries) that
+// ride the same STATS reply.
 package telemetry
 
 import (
@@ -79,21 +80,6 @@ func (c *Counter) Value() uint64 {
 	return sum
 }
 
-// Gauge is a settable level.
-type Gauge struct {
-	desc desc
-	v    atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the level by delta (use a negative delta to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value reads the level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // desc is an instrument's identity: metric name, help text, and an
 // optional fixed label set. Instruments sharing a Name form one
 // Prometheus family and must agree on kind.
@@ -104,6 +90,20 @@ type desc struct {
 	// key, when non-empty, names this instrument in Summaries() — the
 	// compact identifier that rides the wire STATS op.
 	key string
+	// stat names a counter or gauge in Stats().
+	stat string
+}
+
+// statKey is the one naming rule of Stats: the metric name minus the
+// "papid_" prefix and the "_total" suffix, plus "_<value>" for each
+// label in label-name order — papid_frames_sent_total{codec="json"}
+// is "frames_sent_json".
+func statKey(name string, labels []Label) string {
+	key := strings.TrimSuffix(strings.TrimPrefix(name, "papid_"), "_total")
+	for _, l := range labels {
+		key += "_" + l.Value
+	}
+	return key
 }
 
 // Label is one fixed name="value" pair attached to an instrument.
@@ -147,7 +147,8 @@ type Opts struct {
 func (o Opts) desc() desc {
 	labels := append([]Label(nil), o.Labels...)
 	sort.Slice(labels, func(i, j int) bool { return labels[i].Name < labels[j].Name })
-	return desc{name: o.Name, help: o.Help, labels: labels, key: o.Key}
+	return desc{name: o.Name, help: o.Help, labels: labels, key: o.Key,
+		stat: statKey(o.Name, labels)}
 }
 
 // instrument is the registry's view of one metric.
@@ -156,10 +157,17 @@ type instrument struct {
 	kind kind
 
 	counter     *Counter
-	gauge       *Gauge
 	hist        *Histogram
 	counterFunc func() uint64
 	gaugeFunc   func() float64
+}
+
+// count reads a counter instrument, striped or scrape-time.
+func (inst *instrument) count() uint64 {
+	if inst.counter != nil {
+		return inst.counter.Value()
+	}
+	return inst.counterFunc()
 }
 
 type kind uint8
@@ -196,7 +204,8 @@ func NewRegistry() *Registry {
 }
 
 // register validates and stores inst, panicking on a duplicate
-// (name, labels) identity or a kind clash within a family —
+// (name, labels) identity, a kind clash within a family, or two
+// counters or gauges the naming rule gives one Stats key —
 // registration is programmer-controlled startup code, where a silent
 // collision would corrupt the exposition.
 func (r *Registry) register(inst *instrument) {
@@ -210,6 +219,10 @@ func (r *Registry) register(inst *instrument) {
 		if other.desc.name == inst.desc.name && other.kind != inst.kind {
 			panic(fmt.Sprintf("telemetry: %s registered as both %s and %s",
 				inst.desc.name, other.kind, inst.kind))
+		}
+		if inst.kind != kindHistogram && other.kind != kindHistogram && other.desc.stat == inst.desc.stat {
+			panic(fmt.Sprintf("telemetry: %s and %s%s share the Stats key %s",
+				id, other.desc.name, labelString(other.desc.labels), inst.desc.stat))
 		}
 	}
 	r.byID[id] = inst
@@ -230,16 +243,9 @@ func (r *Registry) NewCounter(o Opts) *Counter {
 	return c
 }
 
-// NewGauge registers and returns a settable gauge.
-func (r *Registry) NewGauge(o Opts) *Gauge {
-	g := &Gauge{desc: o.desc()}
-	r.register(&instrument{desc: g.desc, kind: kindGauge, gauge: g})
-	return g
-}
-
 // NewCounterFunc registers a counter whose value is read from f at
 // scrape time — for monotone totals that already live elsewhere
-// (cache hit counts, tsdb sample counts).
+// (tsdb sample counts, WAL rows).
 func (r *Registry) NewCounterFunc(o Opts, f func() uint64) {
 	r.register(&instrument{desc: o.desc(), kind: kindCounter, counterFunc: f})
 }
@@ -249,14 +255,6 @@ func (r *Registry) NewCounterFunc(o Opts, f func() uint64) {
 // depths).
 func (r *Registry) NewGaugeFunc(o Opts, f func() float64) {
 	r.register(&instrument{desc: o.desc(), kind: kindGauge, gaugeFunc: f})
-}
-
-// NewHistogram registers and returns a log-linear-bucket histogram
-// recording raw int64 values.
-func (r *Registry) NewHistogram(o Opts) *Histogram {
-	h := newHistogram(o.desc(), 1)
-	r.register(&instrument{desc: h.desc, kind: kindHistogram, hist: h})
-	return h
 }
 
 // NewLatencyHistogram registers a histogram recording nanosecond
@@ -288,6 +286,24 @@ func (r *Registry) Summaries() map[string]Summary {
 		}
 		if sum := inst.hist.Summary(); sum.Count > 0 {
 			out[inst.desc.key] = sum
+		}
+	}
+	return out
+}
+
+// Stats returns every counter and gauge under its statKey name, gauges
+// truncated to whole units (a negative level reads 0). It is a relaxed
+// point-in-time read like a scrape, and holds exactly the non-histogram
+// samples WritePrometheus would print.
+func (r *Registry) Stats() map[string]uint64 {
+	insts := r.snapshot()
+	out := make(map[string]uint64, len(insts))
+	for _, inst := range insts {
+		switch inst.kind {
+		case kindCounter:
+			out[inst.desc.stat] = inst.count()
+		case kindGauge:
+			out[inst.desc.stat] = uint64(max(inst.gaugeFunc(), 0))
 		}
 	}
 	return out

@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"fmt"
-	"log/slog"
+	"maps"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -59,14 +57,13 @@ func TestPrometheusExposition(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter(Opts{Name: "papid_frames_sent_total", Help: "frames", Labels: []Label{{"codec", "json"}}})
 	c2 := reg.NewCounter(Opts{Name: "papid_frames_sent_total", Labels: []Label{{"codec", "binary"}}})
-	g := reg.NewGauge(Opts{Name: "papid_sessions", Help: "live sessions"})
+	reg.NewGaugeFunc(Opts{Name: "papid_sessions", Help: "live sessions"}, func() float64 { return 3 })
 	reg.NewCounterFunc(Opts{Name: "papid_cache_hits_total"}, func() uint64 { return 42 })
 	reg.NewGaugeFunc(Opts{Name: "papid_uptime_seconds"}, func() float64 { return 1.5 })
 	h := reg.NewLatencyHistogram(Opts{Name: "papid_op_latency_seconds", Help: "per-op latency", Key: "op/READ/json"})
 
 	c.Add(7)
 	c2.Inc()
-	g.Set(3)
 	h.Observe(2_000_000_000) // 2s in ns
 	h.Observe(5)             // 5ns
 
@@ -137,9 +134,9 @@ func TestPrometheusExposition(t *testing.T) {
 
 func TestSummariesKeyedOnly(t *testing.T) {
 	reg := NewRegistry()
-	keyed := reg.NewHistogram(Opts{Name: "a", Key: "op/READ/json"})
-	unkeyed := reg.NewHistogram(Opts{Name: "b"})
-	empty := reg.NewHistogram(Opts{Name: "c", Key: "tick"})
+	keyed := reg.NewLatencyHistogram(Opts{Name: "a", Key: "op/READ/json"})
+	unkeyed := reg.NewLatencyHistogram(Opts{Name: "b"})
+	empty := reg.NewLatencyHistogram(Opts{Name: "c", Key: "tick"})
 	_ = empty
 	keyed.Observe(10)
 	unkeyed.Observe(10)
@@ -171,37 +168,45 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 				t.Error("kind clash within a family did not panic")
 			}
 		}()
-		reg.NewGauge(Opts{Name: "x", Labels: []Label{{"a", "3"}}})
+		reg.NewGaugeFunc(Opts{Name: "x", Labels: []Label{{"a", "3"}}}, func() float64 { return 0 })
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("two instruments with one Stats key did not panic")
+			}
+		}()
+		reg.NewCounter(Opts{Name: "papid_x_1_total"}) // x{a="1"} is already "x_1"
 	}()
 }
 
-func TestWriteJSON(t *testing.T) {
+// TestStats pins the walk and its naming rule: every counter and gauge
+// under its metric name minus "papid_" and "_total" plus one "_<value>"
+// per label in label-name order, gauges truncated and clamped at zero,
+// histograms absent.
+func TestStats(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewCounter(Opts{Name: "c_total", Labels: []Label{{"k", "v"}}}).Add(9)
-	reg.NewHistogram(Opts{Name: "h"}).Observe(100)
-	var sb strings.Builder
-	if err := reg.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
+	reg.NewCounter(Opts{Name: "papid_frames_sent_total", Labels: []Label{{"codec", "json"}}}).Add(9)
+	reg.NewCounter(Opts{Name: "papid_frames_sent_total", Labels: []Label{{"codec", "binary"}}})
+	reg.NewCounter(Opts{Name: "papid_moved_total", Labels: []Label{{"to", "b"}, {"from", "a"}}}).Inc()
+	reg.NewCounterFunc(Opts{Name: "papid_wal_rows_total"}, func() uint64 { return 42 })
+	reg.NewGaugeFunc(Opts{Name: "papid_uptime_seconds"}, func() float64 { return 2.9 })
+	reg.NewGaugeFunc(Opts{Name: "papid_total_debt"}, func() float64 { return -1 })
+	reg.NewCounter(Opts{Name: "unprefixed"}).Add(5)
+	reg.NewLatencyHistogram(Opts{Name: "papid_tick_duration_seconds", Key: "tick"}).Observe(100)
+	want := map[string]uint64{
+		"frames_sent_json": 9, "frames_sent_binary": 0, "moved_a_b": 1, "wal_rows": 42,
+		"uptime_seconds": 2, "total_debt": 0, "unprefixed": 5,
 	}
-	var doc []JSONMetric
-	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
-		t.Fatalf("statusz body is not JSON: %v\n%s", err, sb.String())
-	}
-	if len(doc) != 2 {
-		t.Fatalf("doc = %+v", doc)
-	}
-	if doc[0].Name != "c_total" || doc[0].Value != 9 || doc[0].Labels["k"] != "v" {
-		t.Errorf("counter metric = %+v", doc[0])
-	}
-	if doc[1].Hist == nil || doc[1].Hist.Count != 1 || doc[1].Hist.Max != 100 {
-		t.Errorf("histogram metric = %+v", doc[1])
+	if got := reg.Stats(); !maps.Equal(got, want) {
+		t.Errorf("Stats() = %v, want %v", got, want)
 	}
 }
 
 func TestHTTPHandler(t *testing.T) {
 	reg := NewRegistry()
 	reg.NewCounter(Opts{Name: "papid_ticks_total"}).Inc()
-	h := Handler(reg, func() any { return map[string]int{"sessions": 2} })
+	h := HandlerWith(reg, func() any { return map[string]int{"sessions": 2} }, nil)
 
 	get := func(path string) (int, string, string) {
 		req := httptest.NewRequest("GET", path, nil)
@@ -228,35 +233,6 @@ func TestHTTPHandler(t *testing.T) {
 	if code, _, body := get("/"); code != 200 || !strings.Contains(body, "/metrics") {
 		t.Errorf("index: %d %q", code, body)
 	}
-}
-
-func TestLogfBridge(t *testing.T) {
-	var lines []string
-	logger := NewLogfLogger(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}, slog.LevelInfo)
-	logger = logger.With("conn", 7)
-	logger.Info("papid: slow op", "op", "READ", "dur", "300ms")
-	logger.Debug("suppressed")
-	if len(lines) != 1 {
-		t.Fatalf("lines = %q", lines)
-	}
-	for _, want := range []string{"papid: slow op", "conn=7", "op=READ", "dur=300ms"} {
-		if !strings.Contains(lines[0], want) {
-			t.Errorf("line %q lacks %q", lines[0], want)
-		}
-	}
-	// Groups qualify keys.
-	lines = nil
-	g := NewLogfLogger(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}, slog.LevelInfo).WithGroup("wire")
-	g.Warn("msg", "op", "READ")
-	if len(lines) != 1 || !strings.Contains(lines[0], "wire.op=READ") {
-		t.Errorf("grouped line = %q", lines)
-	}
-	// Discard never panics and is disabled at every level.
-	Discard().Error("dropped", "k", "v")
 }
 
 func TestFormatSummaryTable(t *testing.T) {

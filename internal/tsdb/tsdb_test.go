@@ -790,14 +790,12 @@ func TestSweepThenRecreate(t *testing.T) {
 		for i := range st.shards {
 			entries += len(st.shards[i].m)
 		}
-		gauge := -1.0
-		for _, m := range reg.MetricsJSON() {
-			if m.Name == "papid_tsdb_series" {
-				gauge = m.Value
-			}
+		gauge, ok := reg.Stats()["tsdb_series"]
+		if !ok {
+			t.Fatal("no tsdb_series in the registry's Stats")
 		}
 		if ev := st.Events(5); !slices.Equal(ev, want) || !slices.Equal(listed, want) ||
-			st.Stats().Series != len(want) || gauge != float64(len(want)) || entries != min(len(want), 1) {
+			st.Stats().Series != len(want) || gauge != uint64(len(want)) || entries != min(len(want), 1) {
 			t.Fatalf("%s: want %v; Events %v, Query lists %v, Stats().Series %d, papid_tsdb_series %v, %d session entries",
 				step, want, ev, listed, st.Stats().Series, gauge, entries)
 		}

@@ -343,9 +343,26 @@ func (l *Log) registerTelemetry(reg *telemetry.Registry) {
 		Help: "WAL rows re-appended during startup replay.",
 	}, func() uint64 { return l.replay.Rows })
 	reg.NewCounterFunc(telemetry.Opts{
+		Name: "papid_wal_replayed_blocks_total",
+		Help: "Sealed blocks loaded from segment files at startup.",
+	}, func() uint64 { return uint64(l.replay.Blocks) })
+	reg.NewCounterFunc(telemetry.Opts{
 		Name: "papid_wal_torn_records_total",
 		Help: "Records discarded as torn or corrupt during replay.",
 	}, func() uint64 { return uint64(l.replay.TornRecords) })
+	reg.NewGaugeFunc(telemetry.Opts{
+		Name: "papid_wal_clean_start",
+		Help: "1 when startup found the clean-shutdown marker and replayed nothing.",
+	}, func() float64 {
+		if l.replay.CleanStart {
+			return 1
+		}
+		return 0
+	})
+	reg.NewGaugeFunc(telemetry.Opts{
+		Name: "papid_wal_files",
+		Help: "Live write-ahead log files, the active one included.",
+	}, func() float64 { return float64(l.walFiles()) })
 	reg.NewGaugeFunc(telemetry.Opts{
 		Name: "papid_wal_segments",
 		Help: "Live sealed segment files.",
@@ -853,6 +870,17 @@ func (l *Log) diskBytes() int64 {
 	return n
 }
 
+// walFiles counts the live WAL files, the active one included.
+func (l *Log) walFiles() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.oldWALs)
+	if l.wf != nil {
+		n++
+	}
+	return n
+}
+
 // Stats snapshots the log's counters.
 func (l *Log) Stats() Stats {
 	st := Stats{
@@ -864,13 +892,8 @@ func (l *Log) Stats() Stats {
 		WriteErrors:       l.writeErrs.Load(),
 		Replay:            l.replay,
 		DiskBytes:         l.diskBytes(),
+		WALFiles:          l.walFiles(),
 	}
-	l.mu.Lock()
-	st.WALFiles = len(l.oldWALs)
-	if l.wf != nil {
-		st.WALFiles++
-	}
-	l.mu.Unlock()
 	l.segMu.Lock()
 	st.Segments = len(l.segs)
 	if l.sw != nil {

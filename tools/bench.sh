@@ -11,10 +11,12 @@
 # benchmarks against the committed BENCH_server.json, BENCH_hwsim.json
 # and BENCH_tsdb.json instead of overwriting them: a fresh measurement
 # goes to a temp file and `benchjson -diff` gates on the serving-path,
-# tick, simulator, row-append and history-query benchmarks, failing
-# when any gated ns/op regressed more than 25% against the baseline.
-# Use it before regenerating baselines so a regression is a loud diff,
-# not a silently re-baselined number.
+# tick, simulator, row-append and history-query benchmarks. Every gate
+# runs and prints its verdict — a noisy Server* row does not hide the
+# stages behind it — and the script exits non-zero when any gated ns/op
+# regressed more than 25% against its baseline. Use it before
+# regenerating baselines so a regression is a loud diff, not a silently
+# re-baselined number.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -24,17 +26,26 @@ hwsim_bench='SimulatedExecution|SimulatedReplay|OverflowDispatch'
 if [ "${1:-}" = "compare" ]; then
     tmp=$(mktemp /tmp/bench-compare.XXXXXX.json)
     trap 'rm -f "$tmp"' EXIT
+    failed=""
+    # gate NAME BASELINE REGEXP diffs the fresh measurement in $tmp
+    # against BASELINE and records the verdict instead of stopping at it.
+    gate() {
+        if go run ./cmd/benchjson -diff -gate "$3" -max-regress 25 "$2" "$tmp"; then
+            echo "bench compare: $1 gate OK"
+        else
+            echo "bench compare: $1 gate FAILED"
+            failed="$failed $1"
+        fi
+    }
     go run ./cmd/benchjson -benchmem -benchtime 3s -out "$tmp" \
         -bench "$server_bench" ./internal/server .
-    go run ./cmd/benchjson -diff \
-        -gate 'ServerQuery|ServerFanout|ServerThroughput|TickParallel|TickFanout' -max-regress 25 \
-        BENCH_server.json "$tmp"
+    gate Server BENCH_server.json 'ServerQuery|ServerFanout|ServerThroughput|TickParallel|TickFanout'
     go run ./cmd/benchjson -benchmem -out "$tmp" -bench "$hwsim_bench" .
-    go run ./cmd/benchjson -diff -gate 'Simulated' -max-regress 25 \
-        BENCH_hwsim.json "$tmp"
+    gate Simulated BENCH_hwsim.json 'Simulated'
     go run ./cmd/benchjson -benchmem -out "$tmp" -bench 'TSDB' ./internal/tsdb
-    go run ./cmd/benchjson -diff -gate 'TSDBAppendBatch/batched|TSDBQuery' -max-regress 25 \
-        BENCH_tsdb.json "$tmp"
+    gate TSDB BENCH_tsdb.json 'TSDBAppendBatch/batched|TSDBQuery'
+    [ -z "$failed" ] || { echo "bench compare: failed gates:$failed" >&2; exit 1; }
+    echo "bench compare: all gates OK"
     exit 0
 fi
 go run ./cmd/benchjson -benchmem -out BENCH_tsdb.json -bench 'TSDB' ./internal/tsdb

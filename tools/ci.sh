@@ -77,15 +77,18 @@ rm -f "$smoke_json"
 echo "bench regression gate OK"
 # Telemetry-endpoint smoke: a real papid with -http up, scraped over
 # real HTTP. Asserts the metric families observability depends on —
-# per-op latency histograms, queue-depth gauge, cache counters — and
-# that /statusz is valid JSON. The race-enabled telemetry tests above
+# per-op latency histograms, queue-depth gauge — that /statusz is valid
+# JSON, and that a STATS key read over the wire (perfometer -stats)
+# equals its family in the same papid's scrape: STATS is a walk of the
+# registry /metrics prints. The race-enabled telemetry tests above
 # already cover concurrent recording; this covers the binary + flag
 # wiring end to end. papid starts with exactly the flags the benchmark
 # pins (commonFlags in bench/papistorm/papid.go, deprecated -queue
 # included), so a flag that stops parsing fails here before it fails
 # the benchmark.
 go build -o /tmp/papid-ci-smoke ./cmd/papid
-/tmp/papid-ci-smoke -addr 127.0.0.1:0 -http 127.0.0.1:61780 \
+go build -o /tmp/perfometer-ci-smoke ./cmd/perfometer
+/tmp/papid-ci-smoke -addr 127.0.0.1:61779 -http 127.0.0.1:61780 \
     -tick 50ms -queue 4096 -write-queue 4096 -quiet &
 papid_pid=$!
 trap 'kill $papid_pid 2>/dev/null || true' EXIT
@@ -99,7 +102,7 @@ for i in $(seq 1 50); do
 done
 [ -n "$ok" ] || { echo "papid -http never came up (do the benchmark's pinned flags still parse?)" >&2; exit 1; }
 for family in papid_sessions papid_connections papid_write_queue_frames \
-    papid_snapshots_dropped_total papid_alloc_cache_hits_total \
+    papid_snapshots_dropped_total \
     papid_uptime_seconds papid_tick_duration_seconds papid_ticks_skipped_total \
     papid_goroutines; do
     echo "$metrics" | grep -q "$family" || {
@@ -107,8 +110,10 @@ for family in papid_sessions papid_connections papid_write_queue_frames \
 done
 # One queue per connection means one drop ledger, and one history
 # write path means no queue in front of the WAL: the second ledger, the
-# queue's gauge and its stall counter must stay gone.
-for gone in papid_write_drops_total papid_tick_stalls_total papid_wal_queue_rows; do
+# queue's gauge and its stall counter must stay gone. So must the
+# allocation cache's counters: admission is EventSet.Add's own solve.
+for gone in papid_write_drops_total papid_tick_stalls_total papid_wal_queue_rows \
+    papid_alloc_cache_hits_total papid_alloc_cache_misses_total; do
     if echo "$metrics" | grep -q "$gone"; then
         echo "/metrics still exposes $gone" >&2; exit 1
     fi
@@ -118,6 +123,10 @@ echo "$statusz" | grep -q '"stats"' || { echo "/statusz lacks stats" >&2; exit 1
 echo "$statusz" | grep -q '"hists"' || { echo "/statusz lacks hists" >&2; exit 1; }
 echo "$statusz" | grep -q '"build"' || { echo "/statusz lacks build info" >&2; exit 1; }
 echo "$statusz" | grep -q '"tick_workers"' || { echo "/statusz lacks tick_workers" >&2; exit 1; }
+scraped=$(echo "$metrics" | awk '$1 == "papid_tick_workers" { print $2 }')
+walked=$(/tmp/perfometer-ci-smoke -papid 127.0.0.1:61779 -stats | awk '$1 == "tick_workers" { print $2 }')
+[ -n "$scraped" ] && [ "$scraped" = "$walked" ] || {
+    echo "STATS tick_workers=$walked but /metrics papid_tick_workers=$scraped" >&2; exit 1; }
 kill $papid_pid
 wait $papid_pid 2>/dev/null || true
 echo "telemetry smoke OK"
@@ -129,7 +138,6 @@ echo "telemetry smoke OK"
 # session 1 — it exits non-zero when the answer is empty.
 wal_dir=$(mktemp -d /tmp/papid-ci-wal.XXXXXX)
 go build -o /tmp/papirun-ci-smoke ./cmd/papirun
-go build -o /tmp/perfometer-ci-smoke ./cmd/perfometer
 /tmp/papid-ci-smoke -addr 127.0.0.1:61781 -data-dir "$wal_dir" -fsync always -quiet &
 wal_pid=$!
 trap 'kill -9 $papid_pid $wal_pid 2>/dev/null || true; rm -rf "$wal_dir"' EXIT
