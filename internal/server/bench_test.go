@@ -423,14 +423,14 @@ func BenchmarkTickParallelDurable(b *testing.B) {
 		b.Run("fsync="+policy, func(b *testing.B) {
 			srv := tickBenchServer(b, Config{TickWorkers: 2, TSDBRetention: -1,
 				DataDir: b.TempDir(), Fsync: policy}, nSessions)
-			fsyncs := srv.wal.Stats().Fsyncs
+			fsyncs := stat(b, srv, "wal_fsyncs")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				srv.tick()
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(srv.wal.Stats().Fsyncs-fsyncs)/float64(b.N), "fsyncs/tick")
+			b.ReportMetric(float64(stat(b, srv, "wal_fsyncs")-fsyncs)/float64(b.N), "fsyncs/tick")
 		})
 	}
 }

@@ -155,6 +155,78 @@ func TestDurableRestartAfterCrash(t *testing.T) {
 	}
 }
 
+// TestDurableRestartAfterTwoCompactions: the second compaction in one
+// process takes the first one's output as an input. Every QUERY view —
+// raw, both rollup steps, and a derived metric over each — must come
+// back from a crash after it as the live server answered before it.
+func TestDurableRestartAfterTwoCompactions(t *testing.T) {
+	clock := int64(1_000_000)
+	cfg := Config{
+		TickInterval:    time.Hour,
+		TSDBRetention:   -1,
+		DataDir:         t.TempDir(),
+		Fsync:           "off",
+		WALSegmentBytes: 8 << 10,
+		WALCompactAfter: time.Minute,
+		now:             func() int64 { return clock },
+	}
+	srv := New(cfg)
+	if srv.walErr != nil {
+		t.Fatalf("wal open: %v", srv.walErr)
+	}
+	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
+	if !created.OK {
+		t.Fatal(created.Error)
+	}
+	id := created.Session
+	views := func(srv *Server) (raw, rolled string) {
+		var sb strings.Builder
+		for _, step := range []int64{10_000_000, 60_000_000} {
+			resp := srv.dispatch(nil, &wire.Request{Op: wire.OpQuery, Session: id,
+				From: 0, To: 1 << 60, Step: step, Derive: []string{"ipc"}})
+			if !resp.OK || len(resp.Derived) == 0 {
+				t.Fatalf("derive QUERY step=%d: %+v", step, resp)
+			}
+			b, _ := json.Marshal(resp.Derived)
+			fmt.Fprintf(&sb, "derive step=%d %s\n", step, b)
+		}
+		raw, rolled, _ = strings.Cut(durableQueries(t, srv, id, 0, 1<<60), "\n")
+		return raw, rolled + sb.String()
+	}
+	var want string
+	for pass := 1; pass <= 2; pass++ {
+		for i := 0; i < 20_000; i++ {
+			clock += 10_000
+			n := int64(pass*20_000 + i)
+			resp := srv.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: id,
+				Events: []string{"PAPI_TOT_CYC", "PAPI_TOT_INS"}, Values: []int64{n * 4, n * 2}})
+			if !resp.OK {
+				t.Fatalf("publish: %s", resp.Error)
+			}
+		}
+		_, want = views(srv)
+		cs, err := srv.wal.Compact(clock + time.Minute.Microseconds() + 1)
+		if err != nil || cs.RawBlocks == 0 || cs.Compacted < pass {
+			t.Fatalf("compaction %d folded %+v (%v)", pass, cs, err)
+		}
+	}
+	wantRaw, got := views(srv)
+	if got != want {
+		t.Errorf("second compaction changed live rollup and derive answers (%d → %d bytes)", len(want), len(got))
+	}
+	srv.wal.Abandon() // no goroutines to join: Serve was never called
+
+	srv2 := New(cfg)
+	if srv2.walErr != nil {
+		t.Fatalf("wal reopen: %v", srv2.walErr)
+	}
+	defer srv2.Shutdown(context.Background())
+	if gotRaw, got := views(srv2); gotRaw != wantRaw || got != want {
+		t.Errorf("QUERY diverged across a crash after two compactions (replay %+v): raw %d → %d bytes, rollups and derive %d → %d bytes",
+			srv2.Replay(), len(wantRaw), len(gotRaw), len(want), len(got))
+	}
+}
+
 // TestTickRowsDurableWhenTickReturns: every row a returned tick()
 // produced is journaled and, under -fsync always, on disk. The WAL is
 // abandoned with no Shutdown (the kill -9 shape) and the restart must
@@ -192,9 +264,9 @@ func TestTickRowsDurableWhenTickReturns(t *testing.T) {
 			}
 			for i := 0; i < nTicks; i++ {
 				clock += 50_000
-				before := srv.wal.Stats().Fsyncs
+				before := stat(t, srv, "wal_fsyncs")
 				srv.tick()
-				if n := srv.wal.Stats().Fsyncs - before; n < 1 || n > uint64(workers) {
+				if n := stat(t, srv, "wal_fsyncs") - before; n < 1 || n > uint64(workers) {
 					t.Errorf("tick %d: %d fsyncs for %d rows, want between 1 and TickWorkers (%d)",
 						i, n, nSessions, workers)
 				}

@@ -85,10 +85,9 @@ func (s *Store) SealAllActive() int {
 // InstallSealed inserts a persisted sealed block during replay. Blocks
 // of one series must arrive in time order. mapped marks a buffer that
 // aliases a memory-mapped segment file (charged at fixed overhead
-// only); fold re-folds the block's samples into the series' rollup
-// levels — true for raw blocks, false when the levels were already
-// rebuilt from finer-grained persisted state.
-func (s *Store) InstallSealed(sb SealedBlock, mapped, fold bool) {
+// only). The block's samples are folded into the series' rollup levels
+// as live appends would have folded them.
+func (s *Store) InstallSealed(sb SealedBlock, mapped bool) {
 	sh := s.shardFor(sb.Key.Session)
 	sh.mu.Lock()
 	sr := s.seriesFor(sh.entryFor(sb.Key.Session), sb.Key)
@@ -104,14 +103,12 @@ func (s *Store) InstallSealed(sb SealedBlock, mapped, fold bool) {
 	if sb.LastSeq > sr.lastSeq {
 		sr.lastSeq = sb.LastSeq
 	}
-	if fold {
-		IterBlock(sb.Buf, sb.N, func(ts, v int64) bool {
-			for i := range sr.levels {
-				sr.levels[i].append(ts, v)
-			}
-			return true
-		})
-	}
+	IterBlock(sb.Buf, sb.N, func(ts, v int64) bool {
+		for i := range sr.levels {
+			sr.levels[i].append(ts, v)
+		}
+		return true
+	})
 	delta := b.bytes() + sr.mutableBytes() - before
 	sh.mu.Unlock()
 	s.samples.Add(uint64(sb.N))

@@ -714,7 +714,7 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 				b.appendSample(ts+k, k)
 			}
 			ts += 20
-			st.InstallSealed(sealedBlockOf(SeriesKey{Session: 50 + sess, Event: "R"}, &b, 0), rng.Intn(2) == 0, true)
+			st.InstallSealed(sealedBlockOf(SeriesKey{Session: 50 + sess, Event: "R"}, &b, 0), rng.Intn(2) == 0)
 			check("InstallSealed", i)
 		case 3:
 			st.InstallRollup(SeriesKey{Session: 50 + sess, Event: "R"}, st.widths[0],

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"os"
 	"sort"
 
@@ -44,15 +45,13 @@ func (l *Log) Compact(now int64) (CompactStats, error) {
 	// eligible — low-traffic servers might not fill it for hours.
 	// Finalize it so the passes below can see it.
 	if cutoff := l.ageCutoff(now); cutoff != 0 {
-		var finalized *segment
+		var retired *segment
 		l.segMu.Lock()
-		if l.sw != nil && len(l.sw.offsets) > 0 && l.sw.maxTS < cutoff {
-			finalized = l.finalizeWriterLocked()
+		if l.sw != nil && l.sw.size > int64(len(segMagic)) && l.sw.maxTS < cutoff {
+			retired = l.retireWriterLocked(true)
 		}
 		l.segMu.Unlock()
-		if finalized != nil {
-			l.remapFinalized(finalized)
-		}
+		l.remap(retired)
 	}
 
 	// Retention: drop segments whose entire content has aged out. The
@@ -140,9 +139,7 @@ func (l *Log) Compact(now int64) (CompactStats, error) {
 	for _, s := range sel {
 		cs.Compacted++
 		cs.BytesFreed += s.size
-		for range s.blocks {
-			cs.RawBlocks++
-		}
+		cs.RawBlocks += len(s.blocks)
 		if err := os.Remove(s.path); err != nil {
 			l.logger.Error("compacted input remove failed", "err", err, "path", s.path)
 		}
@@ -169,7 +166,8 @@ func (l *Log) ageCutoff(now int64) int64 {
 }
 
 // buildCompacted folds the selected segments into one finalized
-// rollup segment, returning it plus per-series raw-drop cutoffs.
+// rollup segment, returning it — as loaded back from its file — plus
+// per-series raw-drop cutoffs.
 func (l *Log) buildCompacted(sel []*segment) (*segment, map[tsdb.SeriesKey]int64, error) {
 	widths := l.rollupWidths()
 	type perKey struct {
@@ -208,8 +206,7 @@ func (l *Log) buildCompacted(sel []*segment) (*segment, map[tsdb.SeriesKey]int64
 		}
 	}
 	for _, s := range sel {
-		for _, ref := range s.blocks {
-			sb := ref.sb
+		for _, sb := range s.blocks {
 			pk := at(sb.Key)
 			tsdb.IterBlock(sb.Buf, sb.N, func(ts, v int64) bool {
 				for _, f := range pk.folders {
@@ -256,12 +253,6 @@ func (l *Log) buildCompacted(sel []*segment) (*segment, map[tsdb.SeriesKey]int64
 		pk := acc[key]
 		for _, width := range widths {
 			buckets := pk.folders[width].Buckets()
-			if n := len(buckets); n > 0 {
-				// Rollup-only segments still need an age for retention.
-				if end := buckets[n-1].Start + width; end > w.maxTS {
-					w.maxTS = end
-				}
-			}
 			for len(buckets) > 0 {
 				n := min(len(buckets), bucketsPerRecord)
 				rec := rollupRecord{key: key, width: width, buckets: buckets[:n]}
@@ -280,13 +271,20 @@ func (l *Log) buildCompacted(sel []*segment) (*segment, map[tsdb.SeriesKey]int64
 			cutoffs[key] = pk.maxRaw
 		}
 	}
-	out, err := w.finalize()
-	if err != nil {
-		w.f.Close() // finalize's early error paths leave the handle open
+	if err := w.close(true); err != nil {
 		os.Remove(w.path)
 		return nil, nil, err
 	}
-	out.replacedThrough = replacedThrough
+	out, err := loadSegment(w.path, seq)
+	if err == nil && !out.finalized {
+		// A restart would discard this output and keep its inputs; so
+		// must the live log.
+		err = fmt.Errorf("wal: %s: compaction output did not load whole", w.path)
+	}
+	if err != nil {
+		os.Remove(w.path)
+		return nil, nil, err
+	}
 	return out, cutoffs, nil
 }
 

@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -10,27 +12,38 @@ import (
 	"repro/internal/tsdb"
 )
 
-// segmentImage builds the bytes of a segment file: the header and one
-// CRC-valid frame per payload. A non-nil index is framed behind them as
-// the 'I' record and a footer appended that points at idxOff — at the
-// index record itself when idxOff is negative.
-func segmentImage(payloads [][]byte, index []byte, idxOff int64) []byte {
+// recIndex is the record type of the footer index that segments carried
+// before the footer alone marked a finalize. Nothing writes or reads
+// one now; the helpers below spell the old format so the tests can pin
+// that such files still load.
+const recIndex = 'I'
+
+// segmentImage builds the bytes of a footerless segment file: the
+// header and one CRC-valid frame per payload.
+func segmentImage(payloads [][]byte) []byte {
 	img := fileHeader(segMagic)
 	for _, p := range payloads {
 		img = appendFrame(img, p)
 	}
-	if index == nil {
-		return img
+	return img
+}
+
+// withFooter finalizes an image: the footer names end as the offset
+// where the records end — the image's own end when end is negative. A
+// non-nil index is framed in between as the old format's 'I' record.
+func withFooter(img, index []byte, end int64) []byte {
+	img = slices.Clip(img) // the caller's image stays as it is
+	if end < 0 {
+		end = int64(len(img))
 	}
-	if idxOff < 0 {
-		idxOff = int64(len(img))
+	if index != nil {
+		img = appendFrame(img, index)
 	}
-	img = appendFrame(img, index)
-	img = binary.LittleEndian.AppendUint64(img, uint64(idxOff))
+	img = binary.LittleEndian.AppendUint64(img, uint64(end))
 	return append(img, idxMagic...)
 }
 
-// indexPayload is the 'I' record a finalize would write for records at
+// indexPayload is the 'I' record an old finalize wrote for records at
 // the given absolute offsets.
 func indexPayload(offsets ...uint64) []byte {
 	idx := appendUvarint([]byte{recIndex}, uint64(len(offsets)))
@@ -42,47 +55,105 @@ func indexPayload(offsets ...uint64) []byte {
 	return idx
 }
 
-func testBlockPayload(i int) []byte {
-	p, _ := appendBlock(nil, tsdb.SealedBlock{
-		Key: tsdb.SeriesKey{Session: 1, Event: "E"}, Buf: []byte{byte(i), 1, 2, 3},
-		N: 4, MinTS: int64(i) * 100, MaxTS: int64(i)*100 + 99, LastSeq: uint64(i + 1)})
-	return p
+// honestIndex is the 'I' record an old finalize wrote for payloads.
+func honestIndex(payloads [][]byte) []byte {
+	offsets, off := make([]uint64, len(payloads)), uint64(len(segMagic))
+	for i, p := range payloads {
+		offsets[i] = off
+		off += uint64(recHeaderLen + len(p))
+	}
+	return indexPayload(offsets...)
 }
 
-// TestSegmentIndexBadOffsets: a footer index that passes its CRC but
-// names an offset outside the file's records — past 2^63 (a negative
-// int), past the end, inside the header, or wrapped around 2^64 — does
-// not prove a clean finalize. The segment must load by scanning its
-// records, never index the file with the offset.
+func scanImage(img []byte) *segment {
+	s := &segment{data: img}
+	s.scan()
+	return s
+}
+
+// sameRecords reports whether two loads found the same records.
+func sameRecords(a, b *segment) bool {
+	return reflect.DeepEqual(a.blocks, b.blocks) && reflect.DeepEqual(a.rollups, b.rollups) &&
+		reflect.DeepEqual(a.marks, b.marks) && a.replacedThrough == b.replacedThrough &&
+		a.maxTS == b.maxTS && a.raw == b.raw
+}
+
+func testBlockPayload(i int) []byte {
+	return appendBlock(nil, tsdb.SealedBlock{
+		Key: tsdb.SeriesKey{Session: 1, Event: "E"}, Buf: []byte{byte(i), 1, 2, 3},
+		N: 4, MinTS: int64(i) * 100, MaxTS: int64(i)*100 + 99, LastSeq: uint64(i + 1)})
+}
+
+// TestSegmentIndexBadOffsets: which records a segment file holds is
+// decided by its records, never by what follows them. One payload list
+// loads the same behind no footer, behind the footer, behind the old
+// format's index record and footer, and behind an old index that passes
+// its CRC but names offsets outside the file's records — past 2^63 (a
+// negative int), past the end, inside the header, wrapped around 2^64:
+// nothing reads the index, so nothing indexes the file with it. Only
+// the first is not finalized. A footer whose own offset is no record
+// boundary vouches for nothing: the file loads its intact records and
+// is not finalized. And a finalized file with a corrupt record in the
+// middle loads the records before it and counts the tear.
 func TestSegmentIndexBadOffsets(t *testing.T) {
-	payloads := [][]byte{testBlockPayload(0), testBlockPayload(1)}
+	payloads := [][]byte{testBlockPayload(0), testBlockPayload(1), testBlockPayload(2)}
+	bare := segmentImage(payloads)
 	first := uint64(len(segMagic))
 	second := first + uint64(recHeaderLen+len(payloads[0]))
-	size := uint64(len(segmentImage(payloads, indexPayload(first, second), -1)))
-	for name, index := range map[string][]byte{
-		"offset 2^63":         indexPayload(first, 1<<63),
-		"offset 2^64-1":       indexPayload(math.MaxUint64),
-		"offset at EOF":       indexPayload(first, size),
-		"offset past EOF":     indexPayload(first, size+1000),
-		"offset in header":    indexPayload(0, first),
-		"offsets wrap around": indexPayload(second, first),
-		"count past payload":  appendUvarint([]byte{recIndex}, 1<<40),
+	size := uint64(len(withFooter(bare, honestIndex(payloads), -1)))
+
+	want := scanImage(bare)
+	if want.finalized || want.torn != 0 || len(want.blocks) != len(payloads) {
+		t.Fatalf("no footer: finalized=%v torn=%d blocks=%d, want an unfinalized load of %d",
+			want.finalized, want.torn, len(want.blocks), len(payloads))
+	}
+	for name, img := range map[string][]byte{
+		"footer":                   withFooter(bare, nil, -1),
+		"old index":                withFooter(bare, honestIndex(payloads), -1),
+		"old: offset 2^63":         withFooter(bare, indexPayload(first, 1<<63), -1),
+		"old: offset 2^64-1":       withFooter(bare, indexPayload(math.MaxUint64), -1),
+		"old: offset at EOF":       withFooter(bare, indexPayload(first, size), -1),
+		"old: offset past EOF":     withFooter(bare, indexPayload(first, size+1000), -1),
+		"old: offset in header":    withFooter(bare, indexPayload(0, first), -1),
+		"old: offsets wrap around": withFooter(bare, indexPayload(second, first), -1),
+		"old: count past payload":  withFooter(bare, appendUvarint([]byte{recIndex}, 1<<40), -1),
 	} {
-		s := &segment{data: segmentImage(payloads, index, -1)}
-		if err := s.parse(); err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if s.finalized || len(s.blocks) != len(payloads) {
-			t.Errorf("%s: finalized=%v with %d blocks, want a scan that finds %d",
-				name, s.finalized, len(s.blocks), len(payloads))
+		if s := scanImage(img); !s.finalized || s.torn != 0 || !sameRecords(s, want) {
+			t.Errorf("%s: finalized=%v torn=%d with %d blocks, want the footerless load's %d, finalized",
+				name, s.finalized, s.torn, len(s.blocks), len(payloads))
 		}
 	}
-	s := &segment{data: segmentImage(payloads, indexPayload(first, second), -1)}
-	if err := s.parse(); err != nil || !s.finalized || len(s.blocks) != len(payloads) {
-		t.Errorf("honest index: err=%v finalized=%v blocks=%d", err, s.finalized, len(s.blocks))
+
+	for name, end := range map[string]int64{
+		"in header":           3,
+		"zero":                0,
+		"inside a record":     int64(second) + 5,
+		"inside the footer":   int64(len(bare)) + 8,
+		"past the footer":     int64(len(bare)) + footerLen,
+		"far past the footer": math.MaxInt64,
+	} {
+		for _, index := range [][]byte{nil, honestIndex(payloads)} {
+			if s := scanImage(withFooter(bare, index, end)); s.finalized || s.torn == 0 || !sameRecords(s, want) {
+				t.Errorf("footer offset %s (index %v): finalized=%v torn=%d blocks=%d, want every intact record, torn, not finalized",
+					name, index != nil, s.finalized, s.torn, len(s.blocks))
+			}
+		}
 	}
-	if _, _, err := readFrame(s.data, -1<<63+7); err == nil {
+	// A footer may end the records early — that is how an old index
+	// record stays unread — but only on a record boundary.
+	if s := scanImage(withFooter(bare, nil, int64(second))); !s.finalized || len(s.blocks) != 1 {
+		t.Errorf("footer at the second record: finalized=%v blocks=%d, want the first record only", s.finalized, len(s.blocks))
+	}
+
+	corrupt := withFooter(bare, nil, -1)
+	corrupt[second+recHeaderLen+3] ^= 0x40
+	if s := scanImage(corrupt); s.finalized || s.torn != 1 || len(s.blocks) != 1 ||
+		!reflect.DeepEqual(s.blocks[0], want.blocks[0]) {
+		t.Errorf("corrupt middle record: finalized=%v torn=%d blocks=%d, want the one record before it, torn",
+			s.finalized, s.torn, len(s.blocks))
+	}
+
+	if _, _, err := readFrame(bare, -1<<63+7); err == nil {
 		t.Error("readFrame accepted a negative offset")
 	}
 }
@@ -124,16 +195,16 @@ func checkAllocs(t *testing.T, size int, decode func()) {
 	t.Fatalf("decoding %d bytes allocated %d, limit %d", size, grew, limit)
 }
 
-// FuzzLoadSegment feeds segment.parse — what Open runs over every
+// FuzzLoadSegment feeds segment.scan — what Open runs over every
 // seg-*.seg file it finds — arbitrary records behind a valid header.
 // The harness frames each payload with a correct CRC, so the fuzzer
-// works on record and index contents instead of on the checksum; mode
-// picks a footer the fuzzer wrote (its index bytes, its offset), an
-// honest footer, none, or the body unframed. parse must return a
-// segment or an error, never panic, and never allocate more than a
-// small multiple of the file. With an honest footer the index and the
-// scan must agree: chopping the footer off changes how the records are
-// found, not which ones.
+// works on record and footer contents instead of on the checksum; mode
+// picks a footer the fuzzer wrote (its offset, its bytes where the old
+// format kept an index), an honest footer, none, or the body unframed.
+// scan must never panic and never allocate more than a small multiple
+// of the file. An honest footer — today's, or the old format's with
+// any index bytes at all — changes whether the load is finalized,
+// never which records it finds.
 func FuzzLoadSegment(f *testing.F) {
 	rollup := appendRollup(nil, rollupRecord{key: tsdb.SeriesKey{Session: 2, Event: "R"}, width: 10_000_000,
 		buckets: []tsdb.Bucket{{Start: 0, Count: 3, Min: 1, Max: 9, Sum: 12, Last: 2}, {Start: 10_000_000, Count: 1}}})
@@ -143,8 +214,8 @@ func FuzzLoadSegment(f *testing.F) {
 		body = append(appendUvarint(body, uint64(len(p))), p...)
 	}
 	const (
-		fuzzFooter   = 1 // index and footer offset as the fuzzer gave them
-		honestFooter = 2 // index and footer as finalize would write them
+		fuzzFooter   = 1 // footer offset and old-format index bytes as the fuzzer gave them
+		honestFooter = 2 // footer naming the end of the records
 		unframed     = 4 // body verbatim behind the header
 	)
 	f.Add(body, []byte(nil), uint64(0), uint8(0))
@@ -158,48 +229,38 @@ func FuzzLoadSegment(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body, index []byte, idxOff uint64, mode uint8) {
 		payloads := splitPayloads(body)
+		bare := segmentImage(payloads)
 		var img []byte
 		switch {
 		case mode&unframed != 0:
 			img = append(fileHeader(segMagic), body...)
 		case mode&honestFooter != 0:
-			offsets, off := make([]uint64, len(payloads)), uint64(len(segMagic))
-			for i, p := range payloads {
-				offsets[i] = off
-				off += uint64(recHeaderLen + len(p))
-			}
-			img = segmentImage(payloads, indexPayload(offsets...), -1)
+			img = withFooter(bare, nil, -1)
 		case mode&fuzzFooter != 0:
-			img = segmentImage(payloads, append([]byte{}, index...), int64(idxOff))
+			// A MaxUint64 offset is withFooter's "the records' end".
+			img = withFooter(bare, append([]byte{}, index...), int64(idxOff))
 		default:
-			img = segmentImage(payloads, nil, 0)
+			img = bare
 		}
 
 		var s *segment
-		var err error
-		checkAllocs(t, len(img), func() {
-			s = &segment{data: img}
-			err = s.parse()
-		})
-		if mode&unframed != 0 || mode&honestFooter == 0 {
+		checkAllocs(t, len(img), func() { s = scanImage(img) })
+		// A last payload that itself ends in the footer magic makes the
+		// footerless image a footered one; there is no "without" to compare.
+		if mode&unframed != 0 || mode&honestFooter == 0 || bytes.HasSuffix(bare, []byte(idxMagic)) {
 			return
 		}
-		scanned := &segment{data: segmentImage(payloads, nil, 0)}
-		if serr := scanned.parse(); serr != nil {
-			t.Fatalf("scan returned an error: %v", serr)
-		}
-		if err != nil {
-			if scanned.torn == 0 {
-				t.Fatalf("index load failed (%v) on records the scan took whole", err)
+		scanned := scanImage(bare)
+		for name, got := range map[string]*segment{
+			"footer":                 s,
+			"old index":              scanImage(withFooter(bare, honestIndex(payloads), -1)),
+			"old index, fuzzed body": scanImage(withFooter(bare, append([]byte{recIndex}, index...), -1)),
+		} {
+			if got.finalized != (scanned.torn == 0) || got.torn != scanned.torn || !sameRecords(got, scanned) {
+				t.Fatalf("%s: finalized=%v torn=%d blocks %d rollups %d marks %d; without it torn=%d blocks %d rollups %d marks %d",
+					name, got.finalized, got.torn, len(got.blocks), len(got.rollups), len(got.marks),
+					scanned.torn, len(scanned.blocks), len(scanned.rollups), len(scanned.marks))
 			}
-			return
-		}
-		if !s.finalized || scanned.torn != 0 || len(s.blocks) != len(scanned.blocks) ||
-			len(s.rollups) != len(scanned.rollups) || len(s.marks) != len(scanned.marks) ||
-			s.replacedThrough != scanned.replacedThrough || s.maxTS != scanned.maxTS {
-			t.Fatalf("index and scan disagree: finalized=%v torn=%d, blocks %d/%d rollups %d/%d marks %d/%d",
-				s.finalized, scanned.torn, len(s.blocks), len(scanned.blocks),
-				len(s.rollups), len(scanned.rollups), len(s.marks), len(scanned.marks))
 		}
 	})
 }

@@ -29,14 +29,15 @@ const (
 	maxRecordLen = 16 << 20
 )
 
-// Record types (first payload byte).
+// Record types (first payload byte). 'I' is taken: segments finalized
+// before the footer alone marked a finalize carry an index record of
+// that type behind their last record, where no load looks.
 const (
 	recRow       = 'T' // one appended tick row (WAL files)
 	recBlock     = 'B' // one sealed delta-of-delta block (segment files)
 	recRollup    = 'R' // one run of rollup buckets (compacted segments)
 	recWatermark = 'W' // per-series sealed-through sequence (compacted segments)
 	recCompact   = 'C' // compaction provenance: which segments this one replaces
-	recIndex     = 'I' // segment footer index (finalized segments)
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -168,7 +169,7 @@ func decodeRow(payload []byte) (rowRecord, error) {
 
 // blockRecord persists one sealed block; buf is the delta-of-delta
 // encoding verbatim, so a mapped segment serves it zero-copy.
-func appendBlock(dst []byte, sb tsdb.SealedBlock) (out []byte, bufOff int) {
+func appendBlock(dst []byte, sb tsdb.SealedBlock) []byte {
 	dst = append(dst, recBlock)
 	dst = appendUvarint(dst, sb.Key.Session)
 	dst = appendUvarint(dst, uint64(len(sb.Key.Event)))
@@ -178,8 +179,7 @@ func appendBlock(dst []byte, sb tsdb.SealedBlock) (out []byte, bufOff int) {
 	dst = appendUvarint(dst, uint64(sb.N))
 	dst = appendUvarint(dst, sb.LastSeq)
 	dst = appendUvarint(dst, uint64(len(sb.Buf)))
-	bufOff = len(dst)
-	return append(dst, sb.Buf...), bufOff
+	return append(dst, sb.Buf...)
 }
 
 func decodeBlock(payload []byte) (tsdb.SealedBlock, error) {

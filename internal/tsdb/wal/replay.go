@@ -61,9 +61,8 @@ func (l *Log) Start(store *tsdb.Store) (ReplayStats, error) {
 	// Pass 2: raw blocks, folded into rollup levels on top of the
 	// installed runs.
 	for _, seg := range l.segs {
-		for _, ref := range seg.blocks {
-			sb := ref.sb
-			store.InstallSealed(sb, seg.mapped, true)
+		for _, sb := range seg.blocks {
+			store.InstallSealed(sb, seg.mapped)
 			rs.Blocks++
 			st := l.stateFor(sb.Key)
 			if sb.LastSeq > st.sealedThrough {
@@ -101,19 +100,11 @@ func (l *Log) Start(store *tsdb.Store) (ReplayStats, error) {
 	if n := len(l.oldWALs); n > 0 {
 		next = l.oldWALs[n-1].seq + 1
 	}
-	f, err := os.OpenFile(walPath(l.dir, next), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := createWAL(l.dir, next)
 	if err != nil {
 		return rs, err
 	}
-	if _, err := f.Write(fileHeader(walMagic)); err != nil {
-		f.Close()
-		return rs, err
-	}
-	l.wfSeq = next
-	l.wf = f
-	l.wwr = l.wrapWriter(f)
-	l.wfBytes = int64(len(walMagic))
-	l.walDirty = true
+	l.useWALLocked(f, next)
 
 	store.EnforceBudget()
 	l.bg.Add(1)

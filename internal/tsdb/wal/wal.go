@@ -19,12 +19,15 @@
 package wal
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,21 +144,6 @@ type ReplayStats struct {
 	TornRecords int    `json:"torn_records"`
 	WALFiles    int    `json:"wal_files"`
 	Segments    int    `json:"segments"`
-}
-
-// Stats is a point-in-time snapshot of the log's counters.
-type Stats struct {
-	Rows              uint64 `json:"rows"`
-	Fsyncs            uint64 `json:"fsyncs"`
-	SealedBlocks      uint64 `json:"sealed_blocks"`
-	Compactions       uint64 `json:"compactions"`
-	TruncatedWALFiles uint64 `json:"truncated_wal_files"`
-	WriteErrors       uint64 `json:"write_errors"`
-	WALFiles          int    `json:"wal_files"`
-	Segments          int    `json:"segments"`
-	PendingBlocks     int    `json:"pending_blocks"` // sealed blocks awaiting a segment-write retry
-	DiskBytes         int64  `json:"disk_bytes"`
-	Replay            ReplayStats
 }
 
 // Log is the durability layer: tsdb.Storage implementation plus the
@@ -275,7 +263,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	sortSegments(l.segs)
 	l.pruneStaleSegments()
-	sortWALMetas(l.loadedWALs)
+	slices.SortFunc(l.loadedWALs, func(a, b walFileMeta) int { return cmp.Compare(a.seq, b.seq) })
 	l.registerTelemetry(opts.Registry)
 	return l, nil
 }
@@ -283,6 +271,12 @@ func Open(dir string, opts Options) (*Log, error) {
 // pruneStaleSegments discards segments superseded by a finalized
 // compaction output, and torn compaction outputs themselves (their
 // inputs are still live). Runs at Open, before any install.
+//
+// A compaction output that ends in a footer yet did not load whole was
+// finalized once — its inputs may be gone — and has lost a record
+// since. It may be the only copy of what it still holds, so the file
+// stays for manual recovery; it is not served, because a damaged file's
+// word on which inputs it replaces is not taken and they may survive.
 func (l *Log) pruneStaleSegments() {
 	var maxReplaced uint64
 	for _, s := range l.segs {
@@ -294,6 +288,10 @@ func (l *Log) pruneStaleSegments() {
 	for _, s := range l.segs {
 		stale := maxReplaced > 0 && s.seq <= maxReplaced
 		tornCompact := s.replacedThrough != 0 && !s.finalized
+		if tornCompact && bytes.HasSuffix(s.data, []byte(idxMagic)) {
+			l.logger.Error("corrupt compaction output kept, not served", "path", s.path)
+			continue
+		}
 		if !stale && !tornCompact {
 			keep = append(keep, s)
 			continue
@@ -387,14 +385,6 @@ func (l *Log) registerTelemetry(reg *telemetry.Registry) {
 		Name: "papid_wal_disk_bytes",
 		Help: "Bytes on disk across WAL and segment files.",
 	}, func() float64 { return float64(l.diskBytes()) })
-}
-
-func sortWALMetas(ms []walFileMeta) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].seq < ms[j-1].seq; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
 }
 
 // Row is one tick row: every event of one session at one timestamp.
@@ -519,12 +509,13 @@ const maxPending = 256
 // Only blocks whose segment write actually succeeded advance the
 // replay bookkeeping below — a failed block stays RAM-only with its
 // WAL rows pinned (truncation must not delete their only durable
-// copy), the writer is abandoned (its tracked offsets no longer match
-// the file), and the block is queued for retry ahead of any newer
-// seal so a series' persisted blocks never develop a gap that the
-// sealedThrough watermark would silently skip over at replay.
+// copy), the writer is retired without a footer (partial bytes may sit
+// behind its last whole record), and the block is queued for retry
+// ahead of any newer seal so a series' persisted blocks never develop
+// a gap that the sealedThrough watermark would silently skip over at
+// replay.
 func (l *Log) OnSeal(blocks []tsdb.SealedBlock) {
-	var finalized *segment
+	var retired *segment
 	l.segMu.Lock()
 	if len(blocks) == 0 && len(l.pending) == 0 {
 		l.segMu.Unlock()
@@ -545,7 +536,7 @@ func (l *Log) OnSeal(blocks []tsdb.SealedBlock) {
 			l.writeErrs.Add(1)
 			l.logger.Error("segment append failed; sealed block queued for retry",
 				"err", err, "path", l.sw.path)
-			l.abandonWriterLocked()
+			retired = l.retireWriterLocked(false)
 			break
 		}
 		l.sealed.Add(1)
@@ -562,7 +553,7 @@ func (l *Log) OnSeal(blocks []tsdb.SealedBlock) {
 		l.fsyncSegLocked()
 	}
 	if l.sw != nil && l.sw.size >= l.opts.SegmentBytes {
-		finalized = l.finalizeWriterLocked()
+		retired = l.retireWriterLocked(true)
 	}
 	l.segMu.Unlock()
 
@@ -592,9 +583,7 @@ func (l *Log) OnSeal(blocks []tsdb.SealedBlock) {
 		}
 	}
 
-	if finalized != nil {
-		l.remapFinalized(finalized)
-	}
+	l.remap(retired)
 }
 
 // OnDropSeries implements tsdb.Storage: forget replay bookkeeping for
@@ -624,51 +613,24 @@ func (l *Log) ensureWriterLocked() error {
 	return nil
 }
 
-// abandonWriterLocked retires the active segment writer after a record
-// write error: partial bytes may be on disk, so the writer's tracked
-// size/offsets no longer match the file, and appending more records
-// would produce a finalize index pointing mid-record — losing every
-// block in the segment at the next load, not just the failed one. The
-// file is closed and left footerless (the torn-tail scan recovers its
-// intact prefix) and reloaded into the live segment list; the next
-// seal starts a fresh segment. segMu held.
-func (l *Log) abandonWriterLocked() {
-	sw := l.sw
-	if sw == nil {
-		return
-	}
-	l.sw = nil
-	// Best effort: the intact prefix holds blocks whose WAL pins are
-	// about to be released, so push it to disk before relying on it.
-	if err := sw.f.Sync(); err != nil {
-		l.logger.Error("abandoned segment sync failed", "err", err, "path", sw.path)
-	}
-	sw.f.Close()
-	if seg, err := loadSegment(sw.path, sw.seq); err == nil {
-		l.segs = append(l.segs, seg)
-		sortSegments(l.segs)
-	} else {
-		l.logger.Error("abandoned segment reload failed", "err", err, "path", sw.path)
-	}
-}
-
-// finalizeWriterLocked finalizes the active segment; segMu held.
-// Returns the new immutable segment (nil on error) for remapping
-// outside the lock.
-func (l *Log) finalizeWriterLocked() *segment {
+// retireWriterLocked is the one way a segment writer ends; segMu held.
+// The file is closed — behind a footer when finalize is set; without
+// one after a record write error, when partial bytes may sit behind the
+// last whole record — and loaded like any file Open finds, so the live
+// list holds what a restart would: the whole segment, or the intact
+// prefix of one whose footer never made it to disk. The next seal
+// starts a fresh file. Returns the segment (nil if it would not load)
+// for remap, outside the lock.
+func (l *Log) retireWriterLocked(finalize bool) *segment {
 	sw := l.sw
 	l.sw = nil
-	seg, err := sw.finalize()
-	if err != nil {
+	if err := sw.close(finalize); err != nil {
 		l.writeErrs.Add(1)
-		l.logger.Error("segment finalize failed", "err", err, "path", sw.path)
-		sw.f.Close() // finalize's early error paths leave the handle open
-		// The data written so far is still scannable without a footer;
-		// reload it so queries after restart (and compaction now) see it.
-		if seg2, lerr := loadSegment(sw.path, sw.seq); lerr == nil {
-			l.segs = append(l.segs, seg2)
-			sortSegments(l.segs)
-		}
+		l.logger.Error("segment close failed", "err", err, "path", sw.path, "finalize", finalize)
+	}
+	seg, err := loadSegment(sw.path, sw.seq)
+	if err != nil {
+		l.logger.Error("segment reload failed", "err", err, "path", sw.path)
 		return nil
 	}
 	l.segs = append(l.segs, seg)
@@ -676,15 +638,14 @@ func (l *Log) finalizeWriterLocked() *segment {
 	return seg
 }
 
-// remapFinalized swaps the store's heap copies of a just-finalized
-// segment's blocks for slices of its mapping. Outside segMu: Remap
-// takes shard locks.
-func (l *Log) remapFinalized(seg *segment) {
-	if !seg.mapped || l.store == nil {
+// remap swaps the store's heap copies of a just-retired segment's
+// blocks for slices of its mapping. Outside segMu: Remap takes shard
+// locks.
+func (l *Log) remap(seg *segment) {
+	if seg == nil || !seg.mapped || l.store == nil {
 		return
 	}
-	for _, ref := range seg.blocks {
-		sb := ref.sb
+	for _, sb := range seg.blocks {
 		l.store.Remap(sb.Key, sb.MinTS, sb.N, sb.Buf)
 	}
 }
@@ -692,23 +653,10 @@ func (l *Log) remapFinalized(seg *segment) {
 // rotateWALLocked starts a fresh WAL file and deletes any rotated
 // files whose rows are all sealed. mu held.
 func (l *Log) rotateWALLocked() {
-	f, err := os.OpenFile(walPath(l.dir, l.wfSeq+1), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := createWAL(l.dir, l.wfSeq+1)
 	if err != nil {
 		l.writeErrs.Add(1)
 		l.logger.Error("wal rotate failed; continuing on current file", "err", err)
-		return
-	}
-	if _, err := f.Write(fileHeader(walMagic)); err != nil {
-		f.Close()
-		// Remove the header-less leftover: wfSeq was not advanced, so
-		// every later rotation would retry this same path and wedge on
-		// O_CREATE|O_EXCL EEXIST forever, growing the active WAL
-		// without bound and never truncating old rows.
-		if rmErr := os.Remove(walPath(l.dir, l.wfSeq+1)); rmErr != nil {
-			l.logger.Error("wal rotate leftover remove failed", "err", rmErr)
-		}
-		l.writeErrs.Add(1)
-		l.logger.Error("wal rotate header write failed", "err", err)
 		return
 	}
 	if l.opts.Fsync != FsyncOff {
@@ -718,21 +666,22 @@ func (l *Log) rotateWALLocked() {
 	l.oldWALs = append(l.oldWALs, walFileMeta{
 		path: walPath(l.dir, l.wfSeq), seq: l.wfSeq, maxSeq: l.wfMaxSeq, size: l.wfBytes,
 	})
-	l.wfSeq++
-	l.wf = f
-	l.wwr = l.wrapWriter(f)
-	l.wfBytes = int64(len(walMagic))
-	l.wfMaxSeq = 0
-	l.walDirty = true
+	l.useWALLocked(f, l.wfSeq+1)
 	old.Close()
 	l.truncateWALsLocked()
 }
 
-func (l *Log) wrapWriter(w io.Writer) io.Writer {
+// useWALLocked makes f, fresh from createWAL, the active WAL file. mu
+// held — or the caller is Start, before anything else can reach the log.
+func (l *Log) useWALLocked(f *os.File, seq uint64) {
+	l.wf, l.wwr = f, io.Writer(f)
 	if l.opts.wrapWAL != nil {
-		return l.opts.wrapWAL(w)
+		l.wwr = l.opts.wrapWAL(f)
 	}
-	return w
+	l.wfSeq = seq
+	l.wfBytes = int64(len(walMagic))
+	l.wfMaxSeq = 0
+	l.walDirty = true
 }
 
 // truncateWALsLocked deletes rotated WAL files whose newest row is
@@ -774,38 +723,33 @@ func (l *Log) truncateWALsLocked() {
 	l.oldWALs = append([]walFileMeta(nil), keep...)
 }
 
-func (l *Log) fsyncWALLocked() {
-	if l.wf == nil {
-		return
-	}
+// fsync syncs one of the log's files, counted and timed, and clears its
+// dirty flag; a failure is counted and logged and leaves the flag set.
+func (l *Log) fsync(f *os.File, dirty *bool, what string) {
 	t0 := time.Now()
-	if err := l.wf.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		l.writeErrs.Add(1)
-		l.logger.Error("wal fsync failed", "err", err)
+		l.logger.Error(what+" fsync failed", "err", err)
 		return
 	}
-	l.walDirty = false
+	*dirty = false
 	l.fsyncs.Add(1)
 	if l.fsyncHist != nil {
 		l.fsyncHist.Observe(telemetry.Since(t0))
 	}
 }
 
+// fsyncWALLocked syncs the active WAL file; mu held.
+func (l *Log) fsyncWALLocked() {
+	if l.wf != nil {
+		l.fsync(l.wf, &l.walDirty, "wal")
+	}
+}
+
 // fsyncSegLocked syncs the active segment writer; segMu held.
 func (l *Log) fsyncSegLocked() {
-	if l.sw == nil || !l.sw.dirty {
-		return
-	}
-	t0 := time.Now()
-	if err := l.sw.f.Sync(); err != nil {
-		l.writeErrs.Add(1)
-		l.logger.Error("segment fsync failed", "err", err)
-		return
-	}
-	l.sw.dirty = false
-	l.fsyncs.Add(1)
-	if l.fsyncHist != nil {
-		l.fsyncHist.Observe(telemetry.Since(t0))
+	if l.sw != nil && l.sw.dirty {
+		l.fsync(l.sw.f, &l.sw.dirty, "segment")
 	}
 }
 
@@ -881,29 +825,6 @@ func (l *Log) walFiles() int {
 	return n
 }
 
-// Stats snapshots the log's counters.
-func (l *Log) Stats() Stats {
-	st := Stats{
-		Rows:              l.rows.Load(),
-		Fsyncs:            l.fsyncs.Load(),
-		SealedBlocks:      l.sealed.Load(),
-		Compactions:       l.compactions.Load(),
-		TruncatedWALFiles: l.truncated.Load(),
-		WriteErrors:       l.writeErrs.Load(),
-		Replay:            l.replay,
-		DiskBytes:         l.diskBytes(),
-		WALFiles:          l.walFiles(),
-	}
-	l.segMu.Lock()
-	st.Segments = len(l.segs)
-	if l.sw != nil {
-		st.Segments++
-	}
-	st.PendingBlocks = len(l.pending)
-	l.segMu.Unlock()
-	return st
-}
-
 // Close drains the log gracefully: every active block is sealed and
 // persisted, the active segment is finalized, the WAL (now fully
 // superseded) is deleted, and a clean-shutdown marker is written so
@@ -920,15 +841,13 @@ func (l *Log) Close() error {
 		l.store.SealAllActive() // fires OnSeal → segment writes
 	}
 	l.OnSeal(nil) // drain the retry queue for blocks SealAllActive did not cover
-	var finalized *segment
+	var retired *segment
 	l.segMu.Lock()
 	if l.sw != nil {
-		finalized = l.finalizeWriterLocked()
+		retired = l.retireWriterLocked(true)
 	}
 	l.segMu.Unlock()
-	if finalized != nil {
-		l.remapFinalized(finalized)
-	}
+	l.remap(retired)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// All rows are sealed now, so every WAL file is deletable — unless

@@ -12,12 +12,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/tsdb"
 )
 
-// openPair builds a Log+Store wired the way the server wires them.
+// openPair builds a Log+Store wired the way the server wires them,
+// telemetry registry included: stat reads the log's counters from it.
 func openPair(t *testing.T, dir string, opts Options, cfg tsdb.Config) (*Log, *tsdb.Store, ReplayStats) {
 	t.Helper()
+	if opts.Registry == nil {
+		opts.Registry = telemetry.NewRegistry()
+	}
 	l, err := Open(dir, opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -35,6 +40,17 @@ func openPair(t *testing.T, dir string, opts Options, cfg tsdb.Config) (*Log, *t
 		t.Fatalf("Start: %v", err)
 	}
 	return l, store, rs
+}
+
+// stat reads one of the log's counters or gauges under the key a STATS
+// reply serves it by, and fails the test on a key the registry lacks.
+func stat(t *testing.T, l *Log, key string) uint64 {
+	t.Helper()
+	v, ok := l.opts.Registry.Stats()[key]
+	if !ok {
+		t.Fatalf("registry has no key %q", key)
+	}
+	return v
 }
 
 // noCompact disables background work so tests control every mutation.
@@ -203,9 +219,13 @@ func TestAppendRowsMatchesSequentialAppendBatch(t *testing.T) {
 			if batched.lastSeq != serial.lastSeq || batched.lastSeq == 0 {
 				t.Errorf("last sequence: batched %d, serial %d", batched.lastSeq, serial.lastSeq)
 			}
-			if a, b := batched.Stats(), serial.Stats(); a.Rows != b.Rows || a.SealedBlocks != b.SealedBlocks ||
-				a.SealedBlocks == 0 || a.TruncatedWALFiles+uint64(a.WALFiles) < 2 {
-				t.Errorf("stats: batched %+v, serial %+v (want equal rows and seals, some seals, a rotated WAL)", a, b)
+			for _, key := range []string{"wal_rows", "wal_sealed_blocks"} {
+				if a, b := stat(t, batched, key), stat(t, serial, key); a != b || a == 0 {
+					t.Errorf("%s: batched %d, serial %d (want equal and some)", key, a, b)
+				}
+			}
+			if n := stat(t, batched, "wal_truncated_files") + stat(t, batched, "wal_files"); n < 2 {
+				t.Errorf("no WAL rotation: %d files written", n)
 			}
 			batched.Abandon()
 			serial.Abandon()
@@ -306,7 +326,7 @@ func TestFailingWriterDegradesAndRecovers(t *testing.T) {
 	if !sawErr {
 		t.Fatal("fault never fired")
 	}
-	if l.Stats().WriteErrors == 0 {
+	if stat(t, l, "wal_write_errors") == 0 {
 		t.Fatal("write errors not counted")
 	}
 	// Degraded rows still landed in RAM.
@@ -353,9 +373,8 @@ func TestRestartEquivalenceLargeHistory(t *testing.T) {
 	l, store, _ := openPair(t, dir, opts, cfg)
 	appendTicks(t, l, 42, events, n, 0, 10_000) // 100Hz ticks
 	want := queryAll(t, store, 42, 0, 1<<60)
-	st := l.Stats()
-	if st.SealedBlocks == 0 || st.TruncatedWALFiles == 0 {
-		t.Fatalf("test did not exercise sealing+truncation: %+v", st)
+	if stat(t, l, "wal_sealed_blocks") == 0 || stat(t, l, "wal_truncated_files") == 0 {
+		t.Fatalf("test did not exercise sealing+truncation: %v", l.opts.Registry.Stats())
 	}
 	l.Abandon()
 
@@ -461,7 +480,7 @@ func TestRetentionDeletesExpiredSegments(t *testing.T) {
 	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 16 << 10, RetainAge: time.Minute})
 	l, _, _ := openPair(t, dir, opts, tsdb.Config{BlockSamples: 64})
 	appendTicks(t, l, 1, []string{"PAPI_TOT_CYC"}, 2000, 0, 10_000) // 20s of data
-	if l.Stats().Segments == 0 {
+	if stat(t, l, "wal_segments") == 0 {
 		t.Fatal("no segments written")
 	}
 	cs, err := l.Compact(20_000_000 + 2*time.Minute.Microseconds())
@@ -475,8 +494,9 @@ func TestRetentionDeletesExpiredSegments(t *testing.T) {
 }
 
 func TestSegmentIndexRoundTrip(t *testing.T) {
-	// A finalized segment reloads through its footer index; one with
-	// the footer torn off reloads by scanning; both see every record.
+	// A finalized segment reloads as finalized; the same file with
+	// exactly the footer torn off reloads as an interrupted one; both
+	// see every record.
 	dir := t.TempDir()
 	w, err := createSegment(dir, 1)
 	if err != nil {
@@ -492,34 +512,33 @@ func TestSegmentIndexRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seg, err := w.finalize()
+	if err := w.close(true); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := loadSegment(w.path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := loadSegment(seg.path, 1)
-	if err != nil {
-		t.Fatal(err)
+	if !loaded.finalized || loaded.torn != 0 || len(loaded.blocks) != 10 || loaded.size != w.size+footerLen {
+		t.Fatalf("finalized load: finalized=%v torn=%d blocks=%d size=%d (writer wrote %d)",
+			loaded.finalized, loaded.torn, len(loaded.blocks), loaded.size, w.size)
 	}
-	if !loaded.finalized || len(loaded.blocks) != 10 {
-		t.Fatalf("finalized load: finalized=%v blocks=%d", loaded.finalized, len(loaded.blocks))
-	}
-	for i, ref := range loaded.blocks {
-		if ref.sb.LastSeq != uint64(i+1) || ref.sb.Buf[0] != byte(i) {
-			t.Fatalf("block %d corrupted: %+v", i, ref.sb)
+	for i, sb := range loaded.blocks {
+		if sb.LastSeq != uint64(i+1) || sb.Buf[0] != byte(i) {
+			t.Fatalf("block %d corrupted: %+v", i, sb)
 		}
 	}
 
-	// Chop the footer + index: scan path must still find all 10.
-	fi, _ := os.Stat(seg.path)
-	if err := os.Truncate(seg.path, fi.Size()-footerLen-20); err != nil {
+	if err := os.Truncate(w.path, w.size); err != nil {
 		t.Fatal(err)
 	}
-	scanned, err := loadSegment(seg.path, 1)
+	scanned, err := loadSegment(w.path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scanned.finalized {
-		t.Fatal("truncated segment claims finalized")
+	if scanned.finalized || scanned.torn != 0 {
+		t.Fatalf("footerless segment: finalized=%v torn=%d, want an unfinalized file with no torn record",
+			scanned.finalized, scanned.torn)
 	}
 	if len(scanned.blocks) != 10 {
 		t.Fatalf("scan found %d blocks, want 10", len(scanned.blocks))
@@ -568,12 +587,11 @@ func TestSegmentDiskDeathKeepsWALPinned(t *testing.T) {
 	cfg := tsdb.Config{BlockSamples: 64}
 	l, store, _ := openPair(t, dir, opts, cfg)
 	appendTicks(t, l, 13, events, 5000, 0, 100_000)
-	st := l.Stats()
-	if st.WriteErrors == 0 {
+	if stat(t, l, "wal_write_errors") == 0 {
 		t.Fatal("segment fault never fired")
 	}
-	if st.PendingBlocks == 0 {
-		t.Fatalf("no blocks left awaiting retry: %+v", st)
+	if stat(t, l, "wal_pending_blocks") == 0 {
+		t.Fatalf("no blocks left awaiting retry: %v", l.opts.Registry.Stats())
 	}
 	want := queryAll(t, store, 13, 0, 1<<60)
 	l.Abandon()
@@ -606,12 +624,11 @@ func (t *tearWriter) Write(p []byte) (int, error) {
 
 func TestSegmentTornWriteAbandonsWriter(t *testing.T) {
 	// One segment write tears (partial bytes on disk) and later writes
-	// succeed. The damaged writer must be abandoned: its tracked offsets
-	// no longer match the file, so continuing to append and then
-	// finalizing would produce an index pointing mid-record, and the
-	// next load would reject the whole segment — losing every block it
-	// held, not just the torn one. The failed block is retried in a
-	// fresh segment, and a crash afterwards loses nothing.
+	// succeed. The damaged writer must be retired: records appended
+	// behind the partial bytes could never be reached by a load, which
+	// stops at the first torn record — every later block would be lost,
+	// not just the torn one. The failed block is retried in a fresh
+	// segment, and a crash afterwards loses nothing.
 	dir := t.TempDir()
 	events := []string{"PAPI_TOT_CYC"}
 	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 16 << 10})
@@ -621,12 +638,11 @@ func TestSegmentTornWriteAbandonsWriter(t *testing.T) {
 	cfg := tsdb.Config{BlockSamples: 64}
 	l, store, _ := openPair(t, dir, opts, cfg)
 	appendTicks(t, l, 13, events, 5000, 0, 100_000)
-	st := l.Stats()
-	if st.WriteErrors == 0 {
+	if stat(t, l, "wal_write_errors") == 0 {
 		t.Fatal("segment tear never fired")
 	}
-	if st.TruncatedWALFiles == 0 {
-		t.Fatalf("test did not exercise WAL truncation: %+v", st)
+	if stat(t, l, "wal_truncated_files") == 0 {
+		t.Fatalf("test did not exercise WAL truncation: %v", l.opts.Registry.Stats())
 	}
 	want := queryAll(t, store, 13, 0, 1<<60)
 	l.Abandon()

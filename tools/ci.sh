@@ -34,7 +34,7 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 # or corrupt input must end the iteration, never panic.
 go test -run='^$' -fuzz='^FuzzIterBlock$' -fuzztime=5s ./internal/tsdb
 # The same for the two parsers Open and replay run over files found on
-# disk: a segment's records and footer index, and a WAL row record.
+# disk: a segment's records and footer, and a WAL row record.
 go test -run='^$' -fuzz='^FuzzLoadSegment$' -fuzztime=5s ./internal/tsdb/wal
 go test -run='^$' -fuzz='^FuzzDecodeRow$' -fuzztime=5s ./internal/tsdb/wal
 # And for the parsers that read what a peer sent: the JSON and binary
@@ -135,7 +135,11 @@ echo "telemetry smoke OK"
 # real snapshot over the wire (the PUBLISH ack implies the row was
 # fsynced), the process dies hard, a restart on the same directory
 # replays the WAL, and perfometer's history mode must still see
-# session 1 — it exits non-zero when the answer is empty.
+# session 1 — it exits non-zero when the answer is empty. That papid is
+# then stopped gracefully (Close finalizes the segment behind its footer
+# and writes CLEAN), and a third start must take the clean fast path —
+# the footer read back as the finalize mark, nothing replayed — and
+# still answer the same query.
 wal_dir=$(mktemp -d /tmp/papid-ci-wal.XXXXXX)
 go build -o /tmp/papirun-ci-smoke ./cmd/papirun
 /tmp/papid-ci-smoke -addr 127.0.0.1:61781 -data-dir "$wal_dir" -fsync always -quiet &
@@ -163,6 +167,23 @@ for i in $(seq 1 50); do
     sleep 0.1
 done
 [ -n "$recovered" ] || { echo "history did not survive kill -9" >&2; exit 1; }
+kill $wal_pid
+wait $wal_pid 2>/dev/null || true
+/tmp/papid-ci-smoke -addr 127.0.0.1:61781 -data-dir "$wal_dir" -fsync always -quiet &
+wal_pid=$!
+clean=""
+for i in $(seq 1 50); do
+    if clean=$(/tmp/perfometer-ci-smoke -papid 127.0.0.1:61781 -stats 2>/dev/null); then
+        break
+    fi
+    sleep 0.1
+done
+for want in "wal_clean_start 1" "wal_replayed_rows 0"; do
+    echo "$clean" | awk -v want="$want" '$1 " " $2 == want { ok = 1 } END { exit !ok }' || {
+        echo "restart after a graceful stop: STATS lacks '$want'" >&2; exit 1; }
+done
+/tmp/perfometer-ci-smoke -papid 127.0.0.1:61781 -session 1 -last 1h -step 1s >/dev/null || {
+    echo "history did not survive a graceful stop and clean start" >&2; exit 1; }
 kill $wal_pid
 wait $wal_pid 2>/dev/null || true
 echo "durability smoke OK"
