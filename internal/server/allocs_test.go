@@ -14,10 +14,9 @@ import (
 )
 
 // TestFanoutAllocs pins the allocation profile of the one fan-out path,
-// per session fan-out: the broadcast view hands the snapshot through, so
-// it pays only for the escaping snapshot; a projecting view pays one
-// more — its projected frame — and nothing per subscriber or per tick
-// for grouping.
+// per session fan-out: the broadcast view hands the caller's row through
+// as it is; a projecting view pays one more — its projected frame — and
+// nothing per subscriber or per tick for grouping.
 func TestFanoutAllocs(t *testing.T) {
 	events := []string{"a", "b", "c", "d"}
 	allocs := make(map[string]float64)
@@ -47,7 +46,7 @@ func TestFanoutAllocs(t *testing.T) {
 		allocs[mode.name] = testing.AllocsPerRun(200, func() {
 			vals[int(snap.Seq)%len(vals)]++
 			snap.Seq++
-			srv.fanout(nil, tracing.NoSpan, sess, snap, sess.views)
+			srv.fanout(nil, nil, tracing.NoSpan, sess, &snap, 0)
 			for _, c := range conns {
 				for f, ok := c.q.pop(false); ok; f, ok = c.q.pop(false) {
 					frames++

@@ -48,7 +48,6 @@ func BenchmarkDerivedFanout(b *testing.B) {
 	for i := 0; i < 4; i++ {
 		testConn(srv, 1).follow(b, sess, nil, false)
 	}
-	views := sess.views
 	vals := []int64{0, 0, 0, 0}
 	snap := wire.Response{Op: wire.OpSnapshot, OK: true, Session: created.Session,
 		Events: events, Values: vals}
@@ -62,7 +61,7 @@ func BenchmarkDerivedFanout(b *testing.B) {
 		vals[3] += 9_000
 		ts += 2_000
 		snap.Seq++
-		srv.fanoutDerived(nil, tracing.NoSpan, sess, snap, views, ts)
+		srv.fanoutDerived(nil, tracing.NoSpan, sess, &snap, ts)
 	}
 }
 

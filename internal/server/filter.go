@@ -45,7 +45,7 @@ func canonEvents(events []string) []string {
 // viewState is one distinct view of one session: the projection of the
 // session's event list through the filter, and — for delta views — the
 // keyframe epoch the next delta chains from. filter and delta are
-// immutable; everything else is guarded by the session's fanMu.
+// immutable; everything else is guarded by the session's mu.
 type viewState struct {
 	filter []string // canonical event filter; nil selects every event
 	delta  bool
@@ -123,22 +123,31 @@ func (sess *session) matches(ids []uint64, globs []string) bool {
 	return false
 }
 
-// fanout hands one snapshot to every view of the session, each
-// serializing its frame at most once per codec in use: with N
-// subscribers of a view on one codec the tick pays for one encode, not
-// N, and the refcount on each shared buffer (see sharedBuf) returns it
-// to the pool once every queue is done with it. fanMu serializes
-// concurrent fan-outs of the same session (the tick loop and PUBLISH
-// handlers), keeping per-view baselines consistent.
+// fanout delivers one numbered row of the session — a tick's or a
+// PUBLISH's — to every view and then to the derive engine, whose DERIVED
+// frame follows the row's SNAPSHOT into the same queues. Each view
+// serializes its frame at most once per codec in use: with N subscribers
+// of a view on one codec the row pays for one encode, not N, and the
+// refcount on each shared buffer (see sharedBuf) returns it to the pool
+// once every queue is done with it. The caller holds sess.mu and has
+// held it since it numbered the row, so whoever produced them, a
+// session's rows reach every subscriber, every view's delta baseline
+// and the engine in seq order.
 //
-// t/parent thread the enclosing trace (tick or PUBLISH request) so
-// detailed traces record per-codec encode spans; both may be nil/zero.
-func (s *Server) fanout(t *tracing.Trace, parent tracing.SpanRef, sess *session, snap wire.Response, views []viewSubs) {
-	sess.fanMu.Lock()
-	defer sess.fanMu.Unlock()
-	for _, v := range views {
-		s.fanoutView(t, parent, v, &snap)
+// t is the enclosing trace (the tick, or the PUBLISH request), which
+// takes encode spans when detailed and the alert mark; the two stage
+// spans hang on d under parent — a request passes t, a tick passes t
+// only when it is detailed. Any of them may be nil.
+func (s *Server) fanout(t, d *tracing.Trace, parent tracing.SpanRef, sess *session, snap *wire.Response, now int64) {
+	fs := d.StartSpan(parent, "fanout")
+	d.AnnotateInt(fs, "views", int64(len(sess.views)))
+	for _, v := range sess.views {
+		s.fanoutView(t, fs, v, snap)
 	}
+	d.EndSpan(fs)
+	ds := d.StartSpan(parent, "derive")
+	s.fanoutDerived(t, ds, sess, snap, now)
+	d.EndSpan(ds)
 }
 
 // fanoutView delivers one tick to the subscribers of one view: the

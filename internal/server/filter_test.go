@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
 	"net"
 	"runtime"
 	"slices"
@@ -666,12 +668,13 @@ func TestDerivedCountersDistinct(t *testing.T) {
 
 // TestViewMembershipChurn races subscribes and connection teardowns
 // against PUBLISH fan-out on one session (run it under -race): the
-// subscriber index is copy-on-write, so a fan-out may finish on the
-// list it was handed while membership moves on. Whatever the
-// interleaving, every subscriber's frames are a gap-free run of seqs
-// that reassembles to the published rows, a subscription's first frame
-// is a full SNAPSHOT — also when its view had just been dropped by its
-// last leaver — and sent − dropped equals the frames the queues took.
+// subscriber index is edited in place under the session lock the
+// fan-out walks it under. Whatever the interleaving, every subscriber's
+// frames are a gap-free run of seqs that reassembles to the published
+// rows, a subscription's first frame is a full SNAPSHOT — also when its
+// view had just been dropped by its last leaver — nothing is pushed at
+// a connection once its teardown has returned, and sent − dropped
+// equals the frames the queues took.
 func TestViewMembershipChurn(t *testing.T) {
 	srv := New(Config{TickInterval: time.Hour, TSDBMaxBytes: -1, KeyframeEvery: 5})
 	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
@@ -731,6 +734,7 @@ func TestViewMembershipChurn(t *testing.T) {
 	type stream struct {
 		c     *conn
 		shape int
+		held  int // frames queued when teardown returned
 	}
 	const nChurners = 4
 	streams := make([][]stream, nChurners)
@@ -743,18 +747,21 @@ func TestViewMembershipChurn(t *testing.T) {
 			for n := g; !stop.Load(); n++ {
 				shape := shapes[n%len(shapes)]
 				c := testConn(srv, 2*publishes) // deep enough that nothing is evicted
-				if _, err := srv.addSubscriber(c, sess, &wire.Request{Events: shape.filter, Delta: shape.delta}); err != nil {
-					t.Error(err)
-					return
-				}
-				c.goLive()
+				c.follow(t, sess, shape.filter, shape.delta)
 				// Stay for one to three fan-outs, so every stream overlaps
 				// the publisher, then hang up under its feet.
 				for stay := 1 + n/len(shapes)%3; c.q.len() < stay && !stop.Load(); {
 					runtime.Gosched()
 				}
 				c.teardown()
-				streams[g] = append(streams[g], stream{c, n % len(shapes)})
+				// Reopened, so that a frame pushed for a subscription that
+				// is gone would sit in the queue instead of being dropped
+				// at its door.
+				c.q.mu.Lock()
+				c.q.closed = false
+				held := c.q.n
+				c.q.mu.Unlock()
+				streams[g] = append(streams[g], stream{c, n % len(shapes), held})
 			}
 		}()
 	}
@@ -770,6 +777,9 @@ func TestViewMembershipChurn(t *testing.T) {
 	}
 	for _, ss := range streams {
 		for _, st := range ss {
+			if n := st.c.q.len(); n != st.held {
+				t.Errorf("%d frames pushed at a connection after its teardown returned", n-st.held)
+			}
 			check(st.c, canonEvents(shapes[st.shape].filter), shapes[st.shape].delta)
 		}
 	}
@@ -846,5 +856,154 @@ func TestViewOrderAndRekey(t *testing.T) {
 	}
 	if want := []string{wire.OpSnapshot, wire.OpDelta, wire.OpSnapshot}; !slices.Equal(ops, want) {
 		t.Errorf("delta stream ops %v, want %v", ops, want)
+	}
+}
+
+// TestConcurrentPublishersKeepOrder has several connections' worth of
+// PUBLISH handlers race on one session (run it under -race) and checks
+// everything the session promises per row against a truth keyed by the
+// seq each ack carried. A row's INS is k², its CYC k, for a k drawn from
+// a shared counter, so the ipc of two consecutive rows is the sum of
+// their k's and names the pair the derive engine saw; the engine emits
+// nothing across a counter that steps backwards, so which seqs carry a
+// DERIVED frame is known too. On all four view shapes: row frames are a
+// gap-free run of seqs that reassembles to the truth, each DERIVED frame
+// sits directly behind the row of its seq and carries that pair's ipc,
+// the last row is what READ answers, and history holds the rows in seq
+// order under timestamps that never step back.
+func TestConcurrentPublishersKeepOrder(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runPublishersSeed(t, seed) })
+	}
+}
+
+func runPublishersSeed(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	var clock atomic.Int64
+	srv := New(Config{TickInterval: time.Hour, TSDBRetention: -1, Groups: []string{"ipc"},
+		KeyframeEvery: 2 + rng.Intn(6), now: func() int64 { return clock.Add(1000) }})
+	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
+	if !created.OK {
+		t.Fatal(created.Error)
+	}
+	sess, _ := srv.reg.get(created.Session)
+	events := []string{"PAPI_TOT_INS", "PAPI_TOT_CYC", "EV_X"}
+	rowOf := func(k int64) []int64 { return []int64{k * k, k, 7} }
+
+	nPublishers := 2 + rng.Intn(4)
+	perPublisher := 150 + rng.Intn(250)
+	total := nPublishers * perPublisher
+	shapes := []struct {
+		filter []string
+		delta  bool
+	}{{nil, false}, {[]string{"PAPI_TOT_CYC", "EV_X"}, false}, {nil, true}, {[]string{"EV_X", "PAPI_TOT_INS"}, true}}
+	conns := make([]*conn, len(shapes))
+	for i, shape := range shapes {
+		conns[i] = testConn(srv, 2*total) // a row frame and a DERIVED per row: nothing is evicted
+		conns[i].follow(t, sess, shape.filter, shape.delta)
+	}
+
+	var nextK atomic.Int64
+	truth := make([]int64, total+1) // k by acked seq; every publisher writes its own seqs
+	var publishers sync.WaitGroup
+	for p := 0; p < nPublishers; p++ {
+		yield := rand.New(rand.NewSource(seed<<8 + int64(p)))
+		publishers.Add(1)
+		go func() {
+			defer publishers.Done()
+			for i := 0; i < perPublisher; i++ {
+				k := nextK.Add(1)
+				resp := srv.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: sess.id,
+					Events: events, Values: rowOf(k)})
+				if !resp.OK || resp.Seq == 0 || resp.Seq > uint64(total) {
+					t.Errorf("publish k=%d: %+v", k, resp)
+					return
+				}
+				truth[resp.Seq] = k
+				if yield.Intn(3) == 0 {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	publishers.Wait()
+	if t.Failed() {
+		return
+	}
+	for seq := 1; seq <= total; seq++ {
+		if truth[seq] == 0 {
+			t.Fatalf("no PUBLISH was acked with seq %d of %d", seq, total)
+		}
+	}
+
+	read := srv.dispatch(nil, &wire.Request{Op: wire.OpRead, Session: sess.id})
+	if !read.OK || read.Seq != uint64(total) || !slices.Equal(read.Values, rowOf(truth[total])) {
+		t.Fatalf("READ %+v, want seq %d values %v", read, total, rowOf(truth[total]))
+	}
+	for i, shape := range shapes {
+		filter := canonEvents(shape.filter)
+		project := func(row []int64) (out []int64) {
+			for j, ev := range events {
+				if filter == nil || slices.Contains(filter, ev) {
+					out = append(out, row[j])
+				}
+			}
+			return out
+		}
+		var tracker wire.DeltaTracker
+		var lastRow wire.Response
+		derived := make(map[uint64]float64)
+		for _, f := range conns[i].popResponses(t) {
+			if f.Op == wire.OpDerived {
+				if f.Seq != lastRow.Seq {
+					t.Errorf("shape %d: DERIVED seq %d behind the row of seq %d, want its own", i, f.Seq, lastRow.Seq)
+				}
+				if _, dup := derived[f.Seq]; dup {
+					t.Errorf("shape %d: two DERIVED frames for seq %d", i, f.Seq)
+				}
+				derived[f.Seq] = f.DValues[slices.Index(f.Metrics, "ipc")]
+				continue
+			}
+			row, err := tracker.Apply(f)
+			if err != nil {
+				t.Fatalf("shape %d seq %d (%s): %v", i, f.Seq, f.Op, err)
+			}
+			if row.Seq != lastRow.Seq+1 {
+				t.Fatalf("shape %d: seq %d follows %d", i, row.Seq, lastRow.Seq)
+			}
+			if want := project(rowOf(truth[row.Seq])); !slices.Equal(row.Values, want) {
+				t.Errorf("shape %d: seq %d reassembled %v, want %v", i, row.Seq, row.Values, want)
+			}
+			lastRow = row
+			lastRow.Values = slices.Clone(row.Values) // the tracker reuses its output
+		}
+		if lastRow.Seq != read.Seq || !slices.Equal(lastRow.Values, project(read.Values)) {
+			t.Errorf("shape %d: stream ends at seq %d %v, READ says seq %d %v",
+				i, lastRow.Seq, lastRow.Values, read.Seq, project(read.Values))
+		}
+		for seq := 2; seq <= total; seq++ {
+			got, ok := derived[uint64(seq)]
+			if want := truth[seq] > truth[seq-1]; ok != want {
+				t.Errorf("shape %d: DERIVED for seq %d (k %d after %d): sent %v, want %v",
+					i, seq, truth[seq], truth[seq-1], ok, want)
+			} else if ok && got != float64(truth[seq]+truth[seq-1]) {
+				t.Errorf("shape %d: seq %d ipc %v, want %d: the engine saw another pair of rows",
+					i, seq, got, truth[seq]+truth[seq-1])
+			}
+		}
+	}
+
+	hist := srv.dispatch(nil, &wire.Request{Op: wire.OpQuery, Session: sess.id,
+		Events: []string{"PAPI_TOT_CYC"}, From: 0, To: 1 << 62})
+	if !hist.OK || len(hist.Series) != 1 || len(hist.Series[0].Buckets) != total {
+		t.Fatalf("raw QUERY: %+v, want one series of %d samples", hist, total)
+	}
+	for i, b := range hist.Series[0].Buckets {
+		if b.Last != truth[i+1] {
+			t.Fatalf("history sample %d holds k=%d, want seq %d's k=%d", i, b.Last, i+1, truth[i+1])
+		}
+		if i > 0 && b.Start <= hist.Series[0].Buckets[i-1].Start {
+			t.Fatalf("history sample %d at %d µs, not after its predecessor's %d", i, b.Start, hist.Series[0].Buckets[i-1].Start)
+		}
 	}
 }

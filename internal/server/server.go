@@ -10,9 +10,14 @@
 //   - a sharded session registry — sessions hash to one of N
 //     mutex-guarded shards, so session lookup never serializes on a
 //     single lock;
-//   - coalesced periodic reads — one tick goroutine snapshots each
-//     running session's counters once and fans the frame out to all of
-//     the session's subscribers, instead of every subscriber polling;
+//   - coalesced periodic reads — the tick snapshots each running
+//     session's counters once and fans the frame out to all of the
+//     session's subscribers, instead of every subscriber polling;
+//   - one lock per session — a request or a tick takes it once, and a
+//     row is numbered, journaled (PUBLISH), fanned out and handed to the
+//     derive engine under that one hold, so subscribers, history and
+//     derived metrics see a session's rows in seq order however many
+//     connections publish to it (session.go has the lock order);
 //   - encode-once fan-out — each tick's snapshot is serialized to
 //     bytes exactly once per codec in use and the shared immutable
 //     []byte flows through every subscriber and write queue, so frame
@@ -92,8 +97,8 @@ type Config struct {
 	// ReadIdleTimeout evicts a connection that sends no request for
 	// this long and holds no subscription — a half-dead client cannot
 	// pin a goroutine forever (default 2m; negative disables).
-	// Connections with live subscriptions are exempt: snapshot
-	// fan-out is their traffic.
+	// Connections subscribed to an open session are exempt: snapshot
+	// fan-out is their traffic. A subscription ends with its session.
 	ReadIdleTimeout time.Duration
 	// WriteTimeout bounds each outbound frame write; a trip means the
 	// peer stopped reading and the connection is evicted
@@ -730,12 +735,12 @@ func (s *Server) deliver(enc *encCache, kind frameKind, sub *subscriber) {
 	sub.c.q.push(f)
 }
 
-// fanoutDerived evaluates the session's performance groups over one
-// snapshot and pushes the resulting DERIVED frame to every subscriber
-// of every view, encode-once like fanout. Evaluation runs even with no
-// subscriber — threshold rules alert server-side regardless of who is
-// watching.
-func (s *Server) fanoutDerived(t *tracing.Trace, parent tracing.SpanRef, sess *session, snap wire.Response, views []viewSubs, ts int64) {
+// fanoutDerived is fanout's second half: it evaluates the session's
+// performance groups over the row and pushes the resulting DERIVED frame
+// to every subscriber of every view, encode-once like the views'
+// frames. Evaluation runs even with no subscriber — threshold rules
+// alert server-side regardless of who is watching.
+func (s *Server) fanoutDerived(t *tracing.Trace, parent tracing.SpanRef, sess *session, snap *wire.Response, ts int64) {
 	groups := sess.derivedGroups(s.defGroups)
 	if len(groups) == 0 {
 		return
@@ -751,7 +756,7 @@ func (s *Server) fanoutDerived(t *tracing.Trace, parent tracing.SpanRef, sess *s
 			if t.Detailed() {
 				enc.trc, enc.parent = t, parent
 			}
-			for _, v := range views {
+			for _, v := range sess.views {
 				for _, sub := range v.subs {
 					s.deliver(&enc, kindDerived, sub)
 				}
@@ -1175,45 +1180,34 @@ func (s *Server) handle(nc net.Conn) {
 		t0 := time.Now()
 		// Each valid request is a traced unit: dispatch and write spans
 		// always; deep stage spans (PUBLISH history/fan-out/derive) hang
-		// off c.trc. Only the ID is read after the frame is enqueued —
+		// off c.trc. t is nil with tracing off — every call on it no-ops
+		// and tid is 0. Only the ID is read after the frame is enqueued:
 		// the writer goroutine finishes (and may recycle) the trace.
 		t := s.trc.Start("request", req.Op)
-		var tid uint64
-		var ok bool
-		var resp wire.Response
-		if t == nil {
-			resp = s.dispatch(c, &req)
-			ok = c.send(resp)
-		} else {
-			tid = t.ID()
-			t.AnnotateInt(tracing.NoSpan, "conn", int64(c.id))
-			if req.Session != 0 {
-				t.AnnotateInt(tracing.NoSpan, "session", int64(req.Session))
-			}
-			c.trc = t
-			dsp := t.StartSpan(tracing.NoSpan, "dispatch")
-			resp = s.dispatch(c, &req)
-			t.EndSpan(dsp)
-			c.trc = nil
-			if !resp.OK && resp.Error != "" {
-				t.SetError(resp.Error)
-			}
-			resp.TraceID = tid
-			wr := t.StartSpan(tracing.NoSpan, "write")
-			ok = c.sendTraced(resp, t, wr)
+		tid := t.ID()
+		t.AnnotateInt(tracing.NoSpan, "conn", int64(c.id))
+		if req.Session != 0 {
+			t.AnnotateInt(tracing.NoSpan, "session", int64(req.Session))
 		}
+		c.trc = t
+		dsp := t.StartSpan(tracing.NoSpan, "dispatch")
+		resp := s.dispatch(c, &req)
+		t.EndSpan(dsp)
+		c.trc = nil
+		if !resp.OK && resp.Error != "" {
+			t.SetError(resp.Error)
+		}
+		resp.TraceID = tid
+		ok := c.sendTraced(resp, t, t.StartSpan(tracing.NoSpan, "write"))
 		c.goLive()
 		s.m.observeOp(req.Op, c.codecNow(), t0)
 		if d := s.cfg.SlowOp; d > 0 {
 			if elapsed := time.Since(t0); elapsed >= d {
+				attrs := []any{"op", req.Op, "session", req.Session, "dur", elapsed.String()}
 				if tid != 0 {
-					c.log.Warn("papid: slow op", "op", req.Op,
-						"session", req.Session, "dur", elapsed.String(),
-						"trace", tracing.FormatID(tid))
-				} else {
-					c.log.Warn("papid: slow op", "op", req.Op,
-						"session", req.Session, "dur", elapsed.String())
+					attrs = append(attrs, "trace", tracing.FormatID(tid))
 				}
+				c.log.Warn("papid: slow op", attrs...)
 				s.slowOps.record(req.Op, req.Session, elapsed.Nanoseconds(), tid)
 			}
 		}
@@ -1393,6 +1387,17 @@ func (c *conn) teardown() {
 	}
 }
 
+// forget drops one subscription from the connection's list: its session
+// closed (session.close, which holds the session's lock) and will push
+// nothing more for it.
+func (c *conn) forget(sub *subscriber) {
+	c.mu.Lock()
+	if i := slices.Index(c.subs, sub); i >= 0 {
+		c.subs = slices.Delete(c.subs, i, i+1)
+	}
+	c.mu.Unlock()
+}
+
 func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 	switch req.Op {
 	case wire.OpHello:
@@ -1443,23 +1448,20 @@ func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 		return s.subscribe(c, req)
 	case wire.OpPublish:
 		return s.withSession(req, func(sess *session) wire.Response {
-			snap, views, err := sess.publish(req.Events, req.Values)
+			snap, err := sess.publish(req.Events, req.Values)
 			if err != nil {
 				return errResp(req, err)
 			}
+			// Journaled, timestamped and delivered inside the hold that
+			// numbered the row, so with several publishers the WAL, the
+			// store and every subscriber see the session's rows in seq
+			// order. The stage spans go on the request trace (all no-ops
+			// untraced): a slow PUBLISH shows whether the WAL append, the
+			// fan-out encodes, or the derive evaluation ate the budget.
 			now := s.cfg.now()
-			// Stage spans on the request trace (all no-ops untraced): a
-			// slow PUBLISH shows whether the WAL append, the fan-out
-			// encodes, or the derive evaluation ate the budget.
 			t := c.reqTrace()
 			s.appendRows(t, []wal.Row{{Session: sess.id, TS: now, Events: snap.Events, Vals: snap.Values}})
-			fs := t.StartSpan(tracing.NoSpan, "fanout")
-			t.AnnotateInt(fs, "views", int64(len(views)))
-			s.fanout(t, fs, sess, snap, views)
-			t.EndSpan(fs)
-			ds := t.StartSpan(tracing.NoSpan, "derive")
-			s.fanoutDerived(t, ds, sess, snap, views, now)
-			t.EndSpan(ds)
+			s.fanout(t, t, tracing.NoSpan, sess, &snap, now)
 			return wire.Response{Op: req.Op, OK: true, Session: sess.id, Seq: snap.Seq}
 		})
 	case wire.OpStop:
@@ -1510,11 +1512,18 @@ func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 	return errResp(req, fmt.Errorf("unknown op %q", req.Op))
 }
 
+// withSession runs f as one op on the request's session: found, locked
+// and found open here, once, so f and the session methods it calls run
+// under the session's lock and never see a closed session.
 func (s *Server) withSession(req *wire.Request, f func(*session) wire.Response) wire.Response {
 	sess, ok := s.reg.get(req.Session)
 	if !ok {
 		return errResp(req, fmt.Errorf("no session %d", req.Session))
 	}
+	if !sess.lockOpen() {
+		return errResp(req, errSessionClosed)
+	}
+	defer sess.mu.Unlock()
 	return f(sess)
 }
 
@@ -1537,11 +1546,8 @@ func (s *Server) subscribe(c *conn, req *wire.Request) wire.Response {
 					return errResp(req, err)
 				}
 			}
-			names, err := s.addSubscriber(c, sess, req)
-			if err != nil {
-				return errResp(req, err)
-			}
-			return wire.Response{Op: req.Op, OK: true, Session: sess.id, Events: names}
+			s.addSubscriber(c, sess, req)
+			return wire.Response{Op: req.Op, OK: true, Session: sess.id, Events: sess.names}
 		})
 	}
 	// Wildcard form. Validate everything before touching any session: a
@@ -1567,9 +1573,11 @@ func (s *Server) subscribe(c *conn, req *wire.Request) wire.Response {
 	slices.SortFunc(matched, func(a, b *session) int { return cmp.Compare(a.id, b.id) })
 	var ids []uint64
 	for _, sess := range matched {
-		if _, err := s.addSubscriber(c, sess, req); err != nil {
+		if !sess.lockOpen() {
 			continue // closed between the registry scan and here
 		}
+		s.addSubscriber(c, sess, req)
+		sess.mu.Unlock()
 		ids = append(ids, sess.id)
 	}
 	if len(ids) == 0 {
@@ -1578,21 +1586,18 @@ func (s *Server) subscribe(c *conn, req *wire.Request) wire.Response {
 	return wire.Response{Op: req.Op, OK: true, Sessions: ids}
 }
 
-// addSubscriber registers c on sess with the request's filter and
-// records the subscription on the connection for teardown. A delta
-// subscriber starts with needKey set: its first frame must be a
-// keyframe to anchor the stream.
-func (s *Server) addSubscriber(c *conn, sess *session, req *wire.Request) ([]string, error) {
+// addSubscriber registers c on sess — locked by the caller — with the
+// request's filter and records the subscription on the connection for
+// teardown. A delta subscriber starts with needKey set: its first frame
+// must be a keyframe to anchor the stream.
+func (s *Server) addSubscriber(c *conn, sess *session, req *wire.Request) *subscriber {
 	sub := &subscriber{c: c, sess: sess, events: canonEvents(req.Events), delta: req.Delta}
 	sub.needKey.Store(req.Delta)
-	names, err := sess.addSubscriber(sub)
-	if err != nil {
-		return nil, err
-	}
+	sess.addSubscriber(sub)
 	c.mu.Lock()
 	c.subs = append(c.subs, sub)
 	c.mu.Unlock()
-	return names, nil
+	return sub
 }
 
 // goLive opens the streams of the subscriptions the request just

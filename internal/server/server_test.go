@@ -67,11 +67,13 @@ func testConn(srv *Server, depth int) *conn {
 // reply already queued.
 func (c *conn) follow(tb testing.TB, sess *session, events []string, delta bool) *subscriber {
 	tb.Helper()
-	if _, err := c.srv.addSubscriber(c, sess, &wire.Request{Events: events, Delta: delta}); err != nil {
-		tb.Fatal(err)
+	if !sess.lockOpen() {
+		tb.Fatal(errSessionClosed)
 	}
+	sub := c.srv.addSubscriber(c, sess, &wire.Request{Events: events, Delta: delta})
+	sess.mu.Unlock()
 	c.goLive()
-	return c.subs[len(c.subs)-1]
+	return sub
 }
 
 // popAll empties the connection's queue as its writer would, returning
@@ -445,6 +447,37 @@ func TestFramesWaitForSubscribeReply(t *testing.T) {
 	}
 	if sent, dropped := stat(t, srv, "snapshots_sent"), stat(t, srv, "snapshots_dropped"); sent != 1 || dropped != 0 {
 		t.Errorf("sent=%d dropped=%d, want 1/0: the silent tick must count nothing", sent, dropped)
+	}
+}
+
+// TestClosedSessionEndsReadIdleExemption: a subscriber is exempt from
+// the read-idle deadline because fan-out is its traffic, and only for as
+// long as that can be true. Once its session closes it will never be
+// sent another frame, so the next idle deadline evicts it; it used to
+// stay in its connection's subscription list and hold the socket, the
+// reader and the writer for good.
+func TestClosedSessionEndsReadIdleExemption(t *testing.T) {
+	srv, addr := startServer(t, Config{TickInterval: time.Hour, ReadIdleTimeout: 100 * time.Millisecond})
+	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
+	if !created.OK {
+		t.Fatal(created.Error)
+	}
+	sub := dialT(t, addr)
+	if _, err := sub.Do(wire.Request{Op: wire.OpSubscribe, Session: created.Session}); err != nil {
+		t.Fatal(err)
+	}
+	if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpCloseSession, Session: created.Session}); !resp.OK {
+		t.Fatal(resp.Error)
+	}
+	for deadline := time.Now().Add(10 * time.Second); stat(t, srv, "connections") != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("subscriber of a closed session still connected after 100 read-idle timeouts (evictions %d)",
+				stat(t, srv, "evictions"))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := stat(t, srv, "evictions"); n != 1 {
+		t.Errorf("evictions %d, want 1", n)
 	}
 }
 

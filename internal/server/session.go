@@ -13,9 +13,22 @@ import (
 
 // session is one client-created measurement: a private simulated
 // System/Thread/EventSet on a chosen platform, an optional workload the
-// tick loop advances while the session runs, and the set of subscribers
-// receiving its snapshots. All fields behind mu — the papi stack is not
-// goroutine-safe, so every touch of sys/th/es is serialized here.
+// tick loop advances while the session runs, and the views its
+// subscribers follow.
+//
+// mu is the session's one lock, and an op on the session is one
+// critical section: whoever reaches a session — withSession for a
+// request, tickSession for the sweep, the wildcard-SUBSCRIBE loop —
+// locks it, finds it open (lockOpen) and calls the methods below under
+// that hold; only removeSubscriber and close, which a closed session
+// must also answer, lock for themselves. A row is numbered (snapshot,
+// publish) and delivered (Server.fanout) inside one hold, so every
+// subscriber, the derive engine and — for PUBLISH — the journal see a
+// session's rows in seq order, whoever produced them; the same hold
+// serializes every touch of the papi stack, which is not
+// goroutine-safe. Lock order (DESIGN.md §8): mu comes before
+// wal.Log.mu, a store shard, a derive stripe, conn.mu and conn.q.mu,
+// and nothing that holds one of those takes a session's mu.
 type session struct {
 	id       uint64
 	platform string
@@ -23,17 +36,14 @@ type session struct {
 	// wildcard SUBSCRIBE label globs. Immutable after creation.
 	label string
 
-	// fanMu serializes this session's fan-outs (tick loop vs PUBLISH
-	// handlers) and guards the state of every viewState in views (see
-	// filter.go). It is never held together with mu: fan-out runs with
-	// mu already released.
-	fanMu sync.Mutex
-
-	mu      sync.Mutex
-	sys     *papi.System
-	th      *papi.Thread
-	es      *papi.EventSet
-	names   []string // event names, parallel to the EventSet's add order
+	mu  sync.Mutex
+	sys *papi.System
+	th  *papi.Thread
+	es  *papi.EventSet
+	// names are the event names, parallel to the EventSet's add order.
+	// Copy-on-write: a sweep worker's history batch keeps the slice past
+	// the hold, so growing or renaming installs a fresh one.
+	names   []string
 	prog    workload.Program
 	running bool
 	closed  bool
@@ -41,11 +51,9 @@ type session struct {
 	last    []int64 // latest snapshot: live read, publish, or final stop
 	// views is the one subscriber index: an entry per distinct view, in
 	// the order the views were first subscribed to, each holding its
-	// subscribers in subscription order. It is copy-on-write —
-	// snapshot() and publish() hand it out every tick and the fan-out
-	// walks it with mu released, possibly finishing on an old list — so
-	// a membership change builds a fresh list and a fresh subs slice and
-	// never mutates either in place.
+	// subscribers in subscription order, and each viewState's mutable
+	// half (filter.go). Membership is edited in place: the fan-out walks
+	// the list under mu like everyone else.
 	views []viewSubs
 
 	// deriveGroups are the performance groups SUBSCRIBE registered on
@@ -57,20 +65,23 @@ type session struct {
 	tickGroupsOK bool
 }
 
+// lockOpen locks the session for one op and reports whether it is still
+// open; a closed session comes back unlocked.
+func (sess *session) lockOpen() bool {
+	sess.mu.Lock()
+	if sess.closed {
+		sess.mu.Unlock()
+		return false
+	}
+	return true
+}
+
 // addEvents resolves and adds the named events — EventSet.Add is the
 // admission check: it solves the grown set's counter allocation and
 // refuses an event that does not fit. It returns the session's full
-// event-name list, copied under the lock.
+// event-name list.
 func (sess *session) addEvents(names []string) ([]string, error) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.closed {
-		return nil, errSessionClosed
-	}
 	if len(names) > 0 {
-		// Copy-on-write: snapshot frames encoded outside the lock hold
-		// references to the old slice, so grow into a fresh array
-		// instead of appending in place.
 		grown := make([]string, len(sess.names), len(sess.names)+len(names))
 		copy(grown, sess.names)
 		sess.names = grown
@@ -86,16 +97,11 @@ func (sess *session) addEvents(names []string) ([]string, error) {
 		sess.names = append(sess.names, name)
 		sess.tickGroupsOK = false // a grown event set may cover more groups
 	}
-	return append([]string(nil), sess.names...), nil
+	return sess.names, nil
 }
 
 // start transitions the session to counting.
 func (sess *session) start() error {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.closed {
-		return errSessionClosed
-	}
 	if sess.running {
 		return fmt.Errorf("session %d already started", sess.id)
 	}
@@ -109,11 +115,6 @@ func (sess *session) start() error {
 // read returns the current counter values: a live read while running,
 // the last stored snapshot (final stop or publish) otherwise.
 func (sess *session) read() (wire.Response, error) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.closed {
-		return wire.Response{}, errSessionClosed
-	}
 	if sess.running {
 		vals := make([]int64, len(sess.names))
 		if err := sess.es.Read(vals); err != nil {
@@ -132,11 +133,6 @@ func (sess *session) read() (wire.Response, error) {
 
 // stop halts counting and returns the event names and final values.
 func (sess *session) stop() ([]string, []int64, error) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.closed {
-		return nil, nil, errSessionClosed
-	}
 	if !sess.running {
 		return nil, nil, fmt.Errorf("session %d is not started", sess.id)
 	}
@@ -146,50 +142,42 @@ func (sess *session) stop() ([]string, []int64, error) {
 	}
 	sess.running = false
 	sess.last = final
-	return append([]string(nil), sess.names...), final, nil
+	return sess.names, final, nil
 }
 
-// publish stores an externally measured snapshot (papirun -serve) and
-// returns it as a fan-out frame plus the views to push it to.
-// Publishing is only legal on sessions papid is not driving itself.
-func (sess *session) publish(names []string, values []int64) (wire.Response, []viewSubs, error) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.closed {
-		return wire.Response{}, nil, errSessionClosed
-	}
+// publish numbers an externally measured snapshot (papirun -serve) and
+// returns it as the row's SNAPSHOT frame. Publishing is only legal on
+// sessions papid is not driving itself.
+func (sess *session) publish(names []string, values []int64) (wire.Response, error) {
 	if sess.running {
-		return wire.Response{}, nil, fmt.Errorf("session %d is counting; cannot publish external values", sess.id)
+		return wire.Response{}, fmt.Errorf("session %d is counting; cannot publish external values", sess.id)
 	}
 	// Validate fully before touching session state: a rejected publish
 	// must not leave renamed events behind.
 	if len(names) > 0 {
 		if len(values) != len(names) {
-			return wire.Response{}, nil, fmt.Errorf("publish: %d values for %d events", len(values), len(names))
+			return wire.Response{}, fmt.Errorf("publish: %d values for %d events", len(values), len(names))
 		}
 		if sess.es.NumEvents() > 0 {
-			return wire.Response{}, nil, fmt.Errorf("session %d counts its own events; publish values without renaming them", sess.id)
+			return wire.Response{}, fmt.Errorf("session %d counts its own events; publish values without renaming them", sess.id)
 		}
 		sess.names = names
 		sess.tickGroupsOK = false
 	} else if len(values) != len(sess.names) {
-		return wire.Response{}, nil, fmt.Errorf("publish: %d values for %d events", len(values), len(sess.names))
+		return wire.Response{}, fmt.Errorf("publish: %d values for %d events", len(values), len(sess.names))
 	}
 	sess.seq++
 	sess.last = values
-	resp := wire.Response{Op: wire.OpSnapshot, OK: true, Session: sess.id,
-		Events: sess.names, Values: values, Seq: sess.seq, Source: "published"}
-	return resp, sess.views, nil
+	return wire.Response{Op: wire.OpSnapshot, OK: true, Session: sess.id,
+		Events: sess.names, Values: values, Seq: sess.seq, Source: "published"}, nil
 }
 
 // snapshot is the coalesced per-tick read: advance the workload one
-// chunk, read the counters once, and return the frame plus every view
-// it fans out to. ok is false when there is nothing to do.
-func (sess *session) snapshot() (resp wire.Response, views []viewSubs, ok bool) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.closed || !sess.running {
-		return wire.Response{}, nil, false
+// chunk, read the counters once, and number the row. ok is false when
+// there is nothing to do.
+func (sess *session) snapshot() (resp wire.Response, ok bool) {
+	if !sess.running {
+		return wire.Response{}, false
 	}
 	if sess.prog != nil {
 		sess.prog.Reset()
@@ -197,36 +185,26 @@ func (sess *session) snapshot() (resp wire.Response, views []viewSubs, ok bool) 
 	}
 	vals := make([]int64, len(sess.names))
 	if err := sess.es.Read(vals); err != nil {
-		return wire.Response{}, nil, false
+		return wire.Response{}, false
 	}
 	sess.seq++
 	sess.last = vals
-	resp = wire.Response{Op: wire.OpSnapshot, OK: true, Session: sess.id,
+	return wire.Response{Op: wire.OpSnapshot, OK: true, Session: sess.id,
 		Events: sess.names, Values: vals, RealUsec: sess.th.RealUsec(),
-		Seq: sess.seq, Source: "live"}
-	return resp, sess.views, true
+		Seq: sess.seq, Source: "live"}, true
 }
 
 // addSubscriber files sub under the view it asked for, creating the
 // view with its first subscriber.
-func (sess *session) addSubscriber(sub *subscriber) ([]string, error) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.closed {
-		return nil, errSessionClosed
-	}
-	views := slices.Clone(sess.views)
-	i := slices.IndexFunc(views, func(v viewSubs) bool {
+func (sess *session) addSubscriber(sub *subscriber) {
+	i := slices.IndexFunc(sess.views, func(v viewSubs) bool {
 		return v.vs.delta == sub.delta && slices.Equal(v.vs.filter, sub.events)
 	})
 	if i < 0 {
-		i = len(views)
-		views = append(views, viewSubs{vs: &viewState{filter: sub.events, delta: sub.delta}})
+		i = len(sess.views)
+		sess.views = append(sess.views, viewSubs{vs: &viewState{filter: sub.events, delta: sub.delta}})
 	}
-	// Clipped, so the append copies instead of growing the shared array.
-	views[i].subs = append(slices.Clip(views[i].subs), sub)
-	sess.views = views
-	return append([]string(nil), sess.names...), nil
+	sess.views[i].subs = append(sess.views[i].subs, sub)
 }
 
 // registerDerive validates and records performance groups named in a
@@ -235,11 +213,6 @@ func (sess *session) addSubscriber(sub *subscriber) ([]string, error) {
 // event set — a formula over events the session does not count earns a
 // wire ERROR here, never an empty or silently incomplete stream.
 func (sess *session) registerDerive(reg *derive.Registry, names []string) error {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.closed {
-		return errSessionClosed
-	}
 	groups, err := reg.Resolve(names)
 	if err != nil {
 		return err
@@ -270,16 +243,10 @@ func (sess *session) registerDerive(reg *derive.Registry, names []string) error 
 // registration set changes, so the engine's layout comparison sees an
 // unchanged slice on the steady-state path.
 func (sess *session) derivedGroups(defaults []*derive.Group) []string {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
 	if !sess.tickGroupsOK {
-		// Build into a fresh slice, never in place: a concurrent
-		// evaluation may still be reading the previous one outside this
-		// lock (e.g. two PUBLISH paths racing a registration).
-		groups := append(make([]string, 0, len(sess.deriveGroups)+len(defaults)),
-			sess.deriveGroups...)
+		sess.tickGroups = append(sess.tickGroups[:0], sess.deriveGroups...)
 		for _, g := range defaults {
-			if slices.Contains(groups, g.Name) {
+			if slices.Contains(sess.tickGroups, g.Name) {
 				continue
 			}
 			covered := true
@@ -290,40 +257,39 @@ func (sess *session) derivedGroups(defaults []*derive.Group) []string {
 				}
 			}
 			if covered {
-				groups = append(groups, g.Name)
+				sess.tickGroups = append(sess.tickGroups, g.Name)
 			}
 		}
-		sess.tickGroups = groups
 		sess.tickGroupsOK = true
 	}
 	return sess.tickGroups
 }
 
-// removeSubscriber takes sub out of its view. The last leaver takes the
-// view with it, so a churn of distinct filters cannot grow the index —
-// and whoever subscribes with that filter next starts a fresh view,
+// removeSubscriber takes sub out of its view; once it returns, nothing
+// more is pushed for that subscription. The last leaver takes the view
+// with it, so a churn of distinct filters cannot grow the index — and
+// whoever subscribes with that filter next starts a fresh view,
 // keyframe first.
 func (sess *session) removeSubscriber(sub *subscriber) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	for i, v := range sess.views {
+	for i := range sess.views {
+		v := &sess.views[i]
 		j := slices.Index(v.subs, sub)
 		if j < 0 {
 			continue
 		}
-		views := slices.Clone(sess.views)
-		if len(v.subs) == 1 {
-			views = slices.Delete(views, i, i+1)
-		} else {
-			views[i].subs = slices.Delete(slices.Clone(v.subs), j, j+1)
+		if v.subs = slices.Delete(v.subs, j, j+1); len(v.subs) == 0 {
+			sess.views = slices.Delete(sess.views, i, i+1)
 		}
-		sess.views = views
 		return
 	}
 }
 
 // close drains the session: folds final counts if it was running,
-// detaches subscribers, and marks it unusable. It returns the final
+// detaches every subscriber from its connection — a peer that will
+// never be sent another frame is no longer exempt from the read-idle
+// deadline — and marks the session unusable. It returns the final
 // values, if any. close is idempotent.
 func (sess *session) close() []int64 {
 	sess.mu.Lock()
@@ -338,6 +304,11 @@ func (sess *session) close() []int64 {
 			sess.last = final
 		}
 		sess.running = false
+	}
+	for _, v := range sess.views {
+		for _, sub := range v.subs {
+			sub.c.forget(sub)
+		}
 	}
 	sess.views = nil
 	return sess.last

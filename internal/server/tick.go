@@ -10,7 +10,9 @@
 // guarantee the fan-out makes is per-session (per-subscriber seq
 // monotonicity, delta keyframe chaining, DERIVED-follows-SNAPSHOT),
 // and a session lives in exactly one registry shard, so one worker
-// owns all of a session's tick work for the whole tick. State shared
+// owns all of a session's tick work for the whole tick — done under the
+// session's one lock (session.go), which is what orders it against
+// requests on the same session. State shared
 // across sessions is concurrency-safe on its own: the tsdb store and
 // WAL take their own locks, the derive engine stripes its session
 // state, telemetry counters are striped atomics, and the shared
@@ -132,13 +134,14 @@ func (s *Server) sweep(now int64, t *tracing.Trace) {
 	job.wg.Wait()
 }
 
-// tickSession is the per-session tick unit: snapshot → snapshot fan-out
-// → derived fan-out, the loop body of every sweep worker. It adds the
-// row the snapshot read to rows, the worker's history batch — both
-// slices are safe to keep past the tick: Events is the session's
-// copy-on-write name slice and Vals the snapshot's freshly allocated
-// values — and reports whether the session had subscribers to fan out
-// to, i.e. whether connection writers now have frames waiting.
+// tickSession is the per-session tick unit, the loop body of every sweep
+// worker and one hold of the session lock: number the row (snapshot),
+// then deliver it (fanout). It adds the row to rows, the worker's
+// history batch — both slices are safe to keep past the hold: Events is
+// the session's copy-on-write name slice and Vals the snapshot's
+// freshly allocated values — and reports whether the session had
+// subscribers to fan out to, i.e. whether connection writers now have
+// frames waiting.
 //
 // Stage spans hang on d, which is the trace only when it is detailed
 // (head-sampled) and nil — every span call a no-op — otherwise: with
@@ -154,25 +157,26 @@ func (s *Server) tickSession(sess *session, now int64, t *tracing.Trace, parent 
 	ss := d.StartSpan(parent, "session")
 	defer d.EndSpan(ss)
 	d.AnnotateInt(ss, "session", int64(sess.id))
+	if !sess.lockOpen() {
+		return false
+	}
+	defer sess.mu.Unlock()
 	sp := d.StartSpan(ss, "snapshot")
-	resp, views, ok := sess.snapshot()
+	resp, ok := sess.snapshot()
 	d.EndSpan(sp)
 	if !ok {
 		return false
 	}
 	*rows = append(*rows, wal.Row{Session: resp.Session, TS: now, Events: resp.Events, Vals: resp.Values})
-	fs := d.StartSpan(ss, "fanout")
-	d.AnnotateInt(fs, "views", int64(len(views)))
-	s.fanout(t, fs, sess, resp, views)
-	d.EndSpan(fs)
-	ds := d.StartSpan(ss, "derive")
-	s.fanoutDerived(t, ds, sess, resp, views, now)
-	d.EndSpan(ds)
-	return len(views) > 0
+	s.fanout(t, d, ss, sess, &resp, now)
+	return len(sess.views) > 0
 }
 
 // appendRows is the server's one history write: the sweep workers hand
-// it what they read in a tick, PUBLISH its one row. On a durable server
+// it what they read in a tick once the sweep has released every
+// session, PUBLISH its one row from inside the session's hold, so that
+// concurrent publishers journal and timestamp a session's rows in seq
+// order. On a durable server
 // the rows go through the WAL as one batch — journaled before the store
 // sees them and, under -fsync always, synced before this returns, which
 // is what a PUBLISH ack and a returned tick() both promise; a row whose

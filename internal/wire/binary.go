@@ -37,9 +37,11 @@ import (
 type Codec uint8
 
 const (
-	// CodecJSON is the newline-delimited JSON default (protocol <= 2).
+	// CodecJSON is newline-delimited JSON: what every connection speaks
+	// until its HELLO negotiates otherwise.
 	CodecJSON Codec = iota
-	// CodecBinary is the length-prefixed varint codec (protocol >= 3).
+	// CodecBinary is the length-prefixed varint codec a HELLO naming
+	// CodecNameBinary switches the connection to.
 	CodecBinary
 )
 

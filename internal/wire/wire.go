@@ -58,9 +58,11 @@ func AppendFrame(dst []byte, codec Codec, v any) ([]byte, error) {
 }
 
 // Encoder writes frames in the codec selected by SetCodec (JSON lines
-// by default). It is safe for concurrent use: papid's per-connection
-// state interleaves request responses and subscription snapshots on
-// one socket, each written by a different goroutine.
+// by default) — the client side's writer (server.Client, papirun,
+// perfometer). Encodes from several goroutines are safe and come out as
+// whole frames. papid does not write through it: every frame of a
+// connection is serialized by AppendFrame into that connection's one
+// queue and written by its one writer goroutine.
 type Encoder struct {
 	mu    sync.Mutex
 	w     io.Writer

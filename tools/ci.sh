@@ -48,6 +48,10 @@ done
 # racing Remap must never see a sealed block change under it. Both are
 # interleaving-dependent, so one pass in the suite above is thin.
 go test -race -count=20 -run '^(TestQuerySeesWholeRows|TestRemapWhileScanning)$' ./internal/tsdb
+# The session's one lock, the same way: several publishers to one
+# session must reach every subscriber, the derive engine and history in
+# seq order, and a torn-down connection must be pushed nothing more.
+go test -race -count=20 -run '^(TestConcurrentPublishersKeepOrder|TestViewMembershipChurn)$' ./internal/server
 # Server benches once with -benchmem: the encode-once fan-out's
 # allocation profile is a correctness property here — this catches a
 # reintroduced per-subscriber serialization as an allocs/op jump even
