@@ -20,7 +20,8 @@ import (
 // formula evaluations, threshold-rule checks, and the encode-once
 // DERIVED frame shared across subscriber queues. This is the number
 // behind the "evaluation is allocation-bounded" claim — steady state
-// should allocate only the one encoded frame per tick.
+// allocates nothing: the DERIVED frame is built on the stack and encoded
+// into a pooled buffer.
 func BenchmarkDerivedFanout(b *testing.B) {
 	srv := New(Config{
 		TickInterval: time.Hour, // driven by hand below

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -424,5 +425,74 @@ func TestCodecStringNames(t *testing.T) {
 	}
 	if !strings.EqualFold(wire.CodecNameBinary, "binary") {
 		t.Fatalf("negotiation token: %q", wire.CodecNameBinary)
+	}
+}
+
+// TestJSONFramesTakeTheFastPath: every frame a tick fans out and a
+// PUBLISH ack are written by wire.AppendJSON, not json.Marshal. Each JSON
+// frame is decoded and handed back to AppendJSON, which must take it and
+// reproduce the frame byte for byte — so the server builds no per-tick
+// shape that falls back to reflection.
+func TestJSONFramesTakeTheFastPath(t *testing.T) {
+	srv := New(Config{TickInterval: time.Hour, Groups: []string{"ipc"}, KeyframeEvery: 3})
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Platform: "aix-power3",
+		Events: []string{"PAPI_TOT_INS", "PAPI_TOT_CYC", "PAPI_FP_INS"}, Workload: "dot", N: 8})
+	if !created.OK {
+		t.Fatal(created.Error)
+	}
+	if r := srv.dispatch(nil, &wire.Request{Op: wire.OpStart, Session: created.Session}); !r.OK {
+		t.Fatal(r.Error)
+	}
+	sess, _ := srv.reg.get(created.Session)
+	broadcast, projecting, delta := testConn(srv, 64), testConn(srv, 64), testConn(srv, 64)
+	broadcast.follow(t, sess, nil, false)
+	projecting.follow(t, sess, []string{"PAPI_TOT_CYC"}, false)
+	delta.follow(t, sess, nil, true)
+	for i := 0; i < 6; i++ {
+		srv.tick()
+	}
+	published := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
+	ack := srv.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: published.Session,
+		Events: []string{"PAPI_TOT_CYC"}, Values: []int64{42}})
+	if !ack.OK {
+		t.Fatal(ack.Error)
+	}
+	ackFrame, err := wire.AppendResponse(nil, wire.CodecJSON, &ack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := map[*conn][]string{broadcast: broadcast.popAll(), projecting: projecting.popAll(),
+		delta: delta.popAll(), nil: {string(ackFrame)}}
+	for _, tc := range []struct {
+		name string
+		c    *conn
+		op   string
+	}{
+		{"session.snapshot()", broadcast, wire.OpSnapshot},
+		{"viewState.projected", projecting, wire.OpSnapshot},
+		{"keyframe (viewState.projected)", delta, wire.OpSnapshot},
+		{"DELTA (fanoutView)", delta, wire.OpDelta},
+		{"DERIVED (fanoutDerived)", broadcast, wire.OpDerived},
+		{"PUBLISH ack", nil, wire.OpPublish},
+	} {
+		n := 0
+		for _, frame := range frames[tc.c] {
+			var r wire.Response
+			if err := json.Unmarshal([]byte(frame), &r); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if r.Op != tc.op {
+				continue
+			}
+			n++
+			if fast, ok := wire.AppendJSON(nil, &r); !ok || string(fast)+"\n" != frame {
+				t.Errorf("%s: frame %q falls back to json.Marshal (fast path took it: %v, wrote %q)",
+					tc.name, frame, ok, fast)
+			}
+		}
+		if n == 0 {
+			t.Errorf("%s: no %s frame to check", tc.name, tc.op)
+		}
 	}
 }

@@ -198,12 +198,12 @@ func (s *Server) fanoutView(t *tracing.Trace, parent tracing.SpanRef, v viewSubs
 // deliverAll encodes one view frame at most once per codec and delivers
 // it to every subscriber of the view.
 func (s *Server) deliverAll(t *tracing.Trace, parent tracing.SpanRef, resp *wire.Response, kind frameKind, subs []*subscriber) {
-	enc := encCache{resp: resp}
+	var enc encCache
 	if t.Detailed() {
 		enc.trc, enc.parent = t, parent
 	}
 	for _, sub := range subs {
-		s.deliver(&enc, kind, sub)
+		s.deliver(&enc, resp, kind, sub)
 	}
 	enc.done()
 }

@@ -627,9 +627,11 @@ func (s *Server) countSkipped(now int64) {
 	s.tickDue = due
 }
 
-// appendFrameFn is wire.AppendFrame behind a seam so tests can force
-// an encode failure and pin the negative-cache behavior.
-var appendFrameFn = wire.AppendFrame
+// encodeFault, when a test sets it, is the error every fan-out encode
+// fails with — the seam that pins the negative-cache behavior. It is a
+// value, not a func variable standing in for the encoder: a call through
+// one leaks its argument, and every frame would escape to the heap.
+var encodeFault error
 
 // encCache lazily serializes one response at most once per codec and
 // hands out the shared bytes — the encode-once fan-out path. The
@@ -640,8 +642,12 @@ var appendFrameFn = wire.AppendFrame
 // logged and counted once, with every later subscriber on that codec
 // just recording its dropped frame instead of re-attempting the
 // encode and re-logging each tick.
+//
+// The response is not a field: every get of one cache passes the same
+// one. Escape analysis does not tell one field of a struct from
+// another, and the buffers reach the pool, so a response held here
+// would be moved to the heap — one allocation per frame.
 type encCache struct {
-	resp   *wire.Response
 	shared [2]*sharedBuf // indexed by wire.Codec
 	failed [2]bool
 
@@ -657,7 +663,7 @@ type encCache struct {
 // ok is false when the encode failed (now or earlier this fan-out);
 // deliver counts the drop for its frame kind. An ok buffer stays valid
 // until done(); a caller enqueuing it must sb.ref() first.
-func (e *encCache) get(s *Server, what string, codec wire.Codec) (sb *sharedBuf, ok bool) {
+func (e *encCache) get(s *Server, resp *wire.Response, what string, codec wire.Codec) (sb *sharedBuf, ok bool) {
 	if e.failed[codec] {
 		return nil, false
 	}
@@ -670,7 +676,10 @@ func (e *encCache) get(s *Server, what string, codec wire.Codec) (sb *sharedBuf,
 		sp = e.trc.StartSpan(e.parent, "encode")
 		e.trc.Annotate(sp, "codec", codec.String())
 	}
-	p, err := appendFrameFn(sb.buf[:0], codec, e.resp)
+	p, err := sb.buf[:0], encodeFault
+	if err == nil {
+		p, err = wire.AppendResponse(p, codec, resp)
+	}
 	if err != nil {
 		if e.trc != nil {
 			e.trc.Annotate(sp, "error", err.Error())
@@ -681,7 +690,7 @@ func (e *encCache) get(s *Server, what string, codec wire.Codec) (sb *sharedBuf,
 		e.failed[codec] = true
 		s.m.encodeFailures.Inc()
 		s.slog.Error("papid: "+what+" encode failed",
-			"codec", codec.String(), "session", e.resp.Session, "err", err)
+			"codec", codec.String(), "session", resp.Session, "err", err)
 		return nil, false
 	}
 	if e.trc != nil {
@@ -711,13 +720,13 @@ func (e *encCache) done() {
 // fail to reach the socket — an encode failure here, eviction from the
 // full queue, a closed or abandoned queue — ends in frame.drop, which
 // counts it against the same kind and marks a delta view for re-key.
-func (s *Server) deliver(enc *encCache, kind frameKind, sub *subscriber) {
+func (s *Server) deliver(enc *encCache, resp *wire.Response, kind frameKind, sub *subscriber) {
 	if !sub.live.Load() {
 		return // not acked yet: the stream starts after its SUBSCRIBE reply
 	}
 	codec := sub.c.codecNow()
 	f := frame{codec: codec, kind: kind, sub: sub}
-	sb, ok := enc.get(s, kindNames[kind], codec)
+	sb, ok := enc.get(s, resp, kindNames[kind], codec)
 	if !ok {
 		f.drop()
 		return
@@ -748,17 +757,17 @@ func (s *Server) fanoutDerived(t *tracing.Trace, parent tracing.SpanRef, sess *s
 	alerts := s.derive.Tick(sess.id, snap.Events, snap.Values, ts, groups,
 		func(metrics, units []string, vals []float64) {
 			// The emit slices are engine-owned and reused next tick;
-			// AppendFrame serializes them before this callback returns,
-			// so nothing engine-owned escapes.
+			// the frame is encoded before this callback returns, so
+			// nothing engine-owned escapes, and resp stays on the stack.
 			resp := wire.Response{Op: wire.OpDerived, OK: true, Session: snap.Session,
 				Seq: snap.Seq, Metrics: metrics, Units: units, DValues: vals}
-			enc := encCache{resp: &resp}
+			var enc encCache
 			if t.Detailed() {
 				enc.trc, enc.parent = t, parent
 			}
 			for _, v := range sess.views {
 				for _, sub := range v.subs {
-					s.deliver(&enc, kindDerived, sub)
+					s.deliver(&enc, &resp, kindDerived, sub)
 				}
 			}
 			enc.done()
@@ -920,7 +929,8 @@ type subscriber struct {
 	// live opens the stream: fan-out skips the subscription until its
 	// SUBSCRIBE reply is queued, so with fan-out pushing straight into
 	// the connection's queue no frame can overtake the ack that tells
-	// the client which sessions it now follows.
+	// the client which sessions it now follows. goLive sets it under the
+	// session's lock, so the stream opens between two rows.
 	live atomic.Bool
 }
 
@@ -1320,7 +1330,7 @@ func (c *conn) send(resp wire.Response) bool {
 func (c *conn) sendTraced(resp wire.Response, t *tracing.Trace, wr tracing.SpanRef) bool {
 	codec := c.codecNow()
 	sb := newSharedBuf()
-	payload, err := wire.AppendFrame(sb.buf[:0], codec, &resp)
+	payload, err := wire.AppendResponse(sb.buf[:0], codec, &resp)
 	if err != nil {
 		sb.release()
 		if t != nil {
@@ -1602,13 +1612,23 @@ func (s *Server) addSubscriber(c *conn, sess *session, req *wire.Request) *subsc
 
 // goLive opens the streams of the subscriptions the request just
 // answered registered — the not-yet-live tail of c.subs; handle calls
-// it once the reply is queued.
+// it once the reply is queued. Each opens under its session's lock, so
+// between two of the session's rows: a subscriber gets all of a row's
+// frames or none, never a DERIVED without the SNAPSHOT before it. c.mu
+// is dropped first (lock order: sess.mu before c.mu).
 func (c *conn) goLive() {
 	c.mu.Lock()
-	for i := len(c.subs) - 1; i >= 0 && !c.subs[i].live.Load(); i-- {
-		c.subs[i].live.Store(true)
+	i := len(c.subs)
+	for i > 0 && !c.subs[i-1].live.Load() {
+		i--
 	}
+	opening := slices.Clone(c.subs[i:])
 	c.mu.Unlock()
+	for _, sub := range opening {
+		sub.sess.mu.Lock()
+		sub.live.Store(true)
+		sub.sess.mu.Unlock()
+	}
 }
 
 // CREATE_SESSION's limits on a live session's program. A tick runs the

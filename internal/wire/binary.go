@@ -66,13 +66,30 @@ const MaxFrameBytes = 4 << 20
 func appendBinaryFrame(dst []byte, v any) ([]byte, error) {
 	bp := getBuf()
 	payload, err := appendBinaryPayload((*bp)[:0], v)
-	if err == nil {
-		dst = binary.AppendUvarint(dst, uint64(len(payload)))
-		dst = append(dst, payload...)
+	if err != nil {
+		putBuf(bp)
+		return dst, err
 	}
+	return framed(dst, bp, payload), nil
+}
+
+// appendBinaryResponse is appendBinaryFrame for a *Response, typed so
+// that r does not escape.
+func appendBinaryResponse(dst []byte, r *Response) []byte {
+	bp := getBuf()
+	return framed(dst, bp, appendResponse((*bp)[:0], r))
+}
+
+// framed appends payload, encoded into the pooled scratch *bp, to dst
+// behind its uvarint length, and returns the scratch to the pool. The
+// payload goes to scratch first because its length is the prefix: a
+// QUERY reply encoded in place would grow dst one doubling at a time.
+func framed(dst []byte, bp *[]byte, payload []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
 	*bp = payload[:0]
 	putBuf(bp)
-	return dst, err
+	return dst
 }
 
 func appendBinaryPayload(dst []byte, v any) ([]byte, error) {

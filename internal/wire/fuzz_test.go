@@ -3,10 +3,14 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/faultnet"
+	"repro/internal/telemetry"
+	"repro/internal/tsdb"
 )
 
 // FuzzDecode feeds arbitrary byte streams through the frame decoder.
@@ -208,6 +212,78 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		var bye Request
 		if err := dec.Decode(&bye); err != nil || bye.Op != OpBye {
 			t.Fatalf("frame after round trip: %+v, %v", bye, err)
+		}
+	})
+}
+
+// FuzzAppendJSON: a Response built from fuzzed strings (any bytes —
+// invalid UTF-8, < > &, U+2028), float bits (NaN, ±Inf, subnormals, the
+// 'e' switch points), integers and a mask choosing which fields are set,
+// hot and cold, must get json.Marshal's bytes from AppendResponse — by
+// AppendJSON or by the fallback — and an error exactly when json.Marshal
+// errors; AppendJSON never takes a response json.Marshal refuses.
+func FuzzAppendJSON(f *testing.F) {
+	f.Add(OpSnapshot, "PAPI_TOT_CYC", "live", uint64(7), int64(12345), math.Float64bits(0.5), math.Float64bits(1e-7), uint32(3), uint16(0x01ff))
+	f.Add(OpDerived, "ipc", "instr/cycle", uint64(1), int64(-1), math.Float64bits(math.NaN()), math.Float64bits(1e21), uint32(0), uint16(0x0041))
+	f.Add(OpDelta, "<a&b>", " ", uint64(1<<63), int64(math.MinInt64), math.Float64bits(math.Inf(-1)), uint64(1), uint32(math.MaxUint32), uint16(0x00ff))
+	f.Add("\xff\xfe", "a\"b\\c", "\x00\x1f\x7f", uint64(0), int64(0), uint64(0x000fffffffffffff), math.Float64bits(math.Copysign(0, -1)), uint32(1), uint16(0xffff))
+	f.Add(OpStats, "k", "", uint64(2), int64(5), math.Float64bits(123.456), math.Float64bits(-9.99e-7), uint32(2), uint16(0x7e00))
+	f.Fuzz(func(t *testing.T, op, s, src string, u uint64, v int64, fa, fb uint64, idx uint32, mask uint16) {
+		x, y := math.Float64frombits(fa), math.Float64frombits(fb)
+		r := Response{Op: op, OK: mask&1 != 0}
+		if mask&(1<<1) != 0 {
+			r.Session, r.RealUsec, r.Seq = u, u>>7, u+1
+		}
+		if mask&(1<<2) != 0 {
+			r.Events = []string{s, op}
+		}
+		if mask&(1<<3) != 0 {
+			r.Values = []int64{v, -v, 0}
+		}
+		if mask&(1<<4) != 0 {
+			r.Source = src
+		}
+		if mask&(1<<5) != 0 {
+			r.Metrics, r.Units = []string{s}, []string{src, ""}
+		}
+		if mask&(1<<6) != 0 {
+			r.DValues = []float64{x, y}
+		}
+		if mask&(1<<7) != 0 {
+			r.Idx, r.Base, r.TraceID = []uint32{idx, 0}, u^1, u>>3
+		}
+		// The fields AppendJSON leaves to json.Marshal.
+		if mask&(1<<8) != 0 {
+			r.Error = s
+		}
+		if mask&(1<<9) != 0 {
+			r.Platform, r.Codec, r.Protocol = src, s, int(idx)
+		}
+		if mask&(1<<10) != 0 {
+			r.Stats = map[string]uint64{s: u, src: 1}
+		}
+		if mask&(1<<11) != 0 {
+			r.Derived = []DerivedSeries{{Metric: s, Unit: src, Points: []DerivedPoint{{Start: v, Value: x}}}}
+		}
+		if mask&(1<<12) != 0 {
+			r.Sessions, r.Slow = []uint64{u}, []SlowSample{{Op: op, NS: v, TraceID: u}}
+		}
+		if mask&(1<<13) != 0 {
+			r.Series = []tsdb.Series{{Event: s, Buckets: []tsdb.Bucket{{Start: v, Count: u}}}}
+		}
+		if mask&(1<<14) != 0 {
+			r.Hists = map[string]telemetry.Summary{s: {Count: u, Sum: v}}
+		}
+		want, werr := json.Marshal(&r)
+		got, gerr := AppendResponse([]byte("x"), CodecJSON, &r)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("json.Marshal error %v, AppendResponse error %v for %+v", werr, gerr, r)
+		}
+		if werr == nil && string(got) != "x"+string(want)+"\n" {
+			t.Fatalf("AppendResponse\n got %q\nwant %q", got[1:], string(want)+"\n")
+		}
+		if fast, ok := AppendJSON(nil, &r); ok && (werr != nil || string(fast) != string(want)) {
+			t.Fatalf("AppendJSON took %+v: %q, json.Marshal %q, %v", r, fast, want, werr)
 		}
 	})
 }

@@ -11,6 +11,13 @@
 // The framing layer is deliberately type-agnostic: perfometer streams
 // perfometer.Point values, papid exchanges wire.Request/wire.Response
 // pairs, and both go through the same Encoder/Decoder.
+//
+// How a JSON frame is made: a *Response whose set fields are all among
+// those per-tick frames and plain replies use is appended by AppendJSON
+// (json.go) without reflection; anything else — a STATS or QUERY reply,
+// an error, a string json.Marshal would escape, a NaN — and every other
+// type goes through json.Marshal. FuzzAppendJSON pins the two paths as
+// byte-identical, so a client cannot tell which one wrote a frame.
 package wire
 
 import (
@@ -46,15 +53,28 @@ func putBuf(b *[]byte) {
 // encode-once snapshot fan-out, which serializes each tick's frame
 // exactly once and hands the same immutable bytes to every subscriber.
 func AppendFrame(dst []byte, codec Codec, v any) ([]byte, error) {
+	if r, ok := v.(*Response); ok {
+		return AppendResponse(dst, codec, r)
+	}
 	if codec == CodecBinary {
 		return appendBinaryFrame(dst, v)
 	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return dst, err
+	return appendJSONFrame(dst, v)
+}
+
+// AppendResponse is AppendFrame for a *Response — papid's every reply
+// and fan-out frame — and, unlike it, keeps no reference to r, so a
+// caller's Response can live on its stack. A JSON frame is AppendJSON's
+// when it takes r, json.Marshal's (of a copy) when it declines.
+func AppendResponse(dst []byte, codec Codec, r *Response) ([]byte, error) {
+	if codec == CodecBinary {
+		return appendBinaryResponse(dst, r), nil
 	}
-	dst = append(dst, b...)
-	return append(dst, '\n'), nil
+	if b, ok := AppendJSON(dst, r); ok {
+		return append(b, '\n'), nil
+	}
+	c := *r // json.Marshal's argument escapes; the copy does, r does not
+	return appendJSONFrame(dst, &c)
 }
 
 // Encoder writes frames in the codec selected by SetCodec (JSON lines

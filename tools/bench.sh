@@ -7,11 +7,12 @@
 # allocs/op so allocation regressions on the serving path are tracked
 # alongside latency.
 #
-# `tools/bench.sh compare` runs the server, simulator and store
-# benchmarks against the committed BENCH_server.json, BENCH_hwsim.json
-# and BENCH_tsdb.json instead of overwriting them: a fresh measurement
-# goes to a temp file and `benchjson -diff` gates on the serving-path,
-# tick, simulator, row-append and history-query benchmarks. Every gate
+# `tools/bench.sh compare` runs the server, simulator, store and frame
+# encode benchmarks against the committed BENCH_server.json,
+# BENCH_hwsim.json, BENCH_tsdb.json and BENCH_wire.json instead of
+# overwriting them: a fresh measurement goes to a temp file and
+# `benchjson -diff` gates on the serving-path, tick, simulator,
+# row-append, history-query and frame-encode benchmarks. Every gate
 # runs and prints its verdict — a noisy Server* row does not hide the
 # stages behind it — and the script exits non-zero when any gated ns/op
 # regressed more than 25% against its baseline. Use it before
@@ -44,6 +45,8 @@ if [ "${1:-}" = "compare" ]; then
     gate Simulated BENCH_hwsim.json 'Simulated'
     go run ./cmd/benchjson -benchmem -out "$tmp" -bench 'TSDB' ./internal/tsdb
     gate TSDB BENCH_tsdb.json 'TSDBAppendBatch/batched|TSDBQuery'
+    go run ./cmd/benchjson -benchmem -out "$tmp" -bench 'AppendFrame' ./internal/wire
+    gate Wire BENCH_wire.json 'AppendFrame'
     [ -z "$failed" ] || { echo "bench compare: failed gates:$failed" >&2; exit 1; }
     echo "bench compare: all gates OK"
     exit 0
@@ -52,6 +55,11 @@ go run ./cmd/benchjson -benchmem -out BENCH_tsdb.json -bench 'TSDB' ./internal/t
 # Durability costs: per-row WAL append under each fsync policy and
 # crash-recovery replay speed (both report rows/s).
 go run ./cmd/benchjson -benchmem -out BENCH_wal.json -bench 'WAL|Replay' ./internal/tsdb/wal
+# One frame of each per-tick shape (SNAPSHOT, DELTA, DERIVED) on each
+# codec: the encode a fan-out pays once per codec per view. The JSON rows
+# are wire.AppendJSON's; a shape that starts falling back to json.Marshal
+# shows here as a 4-7x ns/op jump and an allocation per frame.
+go run ./cmd/benchjson -benchmem -out BENCH_wire.json -bench 'AppendFrame' ./internal/wire
 # The throughput benchmark races synchronous READs against the 1ms
 # snapshot fan-out, so short windows are noisy at 64 subscribers; 3s
 # per benchmark keeps the committed numbers representative. The

@@ -39,8 +39,10 @@ go test -run='^$' -fuzz='^FuzzLoadSegment$' -fuzztime=5s ./internal/tsdb/wal
 go test -run='^$' -fuzz='^FuzzDecodeRow$' -fuzztime=5s ./internal/tsdb/wal
 # And for the parsers that read what a peer sent: the JSON and binary
 # request/response decoders, resync after a fault-injected stream, and
-# the binary codec's round trip.
-for target in FuzzDecode FuzzFaultnetResync FuzzBinaryDecode FuzzBinaryRoundTrip; do
+# the binary codec's round trip — plus the one encoder with a second
+# implementation beside it: AppendJSON must write exactly what
+# json.Marshal writes, or decline.
+for target in FuzzDecode FuzzFaultnetResync FuzzBinaryDecode FuzzBinaryRoundTrip FuzzAppendJSON; do
     go test -run='^$' -fuzz="^$target\$" -fuzztime=5s ./internal/wire
 done
 # The store's two reader-against-writer gates again, many times over:
@@ -50,14 +52,15 @@ done
 go test -race -count=20 -run '^(TestQuerySeesWholeRows|TestRemapWhileScanning)$' ./internal/tsdb
 # The session's one lock, the same way: several publishers to one
 # session must reach every subscriber, the derive engine and history in
-# seq order, and a torn-down connection must be pushed nothing more.
-go test -race -count=20 -run '^(TestConcurrentPublishersKeepOrder|TestViewMembershipChurn)$' ./internal/server
+# seq order, a torn-down connection must be pushed nothing more, and a
+# new subscription must open between two rows.
+go test -race -count=20 -run '^(TestConcurrentPublishersKeepOrder|TestViewMembershipChurn|TestStreamOpensBetweenRows)$' ./internal/server
 # Server benches once with -benchmem: the encode-once fan-out's
 # allocation profile is a correctness property here — this catches a
 # reintroduced per-subscriber serialization as an allocs/op jump even
 # when wall-clock noise hides it. The `events` and `delta` rows of
-# ServerFanoutInterest (BENCH_server.json, 96 allocs/op) are the same
-# property for projecting views — one projected frame per view-tick,
+# ServerFanoutInterest are the same property for projecting views —
+# no allocation per view-tick (the projected frame lives on the stack),
 # nothing per subscriber and nothing for grouping — and a one-iteration
 # run cannot show it under the warm-up, so TestFanoutAllocs asserts it:
 # built without -race, because the race detector makes sync.Pool drop
