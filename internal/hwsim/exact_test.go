@@ -267,6 +267,74 @@ func TestExactCounts(t *testing.T) {
 	}
 }
 
+// TestFoldEqualsPerInstruction covers what TestExactCounts cannot. That
+// test arms a threshold on every register, so it never runs papid's
+// configuration — counting with nothing watching — in which ExecSlice
+// retires a batch on truth alone and folds it into the registers once.
+// Each program runs on two cores: one as papid runs it (folded), one
+// with a threshold of 2^62 on one register, which never fires but keeps
+// every instruction on the per-instruction path. The timer reads every
+// register and charges its own cost, interference is on, and the domain
+// switches to kernel and then to user between runs. Every timer-time
+// read, truth total and clock must agree.
+func TestFoldEqualsPerInstruction(t *testing.T) {
+	streams := exactStreams(t)
+	for _, a := range hwsim.Architectures() {
+		for name, stream := range streams {
+			folded := observeRuns(t, a, stream, false)
+			each := observeRuns(t, a, stream, true)
+			if len(folded) != len(each) {
+				t.Errorf("%s/%s: %d observations folded, %d per instruction", a.Platform, name, len(folded), len(each))
+				continue
+			}
+			for i := range folded {
+				if folded[i] != each[i] {
+					t.Errorf("%s/%s: folded %s, per instruction %s", a.Platform, name, folded[i], each[i])
+					break
+				}
+			}
+		}
+	}
+}
+
+// observeRuns runs stream three times on a fresh core — all domains,
+// kernel only, user only — and lists every timer-time register read and
+// each run's truth totals, registers and clocks. watch arms the
+// never-firing threshold.
+func observeRuns(t *testing.T, a *hwsim.Arch, stream func() hwsim.Stream, watch bool) []string {
+	c, err := hwsim.NewCPU(a, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := programAll(t, c)
+	if watch {
+		if err := c.PMU().SetOverflow(regs[0], 1<<62); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var obs []string
+	vals := make([]uint64, a.NumCounters)
+	c.SetTimer(1500, func() {
+		c.PMU().ReadAll(vals)
+		obs = append(obs, fmt.Sprintf("timer at cycle %d: registers %v", c.Cycles(), vals))
+		c.Charge(25, 6)
+	})
+	c.SetInterference(4000, 650)
+	var truth [hwsim.NumSignals]uint64
+	c.PMU().Start()
+	for _, d := range []hwsim.Domain{hwsim.DomainAll, hwsim.DomainKernel, hwsim.DomainUser} {
+		c.PMU().SetDomain(d)
+		c.Run(stream())
+		for s := range truth {
+			truth[s] = c.Truth(hwsim.Signal(s))
+		}
+		c.PMU().ReadAll(vals)
+		obs = append(obs, fmt.Sprintf("after domain %d: truth %v, registers %v, cycles %d, real %d, retired %d",
+			d, truth, vals, c.Cycles(), c.RealCycles(), c.Retired()))
+	}
+	return obs
+}
+
 // TestRunDoesNotAllocate pins who owns instruction memory: the core
 // owns none, and a program owns one queue made by its first run. After
 // that a reset workload on a counting core costs no heap at all —

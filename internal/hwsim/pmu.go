@@ -1,6 +1,9 @@
 package hwsim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // OverflowHandler is invoked when a PMU register programmed with an
 // overflow threshold crosses it. pc is the program-counter address the
@@ -197,4 +200,21 @@ func (p *PMU) add(s Signal, n uint64, mode Domain) uint32 {
 		}
 	}
 	return ovf
+}
+
+// fold is add for a batch of user-mode work: every armed register whose
+// domain admits user mode gains now[s] − base[s] for each signal s of
+// its event. It reports no overflow; the caller folds only when no
+// register has a threshold.
+func (p *PMU) fold(now, base *[NumSignals]uint64) {
+	for i := range p.regs {
+		r := &p.regs[i]
+		if !r.armed || r.domain&DomainUser == 0 {
+			continue
+		}
+		for m := uint32(r.event.Signals); m != 0; m &= m - 1 {
+			s := bits.TrailingZeros32(m)
+			r.raw += now[s] - base[s]
+		}
+	}
 }
