@@ -182,6 +182,47 @@ func TestCPUChargePerturbsRunningCounters(t *testing.T) {
 	}
 }
 
+func TestCPUKernelOverflowWaitsForNextInstruction(t *testing.T) {
+	// A threshold crossed by charged (kernel-mode) cycles cannot interrupt
+	// the charge: it is delivered as the next instruction retires, on a
+	// skidding core too, and never dropped.
+	for _, platform := range []string{PlatformCrayT3E, PlatformLinuxX86} {
+		a, _ := ArchByPlatform(platform)
+		c := MustNewCPU(a, 6)
+		var cyc *NativeEvent
+		for i := range a.Events {
+			if a.Events[i].Signals == Mask(SigCycles) {
+				cyc = &a.Events[i]
+				break
+			}
+		}
+		ctr := 0
+		for cyc.CounterMask&(1<<uint(ctr)) == 0 {
+			ctr++
+		}
+		if err := c.PMU().Program(map[int]NativeEvent{ctr: *cyc}); err != nil {
+			t.Fatal(err)
+		}
+		var pcs []uint64
+		c.PMU().SetHandler(func(pc uint64, reg int) {
+			if reg != ctr {
+				t.Errorf("%s: overflow on register %d, want %d", platform, reg, ctr)
+			}
+			pcs = append(pcs, pc)
+		})
+		c.PMU().SetOverflow(ctr, 100_000) // far above the interrupt's own cost
+		c.PMU().Start()
+		c.Charge(100_500, 0)
+		if len(pcs) != 0 {
+			t.Fatalf("%s: overflow delivered inside the charge", platform)
+		}
+		c.Run(&SliceStream{Instrs: []Instr{{Op: OpNop, Addr: 0x400000}, {Op: OpNop, Addr: 0x400004}}})
+		if len(pcs) != 1 || pcs[0] != 0x400000 {
+			t.Errorf("%s: overflow PCs %#x, want one at the first instruction after the charge", platform, pcs)
+		}
+	}
+}
+
 func TestCPUTimerFires(t *testing.T) {
 	a, _ := ArchByPlatform(PlatformCrayT3E)
 	c := MustNewCPU(a, 7)

@@ -47,6 +47,55 @@ func TestEndToEndCountingThroughFacade(t *testing.T) {
 	}
 }
 
+// TestOverflowOnCycles checks that a cycles threshold interrupts like
+// any other event's: once per threshold the count crosses. Counting
+// user mode only, every crossing is the program's own; counting both
+// modes, many are raised by kernel-mode work (the interrupt's own cost,
+// the library's) and wait for the next instruction. At most two can be
+// undelivered when the run ends: one still in its skid, and one raised
+// by Stop's own cost with no instruction after it. (Both-mode
+// thresholds are above every platform's interrupt cost; below it each
+// interrupt would raise the next.)
+func TestOverflowOnCycles(t *testing.T) {
+	for _, platform := range []string{papi.PlatformLinuxX86, papi.PlatformCrayT3E} {
+		for _, tc := range []struct {
+			ev        papi.Event
+			domain    papi.Domain
+			threshold int64
+		}{
+			{papi.TOT_INS, papi.DOM_USER, 1000},
+			{papi.TOT_CYC, papi.DOM_USER, 1000},
+			{papi.TOT_INS, papi.DOM_ALL, 1000},
+			{papi.TOT_CYC, papi.DOM_ALL, 20000},
+		} {
+			th := papi.MustInit(papi.Options{Platform: platform}).Main()
+			es := th.NewEventSet()
+			if err := es.Add(tc.ev); err != nil {
+				t.Fatal(err)
+			}
+			if err := es.SetDomain(tc.domain); err != nil {
+				t.Fatal(err)
+			}
+			fires := int64(0)
+			if err := es.SetOverflow(tc.ev, uint64(tc.threshold), func(*papi.EventSet, uint64, papi.Event) { fires++ }); err != nil {
+				t.Fatal(err)
+			}
+			if err := es.Start(); err != nil {
+				t.Fatal(err)
+			}
+			th.Run(workload.MatMul(workload.MatMulConfig{N: 24}))
+			vals := make([]int64, 1)
+			if err := es.Stop(vals); err != nil {
+				t.Fatal(err)
+			}
+			if crossed := vals[0] / tc.threshold; fires < crossed-2 || fires > crossed {
+				t.Errorf("%s %s, domain %d: %d counted, threshold %d, %d callbacks; want %d or up to two fewer",
+					platform, papi.EventName(tc.ev), tc.domain, vals[0], tc.threshold, fires, crossed)
+			}
+		}
+	}
+}
+
 func TestErrnoRoundTrip(t *testing.T) {
 	sys := papi.MustInit(papi.Options{})
 	es := sys.Main().NewEventSet()

@@ -105,10 +105,16 @@ func New(th *papi.Thread, event papi.Event, threshold uint64, smap *SourceMap) (
 	return &Profiler{th: th, event: event, threshold: threshold, smap: smap, hist: hist}, nil
 }
 
-// Run profiles one execution of the program.
+// Run profiles one execution of the program. Only user mode is counted:
+// a source-line profile attributes the program's own events, and a
+// cycles threshold below the interrupt's cost would otherwise be crossed
+// again by every interrupt it raised.
 func (p *Profiler) Run(prog workload.Program) error {
 	es := p.th.NewEventSet()
 	if err := es.Add(p.event); err != nil {
+		return err
+	}
+	if err := es.SetDomain(papi.DOM_USER); err != nil {
 		return err
 	}
 	if err := es.Profil(p.hist, p.event, p.threshold); err != nil {
