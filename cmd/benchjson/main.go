@@ -21,9 +21,12 @@
 // then every other recorded metric including allocs/op and B/op when
 // the runs used -benchmem — and exits non-zero when any benchmark
 // matching the -gate regexp regressed its ns/op by more than
-// -max-regress percent. -gate-allocs additionally gates allocs/op and
-// B/op regressions for the same benchmarks (opt-in: allocation counts
-// are stable, but byte sizes can shift with Go releases). Rows align by
+// -max-regress percent. -gate-allocs additionally gates allocs/op for
+// the same benchmarks, where any growth from 0 is a regression: the
+// count does not move with host speed. B/op is printed, not gated: a
+// row that allocates nothing per op still reports a few amortized bytes
+// of runtime background, and they spread (ServerFanoutInterest/interest
+// reads 1-6 B/op at 0 allocs/op). Rows align by
 // (package, name); benchmarks present in only one file are reported but
 // never gate — and a -gate that aligned no pair at all fails, so a gate
 // that compares nothing cannot pass.
@@ -34,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"regexp"
@@ -79,7 +83,7 @@ func main() {
 	diff := flag.Bool("diff", false, "compare two result files: benchjson -diff [-gate re] [-max-regress pct] old.json new.json")
 	gate := flag.String("gate", "", "with -diff, regexp of benchmark names whose ns/op regressions gate the exit code (empty gates nothing)")
 	maxRegress := flag.Float64("max-regress", 25, "with -diff, max allowed ns/op regression percent for gated benchmarks")
-	gateAllocs := flag.Bool("gate-allocs", false, "with -diff, also gate allocs/op and B/op regressions for -gate benchmarks")
+	gateAllocs := flag.Bool("gate-allocs", false, "with -diff, also gate allocs/op regressions (any growth from 0 included) for -gate benchmarks")
 	flag.Parse()
 	if *diff {
 		os.Exit(runDiff(flag.Args(), *gate, *maxRegress, *gateAllocs))
@@ -185,7 +189,7 @@ func parseBench(line, pkg string, gomaxprocs int) (Result, bool) {
 // runDiff implements -diff: load two result files, align them by
 // (package, name), print every metric's delta, and return the process
 // exit code — non-zero when a gated benchmark's ns/op (or, with
-// -gate-allocs, allocs/op or B/op) regressed past the threshold, or
+// -gate-allocs, allocs/op) regressed past the threshold, or
 // when -gate is set and no gated benchmark is in both files.
 func runDiff(args []string, gate string, maxRegress float64, gateAllocs bool) int {
 	if len(args) != 2 {
@@ -251,11 +255,13 @@ func runDiff(args []string, gate string, maxRegress float64, gateAllocs bool) in
 				fmt.Printf("  %-52s %-14s %12.4g -> %14s\n", nr.Name, metric, ov, "(gone)")
 			default:
 				pct := 0.0
-				if ov != 0 {
+				switch {
+				case ov != 0:
 					pct = (nv - ov) / ov * 100
+				case nv > 0:
+					pct = math.Inf(1) // a row at 0 that grows has grown past any bound
 				}
-				gating := metric == "ns/op" ||
-					(gateAllocs && (metric == "allocs/op" || metric == "B/op"))
+				gating := metric == "ns/op" || (gateAllocs && metric == "allocs/op")
 				verdict := ""
 				if gated && gating && pct > maxRegress {
 					verdict = fmt.Sprintf("  REGRESSION (> %.0f%%)", maxRegress)

@@ -82,3 +82,45 @@ func TestDiffGate(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffGateAllocs pins what -gate-allocs gates: allocs/op past the
+// bound, including any growth of a row that allocated nothing — a
+// percentage of 0 is undefined, and such a row is the one most worth
+// keeping at 0 — and not B/op, whose amortized bytes spread.
+func TestDiffGateAllocs(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, allocs, bytes float64) string {
+		t.Helper()
+		doc := File{GOMAXPROCS: 2, Results: []Result{{Package: "repro/x", Name: "SimulatedReplay",
+			Metrics: map[string]float64{"ns/op": 1000, "allocs/op": allocs, "B/op": bytes}}}}
+		data, err := json.Marshal(&doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	zero, some := write("zero.json", 0, 0), write("some.json", 300, 60000)
+	for _, tc := range []struct {
+		name       string
+		old, new   string
+		gateAllocs bool
+		want       int
+	}{
+		{"0 stays 0", zero, write("zero2.json", 0, 0), true, 0},
+		{"0 grows to 1", zero, write("one.json", 1, 16), true, 1},
+		{"0 grows, allocs not gated", zero, write("one2.json", 1, 16), false, 0},
+		{"0 allocs, bytes appear", zero, write("bytes.json", 0, 3), true, 0},
+		{"inside the bound", some, write("more.json", 360, 60000), true, 0},
+		{"past the bound", some, write("most.json", 400, 60000), true, 1},
+		{"bytes past the bound", some, write("fat.json", 300, 90000), true, 0},
+		{"falls to 0", some, zero, true, 0},
+	} {
+		if got := runDiff([]string{tc.old, tc.new}, "Simulated", 25, tc.gateAllocs); got != tc.want {
+			t.Errorf("%s: exit code %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

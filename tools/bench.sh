@@ -15,7 +15,8 @@
 # row-append, history-query and frame-encode benchmarks. Every gate
 # runs and prints its verdict — a noisy Server* row does not hide the
 # stages behind it — and the script exits non-zero when any gated ns/op
-# regressed more than 25% against its baseline. Use it before
+# or allocs/op regressed more than 25% against its baseline, or a gated
+# row that allocated nothing allocates at all. Use it before
 # regenerating baselines so a regression is a loud diff, not a silently
 # re-baselined number.
 set -eu
@@ -31,7 +32,7 @@ if [ "${1:-}" = "compare" ]; then
     # gate NAME BASELINE REGEXP diffs the fresh measurement in $tmp
     # against BASELINE and records the verdict instead of stopping at it.
     gate() {
-        if go run ./cmd/benchjson -diff -gate "$3" -max-regress 25 "$2" "$tmp"; then
+        if go run ./cmd/benchjson -diff -gate-allocs -gate "$3" -max-regress 25 "$2" "$tmp"; then
             echo "bench compare: $1 gate OK"
         else
             echo "bench compare: $1 gate FAILED"
