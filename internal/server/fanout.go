@@ -1,0 +1,321 @@
+// Fan-out: a numbered row of a session — a tick's or a PUBLISH's — goes
+// to every view of the session (filter.go) and then to the derive
+// engine. Each distinct frame is encoded at most once per codec in use
+// (encCache) into a reference-counted pooled buffer (sharedBuf) that
+// every subscriber's connection queue shares; deliver is the one push
+// site.
+package server
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/telemetry/tracing"
+	"repro/internal/wire"
+)
+
+// subscriber is one SUBSCRIBE registration on one session: the filter
+// it asked for and the connection whose write queue its frames go to.
+// It owns no queue and no goroutine. A wildcard SUBSCRIBE registers one
+// subscriber per matched session.
+type subscriber struct {
+	c    *conn
+	sess *session
+
+	// The view it follows, immutable after subscribe: events is the
+	// canonical event-name filter (nil = all), delta requests delta
+	// frames. See filter.go.
+	events []string
+	delta  bool
+	// needKey, on a delta subscriber, requests a keyframe at this
+	// session's next fan-out: set at subscribe (the first frame anchors
+	// the stream) and by frame.drop on any lost frame.
+	needKey atomic.Bool
+	// live opens the stream: fan-out skips the subscription until its
+	// SUBSCRIBE reply is queued, so with fan-out pushing straight into
+	// the connection's queue no frame can overtake the ack that tells
+	// the client which sessions it now follows. goLive sets it under the
+	// session's lock, so the stream opens between two rows.
+	live atomic.Bool
+}
+
+// fanout delivers one numbered row of the session — a tick's or a
+// PUBLISH's — to every view and then to the derive engine, whose DERIVED
+// frame follows the row's SNAPSHOT into the same queues. Each view
+// serializes its frame at most once per codec in use: with N subscribers
+// of a view on one codec the row pays for one encode, not N, and the
+// refcount on each shared buffer (see sharedBuf) returns it to the pool
+// once every queue is done with it. The caller holds sess.mu and has
+// held it since it numbered the row, so whoever produced them, a
+// session's rows reach every subscriber, every view's delta baseline
+// and the engine in seq order.
+//
+// t is the enclosing trace (the tick, or the PUBLISH request), which
+// takes encode spans when detailed and the alert mark; the two stage
+// spans hang on d under parent — a request passes t, a tick passes t
+// only when it is detailed. Any of them may be nil.
+func (s *Server) fanout(t, d *tracing.Trace, parent tracing.SpanRef, sess *session, snap *wire.Response, now int64) {
+	fs := d.StartSpan(parent, "fanout")
+	d.AnnotateInt(fs, "views", int64(len(sess.views)))
+	for _, v := range sess.views {
+		s.fanoutView(t, fs, v, snap)
+	}
+	d.EndSpan(fs)
+	ds := d.StartSpan(parent, "derive")
+	s.fanoutDerived(t, ds, sess, snap, now)
+	d.EndSpan(ds)
+}
+
+// fanoutView delivers one tick to the subscribers of one view: the
+// snapshot itself for the broadcast view, a projected full snapshot for
+// filtered non-delta views; for delta views a keyframe when the epoch
+// must (re)start — first frame, projection change, resync request,
+// cadence — and otherwise a DELTA of everything that drifted from the
+// keyframe. An empty delta sends nothing at all.
+func (s *Server) fanoutView(t *tracing.Trace, parent tracing.SpanRef, v viewSubs, snap *wire.Response) {
+	vs := v.vs
+	if vs.filter == nil && !vs.delta {
+		s.deliverAll(t, parent, snap, kindSnapshot, v.subs) // nothing to project
+		return
+	}
+	rekeyed := vs.project(snap)
+	if len(vs.events) == 0 {
+		return // the filter matches none of this session's events
+	}
+	if !vs.delta {
+		s.deliverAll(t, parent, vs.projected(snap), kindSnapshot, v.subs)
+		return
+	}
+	needKey := slices.ContainsFunc(v.subs, func(sub *subscriber) bool { return sub.needKey.Load() })
+	vs.sinceKey++
+	if !vs.primed || rekeyed || needKey || vs.sinceKey >= s.cfg.KeyframeEvery {
+		vs.primed = true
+		vs.keySeq = snap.Seq
+		vs.keyVals = append(vs.keyVals[:0], vs.cur...)
+		vs.sinceKey = 0
+		s.deliverAll(t, parent, vs.projected(snap), kindKeyframe, v.subs)
+		return
+	}
+	vs.changed = vs.changed[:0]
+	vs.cvals = vs.cvals[:0]
+	for i, val := range vs.cur {
+		if val != vs.keyVals[i] {
+			vs.changed = append(vs.changed, uint32(i))
+			vs.cvals = append(vs.cvals, val)
+		}
+	}
+	if len(vs.changed) == 0 {
+		return
+	}
+	s.deliverAll(t, parent, &wire.Response{Op: wire.OpDelta, OK: true, Session: snap.Session,
+		Seq: snap.Seq, Base: vs.keySeq, Idx: vs.changed, Values: vs.cvals}, kindDelta, v.subs)
+}
+
+// deliverAll encodes one view frame at most once per codec and delivers
+// it to every subscriber of the view.
+func (s *Server) deliverAll(t *tracing.Trace, parent tracing.SpanRef, resp *wire.Response, kind frameKind, subs []*subscriber) {
+	var enc encCache
+	if t.Detailed() {
+		enc.trc, enc.parent = t, parent
+	}
+	for _, sub := range subs {
+		s.deliver(&enc, resp, kind, sub)
+	}
+	enc.done()
+}
+
+// fanoutDerived is fanout's second half: it evaluates the session's
+// performance groups over the row and pushes the resulting DERIVED frame
+// to every subscriber of every view, encode-once like the views'
+// frames. Evaluation runs even with no subscriber — threshold rules
+// alert server-side regardless of who is watching.
+func (s *Server) fanoutDerived(t *tracing.Trace, parent tracing.SpanRef, sess *session, snap *wire.Response, ts int64) {
+	groups := sess.derivedGroups(s.defGroups)
+	if len(groups) == 0 {
+		return
+	}
+	alerts := s.derive.Tick(sess.id, snap.Events, snap.Values, ts, groups,
+		func(metrics, units []string, vals []float64) {
+			// The emit slices are engine-owned and reused next tick;
+			// the frame is encoded before this callback returns, so
+			// nothing engine-owned escapes, and resp stays on the stack.
+			resp := wire.Response{Op: wire.OpDerived, OK: true, Session: snap.Session,
+				Seq: snap.Seq, Metrics: metrics, Units: units, DValues: vals}
+			var enc encCache
+			if t.Detailed() {
+				enc.trc, enc.parent = t, parent
+			}
+			for _, v := range sess.views {
+				for _, sub := range v.subs {
+					s.deliver(&enc, &resp, kindDerived, sub)
+				}
+			}
+			enc.done()
+		})
+	if alerts > 0 && t != nil {
+		// A fired threshold alert makes the surrounding tick/request
+		// trace an error — tail retention keeps the flight-recorder
+		// evidence of what the pipeline was doing when it fired.
+		t.AnnotateInt(parent, "alerts", int64(alerts))
+		t.SetError(fmt.Sprintf("derive: %d threshold alert(s) fired", alerts))
+	}
+}
+
+// encodeFault, when a test sets it, is the error every fan-out encode
+// fails with — the seam that pins the negative-cache behavior. It is a
+// value, not a func variable standing in for the encoder: a call through
+// one leaks its argument, and every frame would escape to the heap.
+var encodeFault error
+
+// encCache lazily serializes one response at most once per codec and
+// hands out the shared bytes — the encode-once fan-out path. The
+// buffers are pooled, reference-counted sharedBufs (tick.go): the
+// cache holds one reference across the fan-out, each enqueued frame
+// takes its own, and done() drops the cache's when the fan-out ends.
+// A failed encode is negative-cached for the rest of the fan-out:
+// logged and counted once, with every later subscriber on that codec
+// just recording its dropped frame instead of re-attempting the
+// encode and re-logging each tick.
+//
+// The response is not a field: every get of one cache passes the same
+// one. Escape analysis does not tell one field of a struct from
+// another, and the buffers reach the pool, so a response held here
+// would be moved to the heap — one allocation per frame.
+type encCache struct {
+	shared [2]*sharedBuf // indexed by wire.Codec
+	failed [2]bool
+
+	// trc/parent, when trc is non-nil, wrap each first-per-codec encode
+	// in an "encode" span (codec + byte count). Set only for detailed
+	// (head-sampled) traces — encode spans on every tail-candidate tick
+	// would be waste.
+	trc    *tracing.Trace
+	parent tracing.SpanRef
+}
+
+// get returns the encoded frame for codec, serializing on first use.
+// ok is false when the encode failed (now or earlier this fan-out);
+// deliver counts the drop for its frame kind. An ok buffer stays valid
+// until done(); a caller enqueuing it must sb.ref() first.
+func (e *encCache) get(s *Server, resp *wire.Response, what string, codec wire.Codec) (sb *sharedBuf, ok bool) {
+	if e.failed[codec] {
+		return nil, false
+	}
+	if sb := e.shared[codec]; sb != nil {
+		return sb, true
+	}
+	sb = newSharedBuf()
+	var sp tracing.SpanRef = tracing.NoSpan
+	if e.trc != nil {
+		sp = e.trc.StartSpan(e.parent, "encode")
+		e.trc.Annotate(sp, "codec", codec.String())
+	}
+	p, err := sb.buf[:0], encodeFault
+	if err == nil {
+		p, err = wire.AppendResponse(p, codec, resp)
+	}
+	if err != nil {
+		if e.trc != nil {
+			e.trc.Annotate(sp, "error", err.Error())
+			e.trc.EndSpan(sp)
+			e.trc.SetError(what + " encode failed")
+		}
+		sb.release()
+		e.failed[codec] = true
+		s.m.encodeFailures.Inc()
+		s.slog.Error("papid: "+what+" encode failed",
+			"codec", codec.String(), "session", resp.Session, "err", err)
+		return nil, false
+	}
+	if e.trc != nil {
+		e.trc.AnnotateInt(sp, "bytes", int64(len(p)))
+		e.trc.EndSpan(sp)
+	}
+	sb.buf = p
+	e.shared[codec] = sb
+	return sb, true
+}
+
+// done drops the cache's own reference on every buffer it encoded.
+// Call exactly once, after the fan-out loop that used the cache — a
+// buffer no connection queue took goes straight back to the pool.
+func (e *encCache) done() {
+	for i, sb := range e.shared {
+		if sb != nil {
+			sb.release()
+			e.shared[i] = nil
+		}
+	}
+}
+
+// deliver is the one fan-out push site: it hands sub its frame of the
+// encode-once payload by pushing straight into the owning connection's
+// write queue, and counts the frame sent. Every way the frame can then
+// fail to reach the socket — an encode failure here, eviction from the
+// full queue, a closed or abandoned queue — ends in frame.drop, which
+// counts it against the same kind and marks a delta view for re-key.
+func (s *Server) deliver(enc *encCache, resp *wire.Response, kind frameKind, sub *subscriber) {
+	if !sub.live.Load() {
+		return // not acked yet: the stream starts after its SUBSCRIBE reply
+	}
+	codec := sub.c.codecNow()
+	f := frame{codec: codec, kind: kind, sub: sub}
+	sb, ok := enc.get(s, resp, kindNames[kind], codec)
+	if !ok {
+		f.drop()
+		return
+	}
+	s.m.sent[kind].Inc()
+	if kind == kindKeyframe {
+		s.m.keyframes.Inc()
+		// Cleared before the push, never after: a concurrent eviction of
+		// this very keyframe sets the flag again, and a clear landing
+		// after that set would lose the resync.
+		sub.needKey.Store(false)
+	}
+	sb.ref()
+	f.payload, f.shared = sb.buf, sb
+	sub.c.q.push(f)
+}
+
+// maxPooledFrame bounds what the frame-buffer pool retains; a rare
+// oversized frame is left to the GC instead of pinning its array.
+const maxPooledFrame = 1 << 16
+
+// sharedBuf is a reference-counted, pooled encode buffer — the one
+// owner of every outbound frame's bytes. A fan-out serializes each
+// distinct frame once per codec and shares the bytes across every
+// subscriber's connection queue: the refcount is one for the encCache
+// that owns the encode plus one per enqueued frame. A reply is encoded
+// for one frame, which takes over the maker's one reference. Whoever
+// drops the last reference returns the buffer to the pool. Every frame
+// is settled exactly once — the socket write, or frame.drop on
+// eviction, jam, closed queue and writer exit — so no reference is left
+// behind.
+type sharedBuf struct {
+	buf  []byte
+	refs atomic.Int32
+}
+
+var sharedBufPool = sync.Pool{New: func() any { return new(sharedBuf) }}
+
+// newSharedBuf takes a pooled buffer with one reference, its maker's.
+func newSharedBuf() *sharedBuf {
+	sb := sharedBufPool.Get().(*sharedBuf)
+	sb.refs.Store(1)
+	return sb
+}
+
+// ref takes one more reference, for a frame about to be enqueued.
+func (sb *sharedBuf) ref() { sb.refs.Add(1) }
+
+func (sb *sharedBuf) release() {
+	if sb.refs.Add(-1) == 0 {
+		if cap(sb.buf) <= maxPooledFrame {
+			sb.buf = sb.buf[:0]
+			sharedBufPool.Put(sb)
+		}
+	}
+}

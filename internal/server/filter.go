@@ -26,7 +26,6 @@ import (
 	"path"
 	"slices"
 
-	"repro/internal/telemetry/tracing"
 	"repro/internal/wire"
 )
 
@@ -121,89 +120,4 @@ func (sess *session) matches(ids []uint64, globs []string) bool {
 		}
 	}
 	return false
-}
-
-// fanout delivers one numbered row of the session — a tick's or a
-// PUBLISH's — to every view and then to the derive engine, whose DERIVED
-// frame follows the row's SNAPSHOT into the same queues. Each view
-// serializes its frame at most once per codec in use: with N subscribers
-// of a view on one codec the row pays for one encode, not N, and the
-// refcount on each shared buffer (see sharedBuf) returns it to the pool
-// once every queue is done with it. The caller holds sess.mu and has
-// held it since it numbered the row, so whoever produced them, a
-// session's rows reach every subscriber, every view's delta baseline
-// and the engine in seq order.
-//
-// t is the enclosing trace (the tick, or the PUBLISH request), which
-// takes encode spans when detailed and the alert mark; the two stage
-// spans hang on d under parent — a request passes t, a tick passes t
-// only when it is detailed. Any of them may be nil.
-func (s *Server) fanout(t, d *tracing.Trace, parent tracing.SpanRef, sess *session, snap *wire.Response, now int64) {
-	fs := d.StartSpan(parent, "fanout")
-	d.AnnotateInt(fs, "views", int64(len(sess.views)))
-	for _, v := range sess.views {
-		s.fanoutView(t, fs, v, snap)
-	}
-	d.EndSpan(fs)
-	ds := d.StartSpan(parent, "derive")
-	s.fanoutDerived(t, ds, sess, snap, now)
-	d.EndSpan(ds)
-}
-
-// fanoutView delivers one tick to the subscribers of one view: the
-// snapshot itself for the broadcast view, a projected full snapshot for
-// filtered non-delta views; for delta views a keyframe when the epoch
-// must (re)start — first frame, projection change, resync request,
-// cadence — and otherwise a DELTA of everything that drifted from the
-// keyframe. An empty delta sends nothing at all.
-func (s *Server) fanoutView(t *tracing.Trace, parent tracing.SpanRef, v viewSubs, snap *wire.Response) {
-	vs := v.vs
-	if vs.filter == nil && !vs.delta {
-		s.deliverAll(t, parent, snap, kindSnapshot, v.subs) // nothing to project
-		return
-	}
-	rekeyed := vs.project(snap)
-	if len(vs.events) == 0 {
-		return // the filter matches none of this session's events
-	}
-	if !vs.delta {
-		s.deliverAll(t, parent, vs.projected(snap), kindSnapshot, v.subs)
-		return
-	}
-	needKey := slices.ContainsFunc(v.subs, func(sub *subscriber) bool { return sub.needKey.Load() })
-	vs.sinceKey++
-	if !vs.primed || rekeyed || needKey || vs.sinceKey >= s.cfg.KeyframeEvery {
-		vs.primed = true
-		vs.keySeq = snap.Seq
-		vs.keyVals = append(vs.keyVals[:0], vs.cur...)
-		vs.sinceKey = 0
-		s.deliverAll(t, parent, vs.projected(snap), kindKeyframe, v.subs)
-		return
-	}
-	vs.changed = vs.changed[:0]
-	vs.cvals = vs.cvals[:0]
-	for i, val := range vs.cur {
-		if val != vs.keyVals[i] {
-			vs.changed = append(vs.changed, uint32(i))
-			vs.cvals = append(vs.cvals, val)
-		}
-	}
-	if len(vs.changed) == 0 {
-		return
-	}
-	s.deliverAll(t, parent, &wire.Response{Op: wire.OpDelta, OK: true, Session: snap.Session,
-		Seq: snap.Seq, Base: vs.keySeq, Idx: vs.changed, Values: vs.cvals}, kindDelta, v.subs)
-}
-
-// deliverAll encodes one view frame at most once per codec and delivers
-// it to every subscriber of the view.
-func (s *Server) deliverAll(t *tracing.Trace, parent tracing.SpanRef, resp *wire.Response, kind frameKind, subs []*subscriber) {
-	var enc encCache
-	if t.Detailed() {
-		enc.trc, enc.parent = t, parent
-	}
-	for _, sub := range subs {
-		s.deliver(&enc, resp, kind, sub)
-	}
-	enc.done()
 }

@@ -198,43 +198,3 @@ func (s *Server) appendRows(t *tracing.Trace, rows []wal.Row) {
 		t.SetError(err.Error())
 	}
 }
-
-// maxPooledFrame bounds what the frame-buffer pool retains; a rare
-// oversized frame is left to the GC instead of pinning its array.
-const maxPooledFrame = 1 << 16
-
-// sharedBuf is a reference-counted, pooled encode buffer — the one
-// owner of every outbound frame's bytes. A fan-out serializes each
-// distinct frame once per codec and shares the bytes across every
-// subscriber's connection queue: the refcount is one for the encCache
-// that owns the encode plus one per enqueued frame. A reply is encoded
-// for one frame, which takes over the maker's one reference. Whoever
-// drops the last reference returns the buffer to the pool. Every frame
-// is settled exactly once — the socket write, or frame.drop on
-// eviction, jam, closed queue and writer exit — so no reference is left
-// behind.
-type sharedBuf struct {
-	buf  []byte
-	refs atomic.Int32
-}
-
-var sharedBufPool = sync.Pool{New: func() any { return new(sharedBuf) }}
-
-// newSharedBuf takes a pooled buffer with one reference, its maker's.
-func newSharedBuf() *sharedBuf {
-	sb := sharedBufPool.Get().(*sharedBuf)
-	sb.refs.Store(1)
-	return sb
-}
-
-// ref takes one more reference, for a frame about to be enqueued.
-func (sb *sharedBuf) ref() { sb.refs.Add(1) }
-
-func (sb *sharedBuf) release() {
-	if sb.refs.Add(-1) == 0 {
-		if cap(sb.buf) <= maxPooledFrame {
-			sb.buf = sb.buf[:0]
-			sharedBufPool.Put(sb)
-		}
-	}
-}
