@@ -13,7 +13,8 @@
 // Write under a write deadline returns a net.Error with Timeout()
 // true, exactly like a blocked TCP send — which is what lets papid's
 // deadline-based eviction be tested without filling real kernel
-// buffers.
+// buffers. Deadlines and latencies run on Faults.Clock, so on a
+// clock.Fake they pass when the test advances it and never on their own.
 package faultnet
 
 import (
@@ -21,6 +22,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Faults configures the failure modes injected into one connection.
@@ -48,6 +51,12 @@ type Faults struct {
 	// StallReads makes every read block until Close or the read
 	// deadline — a peer that sends nothing, forever.
 	StallReads bool
+	// Clock is what deadlines and latencies are measured on (nil is the
+	// wall clock). A deadline is never handed to the wrapped conn, which
+	// runs on wall time: once it passes on Clock, the wrapped conn's
+	// deadline is set in the past, so a Read or Write parked there
+	// returns a timeout.
+	Clock clock.Clock
 }
 
 // ErrCut is returned by writes after CutAfter severed the connection.
@@ -56,21 +65,33 @@ var ErrCut = errors.New("faultnet: connection cut")
 // Conn is a net.Conn with fault injection layered on top.
 type Conn struct {
 	net.Conn
-	f Faults
+	f   Faults
+	clk clock.Clock
 
 	mu      sync.Mutex
 	written int64
-	rd, wd  time.Time
+	rd, wd  deadline
 
 	closed   chan struct{}
 	closeOne sync.Once
+}
+
+// deadline is one direction's deadline on the conn's clock. passed is
+// closed when it passes, which wakes an op faultnet parked itself (a
+// stall or a latency pause); gen lets a timer firing late see that a
+// newer deadline replaced the one it was armed for.
+type deadline struct {
+	passed chan struct{}
+	timer  *clock.Timer
+	gen    uint64
 }
 
 var _ net.Conn = (*Conn)(nil)
 
 // WrapConn layers f onto nc.
 func WrapConn(nc net.Conn, f Faults) *Conn {
-	return &Conn{Conn: nc, f: f, closed: make(chan struct{})}
+	return &Conn{Conn: nc, f: f, clk: clock.Or(f.Clock), closed: make(chan struct{}),
+		rd: deadline{passed: make(chan struct{})}, wd: deadline{passed: make(chan struct{})}}
 }
 
 // Pipe returns the two ends of an in-memory connection, each with its
@@ -81,7 +102,7 @@ func Pipe(a, b Faults) (*Conn, *Conn) {
 }
 
 func (c *Conn) Write(p []byte) (int, error) {
-	if err := c.pause(c.f.WriteLatency, c.writeDeadline); err != nil {
+	if err := c.pause(c.f.WriteLatency, &c.wd); err != nil {
 		return 0, err
 	}
 	total := 0
@@ -90,7 +111,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		written := c.written
 		c.mu.Unlock()
 		if c.f.StallAfter > 0 && written >= c.f.StallAfter {
-			return total, c.block(c.writeDeadline)
+			return total, c.block(&c.wd)
 		}
 		chunk := p[total:]
 		if c.f.ChunkSize > 0 && len(chunk) > c.f.ChunkSize {
@@ -115,7 +136,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 			return total, err
 		}
 		if total < len(p) {
-			if err := c.pause(c.f.WriteLatency, c.writeDeadline); err != nil {
+			if err := c.pause(c.f.WriteLatency, &c.wd); err != nil {
 				return total, err
 			}
 		}
@@ -125,9 +146,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 
 func (c *Conn) Read(p []byte) (int, error) {
 	if c.f.StallReads {
-		return 0, c.block(c.readDeadline)
+		return 0, c.block(&c.rd)
 	}
-	if err := c.pause(c.f.ReadLatency, c.readDeadline); err != nil {
+	if err := c.pause(c.f.ReadLatency, &c.rd); err != nil {
 		return 0, err
 	}
 	return c.Conn.Read(p)
@@ -148,73 +169,92 @@ func (c *Conn) Written() int64 {
 }
 
 func (c *Conn) SetDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.rd, c.wd = t, t
-	c.mu.Unlock()
-	return c.Conn.SetDeadline(t)
+	if err := c.SetReadDeadline(t); err != nil {
+		return err
+	}
+	return c.SetWriteDeadline(t)
 }
 
 func (c *Conn) SetReadDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.rd = t
-	c.mu.Unlock()
-	return c.Conn.SetReadDeadline(t)
+	return c.setDeadline(&c.rd, t, c.Conn.SetReadDeadline)
 }
 
 func (c *Conn) SetWriteDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.wd = t
-	c.mu.Unlock()
-	return c.Conn.SetWriteDeadline(t)
+	return c.setDeadline(&c.wd, t, c.Conn.SetWriteDeadline)
 }
 
-func (c *Conn) readDeadline() time.Time {
+// pastDeadline is what a passed deadline hands the wrapped conn: any
+// time in the past trips its parked op at once.
+var pastDeadline = time.Unix(1, 0)
+
+// setDeadline moves one direction's deadline to t (zero clears it) and
+// arms a timer on the conn's clock for it; wrapped is the wrapped conn's
+// setter for that direction. A deadline that has not passed keeps its
+// passed channel, so an op parked on it sees the move; one that has
+// passed starts afresh.
+func (c *Conn) setDeadline(d *deadline, t time.Time, wrapped func(time.Time) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rd
-}
-
-func (c *Conn) writeDeadline() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.wd
-}
-
-// block parks the calling op until Close or the deadline captured at
-// entry; a deadline moved while blocked is not observed, matching how
-// the papid server uses deadlines (set immediately before each op).
-func (c *Conn) block(deadline func() time.Time) error {
-	var expire <-chan time.Time
-	if d := deadline(); !d.IsZero() {
-		t := time.NewTimer(time.Until(d))
-		defer t.Stop()
-		expire = t.C
+	d.gen++
+	if d.timer != nil {
+		d.timer.Stop()
+		d.timer = nil
 	}
+	select {
+	case <-d.passed:
+		d.passed = make(chan struct{})
+	default:
+	}
+	if t.IsZero() {
+		return wrapped(time.Time{})
+	}
+	wait := t.Sub(c.clk.Now())
+	if wait <= 0 {
+		close(d.passed)
+		return wrapped(pastDeadline)
+	}
+	gen := d.gen
+	d.timer = c.clk.AfterFunc(wait, func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if d.gen == gen {
+			close(d.passed)
+			wrapped(pastDeadline)
+		}
+	})
+	return wrapped(time.Time{})
+}
+
+// passedCh returns the channel closed when d passes.
+func (c *Conn) passedCh(d *deadline) <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return d.passed
+}
+
+// block parks the calling op until Close or its deadline passes.
+func (c *Conn) block(d *deadline) error {
 	select {
 	case <-c.closed:
 		return net.ErrClosed
-	case <-expire:
+	case <-c.passedCh(d):
 		return timeoutError{}
 	}
 }
 
-// pause sleeps d, cut short by Close or the deadline.
-func (c *Conn) pause(d time.Duration, deadline func() time.Time) error {
-	if d <= 0 {
+// pause waits lat on the conn's clock, cut short by Close or the
+// deadline.
+func (c *Conn) pause(lat time.Duration, d *deadline) error {
+	if lat <= 0 {
 		return nil
 	}
-	t := time.NewTimer(d)
+	done := make(chan struct{})
+	t := c.clk.AfterFunc(lat, func() { close(done) })
 	defer t.Stop()
-	var expire <-chan time.Time
-	if dl := deadline(); !dl.IsZero() {
-		dt := time.NewTimer(time.Until(dl))
-		defer dt.Stop()
-		expire = dt.C
-	}
 	select {
-	case <-t.C:
+	case <-done:
 		return nil
-	case <-expire:
+	case <-c.passedCh(d):
 		return timeoutError{}
 	case <-c.closed:
 		return net.ErrClosed

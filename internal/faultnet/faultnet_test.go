@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // readAll drains r into a buffer on a goroutine, returning a channel
@@ -74,6 +76,41 @@ func TestStallHonorsWriteDeadline(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Error("deadline trip took far longer than the deadline")
+	}
+}
+
+// TestVirtualReadDeadline: a read deadline set on a fake clock trips when
+// the fake passes it, for a read parked in the wrapped conn and for one
+// faultnet stalls itself, and never on wall time. The fake reads the
+// year 2000, so a deadline handed on to the wrapped conn as wall time
+// would trip at once.
+func TestVirtualReadDeadline(t *testing.T) {
+	for _, stall := range []bool{false, true} {
+		fk := clock.NewFake(time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC))
+		r, w := Pipe(Faults{Clock: fk, StallReads: stall}, Faults{})
+		r.SetReadDeadline(fk.Now().Add(time.Hour))
+		done := make(chan error, 1)
+		go func() {
+			_, err := r.Read(make([]byte, 1))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			t.Fatalf("stall=%v: read returned %v with the fake clock standing still", stall, err)
+		case <-time.After(200 * time.Millisecond):
+		}
+		fk.Advance(time.Hour)
+		select {
+		case err := <-done:
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Errorf("stall=%v: read returned %v, want a net.Error timeout", stall, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("stall=%v: the fake passed the deadline and the read stayed parked", stall)
+		}
+		r.Close()
+		w.Close()
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/faultnet"
 	"repro/internal/wire"
 )
@@ -28,8 +29,14 @@ import (
 func TestChaosSurvivesPathologicalPeers(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 
-	srv := New(Config{
-		TickInterval: 2 * time.Millisecond,
+	// The storm runs on a fake clock: the test ticks by hand every 2 ms
+	// of it, and each deadline passes in its time, not the host's.
+	fk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	// Tiny server-side send buffers so a subscriber that stops reading
+	// back-pressures in milliseconds instead of after megabytes.
+	srv, addr := serveFaults(t, Config{
+		TickInterval: time.Hour,
+		clock:        fk,
 		// Chaos runs with the parallel sweep at full width regardless of
 		// GOMAXPROCS: every fan-out invariant must hold with concurrent
 		// shard workers, and -race checks they do.
@@ -42,20 +49,12 @@ func TestChaosSurvivesPathologicalPeers(t *testing.T) {
 		// threshold rule must fire and be scrapable mid-chaos.
 		Groups:      []string{"ipc"},
 		DeriveRules: []string{"ipc>0:2"},
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tiny server-side send buffers so a subscriber that stops reading
-	// back-pressures in milliseconds instead of after megabytes.
-	fln := faultnet.Wrap(ln, func(i int, nc net.Conn) faultnet.Faults {
+	}, func(i int, nc net.Conn) faultnet.Faults {
 		if tc, ok := nc.(*net.TCPConn); ok {
 			tc.SetWriteBuffer(4 << 10)
 		}
 		return faultnet.Faults{}
 	})
-	addr := srv.Serve(fln).String()
 
 	// The admin HTTP server joins the chaos: scraped while peers are
 	// being evicted, and covered by the goroutine-leak check below —
@@ -222,7 +221,10 @@ func TestChaosSurvivesPathologicalPeers(t *testing.T) {
 			t.Fatalf("chaos never converged: stats %v, want >= %d evictions and >= %d resyncs",
 				st, wantEvictions, nReset)
 		}
-		time.Sleep(25 * time.Millisecond)
+		for range 12 {
+			fk.Advance(2 * time.Millisecond)
+			srv.tick()
+		}
 	}
 	if st["deadline_trips"] < nIdle {
 		t.Errorf("deadline_trips = %d, want >= %d (idle peers trip the read deadline)",

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/faultnet"
 	"repro/internal/wire"
 )
@@ -41,7 +42,8 @@ func dialBinary(t testing.TB, addr string) *Client {
 // accumulated history, STATS — on binary frames, with the per-codec
 // byte and frame counters proving which codec carried the traffic.
 func TestBinaryNegotiationEndToEnd(t *testing.T) {
-	srv, addr := startServer(t, Config{TickInterval: time.Millisecond})
+	fk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	srv, addr := startServer(t, Config{TickInterval: time.Hour, clock: fk})
 	cl := dialBinary(t, addr)
 
 	created, err := cl.Do(wire.Request{Op: wire.OpCreate,
@@ -62,6 +64,8 @@ func TestBinaryNegotiationEndToEnd(t *testing.T) {
 	}
 	var lastSeq uint64
 	for i := 0; i < 3; i++ {
+		fk.Advance(time.Millisecond)
+		srv.tick()
 		snap, err := sub.Next()
 		if err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
@@ -86,20 +90,12 @@ func TestBinaryNegotiationEndToEnd(t *testing.T) {
 		t.Fatalf("READ over binary: %+v", read)
 	}
 
-	// Ticks have been persisting history; a QUERY result (the other
+	// The ticks persisted history; a QUERY result (the other
 	// payload-heavy frame) must round-trip its series in binary.
-	deadline := time.Now().Add(5 * time.Second)
-	var q wire.Response
-	for {
-		q, err = cl.Do(wire.Request{Op: wire.OpQuery, Session: id,
-			From: 0, To: 1<<63 - 1, Step: 0})
-		if err == nil && len(q.Series) > 0 && len(q.Series[0].Buckets) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no query buckets before deadline: %+v, %v", q, err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	q, err := cl.Do(wire.Request{Op: wire.OpQuery, Session: id,
+		From: 0, To: 1<<63 - 1, Step: 0})
+	if err != nil || len(q.Series) != 2 || len(q.Series[0].Buckets) != 3 {
+		t.Fatalf("QUERY after 3 ticks: %+v, %v; want 2 series of 3 samples", q, err)
 	}
 
 	st, err := cl.Do(wire.Request{Op: wire.OpStats})

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/wire"
 )
 
@@ -36,11 +37,11 @@ func durableQueries(t *testing.T, srv *Server, session uint64, from, to int64) s
 
 // durablePublish drives n ticks through dispatch against an injected
 // clock, the same path the tick loop and PUBLISH take in production.
-func durablePublish(t *testing.T, srv *Server, session uint64, clock *int64, n int) {
+func durablePublish(t *testing.T, srv *Server, session uint64, fk *clock.Fake, n int) {
 	t.Helper()
 	events := []string{"PAPI_TOT_CYC", "PAPI_FP_OPS"}
 	for i := 0; i < n; i++ {
-		*clock += 10_000
+		fk.Advance(10 * time.Millisecond)
 		resp := srv.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: session,
 			Events: events, Values: []int64{int64(i) * 3, int64(i) * 7}})
 		if !resp.OK {
@@ -54,13 +55,13 @@ func durablePublish(t *testing.T, srv *Server, session uint64, clock *int64, n i
 // restart takes the clean fast path (replays nothing).
 func TestDurableRestartCleanShutdown(t *testing.T) {
 	dir := t.TempDir()
-	clock := int64(1_000_000)
+	fk := clock.NewFake(time.UnixMicro(1_000_000))
 	cfg := Config{
 		TickInterval:  time.Hour,
 		TSDBRetention: -1,
 		DataDir:       dir,
 		Fsync:         "off",
-		now:           func() int64 { return clock },
+		clock:         fk,
 	}
 
 	srv := New(cfg)
@@ -72,7 +73,7 @@ func TestDurableRestartCleanShutdown(t *testing.T) {
 		t.Fatal(created.Error)
 	}
 	id := created.Session
-	durablePublish(t, srv, id, &clock, 3000)
+	durablePublish(t, srv, id, fk, 3000)
 
 	// STATS gains the wal_* keys only in durable mode.
 	stats := srv.dispatch(nil, &wire.Request{Op: wire.OpStats})
@@ -112,13 +113,13 @@ func TestDurableRestartCleanShutdown(t *testing.T) {
 // answers.
 func TestDurableRestartAfterCrash(t *testing.T) {
 	dir := t.TempDir()
-	clock := int64(1_000_000)
+	fk := clock.NewFake(time.UnixMicro(1_000_000))
 	cfg := Config{
 		TickInterval:  time.Hour,
 		TSDBRetention: -1,
 		DataDir:       dir,
 		Fsync:         "always",
-		now:           func() int64 { return clock },
+		clock:         fk,
 	}
 
 	srv := New(cfg)
@@ -130,7 +131,7 @@ func TestDurableRestartAfterCrash(t *testing.T) {
 		t.Fatal(created.Error)
 	}
 	id := created.Session
-	durablePublish(t, srv, id, &clock, 2000)
+	durablePublish(t, srv, id, fk, 2000)
 	want := durableQueries(t, srv, id, 0, 1<<60)
 	srv.wal.Abandon() // no goroutines to join: Serve was never called
 
@@ -160,7 +161,7 @@ func TestDurableRestartAfterCrash(t *testing.T) {
 // raw, both rollup steps, and a derived metric over each — must come
 // back from a crash after it as the live server answered before it.
 func TestDurableRestartAfterTwoCompactions(t *testing.T) {
-	clock := int64(1_000_000)
+	fk := clock.NewFake(time.UnixMicro(1_000_000))
 	cfg := Config{
 		TickInterval:    time.Hour,
 		TSDBRetention:   -1,
@@ -168,7 +169,7 @@ func TestDurableRestartAfterTwoCompactions(t *testing.T) {
 		Fsync:           "off",
 		WALSegmentBytes: 8 << 10,
 		WALCompactAfter: time.Minute,
-		now:             func() int64 { return clock },
+		clock:           fk,
 	}
 	srv := New(cfg)
 	if srv.walErr != nil {
@@ -196,7 +197,7 @@ func TestDurableRestartAfterTwoCompactions(t *testing.T) {
 	var want string
 	for pass := 1; pass <= 2; pass++ {
 		for i := 0; i < 20_000; i++ {
-			clock += 10_000
+			fk.Advance(10 * time.Millisecond)
 			n := int64(pass*20_000 + i)
 			resp := srv.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: id,
 				Events: []string{"PAPI_TOT_CYC", "PAPI_TOT_INS"}, Values: []int64{n * 4, n * 2}})
@@ -205,7 +206,7 @@ func TestDurableRestartAfterTwoCompactions(t *testing.T) {
 			}
 		}
 		_, want = views(srv)
-		cs, err := srv.wal.Compact(clock + time.Minute.Microseconds() + 1)
+		cs, err := srv.wal.Compact(fk.Now().Add(time.Minute).UnixMicro() + 1)
 		if err != nil || cs.RawBlocks == 0 || cs.Compacted < pass {
 			t.Fatalf("compaction %d folded %+v (%v)", pass, cs, err)
 		}
@@ -237,14 +238,14 @@ func TestTickRowsDurableWhenTickReturns(t *testing.T) {
 	const nSessions, nTicks = 64, 5
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			clock := int64(1_000_000)
+			fk := clock.NewFake(time.UnixMicro(1_000_000))
 			cfg := Config{
 				TickInterval:  time.Hour,
 				TickWorkers:   workers,
 				TSDBRetention: -1,
 				DataDir:       t.TempDir(),
 				Fsync:         "always",
-				now:           func() int64 { return clock },
+				clock:         fk,
 			}
 			srv := New(cfg)
 			if srv.walErr != nil {
@@ -263,7 +264,7 @@ func TestTickRowsDurableWhenTickReturns(t *testing.T) {
 				ids = append(ids, created.Session)
 			}
 			for i := 0; i < nTicks; i++ {
-				clock += 50_000
+				fk.Advance(50 * time.Millisecond)
 				before := stat(t, srv, "wal_fsyncs")
 				srv.tick()
 				if n := stat(t, srv, "wal_fsyncs") - before; n < 1 || n > uint64(workers) {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/faultnet"
 	"repro/internal/wire"
 )
@@ -457,25 +457,15 @@ func TestDeltaResyncAfterMidFrameCut(t *testing.T) {
 // keyframe — the DeltaTracker over the whole received sequence
 // converges back to the live values.
 func TestReconnClientReplaysDeltaSub(t *testing.T) {
-	srv := New(Config{TickInterval: time.Hour, KeyframeEvery: 50})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Conn 0 is the publisher; conn 1 (the subscriber's first) is cut
 	// after a few hundred bytes of server writes; later conns are clean.
-	fln := faultnet.Wrap(ln, func(i int, nc net.Conn) faultnet.Faults {
-		if i == 1 {
-			return faultnet.Faults{CutAfter: 400}
-		}
-		return faultnet.Faults{}
-	})
-	addr := srv.Serve(fln).String()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
+	_, addr := serveFaults(t, Config{TickInterval: time.Hour, KeyframeEvery: 50},
+		func(i int, nc net.Conn) faultnet.Faults {
+			if i == 1 {
+				return faultnet.Faults{CutAfter: 400}
+			}
+			return faultnet.Faults{}
+		})
 
 	pub := dialT(t, addr)
 	id := pubSession(t, pub, "reconn")
@@ -489,13 +479,8 @@ func TestReconnClientReplaysDeltaSub(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	var mu sync.Mutex
-	var frames []wire.Response
-	collect := func(resp wire.Response) {
-		mu.Lock()
-		frames = append(frames, resp)
-		mu.Unlock()
-	}
+	var frames []wire.Response // appended inside rc.Do, on this goroutine
+	collect := func(resp wire.Response) { frames = append(frames, resp) }
 	rc.OnSnapshot, rc.OnDelta = collect, collect
 	if _, err := rc.SubscribeWith(SubOptions{Session: id, Delta: true}); err != nil {
 		t.Fatal(err)
@@ -520,33 +505,21 @@ func TestReconnClientReplaysDeltaSub(t *testing.T) {
 		}
 	}
 
-	// Drain until the materialized stream reaches the final value.
+	// The last pump's STATS reply was queued behind the frames of every
+	// publish before it, so the stream holds them all.
 	var tracker wire.DeltaTracker
 	var last []int64
 	skipped := 0
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		batch := frames
-		frames = nil
-		mu.Unlock()
-		for _, f := range batch {
-			snap, err := tracker.Apply(f)
-			if err != nil {
-				// A delta that chains from a keyframe lost to the cut is
-				// skippable by design; the replayed subscription's
-				// keyframe re-anchors.
-				skipped++
-				continue
-			}
-			last = slices.Clone(snap.Values)
+	for _, f := range frames {
+		snap, err := tracker.Apply(f)
+		if err != nil {
+			// A delta that chains from a keyframe lost to the cut is
+			// skippable by design; the replayed subscription's keyframe
+			// re-anchors.
+			skipped++
+			continue
 		}
-		if slices.Equal(last, []int64{1, val}) {
-			break
-		}
-		if _, err := rc.Do(wire.Request{Op: wire.OpStats}); err != nil {
-			t.Fatalf("drain pump: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
+		last = slices.Clone(snap.Values)
 	}
 	if rc.Reconnects == 0 {
 		t.Fatal("the cut never tripped a reconnect")
@@ -918,9 +891,8 @@ func TestConcurrentPublishersKeepOrder(t *testing.T) {
 
 func runPublishersSeed(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	var clock atomic.Int64
 	srv := New(Config{TickInterval: time.Hour, TSDBRetention: -1, Groups: []string{"ipc"},
-		KeyframeEvery: 2 + rng.Intn(6), now: func() int64 { return clock.Add(1000) }})
+		KeyframeEvery: 2 + rng.Intn(6), clock: steppingClock{clock.NewFake(time.UnixMicro(0))}})
 	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
 	if !created.OK {
 		t.Fatal(created.Error)

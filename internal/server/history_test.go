@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/tsdb"
 	"repro/internal/wire"
 )
@@ -48,12 +49,12 @@ func bruteBuckets(ts, vs []int64, from, to, step int64) []tsdb.Bucket {
 // budget, and keeps answering after the session is closed.
 func TestQuery100kTicks(t *testing.T) {
 	const nTicks = 100_000
-	clock := int64(1_000_000)
+	fk := clock.NewFake(time.UnixMicro(1_000_000))
 	srv := New(Config{
 		TickInterval:  time.Hour, // ticks driven by hand below
 		TSDBMaxBytes:  2 << 20,
 		TSDBRetention: -1,
-		now:           func() int64 { return clock },
+		clock:         fk,
 	})
 	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none",
 		Events: nil, Label: "history-test"})
@@ -68,14 +69,14 @@ func TestQuery100kTicks(t *testing.T) {
 	vals := map[string][]int64{}
 	cum := map[string]int64{}
 	for i := 0; i < nTicks; i++ {
-		clock += 10_000 // 10ms tick
+		fk.Advance(10 * time.Millisecond)
 		row := make([]int64, len(events))
 		for j, ev := range events {
 			cum[ev] += 5_000 + rng.Int63n(503)
 			row[j] = cum[ev]
 			vals[ev] = append(vals[ev], cum[ev])
 		}
-		tss = append(tss, clock)
+		tss = append(tss, fk.Now().UnixMicro())
 		resp := srv.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: id,
 			Events: events, Values: row})
 		if !resp.OK {
@@ -138,11 +139,12 @@ func TestQuery100kTicks(t *testing.T) {
 	}
 }
 
-// TestQueryEndToEnd exercises the full TCP path: live ticks populate
-// the store and a QUERY returns windows consistent with the raw
-// samples, cross-checked through the wire.
+// TestQueryEndToEnd exercises the full TCP path: ticks populate the
+// store and a QUERY returns windows consistent with the raw samples,
+// cross-checked through the wire.
 func TestQueryEndToEnd(t *testing.T) {
-	_, addr := startServer(t, Config{TickInterval: 2 * time.Millisecond})
+	fk := clock.NewFake(time.UnixMicro(1_000_000))
+	srv, addr := startServer(t, Config{TickInterval: time.Hour, clock: fk})
 	cl := dialT(t, addr)
 	if _, err := cl.Hello(); err != nil {
 		t.Fatal(err)
@@ -157,22 +159,17 @@ func TestQueryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait until history has accumulated a handful of ticks.
-	var raw wire.Response
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		raw, err = cl.Do(wire.Request{Op: wire.OpQuery, Session: id,
-			From: 0, To: 1<<63 - 1, Step: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(raw.Series) == 2 && len(raw.Series[0].Buckets) >= 5 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("history never accumulated: %d series", len(raw.Series))
-		}
-		time.Sleep(5 * time.Millisecond)
+	for range 5 {
+		fk.Advance(2 * time.Millisecond)
+		srv.tick()
+	}
+	raw, err := cl.Do(wire.Request{Op: wire.OpQuery, Session: id,
+		From: 0, To: 1<<63 - 1, Step: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.Series) != 2 || len(raw.Series[0].Buckets) != 5 {
+		t.Fatalf("5 ticks left %+v, want 2 series of 5 samples", raw.Series)
 	}
 
 	// One wide window must aggregate exactly the raw points we saw.

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/tsdb"
 	"repro/internal/wire"
 )
@@ -464,11 +465,11 @@ func TestTicksSkipped(t *testing.T) {
 		{"late tick then longer sweep", []float64{0, 2.7, 5.2, 6.0}, 3},
 		{"hand-driven burst", []float64{0, 0.001, 0.002, 0.003}, 0},
 	} {
-		var clock int64
-		srv := New(Config{TickInterval: time.Duration(iv) * time.Microsecond, TickWorkers: 1,
-			now: func() int64 { return clock }})
+		base := time.UnixMicro(1_700_000_000_000_000)
+		fk := clock.NewFake(base)
+		srv := New(Config{TickInterval: time.Duration(iv) * time.Microsecond, TickWorkers: 1, clock: fk})
 		for _, at := range tc.starts {
-			clock = 1_700_000_000_000_000 + int64(at*float64(iv))
+			fk.Advance(base.Add(time.Duration(at*float64(iv)) * time.Microsecond).Sub(fk.Now()))
 			srv.tick()
 		}
 		if got := stat(t, srv, "ticks_skipped"); got != tc.want {

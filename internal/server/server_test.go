@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"runtime"
 	"slices"
 	"strings"
@@ -11,19 +12,53 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
+	"repro/internal/faultnet"
 	"repro/internal/wire"
 	"repro/papi"
 )
 
 // startServer brings up a papid instance on a loopback port and
-// registers its shutdown with the test.
+// registers its shutdown with the test. On a fake clock it serves
+// through faultnet (serveFaults): the deadlines the server sets are then
+// virtual time, which a plain socket would take for wall time.
 func startServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
+	if cfg.clock != nil {
+		return serveFaults(t, cfg, nil)
+	}
 	srv := New(cfg)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	shutdownAtCleanup(t, srv)
+	return srv, addr.String()
+}
+
+// serveFaults serves cfg on a loopback port behind faultnet: plan, when
+// set, picks each accepted connection's faults, and every connection
+// measures its deadlines on cfg.clock.
+func serveFaults(t testing.TB, cfg Config, plan func(i int, nc net.Conn) faultnet.Faults) (*Server, string) {
+	t.Helper()
+	srv := New(cfg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Serve(faultnet.Wrap(ln, func(i int, nc net.Conn) faultnet.Faults {
+		var f faultnet.Faults
+		if plan != nil {
+			f = plan(i, nc)
+		}
+		f.Clock = cfg.clock
+		return f
+	}))
+	shutdownAtCleanup(t, srv)
+	return srv, addr.String()
+}
+
+func shutdownAtCleanup(t testing.TB, srv *Server) {
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -31,7 +66,6 @@ func startServer(t testing.TB, cfg Config) (*Server, string) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	return srv, addr.String()
 }
 
 // stat reads one key of srv.Stats() and fails the test when the key is
@@ -105,7 +139,8 @@ func (c *conn) popResponses(tb testing.TB) []wire.Response {
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	_, addr := startServer(t, Config{TickInterval: 2 * time.Millisecond})
+	fk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	srv, addr := startServer(t, Config{TickInterval: time.Hour, clock: fk})
 	cl := dialT(t, addr)
 
 	hello, err := cl.Do(wire.Request{Op: wire.OpHello})
@@ -134,24 +169,19 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait for ticks to advance the workload, then observe growth.
-	deadline := time.Now().Add(5 * time.Second)
-	var cyc int64
-	for time.Now().Before(deadline) {
-		read, err := cl.Do(wire.Request{Op: wire.OpRead, Session: id})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(read.Values) != 2 {
-			t.Fatalf("READ returned %d values, want 2", len(read.Values))
-		}
-		if cyc = read.Values[1]; cyc > 0 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	// A tick advances the workload; READ sees the growth.
+	fk.Advance(2 * time.Millisecond)
+	srv.tick()
+	read, err := cl.Do(wire.Request{Op: wire.OpRead, Session: id})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(read.Values) != 2 {
+		t.Fatalf("READ returned %d values, want 2", len(read.Values))
+	}
+	cyc := read.Values[1]
 	if cyc == 0 {
-		t.Error("TOT_CYC never advanced; tick loop not driving the workload")
+		t.Error("TOT_CYC did not advance; the tick is not driving the workload")
 	}
 
 	stopped, err := cl.Do(wire.Request{Op: wire.OpStop, Session: id})
@@ -163,7 +193,7 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	// READ after STOP serves the final snapshot.
-	read, err := cl.Do(wire.Request{Op: wire.OpRead, Session: id})
+	read, err = cl.Do(wire.Request{Op: wire.OpRead, Session: id})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,8 +486,14 @@ func TestFramesWaitForSubscribeReply(t *testing.T) {
 // sent another frame, so the next idle deadline evicts it; it used to
 // stay in its connection's subscription list and hold the socket, the
 // reader and the writer for good.
+//
+// The connection's read deadline is on a fake clock: the only timers it
+// arms are that deadline, once before each request the server waits
+// for (the write deadline is off).
 func TestClosedSessionEndsReadIdleExemption(t *testing.T) {
-	srv, addr := startServer(t, Config{TickInterval: time.Hour, ReadIdleTimeout: 100 * time.Millisecond})
+	clk := spyClock{Fake: clock.NewFake(time.Unix(1_700_000_000, 0)), armed: make(chan time.Duration, 8)}
+	srv, addr := startServer(t, Config{TickInterval: time.Hour, ReadIdleTimeout: 100 * time.Millisecond,
+		WriteTimeout: -1, clock: clk})
 	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
 	if !created.OK {
 		t.Fatal(created.Error)
@@ -469,15 +505,17 @@ func TestClosedSessionEndsReadIdleExemption(t *testing.T) {
 	if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpCloseSession, Session: created.Session}); !resp.OK {
 		t.Fatal(resp.Error)
 	}
-	for deadline := time.Now().Add(10 * time.Second); stat(t, srv, "connections") != 0; {
-		if time.Now().After(deadline) {
-			t.Fatalf("subscriber of a closed session still connected after 100 read-idle timeouts (evictions %d)",
-				stat(t, srv, "evictions"))
-		}
-		time.Sleep(10 * time.Millisecond)
+	<-clk.armed // for the SUBSCRIBE
+	<-clk.armed // for whatever comes next: the server is waiting
+	clk.Advance(100 * time.Millisecond)
+	if _, err := sub.Next(); err == nil {
+		t.Fatal("the subscriber of a closed session read a frame after its idle deadline; want the connection closed")
 	}
 	if n := stat(t, srv, "evictions"); n != 1 {
 		t.Errorf("evictions %d, want 1", n)
+	}
+	if n := stat(t, srv, "deadline_trips"); n != 1 {
+		t.Errorf("deadline_trips %d, want 1", n)
 	}
 }
 

@@ -172,13 +172,18 @@ func TestStatsIsTheRegistry(t *testing.T) {
 	// writer that sent its reply, and two reads apart agreeing.
 	volatile := []string{"goroutines", "uptime_seconds"}
 	var direct map[string]uint64
-	waitFor(t, 10*time.Second, func() bool {
+	for deadline := time.Now().Add(10 * time.Second); ; {
 		first := srv.Stats()
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(20 * time.Millisecond) // the writers settle on their own goroutines
 		direct = srv.Stats()
-		return direct["write_queue_frames"] == 0 && direct["traces_started"] == direct["traces_retained"] &&
-			len(statsDiff(first, direct, volatile...)) == 0
-	})
+		if direct["write_queue_frames"] == 0 && direct["traces_started"] == direct["traces_retained"] &&
+			len(statsDiff(first, direct, volatile...)) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Stats() never settled: %v", direct)
+		}
+	}
 	for _, k := range []string{"sessions", "connections", "ticks", "snapshots_sent", "deltas_sent",
 		"keyframes_sent", "derived_sent", "derive_evals", "frames_sent_json", "frames_sent_binary",
 		"bytes_sent_binary", "resyncs", "tsdb_samples", "tsdb_bytes", "wal_rows", "wal_fsyncs",

@@ -174,12 +174,12 @@ func (m *metrics) newOpPair(op string) *[2]*telemetry.Histogram {
 }
 
 // observeOp records one request's service latency.
-func (m *metrics) observeOp(op string, codec wire.Codec, start time.Time) {
+func (m *metrics) observeOp(op string, codec wire.Codec, d time.Duration) {
 	pair, ok := m.opLat[op]
 	if !ok {
 		pair = &m.otherOp
 	}
-	pair[codec].Observe(telemetry.Since(start))
+	pair[codec].Observe(int64(d))
 }
 
 // registerServerFuncs wires the scrape-time views of state that lives
@@ -222,10 +222,10 @@ func (s *Server) registerServerFuncs() {
 		Help: "Goroutines in the papid process."}, func() float64 {
 		return float64(runtime.NumGoroutine())
 	})
-	start := time.Now()
+	start := s.cfg.clock.Now()
 	reg.NewGaugeFunc(telemetry.Opts{Name: "papid_uptime_seconds",
 		Help: "Seconds since the server was built."}, func() float64 {
-		return time.Since(start).Seconds()
+		return s.cfg.clock.Now().Sub(start).Seconds()
 	})
 	// Flight-recorder counters read straight from the tracer; with
 	// tracing off (nil tracer) TracerStats is zero, so the series

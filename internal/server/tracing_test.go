@@ -40,6 +40,7 @@ func TestTraceSlowOpRetained(t *testing.T) {
 		t.Fatal("reply carries no trace ID")
 	}
 	id := tracing.FormatID(resp.TraceID)
+	tr := hangUpForTrace(t, srv, cl, resp.TraceID)
 
 	lines := log.lines()
 	warned := false
@@ -52,10 +53,6 @@ func TestTraceSlowOpRetained(t *testing.T) {
 		t.Errorf("no slow-op warn line carrying trace=%s in %q", id, lines)
 	}
 
-	// The writer finishes the trace around flushing the frame, so the
-	// ring insert races the client's read by at most a scheduling
-	// quantum; poll briefly rather than flake.
-	tr := waitTrace(t, srv, resp.TraceID)
 	view := tr.View()
 	if view.Retained != "slow" {
 		t.Errorf("retained = %q, want slow (head sampling was off)", view.Retained)
@@ -83,7 +80,7 @@ func TestTraceSlowOpRetained(t *testing.T) {
 
 	// A second STATS sees the breach in the slow-sample ring, trace ID
 	// attached.
-	resp2, err := cl.Do(wire.Request{Op: wire.OpStats})
+	resp2, err := dialT(t, addr).Do(wire.Request{Op: wire.OpStats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +222,7 @@ func TestTracePublishStages(t *testing.T) {
 	if resp.TraceID == 0 {
 		t.Fatal("traced PUBLISH returned no trace ID")
 	}
-	tr := waitTrace(t, srv, resp.TraceID)
-	names := spanNames(tr.View())
+	names := spanNames(hangUpForTrace(t, srv, cl, resp.TraceID).View())
 	for _, want := range []string{"PUBLISH", "dispatch", "tsdb.append", "wal.append", "wal.fsync",
 		"fanout", "derive", "write"} {
 		if !names[want] {
@@ -243,16 +239,10 @@ func TestTracePublishStages(t *testing.T) {
 // connection's writes stall, the deadline trips, and the eviction finds
 // a backlog several socket writes deep.
 func TestTraceFinishedWhenWriterAbandonsBacklog(t *testing.T) {
-	srv := New(Config{TickInterval: time.Hour, TraceSample: 1,
-		WriteTimeout: 50 * time.Millisecond, WriteQueueDepth: 1024})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Serve(faultnet.Wrap(ln, func(int, net.Conn) faultnet.Faults {
-		return faultnet.Faults{StallAfter: 512}
-	}))
-	nc, err := net.Dial("tcp", addr.String())
+	srv, addr := serveFaults(t, Config{TickInterval: time.Hour, TraceSample: 1,
+		WriteTimeout: 50 * time.Millisecond, WriteQueueDepth: 1024},
+		func(int, net.Conn) faultnet.Faults { return faultnet.Faults{StallAfter: 512} })
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,18 +279,27 @@ func TestTraceFinishedWhenWriterAbandonsBacklog(t *testing.T) {
 	}
 }
 
-// waitTrace polls the ring for a trace the writer goroutine is still
-// finishing, failing the test if it never lands.
-func waitTrace(t *testing.T, srv *Server, id uint64) *tracing.Trace {
+// hangUpForTrace says BYE on cl, reads until the server closes the
+// connection and returns trace id from the ring. The server finishes a
+// request's trace when its writer settles the reply, and the writer
+// closes the socket only after settling every frame, so each trace the
+// connection started has finished, and each line its requests logged is
+// written, by the time the connection ends.
+func hangUpForTrace(t *testing.T, srv *Server, cl *Client, id uint64) *tracing.Trace {
 	t.Helper()
-	for i := 0; i < 200; i++ {
-		if tr := srv.trc.Get(id); tr != nil {
-			return tr
-		}
-		time.Sleep(5 * time.Millisecond)
+	if _, err := cl.Do(wire.Request{Op: wire.OpBye}); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("trace %s never retained", tracing.FormatID(id))
-	return nil
+	for {
+		if _, err := cl.Next(); err != nil {
+			break
+		}
+	}
+	tr := srv.trc.Get(id)
+	if tr == nil {
+		t.Fatalf("trace %s not retained", tracing.FormatID(id))
+	}
+	return tr
 }
 
 // spanNames collects a view's span names into a set.

@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/tracing"
 	"repro/internal/tsdb"
@@ -61,10 +62,10 @@ type Options struct {
 	CompactEvery  time.Duration // background compaction period; default 30s; <0 disables
 	Registry      *telemetry.Registry
 	Logger        *slog.Logger
-	// Now returns the current time in µs, matching the store's sample
-	// timestamps; compaction ages segments against it. Defaults to
-	// wall-clock µs. Injectable for tests.
-	Now func() int64
+	// Clock times fsyncs and drives the fsync and compaction tickers,
+	// and compaction ages segments against its Now. Nil is the wall
+	// clock.
+	Clock clock.Clock
 
 	// wrapWAL, when set (tests), wraps the WAL file writer — fault
 	// injection for torn-write coverage.
@@ -93,9 +94,7 @@ func (o *Options) fill() {
 	if o.Logger == nil {
 		o.Logger = telemetry.Discard()
 	}
-	if o.Now == nil {
-		o.Now = func() int64 { return time.Now().UnixMicro() }
-	}
+	o.Clock = clock.Or(o.Clock)
 }
 
 // ValidFsync reports whether s names a known fsync policy.
@@ -726,7 +725,7 @@ func (l *Log) truncateWALsLocked() {
 // fsync syncs one of the log's files, counted and timed, and clears its
 // dirty flag; a failure is counted and logged and leaves the flag set.
 func (l *Log) fsync(f *os.File, dirty *bool, what string) {
-	t0 := time.Now()
+	t0 := l.opts.Clock.Now()
 	if err := f.Sync(); err != nil {
 		l.writeErrs.Add(1)
 		l.logger.Error(what+" fsync failed", "err", err)
@@ -735,7 +734,7 @@ func (l *Log) fsync(f *os.File, dirty *bool, what string) {
 	*dirty = false
 	l.fsyncs.Add(1)
 	if l.fsyncHist != nil {
-		l.fsyncHist.Observe(telemetry.Since(t0))
+		l.fsyncHist.Observe(int64(l.opts.Clock.Now().Sub(t0)))
 	}
 }
 
@@ -770,12 +769,12 @@ func (l *Log) run() {
 	defer l.bg.Done()
 	var syncC, compactC <-chan time.Time
 	if l.opts.Fsync == FsyncInterval {
-		t := time.NewTicker(l.opts.FsyncInterval)
+		t := l.opts.Clock.NewTicker(l.opts.FsyncInterval)
 		defer t.Stop()
 		syncC = t.C
 	}
 	if l.opts.CompactEvery > 0 {
-		t := time.NewTicker(l.opts.CompactEvery)
+		t := l.opts.Clock.NewTicker(l.opts.CompactEvery)
 		defer t.Stop()
 		compactC = t.C
 	}
@@ -787,7 +786,7 @@ func (l *Log) run() {
 			l.OnSeal(nil) // retry RAM-only sealed blocks on the interval tick
 			l.Sync()
 		case <-compactC:
-			if _, err := l.Compact(l.opts.Now()); err != nil {
+			if _, err := l.Compact(l.opts.Clock.Now().UnixMicro()); err != nil {
 				l.logger.Error("compaction failed", "err", err)
 			}
 		}
