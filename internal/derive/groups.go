@@ -199,6 +199,20 @@ func (r *Registry) Names() []string {
 	return out
 }
 
+// Defines reports whether a registered group has a metric of this name.
+func (r *Registry) Defines(metric string) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, g := range r.groups {
+		for _, m := range g.Metrics {
+			if m.Name == metric {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Resolve maps group names to groups, failing on the first unknown
 // name with the known names in the error for operator diagnostics.
 func (r *Registry) Resolve(names []string) ([]*Group, error) {

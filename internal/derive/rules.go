@@ -2,6 +2,7 @@ package derive
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -50,7 +51,9 @@ func ParseRule(spec string) (Rule, error) {
 		rest = rest[:j]
 	}
 	bound, err := strconv.ParseFloat(rest, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(bound) || math.IsInf(bound, 0) {
+		// Every comparison with NaN is false, and an infinite bound is
+		// breached by every value or by none: no such rule watches.
 		return Rule{}, fmt.Errorf("derive: rule %q: bad bound %q", spec, rest)
 	}
 	r.Bound = bound

@@ -22,7 +22,8 @@ func TestParseRule(t *testing.T) {
 			t.Errorf("ParseRule(%q) = %+v, want %+v", c.spec, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "ipc", "<0.5", "ipc<", "ipc<x", "ipc<0.5:0", "ipc<0.5:x", "ipc=0.5"} {
+	for _, bad := range []string{"", "ipc", "<0.5", "ipc<", "ipc<x", "ipc<0.5:0", "ipc<0.5:x", "ipc=0.5",
+		"ipc<NaN", "ipc>nan:2", "ipc<Inf", "ipc>-infinity", "ipc<1e999"} {
 		if _, err := ParseRule(bad); err == nil {
 			t.Errorf("ParseRule(%q) accepted", bad)
 		}
