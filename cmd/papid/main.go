@@ -70,14 +70,13 @@ func main() {
 	readIdle := flag.Duration("read-idle", 2*time.Minute, "evict a connection idle this long with no subscription (0 disables)")
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline; a trip evicts the connection (0 disables)")
 	writeQueue := flag.Int("write-queue", 64, "per-connection outbound frame queue depth, the only queue between fan-out and the socket (subscriber frames dropped oldest-first when full)")
-	retention := flag.Duration("retention", 15*time.Minute, "history age limit for QUERY (0 keeps until -tsdb-mem evicts)")
+	retention := flag.Duration("retention", 15*time.Minute, "history age limit, in memory and on disk (0 keeps until -tsdb-mem evicts)")
 	tsdbMem := flag.Int64("tsdb-mem", 8<<20, "history store memory budget in bytes (0 disables QUERY history)")
 	dataDir := flag.String("data-dir", "", "directory for durable history (WAL + sealed segments); empty keeps history RAM-only")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval or off")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "period of the interval fsync policy")
 	walSegBytes := flag.Int64("wal-segment-bytes", 4<<20, "WAL/segment file rotation size in bytes")
 	walDiskBytes := flag.Int64("wal-disk-bytes", 64<<20, "raw segment byte budget before compaction to rollup resolution (0 disables)")
-	walRetain := flag.Duration("wal-retain", 0, "delete segments wholly older than this (0 keeps until compaction)")
 	walCompactAfter := flag.Duration("wal-compact-after", 0, "compact raw segments older than this into rollups (0 = budget-driven only)")
 	groups := flag.String("groups", "", "comma-separated derived-metric groups evaluated on every session whose events cover them (see papi-avail -groups)")
 	deriveRules := flag.String("derive-rules", "", "comma-separated threshold rules metric<bound[:N] or metric>bound[:N] firing a warning after N consecutive breaches")
@@ -147,7 +146,6 @@ func main() {
 		FsyncInterval:   *fsyncInterval,
 		WALSegmentBytes: *walSegBytes,
 		WALDiskBytes:    walDisk,
-		WALRetainAge:    *walRetain,
 		WALCompactAfter: *walCompactAfter,
 		SlowOp:          slow,
 		TraceSample:     *traceSample,

@@ -705,15 +705,19 @@ func TestViewMembershipChurn(t *testing.T) {
 	const nChurners = 4
 	streams := make([][]stream, nChurners)
 	var stop atomic.Bool
-	var churners sync.WaitGroup
+	var churners, ready sync.WaitGroup
+	ready.Add(nChurners)
 	for g := 0; g < nChurners; g++ {
 		churners.Add(1)
 		go func() {
 			defer churners.Done()
+			held := sync.OnceFunc(ready.Done)
+			defer held()
 			for n := g; !stop.Load(); n++ {
 				shape := shapes[n%len(shapes)]
 				c := testConn(srv, 2*publishes) // deep enough that nothing is evicted
 				c.follow(t, sess, shape.filter, shape.delta)
+				held() // the publisher starts once every churner holds a stream
 				// Stay for one to three fan-outs, so every stream overlaps
 				// the publisher, then hang up under its feet.
 				for stay := 1 + n/len(shapes)%3; c.q.len() < stay && !stop.Load(); {
@@ -731,6 +735,9 @@ func TestViewMembershipChurn(t *testing.T) {
 			}
 		}()
 	}
+	// Under a loaded host the publisher could otherwise finish before
+	// any churner was scheduled, and the test would audit nothing.
+	ready.Wait()
 	for seq := 1; seq <= publishes; seq++ {
 		publish(seq)
 		runtime.Gosched()

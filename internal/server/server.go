@@ -116,7 +116,10 @@ type Config struct {
 	// (default 8 MiB); negative disables history entirely.
 	TSDBMaxBytes int64
 	// TSDBRetention expires history older than this (default 15m);
-	// negative keeps history until the byte budget evicts it.
+	// negative keeps history until the byte budget evicts it. It is the
+	// one retention: on a durable server the WAL keeps on disk what the
+	// store still serves and deletes the rest, and a restart serves
+	// nothing older.
 	TSDBRetention time.Duration
 	// TSDBRollups lists the pre-computed downsampling widths
 	// (default 10s and 60s).
@@ -137,11 +140,9 @@ type Config struct {
 	WALSegmentBytes int64
 	// WALDiskBytes bounds raw segment bytes before compaction folds old
 	// segments into rollup resolution (default 64 MiB; negative
-	// disables compaction by budget).
+	// disables compaction by budget). How long history lives on disk
+	// is TSDBRetention's, as in memory.
 	WALDiskBytes int64
-	// WALRetainAge deletes segments wholly older than this
-	// (default 0 = keep until compacted/evicted by budget).
-	WALRetainAge time.Duration
 	// WALCompactAfter compacts raw segments older than this into
 	// rollup-resolution segments (default 0 = budget-driven only).
 	WALCompactAfter time.Duration
@@ -354,7 +355,6 @@ func New(cfg Config) *Server {
 				FsyncInterval: cfg.FsyncInterval,
 				SegmentBytes:  cfg.WALSegmentBytes,
 				DiskBytes:     cfg.WALDiskBytes,
-				RetainAge:     cfg.WALRetainAge,
 				CompactAfter:  cfg.WALCompactAfter,
 				Registry:      treg,
 				Logger:        s.slog,

@@ -243,6 +243,28 @@ func (s *Store) RollupWidths() []int64 {
 	return append([]int64(nil), s.widths...)
 }
 
+// RetentionCutoff returns where Sweep(now) cuts history: raw blocks
+// whose newest sample is older than cutoff, and rollup buckets whose
+// window ends at or before it, are expired. ok is false when the store
+// has no age limit.
+func (s *Store) RetentionCutoff(now int64) (cutoff int64, ok bool) {
+	return now - s.cfg.MaxAge.Microseconds(), s.cfg.MaxAge > 0
+}
+
+// Expired reports whether Sweep(now) leaves nothing of a sample at ts
+// in any view: it is older than RetentionCutoff, and the bucket it
+// falls in has ended by then at every rollup width. A storage layer
+// may delete a file once its newest sample is expired, and not before:
+// an older sample still counts in a bucket that has not ended.
+func (s *Store) Expired(ts, now int64) bool {
+	cutoff, ok := s.RetentionCutoff(now)
+	expired := ok && ts < cutoff
+	for _, w := range s.widths {
+		expired = expired && bucketEnded(ts-mod(ts, w), w, cutoff)
+	}
+	return expired
+}
+
 // Folder incrementally folds time-ordered raw samples into
 // grid-aligned buckets of one width — the same arithmetic the store's
 // rollup levels apply on the hot path, exported so compaction produces
@@ -265,6 +287,12 @@ func (f *Folder) Add(ts, v int64) { f.level.append(ts, v) }
 // runs of an earlier compaction) before newer runs or raw samples are
 // added — the same continuation logic replay applies live.
 func (f *Folder) Install(buckets []Bucket) { f.level.install(buckets) }
+
+// EvictBefore drops every bucket folded so far whose window ends at or
+// before cutoff — the rule the store's retention applies to its own
+// rollup levels, so a compaction output keeps exactly what the store
+// still serves.
+func (f *Folder) EvictBefore(cutoff int64) { f.level.evictBefore(cutoff) }
 
 // Buckets returns every bucket folded so far, including the partial
 // trailing one.

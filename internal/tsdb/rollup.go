@@ -130,16 +130,26 @@ func (rl *rollupLevel) bytes() int64 {
 	return int64(cap(rl.buckets)+1) * bucketBytes
 }
 
-// evictBefore drops sealed buckets whose window ends at or before
-// cutoff, returning how many were dropped.
+// bucketEnded is retention's rule for a rollup bucket: it expires once
+// its window ends at or before the cutoff.
+func bucketEnded(start, width, cutoff int64) bool { return start+width <= cutoff }
+
+// evictBefore drops buckets whose window ends at or before cutoff,
+// returning how many were dropped. That takes the in-progress bucket
+// too once its window has ended: a series with nothing newer is
+// expired whole, and a compaction output must not carry it forever.
 func (rl *rollupLevel) evictBefore(cutoff int64) int {
 	i := 0
-	for i < len(rl.buckets) && rl.buckets[i].Start+rl.width <= cutoff {
+	for i < len(rl.buckets) && bucketEnded(rl.buckets[i].Start, rl.width, cutoff) {
 		i++
 	}
-	if i == 0 {
-		return 0
+	n := i
+	if i == len(rl.buckets) && rl.curSet && bucketEnded(rl.cur.Start, rl.width, cutoff) {
+		rl.cur, rl.curSet = Bucket{}, false
+		n++
 	}
-	rl.buckets = append(rl.buckets[:0:0], rl.buckets[i:]...)
-	return i
+	if i > 0 {
+		rl.buckets = append(rl.buckets[:0:0], rl.buckets[i:]...)
+	}
+	return n
 }

@@ -357,10 +357,10 @@ func (s *Store) sealOldestActive() bool {
 // evicted, so the tick's trace can annotate what the sweep actually
 // did.
 func (s *Store) Sweep(now int64) (evicted int64) {
-	if s.cfg.MaxAge <= 0 {
+	cutoff, ok := s.RetentionCutoff(now)
+	if !ok {
 		return 0
 	}
-	cutoff := now - s.cfg.MaxAge.Microseconds()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		var seals []SealedBlock

@@ -15,7 +15,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	events := []string{"PAPI_TOT_CYC", "PAPI_TOT_INS", "PAPI_FP_OPS", "PAPI_L1_DCM"}
 	for _, policy := range []string{FsyncAlways, FsyncInterval, FsyncOff} {
 		b.Run(policy, func(b *testing.B) {
-			l, err := Open(b.TempDir(), Options{Fsync: policy, CompactEvery: -1})
+			l, err := Open(b.TempDir(), Options{Fsync: policy})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func BenchmarkReplay(b *testing.B) {
 	dir := b.TempDir()
 	const rows = 20_000
 	events := []string{"PAPI_TOT_CYC", "PAPI_FP_OPS"}
-	opts := Options{Fsync: FsyncOff, CompactEvery: -1}
+	opts := noCompact(Options{Fsync: FsyncOff})
 	cfg := tsdb.Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: 1 << 20}
 
 	l, err := Open(dir, opts)

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -21,6 +22,13 @@ import (
 // After the output is durable, the store drops its in-memory raw
 // blocks for exactly the compacted ranges (per series), so memory and
 // a post-restart store answer queries identically.
+//
+// How long history lives is the store's decision alone. A pass deletes
+// every segment the store serves nothing of any more (its Expired), and
+// an output keeps no rollup bucket the store has expired (its
+// RetentionCutoff, applied by the store's own rule through
+// Folder.EvictBefore), so disk holds what the store serves and nothing
+// older.
 
 // CompactStats describes one compaction pass.
 type CompactStats struct {
@@ -32,51 +40,58 @@ type CompactStats struct {
 
 // Compact runs one retention + compaction pass against the given
 // current time (µs). Safe to call concurrently with appends; passes
-// themselves are serialized.
+// themselves are serialized. The store Start attached decides the
+// output's rollup widths and how long history lives, so a pass before
+// Start is an error.
 func (l *Log) Compact(now int64) (CompactStats, error) {
+	var cs CompactStats
+	if l.store == nil {
+		return cs, fmt.Errorf("wal: Compact before Start")
+	}
 	// Retry RAM-only sealed blocks first: once persisted they can be
 	// compacted, and until then DropSealedUpTo refuses to evict them.
 	l.OnSeal(nil)
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
-	var cs CompactStats
+	expiry := l.expiry(now)
 
 	// An active segment whose entire content has already aged past the
-	// compaction (or retention) threshold would otherwise never become
-	// eligible — low-traffic servers might not fill it for hours.
-	// Finalize it so the passes below can see it.
-	if cutoff := l.ageCutoff(now); cutoff != 0 {
-		var retired *segment
-		l.segMu.Lock()
-		if l.sw != nil && l.sw.size > int64(len(segMagic)) && l.sw.maxTS < cutoff {
-			retired = l.retireWriterLocked(true)
-		}
-		l.segMu.Unlock()
-		l.remap(retired)
+	// compaction threshold or the store's retention would otherwise
+	// never become eligible — low-traffic servers might not fill it for
+	// hours. Finalize it so the passes below can see it.
+	ageCutoff := expiry
+	if l.opts.CompactAfter > 0 {
+		ageCutoff = max(ageCutoff, now-l.opts.CompactAfter.Microseconds())
 	}
+	var retired *segment
+	l.segMu.Lock()
+	if l.sw != nil && l.sw.size > int64(len(segMagic)) && l.sw.maxTS < ageCutoff {
+		retired = l.retireWriterLocked(true)
+	}
+	l.segMu.Unlock()
+	l.remap(retired)
 
-	// Retention: drop segments whose entire content has aged out. The
-	// store's own sweep expires the same data from memory.
-	if l.opts.RetainAge > 0 {
-		cutoff := now - l.opts.RetainAge.Microseconds()
-		var expired []*segment
-		l.segMu.Lock()
-		keep := l.segs[:0]
-		for _, s := range l.segs {
-			if s.maxTS < cutoff {
-				expired = append(expired, s)
-			} else {
-				keep = append(keep, s)
-			}
+	// Retention: drop the segments the store serves nothing of — not
+	// every segment older than its cutoff, since an older sample still
+	// counts in a rollup bucket that has not ended. The store's own
+	// sweep drops the same data from memory.
+	var expired []*segment
+	l.segMu.Lock()
+	keep := l.segs[:0]
+	for _, s := range l.segs {
+		if l.store.Expired(s.maxTS, now) {
+			expired = append(expired, s)
+		} else {
+			keep = append(keep, s)
 		}
-		l.segs = append([]*segment(nil), keep...)
-		l.segMu.Unlock()
-		for _, s := range expired {
-			cs.Deleted++
-			cs.BytesFreed += s.size
-			if err := os.Remove(s.path); err != nil {
-				l.logger.Error("retention remove failed", "err", err, "path", s.path)
-			}
+	}
+	l.segs = append([]*segment(nil), keep...)
+	l.segMu.Unlock()
+	for _, s := range expired {
+		cs.Deleted++
+		cs.BytesFreed += s.size
+		if err := os.Remove(s.path); err != nil {
+			l.logger.Error("retention remove failed", "err", err, "path", s.path)
 		}
 	}
 
@@ -130,7 +145,7 @@ func (l *Log) Compact(now int64) (CompactStats, error) {
 		return cs, nil
 	}
 
-	out, cutoffs, err := l.buildCompacted(sel)
+	out, cutoffs, err := l.buildCompacted(sel, expiry)
 	if err != nil {
 		return cs, err
 	}
@@ -140,19 +155,19 @@ func (l *Log) Compact(now int64) (CompactStats, error) {
 	for _, s := range sel {
 		selSet[s] = true
 	}
-	keep := make([]*segment, 0, len(l.segs))
+	kept := make([]*segment, 0, len(l.segs))
 	for _, s := range l.segs {
 		if !selSet[s] {
-			keep = append(keep, s)
+			kept = append(kept, s)
 		}
 	}
-	l.segs = append(keep, out)
+	l.segs = append(kept, out)
 	sortSegments(l.segs)
 	l.segMu.Unlock()
 
 	// Memory follows disk: raw blocks now represented only as rollups
 	// on disk leave the store too.
-	if l.store != nil && len(cutoffs) > 0 {
+	if len(cutoffs) > 0 {
 		l.store.DropSealedUpTo(cutoffs)
 	}
 	for _, s := range sel {
@@ -168,27 +183,25 @@ func (l *Log) Compact(now int64) (CompactStats, error) {
 	return cs, nil
 }
 
-// ageCutoff returns the newest µs timestamp at which data becomes
-// eligible for age-driven compaction or retention, or 0 when neither
-// is configured.
-func (l *Log) ageCutoff(now int64) int64 {
-	var cutoff int64
-	if l.opts.CompactAfter > 0 {
-		cutoff = now - l.opts.CompactAfter.Microseconds()
+// expiry is the store's retention cutoff as of now, or math.MinInt64
+// when the store keeps history of any age.
+func (l *Log) expiry(now int64) int64 {
+	if cutoff, ok := l.store.RetentionCutoff(now); ok {
+		return cutoff
 	}
-	if l.opts.RetainAge > 0 {
-		if c := now - l.opts.RetainAge.Microseconds(); cutoff == 0 || c > cutoff {
-			cutoff = c
-		}
-	}
-	return cutoff
+	return math.MinInt64
 }
 
 // buildCompacted folds the selected segments into one finalized
 // rollup segment, returning it — as loaded back from its file — plus
-// per-series raw-drop cutoffs.
-func (l *Log) buildCompacted(sel []*segment) (*segment, map[tsdb.SeriesKey]int64, error) {
-	widths := l.rollupWidths()
+// per-series raw-drop cutoffs. Every raw sample is folded, since an
+// expired sample may share a bucket with live ones; then the buckets
+// the store has expired as of expiry are dropped, so an output holds
+// what the store serves and expired history does not ride along from
+// one output into the next.
+func (l *Log) buildCompacted(sel []*segment, expiry int64) (*segment, map[tsdb.SeriesKey]int64, error) {
+	// The store's widths: compaction output matches its live levels.
+	widths := l.store.RollupWidths()
 	type perKey struct {
 		folders map[int64]*tsdb.Folder
 		water   uint64
@@ -253,7 +266,7 @@ func (l *Log) buildCompacted(sel []*segment) (*segment, map[tsdb.SeriesKey]int64
 	seq := l.nextSegSeq
 	l.nextSegSeq++
 	l.segMu.Unlock()
-	w, err := createSegment(l.dir, seq)
+	w, err := l.createSegment(seq)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -271,6 +284,7 @@ func (l *Log) buildCompacted(sel []*segment) (*segment, map[tsdb.SeriesKey]int64
 	for _, key := range keyOrder {
 		pk := acc[key]
 		for _, width := range widths {
+			pk.folders[width].EvictBefore(expiry)
 			buckets := pk.folders[width].Buckets()
 			for len(buckets) > 0 {
 				n := min(len(buckets), bucketsPerRecord)
@@ -305,13 +319,4 @@ func (l *Log) buildCompacted(sel []*segment) (*segment, map[tsdb.SeriesKey]int64
 		return nil, nil, err
 	}
 	return out, cutoffs, nil
-}
-
-// rollupWidths returns the store's configured rollup widths in µs —
-// compaction output matches the live levels exactly.
-func (l *Log) rollupWidths() []int64 {
-	if l.store != nil {
-		return l.store.RollupWidths()
-	}
-	return nil
 }

@@ -106,6 +106,10 @@ func (l *Log) Start(store *tsdb.Store) (ReplayStats, error) {
 	}
 	l.useWALLocked(f, next)
 
+	// Replay installed whatever the files hold. The store serves only
+	// what its retention keeps as of the log's clock, from the first
+	// query on rather than from the first sweep.
+	store.Sweep(l.opts.Clock.Now().UnixMicro())
 	store.EnforceBudget()
 	l.bg.Add(1)
 	go l.run()

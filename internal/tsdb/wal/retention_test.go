@@ -1,0 +1,332 @@
+package wal
+
+import (
+	"errors"
+	"io"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/clock"
+	"repro/internal/tsdb"
+)
+
+// segmentBytes is what Compact weighs against the disk budget: every
+// live segment, the one being written included.
+func segmentBytes(l *Log) int64 {
+	l.segMu.Lock()
+	defer l.segMu.Unlock()
+	var n int64
+	if l.sw != nil {
+		n = l.sw.size
+	}
+	for _, s := range l.segs {
+		n += s.size
+	}
+	return n
+}
+
+// TestDiskBoundedByRetention: three virtual hours of ticks from two
+// sessions, the second stopping halfway, swept and compacted every 30 s
+// as papid's tick and background loops do, with the store keeping a
+// minute of history and a disk budget set. Segment bytes must never
+// exceed the budget by more than one segment, no segment may still hold
+// a sample or bucket of the stopped session, and a crash restart must
+// serve what the live store serves. Compaction outputs used to keep
+// every rollup bucket ever written, so disk grew linearly while the
+// store held a minute.
+func TestDiskBoundedByRetention(t *testing.T) {
+	const segBytes, budget = 4 << 10, 4 << 10
+	const tick, pass, span = 250 * time.Millisecond, 30 * time.Second, 3 * time.Hour
+	dir := t.TempDir()
+	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: segBytes, DiskBytes: budget})
+	cfg := tsdb.Config{MaxAge: time.Minute, BlockSamples: 64}
+	l, store, _ := openPair(t, dir, opts, cfg)
+	events := []string{"PAPI_TOT_CYC", "PAPI_TOT_INS", "PAPI_FP_OPS", "PAPI_L1_DCM"}
+	vals := make([]int64, len(events))
+	var now, peak int64
+	compacted := 0
+	for i := int64(1); i <= int64(span/tick); i++ {
+		now = 1_000_000 + i*tick.Microseconds()
+		for session := uint64(1); session <= 2; session++ {
+			if session == 2 && i > int64(span/tick)/2 {
+				break
+			}
+			for j := range vals {
+				vals[j] += int64(j+1)*1000 + i%7
+			}
+			if err := l.AppendBatch(session, now, events, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%int64(pass/tick) != 0 {
+			continue
+		}
+		store.Sweep(now)
+		cs, err := l.Compact(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compacted += cs.Compacted
+		if peak = max(peak, segmentBytes(l)); peak > budget+segBytes {
+			t.Fatalf("%v in: %d segment bytes, over the %d-byte budget by more than one %d-byte segment",
+				time.Duration(i)*tick, peak, budget, segBytes)
+		}
+		if stopped := time.Duration(i-int64(span/tick)/2) * tick; stopped > 2*time.Minute {
+			for _, s := range l.segs {
+				for _, rr := range s.rollups {
+					if rr.key.Session == 2 {
+						t.Fatalf("%v after session 2 stopped, %s holds %d of its buckets", stopped, s.path, len(rr.buckets))
+					}
+				}
+			}
+		}
+	}
+	if compacted == 0 {
+		t.Fatal("no pass compacted: the budget never bound")
+	}
+	t.Logf("segment bytes peaked at %d over %v; %d segments compacted", peak, span, compacted)
+	views := func(s *tsdb.Store) string { return queryAll(t, s, 1, 0, 1<<60) + queryAll(t, s, 2, 0, 1<<60) }
+	want := views(store)
+	l.Abandon()
+	opts.Clock = clock.NewFake(time.UnixMicro(now))
+	l2, store2, _ := openPair(t, dir, opts, cfg)
+	defer l2.Close()
+	if got := views(store2); got != want {
+		t.Errorf("restart changed answers: %d → %d bytes", len(want), len(got))
+	}
+}
+
+// TestTornCompactionOutputKeepsInputs: a write inside a compaction
+// output fails — its 'C' record, its first rollup run or its footer —
+// and the pass fails whole. Compact returns the error, every input stays
+// on disk and in the live list, and every QUERY view answers as before,
+// live and after a crash; the kept inputs still compact afterwards.
+func TestTornCompactionOutputKeepsInputs(t *testing.T) {
+	events := []string{"PAPI_TOT_CYC", "PAPI_FP_OPS"}
+	const start, step, n = 3_333_333, 100_000, 4000
+	now := int64(start + (n-1)*step + time.Minute.Microseconds() + 1)
+	// The output's writes: the 'C' record, then for each of the two
+	// series a 10 s and a 60 s rollup run and a watermark, then the footer.
+	for name, fail := range map[string]int{"compact record": 1, "rollup run": 2, "footer": 8} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			var tear *tearWriter // set once the output's file is created
+			opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 8 << 10, CompactAfter: time.Minute})
+			opts.wrap = onFiles("seg-", func(w io.Writer) io.Writer {
+				if tear == nil {
+					return w
+				}
+				tear.w = w
+				return tear
+			})
+			cfg := tsdb.Config{BlockSamples: 128}
+			l, store, _ := openPair(t, dir, opts, cfg)
+			appendTicks(t, l, 5, events, n, start, step)
+			want := queryAll(t, store, 5, 0, 1<<60)
+			inputs := len(l.segs) + 1 // and the segment being written, which the pass finalizes first
+
+			tear = &tearWriter{fail: fail}
+			if cs, err := l.Compact(now); !errors.Is(err, errInjected) {
+				t.Fatalf("Compact = %+v, %v; want the injected error", cs, err)
+			}
+			if tear.n < fail {
+				t.Fatalf("the output saw %d writes; the tear was set for write %d", tear.n, fail)
+			}
+			files, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+			if len(l.segs) != inputs || len(files) != inputs {
+				t.Errorf("after the failed pass: %d live segments and %d files, want the %d inputs",
+					len(l.segs), len(files), inputs)
+			}
+			if got := queryAll(t, store, 5, 0, 1<<60); got != want {
+				t.Error("the failed pass changed live answers")
+			}
+			l.Abandon()
+
+			opts.wrap = nil
+			l2, store2, _ := openPair(t, dir, opts, cfg)
+			defer l2.Close()
+			if got := queryAll(t, store2, 5, 0, 1<<60); got != want {
+				t.Error("restart after the failed pass changed answers")
+			}
+			if cs, err := l2.Compact(now); err != nil || cs.Compacted != inputs {
+				t.Errorf("compacting the kept inputs: %+v, %v; want all %d folded", cs, err, inputs)
+			}
+		})
+	}
+}
+
+// rawSample is one sample a raw QUERY serves.
+type rawSample struct {
+	session uint64
+	event   string
+	ts, v   int64
+}
+
+const seedSessions, seedBlockSamples = 2, 32
+
+// seedDir writes the healthy directory FuzzOpenDamagedDir damages —
+// finalized raw segments, one compaction output and WAL files whose rows
+// are all newer than the output's watermarks — and returns its files by
+// name.
+func seedDir(tb testing.TB) map[string][]byte {
+	dir := tb.TempDir()
+	l, err := Open(dir, noCompact(Options{Fsync: FsyncOff, SegmentBytes: 2 << 10, CompactAfter: time.Minute}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	store := tsdb.New(tsdb.Config{Storage: l, MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: seedBlockSamples})
+	if _, err := l.Start(store); err != nil {
+		tb.Fatal(err)
+	}
+	events := []string{"PAPI_TOT_CYC", "PAPI_FP_OPS"}
+	rows := func(from, to int64) {
+		for i := from; i < to; i++ {
+			for s := uint64(1); s <= seedSessions; s++ {
+				if err := l.AppendBatch(s, i*100_000, events, []int64{i * 7, i*3 + int64(s)}); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}
+	}
+	rows(0, 600)
+	if cs, err := l.Compact(600*100_000 + time.Minute.Microseconds()); err != nil || cs.RawBlocks == 0 {
+		tb.Fatalf("seed compaction: %+v, %v", cs, err)
+	}
+	rows(600, 800)
+	l.Abandon()
+
+	files := map[string][]byte{}
+	var water, oldestRow uint64
+	var raw, outputs, wals int
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		files[e.Name()] = b
+		if _, ok := parseSeq(e.Name(), "seg-", ".seg"); ok {
+			s := scanImage(b)
+			if s.raw {
+				raw++
+			} else {
+				outputs++
+			}
+			for _, m := range s.marks {
+				water = max(water, m.seq)
+			}
+			continue
+		}
+		wals++
+		for off := len(walMagic); off < len(b); {
+			payload, next, err := readFrame(b, off)
+			if err != nil {
+				break
+			}
+			if row, err := decodeRow(payload); err == nil && (oldestRow == 0 || row.seq < oldestRow) {
+				oldestRow = row.seq
+			}
+			off = next
+		}
+	}
+	if raw == 0 || outputs != 1 || wals == 0 || oldestRow <= water {
+		tb.Fatalf("seed directory: %d raw segments, %d outputs, %d WAL files, oldest WAL row %d, newest watermark %d",
+			raw, outputs, wals, oldestRow, water)
+	}
+	return files
+}
+
+// serveDir writes files into a fresh directory under root, opens and
+// starts a log over it, and returns every raw sample its store serves;
+// nil when Open or Start refuses the directory.
+func serveDir(tb testing.TB, root string, files map[string][]byte) map[rawSample]bool {
+	dir, err := os.MkdirTemp(root, "")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	l, err := Open(dir, noCompact(Options{Fsync: FsyncOff}))
+	if err != nil {
+		return nil
+	}
+	defer func() { l.Abandon(); unmap(l) }()
+	store := tsdb.New(tsdb.Config{Storage: l, MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: seedBlockSamples})
+	if _, err := l.Start(store); err != nil {
+		return nil
+	}
+	served := map[rawSample]bool{}
+	for s := uint64(1); s <= seedSessions; s++ {
+		for _, sr := range store.Query(s, tsdb.Query{From: 0, To: 1 << 60}) {
+			for _, bk := range sr.Buckets {
+				served[rawSample{s, sr.Event, bk.Start, bk.Last}] = true
+			}
+		}
+	}
+	return served
+}
+
+// FuzzOpenDamagedDir: Open and Start over a data directory one damage
+// away from a healthy one — a byte flipped, a file cut short or a file
+// gone, among raw segments, a compaction output and the WAL. They must
+// never panic and must allocate within a small multiple of the
+// directory's bytes, and every raw sample the store then serves must be
+// one the intact directory served: damage may lose history, never
+// invent it.
+func FuzzOpenDamagedDir(f *testing.F) {
+	files := seedDir(f)
+	truth := serveDir(f, f.TempDir(), files)
+	if len(truth) == 0 {
+		f.Fatal("the intact directory serves no raw sample")
+	}
+	var names []string
+	for name := range files {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for i, name := range names {
+		for op := uint8(0); op < 3; op++ {
+			f.Add(uint8(i), op, uint32(len(files[name])/2), byte(0x40))
+		}
+	}
+	f.Fuzz(func(t *testing.T, file, op uint8, off uint32, flip byte) {
+		name := names[int(file)%len(names)]
+		damaged := maps.Clone(files)
+		data := files[name]
+		switch op % 3 {
+		case 0: // a byte flipped
+			if len(data) == 0 {
+				return
+			}
+			data = slices.Clone(data)
+			data[off%uint32(len(data))] ^= flip | 1
+			damaged[name] = data
+		case 1: // cut short
+			damaged[name] = data[:off%uint32(len(data)+1)]
+		case 2: // gone
+			delete(damaged, name)
+		}
+		size := 0
+		for _, b := range damaged {
+			size += len(b)
+		}
+		root := t.TempDir()
+		var served map[rawSample]bool
+		checkAllocs(t, size, func() { served = serveDir(t, root, damaged) })
+		for s := range served {
+			if !truth[s] {
+				t.Fatalf("%s damaged (op %d at %d): serves %+v, which the intact directory did not", name, op%3, off, s)
+			}
+		}
+	})
+}

@@ -173,7 +173,7 @@ func (s *segment) addRecord(payload []byte) error {
 // segmentWriter accumulates records into the active segment file.
 type segmentWriter struct {
 	f       *os.File
-	wr      io.Writer // f, possibly wrapped by Options.wrapSeg (tests)
+	wr      io.Writer // f, or f behind Options.wrap (tests)
 	path    string
 	seq     uint64
 	size    int64 // bytes of header and whole records written
@@ -204,13 +204,24 @@ func createWAL(dir string, seq uint64) (*os.File, error) {
 	return createFile(walPath(dir, seq), walMagic)
 }
 
-func createSegment(dir string, seq uint64) (*segmentWriter, error) {
-	path := segPath(dir, seq)
+// createSegment starts segment file seq in the log's directory — a live
+// segment or a compaction output — writing its records through l.writer.
+func (l *Log) createSegment(seq uint64) (*segmentWriter, error) {
+	path := segPath(l.dir, seq)
 	f, err := createFile(path, segMagic)
 	if err != nil {
 		return nil, err
 	}
-	return &segmentWriter{f: f, wr: f, path: path, seq: seq, size: int64(len(segMagic)), dirty: true}, nil
+	return &segmentWriter{f: f, wr: l.writer(f), path: path, seq: seq, size: int64(len(segMagic)), dirty: true}, nil
+}
+
+// writer is what the log writes a file's records through: the file, or
+// the file behind Options.wrap.
+func (l *Log) writer(f *os.File) io.Writer {
+	if l.opts.wrap == nil {
+		return f
+	}
+	return l.opts.wrap(filepath.Base(f.Name()), f)
 }
 
 // writeRecord frames and appends one payload. On error the writer's

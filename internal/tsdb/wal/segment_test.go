@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/tsdb"
 )
 
@@ -122,52 +123,66 @@ func TestCompactTwiceThenRestart(t *testing.T) {
 }
 
 // TestPeriodicCompactionThenRestart compacts the way papid's background
-// loop does, every 30 s against the current time, once with raw segments
-// eligible a minute after their newest sample and once under a disk
-// budget, then restarts: every QUERY view must come back as the live
-// store answered it. Outputs used to pile up with interleaved time
-// ranges, and replay dropped the rollup buckets that reached the store
-// out of order. A pass over the budget must still compact.
+// loop does, every 30 s against the current time: once with raw
+// segments eligible a minute after their newest sample, once under a
+// disk budget, and once under the budget with the store keeping two
+// minutes of history, swept before each pass as papid's tick sweeps it.
+// Then it restarts after a crash, and again after a clean stop: every
+// QUERY view must come back as the live store answered it after its
+// last sweep, before the restarted store has swept anything. Outputs
+// used to pile up with interleaved time ranges, and replay dropped the
+// rollup buckets that reached the store out of order; a restart used to
+// serve expired history until its first sweep. A pass over the budget
+// must still compact, or delete what has expired.
 func TestPeriodicCompactionThenRestart(t *testing.T) {
 	events := []string{"PAPI_TOT_CYC", "PAPI_TOT_INS"}
-	for mode, opts := range map[string]Options{"age": {CompactAfter: time.Minute}, "budget": {DiskBytes: 64 << 10}} {
+	for _, mode := range []struct {
+		name   string
+		opts   Options
+		maxAge time.Duration
+	}{
+		{"age", Options{CompactAfter: time.Minute}, 0},
+		{"budget", Options{DiskBytes: 64 << 10}, 0},
+		{"retention", Options{DiskBytes: 64 << 10}, 2 * time.Minute},
+	} {
 		dir := t.TempDir()
+		opts := mode.opts
 		opts.Fsync, opts.SegmentBytes = FsyncOff, 8<<10
 		opts = noCompact(opts)
-		l, store, _ := openPair(t, dir, opts, tsdb.Config{})
+		cfg := tsdb.Config{MaxAge: mode.maxAge}
+		l, store, _ := openPair(t, dir, opts, cfg)
+		var ts int64
 		for i := int64(1); i <= 40_000; i++ {
-			ts := 1_000_000 + i*10_000
+			ts = 1_000_000 + i*10_000
 			if err := l.AppendBatch(5, ts, events, []int64{i * 3, i * 7}); err != nil {
 				t.Fatal(err)
 			}
 			if i%3000 != 0 {
 				continue
 			}
-			var segBytes int64 // what Compact weighs against the budget
-			l.segMu.Lock()
-			if l.sw != nil {
-				segBytes = l.sw.size
-			}
-			for _, s := range l.segs {
-				segBytes += s.size
-			}
-			l.segMu.Unlock()
+			store.Sweep(ts)
+			segBytes := segmentBytes(l) // what Compact weighs against the budget
 			cs, err := l.Compact(ts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if opts.DiskBytes > 0 && segBytes > opts.DiskBytes && cs.Compacted == 0 {
-				t.Errorf("%s: a pass with %d segment bytes compacted nothing", mode, segBytes)
+			if opts.DiskBytes > 0 && segBytes > opts.DiskBytes && cs.Compacted+cs.Deleted == 0 {
+				t.Errorf("%s: a pass with %d segment bytes compacted and deleted nothing", mode.name, segBytes)
 			}
 		}
+		store.Sweep(ts)
 		want := queryAll(t, store, 5, 0, 1<<60)
 		l.Abandon()
-		l2, store2, rs := openPair(t, dir, opts, tsdb.Config{})
-		if got := queryAll(t, store2, 5, 0, 1<<60); got != want {
-			t.Errorf("%s: restart after periodic compaction changed answers (replay %+v): %d → %d bytes",
-				mode, rs, len(want), len(got))
+		// The restarted log's clock reads the time of the last sweep.
+		opts.Clock = clock.NewFake(time.UnixMicro(ts))
+		for _, after := range []string{"a crash", "a clean stop"} {
+			l2, store2, rs := openPair(t, dir, opts, cfg)
+			if got := queryAll(t, store2, 5, 0, 1<<60); got != want {
+				t.Errorf("%s: restart after %s changed answers (replay %+v): %d → %d bytes",
+					mode.name, after, rs, len(want), len(got))
+			}
+			l2.Close()
 		}
-		l2.Close()
 	}
 }
 

@@ -5,7 +5,9 @@
 // so sealed history is served zero-copy straight from the page cache,
 // replays both on startup (tolerating a torn final record), and
 // compacts old raw segments into rollup-resolution segments under an
-// age/byte budget.
+// age/byte budget. How long history lives is the store's retention
+// alone: disk keeps what the store serves, and a restart serves nothing
+// the store had expired.
 //
 // The store knows nothing about files: it exposes the tsdb.Storage
 // hook interface plus replay-side install APIs, and this package is
@@ -51,29 +53,32 @@ const (
 	FsyncOff = "off"
 )
 
-// Options configures a Log. Zero values select the defaults noted.
+// Options configures a Log. Zero values select the defaults noted. How
+// long history lives is not among them: the log keeps on disk what its
+// store's retention still serves (tsdb.Config.MaxAge), and nothing older.
 type Options struct {
 	Fsync         string        // fsync policy; default FsyncInterval
 	FsyncInterval time.Duration // interval policy period; default 100ms
 	SegmentBytes  int64         // WAL/segment rotation size; default 4 MiB
 	DiskBytes     int64         // raw-segment byte budget before compaction; default 64 MiB; <0 unlimited
 	CompactAfter  time.Duration // compact raw segments older than this; 0 = budget-only
-	RetainAge     time.Duration // delete segments wholly older than this; 0 = keep forever
-	CompactEvery  time.Duration // background compaction period; default 30s; <0 disables
 	Registry      *telemetry.Registry
 	Logger        *slog.Logger
 	// Clock times fsyncs and drives the fsync and compaction tickers,
-	// and compaction ages segments against its Now. Nil is the wall
-	// clock.
+	// and compaction and replay age history against its Now. Nil is the
+	// wall clock; on a clock.Fake no background pass runs until the
+	// clock is advanced.
 	Clock clock.Clock
 
-	// wrapWAL, when set (tests), wraps the WAL file writer — fault
-	// injection for torn-write coverage.
-	wrapWAL func(io.Writer) io.Writer
-	// wrapSeg, when set (tests), wraps each new segment file writer —
-	// fault injection for failed sealed-block persistence.
-	wrapSeg func(io.Writer) io.Writer
+	// wrap, when set (tests), wraps the writer of every file the log
+	// writes — WAL files, segments and compaction outputs, named by
+	// their base name — the one seam for injecting write faults.
+	wrap func(name string, w io.Writer) io.Writer
 }
+
+// compactEvery is the period of the background retention and
+// compaction pass.
+const compactEvery = 30 * time.Second
 
 func (o *Options) fill() {
 	if o.Fsync == "" {
@@ -87,9 +92,6 @@ func (o *Options) fill() {
 	}
 	if o.DiskBytes == 0 {
 		o.DiskBytes = 64 << 20
-	}
-	if o.CompactEvery == 0 {
-		o.CompactEvery = 30 * time.Second
 	}
 	if o.Logger == nil {
 		o.Logger = telemetry.Discard()
@@ -159,7 +161,7 @@ type Log struct {
 	// stateMu is a leaf.
 	mu       sync.Mutex
 	wf       *os.File
-	wwr      io.Writer // wf, possibly wrapped by opts.wrapWAL
+	wwr      io.Writer // wf through l.writer
 	wfSeq    uint64
 	wfBytes  int64
 	wfMaxSeq uint64
@@ -600,12 +602,9 @@ func (l *Log) ensureWriterLocked() error {
 	if l.sw != nil {
 		return nil
 	}
-	sw, err := createSegment(l.dir, l.nextSegSeq)
+	sw, err := l.createSegment(l.nextSegSeq)
 	if err != nil {
 		return err
-	}
-	if l.opts.wrapSeg != nil {
-		sw.wr = l.opts.wrapSeg(sw.f)
 	}
 	l.nextSegSeq++
 	l.sw = sw
@@ -673,10 +672,7 @@ func (l *Log) rotateWALLocked() {
 // useWALLocked makes f, fresh from createWAL, the active WAL file. mu
 // held — or the caller is Start, before anything else can reach the log.
 func (l *Log) useWALLocked(f *os.File, seq uint64) {
-	l.wf, l.wwr = f, io.Writer(f)
-	if l.opts.wrapWAL != nil {
-		l.wwr = l.opts.wrapWAL(f)
-	}
+	l.wf, l.wwr = f, l.writer(f)
 	l.wfSeq = seq
 	l.wfBytes = int64(len(walMagic))
 	l.wfMaxSeq = 0
@@ -767,17 +763,14 @@ func (l *Log) Sync() {
 // run is the background loop: interval fsync and periodic compaction.
 func (l *Log) run() {
 	defer l.bg.Done()
-	var syncC, compactC <-chan time.Time
+	var syncC <-chan time.Time
 	if l.opts.Fsync == FsyncInterval {
 		t := l.opts.Clock.NewTicker(l.opts.FsyncInterval)
 		defer t.Stop()
 		syncC = t.C
 	}
-	if l.opts.CompactEvery > 0 {
-		t := l.opts.Clock.NewTicker(l.opts.CompactEvery)
-		defer t.Stop()
-		compactC = t.C
-	}
+	compact := l.opts.Clock.NewTicker(compactEvery)
+	defer compact.Stop()
 	for {
 		select {
 		case <-l.stopCh:
@@ -785,7 +778,7 @@ func (l *Log) run() {
 		case <-syncC:
 			l.OnSeal(nil) // retry RAM-only sealed blocks on the interval tick
 			l.Sync()
-		case <-compactC:
+		case <-compact.C:
 			if _, err := l.Compact(l.opts.Clock.Now().UnixMicro()); err != nil {
 				l.logger.Error("compaction failed", "err", err)
 			}

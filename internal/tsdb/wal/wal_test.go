@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
 )
@@ -53,10 +54,23 @@ func stat(t *testing.T, l *Log, key string) uint64 {
 	return v
 }
 
-// noCompact disables background work so tests control every mutation.
+// noCompact turns the log's background work off so tests control every
+// mutation: on a clock.Fake its fsync and compaction tickers never fire
+// until the test advances the clock.
 func noCompact(opts Options) Options {
-	opts.CompactEvery = -1
+	opts.Clock = clock.NewFake(time.UnixMicro(0))
 	return opts
+}
+
+// onFiles is an Options.wrap that puts wrap in front of the writer of
+// every file whose name starts with prefix ("wal-" or "seg-").
+func onFiles(prefix string, wrap func(io.Writer) io.Writer) func(string, io.Writer) io.Writer {
+	return func(name string, w io.Writer) io.Writer {
+		if strings.HasPrefix(name, prefix) {
+			return wrap(w)
+		}
+		return w
+	}
 }
 
 // appendTicks writes n tick rows of the given events, one row per
@@ -313,7 +327,7 @@ func TestFailingWriterDegradesAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	events := []string{"PAPI_TOT_CYC"}
 	opts := noCompact(Options{Fsync: FsyncOff})
-	opts.wrapWAL = func(w io.Writer) io.Writer { return &failAfterWriter{w: w, limit: 2048} }
+	opts.wrap = onFiles("wal-", func(w io.Writer) io.Writer { return &failAfterWriter{w: w, limit: 2048} })
 
 	l, store, _ := openPair(t, dir, opts, tsdb.Config{BlockSamples: 1 << 20})
 	sawErr := false
@@ -337,7 +351,7 @@ func TestFailingWriterDegradesAndRecovers(t *testing.T) {
 
 	// Recovery: the journaled prefix replays (the torn final record is
 	// dropped), with zero decode errors.
-	opts.wrapWAL = nil
+	opts.wrap = nil
 	l2, store2, rs := openPair(t, dir, opts, tsdb.Config{BlockSamples: 1 << 20})
 	defer l2.Close()
 	if rs.TornRecords == 0 {
@@ -475,10 +489,13 @@ func TestCompactionRetainsReplayDedup(t *testing.T) {
 	}
 }
 
+// TestRetentionDeletesExpiredSegments: the store's retention is the
+// disk's. A pass deletes every segment the store's MaxAge has wholly
+// expired, the one being written included.
 func TestRetentionDeletesExpiredSegments(t *testing.T) {
 	dir := t.TempDir()
-	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 16 << 10, RetainAge: time.Minute})
-	l, _, _ := openPair(t, dir, opts, tsdb.Config{BlockSamples: 64})
+	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 16 << 10})
+	l, _, _ := openPair(t, dir, opts, tsdb.Config{BlockSamples: 64, MaxAge: time.Minute})
 	appendTicks(t, l, 1, []string{"PAPI_TOT_CYC"}, 2000, 0, 10_000) // 20s of data
 	if stat(t, l, "wal_segments") == 0 {
 		t.Fatal("no segments written")
@@ -490,6 +507,9 @@ func TestRetentionDeletesExpiredSegments(t *testing.T) {
 	if cs.Deleted == 0 {
 		t.Fatalf("retention deleted nothing: %+v", cs)
 	}
+	if n := stat(t, l, "wal_segments"); n != 0 {
+		t.Errorf("%d segments survive a pass two minutes past the last sample", n)
+	}
 	l.Close()
 }
 
@@ -498,7 +518,7 @@ func TestSegmentIndexRoundTrip(t *testing.T) {
 	// exactly the footer torn off reloads as an interrupted one; both
 	// see every record.
 	dir := t.TempDir()
-	w, err := createSegment(dir, 1)
+	w, err := (&Log{dir: dir}).createSegment(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +602,7 @@ func TestSegmentDiskDeathKeepsWALPinned(t *testing.T) {
 	// One shared byte budget across all segment writers: once spent,
 	// every later segment write fails forever.
 	shared := &failAfterWriter{limit: 2 << 10}
-	opts.wrapSeg = func(w io.Writer) io.Writer { shared.w = w; return shared }
+	opts.wrap = onFiles("seg-", func(w io.Writer) io.Writer { shared.w = w; return shared })
 
 	cfg := tsdb.Config{BlockSamples: 64}
 	l, store, _ := openPair(t, dir, opts, cfg)
@@ -596,7 +616,7 @@ func TestSegmentDiskDeathKeepsWALPinned(t *testing.T) {
 	want := queryAll(t, store, 13, 0, 1<<60)
 	l.Abandon()
 
-	opts.wrapSeg = nil
+	opts.wrap = nil
 	l2, store2, rs := openPair(t, dir, opts, cfg)
 	defer l2.Close()
 	if got := queryAll(t, store2, 13, 0, 1<<60); got != want {
@@ -633,7 +653,7 @@ func TestSegmentTornWriteAbandonsWriter(t *testing.T) {
 	events := []string{"PAPI_TOT_CYC"}
 	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 16 << 10})
 	shared := &tearWriter{fail: 5} // shared across writers: tears once, globally
-	opts.wrapSeg = func(w io.Writer) io.Writer { shared.w = w; return shared }
+	opts.wrap = onFiles("seg-", func(w io.Writer) io.Writer { shared.w = w; return shared })
 
 	cfg := tsdb.Config{BlockSamples: 64}
 	l, store, _ := openPair(t, dir, opts, cfg)
@@ -647,7 +667,7 @@ func TestSegmentTornWriteAbandonsWriter(t *testing.T) {
 	want := queryAll(t, store, 13, 0, 1<<60)
 	l.Abandon()
 
-	opts.wrapSeg = nil
+	opts.wrap = nil
 	l2, store2, rs := openPair(t, dir, opts, cfg)
 	defer l2.Close()
 	if got := queryAll(t, store2, 13, 0, 1<<60); got != want {

@@ -45,9 +45,13 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 # or corrupt input must end the iteration, never panic.
 go test -run='^$' -fuzz='^FuzzIterBlock$' -fuzztime=5s ./internal/tsdb
 # The same for the two parsers Open and replay run over files found on
-# disk: a segment's records and footer, and a WAL row record.
+# disk: a segment's records and footer, and a WAL row record — and for
+# Open and Start over a whole data directory a flipped byte, a cut or a
+# missing file away from a healthy one, which must serve no sample the
+# healthy one did not.
 go test -run='^$' -fuzz='^FuzzLoadSegment$' -fuzztime=5s ./internal/tsdb/wal
 go test -run='^$' -fuzz='^FuzzDecodeRow$' -fuzztime=5s ./internal/tsdb/wal
+go test -run='^$' -fuzz='^FuzzOpenDamagedDir$' -fuzztime=5s ./internal/tsdb/wal
 # And for the parsers that read what a peer sent: the JSON and binary
 # request/response decoders, resync after a fault-injected stream, and
 # the binary codec's round trip — plus the one encoder with a second
