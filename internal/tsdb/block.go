@@ -39,6 +39,11 @@ type block struct {
 	// crash having happened.
 	persisted bool
 
+	// firstSeq is the WAL row sequence of the block's first sample (0
+	// without a durability layer). Until the block is persisted, the WAL
+	// must keep every row from it on: Store.OldestUnpersisted.
+	firstSeq uint64
+
 	// Encoder state for the next append.
 	lastTS, lastTSDelta int64
 	lastV, lastVDelta   int64

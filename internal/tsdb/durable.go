@@ -8,9 +8,10 @@ import (
 // This file is the store's durability surface: the hook interface a
 // persistence layer (internal/tsdb/wal) implements, and the ingestion
 // APIs replay uses to rebuild in-memory state from disk. The store
-// itself stays storage-agnostic — it reports seals and drops, and
-// accepts reconstructed blocks and rollup buckets; everything about
-// files, fsync and mmap lives behind the Storage interface.
+// itself stays storage-agnostic — it reports seals, answers which of
+// its samples are not yet on disk, and accepts reconstructed blocks and
+// rollup buckets; everything about files, fsync and mmap lives behind
+// the Storage interface.
 
 // SealedBlock is one immutable sealed block handed to the storage
 // layer (and handed back at replay): the delta-of-delta encoded buffer
@@ -28,18 +29,18 @@ type SealedBlock struct {
 	LastSeq uint64
 }
 
-// Storage receives the store's durability callbacks. Implementations
-// must not call back into the store from these methods while assuming
-// any lock state: callbacks always run outside the store's shard
-// locks, on the goroutine whose append or sweep triggered them.
+// Storage receives the store's one durability callback. It keeps no
+// per-series state of its own: which rows still need the WAL is read
+// back from the store (OldestUnpersisted), so the two cannot disagree.
+// Implementations must not call back into the store from OnSeal while
+// assuming any lock state: it always runs outside the store's shard
+// locks, on the goroutine whose append, sweep or flush sealed the
+// blocks.
 type Storage interface {
-	// OnSeal delivers newly sealed blocks, in seal order. The store
-	// guarantees it will not budget-evict a block before OnSeal for it
-	// has returned.
+	// OnSeal delivers newly sealed blocks, in seal order, and calls
+	// MarkPersisted for each one it has written. The store guarantees it
+	// will not budget-evict a block before OnSeal for it has returned.
 	OnSeal(blocks []SealedBlock)
-	// OnDropSeries reports series the store expired entirely, so the
-	// storage layer can release per-series bookkeeping.
-	OnDropSeries(keys []SeriesKey)
 }
 
 func sealedBlockOf(key SeriesKey, b *block, lastSeq uint64) SealedBlock {
@@ -166,8 +167,9 @@ func (s *Store) Remap(key SeriesKey, minTS int64, n int, buf []byte) bool {
 		// A sealed block is immutable — a Query may be decoding it with
 		// no lock held — so the mapped bytes go into a new block that
 		// takes its place in the ring.
-		mapped := &block{buf: buf, n: b.n, minTS: b.minTS, maxTS: b.maxTS, mapped: true, persisted: b.persisted}
-		sr.sealed[i] = mapped
+		mapped := *b
+		mapped.buf, mapped.mapped = buf, true
+		sr.sealed[i] = &mapped
 		s.bytes.Add(mapped.bytes() - b.bytes())
 		return true
 	}
@@ -196,6 +198,39 @@ func (s *Store) MarkPersisted(key SeriesKey, minTS int64, n int) bool {
 		}
 	}
 	return false
+}
+
+// OldestUnpersisted returns the WAL row sequence of the oldest sample
+// the store holds outside a persisted block — the first sequence of an
+// active block, or of a sealed block whose segment write has not
+// succeeded — or 0 when every sample it holds is on disk (or came with
+// sequence 0, from no durability layer). A WAL file whose rows are all
+// older holds nothing the store still needs it for: each of its
+// samples is in a persisted block, or the store no longer serves it.
+func (s *Store) OldestUnpersisted() uint64 {
+	var oldest uint64
+	note := func(b *block) {
+		if b.firstSeq != 0 && (oldest == 0 || b.firstSeq < oldest) {
+			oldest = b.firstSeq
+		}
+	}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, e := range sh.m {
+			for _, sr := range e.series {
+				// A series' sequences rise block by block, so its first
+				// unpersisted block holds its oldest such sample.
+				if j := slices.IndexFunc(sr.sealed, func(b *block) bool { return !b.persisted }); j >= 0 {
+					note(sr.sealed[j])
+				} else if sr.active != nil {
+					note(sr.active)
+				}
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return oldest
 }
 
 // DropSealedUpTo evicts sealed blocks whose newest sample is at or

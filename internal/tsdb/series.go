@@ -42,7 +42,7 @@ func (sr *series) append(ts, v int64, blockSamples int, seq uint64) (deltaBytes 
 	}
 	before := sr.mutableBytes()
 	if sr.active == nil {
-		sr.active = &block{}
+		sr.active = &block{firstSeq: seq}
 	}
 	sr.active.appendSample(ts, v)
 	if seq > sr.lastSeq {

@@ -60,10 +60,10 @@ type Config struct {
 	// and query latency histograms plus byte/series/sample gauges. Nil
 	// keeps the store entirely uninstrumented (zero overhead).
 	Registry *telemetry.Registry
-	// Storage, when set, receives durability callbacks: every sealed
-	// block (so it can be persisted) and every fully-expired series.
-	// Callbacks run outside all store locks, on the goroutine whose
-	// append/sweep triggered them. Nil keeps the store RAM-only.
+	// Storage, when set, receives every sealed block so it can be
+	// persisted. The callback runs outside all store locks, on the
+	// goroutine whose append, sweep or flush sealed the block. Nil keeps
+	// the store RAM-only.
 	Storage Storage
 }
 
@@ -364,7 +364,6 @@ func (s *Store) Sweep(now int64) (evicted int64) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		var seals []SealedBlock
-		var dropped []SeriesKey
 		sh.mu.Lock()
 		for session, e := range sh.m {
 			kept := e.series[:0]
@@ -390,7 +389,6 @@ func (s *Store) Sweep(now int64) (evicted int64) {
 				// installed rollup buckets (its raw blocks were compacted
 				// away) has no samples and goes the same way.
 				s.bytes.Add(-sr.bytes())
-				dropped = append(dropped, sr.key)
 			}
 			clear(e.series[len(kept):])
 			e.series = kept
@@ -400,9 +398,6 @@ func (s *Store) Sweep(now int64) (evicted int64) {
 		}
 		sh.mu.Unlock()
 		s.fireSeals(seals)
-		if len(dropped) > 0 && s.cfg.Storage != nil {
-			s.cfg.Storage.OnDropSeries(dropped)
-		}
 	}
 	return evicted
 }

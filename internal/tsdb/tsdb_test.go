@@ -760,15 +760,12 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 	}
 }
 
-// hookRecorder is a Storage that remembers the blocks the store sealed
-// and the series it reported as dropped.
+// hookRecorder is a Storage that remembers the blocks the store sealed.
 type hookRecorder struct {
-	sealed  []SealedBlock
-	dropped []SeriesKey
+	sealed []SealedBlock
 }
 
-func (h *hookRecorder) OnSeal(blocks []SealedBlock)   { h.sealed = append(h.sealed, blocks...) }
-func (h *hookRecorder) OnDropSeries(keys []SeriesKey) { h.dropped = append(h.dropped, keys...) }
+func (h *hookRecorder) OnSeal(blocks []SealedBlock) { h.sealed = append(h.sealed, blocks...) }
 
 // TestSweepThenRecreate: the session's entry is the event index, so
 // Events, a filterless Query, Stats().Series and the papid_tsdb_series
@@ -820,12 +817,10 @@ func TestSweepThenRecreate(t *testing.T) {
 // TestSweepDropsRollupOnlySeries: a series holding only installed
 // rollup buckets — what replay builds for a series whose raw blocks
 // compaction folded away — expires like any other: Sweep takes it out
-// of its session's entry and the byte charge, and tells the storage
-// layer once. A run of a width the store does not
-// keep is refused before any series is created for it.
+// of its session's entry and the byte charge. A run of a width the
+// store does not keep is refused before any series is created for it.
 func TestSweepDropsRollupOnlySeries(t *testing.T) {
-	hook := &hookRecorder{}
-	st := New(Config{MaxBytes: 1 << 30, MaxAge: time.Minute, Storage: hook})
+	st := New(Config{MaxBytes: 1 << 30, MaxAge: time.Minute})
 	empty := st.Stats()
 	key, w := SeriesKey{Session: 7, Event: "E"}, st.widths[0]
 
@@ -849,7 +844,52 @@ func TestSweepDropsRollupOnlySeries(t *testing.T) {
 	if ev := st.Events(key.Session); len(ev) != 0 {
 		t.Errorf("session event index still lists %v", ev)
 	}
-	if len(hook.dropped) != 1 || hook.dropped[0] != key {
-		t.Errorf("OnDropSeries got %v, want exactly [%v]", hook.dropped, key)
+}
+
+// TestOldestUnpersisted: the store answers which WAL rows it still
+// needs — the first sequence of its oldest block not on disk — case by
+// case: an active block, a sealed block whose write has not succeeded,
+// the same once MarkPersisted says it has, a series Sweep dropped whole,
+// the series appending again, and rows that came with no sequence.
+func TestOldestUnpersisted(t *testing.T) {
+	const minute = int64(time.Minute / time.Microsecond)
+	hook := &hookRecorder{}
+	st := New(Config{MaxBytes: 1 << 30, MaxAge: time.Minute, BlockSamples: 4, Storage: hook})
+	key := SeriesKey{Session: 3, Event: "E"}
+	want := func(step string, seq uint64) {
+		t.Helper()
+		if got := st.OldestUnpersisted(); got != seq {
+			t.Fatalf("%s: OldestUnpersisted = %d, want %d", step, got, seq)
+		}
+	}
+	want("empty store", 0)
+	st.AppendBatchSeq(key.Session, 1, []string{key.Event}, []int64{1}, 5)
+	want("active block", 5)
+	for seq := uint64(6); seq <= 9; seq++ {
+		st.AppendBatchSeq(key.Session, int64(seq), []string{key.Event}, []int64{int64(seq)}, seq)
+	}
+	if len(hook.sealed) != 1 {
+		t.Fatalf("%d blocks sealed, want 1", len(hook.sealed))
+	}
+	want("sealed, not persisted", 5)
+	sb := hook.sealed[0]
+	if !st.MarkPersisted(sb.Key, sb.MinTS, sb.N) {
+		t.Fatal("MarkPersisted found no block")
+	}
+	want("sealed block persisted", 9)
+	st.Sweep(10 * minute)
+	if n := st.Stats().Series; n != 0 {
+		t.Fatalf("Sweep left %d series", n)
+	}
+	want("series dropped", 0)
+	st.AppendBatchSeq(key.Session, 10*minute, []string{key.Event}, []int64{10}, 20)
+	want("append after the drop", 20)
+
+	ram := New(Config{MaxBytes: 1 << 30, MaxAge: time.Minute, BlockSamples: 4})
+	for ts := int64(1); ts <= 6; ts++ {
+		ram.AppendBatch(key.Session, ts, []string{key.Event}, []int64{ts})
+	}
+	if got := ram.OldestUnpersisted(); got != 0 {
+		t.Errorf("RAM-only store: OldestUnpersisted = %d, want 0", got)
 	}
 }

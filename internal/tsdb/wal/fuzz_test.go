@@ -175,20 +175,31 @@ func splitPayloads(body []byte) [][]byte {
 	return out
 }
 
+// allocated returns the bytes the process allocated while fn ran.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // checkAllocs fails the test when decode, handed size bytes of input,
-// allocates more than a small multiple of them. The count is the
-// process's, so a reading over the limit is taken again before it is
-// believed: decode is deterministic, another goroutine's allocation is
-// not.
+// allocates more than a small multiple of them.
 func checkAllocs(t *testing.T, size int, decode func()) {
-	limit := uint64(64*size + 4096)
+	checkAllocated(t, size, 0, func() uint64 { return allocated(decode) })
+}
+
+// checkAllocated is checkAllocs for a decode that measures its own
+// allocation, allowing fixed — what it costs on no input at all — on
+// top. The count is the process's, so a reading over the limit is
+// taken again before it is believed: decode is deterministic, another
+// goroutine's allocation is not.
+func checkAllocated(t *testing.T, size int, fixed uint64, decode func() uint64) {
+	limit := fixed + uint64(64*size+4096)
 	var grew uint64
 	for try := 0; try < 3; try++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		decode()
-		runtime.ReadMemStats(&after)
-		if grew = after.TotalAlloc - before.TotalAlloc; grew <= limit {
+		if grew = decode(); grew <= limit {
 			return
 		}
 	}

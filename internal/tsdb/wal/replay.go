@@ -37,6 +37,14 @@ func (l *Log) Start(store *tsdb.Store) (ReplayStats, error) {
 	// remove it before any new writes.
 	os.Remove(filepath.Join(l.dir, cleanMarker))
 
+	// sealed is replay's dedup watermark: per series, the newest row
+	// sequence already inside a persisted block or compacted rollup.
+	sealed := make(map[tsdb.SeriesKey]uint64)
+	seen := func(key tsdb.SeriesKey, seq uint64) {
+		sealed[key] = max(sealed[key], seq)
+		l.lastSeq = max(l.lastSeq, seq)
+	}
+
 	// Pass 1: rollup runs and watermarks. Segments are in file-sequence
 	// order, which is oldest-data-first for rollup outputs.
 	for _, seg := range l.segs {
@@ -49,13 +57,7 @@ func (l *Log) Start(store *tsdb.Store) (ReplayStats, error) {
 			rs.RollupRuns++
 		}
 		for _, w := range seg.marks {
-			st := l.stateFor(w.key)
-			if w.seq > st.sealedThrough {
-				st.sealedThrough = w.seq
-			}
-			if w.seq > l.lastSeq {
-				l.lastSeq = w.seq
-			}
+			seen(w.key, w.seq)
 		}
 	}
 	// Pass 2: raw blocks, folded into rollup levels on top of the
@@ -64,19 +66,13 @@ func (l *Log) Start(store *tsdb.Store) (ReplayStats, error) {
 		for _, sb := range seg.blocks {
 			store.InstallSealed(sb, seg.mapped)
 			rs.Blocks++
-			st := l.stateFor(sb.Key)
-			if sb.LastSeq > st.sealedThrough {
-				st.sealedThrough = sb.LastSeq
-			}
-			if sb.LastSeq > l.lastSeq {
-				l.lastSeq = sb.LastSeq
-			}
+			seen(sb.Key, sb.LastSeq)
 		}
 	}
 	// Pass 3: WAL rows not yet inside a sealed block.
 	for i := range l.loadedWALs {
 		m := &l.loadedWALs[i]
-		torn, err := l.replayWALFile(m, &rs)
+		torn, err := l.replayWALFile(m, sealed, &rs)
 		if err != nil {
 			// Never replayed, so never safe to truncate: keep the file
 			// (marked so truncation skips it) for manual recovery — a
@@ -116,22 +112,10 @@ func (l *Log) Start(store *tsdb.Store) (ReplayStats, error) {
 	return rs, nil
 }
 
-// stateFor returns the key's replay bookkeeping, creating it on first
-// use. The caller holds stateMu — or is Start's replay, which runs
-// before anything else can reach the log.
-func (l *Log) stateFor(key tsdb.SeriesKey) *seriesState {
-	st := l.state[key]
-	if st == nil {
-		st = &seriesState{}
-		l.state[key] = st
-	}
-	return st
-}
-
 // replayWALFile re-appends every row of one WAL file whose samples are
-// not already inside persisted sealed blocks. Returns whether the file
-// ended in a torn record.
-func (l *Log) replayWALFile(m *walFileMeta, rs *ReplayStats) (torn bool, err error) {
+// not already inside persisted sealed blocks — above their series'
+// sealed watermark. Returns whether the file ended in a torn record.
+func (l *Log) replayWALFile(m *walFileMeta, sealed map[tsdb.SeriesKey]uint64, rs *ReplayStats) (torn bool, err error) {
 	data, err := os.ReadFile(m.path)
 	if err != nil {
 		return false, err
@@ -166,14 +150,8 @@ func (l *Log) replayWALFile(m *walFileMeta, rs *ReplayStats) (torn bool, err err
 			if i >= len(row.vals) {
 				break
 			}
-			key := tsdb.SeriesKey{Session: row.session, Event: ev}
-			st := l.stateFor(key)
-			if row.seq <= st.sealedThrough {
+			if row.seq <= sealed[tsdb.SeriesKey{Session: row.session, Event: ev}] {
 				continue // already inside a persisted sealed block
-			}
-			st.lastRow = row.seq
-			if st.pinned == 0 {
-				st.pinned = row.seq
 			}
 			keepEv = append(keepEv, ev)
 			keepVals = append(keepVals, row.vals[i])
@@ -182,7 +160,8 @@ func (l *Log) replayWALFile(m *walFileMeta, rs *ReplayStats) (torn bool, err err
 			continue
 		}
 		// Can seal blocks mid-replay; OnSeal then persists them to a
-		// fresh segment and updates sealedThrough/pins as usual.
+		// fresh segment as usual. Rows arrive in sequence order, so no
+		// such seal covers a row still to come.
 		l.store.AppendBatchSeq(row.session, row.ts, keepEv, keepVals, row.seq)
 		rs.Rows++
 		rs.Samples += uint64(len(keepEv))

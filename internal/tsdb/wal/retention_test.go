@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -168,11 +169,12 @@ type rawSample struct {
 
 const seedSessions, seedBlockSamples = 2, 32
 
-// seedDir writes the healthy directory FuzzOpenDamagedDir damages —
-// finalized raw segments, one compaction output and WAL files whose rows
-// are all newer than the output's watermarks — and returns its files by
-// name.
-func seedDir(tb testing.TB) map[string][]byte {
+// seedDir writes a healthy directory FuzzOpenDamagedDir damages —
+// finalized raw segments, one compaction output and, after a crash, WAL
+// files whose rows are all newer than the output's watermarks; after a
+// clean shutdown, no WAL file and the CLEAN marker — and returns its
+// files by name.
+func seedDir(tb testing.TB, clean bool) map[string][]byte {
 	dir := tb.TempDir()
 	l, err := Open(dir, noCompact(Options{Fsync: FsyncOff, SegmentBytes: 2 << 10, CompactAfter: time.Minute}))
 	if err != nil {
@@ -197,7 +199,13 @@ func seedDir(tb testing.TB) map[string][]byte {
 		tb.Fatalf("seed compaction: %+v, %v", cs, err)
 	}
 	rows(600, 800)
-	l.Abandon()
+	if clean {
+		if err := l.Close(); err != nil {
+			tb.Fatal(err)
+		}
+	} else {
+		l.Abandon()
+	}
 
 	files := map[string][]byte{}
 	var water, oldestRow uint64
@@ -224,6 +232,9 @@ func seedDir(tb testing.TB) map[string][]byte {
 			}
 			continue
 		}
+		if e.Name() == cleanMarker {
+			continue
+		}
 		wals++
 		for off := len(walMagic); off < len(b); {
 			payload, next, err := readFrame(b, off)
@@ -236,17 +247,19 @@ func seedDir(tb testing.TB) map[string][]byte {
 			off = next
 		}
 	}
-	if raw == 0 || outputs != 1 || wals == 0 || oldestRow <= water {
-		tb.Fatalf("seed directory: %d raw segments, %d outputs, %d WAL files, oldest WAL row %d, newest watermark %d",
-			raw, outputs, wals, oldestRow, water)
+	_, marked := files[cleanMarker]
+	if raw == 0 || outputs != 1 || marked != clean || (wals == 0) != clean || (!clean && oldestRow <= water) {
+		tb.Fatalf("seed directory (clean %v): %d raw segments, %d outputs, CLEAN marker %v, %d WAL files, oldest WAL row %d, newest watermark %d",
+			clean, raw, outputs, marked, wals, oldestRow, water)
 	}
 	return files
 }
 
 // serveDir writes files into a fresh directory under root, opens and
-// starts a log over it, and returns every raw sample its store serves;
-// nil when Open or Start refuses the directory.
-func serveDir(tb testing.TB, root string, files map[string][]byte) map[rawSample]bool {
+// starts a log over it, and returns every raw sample its store serves
+// (nil when Open or Start refuses the directory) and the bytes Open and
+// Start allocated.
+func serveDir(tb testing.TB, root string, files map[string][]byte) (map[rawSample]bool, uint64) {
 	dir, err := os.MkdirTemp(root, "")
 	if err != nil {
 		tb.Fatal(err)
@@ -256,18 +269,30 @@ func serveDir(tb testing.TB, root string, files map[string][]byte) map[rawSample
 			tb.Fatal(err)
 		}
 	}
-	l, err := Open(dir, noCompact(Options{Fsync: FsyncOff}))
+	var l *Log
+	var store *tsdb.Store
+	opened := allocated(func() {
+		if l, err = Open(dir, noCompact(Options{Fsync: FsyncOff})); err != nil {
+			return
+		}
+		store = tsdb.New(tsdb.Config{Storage: l, MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: seedBlockSamples})
+		_, err = l.Start(store)
+	})
+	if l != nil {
+		defer func() { l.Abandon(); unmap(l) }()
+	}
 	if err != nil {
-		return nil
+		return nil, opened
 	}
-	defer func() { l.Abandon(); unmap(l) }()
-	store := tsdb.New(tsdb.Config{Storage: l, MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: seedBlockSamples})
-	if _, err := l.Start(store); err != nil {
-		return nil
-	}
+	return servedRaw(store, 1, seedSessions), opened
+}
+
+// servedRaw returns every raw sample the store serves for sessions
+// first through last.
+func servedRaw(store *tsdb.Store, first, last uint64) map[rawSample]bool {
 	served := map[rawSample]bool{}
-	for s := uint64(1); s <= seedSessions; s++ {
-		for _, sr := range store.Query(s, tsdb.Query{From: 0, To: 1 << 60}) {
+	for s := first; s <= last; s++ {
+		for _, sr := range store.Query(s, tsdb.Query{From: 0, To: 1 << 62}) {
 			for _, bk := range sr.Buckets {
 				served[rawSample{s, sr.Event, bk.Start, bk.Last}] = true
 			}
@@ -276,56 +301,104 @@ func serveDir(tb testing.TB, root string, files map[string][]byte) map[rawSample
 	return served
 }
 
-// FuzzOpenDamagedDir: Open and Start over a data directory one damage
-// away from a healthy one — a byte flipped, a file cut short or a file
-// gone, among raw segments, a compaction output and the WAL. They must
-// never panic and must allocate within a small multiple of the
-// directory's bytes, and every raw sample the store then serves must be
-// one the intact directory served: damage may lose history, never
-// invent it.
+// healthyDir is one directory FuzzOpenDamagedDir starts from: its
+// files, their names in order, and every raw sample it serves intact.
+type healthyDir struct {
+	files map[string][]byte
+	names []string
+	truth map[rawSample]bool
+}
+
+// damageOps is how many damages damage knows: a byte flipped, a file
+// cut short, a file gone, and none.
+const damageOps = 4
+
+// damage applies one damage to one of files, picked by index into names.
+func damage(files map[string][]byte, names []string, file, op uint8, off uint32, flip byte) {
+	name := names[int(file)%len(names)]
+	data, ok := files[name]
+	if !ok {
+		return // already gone
+	}
+	switch op % damageOps {
+	case 0: // a byte flipped
+		if len(data) == 0 {
+			return
+		}
+		data = slices.Clone(data)
+		data[off%uint32(len(data))] ^= flip | 1
+		files[name] = data
+	case 1: // cut short
+		files[name] = data[:off%uint32(len(data)+1)]
+	case 2: // gone
+		delete(files, name)
+	}
+}
+
+// FuzzOpenDamagedDir: Open and Start over a data directory two damages
+// away from a healthy one — each a byte flipped, a file cut short, a
+// file gone or nothing, among raw segments, a compaction output, the
+// WAL and the CLEAN marker. The healthy directory is one a crash left,
+// one a clean shutdown left, or the crashed one with a CLEAN marker
+// beside its WAL files. Open and Start must never panic and must
+// allocate within a small multiple of the directory's bytes, and every
+// raw sample the store then serves must be one the intact directory
+// served: damage may lose history, never invent it.
 func FuzzOpenDamagedDir(f *testing.F) {
-	files := seedDir(f)
-	truth := serveDir(f, f.TempDir(), files)
-	if len(truth) == 0 {
-		f.Fatal("the intact directory serves no raw sample")
-	}
-	var names []string
-	for name := range files {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for i, name := range names {
-		for op := uint8(0); op < 3; op++ {
-			f.Add(uint8(i), op, uint32(len(files[name])/2), byte(0x40))
+	crashed, clean := seedDir(f, false), seedDir(f, true)
+	markedWithWAL := maps.Clone(crashed)
+	markedWithWAL[cleanMarker] = clean[cleanMarker]
+	var dirs []healthyDir
+	for _, files := range []map[string][]byte{crashed, clean, markedWithWAL} {
+		d := healthyDir{files: files}
+		d.truth, _ = serveDir(f, f.TempDir(), files)
+		if len(d.truth) == 0 {
+			f.Fatal("an intact directory serves no raw sample")
 		}
+		for name := range files {
+			d.names = append(d.names, name)
+		}
+		slices.Sort(d.names)
+		dirs = append(dirs, d)
 	}
-	f.Fuzz(func(t *testing.T, file, op uint8, off uint32, flip byte) {
-		name := names[int(file)%len(names)]
-		damaged := maps.Clone(files)
-		data := files[name]
-		switch op % 3 {
-		case 0: // a byte flipped
-			if len(data) == 0 {
-				return
+	// Opening and starting over an empty directory costs a store, a
+	// registry and a fresh WAL file whatever the damage left; two
+	// damages can leave little else.
+	empty := uint64(math.MaxUint64)
+	for range 3 {
+		_, opened := serveDir(f, f.TempDir(), nil)
+		empty = min(empty, opened)
+	}
+	for base, d := range dirs {
+		for i, name := range d.names {
+			half := uint32(len(d.files[name]) / 2)
+			for op := uint8(0); op < 3; op++ {
+				f.Add(uint8(base), uint8(i), op, half, uint8(0), uint8(3), uint32(0), byte(0x40))
 			}
-			data = slices.Clone(data)
-			data[off%uint32(len(data))] ^= flip | 1
-			damaged[name] = data
-		case 1: // cut short
-			damaged[name] = data[:off%uint32(len(data)+1)]
-		case 2: // gone
-			delete(damaged, name)
+			next := uint8(i+1) % uint8(len(d.names))
+			f.Add(uint8(base), uint8(i), uint8(1), half, next, uint8(0), uint32(7), byte(0x40))
 		}
+	}
+	f.Fuzz(func(t *testing.T, base, file, op uint8, off uint32, file2, op2 uint8, off2 uint32, flip byte) {
+		d := dirs[int(base)%len(dirs)]
+		damaged := maps.Clone(d.files)
+		damage(damaged, d.names, file, op, off, flip)
+		damage(damaged, d.names, file2, op2, off2, flip)
 		size := 0
 		for _, b := range damaged {
 			size += len(b)
 		}
 		root := t.TempDir()
 		var served map[rawSample]bool
-		checkAllocs(t, size, func() { served = serveDir(t, root, damaged) })
+		checkAllocated(t, size, empty, func() (opened uint64) {
+			served, opened = serveDir(t, root, damaged)
+			return opened
+		})
 		for s := range served {
-			if !truth[s] {
-				t.Fatalf("%s damaged (op %d at %d): serves %+v, which the intact directory did not", name, op%3, off, s)
+			if !d.truth[s] {
+				t.Fatalf("directory %d, %s (op %d at %d) and %s (op %d at %d) damaged: serves %+v, which the intact directory did not",
+					base%uint8(len(dirs)), d.names[int(file)%len(d.names)], op%damageOps, off,
+					d.names[int(file2)%len(d.names)], op2%damageOps, off2, s)
 			}
 		}
 	})

@@ -109,20 +109,6 @@ var ErrClosed = errors.New("wal: closed")
 
 const cleanMarker = "CLEAN"
 
-// seriesState is the per-series replay bookkeeping.
-type seriesState struct {
-	// sealedThrough is the highest WAL row sequence known to be inside
-	// a persisted sealed block (or compacted rollup); replay skips rows
-	// at or below it.
-	sealedThrough uint64
-	// pinned is a lower bound on the oldest row sequence this series
-	// has outside any sealed block; 0 when none. WAL files whose newest
-	// row is older than every pin are deletable.
-	pinned uint64
-	// lastRow is the newest row sequence appended for this series.
-	lastRow uint64
-}
-
 type walFileMeta struct {
 	path   string
 	seq    uint64
@@ -130,8 +116,8 @@ type walFileMeta struct {
 	size   int64
 	// unreadable marks a file replay could not read (bad header, IO
 	// error). Its contents are unknown, so truncation must never treat
-	// its maxSeq of 0 as "older than every pin" and delete what might
-	// become readable again; it is kept for manual recovery.
+	// its maxSeq of 0 as "older than every unpersisted row" and delete
+	// what might become readable again; it is kept for manual recovery.
 	unreadable bool
 }
 
@@ -148,17 +134,18 @@ type ReplayStats struct {
 }
 
 // Log is the durability layer: tsdb.Storage implementation plus the
-// WAL writer. One Log owns one data directory.
+// WAL writer. One Log owns one data directory. It keeps no per-series
+// state: the store's blocks say which rows are on disk.
 type Log struct {
 	dir   string
 	opts  Options
 	store *tsdb.Store
 
 	// mu serializes WAL appends end-to-end, including the store append
-	// inside AppendRowsTraced — row sequence order is store insertion order,
-	// which replay relies on. Lock order: mu → stateMu, mu → segMu,
-	// mu → store shard locks; segMu → shard locks (Remap, compaction);
-	// stateMu is a leaf.
+	// inside AppendRowsTraced — row sequence order is store insertion
+	// order, which replay relies on — and WAL truncation, so every row a
+	// truncation weighs has reached the store. Lock order: mu → segMu,
+	// mu → store shard locks; segMu → shard locks (Remap, compaction).
 	mu       sync.Mutex
 	wf       *os.File
 	wwr      io.Writer // wf through l.writer
@@ -170,9 +157,6 @@ type Log struct {
 	oldWALs  []walFileMeta
 	scratch  []byte
 
-	stateMu sync.Mutex
-	state   map[tsdb.SeriesKey]*seriesState
-
 	segMu      sync.Mutex
 	sw         *segmentWriter
 	segs       []*segment
@@ -180,9 +164,10 @@ type Log struct {
 	// pending holds sealed blocks whose segment write failed, in seal
 	// order. They are retried before any newer block is written, so
 	// each series' persisted blocks remain a gap-free sequence prefix —
-	// the invariant that lets replay treat sealedThrough as a single
-	// watermark. Bounded by maxPending; overflow blocks stay WAL-only
-	// (their rows stay pinned, so replay recovers them after a crash).
+	// the invariant that lets replay treat a series' newest persisted
+	// sequence as a single watermark. Bounded by maxPending; overflow
+	// blocks stay WAL-only (unpersisted in the store, so truncation
+	// keeps their rows).
 	pending   []tsdb.SealedBlock
 	compactMu sync.Mutex // serializes compaction passes
 
@@ -220,7 +205,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	l := &Log{
 		dir:        dir,
 		opts:       opts,
-		state:      make(map[tsdb.SeriesKey]*seriesState),
 		stopCh:     make(chan struct{}),
 		logger:     opts.Logger.With("component", "wal"),
 		nextSegSeq: 1, // seq 0 is reserved so "replaced through 0" means none
@@ -411,12 +395,11 @@ func (l *Log) AppendRows(rows []Row) error { return l.AppendRowsTraced(rows, nil
 // FsyncAlways — one fsync for the whole batch, so what a papid sweep
 // worker read in one tick costs one lock/fsync round regardless of
 // session count. Every row hits the journal before the store sees it
-// (write-ahead order, which is also what keeps seal/truncate
-// bookkeeping honest — a row is journaled before any seal it lands in
-// can mark it covered), and the store append runs under the same lock
-// so sequence order equals store insertion order. A failed journal
-// write leaves exactly that row RAM-only — availability over
-// durability — counted and logged, and the first such error is
+// (write-ahead order), and the store append runs under the same lock,
+// so sequence order equals store insertion order and a truncation,
+// which holds that lock too, finds every journaled row in the store. A
+// failed journal write leaves exactly that row RAM-only — availability
+// over durability — counted and logged, and the first such error is
 // returned. Rows early in a batch are synced with the batch, not
 // individually; the call returns only after the sync.
 //
@@ -461,7 +444,6 @@ func (l *Log) AppendRowsTraced(rows []Row, t *tracing.Trace) error {
 				}
 			}
 		}
-		l.noteRows(r.Session, events, seq)
 		l.store.AppendBatchSeq(r.Session, r.TS, events, vals, seq)
 	}
 	if t != nil {
@@ -483,38 +465,24 @@ func (l *Log) AppendRowsTraced(rows []Row, t *tracing.Trace) error {
 	return firstErr
 }
 
-// noteRows updates per-series pins before the store append.
-func (l *Log) noteRows(session uint64, events []string, seq uint64) {
-	l.stateMu.Lock()
-	for _, ev := range events {
-		st := l.stateFor(tsdb.SeriesKey{Session: session, Event: ev})
-		st.lastRow = seq
-		if st.pinned == 0 {
-			st.pinned = seq
-		}
-	}
-	l.stateMu.Unlock()
-}
-
 // maxPending bounds the segment-write retry queue. Beyond it, newly
-// sealed blocks are not queued: they stay WAL-only (rows pinned, so
-// the WAL retains their only durable copy and replay recovers them),
-// instead of holding an unbounded number of block buffers alive while
-// the disk stays broken.
+// sealed blocks are not queued: they stay WAL-only (the store holds
+// them unpersisted, so the WAL keeps their only durable copy), instead
+// of holding an unbounded number of block buffers alive while the disk
+// stays broken.
 const maxPending = 256
 
 // OnSeal implements tsdb.Storage: persist newly sealed blocks into the
 // active segment, rotating and finalizing it when full. An empty call
 // just retries queued blocks.
 //
-// Only blocks whose segment write actually succeeded advance the
-// replay bookkeeping below — a failed block stays RAM-only with its
-// WAL rows pinned (truncation must not delete their only durable
-// copy), the writer is retired without a footer (partial bytes may sit
-// behind its last whole record), and the block is queued for retry
-// ahead of any newer seal so a series' persisted blocks never develop
-// a gap that the sealedThrough watermark would silently skip over at
-// replay.
+// Only blocks whose segment write succeeded are marked persisted in the
+// store — a failed block stays unpersisted, which keeps its WAL rows
+// (truncation must not delete their only durable copy), the writer is
+// retired without a footer (partial bytes may sit behind its last whole
+// record), and the block is queued for retry ahead of any newer seal so
+// a series' persisted blocks never develop a gap that replay's
+// watermark would silently skip over.
 func (l *Log) OnSeal(blocks []tsdb.SealedBlock) {
 	var retired *segment
 	l.segMu.Lock()
@@ -558,43 +526,16 @@ func (l *Log) OnSeal(blocks []tsdb.SealedBlock) {
 	}
 	l.segMu.Unlock()
 
-	l.stateMu.Lock()
-	for _, sb := range written {
-		st := l.stateFor(sb.Key)
-		if sb.LastSeq > st.sealedThrough {
-			st.sealedThrough = sb.LastSeq
-		}
-		switch {
-		case st.lastRow <= sb.LastSeq:
-			// Every row of this series is inside a sealed block now.
-			st.pinned = 0
-		case st.pinned != 0 && st.pinned <= sb.LastSeq:
-			// Rows newer than the seal exist; conservatively pin just
-			// past the seal (the true oldest unsealed row is ≥ this).
-			st.pinned = sb.LastSeq + 1
-		}
-	}
-	l.stateMu.Unlock()
-
 	if l.store != nil {
 		for _, sb := range written {
-			// Compaction's DropSealedUpTo only evicts blocks the store
-			// knows are on disk; everything else is memory's only copy.
+			// The store now knows the block is on disk: truncation may
+			// let its WAL rows go, and compaction's DropSealedUpTo may
+			// evict it. Everything else is memory's only copy.
 			l.store.MarkPersisted(sb.Key, sb.MinTS, sb.N)
 		}
 	}
 
 	l.remap(retired)
-}
-
-// OnDropSeries implements tsdb.Storage: forget replay bookkeeping for
-// series the store expired entirely.
-func (l *Log) OnDropSeries(keys []tsdb.SeriesKey) {
-	l.stateMu.Lock()
-	for _, k := range keys {
-		delete(l.state, k)
-	}
-	l.stateMu.Unlock()
 }
 
 // ensureWriterLocked opens the active segment writer; segMu held.
@@ -680,25 +621,19 @@ func (l *Log) useWALLocked(f *os.File, seq uint64) {
 }
 
 // truncateWALsLocked deletes rotated WAL files whose newest row is
-// older than every live pin. mu held. Before deleting anything it
-// syncs the active segment so the sealed blocks that supersede those
-// rows are actually on disk.
+// older than the oldest row the store holds outside a persisted block.
+// mu held, so every journaled row has reached the store. Before
+// deleting anything it syncs the active segment so the sealed blocks
+// that supersede those rows are actually on disk.
 func (l *Log) truncateWALsLocked() {
 	if len(l.oldWALs) == 0 {
 		return
 	}
-	minPinned := uint64(0)
-	l.stateMu.Lock()
-	for _, st := range l.state {
-		if st.pinned != 0 && (minPinned == 0 || st.pinned < minPinned) {
-			minPinned = st.pinned
-		}
-	}
-	l.stateMu.Unlock()
+	oldest := l.store.OldestUnpersisted()
 	keep := l.oldWALs[:0]
 	synced := false
 	for _, m := range l.oldWALs {
-		if m.unreadable || (minPinned != 0 && m.maxSeq >= minPinned) {
+		if m.unreadable || (oldest != 0 && m.maxSeq >= oldest) {
 			keep = append(keep, m)
 			continue
 		}

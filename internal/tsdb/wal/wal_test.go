@@ -677,7 +677,7 @@ func TestSegmentTornWriteAbandonsWriter(t *testing.T) {
 
 func TestUnreadableWALFileKeptForRecovery(t *testing.T) {
 	// A WAL file replay cannot read must survive truncation — its
-	// maxSeq of 0 must not read as "older than every pin" — so a
+	// maxSeq of 0 must not read as "older than every unpersisted row" — so a
 	// transient IO error never turns into silent deletion of rows that
 	// were never replayed. Its survival also blocks the CLEAN marker.
 	dir := t.TempDir()

@@ -7,12 +7,14 @@
 # allocs/op so allocation regressions on the serving path are tracked
 # alongside latency.
 #
-# `tools/bench.sh compare` runs the server, simulator, store and frame
-# encode benchmarks against the committed BENCH_server.json,
-# BENCH_hwsim.json, BENCH_tsdb.json and BENCH_wire.json instead of
-# overwriting them: a fresh measurement goes to a temp file and
-# `benchjson -diff` gates on the serving-path, tick, simulator,
-# row-append, history-query and frame-encode benchmarks. Every gate
+# `tools/bench.sh compare` runs the server, simulator, store, WAL and
+# frame encode benchmarks against the committed BENCH_server.json,
+# BENCH_hwsim.json, BENCH_tsdb.json, BENCH_wal.json and BENCH_wire.json
+# instead of overwriting them: a fresh measurement goes to a temp file
+# and `benchjson -diff` gates on the serving-path, tick, simulator,
+# row-append, history-query, WAL append and replay, and frame-encode
+# benchmarks (not WALAppend/always, which prices the disk's fsync, not
+# the code). Every gate
 # runs and prints its verdict — a noisy Server* row does not hide the
 # stages behind it — and the script exits non-zero when any gated ns/op
 # or allocs/op regressed more than 25% against its baseline, or a gated
@@ -46,6 +48,8 @@ if [ "${1:-}" = "compare" ]; then
     gate Simulated BENCH_hwsim.json 'Simulated'
     go run ./cmd/benchjson -benchmem -out "$tmp" -bench 'TSDB' ./internal/tsdb
     gate TSDB BENCH_tsdb.json 'TSDBAppendBatch/batched|TSDBQuery'
+    go run ./cmd/benchjson -benchmem -out "$tmp" -bench 'WAL|Replay' ./internal/tsdb/wal
+    gate WAL BENCH_wal.json 'WALAppend/(interval|off)|Replay'
     go run ./cmd/benchjson -benchmem -out "$tmp" -bench 'AppendFrame' ./internal/wire
     gate Wire BENCH_wire.json 'AppendFrame'
     [ -z "$failed" ] || { echo "bench compare: failed gates:$failed" >&2; exit 1; }

@@ -46,9 +46,10 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 go test -run='^$' -fuzz='^FuzzIterBlock$' -fuzztime=5s ./internal/tsdb
 # The same for the two parsers Open and replay run over files found on
 # disk: a segment's records and footer, and a WAL row record — and for
-# Open and Start over a whole data directory a flipped byte, a cut or a
-# missing file away from a healthy one, which must serve no sample the
-# healthy one did not.
+# Open and Start over a whole data directory two flipped bytes, cuts or
+# missing files away from a healthy one (crashed, or shut down clean
+# behind its CLEAN marker), which must serve no sample the healthy one
+# did not.
 go test -run='^$' -fuzz='^FuzzLoadSegment$' -fuzztime=5s ./internal/tsdb/wal
 go test -run='^$' -fuzz='^FuzzDecodeRow$' -fuzztime=5s ./internal/tsdb/wal
 go test -run='^$' -fuzz='^FuzzOpenDamagedDir$' -fuzztime=5s ./internal/tsdb/wal
@@ -70,6 +71,12 @@ done
 # racing Remap must never see a sealed block change under it. Both are
 # interleaving-dependent, so one pass in the suite above is thin.
 go test -race -count=20 -run '^(TestQuerySeesWholeRows|TestRemapWhileScanning)$' ./internal/tsdb
+# The WAL against the store's sweep: a row journaled while Sweep drops
+# its series must keep its WAL file until the store holds it on disk —
+# once by construction (a row appended from inside the sweep's seal
+# callback), once by two publishers racing a sweeping clock — and every
+# acked row inside retention must survive a crash.
+go test -race -count=20 -run '^(TestRowInSweepDropWindowSurvivesCrash|TestSweepRacingAppendsKeepsAckedRows)$' ./internal/tsdb/wal
 # The session's one lock, the same way: several publishers to one
 # session must reach every subscriber, the derive engine and history in
 # seq order, a torn-down connection must be pushed nothing more, and a
