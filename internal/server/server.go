@@ -347,9 +347,9 @@ func New(cfg Config) *Server {
 			Registry: treg,
 		}
 		if cfg.DataDir != "" {
-			// Durable history: the WAL opens first (it is the store's
-			// Storage hook), the store builds against it, then Start
-			// replays persisted state before anything can append.
+			// Durable history: the WAL opens first, then the store,
+			// then Start attaches the log to it and replays persisted
+			// state before anything can append.
 			log, err := wal.Open(cfg.DataDir, wal.Options{
 				Fsync:         cfg.Fsync,
 				FsyncInterval: cfg.FsyncInterval,
@@ -363,7 +363,6 @@ func New(cfg Config) *Server {
 			if err != nil {
 				s.walErr = err
 			} else {
-				histCfg.Storage = log
 				s.hist = tsdb.New(histCfg)
 				replay, err := log.Start(s.hist)
 				if err != nil {

@@ -39,10 +39,13 @@ type block struct {
 	// crash having happened.
 	persisted bool
 
-	// firstSeq is the WAL row sequence of the block's first sample (0
-	// without a durability layer). Until the block is persisted, the WAL
-	// must keep every row from it on: Store.OldestUnpersisted.
-	firstSeq uint64
+	// firstSeq and lastSeq are the WAL row sequences of the block's
+	// first and newest samples (0 without a durability layer). Until the
+	// block is persisted, the WAL must keep every row from firstSeq on
+	// (Store.OldestUnpersisted); once it is, replay skips the series'
+	// rows up to lastSeq. Both are the block's own: lastSeq stops moving
+	// when the block seals, whatever the series appends next.
+	firstSeq, lastSeq uint64
 
 	// Encoder state for the next append.
 	lastTS, lastTSDelta int64

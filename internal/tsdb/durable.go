@@ -5,13 +5,13 @@ import (
 	"slices"
 )
 
-// This file is the store's durability surface: the hook interface a
-// persistence layer (internal/tsdb/wal) implements, and the ingestion
-// APIs replay uses to rebuild in-memory state from disk. The store
-// itself stays storage-agnostic — it reports seals, answers which of
-// its samples are not yet on disk, and accepts reconstructed blocks and
-// rollup buckets; everything about files, fsync and mmap lives behind
-// the Storage interface.
+// This file is the store's durability surface: the persist queue a
+// persistence layer (internal/tsdb/wal) drains, and the ingestion APIs
+// replay uses to rebuild in-memory state from disk. The store itself
+// stays storage-agnostic — it holds every sealed block until one is
+// written (Unpersisted), answers which of its samples are not yet on
+// disk, and accepts reconstructed blocks and rollup buckets; everything
+// about files, fsync and mmap lives in the layer that pulls.
 
 // SealedBlock is one immutable sealed block handed to the storage
 // layer (and handed back at replay): the delta-of-delta encoded buffer
@@ -27,60 +27,72 @@ type SealedBlock struct {
 	// or below a series' highest persisted LastSeq — they are already
 	// inside sealed segments.
 	LastSeq uint64
+
+	b *block // the store's block, for MarkPersisted; nil once read back from disk
 }
 
-// Storage receives the store's one durability callback. It keeps no
-// per-series state of its own: which rows still need the WAL is read
-// back from the store (OldestUnpersisted), so the two cannot disagree.
-// Implementations must not call back into the store from OnSeal while
-// assuming any lock state: it always runs outside the store's shard
-// locks, on the goroutine whose append, sweep or flush sealed the
-// blocks.
-type Storage interface {
-	// OnSeal delivers newly sealed blocks, in seal order, and calls
-	// MarkPersisted for each one it has written. The store guarantees it
-	// will not budget-evict a block before OnSeal for it has returned.
-	OnSeal(blocks []SealedBlock)
-}
-
-func sealedBlockOf(key SeriesKey, b *block, lastSeq uint64) SealedBlock {
+func sealedBlockOf(key SeriesKey, b *block) SealedBlock {
 	return SealedBlock{Key: key, Buf: b.buf[:len(b.buf):len(b.buf)], N: b.n,
-		MinTS: b.minTS, MaxTS: b.maxTS, LastSeq: lastSeq}
+		MinTS: b.minTS, MaxTS: b.maxTS, LastSeq: b.lastSeq, b: b}
 }
 
-func (s *Store) fireSeals(seals []SealedBlock) {
-	if len(seals) > 0 && s.cfg.Storage != nil {
-		s.cfg.Storage.OnSeal(seals)
-	}
-}
-
-// SealAllActive seals every non-empty active block, firing the storage
-// hook for each, and reports how many blocks it sealed. It is the
-// graceful-shutdown flush: after it returns (and the storage layer has
-// synced), every sample the store holds is inside a sealed, persisted
-// block and a restart replays no WAL at all.
-func (s *Store) SealAllActive() int {
-	total := 0
+// SealAllActive seals every non-empty active block. It is the
+// graceful-shutdown flush: once the storage layer has written them
+// (Unpersisted, MarkPersisted) and synced, every sample the store holds
+// is inside a sealed, persisted block and a restart replays no WAL at
+// all.
+func (s *Store) SealAllActive() {
 	for i := range s.shards {
 		sh := &s.shards[i]
-		var seals []SealedBlock
 		sh.mu.Lock()
 		for _, e := range sh.m {
 			for _, sr := range e.series {
-				if sr.active == nil || sr.active.n == 0 {
-					continue
+				if sr.active != nil && sr.active.n > 0 {
+					sr.seal()
 				}
-				sealed := sr.active
-				sr.sealed = append(sr.sealed, sealed)
-				sr.active = nil
-				seals = append(seals, sealedBlockOf(sr.key, sealed, sr.lastSeq))
 			}
 		}
 		sh.mu.Unlock()
-		s.fireSeals(seals)
-		total += len(seals)
 	}
-	return total
+}
+
+// Unpersisted is the store's persist queue: every sealed block not yet
+// marked persisted, each series' oldest first. A storage layer writes
+// them in that order and marks each one it wrote (MarkPersisted); at
+// the first write that fails it stops, so the block and every newer
+// block of its series stay queued for its next pass, and a series'
+// persisted blocks stay a gap-free prefix — what lets replay treat its
+// newest persisted LastSeq as a watermark. The store keeps a queued
+// block until it is written or evicted; nothing caps the queue.
+func (s *Store) Unpersisted() []SealedBlock {
+	var out []SealedBlock
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, e := range sh.m {
+			for _, sr := range e.series {
+				for _, b := range sr.unpersisted() {
+					out = append(out, sealedBlockOf(sr.key, b))
+				}
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return out
+}
+
+// MarkPersisted records that sb, as Unpersisted handed it out, is on
+// disk: the block it was taken from is marked — by identity, not by
+// what it holds — so truncation may let its WAL rows go and compaction
+// may evict it. A block evicted since is marked harmlessly.
+func (s *Store) MarkPersisted(sb SealedBlock) {
+	if sb.b == nil {
+		return
+	}
+	sh := s.shardFor(sb.Key.Session)
+	sh.mu.Lock()
+	sb.b.persisted = true
+	sh.mu.Unlock()
 }
 
 // InstallSealed inserts a persisted sealed block during replay. Blocks
@@ -95,14 +107,11 @@ func (s *Store) InstallSealed(sb SealedBlock, mapped bool) {
 	before := sr.mutableBytes()
 	// Replay installs only blocks read back from segment files, so by
 	// construction every installed block is persisted.
-	b := &block{buf: sb.Buf, n: sb.N, minTS: sb.MinTS, maxTS: sb.MaxTS, mapped: mapped, persisted: true}
+	b := &block{buf: sb.Buf, n: sb.N, minTS: sb.MinTS, maxTS: sb.MaxTS, mapped: mapped, persisted: true, lastSeq: sb.LastSeq}
 	sr.sealed = append(sr.sealed, b)
 	sr.samples += uint64(sb.N)
 	if sb.MaxTS > sr.lastTS {
 		sr.lastTS = sb.MaxTS
-	}
-	if sb.LastSeq > sr.lastSeq {
-		sr.lastSeq = sb.LastSeq
 	}
 	IterBlock(sb.Buf, sb.N, func(ts, v int64) bool {
 		for i := range sr.levels {
@@ -151,7 +160,9 @@ func (s *Store) InstallRollup(key SeriesKey, width int64, buckets []Bucket) bool
 // holding identical bytes — the storage layer calls it after a segment
 // file is finalized and mapped, releasing the heap copy. The block is
 // matched by (minTS, n) and verified byte-equal; a block already
-// evicted, already mapped, or not matching is left alone.
+// evicted, already mapped, not matching, or not persisted (a file holds
+// only persisted blocks, and a queued one's identity must hold until
+// MarkPersisted) is left alone.
 func (s *Store) Remap(key SeriesKey, minTS int64, n int, buf []byte) bool {
 	sh := s.shardFor(key.Session)
 	sh.mu.Lock()
@@ -161,7 +172,7 @@ func (s *Store) Remap(key SeriesKey, minTS int64, n int, buf []byte) bool {
 		return false
 	}
 	for i, b := range sr.sealed {
-		if b.mapped || b.minTS != minTS || b.n != n || !bytes.Equal(b.buf, buf) {
+		if b.mapped || !b.persisted || b.minTS != minTS || b.n != n || !bytes.Equal(b.buf, buf) {
 			continue
 		}
 		// A sealed block is immutable — a Query may be decoding it with
@@ -172,30 +183,6 @@ func (s *Store) Remap(key SeriesKey, minTS int64, n int, buf []byte) bool {
 		sr.sealed[i] = &mapped
 		s.bytes.Add(mapped.bytes() - b.bytes())
 		return true
-	}
-	return false
-}
-
-// MarkPersisted flags a sealed block as durably written to a segment
-// file. The storage layer calls it for exactly the blocks whose
-// segment append succeeded; DropSealedUpTo refuses to evict the rest,
-// so a block that degraded to RAM-only stays queryable until retention
-// or the byte budget ages it out. Blocks are matched by (minTS, n) in
-// seal order — the oldest unmarked match is the one whose write just
-// completed, since seals and writes share one order.
-func (s *Store) MarkPersisted(key SeriesKey, minTS int64, n int) bool {
-	sh := s.shardFor(key.Session)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sr := sh.lookup(key)
-	if sr == nil {
-		return false
-	}
-	for _, b := range sr.sealed {
-		if !b.persisted && b.minTS == minTS && b.n == n {
-			b.persisted = true
-			return true
-		}
 	}
 	return false
 }
@@ -250,7 +237,7 @@ func (s *Store) DropSealedUpTo(cutoffs map[SeriesKey]int64) (blocks int) {
 		sh.mu.Lock()
 		if sr := sh.lookup(key); sr != nil {
 			// Stop at the first non-persisted block: it exists nowhere
-			// but memory (its segment write failed), so evicting it —
+			// but memory (no pass has written it yet), so evicting it —
 			// or anything behind it, to keep the ring time-ordered —
 			// would lose samples without any crash.
 			for len(sr.sealed) > 0 && sr.sealed[0].maxTS <= cutoff && sr.sealed[0].persisted {

@@ -16,10 +16,6 @@ type series struct {
 	levels  []rollupLevel
 	lastTS  int64
 	samples uint64
-	// lastSeq is the WAL row sequence of the newest sample (0 when no
-	// durability layer is attached). A seal event captures it so replay
-	// knows exactly which WAL rows the sealed block already covers.
-	lastSeq uint64
 }
 
 func newSeries(key SeriesKey, widths []int64) *series {
@@ -45,13 +41,9 @@ func (sr *series) append(ts, v int64, blockSamples int, seq uint64) (deltaBytes 
 		sr.active = &block{firstSeq: seq}
 	}
 	sr.active.appendSample(ts, v)
-	if seq > sr.lastSeq {
-		sr.lastSeq = seq
-	}
+	sr.active.lastSeq = max(sr.active.lastSeq, seq)
 	if sr.active.n >= blockSamples {
-		sealed = sr.active
-		sr.sealed = append(sr.sealed, sr.active)
-		sr.active = nil
+		sealed = sr.seal()
 	}
 	for i := range sr.levels {
 		sr.levels[i].append(ts, v)
@@ -63,6 +55,29 @@ func (sr *series) append(ts, v int64, blockSamples int, seq uint64) (deltaBytes 
 		deltaBytes += sealed.bytes() // left the mutable part, still charged
 	}
 	return deltaBytes, sealed
+}
+
+// seal moves the active block to the end of the sealed ring, where it
+// waits, unpersisted, for the storage layer's next pass (Unpersisted),
+// and returns it. The budget charge is unchanged.
+func (sr *series) seal() *block {
+	b := sr.active
+	sr.sealed = append(sr.sealed, b)
+	sr.active = nil
+	return b
+}
+
+// unpersisted returns the sealed blocks no storage pass has written, in
+// ring order. They are the ring's tail: a pass persists each series'
+// blocks oldest first and stops at the first it cannot write, and
+// blocks leave the ring only from its front, so the walk from the back
+// costs the blocks waiting, not the ones on disk.
+func (sr *series) unpersisted() []*block {
+	i := len(sr.sealed)
+	for i > 0 && !sr.sealed[i-1].persisted {
+		i--
+	}
+	return sr.sealed[i:]
 }
 
 // mutableBytes is the budget charge of the parts an append can grow:

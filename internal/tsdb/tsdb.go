@@ -60,11 +60,11 @@ type Config struct {
 	// and query latency histograms plus byte/series/sample gauges. Nil
 	// keeps the store entirely uninstrumented (zero overhead).
 	Registry *telemetry.Registry
-	// Storage, when set, receives every sealed block so it can be
-	// persisted. The callback runs outside all store locks, on the
-	// goroutine whose append, sweep or flush sealed the block. Nil keeps
-	// the store RAM-only.
-	Storage Storage
+	// Storage is ignored. The store pushes nothing to a storage layer: a
+	// durability layer pulls sealed blocks with Unpersisted (wal.Log
+	// does, once Start attaches it). The field stays for callers that
+	// still assign the log here.
+	Storage any
 }
 
 func (c *Config) fill() {
@@ -227,14 +227,15 @@ func (s *Store) AppendBatch(session uint64, ts int64, events []string, vals []in
 
 // AppendBatchSeq is the store's one append: AppendBatch carrying the
 // WAL row sequence number of the batch (internal/tsdb/wal assigns it
-// before handing the row down). Seal events capture the newest
-// sequence a block covers, which is what lets replay skip exactly the
-// WAL rows already persisted inside sealed segments. Seq 0 means "no
-// durability layer".
-func (s *Store) AppendBatchSeq(session uint64, ts int64, events []string, vals []int64, seq uint64) {
+// before handing the row down). Each block records the sequences it
+// covers, which is what lets replay skip exactly the WAL rows already
+// persisted inside sealed segments. Seq 0 means "no durability layer".
+// It reports whether the row sealed a block, so a durability layer
+// knows when its persist pass has something to write.
+func (s *Store) AppendBatchSeq(session uint64, ts int64, events []string, vals []int64, seq uint64) (sealed bool) {
 	n := min(len(events), len(vals))
 	if n == 0 {
-		return
+		return false
 	}
 	if s.appendLat != nil {
 		// One observation per batch call, not per sample: the
@@ -244,17 +245,14 @@ func (s *Store) AppendBatchSeq(session uint64, ts int64, events []string, vals [
 	}
 	var delta int64
 	var evicted uint64
-	var seals []SealedBlock
 	sh := s.shardFor(session)
 	sh.mu.Lock()
 	e := sh.entryFor(session)
 	for i := 0; i < n; i++ {
 		sr := s.seriesFor(e, SeriesKey{Session: session, Event: events[i]})
-		d, sealed := sr.append(ts, vals[i], s.cfg.BlockSamples, seq)
+		d, b := sr.append(ts, vals[i], s.cfg.BlockSamples, seq)
 		delta += d
-		if sealed != nil {
-			seals = append(seals, sealedBlockOf(sr.key, sealed, sr.lastSeq))
-		}
+		sealed = sealed || b != nil
 		if s.cfg.MaxAge > 0 {
 			freed, dropped := sr.evictExpired(ts - s.cfg.MaxAge.Microseconds())
 			delta -= freed
@@ -266,12 +264,10 @@ func (s *Store) AppendBatchSeq(session uint64, ts int64, events []string, vals [
 	if evicted > 0 {
 		s.evictions.Add(evicted)
 	}
-	// Persist before any budget eviction can run: a sealed block must
-	// reach the storage layer before the store is allowed to drop it.
-	s.fireSeals(seals)
 	if s.bytes.Add(delta) > s.cfg.MaxBytes {
 		s.evictToBudget()
 	}
+	return sealed
 }
 
 // evictToBudget drops globally-oldest sealed blocks until the store is
@@ -337,17 +333,12 @@ func (s *Store) sealOldestActive() bool {
 	}
 	sh := s.shardFor(key.Session)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	sr := sh.lookup(key)
 	if sr == nil || sr.active == nil || sr.active.n == 0 {
-		sh.mu.Unlock()
 		return false
 	}
-	sealed := sr.active
-	sr.sealed = append(sr.sealed, sealed)
-	sr.active = nil
-	sb := sealedBlockOf(key, sealed, sr.lastSeq)
-	sh.mu.Unlock()
-	s.fireSeals([]SealedBlock{sb})
+	sr.seal()
 	return true
 }
 
@@ -363,7 +354,6 @@ func (s *Store) Sweep(now int64) (evicted int64) {
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
-		var seals []SealedBlock
 		sh.mu.Lock()
 		for session, e := range sh.m {
 			kept := e.series[:0]
@@ -371,10 +361,10 @@ func (s *Store) Sweep(now int64) (evicted int64) {
 				if sr.active != nil && sr.active.maxTS < cutoff {
 					// A finished session stops appending, so its last
 					// partial block would otherwise never seal or expire.
-					sealed := sr.active
-					sr.sealed = append(sr.sealed, sealed)
-					sr.active = nil
-					seals = append(seals, sealedBlockOf(sr.key, sealed, sr.lastSeq))
+					// Every sealed block is older, so evictExpired drops
+					// them all with it, under this lock: no storage pass
+					// ever sees an expired block.
+					sr.seal()
 				}
 				freed, events := sr.evictExpired(cutoff)
 				s.bytes.Add(-freed)
@@ -397,7 +387,6 @@ func (s *Store) Sweep(now int64) (evicted int64) {
 			}
 		}
 		sh.mu.Unlock()
-		s.fireSeals(seals)
 	}
 	return evicted
 }

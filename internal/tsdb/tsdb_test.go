@@ -381,14 +381,14 @@ func TestQuerySeesWholeRows(t *testing.T) {
 // -race, this is the gate: Remap must put the mapped bytes in a new
 // block, never assign into one a scan may hold.
 func TestRemapWhileScanning(t *testing.T) {
-	hook := &hookRecorder{}
-	st := New(Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: 8, Storage: hook})
+	st := New(Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: 8})
 	key := SeriesKey{Session: 1, Event: "E"}
 	for _, s := range genCounter(8*512+3, 1000, 7) {
 		st.Append(key.Session, key.Event, s.ts, s.v)
 	}
-	if len(hook.sealed) != 512 {
-		t.Fatalf("%d blocks sealed, want 512", len(hook.sealed))
+	sealed := persistAll(st)
+	if len(sealed) != 512 {
+		t.Fatalf("%d blocks sealed, want 512", len(sealed))
 	}
 	q := Query{From: 0, To: math.MaxInt64}
 	want := st.Query(key.Session, q)[0].Buckets
@@ -412,7 +412,7 @@ func TestRemapWhileScanning(t *testing.T) {
 		}
 	}()
 	<-scanning
-	for _, sb := range hook.sealed {
+	for _, sb := range sealed {
 		if !st.Remap(key, sb.MinTS, sb.N, bytes.Clone(sb.Buf)) {
 			t.Errorf("Remap refused the sealed block at %d", sb.MinTS)
 		}
@@ -422,7 +422,7 @@ func TestRemapWhileScanning(t *testing.T) {
 	if got, want := st.Stats().Bytes, recountBytes(st); got != want {
 		t.Errorf("after remapping: running total %d, recount %d", got, want)
 	}
-	if st.Remap(key, hook.sealed[0].MinTS, hook.sealed[0].N, hook.sealed[0].Buf) {
+	if st.Remap(key, sealed[0].MinTS, sealed[0].N, sealed[0].Buf) {
 		t.Error("Remap re-matched an already-mapped block")
 	}
 }
@@ -498,11 +498,15 @@ func TestDropSealedUpToSparesUnpersisted(t *testing.T) {
 	if n := st.DropSealedUpTo(map[SeriesKey]int64{key: 1 << 60}); n != 0 {
 		t.Fatalf("dropped %d blocks no storage layer ever persisted", n)
 	}
-	if !st.MarkPersisted(key, 0, 4) || !st.MarkPersisted(key, 4000, 4) {
-		t.Fatal("MarkPersisted did not match the sealed blocks")
+	// A pass whose disk fills after two blocks: the third stays queued.
+	queued := st.Unpersisted()
+	if len(queued) != 3 || queued[0].MinTS != 0 || queued[1].MinTS != 4000 {
+		t.Fatalf("Unpersisted did not queue the sealed blocks oldest first: %+v", queued)
 	}
-	if st.MarkPersisted(key, 0, 4) {
-		t.Fatal("MarkPersisted re-matched an already-persisted block")
+	st.MarkPersisted(queued[0])
+	st.MarkPersisted(queued[1])
+	if again := st.Unpersisted(); len(again) != 1 || again[0].MinTS != 8000 {
+		t.Fatalf("Unpersisted re-queued an already-persisted block: %+v", again)
 	}
 	if n := st.DropSealedUpTo(map[SeriesKey]int64{key: 1 << 60}); n != 2 {
 		t.Fatalf("dropped %d blocks, want exactly the 2 persisted ones", n)
@@ -714,7 +718,7 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 				b.appendSample(ts+k, k)
 			}
 			ts += 20
-			st.InstallSealed(sealedBlockOf(SeriesKey{Session: 50 + sess, Event: "R"}, &b, 0), rng.Intn(2) == 0)
+			st.InstallSealed(sealedBlockOf(SeriesKey{Session: 50 + sess, Event: "R"}, &b), rng.Intn(2) == 0)
 			check("InstallSealed", i)
 		case 3:
 			st.InstallRollup(SeriesKey{Session: 50 + sess, Event: "R"}, st.widths[0],
@@ -726,8 +730,8 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 			// sealed blocks go only as far as MarkPersisted has vouched.
 			inst := SeriesKey{Session: 50 + sess, Event: "R"}
 			app := SeriesKey{Session: sess, Event: events[rng.Intn(len(events))]}
-			if b := oldestUnpersisted(st, app); b != nil && rng.Intn(2) == 0 {
-				st.MarkPersisted(app, b.minTS, b.n)
+			if oldestUnpersisted(st, app) != nil && rng.Intn(2) == 0 {
+				persistAll(st)
 			}
 			compacted += st.DropSealedUpTo(map[SeriesKey]int64{inst: ts - 500_000, app: ts - 500_000})
 			check("DropSealedUpTo", i)
@@ -760,12 +764,15 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 	}
 }
 
-// hookRecorder is a Storage that remembers the blocks the store sealed.
-type hookRecorder struct {
-	sealed []SealedBlock
+// persistAll is a storage pass whose every write succeeds: it marks
+// each queued block persisted and returns them.
+func persistAll(st *Store) []SealedBlock {
+	written := st.Unpersisted()
+	for _, sb := range written {
+		st.MarkPersisted(sb)
+	}
+	return written
 }
-
-func (h *hookRecorder) OnSeal(blocks []SealedBlock) { h.sealed = append(h.sealed, blocks...) }
 
 // TestSweepThenRecreate: the session's entry is the event index, so
 // Events, a filterless Query, Stats().Series and the papid_tsdb_series
@@ -849,12 +856,12 @@ func TestSweepDropsRollupOnlySeries(t *testing.T) {
 // TestOldestUnpersisted: the store answers which WAL rows it still
 // needs — the first sequence of its oldest block not on disk — case by
 // case: an active block, a sealed block whose write has not succeeded,
-// the same once MarkPersisted says it has, a series Sweep dropped whole,
-// the series appending again, and rows that came with no sequence.
+// the same once a storage pass has written it, a series Sweep dropped
+// whole, the series appending again, and rows that came with no
+// sequence.
 func TestOldestUnpersisted(t *testing.T) {
 	const minute = int64(time.Minute / time.Microsecond)
-	hook := &hookRecorder{}
-	st := New(Config{MaxBytes: 1 << 30, MaxAge: time.Minute, BlockSamples: 4, Storage: hook})
+	st := New(Config{MaxBytes: 1 << 30, MaxAge: time.Minute, BlockSamples: 4})
 	key := SeriesKey{Session: 3, Event: "E"}
 	want := func(step string, seq uint64) {
 		t.Helper()
@@ -868,13 +875,12 @@ func TestOldestUnpersisted(t *testing.T) {
 	for seq := uint64(6); seq <= 9; seq++ {
 		st.AppendBatchSeq(key.Session, int64(seq), []string{key.Event}, []int64{int64(seq)}, seq)
 	}
-	if len(hook.sealed) != 1 {
-		t.Fatalf("%d blocks sealed, want 1", len(hook.sealed))
+	if n := len(st.Unpersisted()); n != 1 {
+		t.Fatalf("%d blocks sealed, want 1", n)
 	}
 	want("sealed, not persisted", 5)
-	sb := hook.sealed[0]
-	if !st.MarkPersisted(sb.Key, sb.MinTS, sb.N) {
-		t.Fatal("MarkPersisted found no block")
+	if written := persistAll(st); len(written) != 1 || written[0].LastSeq != 8 {
+		t.Fatalf("persisted %+v, want the one block, through seq 8", written)
 	}
 	want("sealed block persisted", 9)
 	st.Sweep(10 * minute)

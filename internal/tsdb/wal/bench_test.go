@@ -19,7 +19,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			store := tsdb.New(tsdb.Config{Storage: l, MaxBytes: 1 << 30, MaxAge: -1})
+			store := tsdb.New(tsdb.Config{MaxBytes: 1 << 30, MaxAge: -1})
 			if _, err := l.Start(store); err != nil {
 				b.Fatal(err)
 			}
@@ -58,9 +58,7 @@ func BenchmarkReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	seedCfg := cfg
-	seedCfg.Storage = l
-	if _, err := l.Start(tsdb.New(seedCfg)); err != nil {
+	if _, err := l.Start(tsdb.New(cfg)); err != nil {
 		b.Fatal(err)
 	}
 	vals := make([]int64, len(events))
@@ -81,9 +79,7 @@ func BenchmarkReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := cfg
-		c.Storage = l
-		rs, err := l.Start(tsdb.New(c))
+		rs, err := l.Start(tsdb.New(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}

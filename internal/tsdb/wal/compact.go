@@ -48,9 +48,10 @@ func (l *Log) Compact(now int64) (CompactStats, error) {
 	if l.store == nil {
 		return cs, fmt.Errorf("wal: Compact before Start")
 	}
-	// Retry RAM-only sealed blocks first: once persisted they can be
-	// compacted, and until then DropSealedUpTo refuses to evict them.
-	l.OnSeal(nil)
+	// Write the sealed blocks still waiting first: once persisted they
+	// can be compacted, and until then DropSealedUpTo refuses to evict
+	// them.
+	l.persist()
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
 	expiry := l.expiry(now)

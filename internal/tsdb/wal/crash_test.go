@@ -17,58 +17,26 @@ import (
 	"repro/internal/tsdb"
 )
 
-// sealHook is the log as the store's Storage, with a callback run once
-// after the next OnSeal returns: on the goroutine, and at the moment,
-// the store fires it — for a Sweep, after the shard lock that decided
-// which series expired has been released.
-type sealHook struct {
-	*Log
-	after func()
-}
-
-func (h *sealHook) OnSeal(blocks []tsdb.SealedBlock) {
-	h.Log.OnSeal(blocks)
-	if f := h.after; f != nil {
-		h.after = nil
-		f()
-	}
-}
-
 // TestRowInSweepDropWindowSurvivesCrash: Sweep expires a session whole,
-// releases the shard lock, fires the seal of the session's last block —
-// and a row for that session is journaled right then, before the sweep
-// has finished. The row is acked and served. It must survive filler
-// traffic that rotates the WAL many times over, and a crash: no WAL
-// file holding it may be deleted while the store holds it outside a
-// persisted block. Files older than it still go.
+// and a row for that session is journaled right after it returns,
+// before any persist pass has run. The row is acked and served. It must
+// survive filler traffic that rotates the WAL many times over, and a
+// crash: no WAL file holding it may be deleted while the store holds it
+// outside a persisted block. Files older than it still go.
 func TestRowInSweepDropWindowSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
 	const minute = int64(time.Minute / time.Microsecond)
 	opts := noCompact(Options{Fsync: FsyncAlways, SegmentBytes: 16 << 10, Registry: telemetry.NewRegistry()})
-	l, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hook := &sealHook{Log: l}
-	cfg := tsdb.Config{Storage: hook, MaxBytes: 1 << 30, MaxAge: time.Minute, BlockSamples: 64}
-	store := tsdb.New(cfg)
-	if _, err := l.Start(store); err != nil {
-		t.Fatal(err)
-	}
+	l, store, _ := openPair(t, dir, opts, tsdb.Config{MaxBytes: 1 << 30, MaxAge: time.Minute, BlockSamples: 64})
 	now := 10 * minute
 	late := rawSample{session: 1, event: "PAPI_TOT_CYC", ts: now, v: 42}
 	filler := []string{"PAPI_TOT_CYC", "PAPI_TOT_INS"}
 	appendTicks(t, l, late.session, []string{late.event}, 10, 0, 100_000)
 	appendTicks(t, l, 2, filler, 2500, now-30_000_000, 10_000)
 
-	hook.after = func() {
-		if err := l.AppendBatch(late.session, late.ts, []string{late.event}, []int64{late.v}); err != nil {
-			t.Errorf("append in the drop window: %v", err)
-		}
-	}
 	store.Sweep(now)
-	if hook.after != nil {
-		t.Fatal("the sweep fired no seal")
+	if err := l.AppendBatch(late.session, late.ts, []string{late.event}, []int64{late.v}); err != nil {
+		t.Errorf("append in the drop window: %v", err)
 	}
 	if !servedRaw(store, late.session, late.session)[late] {
 		t.Fatalf("the live store does not serve %+v, appended in the drop window", late)

@@ -107,6 +107,8 @@ func (l *Log) Start(store *tsdb.Store) (ReplayStats, error) {
 	// query on rather than from the first sweep.
 	store.Sweep(l.opts.Clock.Now().UnixMicro())
 	store.EnforceBudget()
+	// Replayed rows can seal blocks; write what the store still holds.
+	l.persist()
 	l.bg.Add(1)
 	go l.run()
 	return rs, nil
@@ -159,9 +161,9 @@ func (l *Log) replayWALFile(m *walFileMeta, sealed map[tsdb.SeriesKey]uint64, rs
 		if len(keepEv) == 0 {
 			continue
 		}
-		// Can seal blocks mid-replay; OnSeal then persists them to a
-		// fresh segment as usual. Rows arrive in sequence order, so no
-		// such seal covers a row still to come.
+		// Can seal blocks mid-replay; the persist pass at the end of
+		// Start writes them to a fresh segment. Rows arrive in sequence
+		// order, so no such seal covers a row still to come.
 		l.store.AppendBatchSeq(row.session, row.ts, keepEv, keepVals, row.seq)
 		rs.Rows++
 		rs.Samples += uint64(len(keepEv))

@@ -180,7 +180,7 @@ func seedDir(tb testing.TB, clean bool) map[string][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	store := tsdb.New(tsdb.Config{Storage: l, MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: seedBlockSamples})
+	store := tsdb.New(tsdb.Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: seedBlockSamples})
 	if _, err := l.Start(store); err != nil {
 		tb.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func serveDir(tb testing.TB, root string, files map[string][]byte) (map[rawSampl
 		if l, err = Open(dir, noCompact(Options{Fsync: FsyncOff})); err != nil {
 			return
 		}
-		store = tsdb.New(tsdb.Config{Storage: l, MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: seedBlockSamples})
+		store = tsdb.New(tsdb.Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: seedBlockSamples})
 		_, err = l.Start(store)
 	})
 	if l != nil {

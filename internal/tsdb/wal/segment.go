@@ -12,7 +12,7 @@ import (
 )
 
 // Segment files hold sealed data: 'B' records (raw delta-of-delta
-// blocks, written as the store seals them), and for compacted segments
+// blocks, written by the persist pass), and for compacted segments
 // a 'C' provenance record, 'R' rollup runs and 'W' watermarks. A segment
 // being written is a plain append-only file; when it fills (or at
 // graceful shutdown) it is finalized — a fixed footer is appended and

@@ -9,14 +9,13 @@
 // alone: disk keeps what the store serves, and a restart serves nothing
 // the store had expired.
 //
-// The store knows nothing about files: it exposes the tsdb.Storage
-// hook interface plus replay-side install APIs, and this package is
-// the only implementation. Wiring order matters — Open the log first,
-// hand it to tsdb.New as Config.Storage, then call Start(store) to
-// replay before the first append:
+// The store knows nothing about files: it holds every sealed block
+// until this package pulls it (Store.Unpersisted) and exposes
+// replay-side install APIs. Wiring order matters — Open the log, build
+// the store, then call Start(store) to replay before the first append:
 //
 //	log, _ := wal.Open(dir, wal.Options{...})
-//	store := tsdb.New(tsdb.Config{Storage: log, ...})
+//	store := tsdb.New(tsdb.Config{...})
 //	replay, _ := log.Start(store)
 package wal
 
@@ -133,9 +132,10 @@ type ReplayStats struct {
 	Segments    int    `json:"segments"`
 }
 
-// Log is the durability layer: tsdb.Storage implementation plus the
-// WAL writer. One Log owns one data directory. It keeps no per-series
-// state: the store's blocks say which rows are on disk.
+// Log is the durability layer: the WAL writer, and the persist pass
+// that writes the store's sealed blocks into segment files. One Log
+// owns one data directory. It keeps no per-series state and no queue:
+// the store's blocks say which are on disk and which rows they cover.
 type Log struct {
 	dir   string
 	opts  Options
@@ -145,7 +145,7 @@ type Log struct {
 	// inside AppendRowsTraced — row sequence order is store insertion
 	// order, which replay relies on — and WAL truncation, so every row a
 	// truncation weighs has reached the store. Lock order: mu → segMu,
-	// mu → store shard locks; segMu → shard locks (Remap, compaction).
+	// mu → store shard locks; segMu → shard locks (the persist pass).
 	mu       sync.Mutex
 	wf       *os.File
 	wwr      io.Writer // wf through l.writer
@@ -157,19 +157,11 @@ type Log struct {
 	oldWALs  []walFileMeta
 	scratch  []byte
 
-	segMu      sync.Mutex
+	segMu      sync.Mutex // held across a whole persist pass
 	sw         *segmentWriter
 	segs       []*segment
 	nextSegSeq uint64
-	// pending holds sealed blocks whose segment write failed, in seal
-	// order. They are retried before any newer block is written, so
-	// each series' persisted blocks remain a gap-free sequence prefix —
-	// the invariant that lets replay treat a series' newest persisted
-	// sequence as a single watermark. Bounded by maxPending; overflow
-	// blocks stay WAL-only (unpersisted in the store, so truncation
-	// keeps their rows).
-	pending   []tsdb.SealedBlock
-	compactMu sync.Mutex // serializes compaction passes
+	compactMu  sync.Mutex // serializes compaction passes
 
 	closed  atomic.Bool
 	started atomic.Bool
@@ -360,11 +352,12 @@ func (l *Log) registerTelemetry(reg *telemetry.Registry) {
 	})
 	reg.NewGaugeFunc(telemetry.Opts{
 		Name: "papid_wal_pending_blocks",
-		Help: "Sealed blocks whose segment write failed, awaiting retry.",
+		Help: "Sealed blocks the store holds that no persist pass has written yet.",
 	}, func() float64 {
-		l.segMu.Lock()
-		defer l.segMu.Unlock()
-		return float64(len(l.pending))
+		if l.store == nil {
+			return 0
+		}
+		return float64(len(l.store.Unpersisted()))
 	})
 	reg.NewGaugeFunc(telemetry.Opts{
 		Name: "papid_wal_disk_bytes",
@@ -415,7 +408,7 @@ func (l *Log) AppendRowsTraced(rows []Row, t *tracing.Trace) error {
 	defer l.mu.Unlock()
 	sp := t.StartSpan(tracing.NoSpan, "wal.append")
 	var firstErr error
-	wrote := false
+	wrote, sealed := false, false
 	for i := range rows {
 		r := &rows[i]
 		events, vals := r.Events, r.Vals
@@ -444,7 +437,12 @@ func (l *Log) AppendRowsTraced(rows []Row, t *tracing.Trace) error {
 				}
 			}
 		}
-		l.store.AppendBatchSeq(r.Session, r.TS, events, vals, seq)
+		if l.store.AppendBatchSeq(r.Session, r.TS, events, vals, seq) {
+			sealed = true
+		}
+	}
+	if sealed {
+		l.persist()
 	}
 	if t != nil {
 		t.AnnotateInt(sp, "rows", int64(len(rows)))
@@ -465,59 +463,39 @@ func (l *Log) AppendRowsTraced(rows []Row, t *tracing.Trace) error {
 	return firstErr
 }
 
-// maxPending bounds the segment-write retry queue. Beyond it, newly
-// sealed blocks are not queued: they stay WAL-only (the store holds
-// them unpersisted, so the WAL keeps their only durable copy), instead
-// of holding an unbounded number of block buffers alive while the disk
-// stays broken.
-const maxPending = 256
-
-// OnSeal implements tsdb.Storage: persist newly sealed blocks into the
-// active segment, rotating and finalizing it when full. An empty call
-// just retries queued blocks.
+// persist is the one way sealed blocks reach disk: under segMu, it asks
+// the store for every sealed block not yet persisted, each series'
+// oldest first, and writes them to the active segment, rotating and
+// finalizing it when full. Each block is marked persisted in the store
+// as its write succeeds, before segMu is released and before any
+// remap, so no pass writes a block another has written. It runs after
+// an append that sealed, on the interval fsync tick, at the top of
+// Compact, at the end of Start and in Close.
 //
-// Only blocks whose segment write succeeded are marked persisted in the
-// store — a failed block stays unpersisted, which keeps its WAL rows
-// (truncation must not delete their only durable copy), the writer is
-// retired without a footer (partial bytes may sit behind its last whole
-// record), and the block is queued for retry ahead of any newer seal so
-// a series' persisted blocks never develop a gap that replay's
-// watermark would silently skip over.
-func (l *Log) OnSeal(blocks []tsdb.SealedBlock) {
+// A failed write ends the pass: the writer is retired without a footer
+// (partial bytes may sit behind its last whole record), and the block
+// and every newer block of its series stay unpersisted. The store keeps
+// them, so truncation keeps their WAL rows, and the next pass retries
+// them in order — a series' persisted blocks never develop a gap that
+// replay's watermark would silently skip over.
+func (l *Log) persist() {
 	var retired *segment
 	l.segMu.Lock()
-	if len(blocks) == 0 && len(l.pending) == 0 {
-		l.segMu.Unlock()
-		return
-	}
-	queue := make([]tsdb.SealedBlock, 0, len(l.pending)+len(blocks))
-	queue = append(append(queue, l.pending...), blocks...)
-	var written []tsdb.SealedBlock
-	idx := 0
-	for ; idx < len(queue); idx++ {
-		sb := queue[idx]
-		if err := l.ensureWriterLocked(); err != nil {
+	for _, sb := range l.store.Unpersisted() {
+		err := l.ensureWriterLocked()
+		if err == nil {
+			if err = l.sw.writeBlock(sb); err != nil {
+				retired = l.retireWriterLocked(false)
+			}
+		}
+		if err != nil {
 			l.writeErrs.Add(1)
-			l.logger.Error("segment create failed; sealed block queued for retry", "err", err)
+			l.logger.Error("segment write failed; sealed blocks wait for the next pass", "err", err)
 			break
 		}
-		if err := l.sw.writeBlock(sb); err != nil {
-			l.writeErrs.Add(1)
-			l.logger.Error("segment append failed; sealed block queued for retry",
-				"err", err, "path", l.sw.path)
-			retired = l.retireWriterLocked(false)
-			break
-		}
+		l.store.MarkPersisted(sb)
 		l.sealed.Add(1)
-		written = append(written, sb)
 	}
-	rest := queue[idx:]
-	if len(rest) > maxPending {
-		l.logger.Error("segment retry queue full; newest sealed blocks stay WAL-only",
-			"unqueued", len(rest)-maxPending)
-		rest = rest[:maxPending]
-	}
-	l.pending = append(l.pending[:0], rest...)
 	if l.sw != nil && l.opts.Fsync == FsyncAlways {
 		l.fsyncSegLocked()
 	}
@@ -525,16 +503,6 @@ func (l *Log) OnSeal(blocks []tsdb.SealedBlock) {
 		retired = l.retireWriterLocked(true)
 	}
 	l.segMu.Unlock()
-
-	if l.store != nil {
-		for _, sb := range written {
-			// The store now knows the block is on disk: truncation may
-			// let its WAL rows go, and compaction's DropSealedUpTo may
-			// evict it. Everything else is memory's only copy.
-			l.store.MarkPersisted(sb.Key, sb.MinTS, sb.N)
-		}
-	}
-
 	l.remap(retired)
 }
 
@@ -711,7 +679,7 @@ func (l *Log) run() {
 		case <-l.stopCh:
 			return
 		case <-syncC:
-			l.OnSeal(nil) // retry RAM-only sealed blocks on the interval tick
+			l.persist() // retry blocks an earlier pass could not write
 			l.Sync()
 		case <-compact.C:
 			if _, err := l.Compact(l.opts.Clock.Now().UnixMicro()); err != nil {
@@ -765,9 +733,9 @@ func (l *Log) Close() error {
 		l.bg.Wait()
 	}
 	if l.store != nil {
-		l.store.SealAllActive() // fires OnSeal → segment writes
+		l.store.SealAllActive()
+		l.persist()
 	}
-	l.OnSeal(nil) // drain the retry queue for blocks SealAllActive did not cover
 	var retired *segment
 	l.segMu.Lock()
 	if l.sw != nil {

@@ -28,7 +28,6 @@ func openPair(t *testing.T, dir string, opts Options, cfg tsdb.Config) (*Log, *t
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	cfg.Storage = l
 	if cfg.MaxBytes == 0 {
 		cfg.MaxBytes = 256 << 20
 	}

@@ -73,10 +73,12 @@ done
 go test -race -count=20 -run '^(TestQuerySeesWholeRows|TestRemapWhileScanning)$' ./internal/tsdb
 # The WAL against the store's sweep: a row journaled while Sweep drops
 # its series must keep its WAL file until the store holds it on disk —
-# once by construction (a row appended from inside the sweep's seal
-# callback), once by two publishers racing a sweeping clock — and every
-# acked row inside retention must survive a crash.
-go test -race -count=20 -run '^(TestRowInSweepDropWindowSurvivesCrash|TestSweepRacingAppendsKeepsAckedRows)$' ./internal/tsdb/wal
+# once by construction (a row appended right after the sweep, before
+# any persist pass), once by two publishers racing a sweeping clock —
+# and every acked row inside retention must survive a crash. Persist
+# passes from appends, the fsync tick and Compact racing each other
+# must write no block twice.
+go test -race -count=20 -run '^(TestRowInSweepDropWindowSurvivesCrash|TestSweepRacingAppendsKeepsAckedRows|TestPersistPassRacesSweepsAndCompactions)$' ./internal/tsdb/wal
 # The session's one lock, the same way: several publishers to one
 # session must reach every subscriber, the derive engine and history in
 # seq order, a torn-down connection must be pushed nothing more, and a
