@@ -71,13 +71,11 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline; a trip evicts the connection (0 disables)")
 	writeQueue := flag.Int("write-queue", 64, "per-connection outbound frame queue depth, the only queue between fan-out and the socket (subscriber frames dropped oldest-first when full)")
 	retention := flag.Duration("retention", 15*time.Minute, "history age limit, in memory and on disk (0 keeps until -tsdb-mem evicts)")
-	tsdbMem := flag.Int64("tsdb-mem", 8<<20, "history store memory budget in bytes (0 disables QUERY history)")
+	tsdbMem := flag.Int64("tsdb-mem", 8<<20, "history store byte budget: how much raw history is kept, in memory and, with -data-dir, on disk (older raw history is kept as 10s/60s rollups; 0 disables QUERY history)")
 	dataDir := flag.String("data-dir", "", "directory for durable history (WAL + sealed segments); empty keeps history RAM-only")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval or off")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "period of the interval fsync policy")
 	walSegBytes := flag.Int64("wal-segment-bytes", 4<<20, "WAL/segment file rotation size in bytes")
-	walDiskBytes := flag.Int64("wal-disk-bytes", 64<<20, "raw segment byte budget before compaction to rollup resolution (0 disables)")
-	walCompactAfter := flag.Duration("wal-compact-after", 0, "compact raw segments older than this into rollups (0 = budget-driven only)")
 	groups := flag.String("groups", "", "comma-separated derived-metric groups evaluated on every session whose events cover them (see papi-avail -groups)")
 	deriveRules := flag.String("derive-rules", "", "comma-separated threshold rules metric<bound[:N] or metric>bound[:N] firing a warning after N consecutive breaches")
 	httpAddr := flag.String("http", "", "admin listen address serving /metrics, /statusz, /tracez and /debug/pprof/ (empty disables)")
@@ -124,10 +122,6 @@ func main() {
 	if slow == 0 {
 		slow = -1
 	}
-	walDisk := *walDiskBytes
-	if walDisk == 0 {
-		walDisk = -1
-	}
 	srv := server.New(server.Config{
 		DefaultPlatform: *platform,
 		Groups:          splitList(*groups),
@@ -145,8 +139,6 @@ func main() {
 		Fsync:           *fsync,
 		FsyncInterval:   *fsyncInterval,
 		WALSegmentBytes: *walSegBytes,
-		WALDiskBytes:    walDisk,
-		WALCompactAfter: *walCompactAfter,
 		SlowOp:          slow,
 		TraceSample:     *traceSample,
 		TraceSlow:       *traceSlow,

@@ -161,14 +161,15 @@ func TestDurableRestartAfterCrash(t *testing.T) {
 // raw, both rollup steps, and a derived metric over each — must come
 // back from a crash after it as the live server answered before it.
 func TestDurableRestartAfterTwoCompactions(t *testing.T) {
-	fk := clock.NewFake(time.UnixMicro(1_000_000))
+	// 50 s in, so the 20 s of rows below cross a 60 s window edge.
+	fk := clock.NewFake(time.UnixMicro(50_000_000))
 	cfg := Config{
 		TickInterval:    time.Hour,
 		TSDBRetention:   -1,
 		DataDir:         t.TempDir(),
 		Fsync:           "off",
+		TSDBMaxBytes:    16 << 10,
 		WALSegmentBytes: 8 << 10,
-		WALCompactAfter: time.Minute,
 		clock:           fk,
 	}
 	srv := New(cfg)
@@ -194,10 +195,13 @@ func TestDurableRestartAfterTwoCompactions(t *testing.T) {
 		raw, rolled, _ = strings.Cut(durableQueries(t, srv, id, 0, 1<<60), "\n")
 		return raw, rolled + sb.String()
 	}
+	// Rows 500 µs apart: 20 s in all, so the log's background pass
+	// (every 30 s of its clock) never runs and the two below are the
+	// only compactions.
 	var want string
 	for pass := 1; pass <= 2; pass++ {
 		for i := 0; i < 20_000; i++ {
-			fk.Advance(10 * time.Millisecond)
+			fk.Advance(500 * time.Microsecond)
 			n := int64(pass*20_000 + i)
 			resp := srv.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: id,
 				Events: []string{"PAPI_TOT_CYC", "PAPI_TOT_INS"}, Values: []int64{n * 4, n * 2}})
@@ -210,6 +214,9 @@ func TestDurableRestartAfterTwoCompactions(t *testing.T) {
 		if err != nil || cs.RawBlocks == 0 || cs.Compacted < pass {
 			t.Fatalf("compaction %d folded %+v (%v)", pass, cs, err)
 		}
+	}
+	if n := stat(t, srv, "wal_compactions"); n != 2 {
+		t.Errorf("%d compactions, want the test's two alone", n)
 	}
 	wantRaw, got := views(srv)
 	if got != want {

@@ -112,8 +112,10 @@ type Config struct {
 	// full; a queue jammed with undroppable reply frames evicts the
 	// connection instead of blocking the server.
 	WriteQueueDepth int
-	// TSDBMaxBytes bounds the embedded history store's memory
-	// (default 8 MiB); negative disables history entirely.
+	// TSDBMaxBytes bounds the embedded history store (default 8 MiB);
+	// negative disables history entirely. It is the one byte budget:
+	// on a durable server disk keeps raw only what the store still
+	// holds raw, and a restart serves no more.
 	TSDBMaxBytes int64
 	// TSDBRetention expires history older than this (default 15m);
 	// negative keeps history until the byte budget evicts it. It is the
@@ -138,14 +140,6 @@ type Config struct {
 	FsyncInterval time.Duration
 	// WALSegmentBytes is the WAL/segment rotation size (default 4 MiB).
 	WALSegmentBytes int64
-	// WALDiskBytes bounds raw segment bytes before compaction folds old
-	// segments into rollup resolution (default 64 MiB; negative
-	// disables compaction by budget). How long history lives on disk
-	// is TSDBRetention's, as in memory.
-	WALDiskBytes int64
-	// WALCompactAfter compacts raw segments older than this into
-	// rollup-resolution segments (default 0 = budget-driven only).
-	WALCompactAfter time.Duration
 	// SlowOp is the request-latency threshold above which a warn line
 	// is logged with the op, session and duration (default 250ms;
 	// negative disables).
@@ -354,8 +348,6 @@ func New(cfg Config) *Server {
 				Fsync:         cfg.Fsync,
 				FsyncInterval: cfg.FsyncInterval,
 				SegmentBytes:  cfg.WALSegmentBytes,
-				DiskBytes:     cfg.WALDiskBytes,
-				CompactAfter:  cfg.WALCompactAfter,
 				Registry:      treg,
 				Logger:        s.slog,
 				Clock:         cfg.clock,

@@ -26,17 +26,14 @@ type block struct {
 	minTS, maxTS int64 // inclusive sample time range
 
 	// mapped marks a sealed block whose buf aliases a memory-mapped
-	// segment file (internal/tsdb/wal): the kernel owns the pages, so
-	// the block charges only its fixed overhead against the memory
-	// budget and the buf must never be written.
+	// segment file (internal/tsdb/wal): the buf must never be written,
+	// and Remap leaves the block alone. It changes nothing else — the
+	// block costs the budget what a heap copy would.
 	mapped bool
 
 	// persisted marks a sealed block known to exist on disk — its
 	// segment write succeeded (MarkPersisted) or it was installed from
-	// a segment at replay. Compaction's DropSealedUpTo only evicts
-	// persisted blocks: one whose segment write failed lives nowhere
-	// but memory, and dropping it would lose its samples without any
-	// crash having happened.
+	// a segment at replay. Until it is, the WAL keeps its rows.
 	persisted bool
 
 	// firstSeq and lastSeq are the WAL row sequences of the block's
@@ -78,16 +75,12 @@ func (b *block) appendSample(ts, v int64) {
 	b.n++
 }
 
-// bytes reports the block's memory footprint for the store's budget
-// accounting: the backing array, not just the encoded length, since
-// that is what the heap actually holds. Mapped blocks charge only the
-// fixed overhead — their bytes live in file-backed pages, not on the
-// heap.
+// bytes reports the block's charge against the store's budget: its
+// encoded length plus the fixed overhead, one price whether the bytes
+// sit on the heap or in a mapped segment, so a live store and one
+// replayed from disk fit the same blocks.
 func (b *block) bytes() int64 {
-	if b.mapped {
-		return blockOverhead
-	}
-	return int64(cap(b.buf)) + blockOverhead
+	return int64(len(b.buf)) + blockOverhead
 }
 
 // blockOverhead approximates the fixed per-block header cost (struct

@@ -83,8 +83,8 @@ func (s *Store) Unpersisted() []SealedBlock {
 
 // MarkPersisted records that sb, as Unpersisted handed it out, is on
 // disk: the block it was taken from is marked — by identity, not by
-// what it holds — so truncation may let its WAL rows go and compaction
-// may evict it. A block evicted since is marked harmlessly.
+// what it holds — so truncation may let its WAL rows go. A block
+// evicted since is marked harmlessly.
 func (s *Store) MarkPersisted(sb SealedBlock) {
 	if sb.b == nil {
 		return
@@ -97,9 +97,9 @@ func (s *Store) MarkPersisted(sb SealedBlock) {
 
 // InstallSealed inserts a persisted sealed block during replay. Blocks
 // of one series must arrive in time order. mapped marks a buffer that
-// aliases a memory-mapped segment file (charged at fixed overhead
-// only). The block's samples are folded into the series' rollup levels
-// as live appends would have folded them.
+// aliases a memory-mapped segment file, which is never written. The
+// block's samples are folded into the series' rollup levels as live
+// appends would have folded them.
 func (s *Store) InstallSealed(sb SealedBlock, mapped bool) {
 	sh := s.shardFor(sb.Key.Session)
 	sh.mu.Lock()
@@ -123,6 +123,15 @@ func (s *Store) InstallSealed(sb SealedBlock, mapped bool) {
 	sh.mu.Unlock()
 	s.samples.Add(uint64(sb.N))
 	s.bytes.Add(delta)
+}
+
+// InstallRow re-appends a journaled row during replay: AppendBatchSeq
+// without the byte budget, which replay applies once, after its
+// retention sweep (EnforceBudget), as it does to installed blocks.
+// Applied row by row, it would let rows the sweep is about to expire
+// push out blocks the live store kept.
+func (s *Store) InstallRow(session uint64, ts int64, events []string, vals []int64, seq uint64) {
+	s.appendRow(session, ts, events, vals, seq)
 }
 
 // InstallRollup pre-populates one rollup level with persisted buckets
@@ -158,8 +167,9 @@ func (s *Store) InstallRollup(key SeriesKey, width int64, buckets []Bucket) bool
 
 // Remap swaps a sealed block's heap buffer for a memory-mapped one
 // holding identical bytes — the storage layer calls it after a segment
-// file is finalized and mapped, releasing the heap copy. The block is
-// matched by (minTS, n) and verified byte-equal; a block already
+// file is finalized and mapped, releasing the heap copy. The budget
+// charge does not change: a block costs the same mapped or not. The
+// block is matched by (minTS, n) and verified byte-equal; a block already
 // evicted, already mapped, not matching, or not persisted (a file holds
 // only persisted blocks, and a queued one's identity must hold until
 // MarkPersisted) is left alone.
@@ -181,7 +191,6 @@ func (s *Store) Remap(key SeriesKey, minTS int64, n int, buf []byte) bool {
 		mapped := *b
 		mapped.buf, mapped.mapped = buf, true
 		sr.sealed[i] = &mapped
-		s.bytes.Add(mapped.bytes() - b.bytes())
 		return true
 	}
 	return false
@@ -220,34 +229,25 @@ func (s *Store) OldestUnpersisted() uint64 {
 	return oldest
 }
 
-// DropSealedUpTo evicts sealed blocks whose newest sample is at or
-// before their series' cutoff, leaving rollup levels intact.
-// Compaction calls it after merging old raw segments into
-// rollup-resolution segments: once raw data below the horizon exists
-// only as rollups on disk, memory must stop serving it raw too, or a
-// restart would change query answers. cutoffs maps each series to the
-// newest sample timestamp of its own compacted blocks, so a series
-// whose blocks were not part of this compaction round keeps its raw
-// data in memory — a global cutoff would evict a slow series' raw
-// blocks that still exist raw on disk, and a restart would then serve
-// them again.
-func (s *Store) DropSealedUpTo(cutoffs map[SeriesKey]int64) (blocks int) {
-	for key, cutoff := range cutoffs {
-		sh := s.shardFor(key.Session)
-		sh.mu.Lock()
-		if sr := sh.lookup(key); sr != nil {
-			// Stop at the first non-persisted block: it exists nowhere
-			// but memory (no pass has written it yet), so evicting it —
-			// or anything behind it, to keep the ring time-ordered —
-			// would lose samples without any crash.
-			for len(sr.sealed) > 0 && sr.sealed[0].maxTS <= cutoff && sr.sealed[0].persisted {
-				s.bytes.Add(-sr.evictOldestSealed())
-				blocks++
-			}
+// HoldsRaw reports whether the store still serves any of blocks raw,
+// blocks as a segment read back from disk holds them. A series' sealed
+// ring is oldest first and leaves only from its front, so a block is
+// gone once its series holds no sealed block, or its oldest sealed
+// block ends at a later row sequence than the block does — sequences,
+// not timestamps, since many rows can share one. A gone block never
+// comes back: a storage layer may fold the segment into rollups.
+func (s *Store) HoldsRaw(blocks []SealedBlock) bool {
+	for _, sb := range blocks {
+		sh := s.shardFor(sb.Key.Session)
+		sh.mu.RLock()
+		sr := sh.lookup(sb.Key)
+		held := sr != nil && len(sr.sealed) > 0 && sr.sealed[0].lastSeq <= sb.LastSeq
+		sh.mu.RUnlock()
+		if held {
+			return true
 		}
-		sh.mu.Unlock()
 	}
-	return blocks
+	return false
 }
 
 // EnforceBudget applies the byte budget once — replay calls it after

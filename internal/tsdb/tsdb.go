@@ -232,16 +232,27 @@ func (s *Store) AppendBatch(session uint64, ts int64, events []string, vals []in
 // persisted inside sealed segments. Seq 0 means "no durability layer".
 // It reports whether the row sealed a block, so a durability layer
 // knows when its persist pass has something to write.
-func (s *Store) AppendBatchSeq(session uint64, ts int64, events []string, vals []int64, seq uint64) (sealed bool) {
-	n := min(len(events), len(vals))
-	if n == 0 {
-		return false
-	}
-	if s.appendLat != nil {
+func (s *Store) AppendBatchSeq(session uint64, ts int64, events []string, vals []int64, seq uint64) bool {
+	if s.appendLat != nil && min(len(events), len(vals)) > 0 {
 		// One observation per batch call, not per sample: the
 		// histogram answers "what does a tick row cost", matching how
 		// papid calls in here.
 		defer func(t0 time.Time) { s.appendLat.Observe(telemetry.Since(t0)) }(time.Now())
+	}
+	sealed, over := s.appendRow(session, ts, events, vals, seq)
+	if over {
+		s.evictToBudget()
+	}
+	return sealed
+}
+
+// appendRow appends one row under its shard's lock, applying each
+// series' retention as it goes, and reports whether the row sealed a
+// block and whether the store is now over its byte budget.
+func (s *Store) appendRow(session uint64, ts int64, events []string, vals []int64, seq uint64) (sealed, over bool) {
+	n := min(len(events), len(vals))
+	if n == 0 {
+		return false, false
 	}
 	var delta int64
 	var evicted uint64
@@ -264,10 +275,7 @@ func (s *Store) AppendBatchSeq(session uint64, ts int64, events []string, vals [
 	if evicted > 0 {
 		s.evictions.Add(evicted)
 	}
-	if s.bytes.Add(delta) > s.cfg.MaxBytes {
-		s.evictToBudget()
-	}
-	return sealed
+	return sealed, s.bytes.Add(delta) > s.cfg.MaxBytes
 }
 
 // evictToBudget drops globally-oldest sealed blocks until the store is

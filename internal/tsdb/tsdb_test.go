@@ -486,17 +486,14 @@ func TestAppendBatchRaggedRow(t *testing.T) {
 	}
 }
 
-// TestDropSealedUpToSparesUnpersisted: compaction's eviction must not
-// touch sealed blocks whose segment write failed — they exist nowhere
-// but memory, so dropping them would lose samples without any crash.
-func TestDropSealedUpToSparesUnpersisted(t *testing.T) {
+// TestUnpersistedQueuesOldestFirst: the store is the persist queue. It
+// hands out every sealed block no storage pass has written, each
+// series' oldest first, and a block marked persisted leaves the queue
+// while the ones a failed pass never wrote stay in it.
+func TestUnpersistedQueuesOldestFirst(t *testing.T) {
 	st := New(Config{BlockSamples: 4, MaxBytes: 1 << 30, MaxAge: -1})
-	key := SeriesKey{Session: 1, Event: "E"}
 	for i := 0; i < 12; i++ { // three sealed blocks of four samples
 		st.AppendBatchSeq(1, int64(i)*1000, []string{"E"}, []int64{int64(i)}, uint64(i+1))
-	}
-	if n := st.DropSealedUpTo(map[SeriesKey]int64{key: 1 << 60}); n != 0 {
-		t.Fatalf("dropped %d blocks no storage layer ever persisted", n)
 	}
 	// A pass whose disk fills after two blocks: the third stays queued.
 	queued := st.Unpersisted()
@@ -508,8 +505,51 @@ func TestDropSealedUpToSparesUnpersisted(t *testing.T) {
 	if again := st.Unpersisted(); len(again) != 1 || again[0].MinTS != 8000 {
 		t.Fatalf("Unpersisted re-queued an already-persisted block: %+v", again)
 	}
-	if n := st.DropSealedUpTo(map[SeriesKey]int64{key: 1 << 60}); n != 2 {
-		t.Fatalf("dropped %d blocks, want exactly the 2 persisted ones", n)
+}
+
+// TestHoldsRawFollowsEviction: a block read back from disk is held
+// while its series' oldest sealed block is no newer, by row sequence.
+// Every row here shares one timestamp, so a timestamp test could not
+// tell the evicted blocks from the kept ones. A block the budget
+// evicted, a block of a series swept whole, and a block of an earlier
+// life of a series swept and re-created are gone.
+func TestHoldsRawFollowsEviction(t *testing.T) {
+	st := New(Config{BlockSamples: 4, MaxBytes: 1 << 30, MaxAge: time.Minute})
+	for i := 0; i < 16; i++ { // four sealed blocks, one timestamp
+		st.AppendBatchSeq(1, 1000, []string{"E"}, []int64{int64(i)}, uint64(i+1))
+	}
+	written := persistAll(st)
+	if len(written) != 4 {
+		t.Fatalf("%d sealed blocks written, want 4", len(written))
+	}
+	for i, sb := range written {
+		if !st.HoldsRaw([]SealedBlock{sb}) {
+			t.Fatalf("block %d is held, HoldsRaw says gone", i)
+		}
+	}
+	// The budget evicts the oldest two, one byte over at a time.
+	for st.Stats().Evictions < 2 {
+		st.cfg.MaxBytes = st.Stats().Bytes - 1
+		st.evictToBudget()
+	}
+	gone, held := written[:2], written[2:]
+	if st.HoldsRaw(gone) {
+		t.Error("HoldsRaw reports the two evicted blocks held")
+	}
+	if !st.HoldsRaw(held[:1]) || !st.HoldsRaw([]SealedBlock{gone[0], gone[1], held[1]}) {
+		t.Error("HoldsRaw reports a kept block gone")
+	}
+	// The series expires whole, then comes back with newer rows.
+	st.cfg.MaxBytes = 1 << 30
+	st.Sweep(1000 + 2*time.Minute.Microseconds())
+	if st.HoldsRaw(written) {
+		t.Error("HoldsRaw reports blocks of a swept series held")
+	}
+	for i := 16; i < 24; i++ {
+		st.AppendBatchSeq(1, 1000+3*time.Minute.Microseconds(), []string{"E"}, []int64{int64(i)}, uint64(i+1))
+	}
+	if st.HoldsRaw(written) {
+		t.Error("HoldsRaw reports blocks of a series' earlier life held")
 	}
 }
 
@@ -666,22 +706,6 @@ func recountBytes(st *Store) int64 {
 	return n
 }
 
-// oldestUnpersisted returns the key's oldest sealed block no storage
-// layer has vouched for, or nil.
-func oldestUnpersisted(st *Store, key SeriesKey) *block {
-	sh := st.shardFor(key.Session)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sr := sh.lookup(key); sr != nil {
-		for _, b := range sr.sealed {
-			if !b.persisted {
-				return b
-			}
-		}
-	}
-	return nil
-}
-
 // TestBudgetRunningTotalMatchesRecount: the store keeps its byte total
 // by deltas taken around what each operation changed, never by
 // recounting a series; after every step of a seeded schedule of
@@ -698,7 +722,7 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 		}
 	}
 	var ts int64
-	var compacted int
+	var remapped int
 	row := make([]int64, len(events))
 	for i := 0; i < 30_000; i++ {
 		ts += 500 + rng.Int63n(2_000)
@@ -725,16 +749,14 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 				[]Bucket{{Start: ts - mod(ts, st.widths[0]), Count: 1}})
 			check("InstallRollup", i)
 		case 4:
-			// Compaction's eviction, per-series cutoffs: a replay-installed
-			// series (persisted by construction) and an appended one, whose
-			// sealed blocks go only as far as MarkPersisted has vouched.
-			inst := SeriesKey{Session: 50 + sess, Event: "R"}
-			app := SeriesKey{Session: sess, Event: events[rng.Intn(len(events))]}
-			if oldestUnpersisted(st, app) != nil && rng.Intn(2) == 0 {
-				persistAll(st)
+			// A storage layer writes the queue and maps what it wrote: a
+			// block costs the same mapped or not.
+			for _, sb := range persistAll(st) {
+				if st.Remap(sb.Key, sb.MinTS, sb.N, bytes.Clone(sb.Buf)) {
+					remapped++
+				}
 			}
-			compacted += st.DropSealedUpTo(map[SeriesKey]int64{inst: ts - 500_000, app: ts - 500_000})
-			check("DropSealedUpTo", i)
+			check("Remap", i)
 		case 5:
 			st.Append(sess, events[0], ts, row[0])
 			check("Append", i)
@@ -753,9 +775,9 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 			check("AppendBatch", i)
 		}
 	}
-	if st.Stats().Evictions == 0 || compacted == 0 {
-		t.Errorf("the schedule made %d evictions and dropped %d compacted blocks; it no longer exercises the eviction deltas",
-			st.Stats().Evictions, compacted)
+	if st.Stats().Evictions == 0 || remapped == 0 {
+		t.Errorf("the schedule made %d evictions and remapped %d blocks; it no longer exercises the eviction and remap deltas",
+			st.Stats().Evictions, remapped)
 	}
 	st.Sweep(ts + time.Hour.Microseconds())
 	check("final Sweep", -1)

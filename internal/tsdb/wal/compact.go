@@ -10,18 +10,17 @@ import (
 	"repro/internal/tsdb"
 )
 
-// Compaction keeps disk bounded without losing queryable history: old
-// raw segments (and earlier compaction outputs) are folded into a
-// single rollup-resolution segment — the exact buckets the store's
-// live rollup levels would hold for those samples — plus per-series
-// watermarks preserving replay dedup. The output declares its inputs
-// via a 'C' record, so a crash anywhere in the sequence either keeps
-// the inputs (output torn → discarded) or keeps the output (inputs
-// stale → pruned at Open); never both, never neither.
-//
-// After the output is durable, the store drops its in-memory raw
-// blocks for exactly the compacted ranges (per series), so memory and
-// a post-restart store answer queries identically.
+// Compaction keeps disk to what the store serves without losing
+// queryable history: the oldest raw segments, once the store holds none
+// of their blocks raw any more (its byte budget or retention evicted
+// them), are folded with earlier compaction outputs into a single
+// rollup-resolution segment — the exact buckets the store's live rollup
+// levels hold for those samples — plus per-series watermarks preserving
+// replay dedup. The output declares its inputs via a 'C' record, so a
+// crash anywhere in the sequence either keeps the inputs (output torn →
+// discarded) or keeps the output (inputs stale → pruned at Open); never
+// both, never neither. A compaction evicts nothing from memory: it
+// folds only what the store has already let go.
 //
 // How long history lives is the store's decision alone. A pass deletes
 // every segment the store serves nothing of any more (its Expired), and
@@ -48,25 +47,19 @@ func (l *Log) Compact(now int64) (CompactStats, error) {
 	if l.store == nil {
 		return cs, fmt.Errorf("wal: Compact before Start")
 	}
-	// Write the sealed blocks still waiting first: once persisted they
-	// can be compacted, and until then DropSealedUpTo refuses to evict
-	// them.
+	// Write the sealed blocks still waiting first, so the segments the
+	// selection weighs hold every block the store has sealed.
 	l.persist()
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
 	expiry := l.expiry(now)
 
-	// An active segment whose entire content has already aged past the
-	// compaction threshold or the store's retention would otherwise
-	// never become eligible — low-traffic servers might not fill it for
-	// hours. Finalize it so the passes below can see it.
-	ageCutoff := expiry
-	if l.opts.CompactAfter > 0 {
-		ageCutoff = max(ageCutoff, now-l.opts.CompactAfter.Microseconds())
-	}
+	// An active segment whose entire content the store has expired
+	// would otherwise never become eligible — low-traffic servers might
+	// not fill it for hours. Finalize it so the passes below can see it.
 	var retired *segment
 	l.segMu.Lock()
-	if l.sw != nil && l.sw.size > int64(len(segMagic)) && l.sw.maxTS < ageCutoff {
+	if l.sw != nil && l.sw.size > int64(len(segMagic)) && l.sw.maxTS < expiry {
 		retired = l.retireWriterLocked(true)
 	}
 	l.segMu.Unlock()
@@ -96,45 +89,24 @@ func (l *Log) Compact(now int64) (CompactStats, error) {
 		}
 	}
 
-	// Selection: the longest prefix (in file-sequence order) where each
-	// segment is old enough or disk is over budget. Prefix-only keeps
-	// the replaced-through invariant exact.
+	// Selection: the longest prefix (in file-sequence order) of
+	// segments holding no raw block the store still holds. Prefix-only
+	// keeps the replaced-through invariant exact. The store is asked
+	// under segMu (segMu → shard locks, as in persist).
 	l.segMu.Lock()
-	total := int64(0)
-	for _, s := range l.segs {
-		total += s.size
-	}
-	if l.sw != nil {
-		total += l.sw.size
-	}
-	overBudget := l.opts.DiskBytes > 0 && total > l.opts.DiskBytes
-	var sel []*segment
-	for _, s := range l.segs {
-		aged := l.opts.CompactAfter > 0 && s.maxTS < now-l.opts.CompactAfter.Microseconds()
-		over := l.opts.DiskBytes > 0 && total > l.opts.DiskBytes
-		if !aged && !over {
-			break
-		}
-		sel = append(sel, s)
-		total -= s.size
+	n := 0
+	for n < len(l.segs) && !l.store.HoldsRaw(l.segs[n].blocks) {
+		n++
 	}
 	// Outputs hold the oldest history, and a restart installs their
 	// rollups in file order, dropping any bucket older than one already
 	// installed. The new output is the newest file, so it must take in
-	// every earlier output: over the disk budget the prefix grows to the
-	// last one; otherwise the pass waits until age brings it there.
-	last := -1
-	for i, s := range l.segs {
-		if !s.raw {
-			last = i
-		}
+	// every earlier output: until eviction brings the prefix there, the
+	// pass waits.
+	if slices.ContainsFunc(l.segs[n:], func(s *segment) bool { return !s.raw }) {
+		n = 0
 	}
-	if len(sel) > 0 && last >= len(sel) {
-		sel = nil
-		if overBudget {
-			sel = slices.Clone(l.segs[:last+1])
-		}
-	}
+	sel := slices.Clone(l.segs[:n])
 	l.segMu.Unlock()
 	anyRaw := false
 	for _, s := range sel {
@@ -146,7 +118,7 @@ func (l *Log) Compact(now int64) (CompactStats, error) {
 		return cs, nil
 	}
 
-	out, cutoffs, err := l.buildCompacted(sel, expiry)
+	out, err := l.buildCompacted(sel, expiry)
 	if err != nil {
 		return cs, err
 	}
@@ -166,11 +138,6 @@ func (l *Log) Compact(now int64) (CompactStats, error) {
 	sortSegments(l.segs)
 	l.segMu.Unlock()
 
-	// Memory follows disk: raw blocks now represented only as rollups
-	// on disk leave the store too.
-	if len(cutoffs) > 0 {
-		l.store.DropSealedUpTo(cutoffs)
-	}
 	for _, s := range sel {
 		cs.Compacted++
 		cs.BytesFreed += s.size
@@ -194,19 +161,17 @@ func (l *Log) expiry(now int64) int64 {
 }
 
 // buildCompacted folds the selected segments into one finalized
-// rollup segment, returning it — as loaded back from its file — plus
-// per-series raw-drop cutoffs. Every raw sample is folded, since an
-// expired sample may share a bucket with live ones; then the buckets
-// the store has expired as of expiry are dropped, so an output holds
-// what the store serves and expired history does not ride along from
-// one output into the next.
-func (l *Log) buildCompacted(sel []*segment, expiry int64) (*segment, map[tsdb.SeriesKey]int64, error) {
+// rollup segment, returning it as loaded back from its file. Every raw
+// sample is folded, since an expired sample may share a bucket with
+// live ones; then the buckets the store has expired as of expiry are
+// dropped, so an output holds what the store serves and expired
+// history does not ride along from one output into the next.
+func (l *Log) buildCompacted(sel []*segment, expiry int64) (*segment, error) {
 	// The store's widths: compaction output matches its live levels.
 	widths := l.store.RollupWidths()
 	type perKey struct {
 		folders map[int64]*tsdb.Folder
 		water   uint64
-		maxRaw  int64 // newest raw sample folded, 0 if none
 	}
 	acc := make(map[tsdb.SeriesKey]*perKey)
 	keyOrder := []tsdb.SeriesKey{}
@@ -250,9 +215,6 @@ func (l *Log) buildCompacted(sel []*segment, expiry int64) (*segment, map[tsdb.S
 			if sb.LastSeq > pk.water {
 				pk.water = sb.LastSeq
 			}
-			if sb.MaxTS > pk.maxRaw {
-				pk.maxRaw = sb.MaxTS
-			}
 		}
 	}
 	sort.Slice(keyOrder, func(i, j int) bool {
@@ -269,19 +231,18 @@ func (l *Log) buildCompacted(sel []*segment, expiry int64) (*segment, map[tsdb.S
 	l.segMu.Unlock()
 	w, err := l.createSegment(seq)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	fail := func(err error) (*segment, map[tsdb.SeriesKey]int64, error) {
+	fail := func(err error) (*segment, error) {
 		w.f.Close()
 		os.Remove(w.path)
-		return nil, nil, err
+		return nil, err
 	}
 	replacedThrough := sel[len(sel)-1].seq
 	if err := w.writeRecord(appendCompactMeta(nil, replacedThrough)); err != nil {
 		return fail(err)
 	}
 	const bucketsPerRecord = 4096
-	cutoffs := make(map[tsdb.SeriesKey]int64)
 	for _, key := range keyOrder {
 		pk := acc[key]
 		for _, width := range widths {
@@ -301,13 +262,10 @@ func (l *Log) buildCompacted(sel []*segment, expiry int64) (*segment, map[tsdb.S
 				return fail(err)
 			}
 		}
-		if pk.maxRaw > 0 {
-			cutoffs[key] = pk.maxRaw
-		}
 	}
 	if err := w.close(true); err != nil {
 		os.Remove(w.path)
-		return nil, nil, err
+		return nil, err
 	}
 	out, err := loadSegment(w.path, seq)
 	if err == nil && !out.finalized {
@@ -317,7 +275,7 @@ func (l *Log) buildCompacted(sel []*segment, expiry int64) (*segment, map[tsdb.S
 	}
 	if err != nil {
 		os.Remove(w.path)
-		return nil, nil, err
+		return nil, err
 	}
-	return out, cutoffs, nil
+	return out, nil
 }

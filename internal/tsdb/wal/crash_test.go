@@ -241,6 +241,27 @@ func crashSchedule(seed int64) []crashOp {
 // was never appended. A failing seed prints its schedule; rerun it alone
 // with -run 'TestCrashPlanKeepsAckedRows/seed=N$'.
 func TestCrashPlanKeepsAckedRows(t *testing.T) {
+	runCrashPlans(t, tsdb.Config{MaxBytes: roomyBytes, MaxAge: time.Minute, BlockSamples: 8})
+}
+
+// roomyBytes is a budget no crash schedule fills: the store then serves
+// every row appended within retention.
+const roomyBytes = 1 << 30
+
+// TestCrashPlanTightBudget: TestCrashPlanKeepsAckedRows' schedules
+// under a byte budget their stores reach, live or while a restart
+// replays, so compaction folds what the store let go while the disk
+// crashes around it. Within retention a restart serves exactly what the
+// live store served when the disk never crashed, and every acked row
+// the live store served when it did. Replay used to apply the budget to
+// each re-appended WAL row, before its retention sweep, so rows about
+// to expire pushed out blocks the live store kept.
+func TestCrashPlanTightBudget(t *testing.T) {
+	runCrashPlans(t, tsdb.Config{MaxBytes: 5 << 10, MaxAge: time.Minute, BlockSamples: 8})
+}
+
+// runCrashPlans runs the seeded crash schedules against a store of cfg.
+func runCrashPlans(t *testing.T, cfg tsdb.Config) {
 	seeds := 300
 	if testing.Short() {
 		seeds = 50
@@ -249,7 +270,7 @@ func TestCrashPlanKeepsAckedRows(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			ops := crashSchedule(seed)
 			plan := &crashPlan{n: 1 + rand.New(rand.NewSource(-seed)).Intn(len(ops))}
-			if err := runCrashSchedule(t, ops, plan); err != nil {
+			if err := runCrashSchedule(t, ops, plan, cfg); err != nil {
 				var sched strings.Builder
 				for _, op := range ops {
 					fmt.Fprintf(&sched, " %v", op)
@@ -261,12 +282,13 @@ func TestCrashPlanKeepsAckedRows(t *testing.T) {
 }
 
 // runCrashSchedule plays ops against a fresh log whose disk crashes as
-// plan says, crashes the process, restarts, and checks what is served.
-func runCrashSchedule(t *testing.T, ops []crashOp, plan *crashPlan) error {
+// plan says, crashes the process, restarts, and checks what is served
+// within retention against what was acked and what the live store
+// served.
+func runCrashSchedule(t *testing.T, ops []crashOp, plan *crashPlan, cfg tsdb.Config) error {
 	dir := t.TempDir()
-	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 1 << 10, DiskBytes: -1, CompactAfter: 2 * time.Minute})
+	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 1 << 10})
 	opts.wrap = plan.wrap
-	cfg := tsdb.Config{MaxBytes: 1 << 30, MaxAge: time.Minute, BlockSamples: 8}
 	l, store, _ := openPair(t, dir, opts, cfg)
 	events := []string{"PAPI_TOT_CYC", "PAPI_FP_OPS"}
 	now := time.Hour.Microseconds()
@@ -301,6 +323,9 @@ func runCrashSchedule(t *testing.T, ops []crashOp, plan *crashPlan) error {
 			l.Sync()
 		}
 	}
+	cutoff := now - cfg.MaxAge.Microseconds()
+	live := servedRaw(store, denseSession, expiring)
+	crashed := plan.writes >= plan.n
 	l.Abandon()
 	unmap(l)
 
@@ -315,8 +340,15 @@ func runCrashSchedule(t *testing.T, ops []crashOp, plan *crashPlan) error {
 		}
 	}
 	for _, s := range acked {
-		if s.ts >= now-cfg.MaxAge.Microseconds() && !served[s] {
-			return fmt.Errorf("acked %+v inside retention is not served", s)
+		// Under a budget that evicts, an acked row the live store let
+		// go is rightly not served.
+		if s.ts >= cutoff && (live[s] || cfg.MaxBytes == roomyBytes) && !served[s] {
+			return fmt.Errorf("acked %+v inside retention is not served (served live: %v)", s, live[s])
+		}
+	}
+	for s := range served {
+		if s.ts >= cutoff && !crashed && !live[s] {
+			return fmt.Errorf("serves %+v, which the live store had let go, though the disk never crashed", s)
 		}
 	}
 	return nil

@@ -107,8 +107,7 @@ func TestPersistPassRacesSweepsAndCompactions(t *testing.T) {
 	const minute = int64(time.Minute / time.Microsecond)
 	dir := t.TempDir()
 	fk := clock.NewFake(time.UnixMicro(minute))
-	opts := Options{Fsync: FsyncInterval, SegmentBytes: 2 << 10, CompactAfter: 2 * time.Minute,
-		Clock: fk, Registry: telemetry.NewRegistry()}
+	opts := Options{Fsync: FsyncInterval, SegmentBytes: 2 << 10, Clock: fk, Registry: telemetry.NewRegistry()}
 	cfg := tsdb.Config{MaxBytes: 1 << 30, MaxAge: time.Minute, BlockSamples: 8}
 	l, store, _ := openPair(t, dir, opts, cfg)
 	events := []string{"PAPI_TOT_CYC", "PAPI_FP_OPS"}

@@ -104,7 +104,8 @@ func (l *Log) Start(store *tsdb.Store) (ReplayStats, error) {
 
 	// Replay installed whatever the files hold. The store serves only
 	// what its retention keeps as of the log's clock, from the first
-	// query on rather than from the first sweep.
+	// query on rather than from the first sweep; then, once, what its
+	// byte budget keeps of that (Store.InstallRow).
 	store.Sweep(l.opts.Clock.Now().UnixMicro())
 	store.EnforceBudget()
 	// Replayed rows can seal blocks; write what the store still holds.
@@ -164,7 +165,7 @@ func (l *Log) replayWALFile(m *walFileMeta, sealed map[tsdb.SeriesKey]uint64, rs
 		// Can seal blocks mid-replay; the persist pass at the end of
 		// Start writes them to a fresh segment. Rows arrive in sequence
 		// order, so no such seal covers a row still to come.
-		l.store.AppendBatchSeq(row.session, row.ts, keepEv, keepVals, row.seq)
+		l.store.InstallRow(row.session, row.ts, keepEv, keepVals, row.seq)
 		rs.Rows++
 		rs.Samples += uint64(len(keepEv))
 	}

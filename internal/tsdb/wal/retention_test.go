@@ -15,8 +15,39 @@ import (
 	"repro/internal/tsdb"
 )
 
-// segmentBytes is what Compact weighs against the disk budget: every
-// live segment, the one being written included.
+// evicted counts the leading finalized segments a compaction pass may
+// fold: each raw block they hold ends before the oldest raw sample its
+// series still serves. Timestamps stand in for the store's row
+// sequences, so a test using it gives each series rising timestamps.
+func evicted(l *Log, store *tsdb.Store) int {
+	l.segMu.Lock()
+	defer l.segMu.Unlock()
+	oldest := map[tsdb.SeriesKey]int64{}
+	for _, s := range l.segs {
+		for _, sb := range s.blocks {
+			if _, ok := oldest[sb.Key]; ok {
+				continue
+			}
+			oldest[sb.Key] = math.MaxInt64
+			for _, sr := range store.Query(sb.Key.Session, tsdb.Query{From: 0, To: 1 << 62, Events: []string{sb.Key.Event}}) {
+				if len(sr.Buckets) > 0 {
+					oldest[sb.Key] = sr.Buckets[0].Start
+				}
+			}
+		}
+	}
+	for n, s := range l.segs {
+		for _, sb := range s.blocks {
+			if sb.MaxTS >= oldest[sb.Key] {
+				return n
+			}
+		}
+	}
+	return len(l.segs)
+}
+
+// segmentBytes totals every live segment, the one being written
+// included.
 func segmentBytes(l *Log) int64 {
 	l.segMu.Lock()
 	defer l.segMu.Unlock()
@@ -33,18 +64,22 @@ func segmentBytes(l *Log) int64 {
 // TestDiskBoundedByRetention: three virtual hours of ticks from two
 // sessions, the second stopping halfway, swept and compacted every 30 s
 // as papid's tick and background loops do, with the store keeping a
-// minute of history and a disk budget set. Segment bytes must never
-// exceed the budget by more than one segment, no segment may still hold
-// a sample or bucket of the stopped session, and a crash restart must
-// serve what the live store serves. Compaction outputs used to keep
-// every rollup bucket ever written, so disk grew linearly while the
-// store held a minute.
+// minute of history under a byte budget that evicts raw blocks sooner.
+// Disk holds raw only the blocks the store holds — a block's record
+// costs less than its charge, so those are under the budget — plus the
+// segments a pass had to leave because they still held one, the one
+// being written, and one compaction output: segment bytes must stay
+// under twice the budget, two segments and that output. No segment may
+// still hold a sample or bucket of the stopped session, and a crash
+// restart must serve what the live store serves. Compaction outputs used
+// to keep every rollup bucket ever written, so disk grew linearly while
+// the store held a minute.
 func TestDiskBoundedByRetention(t *testing.T) {
-	const segBytes, budget = 4 << 10, 4 << 10
+	const segBytes, budget = 4 << 10, 12 << 10
 	const tick, pass, span = 250 * time.Millisecond, 30 * time.Second, 3 * time.Hour
 	dir := t.TempDir()
-	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: segBytes, DiskBytes: budget})
-	cfg := tsdb.Config{MaxAge: time.Minute, BlockSamples: 64}
+	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: segBytes})
+	cfg := tsdb.Config{MaxAge: time.Minute, MaxBytes: budget, BlockSamples: 64}
 	l, store, _ := openPair(t, dir, opts, cfg)
 	events := []string{"PAPI_TOT_CYC", "PAPI_TOT_INS", "PAPI_FP_OPS", "PAPI_L1_DCM"}
 	vals := make([]int64, len(events))
@@ -72,9 +107,15 @@ func TestDiskBoundedByRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 		compacted += cs.Compacted
-		if peak = max(peak, segmentBytes(l)); peak > budget+segBytes {
-			t.Fatalf("%v in: %d segment bytes, over the %d-byte budget by more than one %d-byte segment",
-				time.Duration(i)*tick, peak, budget, segBytes)
+		var output int64
+		for _, s := range l.segs {
+			if !s.raw {
+				output += s.size
+			}
+		}
+		if peak = max(peak, segmentBytes(l)); peak > 2*budget+2*segBytes+output {
+			t.Fatalf("%v in: %d segment bytes, over twice the %d-byte budget, two %d-byte segments and the %d-byte output",
+				time.Duration(i)*tick, peak, budget, segBytes, output)
 		}
 		if stopped := time.Duration(i-int64(span/tick)/2) * tick; stopped > 2*time.Minute {
 			for _, s := range l.segs {
@@ -87,7 +128,7 @@ func TestDiskBoundedByRetention(t *testing.T) {
 		}
 	}
 	if compacted == 0 {
-		t.Fatal("no pass compacted: the budget never bound")
+		t.Fatal("no pass compacted: the budget never evicted")
 	}
 	t.Logf("segment bytes peaked at %d over %v; %d segments compacted", peak, span, compacted)
 	views := func(s *tsdb.Store) string { return queryAll(t, s, 1, 0, 1<<60) + queryAll(t, s, 2, 0, 1<<60) }
@@ -116,7 +157,7 @@ func TestTornCompactionOutputKeepsInputs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			var tear *tearWriter // set once the output's file is created
-			opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 8 << 10, CompactAfter: time.Minute})
+			opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 4 << 10})
 			opts.wrap = onFiles("seg-", func(w io.Writer) io.Writer {
 				if tear == nil {
 					return w
@@ -124,11 +165,14 @@ func TestTornCompactionOutputKeepsInputs(t *testing.T) {
 				tear.w = w
 				return tear
 			})
-			cfg := tsdb.Config{BlockSamples: 128}
+			cfg := tsdb.Config{BlockSamples: 128, MaxBytes: 16 << 10}
 			l, store, _ := openPair(t, dir, opts, cfg)
 			appendTicks(t, l, 5, events, n, start, step)
 			want := queryAll(t, store, 5, 0, 1<<60)
-			inputs := len(l.segs) + 1 // and the segment being written, which the pass finalizes first
+			inputs := evicted(l, store)
+			if inputs == 0 {
+				t.Fatal("the budget left no segment to compact")
+			}
 
 			tear = &tearWriter{fail: fail}
 			if cs, err := l.Compact(now); !errors.Is(err, errInjected) {
@@ -138,9 +182,9 @@ func TestTornCompactionOutputKeepsInputs(t *testing.T) {
 				t.Fatalf("the output saw %d writes; the tear was set for write %d", tear.n, fail)
 			}
 			files, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
-			if len(l.segs) != inputs || len(files) != inputs {
-				t.Errorf("after the failed pass: %d live segments and %d files, want the %d inputs",
-					len(l.segs), len(files), inputs)
+			if live := len(l.segs) + 1; evicted(l, store) != inputs || len(files) != live {
+				t.Errorf("after the failed pass: %d of %d live segments to compact and %d files, want the %d inputs kept",
+					evicted(l, store), live, len(files), inputs)
 			}
 			if got := queryAll(t, store, 5, 0, 1<<60); got != want {
 				t.Error("the failed pass changed live answers")
@@ -167,7 +211,9 @@ type rawSample struct {
 	ts, v   int64
 }
 
-const seedSessions, seedBlockSamples = 2, 32
+// The seed store's budget evicts, so the seed directory has segments
+// to compact.
+const seedSessions, seedBlockSamples, seedBytes = 2, 32, 8 << 10
 
 // seedDir writes a healthy directory FuzzOpenDamagedDir damages —
 // finalized raw segments, one compaction output and, after a crash, WAL
@@ -176,11 +222,11 @@ const seedSessions, seedBlockSamples = 2, 32
 // files by name.
 func seedDir(tb testing.TB, clean bool) map[string][]byte {
 	dir := tb.TempDir()
-	l, err := Open(dir, noCompact(Options{Fsync: FsyncOff, SegmentBytes: 2 << 10, CompactAfter: time.Minute}))
+	l, err := Open(dir, noCompact(Options{Fsync: FsyncOff, SegmentBytes: 2 << 10}))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	store := tsdb.New(tsdb.Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: seedBlockSamples})
+	store := tsdb.New(tsdb.Config{MaxBytes: seedBytes, MaxAge: -1, BlockSamples: seedBlockSamples})
 	if _, err := l.Start(store); err != nil {
 		tb.Fatal(err)
 	}

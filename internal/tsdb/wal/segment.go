@@ -42,7 +42,7 @@ type segment struct {
 	path      string
 	seq       uint64 // file sequence, from the name
 	size      int64
-	maxTS     int64 // newest sample covered, for age-based compaction
+	maxTS     int64 // newest sample covered, for retention
 	raw       bool  // holds 'B' records (compaction input)
 	finalized bool  // every record up to a valid footer loaded
 	// replacedThrough, when non-zero, marks a compaction output: every
@@ -177,7 +177,7 @@ type segmentWriter struct {
 	path    string
 	seq     uint64
 	size    int64 // bytes of header and whole records written
-	maxTS   int64 // newest sample in a written block, for age-driven finalize
+	maxTS   int64 // newest sample in a written block, for the expired finalize
 	dirty   bool  // bytes written since last fsync
 	scratch []byte
 }

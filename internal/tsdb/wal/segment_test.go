@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -46,8 +47,9 @@ func sameSegment(t *testing.T, when string, live *segment) {
 // segment rotating out) and after a live compaction, whose output
 // carries rollups, watermarks and the provenance record.
 func TestLiveSegmentIsItsFile(t *testing.T) {
-	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 4 << 10, CompactAfter: time.Minute})
-	l, _, _ := openPair(t, t.TempDir(), opts, tsdb.Config{BlockSamples: 64})
+	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 4 << 10})
+	// The budget keeps only blocks still in the segment being written.
+	l, _, _ := openPair(t, t.TempDir(), opts, tsdb.Config{BlockSamples: 64, MaxBytes: 7680})
 	defer l.Abandon()
 	appendTicks(t, l, 5, []string{"PAPI_TOT_CYC", "PAPI_FP_OPS"}, 4000, 3_333_333, 100_000)
 	if len(l.segs) < 2 {
@@ -82,8 +84,8 @@ func TestLiveSegmentIsItsFile(t *testing.T) {
 func TestCompactTwiceThenRestart(t *testing.T) {
 	dir := t.TempDir()
 	events := []string{"PAPI_TOT_CYC", "PAPI_FP_OPS"}
-	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 32 << 10, CompactAfter: time.Minute})
-	cfg := tsdb.Config{BlockSamples: 128}
+	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 4 << 10})
+	cfg := tsdb.Config{BlockSamples: 128, MaxBytes: 16 << 10}
 	l, store, _ := openPair(t, dir, opts, cfg)
 
 	const start, step, n = 3_333_333, 100_000, 4000
@@ -123,35 +125,32 @@ func TestCompactTwiceThenRestart(t *testing.T) {
 }
 
 // TestPeriodicCompactionThenRestart compacts the way papid's background
-// loop does, every 30 s against the current time: once with raw
-// segments eligible a minute after their newest sample, once under a
-// disk budget, and once under the budget with the store keeping two
-// minutes of history, swept before each pass as papid's tick sweeps it.
-// Then it restarts after a crash, and again after a clean stop: every
-// QUERY view must come back as the live store answered it after its
-// last sweep, before the restarted store has swept anything. Outputs
-// used to pile up with interleaved time ranges, and replay dropped the
-// rollup buckets that reached the store out of order; a restart used to
-// serve expired history until its first sweep. A pass over the budget
-// must still compact, or delete what has expired.
+// loop does, every 30 s against the current time: once under a byte
+// budget that evicts raw blocks, and once under the budget with the
+// store keeping two minutes of history, swept before each pass as
+// papid's tick sweeps it. Then it restarts after a crash, and again
+// after a clean stop: every QUERY view must come back as the live store
+// answered it after its last sweep, before the restarted store has
+// swept anything. Outputs used to pile up with interleaved time ranges,
+// and replay dropped the rollup buckets that reached the store out of
+// order; a restart used to serve expired history until its first sweep.
+// A pass that finds a segment the store has let go must still compact
+// it, or delete it once expired.
 func TestPeriodicCompactionThenRestart(t *testing.T) {
 	events := []string{"PAPI_TOT_CYC", "PAPI_TOT_INS"}
 	for _, mode := range []struct {
 		name   string
-		opts   Options
 		maxAge time.Duration
 	}{
-		{"age", Options{CompactAfter: time.Minute}, 0},
-		{"budget", Options{DiskBytes: 64 << 10}, 0},
-		{"retention", Options{DiskBytes: 64 << 10}, 2 * time.Minute},
+		{"budget", 0},
+		{"retention", 2 * time.Minute},
 	} {
 		dir := t.TempDir()
-		opts := mode.opts
-		opts.Fsync, opts.SegmentBytes = FsyncOff, 8<<10
-		opts = noCompact(opts)
-		cfg := tsdb.Config{MaxAge: mode.maxAge}
+		opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 8 << 10})
+		cfg := tsdb.Config{MaxAge: mode.maxAge, MaxBytes: 64 << 10}
 		l, store, _ := openPair(t, dir, opts, cfg)
 		var ts int64
+		compacted := 0
 		for i := int64(1); i <= 40_000; i++ {
 			ts = 1_000_000 + i*10_000
 			if err := l.AppendBatch(5, ts, events, []int64{i * 3, i * 7}); err != nil {
@@ -161,14 +160,22 @@ func TestPeriodicCompactionThenRestart(t *testing.T) {
 				continue
 			}
 			store.Sweep(ts)
-			segBytes := segmentBytes(l) // what Compact weighs against the budget
+			// The pass must fold a let-go prefix that holds a raw segment
+			// and reaches the last output.
+			let := evicted(l, store)
+			due := slices.ContainsFunc(l.segs[:let], func(s *segment) bool { return s.raw }) &&
+				!slices.ContainsFunc(l.segs[let:], func(s *segment) bool { return !s.raw })
 			cs, err := l.Compact(ts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if opts.DiskBytes > 0 && segBytes > opts.DiskBytes && cs.Compacted+cs.Deleted == 0 {
-				t.Errorf("%s: a pass with %d segment bytes compacted and deleted nothing", mode.name, segBytes)
+			if due && cs.Compacted+cs.Deleted == 0 {
+				t.Errorf("%s: a pass with %d leading segments the store let go compacted and deleted nothing", mode.name, let)
 			}
+			compacted += cs.Compacted
+		}
+		if compacted == 0 {
+			t.Errorf("%s: no pass compacted", mode.name)
 		}
 		store.Sweep(ts)
 		want := queryAll(t, store, 5, 0, 1<<60)

@@ -4,10 +4,11 @@
 // the delta-of-delta encoding verbatim, memory-maps finalized segments
 // so sealed history is served zero-copy straight from the page cache,
 // replays both on startup (tolerating a torn final record), and
-// compacts old raw segments into rollup-resolution segments under an
-// age/byte budget. How long history lives is the store's retention
-// alone: disk keeps what the store serves, and a restart serves nothing
-// the store had expired.
+// compacts raw segments the store no longer serves raw into
+// rollup-resolution segments. How much raw history exists and how long
+// history lives are the store's byte budget and retention alone: disk
+// keeps what the store serves, and a restart serves nothing the store
+// had evicted or expired.
 //
 // The store knows nothing about files: it holds every sealed block
 // until this package pulls it (Store.Unpersisted) and exposes
@@ -53,14 +54,13 @@ const (
 )
 
 // Options configures a Log. Zero values select the defaults noted. How
-// long history lives is not among them: the log keeps on disk what its
-// store's retention still serves (tsdb.Config.MaxAge), and nothing older.
+// much history lives is not among them: the log keeps on disk what its
+// store still serves (tsdb.Config.MaxBytes raw, tsdb.Config.MaxAge in
+// every view), and nothing older.
 type Options struct {
 	Fsync         string        // fsync policy; default FsyncInterval
 	FsyncInterval time.Duration // interval policy period; default 100ms
 	SegmentBytes  int64         // WAL/segment rotation size; default 4 MiB
-	DiskBytes     int64         // raw-segment byte budget before compaction; default 64 MiB; <0 unlimited
-	CompactAfter  time.Duration // compact raw segments older than this; 0 = budget-only
 	Registry      *telemetry.Registry
 	Logger        *slog.Logger
 	// Clock times fsyncs and drives the fsync and compaction tickers,
@@ -88,9 +88,6 @@ func (o *Options) fill() {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.DiskBytes == 0 {
-		o.DiskBytes = 64 << 20
 	}
 	if o.Logger == nil {
 		o.Logger = telemetry.Discard()

@@ -407,9 +407,11 @@ func TestCompactionEquivalenceAcrossRestart(t *testing.T) {
 	// segments — including windows split across the compaction edge.
 	dir := t.TempDir()
 	events := []string{"PAPI_TOT_CYC", "PAPI_FP_OPS"}
-	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 32 << 10, CompactAfter: time.Minute})
+	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 4 << 10})
 
-	cfg := tsdb.Config{BlockSamples: 128}
+	// The budget keeps the newest raw blocks; compaction folds the
+	// segments whose blocks it evicted.
+	cfg := tsdb.Config{BlockSamples: 128, MaxBytes: 16 << 10}
 	l, store, _ := openPair(t, dir, opts, cfg)
 	// 4000 ticks at 100ms = 400s of history; timestamps start at an
 	// offset so windows don't align trivially with zero.
@@ -426,7 +428,6 @@ func TestCompactionEquivalenceAcrossRestart(t *testing.T) {
 	}
 	want := rollupsBefore(store)
 
-	// Compact everything older than a minute before the newest sample.
 	now := lastTS + time.Minute.Microseconds() + 1
 	cs, err := l.Compact(now)
 	if err != nil {
@@ -450,7 +451,8 @@ func TestCompactionEquivalenceAcrossRestart(t *testing.T) {
 		t.Errorf("restart after compaction changed rollup answers:\nbefore: %s\nafter:  %s", want, got)
 	}
 
-	// Raw queries agree too: both stores dropped raw below the horizon.
+	// Raw queries agree too: both stores hold the raw blocks the budget
+	// kept.
 	wantRaw, _ := json.Marshal(store.Query(5, tsdb.Query{From: 0, To: 1 << 60}))
 	gotRaw, _ := json.Marshal(store2.Query(5, tsdb.Query{From: 0, To: 1 << 60}))
 	if string(wantRaw) != string(gotRaw) {
@@ -464,9 +466,9 @@ func TestCompactionRetainsReplayDedup(t *testing.T) {
 	// prevent WAL rows from replaying on top of the rollups.
 	dir := t.TempDir()
 	events := []string{"PAPI_TOT_CYC"}
-	opts := noCompact(Options{Fsync: FsyncOff, CompactAfter: time.Second})
+	opts := noCompact(Options{Fsync: FsyncOff, SegmentBytes: 512})
 
-	cfg := tsdb.Config{BlockSamples: 64}
+	cfg := tsdb.Config{BlockSamples: 64, MaxBytes: 1 << 10}
 	l, store, _ := openPair(t, dir, opts, cfg)
 	appendTicks(t, l, 2, events, 640, 0, 100_000) // exactly 10 sealed blocks
 	cs, err := l.Compact(64_000_000 + time.Second.Microseconds() + 1)
@@ -476,8 +478,8 @@ func TestCompactionRetainsReplayDedup(t *testing.T) {
 	if cs.RawBlocks == 0 {
 		t.Fatalf("compaction folded no raw blocks: %+v", cs)
 	}
-	// The post-compaction store (rollups only, raw dropped) is the
-	// state replay must reproduce.
+	// The post-compaction store (rollups, and the raw blocks the budget
+	// kept) is the state replay must reproduce.
 	want := queryAll(t, store, 2, 0, 1<<60)
 	l.Abandon() // WAL still holds every row; replay must dedup them all
 

@@ -316,13 +316,29 @@ func TestDecodeResyncAfterMalformed(t *testing.T) {
 	}
 }
 
+// TestDecodeFinalLineWithoutNewline: an encoded frame whose last byte,
+// its newline, never arrived is malformed even though it parses. A
+// server writer that cuts a frame there counts it dropped, so a reader
+// that decoded it whole would see one frame more than the ledger says
+// reached it. The next Decode reports the end of the stream.
 func TestDecodeFinalLineWithoutNewline(t *testing.T) {
-	dec := NewDecoder(strings.NewReader(`{"op":"BYE"}`))
-	var req Request
-	if err := dec.Decode(&req); err != nil || req.Op != OpBye {
-		t.Fatalf("unterminated final frame: %+v, %v", req, err)
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	for _, seq := range []uint64{1, 2} {
+		if err := enc.Encode(&Response{Op: OpSnapshot, Session: 7, Seq: seq}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := dec.Decode(&req); !IsEOF(err) {
-		t.Fatalf("after final frame: %v", err)
+	dec := NewDecoder(bytes.NewReader(buf.Bytes()[:buf.Len()-1]))
+	var resp Response
+	if err := dec.Decode(&resp); err != nil || resp.Seq != 1 {
+		t.Fatalf("whole frame: %+v, %v", resp, err)
+	}
+	resp = Response{}
+	if err := dec.Decode(&resp); !IsMalformed(err) {
+		t.Fatalf("frame cut before its newline decoded as %+v, %v; want MalformedFrameError", resp, err)
+	}
+	if err := dec.Decode(&resp); !IsEOF(err) {
+		t.Fatalf("after the cut frame: %v", err)
 	}
 }

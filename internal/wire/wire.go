@@ -178,10 +178,14 @@ func (d *Decoder) Decode(v any) error {
 			}
 			continue
 		}
+		if err != nil {
+			// A final line cut before its newline is malformed even when
+			// it parses: the sender counts a frame it could not finish
+			// as dropped. Surfacing it as such lets servers reply before
+			// the follow-up Decode reports the stream error.
+			return &MalformedFrameError{Err: fmt.Errorf("frame cut before its newline: %w", err)}
+		}
 		if jerr := json.Unmarshal(frame, v); jerr != nil {
-			// A truncated final line (read error before the newline) is
-			// malformed too; surfacing it as such lets servers reply
-			// before the follow-up Decode reports the stream error.
 			return &MalformedFrameError{Err: jerr}
 		}
 		return nil

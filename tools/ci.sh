@@ -222,6 +222,32 @@ done
     echo "history did not survive a graceful stop and clean start" >&2; exit 1; }
 kill $wal_pid
 wait $wal_pid 2>/dev/null || true
+# One byte budget: -tsdb-mem alone says how much raw history a durable
+# papid keeps, so a restart over the same directory under a small one
+# still answers and stays within it, and the WAL's own byte and age
+# knobs are gone.
+/tmp/papid-ci-smoke -addr 127.0.0.1:61781 -data-dir "$wal_dir" -fsync always -tsdb-mem 65536 -quiet &
+wal_pid=$!
+budgeted=""
+for i in $(seq 1 50); do
+    if /tmp/perfometer-ci-smoke -papid 127.0.0.1:61781 -session 1 -last 1h -step 1s >/dev/null 2>&1; then
+        budgeted=yes
+        break
+    fi
+    sleep 0.1
+done
+[ -n "$budgeted" ] || { echo "history did not survive a restart under -tsdb-mem 65536" >&2; exit 1; }
+tsdb_bytes=$(/tmp/perfometer-ci-smoke -papid 127.0.0.1:61781 -stats | awk '$1 == "tsdb_bytes" { print $2 }')
+[ -n "$tsdb_bytes" ] && [ "$tsdb_bytes" -le 65536 ] || {
+    echo "restart under -tsdb-mem 65536: STATS tsdb_bytes=$tsdb_bytes" >&2; exit 1; }
+kill $wal_pid
+wait $wal_pid 2>/dev/null || true
+for gone in -wal-disk-bytes=1 -wal-compact-after=1m; do
+    status=0
+    out=$(timeout 10 /tmp/papid-ci-smoke -addr 127.0.0.1:61781 "$gone" -quiet 2>&1) || status=$?
+    [ "$status" = 2 ] && echo "$out" | grep -q "flag provided but not defined" || {
+        echo "papid did not refuse $gone at flag parsing (exit $status)" >&2; exit 1; }
+done
 echo "durability smoke OK"
 # Derived-metric smoke: the group library must list and validate
 # (papi-avail -groups), and a live papid with -groups/-derive-rules
