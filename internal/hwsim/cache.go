@@ -57,7 +57,9 @@ func newCache(cfg CacheConfig) *cache {
 func (c *cache) access(addr uint64) bool {
 	line := addr>>c.lineShift + 1 // +1: zero stays the empty-way marker
 	set := int(line&c.setMask) * c.ways
-	c.clock++
+	if c.clock++; c.clock == 0 {
+		c.clock = rerankLRU(c.age, c.ways) + 1
+	}
 	c.accesses++
 	lru, lruAge := set, c.age[set]
 	for w := 0; w < c.ways; w++ {
@@ -83,6 +85,35 @@ func (c *cache) reset() {
 	c.clock, c.accesses, c.misses = 0, 0, 0
 }
 
+// rerankLRU is what a 32-bit LRU clock does when it wraps: it rewrites
+// the stamps of each set of `ways` consecutive ways as their rank in
+// the set, 1 for the least recently used, and leaves empty ways at 0.
+// It returns the highest rank given, which the clock restarts above.
+// Without it the first ways stamped after the wrap would carry the
+// smallest stamps and be evicted first. A set's stamps are distinct —
+// each access stamps one way with a new clock value — so the ranks keep
+// every set's order exactly and replacement is as if the clock were
+// wide. Stamps stay 32 bits: a 64-bit stamp per way would add 32 KiB
+// to a large L2's state.
+func rerankLRU(age []uint32, ways int) uint32 {
+	var top uint32
+	rank := make([]uint32, ways)
+	for set := 0; set < len(age); set += ways {
+		s := age[set : set+ways]
+		for i, a := range s {
+			rank[i] = 0
+			for _, b := range s {
+				if a != 0 && b != 0 && b <= a {
+					rank[i]++
+				}
+			}
+			top = max(top, rank[i])
+		}
+		copy(s, rank)
+	}
+	return top
+}
+
 // tlb is a fully-associative translation buffer with LRU replacement.
 type tlb struct {
 	pageShift uint
@@ -105,7 +136,9 @@ func newTLB(entries int, pageBytes int) *tlb {
 // access probes the TLB with a byte address and returns true on hit.
 func (t *tlb) access(addr uint64) bool {
 	page := addr>>t.pageShift + 1 // +1 so page 0 is distinguishable from empty
-	t.clock++
+	if t.clock++; t.clock == 0 {
+		t.clock = rerankLRU(t.age, len(t.age)) + 1
+	}
 	lru, lruAge := 0, t.age[0]
 	for i, e := range t.entries {
 		if e == page {

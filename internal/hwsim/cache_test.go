@@ -150,3 +150,41 @@ func TestBranchPredictorAlternatingIsHard(t *testing.T) {
 		t.Errorf("alternating branch mispredicted only %d/100 times; 2-bit counters should do badly", miss)
 	}
 }
+
+// TestLRUClockWrap: a seeded access stream must hit and miss exactly as
+// it does from a fresh clock when the 32-bit LRU clock wraps partway
+// through, for the cache and for the TLB. A wrap used to give the ways
+// stamped after it the smallest stamps, so the most recently used way
+// was evicted first.
+func TestLRUClockWrap(t *testing.T) {
+	const accesses = 20_000
+	stream := func(seed uint64) []uint64 {
+		r := newRNG(seed)
+		out := make([]uint64, accesses)
+		for i := range out {
+			out[i] = uint64(r.intn(48)) << 7 // 48 lines or pages in a small pool
+		}
+		return out
+	}
+	for _, start := range []uint32{1<<32 - 7, 1<<32 - accesses/2} {
+		addrs := stream(uint64(start))
+		fresh := newCache(CacheConfig{SizeBytes: 2 << 10, LineBytes: 128, Ways: 4})
+		wrapped := newCache(CacheConfig{SizeBytes: 2 << 10, LineBytes: 128, Ways: 4})
+		wrapped.clock = start
+		for i, a := range addrs {
+			if got, want := wrapped.access(a), fresh.access(a); got != want {
+				t.Fatalf("cache, clock from %d: access %d hit=%v, a fresh clock hit=%v", start, i, got, want)
+			}
+		}
+		freshTLB, wrappedTLB := newTLB(16, 128), newTLB(16, 128)
+		wrappedTLB.clock = start
+		for i, a := range addrs {
+			if got, want := wrappedTLB.access(a), freshTLB.access(a); got != want {
+				t.Fatalf("TLB, clock from %d: access %d hit=%v, a fresh clock hit=%v", start, i, got, want)
+			}
+		}
+		if wrapped.clock >= start || wrappedTLB.clock >= start {
+			t.Fatalf("clock from %d never wrapped: cache %d, TLB %d", start, wrapped.clock, wrappedTLB.clock)
+		}
+	}
+}

@@ -16,6 +16,17 @@ import "encoding/binary"
 //     counters grow by a near-constant amount per tick, so the double
 //     delta is again small.
 //
+// Beside the encoding a block keeps the aggregate of its values: min,
+// max and sum here, with n as the count and lastV as the last. A step
+// query folds a block that lies inside one window of its range from
+// that summary instead of decoding it (capture.fold). The summary is
+// exact: an integer sum wraps the same way in any order, and min, max
+// and the last value need only the time order the samples arrive in.
+// It is not encoded — a block read back from disk recomputes it
+// (InstallSealed). It adds 24 bytes to the block struct; blockOverhead,
+// an approximation, does not change, so every budget keeps the blocks
+// it kept.
+//
 // A block is mutable only through append; once sealed (capacity
 // reached) it is immutable and may be read without any lock by anyone
 // holding a reference.
@@ -44,9 +55,13 @@ type block struct {
 	// when the block seals, whatever the series appends next.
 	firstSeq, lastSeq uint64
 
-	// Encoder state for the next append.
+	// Encoder state for the next append; lastV is also the summary's
+	// last value.
 	lastTS, lastTSDelta int64
 	lastV, lastVDelta   int64
+
+	// The summary of the samples' values.
+	min, max, sum int64
 }
 
 // appendSample encodes one sample. Timestamps must be non-decreasing;
@@ -57,6 +72,7 @@ func (b *block) appendSample(ts, v int64) {
 		b.buf = appendZigzag(b.buf, ts)
 		b.buf = appendZigzag(b.buf, v)
 		b.minTS = ts
+		b.min, b.max = v, v
 	case 1:
 		b.lastTSDelta = ts - b.lastTS
 		b.lastVDelta = v - b.lastV
@@ -72,7 +88,23 @@ func (b *block) appendSample(ts, v int64) {
 	}
 	b.lastTS, b.lastV = ts, v
 	b.maxTS = ts
+	b.min, b.max = min(b.min, v), max(b.max, v)
+	b.sum += v
 	b.n++
+}
+
+// summary is the block's samples folded into one bucket, as merging
+// each of them in time order would fold them; Start is left 0.
+func (b *block) summary() Bucket {
+	return Bucket{Count: uint64(b.n), Min: b.min, Max: b.max, Sum: b.sum, Last: b.lastV}
+}
+
+// inWindow reports whether every sample of b lies in [from, to) and in
+// one step window, so that folding b's summary into that window is
+// folding its samples. Windows are floor-aligned, as Query aligns them.
+func (b *block) inWindow(from, to, step int64) bool {
+	return b.minTS >= from && b.maxTS < to &&
+		b.minTS-mod(b.minTS, step) == b.maxTS-mod(b.maxTS, step)
 }
 
 // bytes reports the block's charge against the store's budget: its

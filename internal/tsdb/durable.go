@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bytes"
+	"math"
 	"slices"
 )
 
@@ -99,7 +100,7 @@ func (s *Store) MarkPersisted(sb SealedBlock) {
 // of one series must arrive in time order. mapped marks a buffer that
 // aliases a memory-mapped segment file, which is never written. The
 // block's samples are folded into the series' rollup levels as live
-// appends would have folded them.
+// appends would have folded them, and its value summary is rebuilt.
 func (s *Store) InstallSealed(sb SealedBlock, mapped bool) {
 	sh := s.shardFor(sb.Key.Session)
 	sh.mu.Lock()
@@ -107,16 +108,20 @@ func (s *Store) InstallSealed(sb SealedBlock, mapped bool) {
 	before := sr.mutableBytes()
 	// Replay installs only blocks read back from segment files, so by
 	// construction every installed block is persisted.
-	b := &block{buf: sb.Buf, n: sb.N, minTS: sb.MinTS, maxTS: sb.MaxTS, mapped: mapped, persisted: true, lastSeq: sb.LastSeq}
+	b := &block{buf: sb.Buf, n: sb.N, minTS: sb.MinTS, maxTS: sb.MaxTS, mapped: mapped, persisted: true, lastSeq: sb.LastSeq,
+		min: math.MaxInt64, max: math.MinInt64}
 	sr.sealed = append(sr.sealed, b)
 	sr.samples += uint64(sb.N)
 	if sb.MaxTS > sr.lastTS {
 		sr.lastTS = sb.MaxTS
 	}
+	// The one decode pass folds the rollups and rebuilds the block's
+	// value summary, which segments do not store.
 	IterBlock(sb.Buf, sb.N, func(ts, v int64) bool {
 		for i := range sr.levels {
 			sr.levels[i].append(ts, v)
 		}
+		b.min, b.max, b.sum, b.lastV = min(b.min, v), max(b.max, v), b.sum+v, v
 		return true
 	})
 	delta := b.bytes() + sr.mutableBytes() - before
@@ -186,8 +191,8 @@ func (s *Store) Remap(key SeriesKey, minTS int64, n int, buf []byte) bool {
 			continue
 		}
 		// A sealed block is immutable — a Query may be decoding it with
-		// no lock held — so the mapped bytes go into a new block that
-		// takes its place in the ring.
+		// no lock held — so the mapped bytes go into a new block, value
+		// summary and all, that takes its place in the ring.
 		mapped := *b
 		mapped.buf, mapped.mapped = buf, true
 		sr.sealed[i] = &mapped

@@ -41,6 +41,22 @@ func (q Query) Valid() bool {
 	return q.To > q.From && q.Step >= 0
 }
 
+// grid returns q's range aligned to its step grid: From down to its
+// window's start, and To up to the end of the window it falls in, so a
+// window starting before To is aggregated whole, even past To. Step 0
+// leaves the range as it is.
+func (q Query) grid() (from, to int64) {
+	if q.Step <= 0 {
+		return q.From, q.To
+	}
+	from = q.From - mod(q.From, q.Step)
+	to = q.To + (q.Step-mod(q.To, q.Step))%q.Step
+	if to < q.To { // alignment overflowed (To near MaxInt64)
+		to = math.MaxInt64
+	}
+	return from, to
+}
+
 // Query answers q against one session's series. Results are sorted by
 // event name (in filter order when q.Events is set); windows with no
 // samples are omitted. An invalid q (see Query.Valid) yields nil
@@ -57,14 +73,9 @@ func (s *Store) Query(session uint64, q Query) []Series {
 	if s.queryLat != nil {
 		defer func(t0 time.Time) { s.queryLat.Observe(telemetry.Since(t0)) }(time.Now())
 	}
-	from, to, width := q.From, q.To, int64(0)
+	from, to := q.grid()
+	var width int64
 	if q.Step > 0 {
-		from = q.From - mod(q.From, q.Step)           // align the first window down
-		to = q.To + (q.Step-mod(q.To, q.Step))%q.Step // align the last window up:
-		// a window starting before To is aggregated whole, even past To
-		if to < q.To { // alignment overflowed (To near MaxInt64)
-			to = math.MaxInt64
-		}
 		width = s.pickWidth(q.Step)
 	}
 	level := slices.Index(s.widths, width) // -1: no rollup serves q, decode raw
@@ -132,9 +143,9 @@ func (s *Store) pickWidth(step int64) int64 {
 
 // capture is what Query takes of one series under the shard read lock:
 // either immutable refs to the sealed blocks overlapping the range
-// plus a copy of the active block's bytes, or a copy of one rollup
-// level's buckets in range — nothing that grows with the samples
-// stored.
+// plus a copy of the active block, bytes and summary, or a copy of one
+// rollup level's buckets in range — nothing that grows with the
+// samples stored.
 type capture struct {
 	event  string
 	blocks []*block // raw path, time-ordered
@@ -159,12 +170,9 @@ func (sr *series) capture(level int, from, to int64) capture {
 	}
 	c.blocks = append(make([]*block, 0, hi-lo+1), sr.sealed[lo:hi]...)
 	if a := sr.active; a != nil && a.n > 0 && a.maxTS >= from && a.minTS < to {
-		c.blocks = append(c.blocks, &block{
-			buf:   append([]byte(nil), a.buf...),
-			n:     a.n,
-			minTS: a.minTS,
-			maxTS: a.maxTS,
-		})
+		cp := *a // bounds and value summary
+		cp.buf = append([]byte(nil), a.buf...)
+		c.blocks = append(c.blocks, &cp)
 		c.n += a.n
 	}
 	return c
@@ -194,32 +202,58 @@ func (c *capture) fold(q Query, width, from, to int64) []Bucket {
 		}
 		return out
 	}
-	sc := blockScan{blocks: c.blocks, from: from, to: to}
 	if q.Step <= 0 {
 		// Raw samples, no windowing: one bucket per sample, allocated
 		// once at the overlapping blocks' sample count.
+		sc := blockScan{blocks: c.blocks, from: from, to: to}
 		out := make([]Bucket, 0, c.n)
 		for ts, v, ok := sc.next(); ok; ts, v, ok = sc.next() {
 			out = append(out, Bucket{Start: ts, Count: 1, Min: v, Max: v, Sum: v, Last: v})
 		}
 		return out
 	}
-	// No rollup divides the step: fold each raw sample into its window
-	// as it decodes. Samples arrive in time order, so only the last
-	// window is open and memory is O(windows).
+	// No rollup divides the step. A block that lies inside one window
+	// of the range folds whole from its value summary; each run of
+	// blocks between streams through blockScan, every sample folded
+	// into its window as it decodes. Blocks and samples arrive in time
+	// order, so only the last window is open and memory is O(windows).
 	var out []Bucket
 	var end int64 // exclusive end of the open window
-	for ts, v, ok := sc.next(); ok; ts, v, ok = sc.next() {
-		if len(out) == 0 || ts >= end {
-			w := ts - mod(ts, q.Step)
-			if end = w + q.Step; end < w { // the window runs past MaxInt64,
-				end = math.MaxInt64 // and every scanned ts is below to
+	for i := 0; i < len(c.blocks); {
+		if b := c.blocks[i]; b.inWindow(from, to, q.Step) {
+			if len(out) == 0 || b.minTS >= end {
+				out, end = openWindow(out, b.minTS, q.Step)
 			}
-			out = append(out, Bucket{Start: w})
+			out[len(out)-1].mergeBucket(b.summary())
+			i++
+			continue
 		}
-		out[len(out)-1].merge(v)
+		j := i + 1
+		for j < len(c.blocks) && !c.blocks[j].inWindow(from, to, q.Step) {
+			j++
+		}
+		sc := blockScan{blocks: c.blocks[i:j], from: from, to: to}
+		for ts, v, ok := sc.next(); ok; ts, v, ok = sc.next() {
+			if len(out) == 0 || ts >= end {
+				out, end = openWindow(out, ts, q.Step)
+			}
+			out[len(out)-1].merge(v)
+		}
+		i = j
 	}
 	return out
+}
+
+// openWindow appends the empty step window holding ts to out and
+// returns its exclusive end — math.MaxInt64 when the window runs past
+// the end of time, since every sample folded is below to.
+func openWindow(out []Bucket, ts, step int64) ([]Bucket, int64) {
+	w := ts - mod(ts, step)
+	end := w + step
+	if end < w {
+		end = math.MaxInt64
+	}
+	return append(out, Bucket{Start: w}), end
 }
 
 // mod is a floor modulo for window alignment that behaves for negative

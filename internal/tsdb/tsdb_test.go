@@ -572,10 +572,13 @@ func bruteRaw(samples []sample, from, to int64) []Bucket {
 // active block, From/To mid-window, To at and near MaxInt64, steps no
 // rollup divides (raw fold), steps one does (rollup fold), step 0, and
 // event filters against nil. A failure names its seed and query, which
-// replay it.
+// replay it. The raw folds must take some blocks whole from their value
+// summary and decode others, or the test would check only one of the
+// two.
 func TestQueryEquivalenceSeeded(t *testing.T) {
 	events := []string{"A", "B", "C"}
 	steps := []int64{0, 1, 7, 333, 999, 1000, 2000, 5000, 6000, 12_000, 4096, 1 << 50}
+	var summarized, decoded int
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		st := New(Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: 4 + rng.Intn(60),
@@ -623,6 +626,10 @@ func TestQueryEquivalenceSeeded(t *testing.T) {
 				want = q.Events[:1]
 			}
 			res := st.Query(9, q)
+			if q.Step > 0 && st.pickWidth(q.Step) == 0 {
+				s, d := rawFoldBlocks(st, 9, q)
+				summarized, decoded = summarized+s, decoded+d
+			}
 			label := fmt.Sprintf("seed %d query %d %+v", seed, qi, q)
 			for _, ev := range want {
 				exp := bruteRaw(model[ev], q.From, q.To)
@@ -646,6 +653,31 @@ func TestQueryEquivalenceSeeded(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("raw step folds: %d blocks from their summary, %d decoded", summarized, decoded)
+	if summarized == 0 || decoded == 0 {
+		t.Errorf("raw step folds took %d blocks from their summary and decoded %d; want both > 0",
+			summarized, decoded)
+	}
+}
+
+// rawFoldBlocks counts the blocks of session's series that a raw step
+// fold of q takes whole from their value summary, and those it decodes.
+func rawFoldBlocks(st *Store, session uint64, q Query) (summarized, decoded int) {
+	from, to := q.grid()
+	sh := st.shardFor(session)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	for _, sr := range sh.m[session].series {
+		c := sr.capture(-1, from, to)
+		for _, b := range c.blocks {
+			if b.inWindow(from, to, q.Step) {
+				summarized++
+			} else {
+				decoded++
+			}
+		}
+	}
+	return summarized, decoded
 }
 
 // TestQueryWindowPastEndOfTime: a step window whose end would overflow

@@ -325,6 +325,11 @@ func runCrashSchedule(t *testing.T, ops []crashOp, plan *crashPlan, cfg tsdb.Con
 	}
 	cutoff := now - cfg.MaxAge.Microseconds()
 	live := servedRaw(store, denseSession, expiring)
+	// The 1 s-step view from the first whole second inside retention: no
+	// rollup divides the step, so the store folds it from raw blocks.
+	const second = int64(time.Second / time.Microsecond)
+	stepFrom := (cutoff + second - 1) / second * second
+	liveSteps := stepViews(t, store, denseSession, expiring, stepFrom)
 	crashed := plan.writes >= plan.n
 	l.Abandon()
 	unmap(l)
@@ -351,5 +356,19 @@ func runCrashSchedule(t *testing.T, ops []crashOp, plan *crashPlan, cfg tsdb.Con
 			return fmt.Errorf("serves %+v, which the live store had let go, though the disk never crashed", s)
 		}
 	}
+	if got := stepViews(t, store2, denseSession, expiring, stepFrom); !crashed && got != liveSteps {
+		return fmt.Errorf("the 1 s-step view from %d differs, though the disk never crashed:\nlive:    %s\nrestart: %s",
+			stepFrom, liveSteps, got)
+	}
 	return nil
+}
+
+// stepViews is the 1 s-step view from `from` on of each session in
+// [first, last].
+func stepViews(t *testing.T, store *tsdb.Store, first, last uint64, from int64) string {
+	var sb strings.Builder
+	for s := first; s <= last; s++ {
+		sb.WriteString(queryViews(t, store, s, from, 1<<62, 1_000_000))
+	}
+	return sb.String()
 }

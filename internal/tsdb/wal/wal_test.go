@@ -93,8 +93,15 @@ func appendTicks(t *testing.T, l *Log, session uint64, events []string, n int, s
 // plus each rollup step, JSON-encoded for exact comparison.
 func queryAll(t *testing.T, store *tsdb.Store, session uint64, from, to int64) string {
 	t.Helper()
+	return queryViews(t, store, session, from, to, 0, 10_000_000, 60_000_000)
+}
+
+// queryViews JSON-encodes the session's answer at each step, one line
+// per step.
+func queryViews(t *testing.T, store *tsdb.Store, session uint64, from, to int64, steps ...int64) string {
+	t.Helper()
 	var sb strings.Builder
-	for _, step := range []int64{0, 10_000_000, 60_000_000} {
+	for _, step := range steps {
 		res := store.Query(session, tsdb.Query{From: from, To: to, Step: step})
 		b, err := json.Marshal(res)
 		if err != nil {

@@ -175,12 +175,15 @@ echo "telemetry smoke OK"
 # then stopped gracefully (Close finalizes the segment behind its footer
 # and writes CLEAN), and a third start must take the clean fast path —
 # the footer read back as the finalize mark, nothing replayed — and
-# still answer the same query.
+# answer the same 1s-step query with the same answer, byte for byte:
+# the replay after kill -9 re-appended the rows, the clean start
+# installed every block from its segment and rebuilt its value summary,
+# which a 1s step folds a block from when it fits in one window.
 wal_dir=$(mktemp -d /tmp/papid-ci-wal.XXXXXX)
 go build -o /tmp/papirun-ci-smoke ./cmd/papirun
 /tmp/papid-ci-smoke -addr 127.0.0.1:61781 -data-dir "$wal_dir" -fsync always -quiet &
 wal_pid=$!
-trap 'kill -9 $papid_pid $wal_pid 2>/dev/null || true; rm -rf "$wal_dir"' EXIT
+trap 'kill -9 $papid_pid $wal_pid 2>/dev/null || true; rm -rf "$wal_dir" "$wal_dir.crash"' EXIT
 published=""
 for i in $(seq 1 50); do
     if /tmp/papirun-ci-smoke -serve 127.0.0.1:61781 -workload dot -n 64 >/dev/null 2>&1; then
@@ -196,7 +199,7 @@ wait $wal_pid 2>/dev/null || true
 wal_pid=$!
 recovered=""
 for i in $(seq 1 50); do
-    if /tmp/perfometer-ci-smoke -papid 127.0.0.1:61781 -session 1 -last 1h -step 1s >/dev/null 2>&1; then
+    if /tmp/perfometer-ci-smoke -papid 127.0.0.1:61781 -session 1 -last 1h -step 1s >"$wal_dir.crash" 2>/dev/null; then
         recovered=yes
         break
     fi
@@ -218,8 +221,13 @@ for want in "wal_clean_start 1" "wal_replayed_rows 0"; do
     echo "$clean" | awk -v want="$want" '$1 " " $2 == want { ok = 1 } END { exit !ok }' || {
         echo "restart after a graceful stop: STATS lacks '$want'" >&2; exit 1; }
 done
-/tmp/perfometer-ci-smoke -papid 127.0.0.1:61781 -session 1 -last 1h -step 1s >/dev/null || {
+clean_answer=$(/tmp/perfometer-ci-smoke -papid 127.0.0.1:61781 -session 1 -last 1h -step 1s) || {
     echo "history did not survive a graceful stop and clean start" >&2; exit 1; }
+[ "$clean_answer" = "$(cat "$wal_dir.crash")" ] || {
+    echo "the clean start's 1s-step history differs from the answer after kill -9:" >&2
+    echo "$clean_answer" | diff "$wal_dir.crash" - >&2
+    exit 1; }
+rm -f "$wal_dir.crash"
 kill $wal_pid
 wait $wal_pid 2>/dev/null || true
 # One byte budget: -tsdb-mem alone says how much raw history a durable
