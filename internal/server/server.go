@@ -560,8 +560,9 @@ func (s *Server) acceptLoop() {
 }
 
 // tickLoop drives the coalesced reads: every TickInterval each running
-// session advances its workload one chunk, its counters are read once,
-// and the single snapshot fans out to all of its subscribers.
+// session's counters are read once and the single snapshot fans out to
+// all of its subscribers; then every session advances its workload the
+// chunk its next snapshot will report.
 func (s *Server) tickLoop(t *clock.Ticker) {
 	defer s.wg.Done()
 	defer t.Stop()
@@ -587,7 +588,7 @@ func (s *Server) tick() {
 	t := s.trc.Start("tick", "tick")
 	now := start.UnixMicro()
 	s.countSkipped(now)
-	s.sweep(now, t)
+	s.sweep(start, t)
 	if s.hist != nil {
 		// Age out history of idle and closed sessions too — appends
 		// only sweep the series they touch.

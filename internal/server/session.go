@@ -46,6 +46,7 @@ type session struct {
 	names   []string
 	prog    workload.Program
 	running bool
+	ahead   bool // the chunk the next row reports has run (advance)
 	closed  bool
 	seq     uint64
 	last    []int64 // latest snapshot: live read, publish, or final stop
@@ -141,6 +142,7 @@ func (sess *session) stop() ([]string, []int64, error) {
 		return nil, nil, err
 	}
 	sess.running = false
+	sess.ahead = false
 	sess.last = final
 	return sess.names, final, nil
 }
@@ -172,17 +174,20 @@ func (sess *session) publish(names []string, values []int64) (wire.Response, err
 		Events: sess.names, Values: values, Seq: sess.seq, Source: "published"}, nil
 }
 
-// snapshot is the coalesced per-tick read: advance the workload one
-// chunk, read the counters once, and number the row. ok is false when
-// there is nothing to do.
+// snapshot is the coalesced per-tick read: read the counters once and
+// number the row. The row reports one workload chunk, which the tick's
+// advance pass normally ran after the previous row was read; when it
+// has not (the first tick after START, or a session the advance pass
+// has not reached yet) snapshot runs it first. ok is false when there
+// is nothing to do.
 func (sess *session) snapshot() (resp wire.Response, ok bool) {
 	if !sess.running {
 		return wire.Response{}, false
 	}
-	if sess.prog != nil {
-		sess.prog.Reset()
-		sess.th.Run(sess.prog)
+	if !sess.ahead {
+		sess.runChunk()
 	}
+	sess.ahead = false
 	vals := make([]int64, len(sess.names))
 	if err := sess.es.Read(vals); err != nil {
 		return wire.Response{}, false
@@ -192,6 +197,28 @@ func (sess *session) snapshot() (resp wire.Response, ok bool) {
 	return wire.Response{Op: wire.OpSnapshot, OK: true, Session: sess.id,
 		Events: sess.names, Values: vals, RealUsec: sess.th.RealUsec(),
 		Seq: sess.seq, Source: "live"}, true
+}
+
+// advance runs the chunk the session's next row will report, off the
+// delivery path: the tick's advance pass calls it once the delivery
+// pass has claimed every shard. Whichever of advance and snapshot comes
+// first, the simulated core sees Run, Read, Run, Read, so no row's
+// values change; what moves is that a READ or STOP between two ticks
+// already sees the next row's chunk.
+func (sess *session) advance() {
+	if !sess.running || sess.prog == nil || sess.ahead {
+		return
+	}
+	sess.runChunk()
+	sess.ahead = true
+}
+
+// runChunk runs the session's workload once, from the top.
+func (sess *session) runChunk() {
+	if sess.prog != nil {
+		sess.prog.Reset()
+		sess.th.Run(sess.prog)
+	}
 }
 
 // addSubscriber files sub under the view it asked for, creating the

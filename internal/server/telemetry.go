@@ -86,11 +86,14 @@ type metrics struct {
 	framesSent [2]*telemetry.Counter
 	bytesSent  [2]*telemetry.Counter
 
-	// tickDur tracks one fan-out tick end to end: workload advances,
-	// counter reads, snapshot encodes, and the history write — on a
-	// durable server the journal and its fsync — for every running
-	// session.
-	tickDur *telemetry.Histogram
+	// tickDur tracks one fan-out tick end to end: counter reads,
+	// snapshot encodes, the history write — on a durable server the
+	// journal and its fsync — and the workload advances, for every
+	// running session. tickDeliver is its delivery pass alone: from
+	// tick start until the last sweep worker has delivered and
+	// journaled its rows, before the advance pass's share of the tick.
+	tickDur     *telemetry.Histogram
+	tickDeliver *telemetry.Histogram
 
 	// opLat holds one wire-latency histogram per (request op, codec):
 	// decode-to-enqueue time for each request the dispatcher answers.
@@ -147,8 +150,12 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	}
 	m.tickDur = reg.NewLatencyHistogram(telemetry.Opts{
 		Name: "papid_tick_duration_seconds",
-		Help: "Snapshot fan-out tick duration (advance + read + encode + history append, journal and fsync included).",
+		Help: "Snapshot fan-out tick duration (read + encode + history append, journal and fsync included, then the workload advance).",
 		Key:  "tick"})
+	m.tickDeliver = reg.NewLatencyHistogram(telemetry.Opts{
+		Name: "papid_tick_deliver_seconds",
+		Help: "Tick start until every sweep worker has read, fanned out and journaled its rows (the tick before its workload advance).",
+		Key:  "tick/deliver"})
 	m.opLat = make(map[string]*[2]*telemetry.Histogram, len(opLatencyOps))
 	for _, op := range opLatencyOps {
 		m.opLat[op] = m.newOpPair(op)

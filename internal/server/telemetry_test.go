@@ -111,6 +111,7 @@ func TestAdminEndpoint(t *testing.T) {
 		"papid_write_queue_frames",
 		"papid_snapshots_sent_total",
 		"papid_tick_duration_seconds_count",
+		"papid_tick_deliver_seconds_count",
 		`papid_frames_sent_total{codec="json"}`,
 		"papid_tsdb_append_seconds_count",
 		"papid_goroutines",
@@ -147,6 +148,10 @@ func TestAdminEndpoint(t *testing.T) {
 	}
 	if s, ok := status.Hists["op/READ/json"]; !ok || s.Count == 0 || s.P50 <= 0 {
 		t.Errorf("/statusz hists lack op/READ/json quantiles: %+v", status.Hists)
+	}
+	// The delivery pass is part of the tick, so it cannot take longer.
+	if d, tk := status.Hists["tick/deliver"], status.Hists["tick"]; d.Count != 1 || tk.Count != 1 || d.Sum > tk.Sum {
+		t.Errorf("/statusz hists tick/deliver %+v, tick %+v: want one observation each, deliver within tick", d, tk)
 	}
 
 	if !strings.Contains(get("/debug/pprof/"), "goroutine") {

@@ -1,18 +1,23 @@
 // Parallel tick pipeline (DESIGN.md S31): the per-tick walk over the
 // session registry, partitioned by registry shard across
-// Config.TickWorkers sweep workers. Each worker runs the full
-// per-session unit (snapshot → derive → encode → fan-out) for the
-// sessions of the shards it claims, keeps the row each session read,
-// and writes those rows to history itself — one batch per worker —
-// before tick() returns.
+// Config.TickWorkers sweep workers, in two passes. The delivery pass
+// reads each session's row and delivers it (snapshot → derive → encode
+// → fan-out) for the sessions of the shards a worker claims, keeps the
+// row each session read, and writes those rows to history itself — one
+// batch per worker — before tick() returns. The advance pass then runs
+// each session's next workload chunk, so the simulation that row will
+// report is off the path every frame waits on.
 //
 // Why partitioning by shard is enough for correctness: every ordering
 // guarantee the fan-out makes is per-session (per-subscriber seq
 // monotonicity, delta keyframe chaining, DERIVED-follows-SNAPSHOT),
 // and a session lives in exactly one registry shard, so one worker
-// owns all of a session's tick work for the whole tick — done under the
-// session's one lock (session.go), which is what orders it against
-// requests on the same session. State shared
+// owns all of a session's delivery work for the whole tick — done under
+// the session's one lock (session.go), which is what orders it against
+// requests on the same session. The passes need no barrier between
+// them: session.ahead makes advance and snapshot commute, since
+// whichever reaches a session first, its chunk runs once and is read
+// after it. State shared
 // across sessions is concurrency-safe on its own: the tsdb store and
 // WAL take their own locks, the derive engine stripes its session
 // state, telemetry counters are striped atomics, and the shared
@@ -23,28 +28,39 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/telemetry/tracing"
 	"repro/internal/tsdb/wal"
 )
 
 // tickJob is one tick's sweep, shared by every worker helping with it.
-// Workers claim registry shards through the atomic cursor until none
+// Workers claim registry shards through an atomic cursor until none
 // remain — work-stealing granularity of one shard, so a shard heavy
-// with sessions never pins the sweep behind a static partition.
+// with sessions never pins the sweep behind a static partition — once
+// for the delivery pass (cursor) and once for the advance pass
+// (advanceCursor).
 type tickJob struct {
-	now    int64
-	cursor atomic.Int64
-	wg     sync.WaitGroup
+	start         time.Time
+	now           int64 // start in Unix microseconds, the rows' timestamp
+	cursor        atomic.Int64
+	advanceCursor atomic.Int64
+	// delivering counts the workers still in the delivery pass; the
+	// last one out observes the tick/deliver histogram.
+	delivering atomic.Int64
+	wg         sync.WaitGroup
 	// trc is the tick's trace (nil untraced). Workers hang one "shard"
-	// span per claimed shard off its root; the Trace is internally
-	// locked, so concurrent workers append safely.
+	// span per shard they deliver and one "advance" span per shard they
+	// advance off its root; the Trace is internally locked, so
+	// concurrent workers append safely.
 	trc *tracing.Trace
 }
 
-// runSweep claims and sweeps shards until the job is exhausted, then
-// writes the rows it read to history in one batch: on a durable server
-// one WAL lock round and at most one fsync per worker per tick.
+// runSweep runs both passes of the tick as one worker. The delivery
+// pass claims and sweeps shards until the job is exhausted, then writes
+// the rows it read to history in one batch: on a durable server one WAL
+// lock round and at most one fsync per worker per tick. The advance
+// pass then claims shards afresh and runs each session's next chunk.
 // worker identifies the sweeping goroutine (0 is the tick goroutine)
 // in shard-span annotations — the Perfetto export maps it to a thread
 // track, making the sweep's actual parallelism visible.
@@ -64,24 +80,50 @@ func (s *Server) runSweep(job *tickJob, worker int) {
 				queued = true
 			}
 		})
-		if job.trc != nil {
-			job.trc.AnnotateInt(sp, "shard", i)
-			job.trc.AnnotateInt(sp, "worker", int64(worker))
-			job.trc.AnnotateInt(sp, "sessions", int64(len(swept)))
-			job.trc.EndSpan(sp)
-		}
+		job.endShardSpan(sp, i, worker, len(swept))
 		if queued {
 			// The sweep holds every P for the whole tick, so the
 			// connection writers this shard's fan-out just woke would
 			// otherwise wait for the sweep to end. Yielding lets them
 			// put the shard's frames on their sockets, one batched
-			// write each, while the next shard simulates (DESIGN.md
+			// write each, while the next shard runs (DESIGN.md
 			// S31). A shard nobody subscribes to woke no writer, so
 			// there is nothing to yield to.
 			runtime.Gosched()
 		}
 	}
 	s.appendRows(job.trc, rows)
+	if job.delivering.Add(-1) == 0 {
+		s.m.tickDeliver.Observe(int64(s.cfg.clock.Now().Sub(job.start)))
+	}
+	for {
+		i := job.advanceCursor.Add(1) - 1
+		if i >= n {
+			break
+		}
+		sp := job.trc.StartSpan(tracing.NoSpan, "advance")
+		swept = s.reg.sweepShard(int(i), swept[:0], func(sess *session) {
+			// prog is set before the session is registered and never
+			// again, so a publish-only session is skipped unlocked.
+			if sess.prog == nil || !sess.lockOpen() {
+				return
+			}
+			sess.advance()
+			sess.mu.Unlock()
+		})
+		job.endShardSpan(sp, i, worker, len(swept))
+	}
+}
+
+// endShardSpan annotates and ends one claimed shard's span.
+func (job *tickJob) endShardSpan(sp tracing.SpanRef, shard int64, worker, sessions int) {
+	if job.trc == nil {
+		return
+	}
+	job.trc.AnnotateInt(sp, "shard", shard)
+	job.trc.AnnotateInt(sp, "worker", int64(worker))
+	job.trc.AnnotateInt(sp, "sessions", int64(sessions))
+	job.trc.EndSpan(sp)
 }
 
 // tickWorker is one pool worker, started by Serve: it waits for tick
@@ -112,9 +154,10 @@ func (s *Server) tickWorker(worker int) {
 // it measures: starting the helpers afresh each tick instead read
 // live_fanout delivery lag +4.2% (worse in 9 of 10 pairs, CHANGES.md
 // PR 18).
-func (s *Server) sweep(now int64, t *tracing.Trace) {
-	job := &tickJob{now: now, trc: t}
+func (s *Server) sweep(start time.Time, t *tracing.Trace) {
+	job := &tickJob{start: start, now: start.UnixMicro(), trc: t}
 	helpers := s.cfg.TickWorkers - 1
+	job.delivering.Store(int64(s.cfg.TickWorkers))
 	job.wg.Add(helpers)
 	for i := 0; i < helpers; i++ {
 		select {

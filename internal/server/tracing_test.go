@@ -129,7 +129,8 @@ func TestTraceDisabledByDefault(t *testing.T) {
 
 // TestTraceTickStructure drives hand ticks on a head-sample-everything
 // server and asserts the tick trace's anatomy: a root, one "shard"
-// span per registry shard spread across the sweep workers, and — the
+// span and one "advance" span per registry shard spread across the
+// sweep workers, and — the
 // detailed (sampled) extras — per-session spans with the
 // snapshot/fanout/derive stage children. The server is durable under
 // -fsync always, so the tick trace also carries what its history write
@@ -168,16 +169,18 @@ func TestTraceTickStructure(t *testing.T) {
 	}
 	names := spanNames(*tick)
 	for _, want := range []string{"tick", "shard", "session", "snapshot",
-		"tsdb.append", "wal.append", "wal.fsync", "fanout", "derive", "tsdb.sweep"} {
+		"tsdb.append", "wal.append", "wal.fsync", "fanout", "derive", "advance", "tsdb.sweep"} {
 		if !names[want] {
 			t.Errorf("tick trace lacks span %q; has %v", want, names)
 		}
 	}
-	shards, sessions, journaled := 0, 0, int64(0)
+	shards, advanced, sessions, journaled := 0, 0, 0, int64(0)
 	for _, sp := range tick.Spans {
 		switch sp.Name {
 		case "shard":
 			shards++
+		case "advance":
+			advanced++
 		case "session":
 			sessions++
 		case "wal.append":
@@ -191,8 +194,8 @@ func TestTraceTickStructure(t *testing.T) {
 	if journaled != 3 {
 		t.Errorf("wal.append spans account for %d rows, want 3", journaled)
 	}
-	if want := len(srv.reg.shards); shards != want {
-		t.Errorf("%d shard spans, want %d", shards, want)
+	if want := len(srv.reg.shards); shards != want || advanced != want {
+		t.Errorf("%d shard and %d advance spans, want %d of each", shards, advanced, want)
 	}
 	if sessions != 3 {
 		t.Errorf("%d session spans, want 3", sessions)

@@ -82,8 +82,11 @@ go test -race -count=20 -run '^(TestRowInSweepDropWindowSurvivesCrash|TestSweepR
 # The session's one lock, the same way: several publishers to one
 # session must reach every subscriber, the derive engine and history in
 # seq order, a torn-down connection must be pushed nothing more, and a
-# new subscription must open between two rows.
-go test -race -count=20 -run '^(TestConcurrentPublishersKeepOrder|TestViewMembershipChurn|TestStreamOpensBetweenRows)$' ./internal/server
+# new subscription must open between two rows. The tick's delivery and
+# advance passes commute per session, so the rows they make must equal
+# a direct Run → Read sequence at any sweep width, and a restarted
+# session must run its first chunk again.
+go test -race -count=20 -run '^(TestConcurrentPublishersKeepOrder|TestViewMembershipChurn|TestStreamOpensBetweenRows|TestAdvanceAheadKeepsRows|TestRestartRunsFirstChunk)$' ./internal/server
 # Server benches once with -benchmem: the encode-once fan-out's
 # allocation profile is a correctness property here — this catches a
 # reintroduced per-subscriber serialization as an allocs/op jump even
@@ -139,7 +142,8 @@ done
 [ -n "$ok" ] || { echo "papid -http never came up (do the benchmark's pinned flags still parse?)" >&2; exit 1; }
 for family in papid_sessions papid_connections papid_write_queue_frames \
     papid_snapshots_dropped_total \
-    papid_uptime_seconds papid_tick_duration_seconds papid_ticks_skipped_total \
+    papid_uptime_seconds papid_tick_duration_seconds papid_tick_deliver_seconds \
+    papid_ticks_skipped_total \
     papid_goroutines; do
     echo "$metrics" | grep -q "$family" || {
         echo "/metrics lacks $family" >&2; exit 1; }
@@ -396,7 +400,7 @@ for i in $(seq 1 20); do
 done
 [ -n "$tick_id" ] || { echo "/tracez lists no tick trace after 2 s" >&2; exit 1; }
 tick_chrome=$(curl -sf "http://127.0.0.1:61786/debug/trace?id=$tick_id&format=chrome")
-for span in shard tsdb.sweep; do
+for span in shard advance tsdb.sweep; do
     printf '%s' "$tick_chrome" | grep -q "\"$span\"" || {
         echo "tick chrome export lacks sweep span $span" >&2; exit 1; }
 done
