@@ -128,9 +128,8 @@ type Config struct {
 	TSDBRollups []time.Duration
 	// DataDir, when set, makes history durable: every tick row is
 	// journaled to a write-ahead log under this directory, sealed
-	// blocks are persisted into memory-mapped segment files, and a
-	// restart replays them (see internal/tsdb/wal). Empty keeps
-	// history RAM-only.
+	// blocks are persisted into segment files, and a restart replays
+	// them (see internal/tsdb/wal). Empty keeps history RAM-only.
 	DataDir string
 	// Fsync selects the WAL fsync policy: "always", "interval"
 	// (default) or "off". Only meaningful with DataDir.

@@ -36,12 +36,6 @@ type block struct {
 
 	minTS, maxTS int64 // inclusive sample time range
 
-	// mapped marks a sealed block whose buf aliases a memory-mapped
-	// segment file (internal/tsdb/wal): the buf must never be written,
-	// and Remap leaves the block alone. It changes nothing else — the
-	// block costs the budget what a heap copy would.
-	mapped bool
-
 	// persisted marks a sealed block known to exist on disk — its
 	// segment write succeeded (MarkPersisted) or it was installed from
 	// a segment at replay. Until it is, the WAL keeps its rows.
@@ -108,8 +102,8 @@ func (b *block) inWindow(from, to, step int64) bool {
 }
 
 // bytes reports the block's charge against the store's budget: its
-// encoded length plus the fixed overhead, one price whether the bytes
-// sit on the heap or in a mapped segment, so a live store and one
+// encoded length plus the fixed overhead, one price whether the block
+// was appended live or installed at replay, so a live store and one
 // replayed from disk fit the same blocks.
 func (b *block) bytes() int64 {
 	return int64(len(b.buf)) + blockOverhead

@@ -12,7 +12,7 @@ import (
 // stays storage-agnostic — it holds every sealed block until one is
 // written (Unpersisted), answers which of its samples are not yet on
 // disk, and accepts reconstructed blocks and rollup buckets; everything
-// about files, fsync and mmap lives in the layer that pulls.
+// about files and fsync lives in the layer that pulls.
 
 // SealedBlock is one immutable sealed block handed to the storage
 // layer (and handed back at replay): the delta-of-delta encoded buffer
@@ -97,18 +97,19 @@ func (s *Store) MarkPersisted(sb SealedBlock) {
 }
 
 // InstallSealed inserts a persisted sealed block during replay. Blocks
-// of one series must arrive in time order. mapped marks a buffer that
-// aliases a memory-mapped segment file, which is never written. The
-// block's samples are folded into the series' rollup levels as live
+// of one series must arrive in time order. The block keeps a copy of
+// sb.Buf, so it owns its bytes and the caller's buffer — a whole file,
+// typically — is not pinned by whichever of its blocks the budget keeps.
+// The block's samples are folded into the series' rollup levels as live
 // appends would have folded them, and its value summary is rebuilt.
-func (s *Store) InstallSealed(sb SealedBlock, mapped bool) {
+func (s *Store) InstallSealed(sb SealedBlock) {
 	sh := s.shardFor(sb.Key.Session)
 	sh.mu.Lock()
 	sr := s.seriesFor(sh.entryFor(sb.Key.Session), sb.Key)
 	before := sr.mutableBytes()
 	// Replay installs only blocks read back from segment files, so by
 	// construction every installed block is persisted.
-	b := &block{buf: sb.Buf, n: sb.N, minTS: sb.MinTS, maxTS: sb.MaxTS, mapped: mapped, persisted: true, lastSeq: sb.LastSeq,
+	b := &block{buf: bytes.Clone(sb.Buf), n: sb.N, minTS: sb.MinTS, maxTS: sb.MaxTS, persisted: true, lastSeq: sb.LastSeq,
 		min: math.MaxInt64, max: math.MinInt64}
 	sr.sealed = append(sr.sealed, b)
 	sr.samples += uint64(sb.N)
@@ -168,37 +169,6 @@ func (s *Store) InstallRollup(key SeriesKey, width int64, buckets []Bucket) bool
 	}
 	s.bytes.Add(lv.bytes() - before)
 	return true
-}
-
-// Remap swaps a sealed block's heap buffer for a memory-mapped one
-// holding identical bytes — the storage layer calls it after a segment
-// file is finalized and mapped, releasing the heap copy. The budget
-// charge does not change: a block costs the same mapped or not. The
-// block is matched by (minTS, n) and verified byte-equal; a block already
-// evicted, already mapped, not matching, or not persisted (a file holds
-// only persisted blocks, and a queued one's identity must hold until
-// MarkPersisted) is left alone.
-func (s *Store) Remap(key SeriesKey, minTS int64, n int, buf []byte) bool {
-	sh := s.shardFor(key.Session)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sr := sh.lookup(key)
-	if sr == nil {
-		return false
-	}
-	for i, b := range sr.sealed {
-		if b.mapped || !b.persisted || b.minTS != minTS || b.n != n || !bytes.Equal(b.buf, buf) {
-			continue
-		}
-		// A sealed block is immutable — a Query may be decoding it with
-		// no lock held — so the mapped bytes go into a new block, value
-		// summary and all, that takes its place in the ring.
-		mapped := *b
-		mapped.buf, mapped.mapped = buf, true
-		sr.sealed[i] = &mapped
-		return true
-	}
-	return false
 }
 
 // OldestUnpersisted returns the WAL row sequence of the oldest sample

@@ -7,8 +7,7 @@ package tsdb
 // under the one shard lock that guards them all: a tick row is
 // appended to every series it touches, and a Query captures every
 // series it reads, under a single hold of that lock. Sealed blocks are
-// immutable — Remap replaces one, it never writes into it — and safe
-// to decode after the lock is released.
+// immutable and safe to decode after the lock is released.
 type series struct {
 	key     SeriesKey
 	active  *block

@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -375,58 +374,6 @@ func TestQuerySeesWholeRows(t *testing.T) {
 	}
 }
 
-// TestRemapWhileScanning: a sealed block is immutable, so remapping —
-// which the storage layer does whenever a segment file finalizes — may
-// run while queries decode the series with no lock held. Run under
-// -race, this is the gate: Remap must put the mapped bytes in a new
-// block, never assign into one a scan may hold.
-func TestRemapWhileScanning(t *testing.T) {
-	st := New(Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: 8})
-	key := SeriesKey{Session: 1, Event: "E"}
-	for _, s := range genCounter(8*512+3, 1000, 7) {
-		st.Append(key.Session, key.Event, s.ts, s.v)
-	}
-	sealed := persistAll(st)
-	if len(sealed) != 512 {
-		t.Fatalf("%d blocks sealed, want 512", len(sealed))
-	}
-	q := Query{From: 0, To: math.MaxInt64}
-	want := st.Query(key.Session, q)[0].Buckets
-
-	scanning, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		for n := 0; ; n++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if res := st.Query(key.Session, q); len(res) != 1 || !slices.Equal(res[0].Buckets, want) {
-				t.Error("a query racing Remap did not return the series' samples")
-				return
-			}
-			if n == 0 {
-				close(scanning)
-			}
-		}
-	}()
-	<-scanning
-	for _, sb := range sealed {
-		if !st.Remap(key, sb.MinTS, sb.N, bytes.Clone(sb.Buf)) {
-			t.Errorf("Remap refused the sealed block at %d", sb.MinTS)
-		}
-	}
-	close(stop)
-	<-done
-	if got, want := st.Stats().Bytes, recountBytes(st); got != want {
-		t.Errorf("after remapping: running total %d, recount %d", got, want)
-	}
-	if st.Remap(key, sealed[0].MinTS, sealed[0].N, sealed[0].Buf) {
-		t.Error("Remap re-matched an already-mapped block")
-	}
-}
-
 // TestAppendBatchEquivalence: a batched row must leave the store in
 // exactly the state E sequential Appends would — same query results,
 // same sample/byte accounting — at any row width.
@@ -754,7 +701,7 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 		}
 	}
 	var ts int64
-	var remapped int
+	var persisted int
 	row := make([]int64, len(events))
 	for i := 0; i < 30_000; i++ {
 		ts += 500 + rng.Int63n(2_000)
@@ -774,21 +721,17 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 				b.appendSample(ts+k, k)
 			}
 			ts += 20
-			st.InstallSealed(sealedBlockOf(SeriesKey{Session: 50 + sess, Event: "R"}, &b), rng.Intn(2) == 0)
+			st.InstallSealed(sealedBlockOf(SeriesKey{Session: 50 + sess, Event: "R"}, &b))
 			check("InstallSealed", i)
 		case 3:
 			st.InstallRollup(SeriesKey{Session: 50 + sess, Event: "R"}, st.widths[0],
 				[]Bucket{{Start: ts - mod(ts, st.widths[0]), Count: 1}})
 			check("InstallRollup", i)
 		case 4:
-			// A storage layer writes the queue and maps what it wrote: a
-			// block costs the same mapped or not.
-			for _, sb := range persistAll(st) {
-				if st.Remap(sb.Key, sb.MinTS, sb.N, bytes.Clone(sb.Buf)) {
-					remapped++
-				}
-			}
-			check("Remap", i)
+			// A storage layer writes the queue: a block costs the same
+			// persisted or not.
+			persisted += len(persistAll(st))
+			check("persist", i)
 		case 5:
 			st.Append(sess, events[0], ts, row[0])
 			check("Append", i)
@@ -807,9 +750,9 @@ func TestBudgetRunningTotalMatchesRecount(t *testing.T) {
 			check("AppendBatch", i)
 		}
 	}
-	if st.Stats().Evictions == 0 || remapped == 0 {
-		t.Errorf("the schedule made %d evictions and remapped %d blocks; it no longer exercises the eviction and remap deltas",
-			st.Stats().Evictions, remapped)
+	if st.Stats().Evictions == 0 || persisted == 0 {
+		t.Errorf("the schedule made %d evictions and persisted %d blocks; it no longer exercises the eviction and persist steps",
+			st.Stats().Evictions, persisted)
 	}
 	st.Sweep(ts + time.Hour.Microseconds())
 	check("final Sweep", -1)
@@ -826,6 +769,27 @@ func persistAll(st *Store) []SealedBlock {
 		st.MarkPersisted(sb)
 	}
 	return written
+}
+
+// TestInstallSealedOwnsItsBytes: a replayed block keeps its own copy of
+// the buffer it was installed from — a segment file's bytes, which the
+// storage layer lets go once the install pass ends — so writing over that
+// buffer afterwards changes nothing the store serves.
+func TestInstallSealedOwnsItsBytes(t *testing.T) {
+	var b block
+	for k := int64(0); k < 20; k++ {
+		b.appendSample(1000+k, 7*k)
+	}
+	st := New(Config{MaxBytes: 1 << 20, MaxAge: -1})
+	key := SeriesKey{Session: 1, Event: "E"}
+	st.InstallSealed(sealedBlockOf(key, &b))
+	q := Query{From: 0, To: math.MaxInt64}
+	want := st.Query(key.Session, q)[0].Buckets
+	clear(b.buf)
+	if got := st.Query(key.Session, q)[0].Buckets; !slices.Equal(got, want) || len(got) != 20 {
+		t.Errorf("after the install buffer was overwritten the store serves %d samples, differing from the %d it served before",
+			len(got), len(want))
+	}
 }
 
 // TestSweepThenRecreate: the session's entry is the event index, so

@@ -57,13 +57,11 @@ func (l *Log) Compact(now int64) (CompactStats, error) {
 	// An active segment whose entire content the store has expired
 	// would otherwise never become eligible — low-traffic servers might
 	// not fill it for hours. Finalize it so the passes below can see it.
-	var retired *segment
 	l.segMu.Lock()
 	if l.sw != nil && l.sw.size > int64(len(segMagic)) && l.sw.maxTS < expiry {
-		retired = l.retireWriterLocked(true)
+		l.retireWriterLocked(true)
 	}
 	l.segMu.Unlock()
-	l.remap(retired)
 
 	// Retention: drop the segments the store serves nothing of — not
 	// every segment older than its cutoff, since an older sample still
@@ -120,6 +118,8 @@ func (l *Log) Compact(now int64) (CompactStats, error) {
 
 	out, err := l.buildCompacted(sel, expiry)
 	if err != nil {
+		l.writeErrs.Add(1)
+		l.logger.Error("compaction failed; inputs kept", "err", err)
 		return cs, err
 	}
 
@@ -166,6 +166,11 @@ func (l *Log) expiry(now int64) int64 {
 // live ones; then the buckets the store has expired as of expiry are
 // dropped, so an output holds what the store serves and expired
 // history does not ride along from one output into the next.
+//
+// The raw blocks are read from the input files here, one file at a
+// time. An input that no longer loads to the records it held ends the
+// pass before anything is written: deleting it would lose the history
+// it no longer yields.
 func (l *Log) buildCompacted(sel []*segment, expiry int64) (*segment, error) {
 	// The store's widths: compaction output matches its live levels.
 	widths := l.store.RollupWidths()
@@ -204,7 +209,17 @@ func (l *Log) buildCompacted(sel []*segment, expiry int64) (*segment, error) {
 		}
 	}
 	for _, s := range sel {
-		for _, sb := range s.blocks {
+		if !s.raw {
+			continue
+		}
+		in, err := loadSegment(s.path, s.seq)
+		if err == nil && !s.loadsAs(in) {
+			err = fmt.Errorf("wal: %s: compaction input no longer loads whole", s.path)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, sb := range in.blocks {
 			pk := at(sb.Key)
 			tsdb.IterBlock(sb.Buf, sb.N, func(ts, v int64) bool {
 				for _, f := range pk.folders {

@@ -332,12 +332,11 @@ func runCrashSchedule(t *testing.T, ops []crashOp, plan *crashPlan, cfg tsdb.Con
 	liveSteps := stepViews(t, store, denseSession, expiring, stepFrom)
 	crashed := plan.writes >= plan.n
 	l.Abandon()
-	unmap(l)
 
 	opts.wrap = nil
 	opts.Clock = clock.NewFake(time.UnixMicro(now))
 	l2, store2, _ := openPair(t, dir, opts, cfg)
-	defer func() { l2.Abandon(); unmap(l2) }()
+	defer l2.Abandon()
 	served := servedRaw(store2, denseSession, expiring)
 	for s := range served {
 		if !appended[s] {

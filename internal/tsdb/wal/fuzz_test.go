@@ -66,8 +66,8 @@ func honestIndex(payloads [][]byte) []byte {
 }
 
 func scanImage(img []byte) *segment {
-	s := &segment{data: img}
-	s.scan()
+	s := &segment{}
+	s.scan(img)
 	return s
 }
 

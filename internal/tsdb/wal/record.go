@@ -168,7 +168,7 @@ func decodeRow(payload []byte) (rowRecord, error) {
 }
 
 // blockRecord persists one sealed block; buf is the delta-of-delta
-// encoding verbatim, so a mapped segment serves it zero-copy.
+// encoding verbatim, so neither a persist pass nor a replay re-encodes.
 func appendBlock(dst []byte, sb tsdb.SealedBlock) []byte {
 	dst = append(dst, recBlock)
 	dst = appendUvarint(dst, sb.Key.Session)

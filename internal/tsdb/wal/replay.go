@@ -61,13 +61,15 @@ func (l *Log) Start(store *tsdb.Store) (ReplayStats, error) {
 		}
 	}
 	// Pass 2: raw blocks, folded into rollup levels on top of the
-	// installed runs.
+	// installed runs. The store copies each block, so the file's bytes
+	// go once its blocks are in.
 	for _, seg := range l.segs {
 		for _, sb := range seg.blocks {
-			store.InstallSealed(sb, seg.mapped)
+			store.InstallSealed(sb)
 			rs.Blocks++
 			seen(sb.Key, sb.LastSeq)
 		}
+		seg.dropBytes()
 	}
 	// Pass 3: WAL rows not yet inside a sealed block.
 	for i := range l.loadedWALs {

@@ -325,7 +325,7 @@ func serveDir(tb testing.TB, root string, files map[string][]byte) (map[rawSampl
 		_, err = l.Start(store)
 	})
 	if l != nil {
-		defer func() { l.Abandon(); unmap(l) }()
+		defer l.Abandon()
 	}
 	if err != nil {
 		return nil, opened

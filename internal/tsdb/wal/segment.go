@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -18,11 +19,16 @@ import (
 // graceful shutdown) it is finalized — a fixed footer is appended and
 // the file fsynced — then closed and loaded the way Open loads every
 // segment it finds, so what the live log holds for a file is by
-// construction what a restart would read from it. Every raw block the
-// store still holds is remapped onto the mapping so the heap copies
-// can be collected. A segment that was being written when the process
-// died has no footer; it loads as far as its records are intact and is
-// left as-is (new seals go to a new file).
+// construction what a restart would read from it. A segment that was
+// being written when the process died has no footer; it loads as far as
+// its records are intact and is left as-is (new seals go to a new file).
+//
+// Every load reads the whole file into the heap. The log keeps what the
+// records say — each block's key, time range, count and sequence,
+// rollup runs, watermarks — but not the bytes: the store's blocks own
+// copies of theirs, and compaction reads its inputs again when it folds
+// them. A file damaged after it was loaded therefore costs at most the
+// compaction that would have folded it, never a served query.
 //
 // Footer layout, fixed 16 bytes at EOF:
 //
@@ -48,12 +54,14 @@ type segment struct {
 	// replacedThrough, when non-zero, marks a compaction output: every
 	// segment with seq at or below it is superseded by this one.
 	replacedThrough uint64
-	data            []byte
-	mapped          bool
-	blocks          []tsdb.SealedBlock // Buf aliases data
-	rollups         []rollupRecord
-	marks           []watermarkRecord
-	torn            int // records lost to a torn tail on load
+	footer          bool // the file ends in the footer magic, whole or not
+	// blocks' Buf slices the file's bytes after a load. dropBytes lets
+	// them go once the store holds its copies: from Start on, no segment
+	// the log holds keeps any.
+	blocks  []tsdb.SealedBlock
+	rollups []rollupRecord
+	marks   []watermarkRecord
+	torn    int // records lost to a torn tail on load
 }
 
 func segPath(dir string, seq uint64) string {
@@ -81,7 +89,9 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return seq, true
 }
 
-// loadSegment maps a segment file and scans its records.
+// loadSegment reads a segment file and scans its records. The read is
+// bounded by the size the file had when opened, so a load allocates no
+// more than the file holds.
 func loadSegment(path string, seq uint64) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -92,30 +102,29 @@ func loadSegment(path string, seq uint64) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := fi.Size()
-	data, mapped, err := mmapFile(f, int(size))
-	if err != nil {
-		return nil, fmt.Errorf("wal: mmap %s: %w", path, err)
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("wal: read %s: %w", path, err)
 	}
-	s := &segment{path: path, seq: seq, size: size, data: data, mapped: mapped}
-	s.scan()
+	s := &segment{path: path, seq: seq, size: fi.Size()}
+	s.scan(data)
 	return s, nil
 }
 
-// scan fills the segment from s.data, the file's bytes: one loop from
-// the header to the offset a footer names — reached with every record
+// scan fills the segment from data, the file's bytes: one loop from the
+// header to the offset a footer names — reached with every record
 // intact, the segment is finalized — or to the first torn record. A
 // footer naming an offset that is no record boundary is never reached,
 // so the file loads as if it had none.
-func (s *segment) scan() {
-	data := s.data
+func (s *segment) scan(data []byte) {
+	s.footer = bytes.HasSuffix(data, []byte(idxMagic))
 	if checkHeader(data, segMagic) != nil {
 		// Not even a header: a crash right after create. Treat as empty.
 		s.torn = 1
 		return
 	}
 	end, footer := uint64(len(data)), false
-	if n := len(data) - footerLen; n >= len(segMagic) && string(data[n+8:]) == idxMagic {
+	if n := len(data) - footerLen; s.footer && n >= len(segMagic) {
 		end, footer = binary.LittleEndian.Uint64(data[n:]), true
 	}
 	for off := len(segMagic); uint64(off) != end; {
@@ -127,6 +136,30 @@ func (s *segment) scan() {
 		off = next
 	}
 	s.finalized = footer
+}
+
+// dropBytes lets go of the file's bytes, keeping what its records say.
+func (s *segment) dropBytes() {
+	for i := range s.blocks {
+		s.blocks[i].Buf = nil
+	}
+}
+
+// loadsAs reports whether in, a fresh load of s's file, holds every
+// record s held when it was loaded: no record gone, every block the same
+// block, and a finalized file still finalized.
+func (s *segment) loadsAs(in *segment) bool {
+	if in.finalized != s.finalized || len(in.blocks) != len(s.blocks) ||
+		len(in.rollups) != len(s.rollups) || len(in.marks) != len(s.marks) {
+		return false
+	}
+	for i, a := range in.blocks {
+		b := s.blocks[i]
+		if a.Key != b.Key || a.N != b.N || a.MinTS != b.MinTS || a.MaxTS != b.MaxTS || a.LastSeq != b.LastSeq {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *segment) addRecord(payload []byte) error {

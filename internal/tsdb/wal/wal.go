@@ -1,11 +1,9 @@
 // Package wal makes the tsdb store crash-safe. It journals every
 // appended tick row into an append-only, CRC-framed write-ahead log,
 // persists blocks the store seals into segment files whose payload is
-// the delta-of-delta encoding verbatim, memory-maps finalized segments
-// so sealed history is served zero-copy straight from the page cache,
-// replays both on startup (tolerating a torn final record), and
-// compacts raw segments the store no longer serves raw into
-// rollup-resolution segments. How much raw history exists and how long
+// the delta-of-delta encoding verbatim, replays both on startup
+// (tolerating a torn final record), and compacts raw segments the store
+// no longer serves raw into rollup-resolution segments. How much raw history exists and how long
 // history lives are the store's byte budget and retention alone: disk
 // keeps what the store serves, and a restart serves nothing the store
 // had evicted or expired.
@@ -21,7 +19,6 @@
 package wal
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -180,7 +177,7 @@ type Log struct {
 	totalSegTorn int
 }
 
-// Open scans dir (creating it if needed), maps every existing segment
+// Open scans dir (creating it if needed), reads every existing segment
 // and parses its records, and lists existing WAL files. No store
 // interaction happens until Start.
 func Open(dir string, opts Options) (*Log, error) {
@@ -211,7 +208,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		if seq, ok := parseSeq(name, "seg-", ".seg"); ok {
 			seg, err := loadSegment(filepath.Join(dir, name), seq)
 			if err != nil {
-				// A segment that cannot even be opened or mapped is
+				// A segment that cannot even be opened or read is
 				// skipped, not fatal: the data it held is lost either
 				// way, and refusing to start would lose everything else.
 				l.loadErrs = append(l.loadErrs, fmt.Sprintf("%s: %v", name, err))
@@ -262,7 +259,7 @@ func (l *Log) pruneStaleSegments() {
 	for _, s := range l.segs {
 		stale := maxReplaced > 0 && s.seq <= maxReplaced
 		tornCompact := s.replacedThrough != 0 && !s.finalized
-		if tornCompact && bytes.HasSuffix(s.data, []byte(idxMagic)) {
+		if tornCompact && s.footer {
 			l.logger.Error("corrupt compaction output kept, not served", "path", s.path)
 			continue
 		}
@@ -308,7 +305,7 @@ func (l *Log) registerTelemetry(reg *telemetry.Registry) {
 	}, l.truncated.Load)
 	reg.NewCounterFunc(telemetry.Opts{
 		Name: "papid_wal_write_errors_total",
-		Help: "WAL or segment write failures (appends continue in RAM).",
+		Help: "WAL or segment write failures and failed compaction passes (appends continue in RAM).",
 	}, l.writeErrs.Load)
 	reg.NewCounterFunc(telemetry.Opts{
 		Name: "papid_wal_replayed_rows_total",
@@ -464,10 +461,10 @@ func (l *Log) AppendRowsTraced(rows []Row, t *tracing.Trace) error {
 // the store for every sealed block not yet persisted, each series'
 // oldest first, and writes them to the active segment, rotating and
 // finalizing it when full. Each block is marked persisted in the store
-// as its write succeeds, before segMu is released and before any
-// remap, so no pass writes a block another has written. It runs after
-// an append that sealed, on the interval fsync tick, at the top of
-// Compact, at the end of Start and in Close.
+// as its write succeeds, before segMu is released, so no pass writes a
+// block another has written. It runs after an append that sealed, on
+// the interval fsync tick, at the top of Compact, at the end of Start
+// and in Close.
 //
 // A failed write ends the pass: the writer is retired without a footer
 // (partial bytes may sit behind its last whole record), and the block
@@ -476,13 +473,12 @@ func (l *Log) AppendRowsTraced(rows []Row, t *tracing.Trace) error {
 // them in order — a series' persisted blocks never develop a gap that
 // replay's watermark would silently skip over.
 func (l *Log) persist() {
-	var retired *segment
 	l.segMu.Lock()
 	for _, sb := range l.store.Unpersisted() {
 		err := l.ensureWriterLocked()
 		if err == nil {
 			if err = l.sw.writeBlock(sb); err != nil {
-				retired = l.retireWriterLocked(false)
+				l.retireWriterLocked(false)
 			}
 		}
 		if err != nil {
@@ -497,10 +493,9 @@ func (l *Log) persist() {
 		l.fsyncSegLocked()
 	}
 	if l.sw != nil && l.sw.size >= l.opts.SegmentBytes {
-		retired = l.retireWriterLocked(true)
+		l.retireWriterLocked(true)
 	}
 	l.segMu.Unlock()
-	l.remap(retired)
 }
 
 // ensureWriterLocked opens the active segment writer; segMu held.
@@ -523,9 +518,8 @@ func (l *Log) ensureWriterLocked() error {
 // last whole record — and loaded like any file Open finds, so the live
 // list holds what a restart would: the whole segment, or the intact
 // prefix of one whose footer never made it to disk. The next seal
-// starts a fresh file. Returns the segment (nil if it would not load)
-// for remap, outside the lock.
-func (l *Log) retireWriterLocked(finalize bool) *segment {
+// starts a fresh file.
+func (l *Log) retireWriterLocked(finalize bool) {
 	sw := l.sw
 	l.sw = nil
 	if err := sw.close(finalize); err != nil {
@@ -535,23 +529,11 @@ func (l *Log) retireWriterLocked(finalize bool) *segment {
 	seg, err := loadSegment(sw.path, sw.seq)
 	if err != nil {
 		l.logger.Error("segment reload failed", "err", err, "path", sw.path)
-		return nil
-	}
-	l.segs = append(l.segs, seg)
-	sortSegments(l.segs)
-	return seg
-}
-
-// remap swaps the store's heap copies of a just-retired segment's
-// blocks for slices of its mapping. Outside segMu: Remap takes shard
-// locks.
-func (l *Log) remap(seg *segment) {
-	if seg == nil || !seg.mapped || l.store == nil {
 		return
 	}
-	for _, sb := range seg.blocks {
-		l.store.Remap(sb.Key, sb.MinTS, sb.N, sb.Buf)
-	}
+	seg.dropBytes()
+	l.segs = append(l.segs, seg)
+	sortSegments(l.segs)
 }
 
 // rotateWALLocked starts a fresh WAL file and deletes any rotated
@@ -679,9 +661,7 @@ func (l *Log) run() {
 			l.persist() // retry blocks an earlier pass could not write
 			l.Sync()
 		case <-compact.C:
-			if _, err := l.Compact(l.opts.Clock.Now().UnixMicro()); err != nil {
-				l.logger.Error("compaction failed", "err", err)
-			}
+			l.Compact(l.opts.Clock.Now().UnixMicro()) // a failed pass logs and counts itself
 		}
 	}
 }
@@ -733,13 +713,11 @@ func (l *Log) Close() error {
 		l.store.SealAllActive()
 		l.persist()
 	}
-	var retired *segment
 	l.segMu.Lock()
 	if l.sw != nil {
-		retired = l.retireWriterLocked(true)
+		l.retireWriterLocked(true)
 	}
 	l.segMu.Unlock()
-	l.remap(retired)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// All rows are sealed now, so every WAL file is deletable — unless

@@ -66,19 +66,19 @@ done
 for target in FuzzParse FuzzParseRule; do
     go test -run='^$' -fuzz="^$target\$" -fuzztime=5s ./internal/derive
 done
-# The store's two reader-against-writer gates again, many times over:
-# a QUERY racing appends must never return part of a tick row, and one
-# racing Remap must never see a sealed block change under it. Both are
+# The store's reader-against-writer gate again, many times over: a
+# QUERY racing appends must never return part of a tick row. It is
 # interleaving-dependent, so one pass in the suite above is thin.
-go test -race -count=20 -run '^(TestQuerySeesWholeRows|TestRemapWhileScanning)$' ./internal/tsdb
+go test -race -count=20 -run '^TestQuerySeesWholeRows$' ./internal/tsdb
 # The WAL against the store's sweep: a row journaled while Sweep drops
 # its series must keep its WAL file until the store holds it on disk —
 # once by construction (a row appended right after the sweep, before
 # any persist pass), once by two publishers racing a sweeping clock —
 # and every acked row inside retention must survive a crash. Persist
 # passes from appends, the fsync tick and Compact racing each other
-# must write no block twice.
-go test -race -count=20 -run '^(TestRowInSweepDropWindowSurvivesCrash|TestSweepRacingAppendsKeepsAckedRows|TestPersistPassRacesSweepsAndCompactions)$' ./internal/tsdb/wal
+# must write no block twice. A segment file truncated under a running
+# log must cost no served sample and no crash.
+go test -race -count=20 -run '^(TestRowInSweepDropWindowSurvivesCrash|TestSweepRacingAppendsKeepsAckedRows|TestPersistPassRacesSweepsAndCompactions|TestTruncatedSegmentKeepsServing)$' ./internal/tsdb/wal
 # The session's one lock, the same way: several publishers to one
 # session must reach every subscriber, the derive engine and history in
 # seq order, a torn-down connection must be pushed nothing more, and a
