@@ -273,12 +273,23 @@ func (c *CPU) Run(s Stream) {
 // register before the slice ends, it counts the batch, not the
 // instruction: the slice retires on truth alone and the registers are
 // brought up to date from truth once, at the end (and before a timer
-// handler runs). The counts are exactly those of retiring one
-// instruction at a time.
+// handler runs). With no timer installed either, nothing at all can
+// observe the core before the slice ends, so the slice retires in one
+// quiet loop and its time advances once. The counts are exactly those
+// of retiring one instruction at a time.
 func (c *CPU) ExecSlice(instrs []Instr) {
 	c.openBatch()
-	for i := range instrs {
-		c.exec(&instrs[i])
+	if c.batch && (c.timerFn == nil || c.timerInterval == 0) {
+		var cycles uint64
+		for i := range instrs {
+			cycles += uint64(c.exec(&instrs[i], true))
+		}
+		c.retired += uint64(len(instrs))
+		c.advance(cycles)
+	} else {
+		for i := range instrs {
+			c.exec(&instrs[i], false)
+		}
 	}
 	c.closeBatch()
 }
@@ -309,75 +320,100 @@ func (c *CPU) closeBatch() {
 	}
 }
 
-// exec retires one instruction: costs, memory system, signals, PMU,
-// overflow skid, sampling.
-func (c *CPU) exec(in *Instr) {
-	a := c.arch
+// exec retires one instruction and returns its cycles. It is the one
+// retirement body both of ExecSlice's loops call: the memory system is
+// probed in order (fetch through L1I and L2; a load's or store's DTLB,
+// L1D and L2; a branch's predictor), and each signal is raised on truth
+// as it fires. Quiet, that is all, and the caller advances time for the
+// whole slice. Otherwise the instruction is followed by what may
+// observe it: PMU, time, overflow skid, sampling.
+func (c *CPU) exec(in *Instr, quiet bool) uint32 {
+	a, t := c.arch, &c.truth
 	cost := a.Latency[in.Op]
 	var sigs SignalMask
-	var ovf uint32
-	late := c.latched
-	c.latched = 0
 
 	// Instruction fetch through the I-cache.
 	if !c.l1i.access(in.Addr) {
-		sigs |= 1 << SigL1IMiss
+		t[SigL1IMiss]++
+		sigs |= 1<<SigL1IMiss | 1<<SigL2Access
 		cost += a.L1MissPenalty
-		sigs |= 1 << SigL2Access
 		if !c.l2.access(in.Addr) {
 			sigs |= 1 << SigL2Miss
 			cost += a.L2MissPenalty
 		}
 	}
 
+	t[SigInstrs]++
 	sigs |= 1 << SigInstrs
 	switch in.Op {
 	case OpInt, OpNop:
+		t[SigIntOps]++
 		sigs |= 1 << SigIntOps
 	case OpLoad:
+		t[SigLoads]++
 		sigs |= 1 << SigLoads
 		cost += c.dataAccess(in.Mem, &sigs)
 	case OpStore:
+		t[SigStores]++
 		sigs |= 1 << SigStores
 		cost += c.dataAccess(in.Mem, &sigs)
 	case OpFPAdd:
+		t[SigFPAdd]++
 		sigs |= 1 << SigFPAdd
 	case OpFPMul:
+		t[SigFPMul]++
 		sigs |= 1 << SigFPMul
 	case OpFPDiv:
+		t[SigFPDiv]++
 		sigs |= 1 << SigFPDiv
 	case OpFMA:
+		t[SigFMA]++
 		sigs |= 1 << SigFMA
 	case OpFPRound:
+		t[SigFPRound]++
 		sigs |= 1 << SigFPRound
 	case OpBranch:
+		t[SigBranch]++
 		sigs |= 1 << SigBranch
 		if in.Taken {
+			t[SigBranchTaken]++
 			sigs |= 1 << SigBranchTaken
 		}
 		if !c.bp.predict(in.Addr, in.Taken) {
+			t[SigBranchMiss]++
 			sigs |= 1 << SigBranchMiss
 			cost += a.MispredictPenalty
 		}
 	}
 
+	// A signal is raised once per instruction: one whose fetch and data
+	// both reach L2 counts one L2 access.
+	if sigs&(1<<SigL2Access) != 0 {
+		t[SigL2Access]++
+		if sigs&(1<<SigL2Miss) != 0 {
+			t[SigL2Miss]++
+		}
+	}
 	stall := uint64(cost - a.Latency[in.Op])
+	t[SigStallCycles] += stall
+	if quiet {
+		return cost
+	}
 
-	// Raise all per-instruction signals on truth counters and, unless the
-	// batch is folded at its end, the PMU.
-	running := c.pmu.running && !c.batch
-	for m := uint32(sigs); m != 0; m &= m - 1 {
-		s := Signal(bits.TrailingZeros32(m))
-		c.truth[s]++
-		if running {
-			ovf |= c.pmu.add(s, 1, DomainUser)
+	// Raise the signals on the PMU too, unless the batch is folded at
+	// its end.
+	var ovf uint32
+	late := c.latched
+	c.latched = 0
+	if c.pmu.running && !c.batch {
+		for m := uint32(sigs); m != 0; m &= m - 1 {
+			ovf |= c.pmu.add(Signal(bits.TrailingZeros32(m)), 1, DomainUser)
+		}
+		if stall > 0 {
+			ovf |= c.pmu.add(SigStallCycles, stall, DomainUser)
 		}
 	}
 	if stall > 0 {
-		c.truth[SigStallCycles] += stall
-		if running {
-			ovf |= c.pmu.add(SigStallCycles, stall, DomainUser)
-		}
 		sigs |= 1 << SigStallCycles
 	}
 
@@ -424,22 +460,27 @@ func (c *CPU) exec(in *Instr) {
 		c.advanceKernel(a.SampleDrainCost)
 		c.smp.drain()
 	}
+	return cost
 }
 
 // dataAccess runs a load/store address through DTLB, L1D and L2,
-// returning the added stall cycles and accumulating miss signals.
+// returning the added stall cycles. It raises the TLB and L1D signals
+// on truth and accumulates every signal it raised, L2's included, which
+// exec counts once per instruction.
 func (c *CPU) dataAccess(addr uint64, sigs *SignalMask) uint32 {
-	a := c.arch
+	a, t := c.arch, &c.truth
 	var extra uint32
 	if !c.dtlb.access(addr) {
+		t[SigTLBDMiss]++
 		*sigs |= 1 << SigTLBDMiss
 		extra += a.TLBMissPenalty
 	}
+	t[SigL1DAccess]++
 	*sigs |= 1 << SigL1DAccess
 	if !c.l1d.access(addr) {
-		*sigs |= 1 << SigL1DMiss
+		t[SigL1DMiss]++
+		*sigs |= 1<<SigL1DMiss | 1<<SigL2Access
 		extra += a.L1MissPenalty
-		*sigs |= 1 << SigL2Access
 		if !c.l2.access(addr) {
 			*sigs |= 1 << SigL2Miss
 			extra += a.L2MissPenalty

@@ -273,35 +273,56 @@ func TestExactCounts(t *testing.T) {
 // retires a batch on truth alone and folds it into the registers once.
 // Each program runs on two cores: one as papid runs it (folded), one
 // with a threshold of 2^62 on one register, which never fires but keeps
-// every instruction on the per-instruction path. The timer reads every
-// register and charges its own cost, interference is on, and the domain
-// switches to kernel and then to user between runs. Every timer-time
-// read, truth total and clock must agree.
+// every instruction on the per-instruction path. The domain switches to
+// kernel and then to user between runs, and the program is lent in
+// slices of 1 to 700 instructions, with truth, registers and clocks
+// read between every two. Each pair runs in three modes:
+//   - timer: the timer reads every register and charges its own cost,
+//     so a batch is folded and reopened at every tick; interference on;
+//   - quiet, interference on or off: no timer, so a folded slice retires
+//     in one loop and its time advances once.
+//
+// Every read, truth total and clock must agree.
 func TestFoldEqualsPerInstruction(t *testing.T) {
 	streams := exactStreams(t)
-	for _, a := range hwsim.Architectures() {
-		for name, stream := range streams {
-			folded := observeRuns(t, a, stream, false)
-			each := observeRuns(t, a, stream, true)
-			if len(folded) != len(each) {
-				t.Errorf("%s/%s: %d observations folded, %d per instruction", a.Platform, name, len(folded), len(each))
-				continue
-			}
-			for i := range folded {
-				if folded[i] != each[i] {
-					t.Errorf("%s/%s: folded %s, per instruction %s", a.Platform, name, folded[i], each[i])
-					break
+	for _, m := range foldModes {
+		for _, a := range hwsim.Architectures() {
+			for name, stream := range streams {
+				folded := observeRuns(t, a, stream, m, false)
+				each := observeRuns(t, a, stream, m, true)
+				if len(folded) != len(each) {
+					t.Errorf("%s/%s/%s: %d observations folded, %d per instruction", m.name, a.Platform, name, len(folded), len(each))
+					continue
+				}
+				for i := range folded {
+					if folded[i] != each[i] {
+						t.Errorf("%s/%s/%s: folded %s, per instruction %s", m.name, a.Platform, name, folded[i], each[i])
+						break
+					}
 				}
 			}
 		}
 	}
 }
 
+// foldMode is one configuration TestFoldEqualsPerInstruction runs.
+type foldMode struct {
+	name         string
+	timer        bool
+	interference bool
+}
+
+var foldModes = []foldMode{
+	{"timer", true, true},
+	{"quiet", false, true},
+	{"quiet-alone", false, false},
+}
+
 // observeRuns runs stream three times on a fresh core — all domains,
-// kernel only, user only — and lists every timer-time register read and
-// each run's truth totals, registers and clocks. watch arms the
-// never-firing threshold.
-func observeRuns(t *testing.T, a *hwsim.Arch, stream func() hwsim.Stream, watch bool) []string {
+// kernel only, user only — and lists the core's state between every two
+// slices, every timer-time register read, and each run's truth totals,
+// registers and clocks. watch arms the never-firing threshold.
+func observeRuns(t *testing.T, a *hwsim.Arch, stream func() hwsim.Stream, m foldMode, watch bool) []string {
 	c, err := hwsim.NewCPU(a, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -314,25 +335,145 @@ func observeRuns(t *testing.T, a *hwsim.Arch, stream func() hwsim.Stream, watch 
 	}
 	var obs []string
 	vals := make([]uint64, a.NumCounters)
-	c.SetTimer(1500, func() {
-		c.PMU().ReadAll(vals)
-		obs = append(obs, fmt.Sprintf("timer at cycle %d: registers %v", c.Cycles(), vals))
-		c.Charge(25, 6)
-	})
-	c.SetInterference(4000, 650)
+	if m.timer {
+		c.SetTimer(1500, func() {
+			c.PMU().ReadAll(vals)
+			obs = append(obs, fmt.Sprintf("timer at cycle %d: registers %v", c.Cycles(), vals))
+			c.Charge(25, 6)
+		})
+	}
+	if m.interference {
+		c.SetInterference(4000, 650)
+	}
 	var truth [hwsim.NumSignals]uint64
-	c.PMU().Start()
-	for _, d := range []hwsim.Domain{hwsim.DomainAll, hwsim.DomainKernel, hwsim.DomainUser} {
-		c.PMU().SetDomain(d)
-		c.Run(stream())
+	state := func(when string) {
 		for s := range truth {
 			truth[s] = c.Truth(hwsim.Signal(s))
 		}
 		c.PMU().ReadAll(vals)
-		obs = append(obs, fmt.Sprintf("after domain %d: truth %v, registers %v, cycles %d, real %d, retired %d",
-			d, truth, vals, c.Cycles(), c.RealCycles(), c.Retired()))
+		obs = append(obs, fmt.Sprintf("%s: truth %v, registers %v, cycles %d, real %d, retired %d",
+			when, truth, vals, c.Cycles(), c.RealCycles(), c.Retired()))
+	}
+	c.PMU().Start()
+	for _, d := range []hwsim.Domain{hwsim.DomainAll, hwsim.DomainKernel, hwsim.DomainUser} {
+		c.PMU().SetDomain(d)
+		c.Run(&slicedStream{s: stream(), r: exactRNG(d), observe: func() { state("between slices") }})
+		state(fmt.Sprintf("after domain %d", d))
 	}
 	return obs
+}
+
+// slicedStream lends a stream's instructions in slices of 1 to 700,
+// calling observe before lending each one.
+type slicedStream struct {
+	s       hwsim.Stream
+	rest    []hwsim.Instr
+	r       exactRNG
+	observe func()
+}
+
+func (o *slicedStream) Next() []hwsim.Instr {
+	o.observe()
+	if len(o.rest) == 0 {
+		o.rest = o.s.Next()
+	}
+	n := min(len(o.rest), 1+o.r.intn(700))
+	b := o.rest[:n]
+	o.rest = o.rest[n:]
+	return b
+}
+
+// FuzzFoldEqualsPerInstruction runs arbitrary instructions, five bytes
+// each, on two cores as TestFoldEqualsPerInstruction does — folded and
+// per instruction — with no timer, and interference and the slice length
+// chosen by the input. Truth, registers and clocks must agree after the
+// run, and again after a second run in the user domain on the caches
+// the first left warm. Both loops share one retirement body, so the
+// fuzzer also holds that body to the cost model: every cycle is an
+// instruction's base latency or a stall cycle, and every retired
+// instruction raised SigInstrs.
+func FuzzFoldEqualsPerInstruction(f *testing.F) {
+	f.Add([]byte{0, 1, 5, 2, 0x10, 3, 0x41, 9, 0x80, 0xff, 0, 1, 3, 4, 5, 6, 7})
+	f.Add([]byte{3, 0, 200, 2, 0, 0xff, 0xff, 3, 1, 0x7f, 0x10, 0x20, 9, 9, 0xc0, 0, 1})
+	seed := exactRNG(7)
+	big := make([]byte, 2+5*120)
+	for i := range big {
+		big[i] = byte(seed.next())
+	}
+	f.Add(big)
+	archs := hwsim.Architectures()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		a, flags, data := archs[int(data[0])%len(archs)], data[1], data[2:]
+		instrs := make([]hwsim.Instr, 0, len(data)/5)
+		for ; len(data) >= 5; data = data[5:] {
+			in := hwsim.Instr{
+				Op:    hwsim.Op(data[0] % byte(hwsim.NumOps)),
+				Taken: data[0]&0x80 != 0,
+				// Text and data addresses over 16 MiB, 64 KiB apart at
+				// the top byte: same-line, same-page, set-conflicting
+				// and L2-missing probes all occur.
+				Addr: 0x400000 + uint64(data[1])<<16 + uint64(data[2])*hwsim.InstrBytes,
+				Mem:  0x20000000 + uint64(data[3])<<16 + uint64(data[4])*8,
+			}
+			instrs = append(instrs, in)
+		}
+		slice := 1 + int(flags>>1)*8
+		var base uint64
+		for _, in := range instrs {
+			base += uint64(a.Latency[in.Op])
+		}
+		run := func(watch bool) []string {
+			c, err := hwsim.NewCPU(a, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			regs := programAll(t, c)
+			if watch {
+				if err := c.PMU().SetOverflow(regs[0], 1<<62); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if flags&1 != 0 {
+				c.SetInterference(97, 13)
+			}
+			var obs []string
+			vals := make([]uint64, a.NumCounters)
+			var truth [hwsim.NumSignals]uint64
+			c.PMU().Start()
+			for i, d := range []hwsim.Domain{hwsim.DomainAll, hwsim.DomainUser} {
+				c.PMU().SetDomain(d)
+				for b := instrs; len(b) > 0; {
+					n := min(len(b), slice)
+					c.ExecSlice(b[:n])
+					b = b[n:]
+				}
+				runs := uint64(i + 1)
+				if got, want := c.Cycles(), runs*base+c.Truth(hwsim.SigStallCycles); got != want {
+					t.Fatalf("%s, watch %v: %d cycles, want %d base latency + %d stall", a.Platform, watch, got, runs*base, c.Truth(hwsim.SigStallCycles))
+				}
+				if got, want := c.Truth(hwsim.SigInstrs), c.Retired(); got != want || got != runs*uint64(len(instrs)) {
+					t.Fatalf("%s, watch %v: %d instructions raised, %d retired, %d run", a.Platform, watch, got, want, runs*uint64(len(instrs)))
+				}
+				for s := range truth {
+					truth[s] = c.Truth(hwsim.Signal(s))
+				}
+				c.PMU().ReadAll(vals)
+				obs = append(obs, fmt.Sprintf("domain %d: truth %v, registers %v, cycles %d, real %d, retired %d",
+					d, truth, vals, c.Cycles(), c.RealCycles(), c.Retired()))
+			}
+			return obs
+		}
+		folded, each := run(false), run(true)
+		for i := range folded {
+			if folded[i] != each[i] {
+				t.Fatalf("%s, %d instructions in slices of %d: folded %s, per instruction %s",
+					a.Platform, len(instrs), slice, folded[i], each[i])
+			}
+		}
+	})
 }
 
 // TestRunDoesNotAllocate pins who owns instruction memory: the core

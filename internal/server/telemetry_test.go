@@ -197,7 +197,9 @@ func TestStatsHistsOverBinaryCodec(t *testing.T) {
 }
 
 // TestSlowOpWarning: a threshold of 1ns flags every op; the warn line
-// must carry the op name and the connection id.
+// must carry the op name and the connection id. The connection queues
+// the reply before it logs the op, so the line may land just after the
+// reply does: the test waits for it, up to 10 s.
 func TestSlowOpWarning(t *testing.T) {
 	var log logBuffer
 	_, addr := startServer(t, Config{TickInterval: time.Hour, SlowOp: time.Nanosecond,
@@ -206,14 +208,19 @@ func TestSlowOpWarning(t *testing.T) {
 	if _, err := cl.Do(wire.Request{Op: wire.OpStats}); err != nil {
 		t.Fatal(err)
 	}
-	lines := log.lines()
-	for _, l := range lines {
-		if strings.Contains(l, "slow op") && strings.Contains(l, "op=STATS") &&
-			strings.Contains(l, "conn=") {
-			return
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		lines := log.lines()
+		for _, l := range lines {
+			if strings.Contains(l, "slow op") && strings.Contains(l, "op=STATS") &&
+				strings.Contains(l, "conn=") {
+				return
+			}
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no slow-op warn line for STATS in %q", lines)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	t.Errorf("no slow-op warn line for STATS in %q", lines)
 }
 
 // TestSlowOpDisabled: a negative threshold silences the warning even

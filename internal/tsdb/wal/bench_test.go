@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/tsdb"
@@ -43,18 +45,19 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkReplay measures crash-recovery speed: how fast a WAL of
-// 20k tick rows (2 events each) rebuilds the in-memory store. The
-// huge BlockSamples keeps replay from sealing blocks back to disk, so
-// iterations see an identical directory and the number isolates
-// decode + insert.
+// 20k tick rows (2 events each) rebuilds the in-memory store. Starting
+// a log opens a fresh WAL file, so each iteration replays its own copy
+// of the seeded directory, made outside the timer, and every iteration
+// sees the same files. The huge BlockSamples keeps replay from sealing
+// blocks back to disk, so the number isolates decode + insert.
 func BenchmarkReplay(b *testing.B) {
-	dir := b.TempDir()
+	seeded := b.TempDir()
 	const rows = 20_000
 	events := []string{"PAPI_TOT_CYC", "PAPI_FP_OPS"}
 	opts := noCompact(Options{Fsync: FsyncOff})
 	cfg := tsdb.Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: 1 << 20}
 
-	l, err := Open(dir, opts)
+	l, err := Open(seeded, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,7 +77,11 @@ func BenchmarkReplay(b *testing.B) {
 
 	b.ReportAllocs()
 	b.ResetTimer()
+	dir := filepath.Join(b.TempDir(), "replay")
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copyDir(b, dir, seeded)
+		b.StartTimer()
 		l, err := Open(dir, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -90,4 +97,28 @@ func BenchmarkReplay(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)*rows/b.Elapsed().Seconds(), "rows/s")
+}
+
+// copyDir makes dst a copy of the flat directory src, replacing
+// whatever dst held.
+func copyDir(b *testing.B, dst, src string) {
+	if err := os.RemoveAll(dst); err != nil {
+		b.Fatal(err)
+	}
+	if err := os.Mkdir(dst, 0o755); err != nil {
+		b.Fatal(err)
+	}
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -66,6 +66,10 @@ done
 for target in FuzzParse FuzzParseRule; do
     go test -run='^$' -fuzz="^$target\$" -fuzztime=5s ./internal/derive
 done
+# And for the simulator's two retirement loops: arbitrary instructions
+# retired as one folded slice must count, to the register and the
+# cycle, what they count retired one at a time.
+go test -run='^$' -fuzz='^FuzzFoldEqualsPerInstruction$' -fuzztime=5s ./internal/hwsim
 # The store's reader-against-writer gate again, many times over: a
 # QUERY racing appends must never return part of a tick row. It is
 # interleaving-dependent, so one pass in the suite above is thin.
