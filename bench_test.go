@@ -318,6 +318,33 @@ func BenchmarkSimulatedReplay(b *testing.B) {
 	b.ReportMetric(float64(perRun*uint64(b.N))/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
+// BenchmarkSimulatedCounting is SimulatedExecution's triad with
+// SimulatedReplay's event set counting on aix-power3: every slice takes
+// the quiet path, and its L1D misses keep the core from a fixed point,
+// so no slice replays. It prices what keeping the memo costs a slice
+// that never uses it.
+func BenchmarkSimulatedCounting(b *testing.B) {
+	sys := papi.MustInit(papi.Options{Platform: papi.PlatformAIXPower3})
+	th := sys.Main()
+	es := th.NewEventSet()
+	if err := es.AddAll(papi.TOT_INS, papi.TOT_CYC, papi.L2_TCM, papi.L2_TCA); err != nil {
+		b.Fatal(err)
+	}
+	if err := es.Start(); err != nil {
+		b.Fatal(err)
+	}
+	prog := workload.Triad(workload.TriadConfig{N: 4096, Reps: 4})
+	perRun := prog.Expected().Instrs
+	th.Run(prog) // generates the queue
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prog.Reset()
+		th.Run(prog)
+	}
+	b.ReportMetric(float64(perRun*uint64(b.N))/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}
+
 // BenchmarkEventSetReadHostCost measures the host-side (Go) cost of a
 // counter read through the full stack.
 func BenchmarkEventSetReadHostCost(b *testing.B) {

@@ -29,9 +29,6 @@ type cache struct {
 	tags      []uint64 // sets × ways
 	age       []uint32 // LRU stamps, parallel to tags
 	clock     uint32
-
-	accesses uint64
-	misses   uint64
 }
 
 func newCache(cfg CacheConfig) *cache {
@@ -60,7 +57,6 @@ func (c *cache) access(addr uint64) bool {
 	if c.clock++; c.clock == 0 {
 		c.clock = rerankLRU(c.age, c.ways) + 1
 	}
-	c.accesses++
 	lru, lruAge := set, c.age[set]
 	for w := 0; w < c.ways; w++ {
 		i := set + w
@@ -72,17 +68,16 @@ func (c *cache) access(addr uint64) bool {
 			lru, lruAge = i, c.age[i]
 		}
 	}
-	c.misses++
 	c.tags[lru] = line
 	c.age[lru] = c.clock
 	return false
 }
 
-// reset empties the cache and zeroes its statistics.
+// reset empties the cache.
 func (c *cache) reset() {
 	clear(c.tags)
 	clear(c.age)
-	c.clock, c.accesses, c.misses = 0, 0, 0
+	c.clock = 0
 }
 
 // rerankLRU is what a 32-bit LRU clock does when it wraps: it rewrites

@@ -61,17 +61,21 @@ func TestCacheCapacityWorkingSet(t *testing.T) {
 	cfg := CacheConfig{SizeBytes: 4 << 10, LineBytes: 64, Ways: 4}
 	c := newCache(cfg)
 	// Touch a working set equal to capacity twice: second pass all hits.
+	var accesses, misses uint64
 	for pass := 0; pass < 2; pass++ {
 		for addr := uint64(0); addr < uint64(cfg.SizeBytes); addr += 64 {
-			c.access(0x10000 + addr)
+			accesses++
+			if !c.access(0x10000 + addr) {
+				misses++
+			}
 		}
 	}
 	lines := uint64(cfg.SizeBytes / cfg.LineBytes)
-	if c.misses != lines {
-		t.Errorf("misses = %d, want %d (only cold misses)", c.misses, lines)
+	if misses != lines {
+		t.Errorf("misses = %d, want %d (only cold misses)", misses, lines)
 	}
-	if c.accesses != 2*lines {
-		t.Errorf("accesses = %d, want %d", c.accesses, 2*lines)
+	if accesses != 2*lines {
+		t.Errorf("accesses = %d, want %d", accesses, 2*lines)
 	}
 }
 
@@ -80,12 +84,15 @@ func TestCacheStatsInvariant(t *testing.T) {
 	// after reset yields identical stats (determinism).
 	f := func(addrs []uint16) bool {
 		c := newCache(CacheConfig{SizeBytes: 512, LineBytes: 32, Ways: 2})
-		run := func() (uint64, uint64) {
+		run := func() (accesses, misses uint64) {
 			c.reset()
 			for _, a := range addrs {
-				c.access(uint64(a))
+				accesses++
+				if !c.access(uint64(a)) {
+					misses++
+				}
 			}
-			return c.accesses, c.misses
+			return accesses, misses
 		}
 		a1, m1 := run()
 		a2, m2 := run()

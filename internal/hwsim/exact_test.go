@@ -274,34 +274,59 @@ func TestExactCounts(t *testing.T) {
 // Each program runs on two cores: one as papid runs it (folded), one
 // with a threshold of 2^62 on one register, which never fires but keeps
 // every instruction on the per-instruction path. The domain switches to
-// kernel and then to user between runs, and the program is lent in
-// slices of 1 to 700 instructions, with truth, registers and clocks
-// read between every two. Each pair runs in three modes:
+// kernel and then to user between runs. Each pair runs in five modes:
 //   - timer: the timer reads every register and charges its own cost,
 //     so a batch is folded and reopened at every tick; interference on;
 //   - quiet, interference on or off: no timer, so a folded slice retires
-//     in one loop and its time advances once.
+//     in one loop and its time advances once;
+//   - replay, interference on or off: no timer, and each of papid's
+//     programs — every workload at n = 2, 4 and 8 — is reset and run
+//     whole six times per domain, as a live session ticks it, so a
+//     program that fits one slice replays from its memo once the core
+//     reaches a fixed point. Between domains a per-instruction run of
+//     the program with every branch inverted moves the predictor, and
+//     then ResetMemorySystem empties the caches, so a stale memo shows.
 //
-// Every read, truth total and clock must agree.
+// In the first three the program is lent in slices of 1 to 700
+// instructions, with truth, registers and clocks read between every
+// two; in the replay modes they are read after every run. Every read,
+// truth total and clock must agree.
 func TestFoldEqualsPerInstruction(t *testing.T) {
 	streams := exactStreams(t)
 	for _, m := range foldModes {
-		for _, a := range hwsim.Architectures() {
-			for name, stream := range streams {
-				folded := observeRuns(t, a, stream, m, false)
-				each := observeRuns(t, a, stream, m, true)
-				if len(folded) != len(each) {
-					t.Errorf("%s/%s/%s: %d observations folded, %d per instruction", m.name, a.Platform, name, len(folded), len(each))
-					continue
-				}
-				for i := range folded {
-					if folded[i] != each[i] {
-						t.Errorf("%s/%s/%s: folded %s, per instruction %s", m.name, a.Platform, name, folded[i], each[i])
-						break
+		t.Run(m.name, func(t *testing.T) {
+			programs := streams
+			if m.replay {
+				programs = replayPrograms(t)
+			}
+			total := 0
+			for _, a := range hwsim.Architectures() {
+				for name, stream := range programs {
+					folded, replayed := observeRuns(t, a, stream, m, false)
+					each, watchReplayed := observeRuns(t, a, stream, m, true)
+					total += replayed
+					if watchReplayed != 0 {
+						t.Errorf("%s/%s: the watched core replayed %d runs", a.Platform, name, watchReplayed)
+					}
+					if len(folded) != len(each) {
+						t.Errorf("%s/%s: %d observations folded, %d per instruction", a.Platform, name, len(folded), len(each))
+						continue
+					}
+					for i := range folded {
+						if folded[i] != each[i] {
+							t.Errorf("%s/%s: folded %s, per instruction %s", a.Platform, name, folded[i], each[i])
+							break
+						}
 					}
 				}
 			}
-		}
+			if m.replay {
+				if total == 0 {
+					t.Error("no run was replayed: the mode compared nothing but simulated slices")
+				}
+				t.Logf("%d runs replayed", total)
+			}
+		})
 	}
 }
 
@@ -310,19 +335,56 @@ type foldMode struct {
 	name         string
 	timer        bool
 	interference bool
+	replay       bool
 }
 
 var foldModes = []foldMode{
-	{"timer", true, true},
-	{"quiet", false, true},
-	{"quiet-alone", false, false},
+	{"timer", true, true, false},
+	{"quiet", false, true, false},
+	{"quiet-alone", false, false, false},
+	{"replay", false, true, true},
+	{"replay-alone", false, false, true},
 }
 
-// observeRuns runs stream three times on a fresh core — all domains,
+// replayRuns is how often the replay modes run a program per domain.
+const replayRuns = 6
+
+// replayPrograms are the replay modes' programs: every workload papid
+// sessions may tick, at n = 2, 4 and 8.
+func replayPrograms(t *testing.T) map[string]func() hwsim.Stream {
+	programs := map[string]func() hwsim.Stream{}
+	for _, name := range workload.Names() {
+		for _, n := range []int{2, 4, 8} {
+			p, err := workload.ByName(name, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			programs[fmt.Sprintf("%s/n=%d", name, n)] = func() hwsim.Stream { p.Reset(); return p }
+		}
+	}
+	return programs
+}
+
+// invertBranches is the stream's whole program with every branch's
+// outcome inverted.
+func invertBranches(s hwsim.Stream) []hwsim.Instr {
+	var out []hwsim.Instr
+	for b := s.Next(); len(b) > 0; b = s.Next() {
+		out = append(out, b...)
+	}
+	for i := range out {
+		out[i].Taken = out[i].Op == hwsim.OpBranch && !out[i].Taken
+	}
+	return out
+}
+
+// observeRuns runs stream on a fresh core in three domains — all,
 // kernel only, user only — and lists the core's state between every two
-// slices, every timer-time register read, and each run's truth totals,
-// registers and clocks. watch arms the never-firing threshold.
-func observeRuns(t *testing.T, a *hwsim.Arch, stream func() hwsim.Stream, m foldMode, watch bool) []string {
+// slices (or, replaying, after every run), every timer-time register
+// read, and each domain's truth totals, registers and clocks. watch
+// arms the never-firing threshold. It also returns how many runs
+// probed no instruction fetch, that is, were replayed.
+func observeRuns(t *testing.T, a *hwsim.Arch, stream func() hwsim.Stream, m foldMode, watch bool) (obs []string, replayed int) {
 	c, err := hwsim.NewCPU(a, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +395,6 @@ func observeRuns(t *testing.T, a *hwsim.Arch, stream func() hwsim.Stream, m fold
 			t.Fatal(err)
 		}
 	}
-	var obs []string
 	vals := make([]uint64, a.NumCounters)
 	if m.timer {
 		c.SetTimer(1500, func() {
@@ -345,22 +406,36 @@ func observeRuns(t *testing.T, a *hwsim.Arch, stream func() hwsim.Stream, m fold
 	if m.interference {
 		c.SetInterference(4000, 650)
 	}
-	var truth [hwsim.NumSignals]uint64
 	state := func(when string) {
-		for s := range truth {
-			truth[s] = c.Truth(hwsim.Signal(s))
-		}
 		c.PMU().ReadAll(vals)
 		obs = append(obs, fmt.Sprintf("%s: truth %v, registers %v, cycles %d, real %d, retired %d",
-			when, truth, vals, c.Cycles(), c.RealCycles(), c.Retired()))
+			when, truthOf(c), vals, c.Cycles(), c.RealCycles(), c.Retired()))
 	}
 	c.PMU().Start()
 	for _, d := range []hwsim.Domain{hwsim.DomainAll, hwsim.DomainKernel, hwsim.DomainUser} {
 		c.PMU().SetDomain(d)
-		c.Run(&slicedStream{s: stream(), r: exactRNG(d), observe: func() { state("between slices") }})
+		switch {
+		case !m.replay:
+			c.Run(&slicedStream{s: stream(), r: exactRNG(d), observe: func() { state("between slices") }})
+		case d == hwsim.DomainKernel:
+			// Stopped, the core retires per instruction.
+			c.PMU().Stop()
+			c.Run(&hwsim.SliceStream{Instrs: invertBranches(stream())})
+			c.PMU().Start()
+		case d == hwsim.DomainUser:
+			c.ResetMemorySystem()
+		}
+		for run := 0; m.replay && run < replayRuns; run++ {
+			probes := hwsim.FetchProbes(c)
+			c.Run(stream())
+			if hwsim.FetchProbes(c) == probes {
+				replayed++
+			}
+			state(fmt.Sprintf("domain %d, after run %d", d, run))
+		}
 		state(fmt.Sprintf("after domain %d", d))
 	}
-	return obs
+	return obs, replayed
 }
 
 // slicedStream lends a stream's instructions in slices of 1 to 700,
@@ -383,30 +458,136 @@ func (o *slicedStream) Next() []hwsim.Instr {
 	return b
 }
 
+// TestReplayEngages keeps the replay modes from passing vacuously: a
+// live papid session's tick — dot n=8 on aix-power3, four events
+// counting, no timer — is simulated on its first run (cold misses) and
+// its second (the predictor settles), and from the third on it is
+// replayed, probing nothing, with the counts each run retired before.
+func TestReplayEngages(t *testing.T) {
+	a, _ := hwsim.ArchByPlatform(hwsim.PlatformAIXPower3)
+	c := hwsim.MustNewCPU(a, 1)
+	programAll(t, c)
+	c.PMU().Start()
+	p, err := workload.ByName("dot", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last [hwsim.NumSignals]uint64
+	cycles := uint64(0)
+	for run := 1; run <= 8; run++ {
+		probes, before, start := hwsim.FetchProbes(c), truthOf(c), c.Cycles()
+		p.Reset()
+		c.Run(p)
+		after := truthOf(c)
+		var delta [hwsim.NumSignals]uint64
+		for s := range delta {
+			delta[s] = after[s] - before[s]
+		}
+		if replayed := hwsim.FetchProbes(c) == probes; replayed != (run >= 3) {
+			t.Fatalf("run %d: replayed %v, want %v", run, replayed, run >= 3)
+		}
+		if run >= 3 && (delta != last || c.Cycles()-start != cycles) {
+			t.Fatalf("run %d: truth %v in %d cycles, the run before %v in %d", run, delta, c.Cycles()-start, last, cycles)
+		}
+		last, cycles = delta, c.Cycles()-start
+	}
+	if got, want := last[hwsim.SigInstrs], p.Expected().Instrs; got != want {
+		t.Errorf("a replayed run retired %d instructions, want %d", got, want)
+	}
+}
+
+// truthOf reads every truth total.
+func truthOf(c *hwsim.CPU) (t [hwsim.NumSignals]uint64) {
+	for s := range t {
+		t[s] = c.Truth(hwsim.Signal(s))
+	}
+	return t
+}
+
+// TestReplayComparesContents lends one buffer on every slice and
+// rewrites it in place between the third and fourth: every access still
+// hits and every branch is predicted as before, but the instructions
+// are other ones, so a core that matched its memo by where a slice lies
+// rather than what it holds would replay the old counts.
+func TestReplayComparesContents(t *testing.T) {
+	buf := make([]hwsim.Instr, 96)
+	fill := func(op hwsim.Op) {
+		for i := range buf {
+			buf[i] = hwsim.Instr{Op: op, Addr: 0x400000 + uint64(i)*hwsim.InstrBytes}
+			if i%4 == 3 {
+				buf[i].Op, buf[i].Mem = hwsim.OpLoad, 0x10000000+uint64(i%32)*8
+			}
+		}
+	}
+	for _, a := range hwsim.Architectures() {
+		var obs [2][]string
+		var replayed [2]int
+		for i, watch := range []bool{false, true} {
+			c := hwsim.MustNewCPU(a, 1)
+			regs := programAll(t, c)
+			if watch {
+				if err := c.PMU().SetOverflow(regs[0], 1<<62); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.PMU().Start()
+			for slice := 0; slice < 6; slice++ {
+				if slice%3 == 0 {
+					fill([]hwsim.Op{hwsim.OpInt, hwsim.OpFPAdd}[slice/3])
+				}
+				probes := hwsim.FetchProbes(c)
+				c.ExecSlice(buf)
+				if hwsim.FetchProbes(c) == probes {
+					replayed[i]++
+				}
+				obs[i] = append(obs[i], fmt.Sprintf("truth %v, cycles %d", truthOf(c), c.Cycles()))
+			}
+		}
+		for i := range obs[0] {
+			if obs[0][i] != obs[1][i] {
+				t.Fatalf("%s, slice %d: folded %s, per instruction %s", a.Platform, i, obs[0][i], obs[1][i])
+			}
+		}
+		// Folded: slices 0 and 3 miss or are new, 1 and 4 arm the memo.
+		if replayed != [2]int{3, 0} {
+			t.Fatalf("%s: %d slices replayed folded, %d per instruction; want 3 and 0", a.Platform, replayed[0], replayed[1])
+		}
+	}
+}
+
 // FuzzFoldEqualsPerInstruction runs arbitrary instructions, five bytes
 // each, on two cores as TestFoldEqualsPerInstruction does — folded and
-// per instruction — with no timer, and interference and the slice length
-// chosen by the input. Truth, registers and clocks must agree after the
-// run, and again after a second run in the user domain on the caches
-// the first left warm. Both loops share one retirement body, so the
-// fuzzer also holds that body to the cost model: every cycle is an
+// per instruction — with no timer, and interference, the slice length
+// and a repeat count (1 to 6) chosen by the input. The program runs that
+// many times in the all domain and again in the user domain on the
+// caches the first left warm; a program that fits one slice and reaches
+// a fixed point is replayed. Truth, registers and clocks must agree
+// after every run. Both loops share one retirement body, so the fuzzer
+// also holds that body to the cost model: every cycle is an
 // instruction's base latency or a stall cycle, and every retired
 // instruction raised SigInstrs.
 func FuzzFoldEqualsPerInstruction(f *testing.F) {
-	f.Add([]byte{0, 1, 5, 2, 0x10, 3, 0x41, 9, 0x80, 0xff, 0, 1, 3, 4, 5, 6, 7})
-	f.Add([]byte{3, 0, 200, 2, 0, 0xff, 0xff, 3, 1, 0x7f, 0x10, 0x20, 9, 9, 0xc0, 0, 1})
+	f.Add([]byte{0, 1, 0, 5, 2, 0x10, 3, 0x41, 9, 0x80, 0xff, 0, 1, 3, 4, 5, 6, 7})
+	f.Add([]byte{3, 0, 1, 200, 2, 0, 0xff, 0xff, 3, 1, 0x7f, 0x10, 0x20, 9, 9, 0xc0, 0, 1})
+	// One slice, run six times: a loop of int ops, loads and a taken
+	// branch, which replays once warm.
+	f.Add([]byte{1, 0xfe, 5,
+		byte(hwsim.OpInt), 0, 0, 0, 0,
+		byte(hwsim.OpLoad), 0, 1, 0, 1,
+		byte(hwsim.OpStore), 0, 2, 0, 2,
+		0x80 | byte(hwsim.OpBranch), 0, 3, 0, 0})
 	seed := exactRNG(7)
-	big := make([]byte, 2+5*120)
+	big := make([]byte, 3+5*120)
 	for i := range big {
 		big[i] = byte(seed.next())
 	}
 	f.Add(big)
 	archs := hwsim.Architectures()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		if len(data) < 3 {
 			return
 		}
-		a, flags, data := archs[int(data[0])%len(archs)], data[1], data[2:]
+		a, flags, reps, data := archs[int(data[0])%len(archs)], data[1], 1+int(data[2])%6, data[3:]
 		instrs := make([]hwsim.Instr, 0, len(data)/5)
 		for ; len(data) >= 5; data = data[5:] {
 			in := hwsim.Instr{
@@ -441,36 +622,35 @@ func FuzzFoldEqualsPerInstruction(f *testing.F) {
 			}
 			var obs []string
 			vals := make([]uint64, a.NumCounters)
-			var truth [hwsim.NumSignals]uint64
 			c.PMU().Start()
-			for i, d := range []hwsim.Domain{hwsim.DomainAll, hwsim.DomainUser} {
+			runs := uint64(0)
+			for _, d := range []hwsim.Domain{hwsim.DomainAll, hwsim.DomainUser} {
 				c.PMU().SetDomain(d)
-				for b := instrs; len(b) > 0; {
-					n := min(len(b), slice)
-					c.ExecSlice(b[:n])
-					b = b[n:]
+				for range reps {
+					for b := instrs; len(b) > 0; {
+						n := min(len(b), slice)
+						c.ExecSlice(b[:n])
+						b = b[n:]
+					}
+					runs++
+					if got, want := c.Cycles(), runs*base+c.Truth(hwsim.SigStallCycles); got != want {
+						t.Fatalf("%s, watch %v: %d cycles, want %d base latency + %d stall", a.Platform, watch, got, runs*base, c.Truth(hwsim.SigStallCycles))
+					}
+					if got, want := c.Truth(hwsim.SigInstrs), c.Retired(); got != want || got != runs*uint64(len(instrs)) {
+						t.Fatalf("%s, watch %v: %d instructions raised, %d retired, %d run", a.Platform, watch, got, want, runs*uint64(len(instrs)))
+					}
+					c.PMU().ReadAll(vals)
+					obs = append(obs, fmt.Sprintf("domain %d, run %d: truth %v, registers %v, cycles %d, real %d, retired %d",
+						d, runs, truthOf(c), vals, c.Cycles(), c.RealCycles(), c.Retired()))
 				}
-				runs := uint64(i + 1)
-				if got, want := c.Cycles(), runs*base+c.Truth(hwsim.SigStallCycles); got != want {
-					t.Fatalf("%s, watch %v: %d cycles, want %d base latency + %d stall", a.Platform, watch, got, runs*base, c.Truth(hwsim.SigStallCycles))
-				}
-				if got, want := c.Truth(hwsim.SigInstrs), c.Retired(); got != want || got != runs*uint64(len(instrs)) {
-					t.Fatalf("%s, watch %v: %d instructions raised, %d retired, %d run", a.Platform, watch, got, want, runs*uint64(len(instrs)))
-				}
-				for s := range truth {
-					truth[s] = c.Truth(hwsim.Signal(s))
-				}
-				c.PMU().ReadAll(vals)
-				obs = append(obs, fmt.Sprintf("domain %d: truth %v, registers %v, cycles %d, real %d, retired %d",
-					d, truth, vals, c.Cycles(), c.RealCycles(), c.Retired()))
 			}
 			return obs
 		}
 		folded, each := run(false), run(true)
 		for i := range folded {
 			if folded[i] != each[i] {
-				t.Fatalf("%s, %d instructions in slices of %d: folded %s, per instruction %s",
-					a.Platform, len(instrs), slice, folded[i], each[i])
+				t.Fatalf("%s, %d instructions in slices of %d, %d times: folded %s, per instruction %s",
+					a.Platform, len(instrs), slice, reps, folded[i], each[i])
 			}
 		}
 	})

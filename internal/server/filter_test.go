@@ -705,19 +705,17 @@ func TestViewMembershipChurn(t *testing.T) {
 	const nChurners = 4
 	streams := make([][]stream, nChurners)
 	var stop atomic.Bool
-	var churners, ready sync.WaitGroup
-	ready.Add(nChurners)
+	var churners sync.WaitGroup
+	var subscribed [nChurners]atomic.Int64 // subscriptions each churner made
 	for g := 0; g < nChurners; g++ {
 		churners.Add(1)
 		go func() {
 			defer churners.Done()
-			held := sync.OnceFunc(ready.Done)
-			defer held()
 			for n := g; !stop.Load(); n++ {
 				shape := shapes[n%len(shapes)]
 				c := testConn(srv, 2*publishes) // deep enough that nothing is evicted
 				c.follow(t, sess, shape.filter, shape.delta)
-				held() // the publisher starts once every churner holds a stream
+				subscribed[g].Add(1)
 				// Stay for one to three fan-outs, so every stream overlaps
 				// the publisher, then hang up under its feet.
 				for stay := 1 + n/len(shapes)%3; c.q.len() < stay && !stop.Load(); {
@@ -735,12 +733,24 @@ func TestViewMembershipChurn(t *testing.T) {
 			}
 		}()
 	}
-	// Under a loaded host the publisher could otherwise finish before
-	// any churner was scheduled, and the test would audit nothing.
-	ready.Wait()
-	for seq := 1; seq <= publishes; seq++ {
-		publish(seq)
-		runtime.Gosched()
+	// The publisher goes in rounds. Each waits until every churner has
+	// made a subscription since the last round — however the host
+	// schedules them — and then publishes three rows, as many fan-outs
+	// as a stream stays for, so each of those subscriptions hangs up
+	// during the round or the next. The churn overlaps the publishes by
+	// construction.
+	var seen [nChurners]int64
+	for seq := 1; seq <= publishes; {
+		for g := range subscribed {
+			for subscribed[g].Load() == seen[g] {
+				runtime.Gosched()
+			}
+			seen[g] = subscribed[g].Load()
+		}
+		for end := min(seq+3, publishes+1); seq < end; seq++ {
+			publish(seq)
+			runtime.Gosched()
+		}
 	}
 	stop.Store(true)
 	churners.Wait()

@@ -25,7 +25,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 server_bench='Server|TickParallel|TickFanout|WriteQueuePushFull'
-hwsim_bench='SimulatedExecution|SimulatedReplay|OverflowDispatch'
+hwsim_bench='SimulatedExecution|SimulatedReplay|SimulatedCounting|OverflowDispatch'
 
 if [ "${1:-}" = "compare" ]; then
     tmp=$(mktemp /tmp/bench-compare.XXXXXX.json)
@@ -80,8 +80,10 @@ go run ./cmd/benchjson -benchmem -out BENCH_wire.json -bench 'AppendFrame' ./int
 go run ./cmd/benchjson -benchmem -benchtime 3s -out BENCH_server.json -bench "$server_bench" ./internal/server .
 # The simulator priced apart from the service it feeds: retired
 # instructions per host second with the PMU idle, streaming (a program
-# longer than a batch regenerates every run) and replayed (one that fits
-# a batch is lent again, four events counting), and overflow-interrupt
+# longer than a batch regenerates every run), replayed (one that fits a
+# batch is lent again, four events counting, and the core replays it
+# from its memo), counting (the streaming triad with the same four
+# events: quiet slices that never replay), and overflow-interrupt
 # dispatch through a counting PMU. -benchmem because a run must stay at
 # zero allocations (the program's queue is made once, by its first run).
 go run ./cmd/benchjson -benchmem -out BENCH_hwsim.json -bench "$hwsim_bench" .
