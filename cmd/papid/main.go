@@ -29,13 +29,17 @@
 //	papid -addr 127.0.0.1:6117 -http 127.0.0.1:6118 &
 //	curl -s 127.0.0.1:6118/metrics | grep papid_op_latency
 //
-// A pipeline flight recorder (-trace-sample, on by default at 1/64)
-// traces sampled ticks and requests with per-stage spans,
-// always retains slow or errored units, and serves the ring on the
-// admin endpoint: /tracez lists retained traces slowest-first and
-// /debug/trace?id=<hex>&format=chrome exports one as Chrome
-// trace-event JSON loadable in Perfetto. -trace-sample 0 turns the
-// recorder off entirely.
+// A pipeline flight recorder traces every tick and request with its
+// coarse spans (shards, history write, dispatch, reply write), keeps
+// the slow or errored ones in a ring of -trace-ring traces (default
+// 64), and serves the ring on the admin endpoint: /tracez lists
+// retained traces slowest-first and /debug/trace?id=<hex>&format=chrome
+// exports one as Chrome trace-event JSON loadable in Perfetto.
+// -trace-ring 0 turns the recorder off. The per-row stages (snapshot,
+// fan-out, derive, encode per codec) are timed on every row instead,
+// on /metrics' papid_stage_seconds histograms:
+//
+//	curl -s 127.0.0.1:6118/metrics | grep papid_stage_seconds_count
 //
 // SIGINT/SIGTERM trigger a graceful drain: running sessions fold their
 // final counts, subscribers are detached, and the process exits after
@@ -81,9 +85,8 @@ func main() {
 	httpAddr := flag.String("http", "", "admin listen address serving /metrics, /statusz, /tracez and /debug/pprof/ (empty disables)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	slowOp := flag.Duration("slow-op", 250*time.Millisecond, "warn when handling one request takes this long (0 disables)")
-	traceSample := flag.Int("trace-sample", 64, "flight recorder: head-sample 1 in N ticks/requests into /tracez with detailed stage spans (0 disables tracing)")
-	traceSlow := flag.Duration("trace-slow", 0, "flight recorder: tail-retain any trace at least this slow regardless of sampling (0 inherits -slow-op, negative disables latency retention)")
-	traceRing := flag.Int("trace-ring", 64, "flight recorder: retained-trace ring size")
+	traceSlow := flag.Duration("trace-slow", 0, "flight recorder: retain any trace at least this slow (0 inherits -slow-op, negative disables latency retention)")
+	traceRing := flag.Int("trace-ring", 64, "flight recorder: retained-trace ring size (0 turns tracing off)")
 	quiet := flag.Bool("quiet", false, "log warnings only (suppress per-session and per-connection lines)")
 	flag.Parse()
 
@@ -140,7 +143,6 @@ func main() {
 		FsyncInterval:   *fsyncInterval,
 		WALSegmentBytes: *walSegBytes,
 		SlowOp:          slow,
-		TraceSample:     *traceSample,
 		TraceSlow:       *traceSlow,
 		TraceRing:       *traceRing,
 		Logger:          logger,

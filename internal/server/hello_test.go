@@ -48,7 +48,7 @@ func TestHelloVersionMismatchRefused(t *testing.T) {
 // the trace ID on a traced server — and may use every SUBSCRIBE form.
 func TestEveryPeerServedAsCurrentProtocol(t *testing.T) {
 	_, addr := startServer(t, Config{TickInterval: time.Hour,
-		SlowOp: time.Nanosecond, TraceSample: 1})
+		SlowOp: time.Nanosecond, TraceRing: 64})
 	pubSession(t, dialT(t, addr), "peer")
 	for _, peer := range []struct {
 		name  string

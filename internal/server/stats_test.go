@@ -88,7 +88,7 @@ func statsDiff(a, b map[string]uint64, volatile ...string) []string {
 // same map.
 func TestStatsIsTheRegistry(t *testing.T) {
 	srv, addr := startServer(t, Config{TickInterval: time.Hour, KeyframeEvery: 3,
-		DataDir: t.TempDir(), Fsync: "always", TraceSample: 1, Groups: []string{"ipc"}})
+		DataDir: t.TempDir(), Fsync: "always", TraceSlow: time.Nanosecond, TraceRing: 64, Groups: []string{"ipc"}})
 	aaddr, err := srv.ListenAdmin("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

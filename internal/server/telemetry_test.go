@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -259,5 +260,77 @@ func TestTelemetryRegistryDirect(t *testing.T) {
 	sums := srv.Telemetry().Summaries()
 	if s, ok := sums["op/CREATE_SESSION/json"]; !ok || s.Count != 1 {
 		t.Errorf("per-op summary after one CREATE: %+v", sums)
+	}
+}
+
+// TestStageHistogramsCountEveryRow: the per-row stage histograms see
+// every row, with no recorder. k hand ticks on n running sessions, each
+// followed by a broadcast subscriber on each codec under -groups ipc,
+// read n·k snapshots, fan n·k out and derive n·k, and each codec's
+// encode stage counts exactly the frames that codec's subscriber got —
+// one encode per frame, as it is the only subscriber on its codec. A
+// PUBLISH fans out once and reads no snapshot; it derives only when its
+// events cover the group.
+func TestStageHistogramsCountEveryRow(t *testing.T) {
+	const n, k = 3, 4
+	srv := New(Config{TickInterval: time.Hour, Groups: []string{"ipc"},
+		clock: clock.NewFake(time.Unix(1_700_000_000, 0))})
+	shutdownAtCleanup(t, srv)
+	subs := [2]*conn{testConn(srv, 8*n*k), testConn(srv, 8*n*k)}
+	subs[wire.CodecBinary].codec.Store(uint32(wire.CodecBinary))
+	events := []string{"PAPI_TOT_INS", "PAPI_TOT_CYC"}
+	for i := 0; i < n; i++ {
+		created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Events: events, Workload: "dot", N: 8})
+		if !created.OK {
+			t.Fatal(created.Error)
+		}
+		if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpStart, Session: created.Session}); !resp.OK {
+			t.Fatal(resp.Error)
+		}
+		sess, _ := srv.reg.get(created.Session)
+		for _, c := range subs {
+			c.follow(t, sess, nil, false)
+		}
+	}
+	stages := func() map[string]uint64 {
+		out := make(map[string]uint64, numStages)
+		sums := srv.Telemetry().Summaries()
+		for _, name := range stageNames {
+			out[name] = sums["stage/"+name].Count
+		}
+		return out
+	}
+	for i := 0; i < k; i++ {
+		srv.tick()
+	}
+	got := stages()
+	for _, name := range []string{"snapshot", "fanout", "derive"} {
+		if got[name] != n*k {
+			t.Errorf("stage/%s = %d after %d ticks of %d sessions, want %d", name, got[name], k, n, n*k)
+		}
+	}
+	for codec, c := range subs {
+		name := stageNames[stageEncode+stage(codec)]
+		if frames := uint64(len(c.popAll())); got[name] != frames || frames < n*k {
+			t.Errorf("stage/%s = %d, want the %d frames its subscriber got (at least %d)", name, got[name], frames, n*k)
+		}
+	}
+
+	pub := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
+	for _, pc := range []struct {
+		events []string
+		derive uint64
+	}{{events, 1}, {events[:1], 0}} {
+		before := stages()
+		if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: pub.Session,
+			Events: pc.events, Values: []int64{7, 3}[:len(pc.events)]}); !resp.OK {
+			t.Fatal(resp.Error)
+		}
+		after := stages()
+		for name, want := range map[string]uint64{"snapshot": 0, "fanout": 1, "derive": pc.derive} {
+			if d := after[name] - before[name]; d != want {
+				t.Errorf("PUBLISH of %v added %d to stage/%s, want %d", pc.events, d, name, want)
+			}
+		}
 	}
 }

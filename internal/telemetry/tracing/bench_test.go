@@ -8,7 +8,7 @@ import (
 // BenchmarkTraceSpan is the per-span cost every instrumented stage
 // pays: start + end on an unretained trace.
 func BenchmarkTraceSpan(b *testing.B) {
-	tr := NewTracer(Config{Sample: 1 << 30, Ring: 8})
+	tr := NewTracer(Config{Ring: 8})
 	trc := tr.Start("bench", "bench")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -24,11 +24,11 @@ func BenchmarkTraceSpan(b *testing.B) {
 	tr.Finish(trc)
 }
 
-// BenchmarkTraceStartFinish is the per-unit floor for an unsampled,
-// unretained trace (the common case at 1/64 sampling): pool get, two
+// BenchmarkTraceStartFinish is the per-unit floor for an unretained
+// trace (the common case: neither slow nor errored): pool get, two
 // clock reads, pool put.
 func BenchmarkTraceStartFinish(b *testing.B) {
-	tr := NewTracer(Config{Sample: 1 << 30, Ring: 8})
+	tr := NewTracer(Config{Ring: 8})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -24,13 +24,13 @@ func TracezHandler(tr *Tracer) http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		fmt.Fprintf(w, "<html><head><title>papid /tracez</title></head><body><h1>tracez</h1>")
-		if tr == nil {
-			fmt.Fprintf(w, "<p>tracing disabled (-trace-sample 0)</p></body></html>")
+		st := tr.TracerStats()
+		if st.Ring == 0 {
+			fmt.Fprintf(w, "<p>tracing disabled (-trace-ring 0)</p></body></html>")
 			return
 		}
-		st := tr.TracerStats()
-		fmt.Fprintf(w, "<p>%d started, %d retained (%d slow, %d err) · sampling 1/%d · ring %d · slow threshold %s</p>",
-			st.Started, st.Retained, st.KeptSlow, st.KeptErr, st.Sample, st.Ring,
+		fmt.Fprintf(w, "<p>%d started, %d retained (%d slow, %d err) · ring %d · slow threshold %s</p>",
+			st.Started, st.Retained, st.KeptSlow, st.KeptErr, st.Ring,
 			time.Duration(st.SlowNS))
 		fmt.Fprintf(w, "<table border=1 cellpadding=4><tr><th>trace</th><th>kind</th><th>name</th><th>duration</th><th>spans</th><th>kept</th><th>err</th></tr>")
 		for _, s := range sums {

@@ -14,12 +14,12 @@
 // pooled with their trace, so steady-state tracing does not allocate
 // once the pool is warm.
 //
-// Retention is head sampling plus tail retention: every unit is
-// traced while tracing is enabled, but a finished trace is kept in
-// the fixed-size ring only if it was head-sampled (1 in N), exceeded
-// the slow threshold, or carried an error. The tail rule is what
-// makes the recorder useful: the SlowOp warn line that fires at 3am
-// names a trace ID that is still in the ring.
+// Retention is tail retention: every unit is traced while the
+// recorder is on, but a finished trace is kept in the fixed-size ring
+// only if it exceeded the slow threshold or carried an error (or, when
+// Config.Sample asks for it, was head-sampled 1 in N). The tail rule is
+// what makes the recorder useful: the SlowOp warn line that fires at
+// 3am names a trace ID that is still in the ring.
 //
 // All methods are nil-receiver safe: a disabled Tracer returns nil
 // traces and every Span/Trace method on nil is a no-op, so call sites
@@ -40,10 +40,9 @@ type SpanRef int32
 // a root span's Parent is NoSpan.
 const NoSpan SpanRef = -1
 
-// maxSpans bounds one trace's span count so a pathological tick (many
-// thousands of sessions, all head-sampled) cannot hold the ring's
-// memory hostage. Excess StartSpan calls return NoSpan and are
-// counted in Trace.LostSpans.
+// maxSpans bounds one trace's span count so a pathological unit
+// cannot hold the ring's memory hostage. Excess StartSpan calls return
+// NoSpan and are counted in Trace.LostSpans.
 const maxSpans = 4096
 
 // Attr is one key/value annotation on a span. Exactly one of Str/Int
@@ -74,7 +73,7 @@ type Trace struct {
 	id      uint64
 	kind    string
 	name    string
-	sampled bool // head-sampled: retained unconditionally, traced in detail
+	sampled bool // head-sampled: retained unconditionally
 	wallUS  int64
 	t0      time.Time
 
@@ -98,13 +97,6 @@ func (t *Trace) ID() uint64 {
 	}
 	return t.id
 }
-
-// Detailed reports whether this trace was head-sampled. Call sites
-// use it to gate high-cardinality instrumentation (per-session stage
-// spans inside a tick) that would be wasteful on every tail-candidate
-// trace; coarse spans (per-shard, per-request-stage) are recorded
-// unconditionally so tail-retained slow traces still show structure.
-func (t *Trace) Detailed() bool { return t != nil && t.sampled }
 
 // SetName renames the trace's unit (the request op becomes known only
 // after decode).
@@ -151,9 +143,21 @@ func (t *Trace) StartSpan(parent SpanRef, name string) SpanRef {
 		parent = 0
 	}
 	ref := SpanRef(len(t.spans))
-	t.spans = append(t.spans, Span{Name: name, Parent: parent, Start: start, Dur: -1})
+	t.spans = append(t.spans, Span{Name: name, Parent: parent, Start: start, Dur: -1,
+		Attrs: t.slotAttrs(int(ref))})
 	t.mu.Unlock()
 	return ref
+}
+
+// slotAttrs returns span slot i's attribute storage, emptied, when a
+// pooled trace has used the slot before, so annotating a recycled trace
+// does not allocate. Only unretained traces are pooled: no reader still
+// holds the storage.
+func (t *Trace) slotAttrs(i int) []Attr {
+	if i < cap(t.spans) {
+		return t.spans[:i+1][i].Attrs[:0]
+	}
+	return nil
 }
 
 // EndSpan closes the span. Ending NoSpan or an already-closed span is
@@ -201,13 +205,14 @@ func (t *Trace) annotate(ref SpanRef, a Attr) {
 // Config sizes a Tracer.
 type Config struct {
 	// Sample head-samples 1 in Sample traces for unconditional
-	// retention and detailed instrumentation. <= 0 disables tracing
-	// entirely (NewTracer returns nil).
+	// retention. <= 0 samples none: only slow and errored traces are
+	// kept.
 	Sample int
 	// Slow tail-retains any trace at least this slow. <= 0 disables
 	// latency-based tail retention (errors still retain).
 	Slow time.Duration
-	// Ring is the number of retained traces kept. Defaults to 64.
+	// Ring is the number of retained traces kept. <= 0 retains nothing,
+	// so there is no recorder (NewTracer returns nil).
 	Ring int
 }
 
@@ -234,13 +239,10 @@ type Tracer struct {
 }
 
 // NewTracer builds a Tracer, or returns nil (disabled) when
-// cfg.Sample <= 0.
+// cfg.Ring <= 0.
 func NewTracer(cfg Config) *Tracer {
-	if cfg.Sample <= 0 {
-		return nil
-	}
 	if cfg.Ring <= 0 {
-		cfg.Ring = 64
+		return nil
 	}
 	tr := &Tracer{
 		sample: cfg.Sample,
@@ -265,10 +267,10 @@ func (tr *Tracer) Start(kind, name string) *Trace {
 	t.id = tr.ids.Add(1)
 	t.kind = kind
 	t.name = name
-	t.sampled = tr.seq.Add(1)%uint64(tr.sample) == 0
+	t.sampled = tr.sample > 0 && tr.seq.Add(1)%uint64(tr.sample) == 0
 	t.wallUS = time.Now().UnixMicro()
 	t.t0 = time.Now()
-	t.spans = append(t.spans[:0], Span{Name: name, Parent: NoSpan, Dur: -1})
+	t.spans = append(t.spans[:0], Span{Name: name, Parent: NoSpan, Dur: -1, Attrs: t.slotAttrs(0)})
 	t.lost = 0
 	t.hasErr = false
 	t.errMsg = ""
@@ -281,7 +283,7 @@ func (tr *Tracer) Start(kind, name string) *Trace {
 }
 
 // Finish seals the trace: closes every still-open span, decides
-// retention (head sample, slow, or error) and either inserts the
+// retention (slow, error, or head sample) and either inserts the
 // trace into the ring or returns it to the pool. Finish is
 // idempotent; only the first call acts. After calling Finish the
 // caller must not touch the trace (beyond values copied out earlier,
@@ -372,7 +374,6 @@ type Stats struct {
 	KeptSlow uint64 `json:"kept_slow"`
 	KeptErr  uint64 `json:"kept_err"`
 	Ring     int    `json:"ring"`
-	Sample   int    `json:"sample"`
 	SlowNS   int64  `json:"slow_ns"`
 }
 
@@ -390,7 +391,6 @@ func (tr *Tracer) TracerStats() Stats {
 		KeptSlow: tr.keptSlow.Load(),
 		KeptErr:  tr.keptErr.Load(),
 		Ring:     ring,
-		Sample:   tr.sample,
 		SlowNS:   tr.slow.Nanoseconds(),
 	}
 }

@@ -15,9 +15,6 @@ func TestSpanTree(t *testing.T) {
 	if trc == nil {
 		t.Fatal("Start returned nil with tracing enabled")
 	}
-	if !trc.Detailed() {
-		t.Fatal("sample=1 trace not detailed")
-	}
 	shard := trc.StartSpan(NoSpan, "shard")
 	trc.AnnotateInt(shard, "shard", 3)
 	snap := trc.StartSpan(shard, "snapshot")
@@ -64,8 +61,39 @@ func TestHeadSampling(t *testing.T) {
 	}
 }
 
+// TestNoHeadSampling: Sample <= 0 still traces every unit, keeps the
+// slow and errored ones, and never keeps one as "sampled".
+func TestNoHeadSampling(t *testing.T) {
+	for _, sample := range []int{0, -1} {
+		tr := NewTracer(Config{Sample: sample, Slow: time.Hour, Ring: 8})
+		for i := 0; i < 16; i++ {
+			trc := tr.Start("request", "READ")
+			if trc == nil {
+				t.Fatalf("Sample=%d: Start returned nil", sample)
+			}
+			tr.Finish(trc)
+		}
+		if n := len(tr.Snapshot()); n != 0 {
+			t.Errorf("Sample=%d: %d fast, clean traces retained, want 0", sample, n)
+		}
+		failed := tr.Start("request", "READ")
+		failed.SetError("boom")
+		tr.Finish(failed)
+		st := tr.TracerStats()
+		if st.Started != 17 || st.Retained != 1 || st.KeptErr != 1 {
+			t.Errorf("Sample=%d: stats %+v, want 17 started, 1 retained for its error", sample, st)
+		}
+		for _, kept := range tr.Snapshot() {
+			if v := kept.View(); v.Sampled || v.Retained != "error" {
+				t.Errorf("Sample=%d: kept trace sampled=%v retained=%q, want an unsampled error",
+					sample, v.Sampled, v.Retained)
+			}
+		}
+	}
+}
+
 func TestTailRetentionSlow(t *testing.T) {
-	tr := NewTracer(Config{Sample: 1 << 30, Slow: time.Microsecond, Ring: 8})
+	tr := NewTracer(Config{Slow: time.Microsecond, Ring: 8})
 	trc := tr.Start("request", "READ")
 	time.Sleep(50 * time.Microsecond)
 	tr.Finish(trc)
@@ -79,7 +107,7 @@ func TestTailRetentionSlow(t *testing.T) {
 }
 
 func TestTailRetentionError(t *testing.T) {
-	tr := NewTracer(Config{Sample: 1 << 30, Ring: 8})
+	tr := NewTracer(Config{Ring: 8})
 	trc := tr.Start("request", "READ")
 	trc.SetError("no such session")
 	tr.Finish(trc)
@@ -120,8 +148,10 @@ func TestRingEviction(t *testing.T) {
 }
 
 func TestNilSafety(t *testing.T) {
-	if NewTracer(Config{Sample: 0}) != nil {
-		t.Fatal("Sample<=0 should disable tracing")
+	for _, ring := range []int{0, -1} {
+		if NewTracer(Config{Sample: 1, Ring: ring}) != nil {
+			t.Fatalf("Ring=%d built a recorder that can retain nothing", ring)
+		}
 	}
 	var tr *Tracer
 	trc := tr.Start("tick", "tick")
@@ -135,7 +165,7 @@ func TestNilSafety(t *testing.T) {
 	trc.EndSpan(sp)
 	trc.SetName("y")
 	trc.SetError("e")
-	if trc.ID() != 0 || trc.Detailed() {
+	if trc.ID() != 0 {
 		t.Fatal("nil trace has identity")
 	}
 	tr.Finish(trc)
@@ -148,7 +178,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestPoolReuseResetsSpans(t *testing.T) {
-	tr := NewTracer(Config{Sample: 1 << 30, Ring: 4})
+	tr := NewTracer(Config{Ring: 4})
 	trc := tr.Start("request", "A")
 	trc.StartSpan(NoSpan, "child")
 	tr.Finish(trc) // dropped -> pooled

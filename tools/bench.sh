@@ -100,6 +100,6 @@ go run ./cmd/benchjson -benchmem -out BENCH_telemetry.json -bench 'Telemetry|Pro
 # Flight-recorder costs: the raw span-engine operations (trace
 # start/finish, span open/close, annotate, retention-ring insert) and
 # the paired traced-vs-untraced 256-session tick sweep — the overhead
-# evidence behind DESIGN.md S32's claim that default 1/64 sampling
-# stays within run-to-run noise.
+# evidence behind DESIGN.md S32's claim that the recorder stays within
+# run-to-run noise.
 go run ./cmd/benchjson -benchmem -benchtime 3s -out BENCH_trace.json -bench 'Trace' ./internal/telemetry/tracing ./internal/server

@@ -106,9 +106,11 @@ go test -race -count=20 -run '^(TestConcurrentPublishersKeepOrder|TestViewMember
 # nothing per subscriber and nothing for grouping — and a one-iteration
 # run cannot show it under the warm-up, so TestFanoutAllocs asserts it:
 # built without -race, because the race detector makes sync.Pool drop
-# entries at random.
+# entries at random. The same holds for a recycled trace's annotation
+# storage.
 go test -run='^$' -bench='ServerThroughput' -benchtime=1x -benchmem .
 go test -run='^TestFanoutAllocs$' -count=1 ./internal/server/
+go test -run='^TestRecycledTraceAnnotatesWithoutAllocating$' -count=1 ./internal/telemetry/tracing/
 # Regression-gate smoke: one-iteration ServerQuery numbers through the
 # full benchjson pipeline — emit JSON, then -diff against the committed
 # baseline. Single-iteration runs pay every cold-start cost (first
@@ -153,7 +155,7 @@ done
 for family in papid_sessions papid_connections papid_write_queue_frames \
     papid_snapshots_dropped_total \
     papid_uptime_seconds papid_tick_duration_seconds papid_tick_deliver_seconds \
-    papid_ticks_skipped_total \
+    papid_stage_seconds papid_ticks_skipped_total \
     papid_goroutines; do
     echo "$metrics" | grep -q "$family" || {
         echo "/metrics lacks $family" >&2; exit 1; }
@@ -359,8 +361,9 @@ wait $pub_pid 2>/dev/null || true
 kill $delta_pid
 wait $delta_pid 2>/dev/null || true
 echo "filtered/delta subscription smoke OK"
-# Flight-recorder smoke: a papid tracing every unit (-trace-sample 1)
-# with a hair-trigger -slow-op, driven by a real publisher. Certifies
+# Flight-recorder smoke: a papid with a hair-trigger -slow-op, which
+# the trace slow threshold inherits, so every traced unit is retained,
+# driven by a real publisher. Certifies
 # the pipeline tracer end to end: the SlowOp warn line names a trace
 # ID whose trace is retrievable from /debug/trace?id= (tail
 # retention), /tracez lists the ring, and the Chrome trace-event
@@ -368,7 +371,7 @@ echo "filtered/delta subscription smoke OK"
 # request stages on a PUBLISH trace, sweep stages on a tick trace.
 trace_log=$(mktemp /tmp/papid-ci-trace.XXXXXX)
 /tmp/papid-ci-smoke -addr 127.0.0.1:61785 -http 127.0.0.1:61786 \
-    -trace-sample 1 -slow-op 1ns -tick-workers 2 -quiet 2>"$trace_log" &
+    -slow-op 1ns -tick-workers 2 -quiet 2>"$trace_log" &
 trace_pid=$!
 trap 'kill -9 $papid_pid $wal_pid $derive_pid $delta_pid $pub_pid $trace_pid 2>/dev/null || true; rm -rf "$wal_dir" "$follow_log" "$trace_log"' EXIT
 published=""

@@ -22,12 +22,12 @@ type TracezDoc struct {
 // Perfetto) takes.
 func RenderTracez(w io.Writer, doc TracezDoc) {
 	st := doc.Stats
-	if st.Sample <= 0 {
-		fmt.Fprintln(w, "tracing disabled (papid -trace-sample 0)")
+	if st.Ring == 0 {
+		fmt.Fprintln(w, "tracing disabled (papid -trace-ring 0)")
 		return
 	}
-	fmt.Fprintf(w, "flight recorder: %d started, %d retained (%d slow, %d err), sampling 1/%d, ring %d, slow threshold %s\n",
-		st.Started, st.Retained, st.KeptSlow, st.KeptErr, st.Sample, st.Ring,
+	fmt.Fprintf(w, "flight recorder: %d started, %d retained (%d slow, %d err), ring %d, slow threshold %s\n",
+		st.Started, st.Retained, st.KeptSlow, st.KeptErr, st.Ring,
 		time.Duration(st.SlowNS))
 	if len(doc.Traces) == 0 {
 		fmt.Fprintln(w, "no retained traces yet")
