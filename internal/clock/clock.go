@@ -18,6 +18,11 @@ import (
 // needs: a periodic ticker and a one-shot timer.
 type Clock interface {
 	Now() time.Time
+	// Mono reads the clock as the time since a fixed origin of its
+	// own; two readings subtract to the time between them. Real takes
+	// one monotonic clock read for it where Now takes two (the wall
+	// clock too), so Mono is the cheaper way to time a stage.
+	Mono() time.Duration
 	// NewTicker fires on C every d. Like time.Ticker, it holds one
 	// firing for a receiver that is busy and drops the rest.
 	NewTicker(d time.Duration) *Ticker
@@ -56,6 +61,12 @@ type Real struct{}
 
 func (Real) Now() time.Time { return time.Now() }
 
+// realOrigin is Real's Mono origin; time.Since of a time with a
+// monotonic reading reads the monotonic clock alone.
+var realOrigin = time.Now()
+
+func (Real) Mono() time.Duration { return time.Since(realOrigin) }
+
 func (Real) NewTicker(d time.Duration) *Ticker {
 	t := time.NewTicker(d)
 	return &Ticker{C: t.C, stop: t.Stop}
@@ -69,9 +80,10 @@ func (Real) AfterFunc(d time.Duration, f func()) *Timer {
 // fires the tickers and timers that fall due on the way. It is safe for
 // concurrent use.
 type Fake struct {
-	mu    sync.Mutex
-	now   time.Time
-	waits []*wait // armed tickers and timers, in the order they were armed
+	mu     sync.Mutex
+	now    time.Time
+	origin time.Time // Mono's: the time NewFake started from
+	waits  []*wait   // armed tickers and timers, in the order they were armed
 }
 
 // wait is one armed ticker (period > 0) or timer.
@@ -83,13 +95,15 @@ type wait struct {
 }
 
 // NewFake returns virtual time that reads t until it is advanced.
-func NewFake(t time.Time) *Fake { return &Fake{now: t} }
+func NewFake(t time.Time) *Fake { return &Fake{now: t, origin: t} }
 
 func (f *Fake) Now() time.Time {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.now
 }
+
+func (f *Fake) Mono() time.Duration { return f.Now().Sub(f.origin) }
 
 func (f *Fake) NewTicker(d time.Duration) *Ticker {
 	if d <= 0 {

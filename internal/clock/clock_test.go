@@ -78,3 +78,21 @@ func TestOrIsReal(t *testing.T) {
 		t.Errorf("Real.Now() = %v, not the wall clock (%v)", now, before)
 	}
 }
+
+// TestMonoCountsElapsedTime: Mono readings subtract to the time between
+// them — on Fake exactly what Advance moved, starting from zero; on Real
+// never backwards.
+func TestMonoCountsElapsedTime(t *testing.T) {
+	fk := NewFake(epoch)
+	if got := fk.Mono(); got != 0 {
+		t.Errorf("a new Fake's Mono = %v, want 0", got)
+	}
+	fk.Advance(1500 * time.Millisecond)
+	if got := fk.Mono(); got != 1500*time.Millisecond {
+		t.Errorf("Mono after Advance(1.5s) = %v, want 1.5s", got)
+	}
+	a := Real{}.Mono()
+	if b := (Real{}).Mono(); b < a || a < 0 {
+		t.Errorf("Real Mono read %v then %v", a, b)
+	}
+}

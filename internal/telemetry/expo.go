@@ -60,7 +60,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // mandatory +Inf terminator are written, which keeps a 252-bucket
 // layout from bloating every scrape.
 func writeHistogram(bw *bufio.Writer, name string, labels []Label, h *Histogram) {
-	h.forBuckets(func(upper int64, cum uint64) {
+	count := h.forBuckets(func(upper int64, cum uint64) {
 		bw.WriteString(name)
 		bw.WriteString("_bucket")
 		bw.WriteString(labelStringWith(labels, Label{Name: "le",
@@ -69,7 +69,6 @@ func writeHistogram(bw *bufio.Writer, name string, labels []Label, h *Histogram)
 		bw.WriteString(strconv.FormatUint(cum, 10))
 		bw.WriteByte('\n')
 	})
-	count := h.count.Load()
 	bw.WriteString(name)
 	bw.WriteString("_bucket")
 	bw.WriteString(labelStringWith(labels, Label{Name: "le", Value: "+Inf"}))

@@ -9,7 +9,9 @@
 // of its lower bound and any reported quantile is within +25% of the
 // true order statistic. 16 + 59*4 = 252 buckets cover the full int64
 // range in 2 KiB of atomics; recording is one bits.Len64, one shift,
-// and three atomic adds.
+// and two atomic adds. The count is the buckets' sum, read when it is
+// wanted: recorders that share a histogram across CPUs contend on one
+// line fewer.
 package telemetry
 
 import (
@@ -37,7 +39,6 @@ type Histogram struct {
 	scale float64
 
 	buckets [numBuckets]atomic.Uint64
-	count   atomic.Uint64
 	sum     atomic.Int64
 	min     atomic.Int64
 	max     atomic.Int64
@@ -92,7 +93,6 @@ func bucketLower(i int) int64 {
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketFor(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 	for {
 		cur := h.min.Load()
@@ -109,7 +109,12 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() (n uint64) {
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Summary is the compact distribution view that rides the wire STATS
 // op and the /statusz document: observation count, sum, extremes, and
@@ -182,8 +187,9 @@ func quantile(counts *[numBuckets]uint64, total uint64, q float64, observedMax i
 // forBuckets visits the non-empty prefix of the cumulative
 // distribution for exposition: every occupied bucket's (upperBound,
 // cumulativeCount), in ascending order. The Prometheus writer turns
-// these into _bucket{le=...} lines.
-func (h *Histogram) forBuckets(visit func(upper int64, cum uint64)) {
+// these into _bucket{le=...} lines. It returns the total, the
+// observation count the visits add up to.
+func (h *Histogram) forBuckets(visit func(upper int64, cum uint64)) (total uint64) {
 	var cum uint64
 	for i := range h.buckets {
 		c := h.buckets[i].Load()
@@ -193,4 +199,5 @@ func (h *Histogram) forBuckets(visit func(upper int64, cum uint64)) {
 		cum += c
 		visit(bucketUpper(i), cum)
 	}
+	return cum
 }
