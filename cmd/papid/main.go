@@ -171,9 +171,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "papid: shutdown:", err)
 		os.Exit(1)
 	}
-	st := srv.Stats()
+	st, hists := srv.Stats(), srv.Telemetry().Summaries()
 	log.Printf("papid: %d ticks (%d skipped), %d snapshots sent (%d dropped)",
-		st["ticks"], st["ticks_skipped"], st["snapshots_sent"], st["snapshots_dropped"])
+		hists["tick"].Count, st["ticks_skipped"], st["snapshots_sent"], st["snapshots_dropped"])
 	log.Printf("papid: %d evictions (%d deadline trips), %d resyncs",
 		st["evictions"], st["deadline_trips"], st["resyncs"])
 	log.Printf("papid: %d keyframes, %d deltas sent (%d dropped), %d derived sent (%d dropped), %d encode failures",
@@ -189,7 +189,7 @@ func main() {
 			st["wal_rows"], st["wal_sealed_blocks"], st["wal_fsyncs"], st["wal_segments"],
 			st["wal_disk_bytes"], st["wal_compactions"])
 	}
-	if table := telemetry.FormatSummaryTable(srv.Telemetry().Summaries(), nil); table != "" {
+	if table := telemetry.FormatSummaryTable(hists, nil); table != "" {
 		log.Printf("papid: latency quantiles:\n%s", strings.TrimRight(table, "\n"))
 	}
 }

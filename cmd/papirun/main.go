@@ -190,7 +190,7 @@ func (p *publisher) stats() error {
 		return err
 	}
 	fmt.Printf("papid ticks: %d run, %d skipped (sweep overran -tick)\n",
-		resp.Stats["ticks"], resp.Stats["ticks_skipped"])
+		resp.Hists["tick"].Count, resp.Stats["ticks_skipped"])
 	fmt.Printf("papid latency quantiles:\n%s", telemetry.FormatSummaryTable(resp.Hists, nil))
 	return nil
 }

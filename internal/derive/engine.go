@@ -94,7 +94,7 @@ func NewEngine(reg *Registry, rules []Rule, logger *slog.Logger, treg *telemetry
 		rules: append([]Rule(nil), rules...),
 		log:   logger,
 		evals: treg.NewCounter(telemetry.Opts{Name: "papid_derive_evals_total",
-			Help: "Derived-group evaluations completed (one per session per tick with groups registered)."}),
+			Help: "Derived-group evaluations that produced values (a session's first row, and a row after its counters went backwards, only prime the engine)."}),
 		alerts: treg.NewCounter(telemetry.Opts{Name: "papid_derive_alerts_total",
 			Help: "Threshold-rule alerts fired on derived metrics."}),
 	}

@@ -301,9 +301,7 @@ func (c *conn) writeLoop() {
 		for i := range batch {
 			f := &batch[i]
 			if n -= len(f.payload); n >= 0 {
-				c.srv.m.framesSent[f.codec].Inc()
-				c.srv.m.bytesSent[f.codec].Add(uint64(len(f.payload)))
-				f.release()
+				c.written(f)
 			} else {
 				f.drop()
 			}
@@ -323,6 +321,14 @@ func (c *conn) writeLoop() {
 			}
 		}
 	}
+}
+
+// written settles a frame the socket took whole: counted sent on its
+// codec, then released.
+func (c *conn) written(f *frame) {
+	c.srv.m.framesSent[f.codec].Inc()
+	c.srv.m.bytesSent[f.codec].Add(uint64(len(f.payload)))
+	f.release()
 }
 
 // send serializes a reply frame with the connection's codec and

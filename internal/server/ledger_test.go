@@ -3,8 +3,9 @@
 // it never reaches the socket, dropped exactly once against its own
 // kind. So after a drain, sent − dropped per kind must equal the frames
 // of that kind the sockets actually took — whatever mix of healthy,
-// stalled and vanishing subscribers the server faced — and every frame
-// a surviving client did receive must be the truth for its seq.
+// stalled and vanishing subscribers the server faced — every frame a
+// surviving client did receive must be the truth for its seq, and
+// papid's identities (identity_test.go) must hold.
 package server
 
 import (
@@ -166,6 +167,7 @@ func runLedgerSeed(t *testing.T, seed int64) {
 	sessions := make([]uint64, 3)
 	truth := make(map[uint64]map[uint64][]int64) // session → seq → row
 	rows := make(map[uint64][]int64)
+	var published uint64
 	publish := func(id uint64) {
 		t.Helper()
 		row := rows[id]
@@ -177,6 +179,7 @@ func runLedgerSeed(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 		truth[id][resp.Seq] = slices.Clone(row)
+		published++
 	}
 	for i := range sessions {
 		created, err := pub.Do(wire.Request{Op: wire.OpCreate, Workload: "none"})
@@ -306,6 +309,7 @@ func runLedgerSeed(t *testing.T, seed int64) {
 	if sent := stat(t, srv, "frames_sent_json") + stat(t, srv, "frames_sent_binary"); sent != all {
 		t.Errorf("frames_sent %d, but %d whole frames reached the sockets", sent, all)
 	}
+	checkIdentities(t, srv, driven{publishes: published})
 
 	// Truth: every frame a healthy client received is the published row
 	// of its seq, projected through the client's own filter, in order.

@@ -423,20 +423,16 @@ func (s *Server) ListenAdmin(addr string) (net.Addr, error) {
 }
 
 // ServeAdmin starts the observability HTTP server on a caller-provided
-// listener (the testing hook, mirroring Serve). When the flight
-// recorder is enabled, /tracez (the retained-trace list) and
-// /debug/trace (single-trace export, native or Chrome trace-event
-// JSON) join the mux.
+// listener (the testing hook, mirroring Serve). /tracez (the
+// retained-trace list) and /debug/trace (single-trace export, native
+// or Chrome trace-event JSON) are always on the mux: with the flight
+// recorder off the tracer is nil, /tracez says tracing is disabled and
+// /debug/trace finds no trace.
 func (s *Server) ServeAdmin(ln net.Listener) net.Addr {
-	var extra map[string]http.Handler
-	if s.trc != nil {
-		extra = map[string]http.Handler{
-			"/tracez":      tracing.TracezHandler(s.trc),
-			"/debug/trace": tracing.TraceHandler(s.trc),
-		}
-	}
-	hs := &http.Server{Handler: telemetry.HandlerWith(s.m.reg, s.statusz, extra),
-		ReadHeaderTimeout: 5 * time.Second}
+	hs := &http.Server{Handler: telemetry.HandlerWith(s.m.reg, s.statusz, map[string]http.Handler{
+		"/tracez":      tracing.TracezHandler(s.trc),
+		"/debug/trace": tracing.TraceHandler(s.trc),
+	}), ReadHeaderTimeout: 5 * time.Second}
 	s.adminMu.Lock()
 	s.admin = hs
 	s.adminMu.Unlock()
@@ -563,7 +559,6 @@ func (s *Server) tickLoop(t *clock.Ticker) {
 func (s *Server) tick() {
 	start := s.cfg.clock.Now()
 	defer func() { s.m.tickDur.Observe(int64(s.cfg.clock.Now().Sub(start))) }()
-	s.m.ticks.Inc()
 	// Every tick is a traced unit while the recorder is on: shard,
 	// advance and history spans, kept when the tick was slow or errored
 	// (WAL write failure, derive alert). Per-row stages are on the

@@ -110,8 +110,8 @@ func (c *conn) follow(tb testing.TB, sess *session, events []string, delta bool)
 	return sub
 }
 
-// popAll empties the connection's queue as its writer would, returning
-// each frame's payload in queue order.
+// popAll empties the connection's queue as its writer would, each
+// frame counted written, returning each frame's payload in queue order.
 func (c *conn) popAll() []string {
 	var out []string
 	for {
@@ -120,7 +120,7 @@ func (c *conn) popAll() []string {
 			return out
 		}
 		out = append(out, string(f.payload))
-		f.release()
+		c.written(&f)
 	}
 }
 

@@ -154,6 +154,11 @@ func (sess *session) publish(names []string, values []int64) (wire.Response, err
 	if sess.running {
 		return wire.Response{}, fmt.Errorf("session %d is counting; cannot publish external values", sess.id)
 	}
+	if len(values) == 0 {
+		// History stores no row of no events, so no subscriber gets
+		// one either — as START refuses an empty EventSet.
+		return wire.Response{}, fmt.Errorf("publish: no values")
+	}
 	// Validate fully before touching session state: a rejected publish
 	// must not leave renamed events behind.
 	if len(names) > 0 {

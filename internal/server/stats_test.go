@@ -10,6 +10,8 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"os"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -176,7 +178,8 @@ func TestStatsIsTheRegistry(t *testing.T) {
 		first := srv.Stats()
 		time.Sleep(20 * time.Millisecond) // the writers settle on their own goroutines
 		direct = srv.Stats()
-		if direct["write_queue_frames"] == 0 && direct["traces_started"] == direct["traces_retained"] &&
+		if direct["write_queue_frames"] == 0 &&
+			direct["traces_started"] == direct["traces_kept_slow"]+direct["traces_kept_err"] &&
 			len(statsDiff(first, direct, volatile...)) == 0 {
 			break
 		}
@@ -184,7 +187,7 @@ func TestStatsIsTheRegistry(t *testing.T) {
 			t.Fatalf("Stats() never settled: %v", direct)
 		}
 	}
-	for _, k := range []string{"sessions", "connections", "ticks", "snapshots_sent", "deltas_sent",
+	for _, k := range []string{"sessions", "connections", "snapshots_sent", "deltas_sent",
 		"keyframes_sent", "derived_sent", "derive_evals", "frames_sent_json", "frames_sent_binary",
 		"bytes_sent_binary", "resyncs", "tsdb_samples", "tsdb_bytes", "wal_rows", "wal_fsyncs",
 		"wal_disk_bytes", "wal_files", "traces_started", "tick_workers"} {
@@ -276,7 +279,6 @@ func TestStatsKeysClientsRead(t *testing.T) {
 		"wal_disk_bytes":     "papid_wal_disk_bytes",
 		"wal_rows":           "papid_wal_rows_total",
 		"wal_replayed_rows":  "papid_wal_replayed_rows_total",
-		"ticks":              "papid_ticks_total",
 		"ticks_skipped":      "papid_ticks_skipped_total",
 	} {
 		v, ok := samples[sample]
@@ -292,5 +294,110 @@ func TestStatsKeysClientsRead(t *testing.T) {
 	}
 	if got := stat(t, srv, "wal_clean_start"); got != 0 {
 		t.Errorf("wal_clean_start = %d after a crash", got)
+	}
+}
+
+// readmeFamily is one row of README's family table.
+type readmeFamily struct{ kind, key string }
+
+// readmeFamilies parses the family table of README's "Observing papid"
+// section: family → kind and STATS key.
+func readmeFamilies(t *testing.T) map[string]readmeFamily {
+	t.Helper()
+	doc, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "\n### Observing papid\n")
+	section, _, _ = strings.Cut(section, "\n#### ")
+	rows := make(map[string]readmeFamily)
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) != 6 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`papid_") {
+			continue
+		}
+		cell := func(i int) string { return strings.Trim(strings.TrimSpace(cells[i]), "`") }
+		if _, dup := rows[cell(1)]; dup {
+			t.Errorf("README lists %s twice", cell(1))
+		}
+		rows[cell(1)] = readmeFamily{kind: cell(2), key: cell(3)}
+	}
+	if len(rows) == 0 {
+		t.Fatal("README's Observing papid section has no family table")
+	}
+	return rows
+}
+
+func keysOf[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// keyPattern compiles a table key: a <placeholder> stands for a label
+// value.
+func keyPattern(key string) *regexp.Regexp {
+	return regexp.MustCompile("^" + regexp.MustCompile(`<[a-z]+>`).ReplaceAllString(
+		regexp.QuoteMeta(key), "[A-Za-z_/]+") + "$")
+}
+
+// TestFamiliesAreREADMEsTable: README's family table is the registry.
+// A papid with every subsystem on, through every kind of traffic,
+// exposes exactly the table's families with the table's kinds on its
+// admin mux's /metrics, and its STATS and hists keys are exactly the
+// keys the table gives them. So a family that goes missing fails here,
+// and so does a retired one that comes back.
+func TestFamiliesAreREADMEsTable(t *testing.T) {
+	srv, base, _ := everySubsystem(t)
+	table := readmeFamilies(t)
+
+	exposed := make(map[string]string)
+	for _, line := range strings.Split(adminGet(t, base+"/metrics"), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			exposed[f[2]] = f[3]
+		}
+	}
+	for family, kind := range exposed {
+		if row, ok := table[family]; !ok {
+			t.Errorf("/metrics exposes %s (%s), which README's family table lacks", family, kind)
+		} else if row.kind != kind {
+			t.Errorf("%s is a %s, README says %s", family, kind, row.kind)
+		}
+	}
+	for family := range table {
+		if _, ok := exposed[family]; !ok {
+			t.Errorf("README lists %s, which /metrics does not expose", family)
+		}
+	}
+
+	// Every key the server reports matches one row of its kind, and
+	// every row's key is reported: the traffic left no histogram empty.
+	for _, keys := range []struct {
+		histogram bool
+		got       []string
+	}{
+		{false, keysOf(srv.Stats())},
+		{true, keysOf(srv.Telemetry().Summaries())},
+	} {
+		matched := make(map[string]bool)
+		for _, key := range keys.got {
+			var rows []string
+			for family, row := range table {
+				if (row.kind == "histogram") == keys.histogram && keyPattern(row.key).MatchString(key) {
+					rows = append(rows, family)
+					matched[family] = true
+				}
+			}
+			if len(rows) != 1 {
+				t.Errorf("key %s matches README rows %v, want exactly one", key, rows)
+			}
+		}
+		for family, row := range table {
+			if (row.kind == "histogram") == keys.histogram && !matched[family] {
+				t.Errorf("README gives %s the key %s, which the server never reported", family, row.key)
+			}
+		}
 	}
 }

@@ -58,7 +58,6 @@ func (r *slowRing) samples() []wire.SlowSample {
 type metrics struct {
 	reg *telemetry.Registry
 
-	ticks         *telemetry.Counter
 	evictions     *telemetry.Counter
 	deadlineTrips *telemetry.Counter
 	resyncs       *telemetry.Counter
@@ -92,6 +91,7 @@ type metrics struct {
 	// running session. tickDeliver is its delivery pass alone: from
 	// tick start until the last sweep worker has delivered and
 	// journaled its rows, before the advance pass's share of the tick.
+	// Each observes once per tick, so their counts are the ticks run.
 	tickDur     *telemetry.Histogram
 	tickDeliver *telemetry.Histogram
 	// stage times each per-row stage of the delivery path, indexed by
@@ -138,8 +138,6 @@ var opLatencyOps = []string{
 
 func newMetrics(reg *telemetry.Registry) *metrics {
 	m := &metrics{reg: reg}
-	m.ticks = reg.NewCounter(telemetry.Opts{Name: "papid_ticks_total",
-		Help: "Snapshot fan-out ticks run."})
 	m.sent[kindSnapshot] = reg.NewCounter(telemetry.Opts{Name: "papid_snapshots_sent_total",
 		Help: "Snapshot frames enqueued to subscribers."})
 	m.dropped[kindSnapshot] = reg.NewCounter(telemetry.Opts{Name: "papid_snapshots_dropped_total",
@@ -278,14 +276,12 @@ func (s *Server) registerServerFuncs() {
 	})
 	// Flight-recorder counters read straight from the tracer; with
 	// tracing off (nil tracer) TracerStats is zero, so the series
-	// simply read 0 rather than disappearing between configs.
+	// simply read 0 rather than disappearing between configs. papid
+	// keeps a trace only when slow or errored, so the traces retained
+	// are kept_slow + kept_err and have no family of their own.
 	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_started_total",
 		Help: "Traced units started (ticks and requests)."}, func() uint64 {
 		return s.trc.TracerStats().Started
-	})
-	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_retained_total",
-		Help: "Traces kept in the /tracez ring (slow or errored)."}, func() uint64 {
-		return s.trc.TracerStats().Retained
 	})
 	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_kept_slow_total",
 		Help: "Traces tail-retained for exceeding the slow threshold."}, func() uint64 {

@@ -270,7 +270,7 @@ func TestTelemetryRegistryDirect(t *testing.T) {
 // encode stage counts exactly the frames that codec's subscriber got —
 // one encode per frame, as it is the only subscriber on its codec. A
 // PUBLISH fans out once and reads no snapshot; it derives only when its
-// events cover the group.
+// events cover the group. papid's identities hold at the end.
 func TestStageHistogramsCountEveryRow(t *testing.T) {
 	const n, k = 3, 4
 	srv := New(Config{TickInterval: time.Hour, Groups: []string{"ipc"},
@@ -333,4 +333,5 @@ func TestStageHistogramsCountEveryRow(t *testing.T) {
 			}
 		}
 	}
+	checkIdentities(t, srv, driven{ticks: k, tickRows: n * k, publishes: 2})
 }

@@ -2,8 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
@@ -13,6 +16,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/telemetry/tracing"
 	"repro/internal/wire"
+	"repro/tools/perfometer"
 )
 
 // TestTraceSlowOpRetained is the flight recorder's headline promise:
@@ -126,6 +130,37 @@ func TestTraceDisabledByDefault(t *testing.T) {
 		t.Errorf("untraced server: traces_started = %d (present %v), want 0", n, ok)
 	}
 	srv.tick() // must not panic with a nil tracer
+}
+
+// TestTracezWithRecorderOff: the admin mux serves /tracez and
+// /debug/trace with the recorder off too, so perfometer -tracez against
+// papid -trace-ring 0 renders the disabled recorder instead of failing
+// on a 404, and a trace lookup answers that nothing is retained.
+func TestTracezWithRecorderOff(t *testing.T) {
+	srv, _ := startServer(t, Config{TickInterval: time.Hour})
+	aaddr, err := srv.ListenAdmin("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + aaddr.String()
+	var doc perfometer.TracezDoc
+	if err := json.Unmarshal([]byte(adminGet(t, base+"/tracez?format=json")), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	perfometer.RenderTracez(&sb, doc)
+	if !strings.Contains(sb.String(), "tracing disabled") {
+		t.Errorf("perfometer -tracez against a disabled recorder printed:\n%s", sb.String())
+	}
+	resp, err := adminClient().Get(base + "/debug/trace?id=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), "not retained") {
+		t.Errorf("/debug/trace with the recorder off: %s %q", resp.Status, body)
+	}
 }
 
 // TestTraceTickStructure drives a hand tick on a server that keeps

@@ -285,7 +285,7 @@ func (l *Log) registerTelemetry(reg *telemetry.Registry) {
 	})
 	reg.NewCounterFunc(telemetry.Opts{
 		Name: "papid_wal_rows_total",
-		Help: "Tick rows appended to the write-ahead log.",
+		Help: "Rows journaled to the write-ahead log (tick and PUBLISH rows).",
 	}, l.rows.Load)
 	reg.NewCounterFunc(telemetry.Opts{
 		Name: "papid_wal_fsyncs_total",

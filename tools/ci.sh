@@ -111,32 +111,29 @@ go test -race -count=20 -run '^(TestConcurrentPublishersKeepOrder|TestViewMember
 go test -run='^$' -bench='ServerThroughput' -benchtime=1x -benchmem .
 go test -run='^TestFanoutAllocs$' -count=1 ./internal/server/
 go test -run='^TestRecycledTraceAnnotatesWithoutAllocating$' -count=1 ./internal/telemetry/tracing/
-# Regression-gate smoke: one-iteration ServerQuery numbers through the
-# full benchjson pipeline — emit JSON, then -diff against the committed
-# baseline. Single-iteration runs pay every cold-start cost (first
-# QUERY allocates, caches fault in), landing ~10x over the 3s-averaged
-# baseline, so the 2900% threshold is a 30x tripwire: what this
-# certifies is the tooling (parse, align, gate, exit code) plus a
-# catastrophic query collapse. Real measurement runs happen via
-# `tools/bench.sh compare`.
+# Regression-gate smoke: ServerQuery numbers through the full benchjson
+# pipeline — emit JSON, then -diff against the committed baseline. 100
+# iterations spread the cold start (first QUERY allocates, caches fault
+# in) that made one iteration read more than 30x the baseline on a noisy
+# host; the 2900% threshold stays a 30x tripwire: what this certifies is
+# the tooling (parse, align, gate, exit code) plus a catastrophic query
+# collapse. Real measurement runs happen via `tools/bench.sh compare`.
 smoke_json=$(mktemp /tmp/papid-ci-bench.XXXXXX.json)
-go run ./cmd/benchjson -out "$smoke_json" -benchtime 1x \
+go run ./cmd/benchjson -out "$smoke_json" -benchtime 100x \
     -bench 'ServerQuery' ./internal/server >/dev/null
 go run ./cmd/benchjson -diff -gate 'ServerQuery' -max-regress 2900 \
     BENCH_server.json "$smoke_json"
 rm -f "$smoke_json"
 echo "bench regression gate OK"
 # Telemetry-endpoint smoke: a real papid with -http up, scraped over
-# real HTTP. Asserts the metric families observability depends on —
-# per-op latency histograms, queue-depth gauge — that /statusz is valid
-# JSON, and that a STATS key read over the wire (perfometer -stats)
-# equals its family in the same papid's scrape: STATS is a walk of the
-# registry /metrics prints. The race-enabled telemetry tests above
-# already cover concurrent recording; this covers the binary + flag
-# wiring end to end. papid starts with exactly the flags the benchmark
-# pins (commonFlags in bench/papistorm/papid.go, deprecated -queue
-# included), so a flag that stops parsing fails here before it fails
-# the benchmark.
+# real HTTP. Which families exist is TestFamiliesAreREADMEsTable's
+# (README's table is the registry); this covers the binary + flag
+# wiring end to end: /metrics answers, /statusz holds its keys, and a
+# STATS key read over the wire (perfometer -stats) equals its family in
+# the same papid's scrape. papid starts with exactly the flags the
+# benchmark pins (commonFlags in bench/papistorm/papid.go, deprecated
+# -queue included), so a flag that stops parsing fails here before it
+# fails the benchmark.
 go build -o /tmp/papid-ci-smoke ./cmd/papid
 go build -o /tmp/perfometer-ci-smoke ./cmd/perfometer
 /tmp/papid-ci-smoke -addr 127.0.0.1:61779 -http 127.0.0.1:61780 \
@@ -152,24 +149,6 @@ for i in $(seq 1 50); do
     sleep 0.1
 done
 [ -n "$ok" ] || { echo "papid -http never came up (do the benchmark's pinned flags still parse?)" >&2; exit 1; }
-for family in papid_sessions papid_connections papid_write_queue_frames \
-    papid_snapshots_dropped_total \
-    papid_uptime_seconds papid_tick_duration_seconds papid_tick_deliver_seconds \
-    papid_stage_seconds papid_ticks_skipped_total \
-    papid_goroutines; do
-    echo "$metrics" | grep -q "$family" || {
-        echo "/metrics lacks $family" >&2; exit 1; }
-done
-# One queue per connection means one drop ledger, and one history
-# write path means no queue in front of the WAL: the second ledger, the
-# queue's gauge and its stall counter must stay gone. So must the
-# allocation cache's counters: admission is EventSet.Add's own solve.
-for gone in papid_write_drops_total papid_tick_stalls_total papid_wal_queue_rows \
-    papid_alloc_cache_hits_total papid_alloc_cache_misses_total; do
-    if echo "$metrics" | grep -q "$gone"; then
-        echo "/metrics still exposes $gone" >&2; exit 1
-    fi
-done
 statusz=$(curl -sf http://127.0.0.1:61780/statusz)
 echo "$statusz" | grep -q '"stats"' || { echo "/statusz lacks stats" >&2; exit 1; }
 echo "$statusz" | grep -q '"hists"' || { echo "/statusz lacks hists" >&2; exit 1; }
