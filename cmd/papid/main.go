@@ -31,8 +31,9 @@
 //
 // A pipeline flight recorder traces every tick and request with its
 // coarse spans (shards, history write, dispatch, reply write), keeps
-// the slow or errored ones in a ring of -trace-ring traces (default
-// 64), and serves the ring on the admin endpoint: /tracez lists
+// the errored ones and those at least -slow-op long — the threshold
+// that also logs a slow request — in a ring of -trace-ring traces
+// (default 64), and serves the ring on the admin endpoint: /tracez lists
 // retained traces slowest-first and /debug/trace?id=<hex>&format=chrome
 // exports one as Chrome trace-event JSON loadable in Perfetto.
 // -trace-ring 0 turns the recorder off. The per-row stages (snapshot,
@@ -40,6 +41,11 @@
 // on /metrics' papid_stage_seconds histograms:
 //
 //	curl -s 127.0.0.1:6118/metrics | grep papid_stage_seconds_count
+//
+// What needs no decision is not a flag: the session registry has 16
+// shards, each tick is swept by min(GOMAXPROCS, 16) workers (so
+// GOMAXPROCS=1 runs the serial sweep), and WAL and segment files
+// rotate at 4 MiB.
 //
 // SIGINT/SIGTERM trigger a graceful drain: running sessions fold their
 // final counts, subscribers are detached, and the process exits after
@@ -66,10 +72,8 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:6117", "listen address")
 	platform := flag.String("platform", papi.PlatformLinuxX86, "default platform for sessions that do not name one")
-	shards := flag.Int("shards", 16, "session-registry shard count")
 	tick := flag.Duration("tick", 50*time.Millisecond, "snapshot fan-out interval")
 	queue := flag.Int("queue", 0, "deprecated: the per-subscriber queue is gone (one queue per connection remains); the value is added to -write-queue so a two-queue command line keeps the buffering it asked for")
-	tickWorkers := flag.Int("tick-workers", 0, "parallel tick sweep width; 0 picks min(GOMAXPROCS, shards), 1 runs the serial pipeline")
 	keyframeEvery := flag.Int("keyframe-every", 10, "full keyframe cadence for delta-mode subscribers, in fan-outs per view")
 	readIdle := flag.Duration("read-idle", 2*time.Minute, "evict a connection idle this long with no subscription (0 disables)")
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline; a trip evicts the connection (0 disables)")
@@ -79,13 +83,11 @@ func main() {
 	dataDir := flag.String("data-dir", "", "directory for durable history (WAL + sealed segments); empty keeps history RAM-only")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval or off")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "period of the interval fsync policy")
-	walSegBytes := flag.Int64("wal-segment-bytes", 4<<20, "WAL/segment file rotation size in bytes")
 	groups := flag.String("groups", "", "comma-separated derived-metric groups evaluated on every session whose events cover them (see papi-avail -groups)")
 	deriveRules := flag.String("derive-rules", "", "comma-separated threshold rules metric<bound[:N] or metric>bound[:N] firing a warning after N consecutive breaches")
 	httpAddr := flag.String("http", "", "admin listen address serving /metrics, /statusz, /tracez and /debug/pprof/ (empty disables)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
-	slowOp := flag.Duration("slow-op", 250*time.Millisecond, "warn when handling one request takes this long (0 disables)")
-	traceSlow := flag.Duration("trace-slow", 0, "flight recorder: retain any trace at least this slow (0 inherits -slow-op, negative disables latency retention)")
+	slowOp := flag.Duration("slow-op", 250*time.Millisecond, "warn when handling one request takes this long, and keep any trace at least this slow (0 disables both)")
 	traceRing := flag.Int("trace-ring", 64, "flight recorder: retained-trace ring size (0 turns tracing off)")
 	quiet := flag.Bool("quiet", false, "log warnings only (suppress per-session and per-connection lines)")
 	flag.Parse()
@@ -129,9 +131,7 @@ func main() {
 		DefaultPlatform: *platform,
 		Groups:          splitList(*groups),
 		DeriveRules:     splitList(*deriveRules),
-		Shards:          *shards,
 		TickInterval:    *tick,
-		TickWorkers:     *tickWorkers,
 		KeyframeEvery:   *keyframeEvery,
 		ReadIdleTimeout: idle,
 		WriteTimeout:    wt,
@@ -141,9 +141,7 @@ func main() {
 		DataDir:         *dataDir,
 		Fsync:           *fsync,
 		FsyncInterval:   *fsyncInterval,
-		WALSegmentBytes: *walSegBytes,
 		SlowOp:          slow,
-		TraceSlow:       *traceSlow,
 		TraceRing:       *traceRing,
 		Logger:          logger,
 	})

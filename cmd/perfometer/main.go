@@ -12,11 +12,11 @@
 //
 // With -papid -derive the history query answers in finished derived
 // metrics (IPC, miss ratios, MB/s) instead of raw counter buckets, and
-// with -watch it subscribes live and streams the server's DERIVED
-// frames as they are evaluated:
+// with -follow it subscribes live with those groups and streams the
+// server's DERIVED frames beside the snapshots as they are evaluated:
 //
 //	perfometer -papid 127.0.0.1:6117 -session 1 -derive ipc,l2miss
-//	perfometer -papid 127.0.0.1:6117 -session 1 -derive ipc -watch 5s
+//	perfometer -papid 127.0.0.1:6117 -session 1 -derive ipc -follow 5s
 //
 // With -papid -stats it instead asks the server for its lifetime
 // counters and per-op latency quantiles (papid's self-telemetry):
@@ -65,9 +65,8 @@ func main() {
 	binary := flag.Bool("binary", false, "history mode: negotiate the compact binary wire codec (stays on JSON if papid does not confirm it)")
 	stats := flag.Bool("stats", false, "with -papid: print the server's counters and per-op latency quantiles instead of querying history")
 	tracez := flag.String("tracez", "", "print a papid flight-recorder view fetched from this admin (-http) address's /tracez endpoint")
-	derive := flag.String("derive", "", "with -papid: comma-separated derived-metric groups — query history in finished metrics, or stream them live with -watch")
-	watch := flag.Duration("watch", 0, "with -papid -derive: subscribe and stream live DERIVED frames for this long instead of querying history")
-	follow := flag.Duration("follow", 0, "with -papid: subscribe and stream live snapshot frames for this long")
+	derive := flag.String("derive", "", "with -papid: comma-separated derived-metric groups — query history in finished metrics, or stream them live with -follow")
+	follow := flag.Duration("follow", 0, "with -papid: subscribe and stream live snapshot frames, and with -derive DERIVED frames, for this long")
 	sessions := flag.String("sessions", "", "follow mode: comma-separated session IDs for a wildcard SUBSCRIBE (default: the one -session)")
 	labels := flag.String("labels", "", "follow mode: comma-separated session-label globs for a wildcard SUBSCRIBE")
 	filterEvents := flag.String("filter-events", "", "follow mode: comma-separated event names to limit frames to")
@@ -84,19 +83,13 @@ func main() {
 	case *papid != "" && *follow > 0:
 		err = runFollow(*papid, followOpts{
 			session: *session, sessions: *sessions, labels: splitList(*labels),
-			events: splitList(*filterEvents), delta: *delta,
-			dur: *follow, timeout: *timeout, binary: *binary,
+			events: splitList(*filterEvents), delta: *delta, groups: groups,
+			dur: *follow, width: *width, timeout: *timeout, binary: *binary,
 		})
-	case *papid != "" && *watch > 0:
-		if len(groups) == 0 {
-			err = fmt.Errorf("-watch needs -derive to name the groups to stream")
-		} else {
-			err = runWatch(*papid, *session, groups, *watch, *width, *timeout, *binary)
-		}
 	case *papid != "":
 		err = runHistory(*papid, *session, *event, groups, *last, *step, *width, *timeout, *binary)
-	case len(groups) > 0 || *watch > 0 || *follow > 0:
-		err = fmt.Errorf("-derive, -watch and -follow need -papid to name the server")
+	case len(groups) > 0 || *follow > 0:
+		err = fmt.Errorf("-derive and -follow need -papid to name the server")
 	default:
 		err = run(*platform, *metric, *traceFile, *width)
 	}
@@ -158,79 +151,6 @@ func runHistory(addr string, session uint64, event string, groups []string, last
 	return err
 }
 
-// runWatch is -papid -derive -watch: subscribe to the session with the
-// named groups and stream the server-evaluated DERIVED frames as they
-// arrive, then summarize each metric as a sparkline. The subscription
-// rides a plain (non-reconnecting) client on purpose: a redial would
-// silently restart the stream's delta baseline, and for a bounded watch
-// an honest "connection lost" beats a seamless-looking gap.
-func runWatch(addr string, session uint64, groups []string, watch time.Duration, width int, timeout time.Duration, binary bool) error {
-	cl, err := server.DialRetry(addr, server.RetryConfig{Timeout: timeout, PreferBinary: binary})
-	if err != nil {
-		return fmt.Errorf("dialing papid at %s: %w", addr, err)
-	}
-	defer cl.Close()
-	if _, err := cl.Hello(); err != nil {
-		return err
-	}
-	if _, err := cl.Do(wire.Request{Op: wire.OpSubscribe, Session: session, Derive: groups}); err != nil {
-		return err
-	}
-	fmt.Printf("perfometer watch: session %d, groups %s for %s (papid %s)\n",
-		session, strings.Join(groups, ","), watch, addr)
-
-	// The watch timer ends the stream by closing the connection, which
-	// unblocks the read loop; `done` distinguishes that planned close
-	// from a real transport failure.
-	done := make(chan struct{})
-	timer := time.AfterFunc(watch, func() { close(done); cl.Close() })
-	defer timer.Stop()
-	history := make(map[string][]float64)
-	units := make(map[string]string)
-	var order []string
-	frames := 0
-	for {
-		resp, err := cl.Next()
-		if err != nil {
-			select {
-			case <-done:
-				err = nil
-			default:
-			}
-			if err != nil {
-				return err
-			}
-			break
-		}
-		if resp.Op != wire.OpDerived {
-			continue
-		}
-		frames++
-		fmt.Println(perfometer.FormatDerivedFrame(resp))
-		for i, v := range resp.DValues {
-			if i >= len(resp.Metrics) {
-				break
-			}
-			m := resp.Metrics[i]
-			if _, ok := history[m]; !ok {
-				order = append(order, m)
-				if i < len(resp.Units) {
-					units[m] = resp.Units[i]
-				}
-			}
-			history[m] = append(history[m], v)
-		}
-	}
-	if frames == 0 {
-		return fmt.Errorf("no DERIVED frames within %s: is session %d publishing ticks?", watch, session)
-	}
-	fmt.Printf("%d frames in %s\n", frames, watch)
-	for _, m := range order {
-		fmt.Printf("  %-20s [%s] %s\n", m, units[m], perfometer.SparklineValues(history[m], width))
-	}
-	return nil
-}
-
 // followOpts carries the -follow mode's flag values.
 type followOpts struct {
 	session  uint64
@@ -238,16 +158,23 @@ type followOpts struct {
 	labels   []string
 	events   []string
 	delta    bool
+	groups   []string // -derive: stream these groups' DERIVED frames too
 	dur      time.Duration
+	width    int
 	timeout  time.Duration
 	binary   bool
 }
 
 // runFollow is -papid -follow: subscribe live — optionally to several
 // sessions by ID or label glob, narrowed to chosen events, in delta
-// mode — and stream the snapshot frames for the given duration. DELTA
-// frames are reassembled into full snapshots locally; a frame for a
-// session outside the subscribed set is a server bug and fails loudly.
+// mode, or with derive groups — and stream the frames for the given
+// duration. DELTA frames are reassembled into full snapshots locally;
+// DERIVED frames are printed as they come and summarized per metric as
+// a sparkline at the end. A frame for a session outside the subscribed
+// set is a server bug and fails loudly. The subscription rides a plain
+// (non-reconnecting) client on purpose: a redial would silently restart
+// the stream's delta baseline, and for a bounded follow an honest
+// "connection lost" beats a seamless-looking gap.
 func runFollow(addr string, o followOpts) error {
 	ids, err := parseIDs(o.sessions)
 	if err != nil {
@@ -265,7 +192,7 @@ func runFollow(addr string, o followOpts) error {
 	if _, err := cl.Hello(); err != nil {
 		return err
 	}
-	req := wire.Request{Op: wire.OpSubscribe, Events: o.events, Delta: o.delta}
+	req := wire.Request{Op: wire.OpSubscribe, Events: o.events, Delta: o.delta, Derive: o.groups}
 	if wildcard {
 		req.Sessions, req.Labels = ids, o.labels
 	} else {
@@ -282,13 +209,17 @@ func runFollow(addr string, o followOpts) error {
 	fmt.Printf("perfometer follow: sessions %v for %s (papid %s, delta=%v)\n",
 		subscribed, o.dur, addr, o.delta)
 
-	// Like runWatch: the timer ends the stream by closing the
-	// connection, and `done` distinguishes that from a real failure.
+	// The timer ends the stream by closing the connection, which
+	// unblocks the read loop; `done` distinguishes that planned close
+	// from a real transport failure.
 	done := make(chan struct{})
 	timer := time.AfterFunc(o.dur, func() { close(done); cl.Close() })
 	defer timer.Stop()
 	var tracker wire.DeltaTracker
-	var keyframes, deltas, skipped int
+	var keyframes, deltas, skipped, derived int
+	history := make(map[string][]float64) // DERIVED values per metric
+	units := make(map[string]string)
+	var metrics []string // in first-seen order
 	for {
 		resp, err := cl.Next()
 		if err != nil {
@@ -299,12 +230,26 @@ func runFollow(addr string, o followOpts) error {
 			}
 			break
 		}
-		if resp.Op != wire.OpSnapshot && resp.Op != wire.OpDelta {
+		if resp.Op != wire.OpSnapshot && resp.Op != wire.OpDelta && resp.Op != wire.OpDerived {
 			continue
 		}
 		if !slices.Contains(subscribed, resp.Session) {
 			return fmt.Errorf("papid sent a frame for session %d, outside the subscribed set %v",
 				resp.Session, subscribed)
+		}
+		if resp.Op == wire.OpDerived {
+			derived++
+			fmt.Println(perfometer.FormatDerivedFrame(resp))
+			for i, m := range resp.Metrics[:min(len(resp.Metrics), len(resp.DValues))] {
+				if _, ok := history[m]; !ok {
+					metrics = append(metrics, m)
+					if i < len(resp.Units) {
+						units[m] = resp.Units[i]
+					}
+				}
+				history[m] = append(history[m], resp.DValues[i])
+			}
+			continue
 		}
 		if resp.Op == wire.OpDelta {
 			deltas++
@@ -329,6 +274,16 @@ func runFollow(addr string, o followOpts) error {
 	}
 	fmt.Printf("follow summary: %d frames (keyframes=%d deltas=%d skipped=%d) in %s\n",
 		keyframes+deltas, keyframes, deltas, skipped, o.dur)
+	if len(o.groups) == 0 {
+		return nil
+	}
+	if derived == 0 {
+		return fmt.Errorf("no DERIVED frames within %s: is session %d ticking or publishing?", o.dur, o.session)
+	}
+	fmt.Printf("%d derived frames in %s\n", derived, o.dur)
+	for _, m := range metrics {
+		fmt.Printf("  %-20s [%s] %s\n", m, units[m], perfometer.SparklineValues(history[m], o.width))
+	}
 	return nil
 }
 

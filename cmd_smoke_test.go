@@ -2,6 +2,8 @@ package repro
 
 import (
 	"context"
+	"fmt"
+	"os"
 	"os/exec"
 	"strings"
 	"testing"
@@ -35,6 +37,74 @@ func TestCmdPapiAvail(t *testing.T) {
 	// R10K cannot map every preset.
 	if !strings.Contains(out, "of 19 presets available") || strings.Contains(out, "19 of 19") {
 		t.Errorf("R10K availability line wrong:\n%s", out)
+	}
+}
+
+// TestPapidFlagsAreREADMEsTable: README's papid flag table is papid's
+// flag set. It runs papid -h and fails on a flag the table lacks, a row
+// for a flag papid does not define, and a row whose default is not the
+// one papid prints — so a flag that comes back needs its row, and a
+// deleted one takes its row with it.
+func TestPapidFlagsAreREADMEsTable(t *testing.T) {
+	out, _ := exec.Command("go", "run", "./cmd/papid", "-h").CombinedOutput()
+	flags := make(map[string]string) // name → default, "" when -h prints none
+	var name string
+	for _, line := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(line, "  -") {
+			name = strings.TrimPrefix(f[0], "-")
+			flags[name] = ""
+		} else if name != "" && strings.HasSuffix(line, ")") {
+			if i := strings.LastIndex(line, "(default "); i >= 0 {
+				flags[name] = strings.Trim(line[i+len("(default "):len(line)-1], `"`)
+			}
+		}
+	}
+	if len(flags) == 0 {
+		t.Fatalf("papid -h listed no flags:\n%s", out)
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := make(map[string]string)
+	inTable := false
+	for _, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, "| flag | default |") {
+			inTable = true
+			continue
+		}
+		if !inTable || strings.HasPrefix(line, "| ---") {
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 {
+			t.Fatalf("malformed flag-table row %q", line)
+		}
+		flag := strings.TrimPrefix(strings.Trim(strings.TrimSpace(cells[1]), "`"), "-")
+		def := ""
+		if _, rest, ok := strings.Cut(cells[2], "`"); ok {
+			def, _, _ = strings.Cut(rest, "`")
+		}
+		table[flag] = def
+	}
+	if len(table) == 0 {
+		t.Fatal("README has no `| flag | default |` table")
+	}
+	for flag, def := range flags {
+		if row, ok := table[flag]; !ok {
+			t.Errorf("papid defines -%s, which README's flag table lacks", flag)
+		} else if row != def {
+			t.Errorf("-%s: README's default is %q, papid -h prints %q", flag, row, def)
+		}
+	}
+	for flag := range table {
+		if _, ok := flags[flag]; !ok {
+			t.Errorf("README lists -%s, which papid does not define", flag)
+		}
 	}
 }
 
@@ -83,6 +153,45 @@ func TestCmdPerfometerTrace(t *testing.T) {
 	out := runCmd(t, "./cmd/perfometer", "-platform", "linux-ia64", "-width", "40")
 	if !strings.Contains(out, "peak rate") || !strings.Contains(out, "sections") {
 		t.Errorf("perfometer output:\n%s", out)
+	}
+}
+
+// TestCmdPerfometerFollowDerived runs perfometer's -follow mode with
+// -derive against a live in-process papid: the CLI subscribes to a
+// ticking session with the ipc group and prints the DERIVED frames as
+// they stream, then a sparkline per metric.
+func TestCmdPerfometerFollowDerived(t *testing.T) {
+	srv := server.New(server.Config{TickInterval: 5 * time.Millisecond})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	cl, err := server.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	created, err := cl.Do(wire.Request{Op: wire.OpCreate,
+		Events: []string{"PAPI_TOT_INS", "PAPI_TOT_CYC"}, Workload: "dot", N: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Do(wire.Request{Op: wire.OpStart, Session: created.Session}); err != nil {
+		t.Fatal(err)
+	}
+
+	out := runCmd(t, "./cmd/perfometer", "-papid", addr.String(),
+		"-session", fmt.Sprint(created.Session), "-derive", "ipc", "-follow", "1s", "-width", "30")
+	for _, want := range []string{"perfometer follow", "follow summary", ": ipc ", "instr/cycle",
+		"derived frames in 1s", "  ipc ", "  mips "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("follow -derive output missing %q:\n%s", want, out)
+		}
 	}
 }
 

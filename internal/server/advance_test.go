@@ -99,7 +99,7 @@ func TestAdvanceAheadKeepsRows(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			fk := clock.NewFake(time.Unix(1_700_000_000, 0))
-			srv := New(Config{TickInterval: time.Hour, TickWorkers: workers, Groups: groups, clock: fk})
+			srv := New(Config{TickInterval: time.Hour, tickWorkers: workers, Groups: groups, clock: fk})
 			t.Cleanup(func() {
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 				defer cancel()
@@ -181,7 +181,7 @@ func TestAdvanceAheadKeepsRows(t *testing.T) {
 // session nobody reads.
 func TestRestartRunsFirstChunk(t *testing.T) {
 	fk := clock.NewFake(time.Unix(1_700_000_000, 0))
-	srv := New(Config{TickInterval: time.Hour, TickWorkers: 1, clock: fk})
+	srv := New(Config{TickInterval: time.Hour, tickWorkers: 1, clock: fk})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -295,7 +295,7 @@ func BenchmarkTickTraced(b *testing.B) {
 		{"recorder=on", 64},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			srv := tickBenchServer(b, Config{TickWorkers: 4, TraceRing: mode.ring}, 256)
+			srv := tickBenchServer(b, Config{tickWorkers: 4, TraceRing: mode.ring}, 256)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
@@ -307,7 +307,7 @@ func BenchmarkTickTraced(b *testing.B) {
 
 // BenchmarkTickParallel measures one full tick sweep — snapshot,
 // history append, derive, encode, fan-out for every session — over 256
-// counting sessions at sweep widths 1, 2, 4 and 8 (Config.TickWorkers).
+// counting sessions at sweep widths 1, 2, 4 and 8 (Config.tickWorkers).
 // Sessions run on aix-power3 with a 4-event set; the issue's nominal
 // 32-counter shape is not representable here — hwsim's richest
 // platforms expose at most 8 physical counters (and power3 constrains
@@ -322,7 +322,7 @@ func BenchmarkTickParallel(b *testing.B) {
 	const nSessions = 256
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			srv := tickBenchServer(b, Config{TickWorkers: workers}, nSessions)
+			srv := tickBenchServer(b, Config{tickWorkers: workers}, nSessions)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
@@ -349,7 +349,7 @@ func BenchmarkTickParallel(b *testing.B) {
 // session's SNAPSHOT and its DERIVED frame.
 func BenchmarkTickFanout(b *testing.B) {
 	const nSessions = 256
-	srv := tickBenchServer(b, Config{TickWorkers: 2, Groups: []string{"ipc"}}, nSessions)
+	srv := tickBenchServer(b, Config{tickWorkers: 2, Groups: []string{"ipc"}}, nSessions)
 	var ids []uint64
 	srv.reg.forEach(func(sess *session) { ids = append(ids, sess.id) })
 	var conns []*conn
@@ -418,14 +418,14 @@ func tickBenchServer(b *testing.B, cfg Config, nSessions int) *Server {
 // tick waits for, and that wait is inside papid_tick_duration_seconds.
 // fsyncs/tick is one per sweep worker's batch, not one per row
 // (TestTickRowsDurableWhenTickReturns asserts it tick by tick); over a
-// long run it reads a little above TickWorkers, because every 512th
+// long run it reads a little above tickWorkers, because every 512th
 // tick seals a block in every series and each session's seal syncs the
 // segment file, and a WAL rotation syncs the file it leaves.
 func BenchmarkTickParallelDurable(b *testing.B) {
 	const nSessions = 64
 	for _, policy := range []string{"off", "always"} {
 		b.Run("fsync="+policy, func(b *testing.B) {
-			srv := tickBenchServer(b, Config{TickWorkers: 2, TSDBRetention: -1,
+			srv := tickBenchServer(b, Config{tickWorkers: 2, TSDBRetention: -1,
 				DataDir: b.TempDir(), Fsync: policy}, nSessions)
 			fsyncs := stat(b, srv, "wal_fsyncs")
 			b.ReportAllocs()

@@ -40,7 +40,7 @@ func TestChaosSurvivesPathologicalPeers(t *testing.T) {
 		// Chaos runs with the parallel sweep at full width regardless of
 		// GOMAXPROCS: every fan-out invariant must hold with concurrent
 		// shard workers, and -race checks they do.
-		TickWorkers:     8,
+		tickWorkers:     8,
 		ReadIdleTimeout: 400 * time.Millisecond,
 		WriteTimeout:    250 * time.Millisecond,
 		WriteQueueDepth: 8,

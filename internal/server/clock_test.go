@@ -51,7 +51,7 @@ func (c steppingClock) Now() time.Time {
 func TestTickLoopCountsSkippedTicks(t *testing.T) {
 	const iv = time.Hour // on the wall clock, the loop would never tick here
 	clk := spyClock{Fake: clock.NewFake(time.Unix(1_700_000_000, 0)), now: make(chan time.Time, 16)}
-	srv, _ := startServer(t, Config{TickInterval: iv, TickWorkers: 1, clock: clk})
+	srv, _ := startServer(t, Config{TickInterval: iv, tickWorkers: 1, clock: clk})
 	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
 		Events: []string{"PAPI_TOT_CYC"}, Workload: "dot", N: 8})
 	if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpStart, Session: created.Session}); !resp.OK {

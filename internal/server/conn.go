@@ -63,7 +63,7 @@ func (c *conn) reqTrace() *tracing.Trace {
 
 func (s *Server) handle(nc net.Conn) {
 	defer s.wg.Done()
-	c := &conn{srv: s, nc: nc, q: newWriteQueue(s.cfg.WriteQueueDepth),
+	c := &conn{srv: s, nc: nc, q: newWriteQueue(s.cfg.WriteQueueDepth, s.m),
 		id: s.nextConnID.Add(1)}
 	c.log = s.slog.With("conn", c.id, "remote", nc.RemoteAddr().String())
 	c.log.Debug("papid: connection open")

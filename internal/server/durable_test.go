@@ -11,8 +11,30 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/tsdb/wal"
 	"repro/internal/wire"
 )
+
+// newSmallSegments is New for a durable server whose WAL rotates its
+// files every segBytes instead of papid's 4 MiB, so a test of a few
+// thousand rows spans several segments: the log is opened on
+// cfg.DataDir here, the way New opens it, and attached to the store.
+func newSmallSegments(t *testing.T, cfg Config, segBytes int64) *Server {
+	t.Helper()
+	dir := cfg.DataDir
+	cfg.DataDir = ""
+	srv := New(cfg)
+	l, err := wal.Open(dir, wal.Options{Fsync: cfg.Fsync, SegmentBytes: segBytes,
+		Registry: srv.m.reg, Clock: cfg.clock})
+	if err != nil {
+		t.Fatalf("wal open: %v", err)
+	}
+	if srv.replay, err = l.Start(srv.hist); err != nil {
+		t.Fatalf("wal start: %v", err)
+	}
+	srv.wal = l
+	return srv
+}
 
 // durableQueries snapshots every QUERY view of a session the server
 // serves — raw plus each rollup step — for exact comparison across a
@@ -164,18 +186,14 @@ func TestDurableRestartAfterTwoCompactions(t *testing.T) {
 	// 50 s in, so the 20 s of rows below cross a 60 s window edge.
 	fk := clock.NewFake(time.UnixMicro(50_000_000))
 	cfg := Config{
-		TickInterval:    time.Hour,
-		TSDBRetention:   -1,
-		DataDir:         t.TempDir(),
-		Fsync:           "off",
-		TSDBMaxBytes:    16 << 10,
-		WALSegmentBytes: 8 << 10,
-		clock:           fk,
+		TickInterval:  time.Hour,
+		TSDBRetention: -1,
+		DataDir:       t.TempDir(),
+		Fsync:         "off",
+		TSDBMaxBytes:  16 << 10,
+		clock:         fk,
 	}
-	srv := New(cfg)
-	if srv.walErr != nil {
-		t.Fatalf("wal open: %v", srv.walErr)
-	}
+	srv := newSmallSegments(t, cfg, 8<<10)
 	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
 	if !created.OK {
 		t.Fatal(created.Error)
@@ -224,10 +242,7 @@ func TestDurableRestartAfterTwoCompactions(t *testing.T) {
 	}
 	srv.wal.Abandon() // no goroutines to join: Serve was never called
 
-	srv2 := New(cfg)
-	if srv2.walErr != nil {
-		t.Fatalf("wal reopen: %v", srv2.walErr)
-	}
+	srv2 := newSmallSegments(t, cfg, 8<<10)
 	defer srv2.Shutdown(context.Background())
 	if gotRaw, got := views(srv2); gotRaw != wantRaw || got != want {
 		t.Errorf("QUERY diverged across a crash after two compactions (replay %+v): raw %d → %d bytes, rollups and derive %d → %d bytes",
@@ -248,7 +263,7 @@ func TestTickRowsDurableWhenTickReturns(t *testing.T) {
 			fk := clock.NewFake(time.UnixMicro(1_000_000))
 			cfg := Config{
 				TickInterval:  time.Hour,
-				TickWorkers:   workers,
+				tickWorkers:   workers,
 				TSDBRetention: -1,
 				DataDir:       t.TempDir(),
 				Fsync:         "always",
@@ -275,7 +290,7 @@ func TestTickRowsDurableWhenTickReturns(t *testing.T) {
 				before := stat(t, srv, "wal_fsyncs")
 				srv.tick()
 				if n := stat(t, srv, "wal_fsyncs") - before; n < 1 || n > uint64(workers) {
-					t.Errorf("tick %d: %d fsyncs for %d rows, want between 1 and TickWorkers (%d)",
+					t.Errorf("tick %d: %d fsyncs for %d rows, want between 1 and tickWorkers (%d)",
 						i, n, nSessions, workers)
 				}
 			}

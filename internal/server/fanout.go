@@ -265,7 +265,7 @@ func (s *Server) deliver(enc *encCache, resp *wire.Response, kind frameKind, sub
 	f := frame{codec: codec, kind: kind, sub: sub}
 	sb, ok := enc.get(s, resp, kindNames[kind], codec)
 	if !ok {
-		f.drop()
+		f.drop(s.m)
 		return
 	}
 	s.m.sent[kind].Inc()

@@ -84,17 +84,16 @@ func (f *frame) release() {
 }
 
 // drop discards a frame that will never reach the socket. It is the
-// single drop ledger: a fan-out frame is charged to its own kind's
-// dropped counter — whichever frame the queue chose to evict, not
+// single drop ledger: every frame is charged to its own kind's dropped
+// counter — a reply lost to an eviction or a failed write included,
+// and for a fan-out frame whichever frame the queue chose to evict, not
 // whichever push triggered the eviction — and any lost frame of a delta
 // subscription marks exactly that subscription's view for a fresh
 // keyframe, since the lost frame may have been the one it anchors on.
-func (f *frame) drop() {
-	if f.sub != nil {
-		f.sub.c.srv.m.dropped[f.kind].Inc()
-		if f.sub.delta {
-			f.sub.needKey.Store(true)
-		}
+func (f *frame) drop(m *metrics) {
+	m.dropped[f.kind].Inc()
+	if f.sub != nil && f.sub.delta {
+		f.sub.needKey.Store(true)
 	}
 	f.release()
 }
@@ -122,10 +121,13 @@ type writeQueue struct {
 	droppable int
 	max       int
 	closed    bool
+	// m is the server's ledgers, which every frame the queue drops is
+	// charged to.
+	m *metrics
 }
 
-func newWriteQueue(depth int) *writeQueue {
-	q := &writeQueue{max: depth}
+func newWriteQueue(depth int, m *metrics) *writeQueue {
+	q := &writeQueue{max: depth, m: m}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -149,7 +151,7 @@ func (q *writeQueue) push(f frame) (ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed || (q.n >= q.max && q.droppable == 0) {
-		f.drop()
+		f.drop(q.m)
 		return !q.closed && f.droppable()
 	}
 	if q.n >= q.max {
@@ -176,7 +178,7 @@ func (q *writeQueue) evictOldest() {
 	for !q.slot(i).droppable() {
 		i++
 	}
-	q.slot(i).drop()
+	q.slot(i).drop(q.m)
 	for ; i > 0; i-- {
 		*q.slot(i) = *q.slot(i - 1)
 	}
@@ -303,7 +305,7 @@ func (c *conn) writeLoop() {
 			if n -= len(f.payload); n >= 0 {
 				c.written(f)
 			} else {
-				f.drop()
+				f.drop(c.srv.m)
 			}
 			*f = frame{}
 		}
@@ -317,7 +319,7 @@ func (c *conn) writeLoop() {
 				if !ok {
 					return
 				}
-				f.drop()
+				f.drop(c.srv.m)
 			}
 		}
 	}
@@ -351,6 +353,7 @@ func (c *conn) sendTraced(resp wire.Response, t *tracing.Trace, wr tracing.SpanR
 	payload, err := wire.AppendResponse(sb.buf[:0], codec, &resp)
 	if err != nil {
 		sb.release()
+		c.srv.m.dropped[kindReply].Inc()
 		if t != nil {
 			t.SetError("reply encode: " + err.Error())
 			c.srv.trc.Finish(t)

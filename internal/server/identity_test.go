@@ -4,8 +4,9 @@
 // request in flight and every write queue settled, as after Shutdown —
 // whose numbers break one refutes the design, or the counting. Where an
 // identity is exact one side is redundant, and the redundant side is
-// gone: papid_ticks_total was the tick histogram's count, and
-// papid_traces_retained_total was kept_slow + kept_err.
+// gone: papid_ticks_total was the tick histogram's count,
+// papid_traces_retained_total was kept_slow + kept_err, and
+// papid_traces_started_total was the tick and op/* counts.
 package server
 
 import (
@@ -33,11 +34,11 @@ type readings struct {
 	driven
 	stats map[string]uint64
 	hists map[string]telemetry.Summary
-	// retained is the tracer's own count of the traces its ring took,
-	// which no longer has a family.
-	retained        uint64
-	traced, durable bool
-	missing         []string // stats keys an identity read and STATS lacks
+	// retained and started are the tracer's own counts of the traces
+	// its ring took and the traces it began, which have no family.
+	retained, started uint64
+	traced, durable   bool
+	missing           []string // stats keys an identity read and STATS lacks
 }
 
 // stat reads one STATS key, noting a key STATS lacks: a misspelt or
@@ -100,20 +101,20 @@ var identities = []identity{
 	{name: "stage/fanout counts tick rows and accepted PUBLISHes",
 		lhs: func(r *readings) uint64 { return r.hist("stage/fanout") },
 		rhs: func(r *readings) uint64 { return r.hist("stage/snapshot") + r.publishes }},
-	{name: "frames written are fan-out frames kept plus replies",
+	{name: "frames written are fan-out frames and replies kept",
 		lhs: func(r *readings) uint64 { return r.stat("frames_sent_json") + r.stat("frames_sent_binary") },
 		rhs: func(r *readings) uint64 {
 			var kept uint64
 			for _, kind := range []string{"snapshots", "deltas", "derived"} {
 				kept += r.stat(kind+"_sent") - r.stat(kind+"_dropped")
 			}
-			return kept + r.replies()
+			return kept + r.replies() - r.stat("replies_dropped")
 		}},
 	{name: "a kept trace was kept slow or kept errored", on: traced,
 		lhs: func(r *readings) uint64 { return r.retained },
 		rhs: func(r *readings) uint64 { return r.stat("traces_kept_slow") + r.stat("traces_kept_err") }},
 	{name: "every tick and every decoded request is traced", on: traced,
-		lhs: func(r *readings) uint64 { return r.stat("traces_started") },
+		lhs: func(r *readings) uint64 { return r.started },
 		rhs: func(r *readings) uint64 { return r.hist("tick") + r.replies() - r.stat("resyncs") }},
 	{name: "wal_fsyncs counts the wal/fsync histogram", on: durable,
 		lhs: func(r *readings) uint64 { return r.stat("wal_fsyncs") },
@@ -129,8 +130,9 @@ var identities = []identity{
 // held as 0 = 0.
 func checkIdentities(t testing.TB, srv *Server, d driven) map[string]uint64 {
 	t.Helper()
+	ts := srv.trc.TracerStats()
 	r := &readings{driven: d, stats: srv.Stats(), hists: srv.Telemetry().Summaries(),
-		retained: srv.trc.TracerStats().Retained, traced: srv.trc != nil, durable: srv.wal != nil}
+		retained: ts.Retained, started: ts.Started, traced: srv.trc != nil, durable: srv.wal != nil}
 	checked := make(map[string]uint64)
 	for _, id := range identities {
 		if id.on != nil && !id.on(r) {
@@ -163,9 +165,9 @@ func everySubsystem(t *testing.T) (*Server, string, driven) {
 	t.Helper()
 	const k = 6
 	fk := clock.NewFake(time.Unix(1_700_000_000, 0))
-	srv, addr := startServer(t, Config{TickInterval: time.Hour, TickWorkers: 2, KeyframeEvery: 3,
+	srv, addr := startServer(t, Config{TickInterval: time.Hour, tickWorkers: 2, KeyframeEvery: 3,
 		DataDir: t.TempDir(), Fsync: "always", Groups: []string{"ipc"}, DeriveRules: []string{"ipc>0:1"},
-		TraceRing: 8, TraceSlow: time.Nanosecond, clock: fk})
+		TraceRing: 8, SlowOp: time.Nanosecond, clock: fk})
 	aaddr, err := srv.ListenAdmin("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"slices"
@@ -360,5 +361,39 @@ func runLedgerSeed(t *testing.T, seed int64) {
 		if len(c.subs) > 0 && len(lastSeq) == 0 {
 			t.Errorf("client %d: healthy, subscribed, and received nothing", i)
 		}
+	}
+}
+
+// TestLostReplyIsCounted: a reply is in the ledger too. The peer's
+// connection is cut one byte into the server's first write, so the
+// HELLO reply queued for it never reaches the socket whole; the writer
+// drops it, replies_dropped counts it, and the frames written still
+// equal the fan-out frames and replies kept.
+func TestLostReplyIsCounted(t *testing.T) {
+	srv, addr := serveFaults(t, Config{TickInterval: time.Hour},
+		func(int, net.Conn) faultnet.Faults { return faultnet.Faults{CutAfter: 1} })
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := fmt.Fprintln(nc, `{"op":"HELLO"}`); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(nc) // until the cut closes the connection
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) > 1 {
+		t.Errorf("the peer read %q, more than the one byte before the cut", got)
+	}
+	if n := stat(t, srv, "replies_dropped"); n != 1 {
+		t.Errorf("replies_dropped = %d, want the lost HELLO reply", n)
+	}
+	checked := checkIdentities(t, srv, driven{})
+	if _, ok := checked["frames written are fan-out frames and replies kept"]; !ok {
+		t.Error("the frames-written identity was not checked")
 	}
 }

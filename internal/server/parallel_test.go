@@ -70,7 +70,7 @@ func newParallelHarness(t *testing.T, cfg Config, nSessions, queueCap int) *para
 // drops, so any gap or reorder is a sweep bug, not backpressure.
 func TestParallelTickSeqMonotonic(t *testing.T) {
 	const nSessions, nTicks = 32, 10
-	h := newParallelHarness(t, Config{TickInterval: time.Hour, TickWorkers: 8},
+	h := newParallelHarness(t, Config{TickInterval: time.Hour, tickWorkers: 8},
 		nSessions, nTicks+2)
 	for i := 0; i < nTicks; i++ {
 		h.srv.tick()
@@ -96,8 +96,8 @@ func TestParallelTickSeqMonotonic(t *testing.T) {
 	}
 }
 
-// TestParallelSerialEquivalence: a TickWorkers=1 server and a
-// TickWorkers=8 server fed identical inputs produce byte-identical
+// TestParallelSerialEquivalence: a tickWorkers=1 server and a
+// tickWorkers=8 server fed identical inputs produce byte-identical
 // per-subscriber frame streams. Width 1 is the same sweep with no
 // helpers — every shard in order on the tick goroutine; this pins that
 // higher widths change scheduling only, never any session's stream
@@ -105,7 +105,7 @@ func TestParallelTickSeqMonotonic(t *testing.T) {
 func TestParallelSerialEquivalence(t *testing.T) {
 	const nSessions, nTicks = 16, 6
 	run := func(workers int) map[uint64][]string {
-		h := newParallelHarness(t, Config{TickInterval: time.Hour, TickWorkers: workers},
+		h := newParallelHarness(t, Config{TickInterval: time.Hour, tickWorkers: workers},
 			nSessions, nTicks+2)
 		for i := 0; i < nTicks; i++ {
 			h.srv.tick()
@@ -137,7 +137,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 // may have lost. This is the delta-correctness invariant under
 // concurrent sweep workers plus backpressure.
 func TestParallelDeltaRekeyAfterDrop(t *testing.T) {
-	srv := New(Config{TickInterval: time.Hour, TickWorkers: 8,
+	srv := New(Config{TickInterval: time.Hour, tickWorkers: 8,
 		KeyframeEvery: 1 << 30})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -186,7 +186,7 @@ func TestParallelDeltaRekeyAfterDrop(t *testing.T) {
 // frame immediately before it in its queue — evaluation and both
 // fan-outs of one session-tick stay a single unit on one worker.
 func TestParallelDerivedFollowsSnapshot(t *testing.T) {
-	srv := New(Config{TickInterval: time.Hour, TickWorkers: 8, Groups: []string{"ipc"}})
+	srv := New(Config{TickInterval: time.Hour, tickWorkers: 8, Groups: []string{"ipc"}})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -246,7 +246,7 @@ func TestServedTickRowsSurviveShutdown(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		TickInterval:  time.Millisecond,
-		TickWorkers:   8,
+		tickWorkers:   8,
 		TSDBRetention: -1,
 		DataDir:       dir,
 		Fsync:         "off",
@@ -366,7 +366,7 @@ func (c *sinkConn) SetWriteDeadline(time.Time) error { return nil }
 func TestSweepHandsFramesOffBeforeItEnds(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const nSessions, nTicks = 64, 5
-	srv := New(Config{TickInterval: time.Hour, TickWorkers: 1})
+	srv := New(Config{TickInterval: time.Hour, tickWorkers: 1})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -467,7 +467,7 @@ func TestTicksSkipped(t *testing.T) {
 	} {
 		base := time.UnixMicro(1_700_000_000_000_000)
 		fk := clock.NewFake(base)
-		srv := New(Config{TickInterval: time.Duration(iv) * time.Microsecond, TickWorkers: 1, clock: fk})
+		srv := New(Config{TickInterval: time.Duration(iv) * time.Microsecond, tickWorkers: 1, clock: fk})
 		for _, at := range tc.starts {
 			fk.Advance(base.Add(time.Duration(at*float64(iv)) * time.Microsecond).Sub(fk.Now()))
 			srv.tick()
@@ -488,5 +488,19 @@ func TestTicksSkipped(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		srv.Shutdown(ctx)
 		cancel()
+	}
+}
+
+// TestSweepWidthFollowsGOMAXPROCS: no flag or exported field sets the
+// sweep width; it is min(GOMAXPROCS, regShards), which STATS reports as
+// tick_workers, and GOMAXPROCS=1 is the serial sweep.
+func TestSweepWidthFollowsGOMAXPROCS(t *testing.T) {
+	for _, procs := range []int{1, 2, 4 * regShards} {
+		prev := runtime.GOMAXPROCS(procs)
+		srv := New(Config{TickInterval: time.Hour})
+		runtime.GOMAXPROCS(prev)
+		if n := stat(t, srv, "tick_workers"); n != uint64(min(procs, regShards)) {
+			t.Errorf("GOMAXPROCS=%d: tick_workers %d, want %d", procs, n, min(procs, regShards))
+		}
 	}
 }

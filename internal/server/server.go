@@ -8,7 +8,7 @@
 // The scaling machinery, and the file that holds each piece:
 //
 //   - a sharded session registry (session.go) — sessions hash to one of
-//     N mutex-guarded shards, so session lookup never serializes on a
+//     16 mutex-guarded shards, so session lookup never serializes on a
 //     single lock;
 //   - coalesced periodic reads (the tick loop here, the sweep in
 //     tick.go) — the tick snapshots each running session's counters
@@ -78,19 +78,9 @@ type Config struct {
 	// DefaultPlatform is used by CREATE_SESSION requests that do not
 	// name one (default linux-x86).
 	DefaultPlatform string
-	// Shards is the session-registry shard count (default 16).
-	Shards int
 	// TickInterval is the coalesced snapshot/advance period
 	// (default 50ms).
 	TickInterval time.Duration
-	// TickWorkers is the parallel tick sweep width (papid
-	// -tick-workers): registry shards are partitioned across this many
-	// workers each tick, every worker running the full
-	// snapshot→encode→fan-out unit for its shards' sessions and then
-	// writing their rows to history as one batch.
-	// Default min(GOMAXPROCS, Shards); 1 runs the exact serial
-	// pipeline. See tick.go and DESIGN.md S31.
-	TickWorkers int
 	// KeyframeEvery is the delta-subscription keyframe cadence: every
 	// Nth fan-out of a delta view is a full SNAPSHOT keyframe even
 	// without drops, bounding both delta growth within an epoch and how
@@ -123,9 +113,6 @@ type Config struct {
 	// store still serves and deletes the rest, and a restart serves
 	// nothing older.
 	TSDBRetention time.Duration
-	// TSDBRollups lists the pre-computed downsampling widths
-	// (default 10s and 60s).
-	TSDBRollups []time.Duration
 	// DataDir, when set, makes history durable: every tick row is
 	// journaled to a write-ahead log under this directory, sealed
 	// blocks are persisted into segment files, and a restart replays
@@ -137,16 +124,11 @@ type Config struct {
 	// FsyncInterval is the period of the "interval" policy
 	// (default 100ms).
 	FsyncInterval time.Duration
-	// WALSegmentBytes is the WAL/segment rotation size (default 4 MiB).
-	WALSegmentBytes int64
-	// SlowOp is the request-latency threshold above which a warn line
-	// is logged with the op, session and duration (default 250ms;
-	// negative disables).
+	// SlowOp is papid's one slow threshold: a request that takes this
+	// long logs a warn line with the op, session and duration, and with
+	// TraceRing > 0 any trace at least this slow is retained (default
+	// 250ms; negative disables both — errored traces still retain).
 	SlowOp time.Duration
-	// TraceSlow tail-retains any trace at least this slow (default:
-	// SlowOp; negative disables latency-based retention — errors still
-	// retain). Only meaningful with TraceRing > 0.
-	TraceSlow time.Duration
 	// TraceRing is the number of slow or errored traces the pipeline
 	// flight recorder keeps for /tracez (papid -trace-ring). A ring
 	// turns the recorder on; 0 leaves it off — unlike the other knobs,
@@ -175,23 +157,25 @@ type Config struct {
 	// Tests set a clock.Fake, and serve through internal/faultnet on the
 	// same clock: a socket would take its deadlines for wall time.
 	clock clock.Clock
+	// tickWorkers is the parallel tick sweep width: registry shards are
+	// partitioned across this many workers each tick, every worker
+	// running the full snapshot→encode→fan-out unit for its shards'
+	// sessions and then writing their rows to history as one batch.
+	// Zero is min(GOMAXPROCS, regShards), papid's only width; 1 runs the
+	// exact serial pipeline. Tests set it to compare widths. See tick.go
+	// and DESIGN.md S31.
+	tickWorkers int
 }
 
 func (c *Config) fill() {
 	if c.DefaultPlatform == "" {
 		c.DefaultPlatform = papi.PlatformLinuxX86
 	}
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = 50 * time.Millisecond
 	}
-	if c.TickWorkers == 0 {
-		c.TickWorkers = min(runtime.GOMAXPROCS(0), c.Shards)
-	}
-	if c.TickWorkers < 1 {
-		c.TickWorkers = 1
+	if c.tickWorkers <= 0 {
+		c.tickWorkers = min(runtime.GOMAXPROCS(0), regShards)
 	}
 	if c.KeyframeEvery <= 0 {
 		c.KeyframeEvery = 10
@@ -213,9 +197,6 @@ func (c *Config) fill() {
 	}
 	if c.SlowOp == 0 {
 		c.SlowOp = 250 * time.Millisecond
-	}
-	if c.TraceSlow == 0 {
-		c.TraceSlow = c.SlowOp // may itself be negative = disabled
 	}
 	c.clock = clock.Or(c.clock)
 }
@@ -280,12 +261,12 @@ func New(cfg Config) *Server {
 		cfg:    cfg,
 		ctx:    ctx,
 		cancel: cancel,
-		reg:    newRegistry(cfg.Shards),
+		reg:    newRegistry(),
 		conns:  make(map[*conn]struct{}),
 		m:      newMetrics(treg),
 	}
 	s.trc = tracing.NewTracer(tracing.Config{
-		Slow: max(cfg.TraceSlow, 0), // 0: no latency retention
+		Slow: max(cfg.SlowOp, 0), // 0: no latency retention
 		Ring: cfg.TraceRing})
 	s.slog = cfg.Logger
 	if s.slog == nil {
@@ -321,7 +302,6 @@ func New(cfg Config) *Server {
 		histCfg := tsdb.Config{
 			MaxBytes: cfg.TSDBMaxBytes,
 			MaxAge:   cfg.TSDBRetention,
-			Rollups:  cfg.TSDBRollups,
 			Registry: treg,
 		}
 		if cfg.DataDir != "" {
@@ -331,7 +311,6 @@ func New(cfg Config) *Server {
 			log, err := wal.Open(cfg.DataDir, wal.Options{
 				Fsync:         cfg.Fsync,
 				FsyncInterval: cfg.FsyncInterval,
-				SegmentBytes:  cfg.WALSegmentBytes,
 				Registry:      treg,
 				Logger:        s.slog,
 				Clock:         cfg.clock,
@@ -396,7 +375,7 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 // peers. Listen is Serve on a fresh TCP listener.
 func (s *Server) Serve(ln net.Listener) net.Addr {
 	s.ln = ln
-	for i := 1; i < s.cfg.TickWorkers; i++ {
+	for i := 1; i < s.cfg.tickWorkers; i++ {
 		s.wg.Add(1)
 		go s.tickWorker(i)
 	}
@@ -406,7 +385,7 @@ func (s *Server) Serve(ln net.Listener) net.Addr {
 	// here: a test on a fake clock may advance it at once.
 	go s.tickLoop(s.cfg.clock.NewTicker(s.cfg.TickInterval))
 	s.slog.Info("papid: listening", "addr", ln.Addr().String(),
-		"tick_workers", s.cfg.TickWorkers)
+		"tick_workers", s.cfg.tickWorkers)
 	return ln.Addr()
 }
 

@@ -94,7 +94,7 @@ func dialT(t testing.TB, addr string) *Client {
 // subscriber frame crosses — and the test pops it, standing in for a
 // consumer as slow or as fast as the test wants.
 func testConn(srv *Server, depth int) *conn {
-	return &conn{srv: srv, q: newWriteQueue(depth)}
+	return &conn{srv: srv, q: newWriteQueue(depth, srv.m)}
 }
 
 // follow subscribes the connection to sess exactly as SUBSCRIBE does,
@@ -217,7 +217,7 @@ func TestSessionLifecycle(t *testing.T) {
 // listener, rotating across all simulated platforms. Run under -race
 // (tools/ci.sh) this is the subsystem's data-race gate.
 func TestStress64ConcurrentClients(t *testing.T) {
-	srv, addr := startServer(t, Config{TickInterval: 2 * time.Millisecond, Shards: 8})
+	srv, addr := startServer(t, Config{TickInterval: 2 * time.Millisecond})
 	platforms := papi.Platforms()
 
 	const nClients = 64

@@ -346,11 +346,16 @@ func (sess *session) close() []int64 {
 	return sess.last
 }
 
-// registry is the sharded session table: sessions hash to one of N
-// mutex-guarded shards by ID, so thousands of concurrent sessions
-// contend on 1/N of a lock instead of serializing on one.
+// regShards is the session registry's shard count, which is also the
+// tick sweep's unit of work and so the most sweep workers a tick uses.
+const regShards = 16
+
+// registry is the sharded session table: sessions hash to one of
+// regShards mutex-guarded shards by ID, so thousands of concurrent
+// sessions contend on a sixteenth of a lock instead of serializing on
+// one.
 type registry struct {
-	shards []regShard
+	shards [regShards]regShard
 }
 
 type regShard struct {
@@ -358,11 +363,8 @@ type regShard struct {
 	m  map[uint64]*session
 }
 
-func newRegistry(shards int) *registry {
-	if shards <= 0 {
-		shards = 16
-	}
-	r := &registry{shards: make([]regShard, shards)}
+func newRegistry() *registry {
+	r := &registry{}
 	for i := range r.shards {
 		r.shards[i].m = make(map[uint64]*session)
 	}
@@ -373,7 +375,7 @@ func newRegistry(shards int) *registry {
 // sequential IDs spread across shards instead of clustering.
 func (r *registry) shardFor(id uint64) *regShard {
 	h := (id * 0x9e3779b97f4a7c15) >> 32
-	return &r.shards[h%uint64(len(r.shards))]
+	return &r.shards[h%regShards]
 }
 
 func (r *registry) put(sess *session) {

@@ -76,7 +76,9 @@ type metrics struct {
 	// snapshot pair and are tallied again in keyframes. encodeFailures
 	// counts fan-out frames that could not be serialized at all — each
 	// costs every subscriber on that codec its frame, which the matching
-	// dropped counter also records.
+	// dropped counter also records. Replies have a dropped counter and
+	// no sent one: every request decoded (its op histogram's count) and
+	// every malformed frame (resyncs) is answered by one reply.
 	sent, dropped  [numKinds]*telemetry.Counter
 	keyframes      *telemetry.Counter
 	encodeFailures *telemetry.Counter
@@ -159,6 +161,8 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		Help: "DELTA frames enqueued to delta-mode subscribers."})
 	m.dropped[kindDelta] = reg.NewCounter(telemetry.Opts{Name: "papid_deltas_dropped_total",
 		Help: "DELTA frames that never reached the socket (write-queue eviction, connection gone, failed encodes)."})
+	m.dropped[kindReply] = reg.NewCounter(telemetry.Opts{Name: "papid_replies_dropped_total",
+		Help: "Request replies that never reached the socket: unwritten when the connection was evicted or its write failed, or not encoded."})
 	m.keyframes = reg.NewCounter(telemetry.Opts{Name: "papid_keyframes_sent_total",
 		Help: "Keyframe snapshots enqueued to delta-mode subscribers (cadence, subscribe, or drop resync)."})
 	m.encodeFailures = reg.NewCounter(telemetry.Opts{Name: "papid_encode_failures_total",
@@ -262,8 +266,8 @@ func (s *Server) registerServerFuncs() {
 			return float64(total)
 		})
 	reg.NewGaugeFunc(telemetry.Opts{Name: "papid_tick_workers",
-		Help: "Configured parallel tick sweep width."}, func() float64 {
-		return float64(s.cfg.TickWorkers)
+		Help: "Parallel tick sweep width: min(GOMAXPROCS, 16 registry shards)."}, func() float64 {
+		return float64(s.cfg.tickWorkers)
 	})
 	reg.NewGaugeFunc(telemetry.Opts{Name: "papid_goroutines",
 		Help: "Goroutines in the papid process."}, func() float64 {
@@ -278,11 +282,9 @@ func (s *Server) registerServerFuncs() {
 	// tracing off (nil tracer) TracerStats is zero, so the series
 	// simply read 0 rather than disappearing between configs. papid
 	// keeps a trace only when slow or errored, so the traces retained
-	// are kept_slow + kept_err and have no family of their own.
-	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_started_total",
-		Help: "Traced units started (ticks and requests)."}, func() uint64 {
-		return s.trc.TracerStats().Started
-	})
+	// are kept_slow + kept_err, and it traces every tick and decoded
+	// request, so the traces started are the tick and op/* histogram
+	// counts: neither has a family of its own (/tracez shows both).
 	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_kept_slow_total",
 		Help: "Traces tail-retained for exceeding the slow threshold."}, func() uint64 {
 		return s.trc.TracerStats().KeptSlow

@@ -1,10 +1,10 @@
 // Parallel tick pipeline (DESIGN.md S31): the per-tick walk over the
-// session registry, partitioned by registry shard across
-// Config.TickWorkers sweep workers, in two passes. The delivery pass
-// reads each session's row and delivers it (snapshot → derive → encode
-// → fan-out) for the sessions of the shards a worker claims, keeps the
-// row each session read, and writes those rows to history itself — one
-// batch per worker — before tick() returns. The advance pass then runs
+// session registry, partitioned by registry shard across min(GOMAXPROCS,
+// regShards) sweep workers, in two passes. The delivery pass reads each
+// session's row and delivers it (snapshot → derive → encode → fan-out)
+// for the sessions of the shards a worker claims, keeps the row each
+// session read, and writes those rows to history itself — one batch
+// per worker — before tick() returns. The advance pass then runs
 // each session's next workload chunk, so the simulation that row will
 // report is off the path every frame waits on.
 //
@@ -141,21 +141,22 @@ func (s *Server) tickWorker(worker int) {
 	}
 }
 
-// sweep runs one tick's sweep of the registry, TickWorkers wide. The
-// tick goroutine always participates as worker zero — at TickWorkers 1
-// it is the whole sweep, shards in order on one goroutine — and up to
-// TickWorkers-1 pool workers join via the unbuffered handoff channel.
+// sweep runs one tick's sweep of the registry, tickWorkers wide. The
+// tick goroutine always participates as worker zero — at one worker
+// (GOMAXPROCS=1) it is the whole sweep, shards in order on one
+// goroutine — and up to tickWorkers-1 pool workers join via the
+// unbuffered handoff channel.
 // A helper slot whose pool worker is not immediately ready — or the
 // pool is not running at all, as when tests and benchmarks drive
 // tick() directly without Serve — is filled by an ephemeral goroutine,
-// so the sweep width is TickWorkers either way. The pool stays because
+// so the sweep width is tickWorkers either way. The pool stays because
 // it measures: starting the helpers afresh each tick instead read
 // live_fanout delivery lag +4.2% (worse in 9 of 10 pairs, CHANGES.md
 // PR 18).
 func (s *Server) sweep(start time.Time, t *tracing.Trace) {
 	job := &tickJob{start: start, now: start.UnixMicro(), trc: t}
-	helpers := s.cfg.TickWorkers - 1
-	job.delivering.Store(int64(s.cfg.TickWorkers))
+	helpers := s.cfg.tickWorkers - 1
+	job.delivering.Store(int64(s.cfg.tickWorkers))
 	job.wg.Add(helpers)
 	for i := 0; i < helpers; i++ {
 		select {

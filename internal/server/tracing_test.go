@@ -28,8 +28,7 @@ import (
 func TestTraceSlowOpRetained(t *testing.T) {
 	var log logBuffer
 	srv, addr := startServer(t, Config{TickInterval: time.Hour,
-		SlowOp:    time.Nanosecond, // every op breaches
-		TraceSlow: time.Nanosecond,
+		SlowOp:    time.Nanosecond, // every op breaches, and every trace is kept
 		TraceRing: 64,
 		Logger:    log.logger()})
 	cl := dialT(t, addr)
@@ -101,7 +100,7 @@ func TestTraceSlowOpRetained(t *testing.T) {
 		t.Errorf("slow samples lack the STATS breach with trace %s: %+v", id, resp2.Slow)
 	}
 	// And the tracer's own counters surface through STATS.
-	if resp2.Stats["traces_started"] == 0 || resp2.Stats["traces_kept_slow"] == 0 {
+	if resp2.Stats["traces_kept_slow"] == 0 {
 		t.Errorf("traces_* STATS keys missing or zero: %v", resp2.Stats)
 	}
 }
@@ -111,7 +110,7 @@ func TestTraceSlowOpRetained(t *testing.T) {
 // trace IDs, no tracer, and the traces_* STATS keys read 0 the way
 // their /metrics families do.
 func TestTraceDisabledByDefault(t *testing.T) {
-	srv, addr := startServer(t, Config{TickInterval: time.Hour, TraceSlow: time.Nanosecond})
+	srv, addr := startServer(t, Config{TickInterval: time.Hour, SlowOp: time.Nanosecond})
 	if srv.trc != nil {
 		t.Fatal("a Config with no TraceRing built a tracer")
 	}
@@ -126,8 +125,10 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	if resp.TraceID != 0 {
 		t.Errorf("untraced server returned trace ID %x", resp.TraceID)
 	}
-	if n, ok := resp.Stats["traces_started"]; !ok || n != 0 {
-		t.Errorf("untraced server: traces_started = %d (present %v), want 0", n, ok)
+	for _, key := range []string{"traces_kept_slow", "traces_kept_err"} {
+		if n, ok := resp.Stats[key]; !ok || n != 0 {
+			t.Errorf("untraced server: %s = %d (present %v), want 0", key, n, ok)
+		}
 	}
 	srv.tick() // must not panic with a nil tracer
 }
@@ -226,8 +227,8 @@ func TestTraceTickStructure(t *testing.T) {
 // count.
 func tickTrace(t *testing.T, n, workers int) (tracing.TraceView, int) {
 	t.Helper()
-	srv, _ := startServer(t, Config{TickInterval: time.Hour, TickWorkers: workers,
-		TraceSlow: time.Nanosecond, TraceRing: 8, DataDir: t.TempDir(), Fsync: "always",
+	srv, _ := startServer(t, Config{TickInterval: time.Hour, tickWorkers: workers,
+		SlowOp: time.Nanosecond, TraceRing: 8, DataDir: t.TempDir(), Fsync: "always",
 		Groups: []string{"ipc"}})
 	for i := 0; i < n; i++ {
 		created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
@@ -337,7 +338,7 @@ func spanHasAttr(v tracing.TraceView, name, key string) bool {
 // server under -fsync always, the journal write and fsync its ack
 // waited for.
 func TestTracePublishStages(t *testing.T) {
-	srv, addr := startServer(t, Config{TickInterval: time.Hour, TraceSlow: time.Nanosecond,
+	srv, addr := startServer(t, Config{TickInterval: time.Hour, SlowOp: time.Nanosecond,
 		TraceRing: 64, DataDir: t.TempDir(), Fsync: "always"})
 	cl := dialT(t, addr)
 	if _, err := cl.Hello(); err != nil {
@@ -372,7 +373,7 @@ func TestTracePublishStages(t *testing.T) {
 // connection's writes stall, the deadline trips, and the eviction finds
 // a backlog several socket writes deep.
 func TestTraceFinishedWhenWriterAbandonsBacklog(t *testing.T) {
-	srv, addr := serveFaults(t, Config{TickInterval: time.Hour, TraceSlow: time.Nanosecond, TraceRing: 64,
+	srv, addr := serveFaults(t, Config{TickInterval: time.Hour, SlowOp: time.Nanosecond, TraceRing: 64,
 		WriteTimeout: 50 * time.Millisecond, WriteQueueDepth: 1024},
 		func(int, net.Conn) faultnet.Faults { return faultnet.Faults{StallAfter: 512} })
 	nc, err := net.Dial("tcp", addr)
@@ -408,7 +409,7 @@ func TestTraceFinishedWhenWriterAbandonsBacklog(t *testing.T) {
 		t.Fatalf("only %d traces started; the backlog never built", ts.Started)
 	}
 	if ts.Started != ts.Retained {
-		t.Errorf("traces_started=%d but only %d finished: the abandoned backlog leaked its traces",
+		t.Errorf("%d traces started but only %d finished: the abandoned backlog leaked its traces",
 			ts.Started, ts.Retained)
 	}
 }

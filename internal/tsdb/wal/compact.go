@@ -278,7 +278,7 @@ func (l *Log) buildCompacted(sel []*segment, expiry int64) (*segment, error) {
 			}
 		}
 	}
-	if err := w.close(true); err != nil {
+	if err := w.close(true, l.syncFile); err != nil {
 		os.Remove(w.path)
 		return nil, err
 	}

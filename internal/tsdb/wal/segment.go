@@ -282,17 +282,18 @@ func (w *segmentWriter) writeBlock(sb tsdb.SealedBlock) error {
 }
 
 // close ends the file: with finalize set it first appends the footer
-// that vouches for every record written, then fsyncs and closes either
-// way — the write handle never outlives the call, so a segment that
-// has been loaded can never be appended to again. The first error is
-// returned; the file is loadable as far as it is intact regardless.
-func (w *segmentWriter) close(finalize bool) error {
+// that vouches for every record written, then fsyncs (with sync, the
+// log's counted syncFile) and closes either way — the write handle
+// never outlives the call, so a segment that has been loaded can never
+// be appended to again. The first error is returned; the file is
+// loadable as far as it is intact regardless.
+func (w *segmentWriter) close(finalize bool, sync func(*os.File) error) error {
 	var err error
 	if finalize {
 		footer := binary.LittleEndian.AppendUint64(make([]byte, 0, footerLen), uint64(w.size))
 		_, err = w.wr.Write(append(footer, idxMagic...))
 	}
-	if serr := w.f.Sync(); err == nil {
+	if serr := sync(w.f); err == nil {
 		err = serr
 	}
 	if cerr := w.f.Close(); err == nil {

@@ -522,7 +522,7 @@ func (l *Log) ensureWriterLocked() error {
 func (l *Log) retireWriterLocked(finalize bool) {
 	sw := l.sw
 	l.sw = nil
-	if err := sw.close(finalize); err != nil {
+	if err := sw.close(finalize, l.syncFile); err != nil {
 		l.writeErrs.Add(1)
 		l.logger.Error("segment close failed", "err", err, "path", sw.path, "finalize", finalize)
 	}
@@ -600,20 +600,30 @@ func (l *Log) truncateWALsLocked() {
 	l.oldWALs = append([]walFileMeta(nil), keep...)
 }
 
-// fsync syncs one of the log's files, counted and timed, and clears its
-// dirty flag; a failure is counted and logged and leaves the flag set.
-func (l *Log) fsync(f *os.File, dirty *bool, what string) {
+// syncFile is the log's one fsync call: every file or directory sync
+// goes through it, and each that succeeds is counted on wal_fsyncs and
+// timed on wal/fsync. The caller handles the error.
+func (l *Log) syncFile(f *os.File) error {
 	t0 := l.opts.Clock.Now()
 	if err := f.Sync(); err != nil {
+		return err
+	}
+	l.fsyncs.Add(1)
+	if l.fsyncHist != nil {
+		l.fsyncHist.Observe(int64(l.opts.Clock.Now().Sub(t0)))
+	}
+	return nil
+}
+
+// fsync syncs one of the log's files and clears its dirty flag; a
+// failure is counted and logged and leaves the flag set.
+func (l *Log) fsync(f *os.File, dirty *bool, what string) {
+	if err := l.syncFile(f); err != nil {
 		l.writeErrs.Add(1)
 		l.logger.Error(what+" fsync failed", "err", err)
 		return
 	}
 	*dirty = false
-	l.fsyncs.Add(1)
-	if l.fsyncHist != nil {
-		l.fsyncHist.Observe(int64(l.opts.Clock.Now().Sub(t0)))
-	}
 }
 
 // fsyncWALLocked syncs the active WAL file; mu held.
@@ -726,7 +736,7 @@ func (l *Log) Close() error {
 	l.truncateWALsLocked()
 	clean := len(l.oldWALs) == 0 && l.writeErrs.Load() == 0
 	if l.wf != nil {
-		err := l.wf.Sync()
+		err := l.syncFile(l.wf)
 		l.wf.Close()
 		if err == nil && clean {
 			if rmErr := os.Remove(walPath(l.dir, l.wfSeq)); rmErr != nil {
@@ -743,7 +753,7 @@ func (l *Log) Close() error {
 			[]byte(fmt.Sprintf("clean shutdown, last seq %d\n", l.lastSeq)), 0o644); err != nil {
 			l.logger.Error("clean marker write failed", "err", err)
 		} else if d, err := os.Open(l.dir); err == nil {
-			d.Sync()
+			l.syncFile(d)
 			d.Close()
 		}
 	}

@@ -89,6 +89,27 @@ func appendTicks(t *testing.T, l *Log, session uint64, events []string, n int, s
 	}
 }
 
+// TestCloseFsyncsAreCounted: under -fsync off the log syncs nothing
+// while it runs, but Close still syncs the finalized segment, the WAL
+// file and, after the clean marker, the directory. Those are fsyncs
+// like any other: each is counted on wal_fsyncs and timed on wal/fsync.
+func TestCloseFsyncsAreCounted(t *testing.T) {
+	l, _, _ := openPair(t, t.TempDir(), noCompact(Options{Fsync: FsyncOff}), tsdb.Config{})
+	appendTicks(t, l, 7, []string{"PAPI_TOT_CYC", "PAPI_TOT_INS"}, 100, 0, 50_000)
+	if n := stat(t, l, "wal_fsyncs"); n != 0 {
+		t.Fatalf("%d fsyncs before Close under -fsync off, want 0", n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if n := stat(t, l, "wal_fsyncs"); n != 3 {
+		t.Errorf("Close counted %d fsyncs, want 3: segment, WAL file and directory", n)
+	}
+	if n, h := stat(t, l, "wal_fsyncs"), l.opts.Registry.Summaries()["wal/fsync"].Count; n != h {
+		t.Errorf("wal_fsyncs %d, but wal/fsync timed %d", n, h)
+	}
+}
+
 // queryAll captures every view of a session the server can serve: raw
 // plus each rollup step, JSON-encoded for exact comparison.
 func queryAll(t *testing.T, store *tsdb.Store, session uint64, from, to int64) string {
@@ -540,7 +561,7 @@ func TestSegmentIndexRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.close(true); err != nil {
+	if err := w.close(true, (*os.File).Sync); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := loadSegment(w.path, 1)

@@ -245,7 +245,8 @@ tsdb_bytes=$(/tmp/perfometer-ci-smoke -papid 127.0.0.1:61781 -stats | awk '$1 ==
     echo "restart under -tsdb-mem 65536: STATS tsdb_bytes=$tsdb_bytes" >&2; exit 1; }
 kill $wal_pid
 wait $wal_pid 2>/dev/null || true
-for gone in -wal-disk-bytes=1 -wal-compact-after=1m; do
+for gone in -wal-disk-bytes=1 -wal-compact-after=1m -wal-segment-bytes=1 \
+    -shards=8 -tick-workers=2 -trace-slow=1s; do
     status=0
     out=$(timeout 10 /tmp/papid-ci-smoke -addr 127.0.0.1:61781 "$gone" -quiet 2>&1) || status=$?
     [ "$status" = 2 ] && echo "$out" | grep -q "flag provided but not defined" || {
@@ -340,17 +341,18 @@ wait $pub_pid 2>/dev/null || true
 kill $delta_pid
 wait $delta_pid 2>/dev/null || true
 echo "filtered/delta subscription smoke OK"
-# Flight-recorder smoke: a papid with a hair-trigger -slow-op, which
-# the trace slow threshold inherits, so every traced unit is retained,
-# driven by a real publisher. Certifies
+# Flight-recorder smoke: a papid with a hair-trigger -slow-op, papid's
+# one slow threshold, so every traced unit is retained, driven by a
+# real publisher, on a two-worker sweep (GOMAXPROCS=2: the sweep is
+# min(GOMAXPROCS, 16) wide) whatever the host's width. Certifies
 # the pipeline tracer end to end: the SlowOp warn line names a trace
 # ID whose trace is retrievable from /debug/trace?id= (tail
 # retention), /tracez lists the ring, and the Chrome trace-event
 # export Perfetto loads carries the pipeline's stage span names —
 # request stages on a PUBLISH trace, sweep stages on a tick trace.
 trace_log=$(mktemp /tmp/papid-ci-trace.XXXXXX)
-/tmp/papid-ci-smoke -addr 127.0.0.1:61785 -http 127.0.0.1:61786 \
-    -slow-op 1ns -tick-workers 2 -quiet 2>"$trace_log" &
+GOMAXPROCS=2 /tmp/papid-ci-smoke -addr 127.0.0.1:61785 -http 127.0.0.1:61786 \
+    -slow-op 1ns -quiet 2>"$trace_log" &
 trace_pid=$!
 trap 'kill -9 $papid_pid $wal_pid $derive_pid $delta_pid $pub_pid $trace_pid 2>/dev/null || true; rm -rf "$wal_dir" "$follow_log" "$trace_log"' EXIT
 published=""
