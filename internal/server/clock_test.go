@@ -34,15 +34,6 @@ func (c spyClock) AfterFunc(d time.Duration, f func()) *clock.Timer {
 	return c.Fake.AfterFunc(d, f)
 }
 
-// steppingClock is a fake clock that moves 1 ms each time it is read, so
-// rows published back to back carry distinct timestamps.
-type steppingClock struct{ *clock.Fake }
-
-func (c steppingClock) Now() time.Time {
-	c.Advance(time.Millisecond)
-	return c.Fake.Now()
-}
-
 // TestTickLoopCountsSkippedTicks runs the real tick loop and its ticker
 // on a fake clock. The test holds a session's lock, so the first sweep
 // blocks on it while three more intervals pass: the ticker holds one of

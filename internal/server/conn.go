@@ -118,7 +118,7 @@ func (s *Server) handle(nc net.Conn) {
 		// histogram isolates is the dispatch cost itself, per op and
 		// codec, so a regressed allocator solve or tsdb query shows up
 		// under its own op instead of smearing into socket noise.
-		t0 := s.cfg.clock.Now()
+		t0 := s.cfg.clock.Mono()
 		// Each valid request is a traced unit: dispatch and write spans
 		// always; deep stage spans (PUBLISH history/fan-out/derive) hang
 		// off c.trc. t is nil with tracing off — every call on it no-ops
@@ -141,7 +141,7 @@ func (s *Server) handle(nc net.Conn) {
 		resp.TraceID = tid
 		ok := c.sendTraced(resp, t, t.StartSpan(tracing.NoSpan, "write"))
 		c.goLive()
-		elapsed := s.cfg.clock.Now().Sub(t0)
+		elapsed := s.cfg.clock.Mono() - t0
 		s.m.observeOp(req.Op, c.codecNow(), elapsed)
 		if d := s.cfg.SlowOp; d > 0 && elapsed >= d {
 			attrs := []any{"op", req.Op, "session", req.Session, "dur", elapsed.String()}

@@ -72,64 +72,6 @@ func durablePublish(t *testing.T, srv *Server, session uint64, fk *clock.Fake, n
 	}
 }
 
-// TestDurableRestartCleanShutdown: a server with -data-dir set survives
-// a graceful shutdown with byte-identical QUERY answers, and the
-// restart takes the clean fast path (replays nothing).
-func TestDurableRestartCleanShutdown(t *testing.T) {
-	dir := t.TempDir()
-	fk := clock.NewFake(time.UnixMicro(1_000_000))
-	cfg := Config{
-		TickInterval:  time.Hour,
-		TSDBRetention: -1,
-		DataDir:       dir,
-		Fsync:         "off",
-		clock:         fk,
-	}
-
-	srv := New(cfg)
-	if srv.walErr != nil {
-		t.Fatalf("wal open: %v", srv.walErr)
-	}
-	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none", Label: "durable"})
-	if !created.OK {
-		t.Fatal(created.Error)
-	}
-	id := created.Session
-	durablePublish(t, srv, id, fk, 3000)
-
-	// STATS gains the wal_* keys only in durable mode.
-	stats := srv.dispatch(nil, &wire.Request{Op: wire.OpStats})
-	if stats.Stats["wal_rows"] != 3000 {
-		t.Errorf("wal_rows = %d, want 3000 (stats %v)", stats.Stats["wal_rows"], stats.Stats)
-	}
-	if stats.Stats["wal_clean_start"] != 0 {
-		t.Errorf("first boot reported wal_clean_start=%d", stats.Stats["wal_clean_start"])
-	}
-
-	want := durableQueries(t, srv, id, 0, 1<<60)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-
-	srv2 := New(cfg)
-	if srv2.walErr != nil {
-		t.Fatalf("wal reopen: %v", srv2.walErr)
-	}
-	defer srv2.Shutdown(context.Background())
-	rs := srv2.Replay()
-	if !rs.CleanStart || stat(t, srv2, "wal_clean_start") != 1 {
-		t.Errorf("restart after clean shutdown: CleanStart=false or wal_clean_start != 1 (%+v)", rs)
-	}
-	if rs.Rows != 0 {
-		t.Errorf("clean restart replayed %d rows, want 0", rs.Rows)
-	}
-	if got := durableQueries(t, srv2, id, 0, 1<<60); got != want {
-		t.Errorf("QUERY diverged across clean restart:\nbefore: %s\nafter:  %s", want, got)
-	}
-}
-
 // TestDurableRestartAfterCrash: an abandoned WAL (the kill -9 shape —
 // no seal, no truncate, no marker) replays to byte-identical QUERY
 // answers.

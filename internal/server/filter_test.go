@@ -3,8 +3,6 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"math/rand"
 	"net"
 	"runtime"
 	"slices"
@@ -14,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/faultnet"
 	"repro/internal/wire"
 )
@@ -38,48 +35,6 @@ func helloT(t *testing.T, cl *Client) wire.Response {
 		t.Fatal(err)
 	}
 	return hello
-}
-
-// TestSubscribeEventFilter: a subscriber that names events receives
-// frames projected to just those events, while an unfiltered peer of
-// the same session keeps the full stream.
-func TestSubscribeEventFilter(t *testing.T) {
-	_, addr := startServer(t, Config{TickInterval: time.Hour})
-	pub := dialT(t, addr)
-	id := pubSession(t, pub, "filter-test")
-
-	full := dialT(t, addr)
-	helloT(t, full)
-	if _, err := full.Do(wire.Request{Op: wire.OpSubscribe, Session: id}); err != nil {
-		t.Fatal(err)
-	}
-	filtered := dialT(t, addr)
-	helloT(t, filtered)
-	if _, err := filtered.Do(wire.Request{Op: wire.OpSubscribe, Session: id,
-		Events: []string{"c", "a"}}); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := pub.Do(wire.Request{Op: wire.OpPublish, Session: id,
-		Events: []string{"a", "b", "c"}, Values: []int64{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := full.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got.Events, []string{"a", "b", "c"}) || !slices.Equal(got.Values, []int64{1, 2, 3}) {
-		t.Errorf("unfiltered frame %v=%v, want full [a b c]=[1 2 3]", got.Events, got.Values)
-	}
-	got, err = filtered.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Projection keeps session order, not filter order.
-	if !slices.Equal(got.Events, []string{"a", "c"}) || !slices.Equal(got.Values, []int64{1, 3}) {
-		t.Errorf("filtered frame %v=%v, want [a c]=[1 3]", got.Events, got.Values)
-	}
 }
 
 // TestSubscribeWildcard: label globs and explicit ID lists select the
@@ -885,153 +840,5 @@ func TestViewOrderAndRekey(t *testing.T) {
 	}
 	if want := []string{wire.OpSnapshot, wire.OpDelta, wire.OpSnapshot}; !slices.Equal(ops, want) {
 		t.Errorf("delta stream ops %v, want %v", ops, want)
-	}
-}
-
-// TestConcurrentPublishersKeepOrder has several connections' worth of
-// PUBLISH handlers race on one session (run it under -race) and checks
-// everything the session promises per row against a truth keyed by the
-// seq each ack carried. A row's INS is k², its CYC k, for a k drawn from
-// a shared counter, so the ipc of two consecutive rows is the sum of
-// their k's and names the pair the derive engine saw; the engine emits
-// nothing across a counter that steps backwards, so which seqs carry a
-// DERIVED frame is known too. On all four view shapes: row frames are a
-// gap-free run of seqs that reassembles to the truth, each DERIVED frame
-// sits directly behind the row of its seq and carries that pair's ipc,
-// the last row is what READ answers, and history holds the rows in seq
-// order under timestamps that never step back.
-func TestConcurrentPublishersKeepOrder(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runPublishersSeed(t, seed) })
-	}
-}
-
-func runPublishersSeed(t *testing.T, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	srv := New(Config{TickInterval: time.Hour, TSDBRetention: -1, Groups: []string{"ipc"},
-		KeyframeEvery: 2 + rng.Intn(6), clock: steppingClock{clock.NewFake(time.UnixMicro(0))}})
-	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
-	if !created.OK {
-		t.Fatal(created.Error)
-	}
-	sess, _ := srv.reg.get(created.Session)
-	events := []string{"PAPI_TOT_INS", "PAPI_TOT_CYC", "EV_X"}
-	rowOf := func(k int64) []int64 { return []int64{k * k, k, 7} }
-
-	nPublishers := 2 + rng.Intn(4)
-	perPublisher := 150 + rng.Intn(250)
-	total := nPublishers * perPublisher
-	shapes := []struct {
-		filter []string
-		delta  bool
-	}{{nil, false}, {[]string{"PAPI_TOT_CYC", "EV_X"}, false}, {nil, true}, {[]string{"EV_X", "PAPI_TOT_INS"}, true}}
-	conns := make([]*conn, len(shapes))
-	for i, shape := range shapes {
-		conns[i] = testConn(srv, 2*total) // a row frame and a DERIVED per row: nothing is evicted
-		conns[i].follow(t, sess, shape.filter, shape.delta)
-	}
-
-	var nextK atomic.Int64
-	truth := make([]int64, total+1) // k by acked seq; every publisher writes its own seqs
-	var publishers sync.WaitGroup
-	for p := 0; p < nPublishers; p++ {
-		yield := rand.New(rand.NewSource(seed<<8 + int64(p)))
-		publishers.Add(1)
-		go func() {
-			defer publishers.Done()
-			for i := 0; i < perPublisher; i++ {
-				k := nextK.Add(1)
-				resp := srv.dispatch(nil, &wire.Request{Op: wire.OpPublish, Session: sess.id,
-					Events: events, Values: rowOf(k)})
-				if !resp.OK || resp.Seq == 0 || resp.Seq > uint64(total) {
-					t.Errorf("publish k=%d: %+v", k, resp)
-					return
-				}
-				truth[resp.Seq] = k
-				if yield.Intn(3) == 0 {
-					runtime.Gosched()
-				}
-			}
-		}()
-	}
-	publishers.Wait()
-	if t.Failed() {
-		return
-	}
-	for seq := 1; seq <= total; seq++ {
-		if truth[seq] == 0 {
-			t.Fatalf("no PUBLISH was acked with seq %d of %d", seq, total)
-		}
-	}
-
-	read := srv.dispatch(nil, &wire.Request{Op: wire.OpRead, Session: sess.id})
-	if !read.OK || read.Seq != uint64(total) || !slices.Equal(read.Values, rowOf(truth[total])) {
-		t.Fatalf("READ %+v, want seq %d values %v", read, total, rowOf(truth[total]))
-	}
-	for i, shape := range shapes {
-		filter := canonEvents(shape.filter)
-		project := func(row []int64) (out []int64) {
-			for j, ev := range events {
-				if filter == nil || slices.Contains(filter, ev) {
-					out = append(out, row[j])
-				}
-			}
-			return out
-		}
-		var tracker wire.DeltaTracker
-		var lastRow wire.Response
-		derived := make(map[uint64]float64)
-		for _, f := range conns[i].popResponses(t) {
-			if f.Op == wire.OpDerived {
-				if f.Seq != lastRow.Seq {
-					t.Errorf("shape %d: DERIVED seq %d behind the row of seq %d, want its own", i, f.Seq, lastRow.Seq)
-				}
-				if _, dup := derived[f.Seq]; dup {
-					t.Errorf("shape %d: two DERIVED frames for seq %d", i, f.Seq)
-				}
-				derived[f.Seq] = f.DValues[slices.Index(f.Metrics, "ipc")]
-				continue
-			}
-			row, err := tracker.Apply(f)
-			if err != nil {
-				t.Fatalf("shape %d seq %d (%s): %v", i, f.Seq, f.Op, err)
-			}
-			if row.Seq != lastRow.Seq+1 {
-				t.Fatalf("shape %d: seq %d follows %d", i, row.Seq, lastRow.Seq)
-			}
-			if want := project(rowOf(truth[row.Seq])); !slices.Equal(row.Values, want) {
-				t.Errorf("shape %d: seq %d reassembled %v, want %v", i, row.Seq, row.Values, want)
-			}
-			lastRow = row
-			lastRow.Values = slices.Clone(row.Values) // the tracker reuses its output
-		}
-		if lastRow.Seq != read.Seq || !slices.Equal(lastRow.Values, project(read.Values)) {
-			t.Errorf("shape %d: stream ends at seq %d %v, READ says seq %d %v",
-				i, lastRow.Seq, lastRow.Values, read.Seq, project(read.Values))
-		}
-		for seq := 2; seq <= total; seq++ {
-			got, ok := derived[uint64(seq)]
-			if want := truth[seq] > truth[seq-1]; ok != want {
-				t.Errorf("shape %d: DERIVED for seq %d (k %d after %d): sent %v, want %v",
-					i, seq, truth[seq], truth[seq-1], ok, want)
-			} else if ok && got != float64(truth[seq]+truth[seq-1]) {
-				t.Errorf("shape %d: seq %d ipc %v, want %d: the engine saw another pair of rows",
-					i, seq, got, truth[seq]+truth[seq-1])
-			}
-		}
-	}
-
-	hist := srv.dispatch(nil, &wire.Request{Op: wire.OpQuery, Session: sess.id,
-		Events: []string{"PAPI_TOT_CYC"}, From: 0, To: 1 << 62})
-	if !hist.OK || len(hist.Series) != 1 || len(hist.Series[0].Buckets) != total {
-		t.Fatalf("raw QUERY: %+v, want one series of %d samples", hist, total)
-	}
-	for i, b := range hist.Series[0].Buckets {
-		if b.Last != truth[i+1] {
-			t.Fatalf("history sample %d holds k=%d, want seq %d's k=%d", i, b.Last, i+1, truth[i+1])
-		}
-		if i > 0 && b.Start <= hist.Series[0].Buckets[i-1].Start {
-			t.Fatalf("history sample %d at %d µs, not after its predecessor's %d", i, b.Start, hist.Series[0].Buckets[i-1].Start)
-		}
 	}
 }

@@ -139,87 +139,6 @@ func TestQuery100kTicks(t *testing.T) {
 	}
 }
 
-// TestQueryEndToEnd exercises the full TCP path: ticks populate the
-// store and a QUERY returns windows consistent with the raw samples,
-// cross-checked through the wire.
-func TestQueryEndToEnd(t *testing.T) {
-	fk := clock.NewFake(time.UnixMicro(1_000_000))
-	srv, addr := startServer(t, Config{TickInterval: time.Hour, clock: fk})
-	cl := dialT(t, addr)
-	if _, err := cl.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	created, err := cl.Do(wire.Request{Op: wire.OpCreate,
-		Events: []string{"PAPI_TOT_CYC", "PAPI_FP_INS"}, Workload: "dot", N: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := created.Session
-	if _, err := cl.Do(wire.Request{Op: wire.OpStart, Session: id}); err != nil {
-		t.Fatal(err)
-	}
-
-	for range 5 {
-		fk.Advance(2 * time.Millisecond)
-		srv.tick()
-	}
-	raw, err := cl.Do(wire.Request{Op: wire.OpQuery, Session: id,
-		From: 0, To: 1<<63 - 1, Step: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw.Series) != 2 || len(raw.Series[0].Buckets) != 5 {
-		t.Fatalf("5 ticks left %+v, want 2 series of 5 samples", raw.Series)
-	}
-
-	// One wide window must aggregate exactly the raw points we saw.
-	// Re-query with To clamped so later ticks can't slip in between
-	// the two requests.
-	sr := raw.Series[0]
-	pts := sr.Buckets
-	lastTS := pts[len(pts)-1].Start
-	step := lastTS + 1_000_000 // single window covering everything
-	win, err := cl.Do(wire.Request{Op: wire.OpQuery, Session: id,
-		Events: []string{sr.Event}, From: 0, To: lastTS + 1, Step: step})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(win.Series) != 1 || len(win.Series[0].Buckets) < 1 {
-		t.Fatalf("windowed query: %+v", win.Series)
-	}
-	got := win.Series[0].Buckets[0]
-	var wantSum int64
-	var wantCount uint64
-	wantMin, wantMax := pts[0].Min, pts[0].Max
-	for _, p := range pts {
-		if p.Start >= got.Start+step {
-			break
-		}
-		wantSum += p.Sum
-		wantCount += p.Count
-		if p.Min < wantMin {
-			wantMin = p.Min
-		}
-		if p.Max > wantMax {
-			wantMax = p.Max
-		}
-	}
-	if got.Count < wantCount || got.Sum < wantSum || got.Min != wantMin {
-		t.Errorf("window %+v inconsistent with raw points (count>=%d sum>=%d min=%d)",
-			got, wantCount, wantSum, wantMin)
-	}
-
-	// STATS reports the store.
-	stats, err := cl.Do(wire.Request{Op: wire.OpStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Stats["tsdb_series"] != 2 || stats.Stats["tsdb_samples"] == 0 ||
-		stats.Stats["tsdb_bytes"] == 0 {
-		t.Errorf("tsdb stats missing: %v", stats.Stats)
-	}
-}
-
 // TestMalformedFrameKeepsConnection: garbage on the wire draws an
 // ERROR frame and the connection keeps serving — the fuzz-found
 // failure mode (decoder death killing the loop) must stay fixed.

@@ -1,40 +1,891 @@
-// The single drop ledger, made checkable: with one outbound queue per
-// connection every fan-out frame is counted sent exactly once and, if
-// it never reaches the socket, dropped exactly once against its own
-// kind. So after a drain, sent − dropped per kind must equal the frames
-// of that kind the sockets actually took — whatever mix of healthy,
-// stalled and vanishing subscribers the server faced — every frame a
-// surviving client did receive must be the truth for its seq, and
-// papid's identities (identity_test.go) must hold.
+// papid's one seeded runner and its one reference model. Each seed
+// draws a schedule and runs it twice, sweeping at width 1 and at width
+// 8, against a real Server on a clock.Fake whose connections are
+// faultnet pipes on the same clock; the runner calls tick(), the WAL's
+// Sync and Compact, and a clean restart by hand. The schedule has
+// PUBLISHes from several connections at once to the same sessions (and
+// PUBLISHes that must be refused), SUBSCRIBEs of every shape on both
+// codecs, hand ticks, QUERYs at every step and READs, faced by healthy
+// subscribers (some of them held back, so their queues overflow),
+// stalled ones and ones that hang up.
+//
+// The model is plain maps with no clock and no goroutines: session →
+// seq → acked row, and each subscription's view of it. On every seed:
+//   - a healthy subscriber's rows rise in seq, reassemble (DeltaTracker)
+//     to the model's row projected through its filter, and miss nothing
+//     the server did not count dropped; once the pressure ends its next
+//     row reassembles, so a delta view re-keys after a drop;
+//   - each DERIVED frame sits behind its own row and carries the
+//     model's ipc;
+//   - a refused PUBLISH uses up no seq, and READ answers the last acked
+//     row;
+//   - QUERY equals bruteBuckets over the model's rows, raw and at 1 s,
+//     10 s and 60 s steps;
+//   - per kind, sent − dropped equals the frames the server's ends of
+//     the pipes took — the single drop ledger;
+//   - width 1 and width 8 put byte-identical tick-row streams on the
+//     wire;
+//   - after a durable server's clean shutdown, the restart replays
+//     nothing and serves every QUERY view unchanged;
+//   - at quiescence papid's identities (identity_test.go) hold with the
+//     runner's exact counts.
 package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/faultnet"
+	"repro/internal/tsdb"
 	"repro/internal/wire"
 )
 
 // ledgerSeeds is how many schedules TestLedgerBalances explores; each is
 // a subtest named by its seed, so `-run 'TestLedgerBalances/seed=7$'`
-// replays one.
+// replays one, and a failing seed logs its schedule.
 const ledgerSeeds = 50
 
+func TestLedgerBalances(t *testing.T) {
+	seeds := ledgerSeeds
+	if testing.Short() {
+		seeds = 5
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			serial, wide := driveSeed(t, seed, 1), driveSeed(t, seed, 8)
+			for id, want := range serial {
+				if got := wide[id]; !slices.Equal(got, want) {
+					i := 0
+					for i < min(len(got), len(want)) && got[i] == want[i] {
+						i++
+					}
+					t.Errorf("session %d: the tick-row streams of widths 1 and 8 part at frame %d (of %d and %d)",
+						id, i, len(want), len(got))
+				}
+			}
+		})
+	}
+}
+
+// ledgerEvents are a session's events: a ticked session counts the
+// first two, and a published row of k holds k², k, 3k+1 and 5k+2. Every
+// value rises with k, so two published rows differ in every value (a
+// DELTA is never empty), and the ipc between the rows of j and k is
+// exactly j+k.
+var ledgerEvents = []string{"PAPI_TOT_INS", "PAPI_TOT_CYC", "EV_X", "EV_Y"}
+
+func rowOf(k int64) []int64 { return []int64{k * k, k, 3*k + 1, 5*k + 2} }
+
+// queryStep is QUERY's steps in µs: raw, raw-decoded windows, and the
+// two rollups.
+var queryStep = []int64{0, 1_000_000, 10_000_000, 60_000_000}
+
+// deepQueue is a write queue no healthy peer of a schedule can fill.
+const deepQueue = 1 << 13
+
+type modelRow struct {
+	ts   int64
+	vals []int64
+}
+
+// modelSession is one session as the server must hold it.
+type modelSession struct {
+	names  []string
+	rows   []modelRow // seq 1 first
+	source string     // what its SNAPSHOT frames say they are
+	// primed is the seq of the row that primed its ipc group: the first
+	// row after the first SUBSCRIBE that asked for ipc (0: none did).
+	primed uint64
+	lastK  atomic.Int64 // publish-only: the last k a publisher drew
+}
+
+// ipc is the DERIVED value row seq must carry, and whether it has one:
+// the engine emits nothing for the priming row nor across a counter
+// that steps back.
+func (s *modelSession) ipc(seq uint64) (float64, bool) {
+	if s.primed == 0 || seq <= s.primed {
+		return 0, false
+	}
+	cur, prev := s.rows[seq-1].vals, s.rows[seq-2].vals
+	for i := range cur {
+		if cur[i] < prev[i] {
+			return 0, false
+		}
+	}
+	return float64(cur[0]-prev[0]) / float64(cur[1]-prev[1]), true
+}
+
+// view is row seq as a subscription with filter (nil: every event) must
+// see it: in the session's order, whatever order the filter named.
+func (s *modelSession) view(seq uint64, filter []string) (events []string, vals []int64) {
+	for i, ev := range s.names {
+		if filter == nil || slices.Contains(filter, ev) {
+			events, vals = append(events, ev), append(vals, s.rows[seq-1].vals[i])
+		}
+	}
+	return events, vals
+}
+
+// query is QUERY's answer: one bucket per sample at step 0,
+// bruteBuckets' windows otherwise, series by event name.
+func (s *modelSession) query(from, to, step int64) []tsdb.Series {
+	var out []tsdb.Series
+	names := slices.Clone(s.names)
+	slices.Sort(names)
+	for _, ev := range names {
+		j := slices.Index(s.names, ev)
+		var ts, vs []int64
+		for _, r := range s.rows {
+			if step > 0 || (r.ts >= from && r.ts < to) {
+				ts, vs = append(ts, r.ts), append(vs, r.vals[j])
+			}
+		}
+		var bks []tsdb.Bucket
+		if step > 0 {
+			bks = bruteBuckets(ts, vs, from, to, step)
+		} else {
+			for i, v := range vs {
+				bks = append(bks, tsdb.Bucket{Start: ts[i], Count: 1, Min: v, Max: v, Sum: v, Last: v})
+			}
+		}
+		if len(bks) > 0 {
+			out = append(out, tsdb.Series{Event: ev, Buckets: bks})
+		}
+	}
+	return out
+}
+
+// modelSub is one subscription of a peer: the filter it asked for and
+// how many rows its session had when the stream opened.
+type modelSub struct {
+	events        []string // nil = every event
+	delta, derive bool
+	after         uint64
+}
+
+// peer is one subscriber connection and how it behaves.
+type peer struct {
+	cl         *Client
+	rec        *recConn // the server's end of the pipe
+	c          *conn    // the server's conn behind it
+	role       string   // "healthy", "stalled" or "closer"
+	closeAfter int      // closer: frames read before it hangs up
+	subs       map[uint64]modelSub
+	// hold, locked by the runner, stops a healthy reader: a subscriber
+	// under pressure, whose queue fills and drops while it waits.
+	hold sync.Mutex
+	held bool
+	done chan struct{}
+	mu   sync.Mutex
+	got  []wire.Response // every frame after its SUBSCRIBE replies
+}
+
+// read is the peer's reader goroutine. A stalled peer drains what its
+// stall lets through, as a kernel buffer would; a closer hangs up after
+// closeAfter frames; a healthy peer reads until its BYE reply.
+func (p *peer) read() {
+	defer close(p.done)
+	if p.role == "stalled" {
+		io.Copy(io.Discard, p.cl.nc)
+		return
+	}
+	for n := 0; p.role != "closer" || n < p.closeAfter; n++ {
+		p.hold.Lock()
+		p.hold.Unlock()
+		resp, err := p.cl.Next()
+		if err != nil || resp.Op == wire.OpBye {
+			return
+		}
+		p.mu.Lock()
+		p.got = append(p.got, resp)
+		p.mu.Unlock()
+	}
+	p.cl.Close()
+}
+
+func (p *peer) setHeld(held bool) {
+	if held && !p.held {
+		p.hold.Lock()
+	} else if !held && p.held {
+		p.hold.Unlock()
+	}
+	p.held = held
+}
+
+func (p *peer) frames() []wire.Response {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Clone(p.got)
+}
+
+// runner runs one seed's schedule against one server.
+type runner struct {
+	t       *testing.T
+	rng     *rand.Rand
+	fk      *clock.Fake
+	cfg     Config
+	srv     *Server
+	stopped bool
+	m       map[uint64]*modelSession
+
+	ctl     *Client   // CREATE, START, READ, QUERY, STATS
+	pubs    []*Client // the concurrent publishers
+	peers   []*peer
+	witness *peer // follows every ticked session plainly, never held
+	wseen   int   // the witness frames the model has taken in
+
+	ticked, published []uint64
+	driven            driven
+	sched             []string
+}
+
+func (d *runner) note(format string, args ...any) {
+	d.sched = append(d.sched, fmt.Sprintf(format, args...))
+}
+
+func (d *runner) do(cl *Client, req wire.Request) wire.Response {
+	d.t.Helper()
+	resp, err := cl.Do(req)
+	if err != nil {
+		d.t.Fatalf("%s: %v", req.Op, err)
+	}
+	return resp
+}
+
+// waitFor spins until cond holds: a reader goroutine catching up with
+// what the server already queued for it.
+func (d *runner) waitFor(what string, cond func() bool) {
+	d.t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			d.t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// dial connects a client to the server over a faultnet pipe on its
+// clock, the server's end carrying f and recorded, and says HELLO. A
+// steady end ignores write deadlines: its reader always drains, and a
+// virtual deadline passing while that goroutine waits to be scheduled
+// is no stall.
+func (d *runner) dial(f faultnet.Faults, steady, binary bool) (*Client, *recConn) {
+	d.t.Helper()
+	f.Clock = d.fk
+	cend, send := faultnet.Pipe(faultnet.Faults{Clock: d.fk}, f)
+	rec := &recConn{Conn: send, steady: steady}
+	d.srv.wg.Add(1)
+	go d.srv.handle(rec)
+	cl := &Client{nc: cend, enc: wire.NewEncoder(cend), dec: wire.NewDecoder(cend), PreferBinary: binary}
+	d.t.Cleanup(func() { cl.Close() })
+	if _, err := cl.Hello(); err != nil {
+		d.t.Fatal(err)
+	}
+	return cl, rec
+}
+
+// subscribe opens a peer and registers each of its subscriptions before
+// any traffic, so each reply is the only frame in flight.
+func (d *runner) subscribe(role string, f faultnet.Faults, binary bool, subs map[uint64]modelSub) *peer {
+	p := &peer{role: role, subs: subs, done: make(chan struct{})}
+	p.cl, p.rec = d.dial(f, role != "stalled", binary)
+	for id, sub := range subs {
+		s := d.m[id]
+		req := wire.Request{Op: wire.OpSubscribe, Session: id, Events: sub.events, Delta: sub.delta}
+		if sub.derive {
+			req.Derive = []string{"ipc"}
+			if s.primed == 0 {
+				s.primed = uint64(len(s.rows)) + 1
+			}
+		}
+		d.do(p.cl, req)
+		sub.events, sub.after = canonEvents(sub.events), uint64(len(s.rows))
+		subs[id] = sub
+	}
+	d.srv.connsMu.Lock()
+	for c := range d.srv.conns {
+		if c.nc == net.Conn(p.rec) {
+			p.c = c
+		}
+	}
+	d.srv.connsMu.Unlock()
+	d.peers = append(d.peers, p)
+	return p
+}
+
+// shutdown lets every held reader go and stops the server, once.
+func (d *runner) shutdown() {
+	if d.stopped {
+		return
+	}
+	d.stopped = true
+	for _, p := range d.peers {
+		p.setHeld(false)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := d.srv.Shutdown(ctx); err != nil {
+		d.t.Errorf("shutdown: %v", err)
+	}
+}
+
+// driveSeed runs seed's schedule on a sweep of the given width and
+// returns the witness's frames by session, as the server wrote them.
+func driveSeed(t *testing.T, seed int64, width int) map[uint64][]string {
+	rng := rand.New(rand.NewSource(seed))
+	d := &runner{t: t, rng: rng, fk: clock.NewFake(time.Unix(1_700_000_000, 0)), m: map[uint64]*modelSession{}}
+	defer func() {
+		if t.Failed() {
+			t.Logf("width %d, schedule:\n\t%s", width, strings.Join(d.sched, "\n\t"))
+		}
+	}()
+	// No read-idle eviction and no retention: virtual minutes pass
+	// between a publisher's requests and over the model's rows.
+	d.cfg = Config{TickInterval: time.Hour, tickWorkers: width, ReadIdleTimeout: -1, TSDBRetention: -1,
+		WriteQueueDepth: 24 + rng.Intn(40), KeyframeEvery: 2 + rng.Intn(6),
+		WriteTimeout: time.Duration(100+rng.Intn(900)) * time.Millisecond, clock: d.fk}
+	if rng.Intn(2) == 0 {
+		d.cfg.WriteQueueDepth = deepQueue
+	}
+	if rng.Intn(2) == 0 {
+		d.cfg.KeyframeEvery = 1 << 20 // only a drop re-keys a delta view
+	}
+	durable := rng.Intn(3) == 0
+	if durable {
+		d.cfg.DataDir, d.cfg.Fsync = t.TempDir(), "off"
+	}
+	d.note("queue %d, keyframe every %d, write timeout %v, durable %v",
+		d.cfg.WriteQueueDepth, d.cfg.KeyframeEvery, d.cfg.WriteTimeout, durable)
+	d.srv = New(d.cfg)
+	if d.srv.walErr != nil {
+		t.Fatal(d.srv.walErr)
+	}
+	defer d.shutdown()
+	d.setup()
+
+	d.tick()
+	d.publish()
+	if durable {
+		d.bulk()
+	}
+	for n := 20 + rng.Intn(20); n > 0; n-- {
+		step := time.Duration(1+rng.Intn(50)) * time.Millisecond
+		if rng.Intn(8) == 0 {
+			step = time.Duration(1+rng.Intn(20)) * time.Second
+		}
+		d.fk.Advance(step)
+		switch r := rng.Intn(20); {
+		case r < 6:
+			d.tick()
+		case r < 12:
+			d.publish()
+		case r < 15 || (r >= 18 && !durable):
+			d.query()
+		case r < 16:
+			d.read(d.published[rng.Intn(len(d.published))])
+		case r < 18:
+			i, held := 1+rng.Intn(len(d.peers)-1), rng.Intn(2) == 0 // not the witness
+			if p := d.peers[i]; p.role == "healthy" {
+				d.note("hold peer %d: %v", i, held)
+				p.setHeld(held)
+			}
+		case r == 18:
+			d.note("Sync")
+			d.srv.wal.Sync()
+		default:
+			d.note("Compact")
+			if _, err := d.srv.wal.Compact(d.fk.Now().UnixMicro()); err != nil {
+				t.Errorf("Compact: %v", err)
+			}
+		}
+	}
+	d.finish()
+	d.check()
+	if durable {
+		d.restart()
+	}
+	lines := make(map[uint64][]string)
+	for _, line := range bytes.SplitAfter(d.witness.rec.wrote, []byte("\n")) {
+		var f struct{ Session uint64 }
+		json.Unmarshal(line, &f)
+		lines[f.Session] = append(lines[f.Session], string(line))
+	}
+	return lines
+}
+
+// setup creates 2–4 ticked sessions, 2–3 publish-only ones with one row
+// each, 2–4 publishers, the witness and 2–5 more peers, every
+// subscription in place before the first tick or PUBLISH. The first of
+// those peers is healthy and follows the first ticked session's ipc and
+// the first publish-only session in delta mode, so every seed has both.
+func (d *runner) setup() {
+	rng := d.rng
+	d.ctl, _ = d.dial(faultnet.Faults{}, true, rng.Intn(2) == 0)
+	for range 2 + rng.Intn(3) {
+		id := d.do(d.ctl, wire.Request{Op: wire.OpCreate, Events: ledgerEvents[:2], Workload: "dot", N: 8}).Session
+		d.ticked = append(d.ticked, id)
+		d.m[id] = &modelSession{names: ledgerEvents[:2], source: "live"}
+	}
+	for range 2 + rng.Intn(2) {
+		id := d.do(d.ctl, wire.Request{Op: wire.OpCreate, Workload: "none"}).Session
+		d.published = append(d.published, id)
+		d.m[id] = &modelSession{names: ledgerEvents, source: "published"}
+		d.publishOne(id)
+	}
+	for range 2 + rng.Intn(3) {
+		pub, _ := d.dial(faultnet.Faults{}, true, false)
+		d.pubs = append(d.pubs, pub)
+	}
+
+	witness := make(map[uint64]modelSub)
+	for _, id := range d.ticked {
+		witness[id] = modelSub{}
+	}
+	d.witness = d.subscribe("healthy", faultnet.Faults{}, false, witness)
+	roles := []string{"healthy", "healthy", "stalled", "closer"}
+	for i := range 2 + rng.Intn(4) {
+		role, f := roles[rng.Intn(len(roles))], faultnet.Faults{}
+		if i == 0 {
+			role = "healthy"
+		}
+		if rng.Intn(3) == 0 {
+			f.ChunkSize = 16 + rng.Intn(200) // a frame crosses in pieces
+		}
+		if role == "stalled" {
+			// Past every SUBSCRIBE reply: the stall comes with the traffic.
+			f.StallAfter, f.ChunkSize = 2048+rng.Int63n(4096), 64+rng.Intn(448)
+		}
+		subs := make(map[uint64]modelSub)
+		for j, id := range slices.Concat(d.ticked, d.published) {
+			shape := rng.Intn(5) // plain, events, delta, events+delta, derive
+			if i == 0 && j == 0 {
+				shape = 4
+			} else if i == 0 && id == d.published[0] {
+				shape = 2
+			} else if rng.Intn(3) == 0 {
+				continue
+			}
+			var sub modelSub
+			if shape == 1 || shape == 3 {
+				names := d.m[id].names
+				for _, k := range rng.Perm(len(names))[:1+rng.Intn(len(names))] {
+					sub.events = append(sub.events, names[k])
+				}
+			}
+			sub.delta, sub.derive = shape == 2 || shape == 3, shape == 4
+			subs[id] = sub
+		}
+		p := d.subscribe(role, f, rng.Intn(3) == 0, subs)
+		p.closeAfter = rng.Intn(40)
+		p.setHeld(role == "healthy" && rng.Intn(3) == 0)
+		d.note("peer %d: %s, binary %v, faults %+v, close after %d, held %v, subs %+v",
+			len(d.peers)-1, role, p.cl.PreferBinary, f, p.closeAfter, p.held, p.subs)
+	}
+	for _, p := range d.peers {
+		go p.read()
+	}
+	for _, id := range d.ticked {
+		d.do(d.ctl, wire.Request{Op: wire.OpStart, Session: id})
+	}
+}
+
+// tick runs one sweep and takes the rows it made into the model from
+// the witness, which is never held and is sent at most two frames per
+// ticked session: however late its reader, nothing it is sent drops.
+func (d *runner) tick() {
+	d.note("tick at %d", d.fk.Now().UnixMicro())
+	d.srv.tick()
+	d.driven.ticks++
+	d.driven.tickRows += uint64(len(d.ticked))
+	var rows []wire.Response
+	d.waitFor("the witness's rows", func() bool {
+		rows = rows[:0]
+		for _, f := range d.witness.frames()[d.wseen:] {
+			if f.Op == wire.OpSnapshot {
+				rows = append(rows, f)
+			}
+		}
+		return len(rows) >= len(d.ticked)
+	})
+	for _, f := range rows {
+		s := d.m[f.Session]
+		if n := len(s.rows); f.Seq != uint64(n)+1 {
+			d.t.Fatalf("session %d: tick row seq %d where %d was due", f.Session, f.Seq, n+1)
+		} else if n > 0 && (f.Values[0] < s.rows[n-1].vals[0] || f.Values[1] < s.rows[n-1].vals[1]) {
+			d.t.Errorf("session %d: a running session's counters stepped back: %v after %v",
+				f.Session, f.Values, s.rows[n-1].vals)
+		}
+		s.rows = append(s.rows, modelRow{d.fk.Now().UnixMicro(), f.Values})
+		d.wseen++
+		if _, ok := s.ipc(f.Seq); ok {
+			d.wseen++
+		}
+	}
+	d.waitFor("the witness's DERIVED frames", func() bool { return len(d.witness.frames()) >= d.wseen })
+}
+
+// publishOne publishes the session's next row from the control
+// connection.
+func (d *runner) publishOne(id uint64) {
+	s := d.m[id]
+	k := s.lastK.Add(1)
+	if seq := d.do(d.ctl, wire.Request{Op: wire.OpPublish, Session: id, Events: ledgerEvents,
+		Values: rowOf(k)}).Seq; seq != uint64(len(s.rows))+1 {
+		d.t.Errorf("session %d: PUBLISH acked seq %d where %d was due", id, seq, len(s.rows)+1)
+	}
+	s.rows = append(s.rows, modelRow{d.fk.Now().UnixMicro(), rowOf(k)})
+	d.driven.publishes++
+}
+
+// publish is one burst: every publisher sends 2–13 PUBLISHes at once,
+// half of them to the first publish-only session, so the connections
+// race on it, and some refused — a value short, or no such session.
+// The acks' seqs must number each session's new rows with no gap.
+func (d *runner) publish() {
+	type ack struct {
+		id, seq uint64
+		k       int64
+	}
+	var mu sync.Mutex
+	var acks []ack
+	var wg sync.WaitGroup
+	for _, pub := range d.pubs {
+		n, seed := 2+d.rng.Intn(12), d.rng.Int63()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for range n {
+				id := d.published[rng.Intn(len(d.published))]
+				if rng.Intn(2) == 0 {
+					id = d.published[0]
+				}
+				req := wire.Request{Op: wire.OpPublish, Session: id, Events: ledgerEvents}
+				var k int64
+				switch rng.Intn(8) {
+				case 0: // a value short, named or not
+					req.Values = rowOf(1)[:3]
+					if rng.Intn(2) == 0 {
+						req.Events = nil
+					}
+				case 1:
+					req.Session, req.Values = math.MaxUint32, rowOf(1)
+				default:
+					k = d.m[id].lastK.Add(1)
+					req.Values = rowOf(k)
+				}
+				resp, err := pub.Do(req)
+				if (err == nil) != (k != 0) {
+					d.t.Errorf("PUBLISH %+v: %+v, %v", req, resp, err)
+					return
+				}
+				if k == 0 {
+					continue // refused, as it must be
+				}
+				mu.Lock()
+				acks = append(acks, ack{id, resp.Seq, k})
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	d.note("publish burst at %d: %d acked", d.fk.Now().UnixMicro(), len(acks))
+	slices.SortFunc(acks, func(a, b ack) int { return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.seq, b.seq)) })
+	for _, a := range acks {
+		s := d.m[a.id]
+		if a.seq != uint64(len(s.rows))+1 {
+			d.t.Fatalf("session %d: PUBLISH acked seq %d where %d was due", a.id, a.seq, len(s.rows)+1)
+		}
+		s.rows = append(s.rows, modelRow{d.fk.Now().UnixMicro(), rowOf(a.k)})
+		d.driven.publishes++
+	}
+}
+
+// bulk creates one more publish-only session, which no one follows,
+// and publishes more rows to it than a tsdb block holds, eight in
+// flight at a time from the control connection: a durable server seals
+// a block and persists it while it runs.
+func (d *runner) bulk() {
+	id := d.do(d.ctl, wire.Request{Op: wire.OpCreate, Workload: "none"}).Session
+	d.note("bulk PUBLISH to session %d", id)
+	s := &modelSession{names: ledgerEvents, source: "published"}
+	d.m[id], d.published = s, append(d.published, id)
+	d.publishOne(id)
+	for range 65 {
+		d.fk.Advance(time.Millisecond)
+		for range 8 {
+			k := s.lastK.Add(1)
+			if err := d.ctl.enc.Encode(&wire.Request{Op: wire.OpPublish, Session: id, Values: rowOf(k)}); err != nil {
+				d.t.Fatal(err)
+			}
+			s.rows = append(s.rows, modelRow{d.fk.Now().UnixMicro(), rowOf(k)})
+		}
+		for i := 8; i > 0; i-- {
+			if resp, err := d.ctl.Next(); err != nil || resp.Seq != uint64(len(s.rows)-i+1) {
+				d.t.Fatalf("bulk PUBLISH: %+v (%v), want seq %d", resp, err, len(s.rows)-i+1)
+			}
+		}
+	}
+	d.driven.publishes += 65 * 8
+}
+
+// query asks for one session's history over a window whose edges sit
+// on or beside row timestamps, where an off-by-one shows, or over all
+// of it.
+func (d *runner) query() {
+	all := slices.Concat(d.ticked, d.published)
+	id := all[d.rng.Intn(len(all))]
+	step := queryStep[d.rng.Intn(len(queryStep))]
+	from, to := int64(0), int64(1<<62)
+	if rows := d.m[id].rows; len(rows) > 0 && d.rng.Intn(4) != 0 {
+		edge := func() int64 { return rows[d.rng.Intn(len(rows))].ts + int64(d.rng.Intn(3)-1) }
+		from, to = edge(), edge()
+		from, to = min(from, to), max(from, to+1)
+	}
+	d.note("QUERY session %d [%d, %d) step %d", id, from, to, step)
+	d.checkQuery(d.ctl, id, from, to, step)
+}
+
+// checkQuery asks cl's server one QUERY and compares the answer with the
+// model's.
+func (d *runner) checkQuery(cl *Client, id uint64, from, to, step int64) {
+	d.t.Helper()
+	got := d.do(cl, wire.Request{Op: wire.OpQuery, Session: id, From: from, To: to, Step: step}).Series
+	for i := range got {
+		got[i].Width = 0 // which source served it is not the answer
+	}
+	if want := d.m[id].query(from, to, step); !slices.EqualFunc(got, want, func(a, b tsdb.Series) bool {
+		return a.Event == b.Event && slices.Equal(a.Buckets, b.Buckets)
+	}) {
+		d.t.Errorf("session %d QUERY [%d, %d) step %d:\ngot  %+v\nwant %+v", id, from, to, step, got, want)
+	}
+}
+
+func (d *runner) read(id uint64) {
+	d.note("READ session %d", id)
+	resp, s := d.do(d.ctl, wire.Request{Op: wire.OpRead, Session: id}), d.m[id]
+	if last := s.rows[len(s.rows)-1]; resp.Seq != uint64(len(s.rows)) || !slices.Equal(resp.Values, last.vals) ||
+		!slices.Equal(resp.Events, s.names) {
+		d.t.Errorf("session %d READ seq %d %v=%v, last acked seq %d %v", id, resp.Seq, resp.Events, resp.Values,
+			len(s.rows), last.vals)
+	}
+}
+
+// finish ends the pressure and lets the clock pass every stalled write's
+// deadline; once every healthy queue is empty it runs one more tick and
+// one more PUBLISH per session, which no queue can drop, and checks READ,
+// every QUERY view and STATS. Then the healthy peers say BYE and the
+// closers hang up, and the server shuts down.
+func (d *runner) finish() {
+	for _, p := range d.peers {
+		p.setHeld(false)
+	}
+	d.fk.Advance(d.cfg.WriteTimeout + time.Millisecond)
+	for _, p := range d.peers {
+		if p.role == "healthy" {
+			d.waitFor("a healthy queue to drain", func() bool { return p.c.q.len() == 0 })
+		}
+	}
+	d.tick()
+	for _, id := range d.published {
+		d.publishOne(id)
+		d.read(id)
+	}
+	var series, samples int
+	for _, id := range slices.Concat(d.ticked, d.published) {
+		for _, step := range queryStep {
+			d.checkQuery(d.ctl, id, 0, 1<<62, step)
+		}
+		series += len(d.m[id].names)
+		samples += len(d.m[id].names) * len(d.m[id].rows)
+	}
+	st := d.do(d.ctl, wire.Request{Op: wire.OpStats}).Stats
+	if st["tsdb_series"] != uint64(series) || st["tsdb_samples"] != uint64(samples) || st["tsdb_bytes"] == 0 {
+		d.t.Errorf("STATS tsdb_series %d tsdb_samples %d tsdb_bytes %d, the model holds %d series of %d samples",
+			st["tsdb_series"], st["tsdb_samples"], st["tsdb_bytes"], series, samples)
+	}
+	if d.cfg.DataDir != "" && (st["wal_clean_start"] != 0 || st["wal_sealed_blocks"] < uint64(len(ledgerEvents))) {
+		d.t.Errorf("a first boot reported wal_clean_start %d and persisted %d sealed blocks, want 0 and the bulk session's",
+			st["wal_clean_start"], st["wal_sealed_blocks"])
+	}
+
+	for _, p := range d.peers {
+		if p.role == "healthy" {
+			if err := p.cl.enc.Encode(&wire.Request{Op: wire.OpBye}); err != nil {
+				d.t.Fatalf("BYE: %v", err)
+			}
+		} else if p.role == "closer" {
+			p.cl.Close()
+		}
+	}
+	// A BYE reply queues behind every frame fanned out before it, so a
+	// reader that sees it has seen everything its queue kept.
+	timeout := time.After(10 * time.Second)
+	for _, p := range d.peers {
+		if p.role != "stalled" {
+			select {
+			case <-p.done:
+			case <-timeout:
+				d.t.Fatal("a reader never saw its BYE reply")
+			}
+		}
+	}
+	d.shutdown()
+	for _, p := range d.peers {
+		<-p.done
+	}
+}
+
+// check audits the quiet server: the drop ledger, the identities, and
+// every healthy peer's frames against the model. Only the peers
+// subscribe, so theirs are the sockets that took fan-out frames.
+func (d *runner) check() {
+	t := d.t
+	written := make(map[string]uint64)
+	var dropped, missed uint64
+	for _, p := range d.peers {
+		for _, f := range p.rec.frames() {
+			written[f.Op]++
+		}
+	}
+	for op, kind := range map[string]string{wire.OpSnapshot: "snapshots", wire.OpDelta: "deltas", wire.OpDerived: "derived"} {
+		sent, lost := stat(t, d.srv, kind+"_sent"), stat(t, d.srv, kind+"_dropped")
+		if sent-lost != written[op] {
+			t.Errorf("%s: sent %d − dropped %d = %d, but %d reached the sockets", kind, sent, lost, sent-lost, written[op])
+		}
+		if sent == 0 {
+			t.Errorf("%s: none sent; the schedule never exercised the kind", kind)
+		}
+		dropped += lost
+	}
+	checkIdentities(t, d.srv, d.driven)
+	for i, p := range d.peers {
+		if p.role == "healthy" {
+			missed += d.checkPeer(i, p)
+		}
+	}
+	if missed > dropped {
+		t.Errorf("healthy peers missed %d frames, but the server dropped only %d", missed, dropped)
+	}
+}
+
+// checkPeer checks one healthy peer's frames against the model and
+// returns how many it was owed and never got. A peer that lost nothing
+// — any peer of a deep queue, and the witness — holds every row and
+// every DERIVED frame, each DERIVED straight behind its row; one under
+// pressure holds a rising subsequence whose delta frames reassemble
+// once a keyframe anchors them. Either ends with the last row of each
+// session it follows.
+func (d *runner) checkPeer(i int, p *peer) uint64 {
+	t := d.t
+	type stream struct {
+		row, derived        uint64 // the last seqs received
+		rowLast, unanchored bool   // the session's last frame was a row; its last row frame did not reassemble
+	}
+	streams := make(map[uint64]*stream)
+	var owed uint64
+	for id, sub := range p.subs {
+		streams[id] = &stream{row: sub.after}
+		for seq := sub.after + 1; seq <= uint64(len(d.m[id].rows)); seq++ {
+			if _, ok := d.m[id].ipc(seq); ok {
+				owed++
+			}
+			owed++
+		}
+	}
+	got := p.frames()
+	lossless := uint64(len(got)) == owed
+	if !lossless && (p == d.witness || d.cfg.WriteQueueDepth == deepQueue) {
+		t.Errorf("peer %d: %d frames, owed %d, and nothing could drop", i, len(got), owed)
+	}
+	var tracker wire.DeltaTracker
+	for _, f := range got {
+		sub, ok := p.subs[f.Session]
+		if !ok {
+			t.Fatalf("peer %d: %s for session %d it never subscribed to", i, f.Op, f.Session)
+		}
+		s, st := d.m[f.Session], streams[f.Session]
+		if f.Op == wire.OpDerived {
+			want, ok := s.ipc(f.Seq)
+			behind := f.Seq > st.derived && f.Seq >= st.row && (!lossless || st.rowLast && f.Seq == st.row)
+			if j := slices.Index(f.Metrics, "ipc"); !ok || !behind || j < 0 || f.DValues[j] != want {
+				t.Errorf("peer %d session %d: DERIVED seq %d %v=%v behind row seq %d; the model's ipc %v (%v)",
+					i, f.Session, f.Seq, f.Metrics, f.DValues, st.row, want, ok)
+			}
+			st.derived, st.rowLast = f.Seq, false
+			continue
+		}
+		if f.Op == wire.OpDelta && !sub.delta || f.Op == wire.OpSnapshot && f.Source != s.source {
+			t.Errorf("peer %d session %d seq %d: %s from %q on a subscription %+v", i, f.Session, f.Seq, f.Op, f.Source, sub)
+		}
+		st.rowLast = true
+		row, err := tracker.Apply(f)
+		if st.unanchored = errors.Is(err, wire.ErrDeltaGap) || errors.Is(err, wire.ErrNoKeyframe); st.unanchored {
+			if lossless {
+				t.Errorf("peer %d session %d seq %d: %v with nothing lost", i, f.Session, f.Seq, err)
+			}
+			continue // its keyframe was dropped; the re-key follows
+		}
+		if err != nil || row.Seq <= st.row || row.Seq > uint64(len(s.rows)) || (lossless && row.Seq != st.row+1) {
+			t.Fatalf("peer %d session %d: seq %d after %d, of %d rows (%v)", i, f.Session, row.Seq, st.row, len(s.rows), err)
+		}
+		st.row = row.Seq
+		if events, vals := s.view(row.Seq, sub.events); !slices.Equal(row.Events, events) || !slices.Equal(row.Values, vals) {
+			t.Errorf("peer %d session %d seq %d (%s): got %v=%v, want %v=%v", i, f.Session, row.Seq, f.Op,
+				row.Events, row.Values, events, vals)
+		}
+	}
+	for id, st := range streams {
+		if st.unanchored || st.row != uint64(len(d.m[id].rows)) {
+			t.Errorf("peer %d session %d: the stream ends at seq %d (unanchored %v), the last row is %d",
+				i, id, st.row, st.unanchored, len(d.m[id].rows))
+		}
+	}
+	return owed - min(owed, uint64(len(got)))
+}
+
+// restart opens the durable server's directory again after the clean
+// shutdown: it must take the fast path, replay no row, and serve every
+// QUERY view the model does, as it did before.
+func (d *runner) restart() {
+	d.srv, d.stopped = New(d.cfg), false
+	if d.srv.walErr != nil {
+		d.t.Fatalf("wal reopen: %v", d.srv.walErr)
+	}
+	defer d.shutdown()
+	if rs := d.srv.Replay(); !rs.CleanStart || rs.Rows != 0 || stat(d.t, d.srv, "wal_clean_start") != 1 {
+		d.t.Errorf("restart after a clean shutdown: %+v, wal_clean_start %d", rs, stat(d.t, d.srv, "wal_clean_start"))
+	}
+	cl, _ := d.dial(faultnet.Faults{}, true, false)
+	for _, id := range slices.Concat(d.ticked, d.published) {
+		for _, step := range queryStep {
+			d.checkQuery(cl, id, 0, 1<<62, step)
+		}
+	}
+}
+
 // recConn records every byte the server's writer got onto the socket.
+// A steady one ignores write deadlines (see runner.dial).
 type recConn struct {
 	net.Conn
-	mu    sync.Mutex
-	wrote []byte
+	steady bool
+	mu     sync.Mutex
+	wrote  []byte
 }
 
 func (c *recConn) Write(p []byte) (int, error) {
@@ -43,6 +894,13 @@ func (c *recConn) Write(p []byte) (int, error) {
 	c.wrote = append(c.wrote, p[:n]...)
 	c.mu.Unlock()
 	return n, err
+}
+
+func (c *recConn) SetWriteDeadline(t time.Time) error {
+	if c.steady {
+		return nil
+	}
+	return c.Conn.SetWriteDeadline(t)
 }
 
 // frames decodes the complete frames in the recorded stream, following
@@ -62,305 +920,6 @@ func (c *recConn) frames() []wire.Response {
 			dec.SetCodec(wire.CodecBinary)
 		}
 		out = append(out, resp)
-	}
-}
-
-// recListener wraps every accepted connection in a recConn.
-type recListener struct {
-	net.Listener
-	mu    sync.Mutex
-	conns []*recConn
-}
-
-func (l *recListener) Accept() (net.Conn, error) {
-	nc, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	rc := &recConn{Conn: nc}
-	l.mu.Lock()
-	l.conns = append(l.conns, rc)
-	l.mu.Unlock()
-	return rc, nil
-}
-
-// ledgerSub is one subscription of a ledger-test client: which session,
-// and the filter it asked for.
-type ledgerSub struct {
-	session uint64
-	events  []string // nil = every event
-	delta   bool
-	derive  bool
-}
-
-// ledgerClient is one subscriber connection and how it behaves.
-type ledgerClient struct {
-	cl         *Client
-	role       string // "healthy", "stalled" or "closer"
-	closeAfter int    // closer: frames read before it hangs up
-	subs       map[uint64]ledgerSub
-	got        []wire.Response // healthy: every frame received
-}
-
-func TestLedgerBalances(t *testing.T) {
-	seeds := ledgerSeeds
-	if testing.Short() {
-		seeds = 5
-	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runLedgerSeed(t, seed) })
-	}
-}
-
-func runLedgerSeed(t *testing.T, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	events := []string{"PAPI_TOT_INS", "PAPI_TOT_CYC", "EV_X", "EV_Y"}
-	roles := []string{"healthy", "healthy", "stalled", "closer"}
-
-	// Decide every client's shape up front, so the fault plan — which
-	// sees connections in accept order — knows who stalls. Connection 0
-	// is the publisher.
-	nClients := 4 + rng.Intn(4)
-	clients := make([]*ledgerClient, nClients)
-	faults := make([]faultnet.Faults, nClients+1)
-	for i := range clients {
-		c := &ledgerClient{role: roles[rng.Intn(len(roles))], closeAfter: rng.Intn(40),
-			subs: make(map[uint64]ledgerSub)}
-		if i == 0 {
-			c.role = "healthy" // at least one stream is checked against the truth
-		}
-		if c.role == "stalled" {
-			faults[i+1] = faultnet.Faults{StallAfter: int64(300 + rng.Intn(3000)),
-				ChunkSize: 64 + rng.Intn(448)} // chunked, so a stall can cut a frame in two
-		}
-		clients[i] = c
-	}
-
-	srv := New(Config{TickInterval: time.Hour, WriteQueueDepth: 8 + rng.Intn(24),
-		WriteTimeout: 50 * time.Millisecond, KeyframeEvery: 2 + rng.Intn(6)})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &recListener{Listener: faultnet.Wrap(ln, func(i int, _ net.Conn) faultnet.Faults {
-		if i < len(faults) {
-			return faults[i]
-		}
-		return faultnet.Faults{}
-	})}
-	addr := srv.Serve(rec).String()
-	shutdown := sync.OnceFunc(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
-	defer shutdown()
-
-	pub := dialT(t, addr)
-	if _, err := pub.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	// publish advances one session's counters (they only grow) and
-	// records the row as the truth for its seq. The first row names each
-	// session's events, which a derive subscription needs in place.
-	sessions := make([]uint64, 3)
-	truth := make(map[uint64]map[uint64][]int64) // session → seq → row
-	rows := make(map[uint64][]int64)
-	var published uint64
-	publish := func(id uint64) {
-		t.Helper()
-		row := rows[id]
-		for i := range row {
-			row[i] += int64(1 + rng.Intn(1000))
-		}
-		resp, err := pub.Do(wire.Request{Op: wire.OpPublish, Session: id, Events: events, Values: row})
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth[id][resp.Seq] = slices.Clone(row)
-		published++
-	}
-	for i := range sessions {
-		created, err := pub.Do(wire.Request{Op: wire.OpCreate, Workload: "none"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		id := created.Session
-		sessions[i], truth[id], rows[id] = id, make(map[uint64][]int64), make([]int64, len(events))
-		publish(id)
-	}
-
-	// Subscribe: each client follows a random subset of the sessions, one
-	// subscription shape per session, all on its one shared connection.
-	var readers sync.WaitGroup
-	for i, c := range clients {
-		c.cl = dialT(t, addr) // dialed one at a time: accept order is client order
-		c.cl.PreferBinary = rng.Intn(3) == 0
-		if _, err := c.cl.Hello(); err != nil {
-			t.Fatal(err)
-		}
-		for j, id := range sessions {
-			if j > 0 && rng.Intn(3) == 0 {
-				continue
-			}
-			sub := ledgerSub{session: id}
-			shape := rng.Intn(4)
-			if j == 0 && (i == 1 || i == 2) {
-				shape = i + 1 // every seed has a delta and a derive subscription
-			}
-			switch shape {
-			case 1:
-				sub.events = []string{events[rng.Intn(2)], events[2+rng.Intn(2)]}
-			case 2:
-				sub.delta = true
-				if rng.Intn(2) == 0 {
-					sub.events = events[1:3]
-				}
-			case 3:
-				sub.derive = true
-			}
-			req := wire.Request{Op: wire.OpSubscribe, Session: id, Events: sub.events, Delta: sub.delta}
-			if sub.derive {
-				req.Derive = []string{"ipc"}
-			}
-			// No one publishes meanwhile, so the reply is the only frame.
-			if _, err := c.cl.Do(req); err != nil {
-				t.Fatalf("client %d: %v", i, err)
-			}
-			c.subs[id] = sub
-		}
-		if c.role == "stalled" {
-			continue // never reads a byte
-		}
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for n := 0; ; n++ {
-				if c.role == "closer" && n == c.closeAfter {
-					c.cl.Close()
-					return
-				}
-				resp, err := c.cl.Next()
-				if err != nil || resp.Op == wire.OpBye {
-					return
-				}
-				if c.role == "healthy" {
-					c.got = append(c.got, resp)
-				}
-			}
-		}()
-	}
-
-	for step, n := 0, 150+rng.Intn(150); step < n; step++ {
-		publish(sessions[rng.Intn(len(sessions))])
-	}
-
-	// A BYE is queued behind every frame already fanned out to the
-	// connection, so a healthy reader that sees its reply has seen
-	// everything the queue did not drop.
-	// Closers that never got their fill hang up now.
-	for _, c := range clients {
-		switch c.role {
-		case "healthy":
-			if err := c.cl.enc.Encode(&wire.Request{Op: wire.OpBye}); err != nil {
-				t.Fatalf("BYE: %v", err)
-			}
-		case "closer":
-			c.cl.Close()
-		}
-	}
-	watchdog := time.AfterFunc(10*time.Second, shutdown)
-	readers.Wait()
-	if !watchdog.Stop() {
-		t.Error("a healthy reader never saw its BYE reply; the watchdog had to cut it loose")
-	}
-	shutdown()
-
-	// Ledger: per kind, sent − dropped == what the sockets took.
-	var snaps, deltas, derived, all uint64
-	for _, rc := range rec.conns {
-		for _, f := range rc.frames() {
-			all++
-			switch f.Op {
-			case wire.OpSnapshot:
-				snaps++
-			case wire.OpDelta:
-				deltas++
-			case wire.OpDerived:
-				derived++
-			}
-		}
-	}
-	t.Logf("%d clients, %d evictions, %d frames on sockets", nClients, stat(t, srv, "evictions"), all)
-	for _, k := range []struct {
-		kind    string
-		written uint64
-	}{{"snapshots", snaps}, {"deltas", deltas}, {"derived", derived}} {
-		sent, dropped := stat(t, srv, k.kind+"_sent"), stat(t, srv, k.kind+"_dropped")
-		if sent-dropped != k.written {
-			t.Errorf("%s: sent %d − dropped %d = %d, but %d reached the sockets",
-				k.kind, sent, dropped, sent-dropped, k.written)
-		}
-		if sent == 0 {
-			t.Errorf("%s: none sent; the schedule never exercised the kind", k.kind)
-		}
-	}
-	if sent := stat(t, srv, "frames_sent_json") + stat(t, srv, "frames_sent_binary"); sent != all {
-		t.Errorf("frames_sent %d, but %d whole frames reached the sockets", sent, all)
-	}
-	checkIdentities(t, srv, driven{publishes: published})
-
-	// Truth: every frame a healthy client received is the published row
-	// of its seq, projected through the client's own filter, in order.
-	for i, c := range clients {
-		if c.role != "healthy" {
-			continue
-		}
-		var tracker wire.DeltaTracker
-		lastSeq := make(map[uint64]uint64)
-		for _, f := range c.got {
-			if f.Op == wire.OpDerived {
-				continue
-			}
-			sub, ok := c.subs[f.Session]
-			if !ok {
-				t.Fatalf("client %d: %s for session %d it never subscribed to", i, f.Op, f.Session)
-			}
-			if f.Op == wire.OpDelta && !sub.delta {
-				t.Fatalf("client %d session %d: DELTA on a non-delta subscription", i, f.Session)
-			}
-			row, err := tracker.Apply(f)
-			if errors.Is(err, wire.ErrDeltaGap) || errors.Is(err, wire.ErrNoKeyframe) {
-				continue // its keyframe was dropped; the re-key follows
-			}
-			if err != nil {
-				t.Fatalf("client %d session %d seq %d: %v", i, f.Session, f.Seq, err)
-			}
-			if row.Seq <= lastSeq[f.Session] {
-				t.Fatalf("client %d session %d: seq %d after %d", i, f.Session, row.Seq, lastSeq[f.Session])
-			}
-			lastSeq[f.Session] = row.Seq
-			want, ok := truth[f.Session][row.Seq]
-			if !ok {
-				t.Fatalf("client %d session %d: seq %d was never published", i, f.Session, row.Seq)
-			}
-			var wantEvents []string
-			var wantVals []int64
-			for j, ev := range events {
-				if sub.events == nil || slices.Contains(sub.events, ev) {
-					wantEvents, wantVals = append(wantEvents, ev), append(wantVals, want[j])
-				}
-			}
-			if !slices.Equal(row.Events, wantEvents) || !slices.Equal(row.Values, wantVals) {
-				t.Fatalf("client %d session %d seq %d (%s): got %v=%v, truth %v=%v",
-					i, f.Session, row.Seq, f.Op, row.Events, row.Values, wantEvents, wantVals)
-			}
-		}
-		if len(c.subs) > 0 && len(lastSeq) == 0 {
-			t.Errorf("client %d: healthy, subscribed, and received nothing", i)
-		}
 	}
 }
 

@@ -1,10 +1,9 @@
-// Tests for the parallel tick pipeline (tick.go, DESIGN.md S31): the
-// per-session ordering invariants the sharded sweep must preserve at
-// every worker count, the serial-equivalence guarantee of width 1, and
-// the durability of served tick rows. Run under -race by
-// tools/ci.sh — most of what these tests certify is the absence of
-// cross-worker interference, which only the race detector and the
-// byte-level stream comparisons can see.
+// Tests for the parallel tick pipeline (tick.go, DESIGN.md S31): a
+// delta view's re-key under the wide sweep, the durability of served
+// tick rows, the sweep's hand-off to the writers, skipped ticks and the
+// sweep's width. The per-session ordering the sharded sweep must keep,
+// and width 1 equalling width 8 byte for byte, are checked on every
+// seed of TestLedgerBalances (ledger_test.go).
 package server
 
 import (
@@ -23,113 +22,6 @@ import (
 	"repro/internal/tsdb"
 	"repro/internal/wire"
 )
-
-// parallelHarness builds a hand-ticked server with nSessions counting
-// sessions, one subscribed testConn each (queue depth queueCap,
-// caller-drained), spread across registry shards.
-type parallelHarness struct {
-	srv   *Server
-	ids   []uint64
-	conns []*conn
-}
-
-func newParallelHarness(t *testing.T, cfg Config, nSessions, queueCap int) *parallelHarness {
-	t.Helper()
-	h := &parallelHarness{srv: New(cfg)}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		h.srv.Shutdown(ctx)
-	})
-	for i := 0; i < nSessions; i++ {
-		created := h.srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
-			Events: []string{"PAPI_TOT_INS", "PAPI_TOT_CYC"}, Workload: "dot", N: 8})
-		if !created.OK {
-			t.Fatal(created.Error)
-		}
-		sess, ok := h.srv.reg.get(created.Session)
-		if !ok {
-			t.Fatal("session not registered")
-		}
-		c := testConn(h.srv, queueCap)
-		c.follow(t, sess, nil, false)
-		if resp := h.srv.dispatch(nil, &wire.Request{Op: wire.OpStart,
-			Session: created.Session}); !resp.OK {
-			t.Fatal(resp.Error)
-		}
-		h.ids = append(h.ids, created.Session)
-		h.conns = append(h.conns, c)
-	}
-	return h
-}
-
-// TestParallelTickSeqMonotonic: with the sweep at full width, every
-// subscriber still sees its session's snapshots in strictly increasing,
-// gapless Seq order — the per-session ordering invariant the shard
-// partitioning exists to preserve. Queues are deep enough that nothing
-// drops, so any gap or reorder is a sweep bug, not backpressure.
-func TestParallelTickSeqMonotonic(t *testing.T) {
-	const nSessions, nTicks = 32, 10
-	h := newParallelHarness(t, Config{TickInterval: time.Hour, tickWorkers: 8},
-		nSessions, nTicks+2)
-	for i := 0; i < nTicks; i++ {
-		h.srv.tick()
-	}
-	for i, c := range h.conns {
-		frames := c.popResponses(t)
-		if len(frames) != nTicks {
-			t.Fatalf("session %d: %d frames, want %d", h.ids[i], len(frames), nTicks)
-		}
-		for j, f := range frames {
-			if f.Session != h.ids[i] {
-				t.Fatalf("session %d received session %d's frame", h.ids[i], f.Session)
-			}
-			if want := uint64(j + 1); f.Seq != want {
-				t.Fatalf("session %d frame %d: seq %d, want %d (gapless, in order)",
-					h.ids[i], j, f.Seq, want)
-			}
-		}
-	}
-	if sent, dropped := stat(t, h.srv, "snapshots_sent"), stat(t, h.srv, "snapshots_dropped"); dropped != 0 ||
-		sent != uint64(nSessions*nTicks) {
-		t.Fatalf("sent=%d dropped=%d, want %d/0", sent, dropped, nSessions*nTicks)
-	}
-}
-
-// TestParallelSerialEquivalence: a tickWorkers=1 server and a
-// tickWorkers=8 server fed identical inputs produce byte-identical
-// per-subscriber frame streams. Width 1 is the same sweep with no
-// helpers — every shard in order on the tick goroutine; this pins that
-// higher widths change scheduling only, never any session's stream
-// content or order.
-func TestParallelSerialEquivalence(t *testing.T) {
-	const nSessions, nTicks = 16, 6
-	run := func(workers int) map[uint64][]string {
-		h := newParallelHarness(t, Config{TickInterval: time.Hour, tickWorkers: workers},
-			nSessions, nTicks+2)
-		for i := 0; i < nTicks; i++ {
-			h.srv.tick()
-		}
-		streams := make(map[uint64][]string, nSessions)
-		for i, c := range h.conns {
-			streams[h.ids[i]] = c.popAll()
-		}
-		return streams
-	}
-	serial, parallel := run(1), run(8)
-	for id, want := range serial {
-		got := parallel[id]
-		if len(got) != len(want) {
-			t.Fatalf("session %d: %d frames parallel vs %d serial", id, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("session %d frame %d diverged:\nserial:   %s\nparallel: %s",
-					id, i, want[i], got[i])
-			}
-		}
-	}
-}
 
 // TestParallelDeltaRekeyAfterDrop: a delta subscriber that drops frames
 // under the parallel sweep is re-anchored — the first frame it receives
@@ -178,62 +70,6 @@ func TestParallelDeltaRekeyAfterDrop(t *testing.T) {
 	}
 	if after[0].Op != wire.OpSnapshot {
 		t.Fatalf("first frame after drop is %s, want a keyframe SNAPSHOT", after[0].Op)
-	}
-}
-
-// TestParallelDerivedFollowsSnapshot: under the parallel sweep, every
-// DERIVED frame a subscriber receives carries the Seq of the SNAPSHOT
-// frame immediately before it in its queue — evaluation and both
-// fan-outs of one session-tick stay a single unit on one worker.
-func TestParallelDerivedFollowsSnapshot(t *testing.T) {
-	srv := New(Config{TickInterval: time.Hour, tickWorkers: 8, Groups: []string{"ipc"}})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
-	const nSessions, nTicks = 8, 6
-	var conns []*conn
-	for i := 0; i < nSessions; i++ {
-		created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
-			Events: []string{"PAPI_TOT_INS", "PAPI_TOT_CYC"}, Workload: "dot", N: 8})
-		if !created.OK {
-			t.Fatal(created.Error)
-		}
-		sess, _ := srv.reg.get(created.Session)
-		c := testConn(srv, 4*nTicks)
-		c.follow(t, sess, nil, false)
-		if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpStart,
-			Session: created.Session}); !resp.OK {
-			t.Fatal(resp.Error)
-		}
-		conns = append(conns, c)
-	}
-	for i := 0; i < nTicks; i++ {
-		srv.tick()
-	}
-	derived := 0
-	for _, c := range conns {
-		frames := c.popResponses(t)
-		var lastSnap uint64
-		for _, f := range frames {
-			switch f.Op {
-			case wire.OpSnapshot:
-				lastSnap = f.Seq
-			case wire.OpDerived:
-				derived++
-				if f.Seq != lastSnap {
-					t.Fatalf("DERIVED seq %d after SNAPSHOT seq %d; must match", f.Seq, lastSnap)
-				}
-			default:
-				t.Fatalf("unexpected op %s", f.Op)
-			}
-		}
-	}
-	// The first tick only primes deltas, so nTicks-1 evaluations per
-	// session reach the subscriber.
-	if want := nSessions * (nTicks - 1); derived != want {
-		t.Fatalf("%d DERIVED frames, want %d", derived, want)
 	}
 }
 

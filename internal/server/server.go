@@ -536,17 +536,17 @@ func (s *Server) tickLoop(t *clock.Ticker) {
 }
 
 func (s *Server) tick() {
-	start := s.cfg.clock.Now()
-	defer func() { s.m.tickDur.Observe(int64(s.cfg.clock.Now().Sub(start))) }()
+	// One Now read, for the rows' timestamp; durations are Mono's.
+	now, mono := s.cfg.clock.Now().UnixMicro(), s.cfg.clock.Mono()
+	defer func() { s.m.tickDur.Observe(int64(s.cfg.clock.Mono() - mono)) }()
 	// Every tick is a traced unit while the recorder is on: shard,
 	// advance and history spans, kept when the tick was slow or errored
 	// (WAL write failure, derive alert). Per-row stages are on the
 	// papid_stage_seconds histograms instead. t is nil with tracing off
 	// — every span call no-ops.
 	t := s.trc.Start("tick", "tick")
-	now := start.UnixMicro()
 	s.countSkipped(now)
-	s.sweep(start, t)
+	s.sweep(now, mono, t)
 	if s.hist != nil {
 		// Age out history of idle and closed sessions too — appends
 		// only sweep the series they touch.

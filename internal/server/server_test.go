@@ -283,49 +283,6 @@ func TestStress64ConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestSubscribeFanout(t *testing.T) {
-	_, addr := startServer(t, Config{TickInterval: time.Millisecond})
-	ctl := dialT(t, addr)
-	created, err := ctl.Do(wire.Request{Op: wire.OpCreate,
-		Events: []string{"PAPI_TOT_CYC"}, Workload: "dot", N: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := created.Session
-
-	// Two independent subscriber connections attached before START.
-	subs := []*Client{dialT(t, addr), dialT(t, addr)}
-	for _, sc := range subs {
-		if _, err := sc.Do(wire.Request{Op: wire.OpSubscribe, Session: id}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ctl.Do(wire.Request{Op: wire.OpStart, Session: id}); err != nil {
-		t.Fatal(err)
-	}
-
-	for si, sc := range subs {
-		var lastSeq uint64
-		var lastVal int64
-		for n := 0; n < 3; n++ {
-			resp, err := sc.Next()
-			if err != nil {
-				t.Fatalf("subscriber %d: %v", si, err)
-			}
-			if resp.Op != wire.OpSnapshot {
-				t.Fatalf("subscriber %d: op %q", si, resp.Op)
-			}
-			if resp.Seq <= lastSeq {
-				t.Errorf("subscriber %d: seq %d after %d", si, resp.Seq, lastSeq)
-			}
-			if len(resp.Values) != 1 || resp.Values[0] < lastVal {
-				t.Errorf("subscriber %d: values %v not monotonic (last %d)", si, resp.Values, lastVal)
-			}
-			lastSeq, lastVal = resp.Seq, resp.Values[0]
-		}
-	}
-}
-
 // TestDropOldestPolicy verifies the bounded-queue policy of the
 // connection write queue, the only queue a subscriber frame crosses: a
 // push into a full queue evicts the oldest droppable frame and keeps
@@ -577,56 +534,10 @@ func TestConnGoroutinesIndependentOfSubscriptions(t *testing.T) {
 	}
 }
 
-// TestPublish exercises the papirun -serve path: an external process
-// posts a finished snapshot into a publish-only session and papid fans
-// it out.
-func TestPublish(t *testing.T) {
-	_, addr := startServer(t, Config{TickInterval: time.Millisecond})
-	pub := dialT(t, addr)
-	created, err := pub.Do(wire.Request{Op: wire.OpCreate, Workload: "none"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := created.Session
-
-	watcher := dialT(t, addr)
-	if _, err := watcher.Do(wire.Request{Op: wire.OpSubscribe, Session: id}); err != nil {
-		t.Fatal(err)
-	}
-
-	names := []string{"PAPI_FP_OPS", "PAPI_TOT_CYC"}
-	vals := []int64{12345, 67890}
-	if _, err := pub.Do(wire.Request{Op: wire.OpPublish, Session: id, Events: names, Values: vals}); err != nil {
-		t.Fatal(err)
-	}
-
-	snap, err := watcher.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Op != wire.OpSnapshot || snap.Source != "published" {
-		t.Fatalf("snapshot op %q source %q", snap.Op, snap.Source)
-	}
-	if len(snap.Values) != 2 || snap.Values[0] != 12345 {
-		t.Errorf("published values %v, want %v", snap.Values, vals)
-	}
-
-	read, err := pub.Do(wire.Request{Op: wire.OpRead, Session: id})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if read.Values[1] != 67890 {
-		t.Errorf("READ after publish: %v", read.Values)
-	}
-	// Publishing a mismatched value count is rejected.
-	if _, err := pub.Do(wire.Request{Op: wire.OpPublish, Session: id, Values: []int64{1}}); err == nil {
-		t.Error("mismatched publish accepted")
-	}
-}
-
 // TestPublishRejectionLeavesSessionIntact: a rejected PUBLISH must not
-// rename the session's events, and a counting session's events cannot
-// be renamed at all.
+// rename the session's events, a counting session's events cannot be
+// renamed at all, and a value count that matches no event list is
+// refused.
 func TestPublishRejectionLeavesSessionIntact(t *testing.T) {
 	_, addr := startServer(t, Config{TickInterval: time.Hour})
 	cl := dialT(t, addr)
@@ -667,6 +578,16 @@ func TestPublishRejectionLeavesSessionIntact(t *testing.T) {
 	}
 	if len(read.Values) != 1 || read.Values[0] != 42 {
 		t.Errorf("READ after value-only publish: %v", read.Values)
+	}
+	// A value-only publish of the wrong count is refused, and the last
+	// row stands.
+	if _, err := cl.Do(wire.Request{Op: wire.OpPublish, Session: id,
+		Values: []int64{1, 2}}); err == nil {
+		t.Error("mismatched value-only publish accepted")
+	}
+	if read, err := cl.Do(wire.Request{Op: wire.OpRead, Session: id}); err != nil ||
+		read.Seq != 1 || !slices.Equal(read.Values, []int64{42}) {
+		t.Errorf("READ after a refused publish: %+v (%v), want seq 1 [42]", read, err)
 	}
 }
 

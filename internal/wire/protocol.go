@@ -169,9 +169,9 @@ type Response struct {
 	Source   string            `json:"source,omitempty"` // snapshot origin: "live" or "published"
 	Stats    map[string]uint64 `json:"stats,omitempty"`
 	// Hists carries the server's latency-histogram summaries in a
-	// STATS reply, keyed compactly: "op/<OP>/<codec>" for per-op
-	// wire latency, "tick" for fan-out tick duration, "tsdb/append"
-	// and "tsdb/query" for the history store. Values are nanoseconds.
+	// STATS reply, one per histogram family, keyed by the STATS key
+	// README's family table (*Observing papid*) gives it. Values are
+	// nanoseconds.
 	Hists map[string]telemetry.Summary `json:"hists,omitempty"`
 	// Series carries a QUERY reply: one entry per event, each holding
 	// the downsampled min/max/sum/count/last buckets for the range.

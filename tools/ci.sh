@@ -89,14 +89,15 @@ go test -race -count=20 -run '^TestQuerySeesWholeRows$' ./internal/tsdb
 # must write no block twice. A segment file truncated under a running
 # log must cost no served sample and no crash.
 go test -race -count=20 -run '^(TestRowInSweepDropWindowSurvivesCrash|TestSweepRacingAppendsKeepsAckedRows|TestPersistPassRacesSweepsAndCompactions|TestTruncatedSegmentKeepsServing)$' ./internal/tsdb/wal
-# The session's one lock, the same way: several publishers to one
-# session must reach every subscriber, the derive engine and history in
-# seq order, a torn-down connection must be pushed nothing more, and a
-# new subscription must open between two rows. The tick's delivery and
-# advance passes commute per session, so the rows they make must equal
-# a direct Run → Read sequence at any sweep width, and a restarted
-# session must run its first chunk again.
-go test -race -count=20 -run '^(TestConcurrentPublishersKeepOrder|TestViewMembershipChurn|TestStreamOpensBetweenRows|TestAdvanceAheadKeepsRows|TestRestartRunsFirstChunk)$' ./internal/server
+# The session's one lock, the same way: the seeded model test's publishers
+# race on one session, and every subscriber, the derive engine and
+# history must see its rows in seq order (its -short seeds,
+# each at sweep width 1 and 8); a torn-down connection must be pushed
+# nothing more, and a new subscription must open between two rows. The
+# tick's delivery and advance passes commute per session, so the rows
+# they make must equal a direct Run → Read sequence at any sweep width,
+# and a restarted session must run its first chunk again.
+go test -short -race -count=20 -run '^(TestLedgerBalances|TestViewMembershipChurn|TestStreamOpensBetweenRows|TestAdvanceAheadKeepsRows|TestRestartRunsFirstChunk)$' ./internal/server
 # Server benches once with -benchmem: the encode-once fan-out's
 # allocation profile is a correctness property here — this catches a
 # reintroduced per-subscriber serialization as an allocs/op jump even
