@@ -289,10 +289,12 @@ func BenchmarkSimulatedExecution(b *testing.B) {
 
 // BenchmarkSimulatedReplay prices the other way a program reaches the
 // core: dot n=8 fits one batch, so after the first run Reset+Run lends
-// the same 320 instructions again, ungenerated (SimulatedExecution's
-// triad is longer than a batch and regenerates every run). It is a live
-// papid session's tick without the server: aix-power3, four events
-// counting, 0 B/op.
+// the same 320 instructions again, ungenerated and frozen
+// (SimulatedExecution's triad is longer than a batch and regenerates
+// every run). The core's memo holds that very slice, so every run here
+// replays it by identity: no probe and no compare, only the memoized
+// counts added. It is a live papid session's tick without the server:
+// aix-power3, four events counting, 0 B/op.
 func BenchmarkSimulatedReplay(b *testing.B) {
 	sys := papi.MustInit(papi.Options{Platform: papi.PlatformAIXPower3})
 	th := sys.Main()
@@ -320,9 +322,10 @@ func BenchmarkSimulatedReplay(b *testing.B) {
 
 // BenchmarkSimulatedCounting is SimulatedExecution's triad with
 // SimulatedReplay's event set counting on aix-power3: every slice takes
-// the quiet path, and its L1D misses keep the core from a fixed point,
-// so no slice replays. It prices what keeping the memo costs a slice
-// that never uses it.
+// the quiet path, and no slice replays: the triad regenerates its
+// queue, so it never lends a frozen slice, and its L1D misses keep the
+// core from a fixed point anyway. It prices the quiet loop with no memo
+// to keep.
 func BenchmarkSimulatedCounting(b *testing.B) {
 	sys := papi.MustInit(papi.Options{Platform: papi.PlatformAIXPower3})
 	th := sys.Main()

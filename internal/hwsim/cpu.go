@@ -1,7 +1,6 @@
 package hwsim
 
 import (
-	"bytes"
 	"fmt"
 	"math/bits"
 	"unsafe"
@@ -15,6 +14,13 @@ import (
 // it interrupted, but must not advance the one being retired.
 // Implementations generate at most a batch at a time, so arbitrarily
 // long programs run in constant memory.
+//
+// A stream may promise more with a method Frozen() bool: true, asked
+// right after a Next, says the slice that Next lent is frozen — no one
+// writes its instructions again. The core may then keep the slice past
+// the stream's next Next, and take a later frozen slice with the same
+// backing array and length for the same instructions (see quietSlice).
+// A stream that rewrites its buffer must never report it frozen.
 type Stream interface {
 	Next() []Instr
 }
@@ -65,11 +71,11 @@ type CPU struct {
 	batch bool
 	base  [NumSignals]uint64
 
-	// memo is the last quiet slice, kept while it left the core at a
-	// fixed point (see quietSlice).
+	// memo is the last quiet slice, kept while it was frozen and left
+	// the core at a fixed point (see quietSlice); instrs is nil when
+	// there is none.
 	memo struct {
-		armed  bool
-		instrs []Instr            // a copy: the lent slice is the stream's
+		instrs []Instr            // the frozen slice itself
 		delta  [NumSignals]uint64 // truth it raised, SigCycles excluded
 		cycles uint64
 	}
@@ -201,7 +207,7 @@ func (c *CPU) ResetMemorySystem() {
 	c.l2.reset()
 	c.dtlb.reset()
 	c.bp.reset()
-	c.memo.armed = false
+	c.memo.instrs = nil
 }
 
 // Charge consumes library-overhead work on this core: the given number
@@ -276,8 +282,9 @@ func (c *CPU) advanceMode(n uint64, mode Domain) uint32 {
 // nothing of its own and a handler may Run another stream on the core
 // it interrupted (see Stream).
 func (c *CPU) Run(s Stream) {
+	f, _ := s.(interface{ Frozen() bool }) // see Stream
 	for b := s.Next(); len(b) > 0; b = s.Next() {
-		c.ExecSlice(b)
+		c.execSlice(b, f != nil && f.Frozen())
 	}
 }
 
@@ -289,18 +296,21 @@ func (c *CPU) Run(s Stream) {
 // observe the core before the slice ends, so the slice retires quietly
 // (see quietSlice). The counts are exactly those of retiring one
 // instruction at a time.
-func (c *CPU) ExecSlice(instrs []Instr) {
+func (c *CPU) ExecSlice(instrs []Instr) { c.execSlice(instrs, false) }
+
+// execSlice is ExecSlice for a slice that may be frozen (see Stream).
+func (c *CPU) execSlice(instrs []Instr, frozen bool) {
 	c.openBatch()
 	if c.batch && (c.timerFn == nil || c.timerInterval == 0) {
-		c.quietSlice(instrs)
+		c.quietSlice(instrs, frozen)
 	} else {
 		// A handler may Run another stream inside this slice, and the
 		// slice moves the memory system under any memo it would keep.
-		c.memo.armed = false
+		c.memo.instrs = nil
 		for i := range instrs {
 			c.exec(&instrs[i], false)
 		}
-		c.memo.armed = false
+		c.memo.instrs = nil
 	}
 	c.closeBatch()
 }
@@ -311,13 +321,15 @@ func (c *CPU) ExecSlice(instrs []Instr) {
 // predictor where it was (branchPredictor.endLog). The core is then at
 // a fixed point: the same instructions again would hit and predict
 // exactly as they did, and would leave every set's LRU order where it
-// is. Such a slice is kept as the memo, and an equal slice next is
-// replayed from it — its truth delta, retirements and cycles — without
-// probing anything. ResetMemorySystem and every per-instruction slice
-// drop the memo.
-func (c *CPU) quietSlice(instrs []Instr) {
+// is. A frozen such slice is kept as the memo, and the same frozen
+// slice next — the same backing array and length, so the same
+// instructions — is replayed from it: its truth delta, retirements and
+// cycles, without probing or comparing anything. Keeping the slice also
+// keeps its array alive, so no other slice can come to lie there.
+// ResetMemorySystem and every per-instruction slice drop the memo.
+func (c *CPU) quietSlice(instrs []Instr, frozen bool) {
 	m := &c.memo
-	if m.armed && bytes.Equal(instrBytes(instrs), instrBytes(m.instrs)) {
+	if frozen && len(instrs) == len(m.instrs) && unsafe.SliceData(instrs) == unsafe.SliceData(m.instrs) {
 		for s, d := range m.delta {
 			c.truth[s] += d
 		}
@@ -325,31 +337,25 @@ func (c *CPU) quietSlice(instrs []Instr) {
 		c.advance(m.cycles)
 		return
 	}
-	c.bp.startLog()
+	if frozen {
+		c.bp.startLog()
+	}
 	var cycles uint64
 	for i := range instrs {
 		cycles += uint64(c.exec(&instrs[i], true))
 	}
 	c.retired += uint64(len(instrs))
 	t, b := &c.truth, &c.base // base is truth as the slice found it
-	m.armed = c.bp.endLog() && t[SigL1IMiss] == b[SigL1IMiss] &&
-		t[SigL1DMiss] == b[SigL1DMiss] && t[SigTLBDMiss] == b[SigTLBDMiss]
-	if m.armed {
-		m.instrs = append(m.instrs[:0], instrs...)
+	m.instrs = nil
+	if frozen && c.bp.endLog() && t[SigL1IMiss] == b[SigL1IMiss] &&
+		t[SigL1DMiss] == b[SigL1DMiss] && t[SigTLBDMiss] == b[SigTLBDMiss] {
+		m.instrs = instrs
 		for s := range m.delta {
 			m.delta[s] = t[s] - b[s]
 		}
 		m.cycles = cycles
 	}
 	c.advance(cycles)
-}
-
-// instrBytes is the memory instrs occupy, so that quietSlice compares a
-// slice with the memo's copy in one memequal instead of field by field.
-// Equal bytes are equal instructions; equal instructions whose padding
-// bytes differ are merely not replayed.
-func instrBytes(instrs []Instr) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(instrs))), len(instrs)*int(unsafe.Sizeof(Instr{})))
 }
 
 // openBatch defers register updates when the PMU is counting and

@@ -2,6 +2,7 @@ package hwsim_test
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"flag"
@@ -463,6 +464,7 @@ func (o *slicedStream) Next() []hwsim.Instr {
 // counting, no timer — is simulated on its first run (cold misses) and
 // its second (the predictor settles), and from the third on it is
 // replayed, probing nothing, with the counts each run retired before.
+// A shorter frozen slice of the same array is not replayed.
 func TestReplayEngages(t *testing.T) {
 	a, _ := hwsim.ArchByPlatform(hwsim.PlatformAIXPower3)
 	c := hwsim.MustNewCPU(a, 1)
@@ -494,6 +496,15 @@ func TestReplayEngages(t *testing.T) {
 	if got, want := last[hwsim.SigInstrs], p.Expected().Instrs; got != want {
 		t.Errorf("a replayed run retired %d instructions, want %d", got, want)
 	}
+	// A prefix of the memoized queue lies in the same array but is not
+	// the same slice: it is simulated.
+	p.Reset()
+	q := p.Next()
+	instrs := c.Truth(hwsim.SigInstrs)
+	c.Run(&frozenSlices{rest: q[:len(q)-8], n: len(q)})
+	if got, want := c.Truth(hwsim.SigInstrs)-instrs, uint64(len(q)-8); got != want {
+		t.Errorf("a frozen prefix of the memoized slice retired %d instructions, want %d", got, want)
+	}
 }
 
 // truthOf reads every truth total.
@@ -504,12 +515,36 @@ func truthOf(c *hwsim.CPU) (t [hwsim.NumSignals]uint64) {
 	return t
 }
 
-// TestReplayComparesContents lends one buffer on every slice and
-// rewrites it in place between the third and fourth: every access still
-// hits and every branch is predicted as before, but the instructions
-// are other ones, so a core that matched its memo by where a slice lies
-// rather than what it holds would replay the old counts.
-func TestReplayComparesContents(t *testing.T) {
+// frozen reports whether s promises that the slice its last Next lent
+// is frozen (see hwsim.Stream).
+func frozen(s hwsim.Stream) bool {
+	f, ok := s.(interface{ Frozen() bool })
+	return ok && f.Frozen()
+}
+
+// TestRewrittenSliceIsNeverFrozen holds streams to the half of the
+// lending contract the memo trusts: a stream whose slice is written
+// again never reports it frozen. A streaming workload (triad n=4096)
+// regenerates every batch into one queue. A SliceStream lends its
+// caller's buffer, which here is rewritten in place between the third
+// and fourth runs: every access still hits and every branch is
+// predicted as before, but the instructions are other ones, so a core
+// that took the buffer for frozen would replay the old counts. The
+// buffer runs on a folded core and on one held per instruction, which
+// must agree, and neither replays.
+func TestRewrittenSliceIsNeverFrozen(t *testing.T) {
+	p, err := workload.ByName("triad", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		p.Reset()
+		for b := p.Next(); len(b) > 0; b = p.Next() {
+			if frozen(p) {
+				t.Fatalf("run %d: %s reports a batch it regenerates frozen", run, p.Name())
+			}
+		}
+	}
 	buf := make([]hwsim.Instr, 96)
 	fill := func(op hwsim.Op) {
 		for i := range buf {
@@ -521,7 +556,6 @@ func TestReplayComparesContents(t *testing.T) {
 	}
 	for _, a := range hwsim.Architectures() {
 		var obs [2][]string
-		var replayed [2]int
 		for i, watch := range []bool{false, true} {
 			c := hwsim.MustNewCPU(a, 1)
 			regs := programAll(t, c)
@@ -531,26 +565,23 @@ func TestReplayComparesContents(t *testing.T) {
 				}
 			}
 			c.PMU().Start()
-			for slice := 0; slice < 6; slice++ {
-				if slice%3 == 0 {
-					fill([]hwsim.Op{hwsim.OpInt, hwsim.OpFPAdd}[slice/3])
+			for run := 0; run < 6; run++ {
+				if run%3 == 0 {
+					fill([]hwsim.Op{hwsim.OpInt, hwsim.OpFPAdd}[run/3])
 				}
+				s := &hwsim.SliceStream{Instrs: buf}
 				probes := hwsim.FetchProbes(c)
-				c.ExecSlice(buf)
-				if hwsim.FetchProbes(c) == probes {
-					replayed[i]++
+				c.Run(s)
+				if frozen(s) || hwsim.FetchProbes(c) == probes {
+					t.Fatalf("%s, watch %v, run %d: a SliceStream's buffer was taken for frozen", a.Platform, watch, run)
 				}
 				obs[i] = append(obs[i], fmt.Sprintf("truth %v, cycles %d", truthOf(c), c.Cycles()))
 			}
 		}
 		for i := range obs[0] {
 			if obs[0][i] != obs[1][i] {
-				t.Fatalf("%s, slice %d: folded %s, per instruction %s", a.Platform, i, obs[0][i], obs[1][i])
+				t.Fatalf("%s, run %d: folded %s, per instruction %s", a.Platform, i, obs[0][i], obs[1][i])
 			}
-		}
-		// Folded: slices 0 and 3 miss or are new, 1 and 4 arm the memo.
-		if replayed != [2]int{3, 0} {
-			t.Fatalf("%s: %d slices replayed folded, %d per instruction; want 3 and 0", a.Platform, replayed[0], replayed[1])
 		}
 	}
 }
@@ -560,22 +591,17 @@ func TestReplayComparesContents(t *testing.T) {
 // per instruction — with no timer, and interference, the slice length
 // and a repeat count (1 to 6) chosen by the input. The program runs that
 // many times in the all domain and again in the user domain on the
-// caches the first left warm; a program that fits one slice and reaches
-// a fixed point is replayed. Truth, registers and clocks must agree
-// after every run. Both loops share one retirement body, so the fuzzer
-// also holds that body to the cost model: every cycle is an
-// instruction's base latency or a stall cycle, and every retired
-// instruction raised SigInstrs.
+// caches the first left warm. It is lent frozen, as a whole workload
+// program is, so a program that fits one slice and reaches a fixed
+// point is replayed; the seed replayingLoop must be. Truth, registers
+// and clocks must agree after every run. Both loops share one
+// retirement body, so the fuzzer also holds that body to the cost
+// model: every cycle is an instruction's base latency or a stall cycle,
+// and every retired instruction raised SigInstrs.
 func FuzzFoldEqualsPerInstruction(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 5, 2, 0x10, 3, 0x41, 9, 0x80, 0xff, 0, 1, 3, 4, 5, 6, 7})
 	f.Add([]byte{3, 0, 1, 200, 2, 0, 0xff, 0xff, 3, 1, 0x7f, 0x10, 0x20, 9, 9, 0xc0, 0, 1})
-	// One slice, run six times: a loop of int ops, loads and a taken
-	// branch, which replays once warm.
-	f.Add([]byte{1, 0xfe, 5,
-		byte(hwsim.OpInt), 0, 0, 0, 0,
-		byte(hwsim.OpLoad), 0, 1, 0, 1,
-		byte(hwsim.OpStore), 0, 2, 0, 2,
-		0x80 | byte(hwsim.OpBranch), 0, 3, 0, 0})
+	f.Add(replayingLoop)
 	seed := exactRNG(7)
 	big := make([]byte, 3+5*120)
 	for i := range big {
@@ -587,6 +613,7 @@ func FuzzFoldEqualsPerInstruction(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
+		input := data
 		a, flags, reps, data := archs[int(data[0])%len(archs)], data[1], 1+int(data[2])%6, data[3:]
 		instrs := make([]hwsim.Instr, 0, len(data)/5)
 		for ; len(data) >= 5; data = data[5:] {
@@ -623,14 +650,14 @@ func FuzzFoldEqualsPerInstruction(f *testing.F) {
 			var obs []string
 			vals := make([]uint64, a.NumCounters)
 			c.PMU().Start()
-			runs := uint64(0)
+			runs, replayed := uint64(0), 0
 			for _, d := range []hwsim.Domain{hwsim.DomainAll, hwsim.DomainUser} {
 				c.PMU().SetDomain(d)
 				for range reps {
-					for b := instrs; len(b) > 0; {
-						n := min(len(b), slice)
-						c.ExecSlice(b[:n])
-						b = b[n:]
+					probes := hwsim.FetchProbes(c)
+					c.Run(&frozenSlices{rest: instrs, n: slice})
+					if len(instrs) > 0 && hwsim.FetchProbes(c) == probes {
+						replayed++
 					}
 					runs++
 					if got, want := c.Cycles(), runs*base+c.Truth(hwsim.SigStallCycles); got != want {
@@ -644,6 +671,9 @@ func FuzzFoldEqualsPerInstruction(f *testing.F) {
 						d, runs, truthOf(c), vals, c.Cycles(), c.RealCycles(), c.Retired()))
 				}
 			}
+			if !watch && replayed == 0 && bytes.Equal(input, replayingLoop) {
+				t.Fatalf("%s: the replaying loop ran %d times and never replayed", a.Platform, runs)
+			}
 			return obs
 		}
 		folded, each := run(false), run(true)
@@ -656,27 +686,67 @@ func FuzzFoldEqualsPerInstruction(f *testing.F) {
 	})
 }
 
+// replayingLoop is a FuzzFoldEqualsPerInstruction seed: one slice, run
+// six times, of int ops, loads and a taken branch, which replays once
+// warm.
+var replayingLoop = []byte{1, 0xfe, 5,
+	byte(hwsim.OpInt), 0, 0, 0, 0,
+	byte(hwsim.OpLoad), 0, 1, 0, 1,
+	byte(hwsim.OpStore), 0, 2, 0, 2,
+	0x80 | byte(hwsim.OpBranch), 0, 3, 0, 0}
+
+// frozenSlices lends rest in slices of n and reports each frozen: the
+// fuzzer builds its program once and never writes it again.
+type frozenSlices struct {
+	rest []hwsim.Instr
+	n    int
+}
+
+func (s *frozenSlices) Next() []hwsim.Instr {
+	b := s.rest[:min(len(s.rest), s.n)]
+	s.rest = s.rest[len(b):]
+	return b
+}
+
+func (s *frozenSlices) Frozen() bool { return true }
+
 // TestRunDoesNotAllocate pins who owns instruction memory: the core
-// owns none, and a program owns one queue made by its first run. After
-// that a reset workload on a counting core costs no heap at all —
-// whether the program fit one batch and replays it (dot n=8) or
-// regenerates batch by batch into the same queue (triad n=4096).
+// owns none, and a program owns one queue made by its first run. Every
+// later Reset+Run on a counting core costs no heap at all — whether the
+// program fit one batch (dot n=8: a core's second run arms the memo
+// with the queue itself, and the ones after replay it) or regenerates
+// batch by batch into the same queue (triad n=4096). The second run is
+// counted on cores of its own, since testing.AllocsPerRun's warm-up
+// call would otherwise be the only one to arm the memo.
 func TestRunDoesNotAllocate(t *testing.T) {
 	a, _ := hwsim.ArchByPlatform(hwsim.PlatformAIXPower3)
 	for _, tc := range []struct {
 		name string
 		n    int
 	}{{"dot", 8}, {"triad", 4096}} {
-		c := hwsim.MustNewCPU(a, 1)
-		programAll(t, c)
-		c.PMU().Start()
 		p, err := workload.ByName(tc.name, tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Run(p) // the program's queue is made here
+		cores := make([]*hwsim.CPU, 6) // AllocsPerRun's warm-up and five runs
+		for i := range cores {
+			cores[i] = hwsim.MustNewCPU(a, 1)
+			programAll(t, cores[i])
+			cores[i].PMU().Start()
+			p.Reset()
+			cores[i].Run(p) // the first makes the program's queue
+		}
+		next := 0
+		if n := testing.AllocsPerRun(5, func() { p.Reset(); cores[next].Run(p); next++ }); n != 0 {
+			t.Errorf("%s: a core's second Reset+Run allocates %v times per call, want 0", p.Name(), n)
+		}
+		c := cores[0]
+		probes := hwsim.FetchProbes(c)
 		if n := testing.AllocsPerRun(5, func() { p.Reset(); c.Run(p) }); n != 0 {
 			t.Errorf("%s: Reset+Run allocates %v times per call, want 0", p.Name(), n)
+		}
+		if replayed := hwsim.FetchProbes(c) == probes; replayed != (tc.name == "dot") {
+			t.Errorf("%s: later runs replayed %v", p.Name(), replayed)
 		}
 	}
 }

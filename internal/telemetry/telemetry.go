@@ -31,6 +31,7 @@ package telemetry
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -209,7 +210,8 @@ func NewRegistry() *Registry {
 // registration is programmer-controlled startup code, where a silent
 // collision would corrupt the exposition.
 func (r *Registry) register(inst *instrument) {
-	id := inst.desc.name + labelString(inst.desc.labels)
+	labels := labelString(inst.desc.labels)
+	id := inst.desc.name + labels
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.byID[id]; dup {
@@ -225,15 +227,14 @@ func (r *Registry) register(inst *instrument) {
 				id, other.desc.name, labelString(other.desc.labels), inst.desc.stat))
 		}
 	}
-	r.byID[id] = inst
-	r.insts = append(r.insts, inst)
-	sort.SliceStable(r.insts, func(i, j int) bool {
-		a, b := r.insts[i].desc, r.insts[j].desc
-		if a.name != b.name {
-			return a.name < b.name
-		}
-		return labelString(a.labels) < labelString(b.labels)
+	// insts stays sorted by name, then label string: the exposition
+	// order. Only a same-name neighbor's labels are rendered.
+	i := sort.Search(len(r.insts), func(i int) bool {
+		o := r.insts[i].desc
+		return o.name > inst.desc.name || o.name == inst.desc.name && labelString(o.labels) > labels
 	})
+	r.byID[id] = inst
+	r.insts = slices.Insert(r.insts, i, inst)
 }
 
 // NewCounter registers and returns a striped counter.

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"maps"
+	"math/rand/v2"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -178,6 +180,67 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		}()
 		reg.NewCounter(Opts{Name: "papid_x_1_total"}) // x{a="1"} is already "x_1"
 	}()
+}
+
+// TestRegistrationOrderDoesNotMatter registers one set of instruments
+// in order and in shuffled orders: the exposition must come out byte
+// for byte the same. The set has names that are prefixes of others
+// (papid_x, papid_x_total) and label names that are prefixes of others
+// (a, a0), where sorting by the joined name and labels would differ
+// from sorting by name and then labels, and split a family.
+func TestRegistrationOrderDoesNotMatter(t *testing.T) {
+	type spec struct {
+		opts Opts
+		kind kind
+	}
+	var specs []spec
+	for _, name := range []string{"papid_x", "papid_x_total", "papid_xa_total", "papid_a", "papid_z_seconds"} {
+		k := map[string]kind{"papid_x": kindHistogram, "papid_a": kindGauge, "papid_z_seconds": kindGauge}[name]
+		specs = append(specs, spec{Opts{Name: name, Help: name + " help"}, k})
+		for _, l := range [][]Label{{{"a", "1"}}, {{"a0", "2"}}, {{"b", "3"}, {"a", "4"}}, {{"a", "x y"}}} {
+			specs = append(specs, spec{Opts{Name: name, Labels: l, Key: name + labelString(l)}, k})
+		}
+	}
+	exposition := func(order []int) string {
+		reg := NewRegistry()
+		for _, i := range order {
+			sp := specs[i]
+			switch sp.kind {
+			case kindCounter:
+				reg.NewCounter(sp.opts).Add(uint64(i))
+			case kindGauge:
+				reg.NewGaugeFunc(sp.opts, func() float64 { return float64(i) })
+			default:
+				reg.NewLatencyHistogram(sp.opts).Observe(int64(i) * 1000)
+			}
+		}
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
+	}
+	want := exposition(order)
+	var families []string
+	for _, line := range strings.Split(want, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			families = append(families, f[2])
+		}
+	}
+	if !slices.IsSorted(families) || len(families) != 5 {
+		t.Fatalf("families exposed in the order %v, want each once, sorted", families)
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for round := 0; round < 20; round++ {
+		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		if got := exposition(order); got != want {
+			t.Fatalf("registered in order %v, the exposition is\n%s\nwant\n%s", order, got, want)
+		}
+	}
 }
 
 // TestStats pins the walk and its naming rule: every counter and gauge

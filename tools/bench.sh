@@ -81,8 +81,8 @@ go run ./cmd/benchjson -benchmem -benchtime 3s -out BENCH_server.json -bench "$s
 # The simulator priced apart from the service it feeds: retired
 # instructions per host second with the PMU idle, streaming (a program
 # longer than a batch regenerates every run), replayed (one that fits a
-# batch is lent again, four events counting, and the core replays it
-# from its memo), counting (the streaming triad with the same four
+# batch is lent again, frozen, four events counting, and the core
+# replays it from its memo by identity), counting (the streaming triad with the same four
 # events: quiet slices that never replay), and overflow-interrupt
 # dispatch through a counting PMU. -benchmem because a run must stay at
 # zero allocations (the program's queue is made once, by its first run).

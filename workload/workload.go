@@ -8,9 +8,12 @@
 //
 // Programs implement papi.Stream (hwsim.Stream) and generate
 // instructions lazily, a batch at a time, so arbitrarily long runs
-// execute in constant memory (one batch: 4,096 instructions, 96 KiB); a
-// program that fits one batch generates it once and replays it on every
-// later run. All programs are deterministic.
+// execute in constant memory (one batch: 4,096 instructions, 96 KiB). A
+// program that fits one batch generates it once, lends it again on
+// every later run and reports it frozen (hwsim.Stream's Frozen), so a
+// core at a fixed point replays it by identity; a longer program
+// regenerates into the same batch and never reports it frozen. All
+// programs are deterministic.
 package workload
 
 import (
@@ -86,9 +89,10 @@ const batchInstrs = 4096
 // the queue until the next one would not fit a batch, and lends the
 // queue. When the first batch ended the program, the queue is the
 // program: Reset rewinds without discarding it and every later run
-// lends it again, ungenerated. A longer program regenerates batch by
-// batch into the same queue: gen is deterministic from iteration 0, so
-// for it too Reset is just a rewind.
+// lends it again, ungenerated, and the queue is frozen: nothing writes
+// it again. A longer program regenerates batch by batch into the same
+// queue: gen is deterministic from iteration 0, so for it too Reset is
+// just a rewind, but its queue is never frozen.
 type iterProgram struct {
 	name     string
 	regions  []Region
@@ -106,6 +110,10 @@ func (p *iterProgram) Regions() []Region  { return p.regions }
 func (p *iterProgram) Expected() Expected { return p.expected }
 
 func (p *iterProgram) Reset() { p.done = 0 }
+
+// Frozen implements hwsim.Stream's promise: the batch last lent is
+// never written again once it holds the whole program.
+func (p *iterProgram) Frozen() bool { return p.whole }
 
 func (p *iterProgram) Next() []hwsim.Instr {
 	if p.done >= p.iters {
