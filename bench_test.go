@@ -6,15 +6,9 @@
 package repro
 
 import (
-	"context"
-	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/server"
-	"repro/internal/wire"
 	"repro/papi"
 	"repro/workload"
 )
@@ -420,127 +414,4 @@ func BenchmarkOverflowDispatch(b *testing.B) {
 	if fires == 0 {
 		b.Fatal("no overflows delivered")
 	}
-}
-
-// BenchmarkServerThroughput measures papid READ round-trips per second
-// over loopback with 1, 8 and 64 snapshot subscribers attached.
-func BenchmarkServerThroughput(b *testing.B) {
-	for _, nsubs := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("subscribers=%d", nsubs), func(b *testing.B) {
-			benchServerThroughput(b, nsubs, false, "")
-		})
-	}
-}
-
-// BenchmarkServerThroughputBinary is the same workload on the v3
-// binary codec: every client negotiates "binary" at HELLO, so the
-// snapshot fan-out and READ replies ride the compact frames.
-func BenchmarkServerThroughputBinary(b *testing.B) {
-	for _, nsubs := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("subscribers=%d", nsubs), func(b *testing.B) {
-			benchServerThroughput(b, nsubs, true, "")
-		})
-	}
-}
-
-// BenchmarkServerThroughputDurable pairs with BenchmarkServerThroughput:
-// the identical READ workload with the WAL journaling every tick under
-// the interval fsync policy. The delta between the two is the price of
-// durability on the serving path — the acceptance bar keeps the
-// 64-subscriber case within 10% of the RAM baseline.
-func BenchmarkServerThroughputDurable(b *testing.B) {
-	for _, nsubs := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("subscribers=%d", nsubs), func(b *testing.B) {
-			benchServerThroughput(b, nsubs, false, b.TempDir())
-		})
-	}
-}
-
-func benchServerThroughput(b *testing.B, nsubs int, binary bool, dataDir string) {
-	b.ReportAllocs()
-	srv := server.New(server.Config{TickInterval: time.Millisecond,
-		DataDir: dataDir, Fsync: "interval"})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	}()
-
-	events := []string{"PAPI_FP_INS", "PAPI_TOT_CYC"}
-	dial := func() *server.Client {
-		cl, err := server.Dial(addr.String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if binary {
-			cl.PreferBinary = true
-			hello, err := cl.Hello()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if hello.Codec != wire.CodecNameBinary {
-				b.Fatalf("binary upgrade refused: %+v", hello)
-			}
-		}
-		return cl
-	}
-	mkSession := func(cl *server.Client) uint64 {
-		created, err := cl.Do(wire.Request{Op: wire.OpCreate,
-			Events: events, Workload: "dot", N: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := cl.Do(wire.Request{Op: wire.OpStart, Session: created.Session}); err != nil {
-			b.Fatal(err)
-		}
-		return created.Session
-	}
-
-	// The feed session is what subscribers watch; each tick
-	// advances its workload and fans a snapshot out.
-	ctl := dial()
-	defer ctl.Close()
-	feed := mkSession(ctl)
-
-	var wg sync.WaitGroup
-	subs := make([]*server.Client, nsubs)
-	for i := range subs {
-		sc := dial()
-		subs[i] = sc
-		if _, err := sc.Do(wire.Request{Op: wire.OpSubscribe, Session: feed}); err != nil {
-			b.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if _, err := sc.Next(); err != nil {
-					return
-				}
-			}
-		}()
-	}
-
-	// The reader drives b.N synchronous READs through a session
-	// of its own while the fan-out churns in the background.
-	rd := dial()
-	defer rd.Close()
-	mine := mkSession(rd)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rd.Do(wire.Request{Op: wire.OpRead, Session: mine}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reads/s")
-	for _, sc := range subs {
-		sc.Close()
-	}
-	wg.Wait()
 }

@@ -23,6 +23,10 @@ type Clock interface {
 	// one monotonic clock read for it where Now takes two (the wall
 	// clock too), so Mono is the cheaper way to time a stage.
 	Mono() time.Duration
+	// Stamp reads the clock once for both: the Now and the Mono of one
+	// instant, for a caller that wants a timestamp and the start of a
+	// duration.
+	Stamp() (time.Time, time.Duration)
 	// NewTicker fires on C every d. Like time.Ticker, it holds one
 	// firing for a receiver that is busy and drops the rest.
 	NewTicker(d time.Duration) *Ticker
@@ -67,6 +71,11 @@ var realOrigin = time.Now()
 
 func (Real) Mono() time.Duration { return time.Since(realOrigin) }
 
+func (Real) Stamp() (time.Time, time.Duration) {
+	t := time.Now()
+	return t, t.Sub(realOrigin)
+}
+
 func (Real) NewTicker(d time.Duration) *Ticker {
 	t := time.NewTicker(d)
 	return &Ticker{C: t.C, stop: t.Stop}
@@ -104,6 +113,11 @@ func (f *Fake) Now() time.Time {
 }
 
 func (f *Fake) Mono() time.Duration { return f.Now().Sub(f.origin) }
+
+func (f *Fake) Stamp() (time.Time, time.Duration) {
+	t := f.Now()
+	return t, t.Sub(f.origin)
+}
 
 func (f *Fake) NewTicker(d time.Duration) *Ticker {
 	if d <= 0 {

@@ -96,3 +96,22 @@ func TestMonoCountsElapsedTime(t *testing.T) {
 		t.Errorf("Real Mono read %v then %v", a, b)
 	}
 }
+
+// TestStampIsOneInstant: Stamp's two halves are Now and Mono of one
+// instant — on Fake exactly, on Real between the Mono reads around it.
+func TestStampIsOneInstant(t *testing.T) {
+	fk := NewFake(epoch)
+	fk.Advance(2 * time.Second)
+	if now, mono := fk.Stamp(); !now.Equal(fk.Now()) || mono != fk.Mono() {
+		t.Errorf("Fake Stamp = %v, %v; want %v, %v", now, mono, fk.Now(), fk.Mono())
+	}
+	a := Real{}.Mono()
+	now, mono := Real{}.Stamp()
+	b := Real{}.Mono()
+	if mono < a || mono > b {
+		t.Errorf("Real Stamp's Mono %v not between reads %v and %v", mono, a, b)
+	}
+	if d := time.Since(now); d < 0 || d > time.Minute {
+		t.Errorf("Real Stamp's Now is %v from the wall clock", d)
+	}
+}

@@ -185,7 +185,10 @@ func (e *Engine) Tick(session uint64, events []string, values []int64, tsUsec in
 	for i, b := range st.bound {
 		st.vals[i] = b.Eval(st.deltas, dtSec)
 	}
-	e.evals.Inc()
+	// Counted on a stripe the session picks, as it picks the engine's:
+	// papid's sweep workers evaluate here for every row, and draw no
+	// random stripe for it.
+	e.evals.AddAt(int(session), 1)
 	for i := range st.rules {
 		rb := &st.rules[i]
 		v := st.vals[rb.slot]

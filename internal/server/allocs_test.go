@@ -47,7 +47,8 @@ func TestFanoutAllocs(t *testing.T) {
 		allocs[mode.name] = testing.AllocsPerRun(200, func() {
 			vals[int(snap.Seq)%len(vals)]++
 			snap.Seq++
-			srv.fanout(nil, sess, &snap, 0, srv.cfg.clock.Mono())
+			r := srv.reqRec(srv.cfg.clock.Mono())
+			srv.fanout(nil, sess, &snap, 0, &r)
 			for _, c := range conns {
 				for f, ok := c.q.pop(false); ok; f, ok = c.q.pop(false) {
 					frames++

@@ -8,9 +8,9 @@ import (
 	"repro/internal/wire"
 )
 
-// spyClock is a fake clock that reports each read of Now on now and each
-// timer armed on it on armed. A report that finds its channel full, or
-// nil, is dropped.
+// spyClock is a fake clock that reports each read of Now (a Stamp is
+// one too) on now and each timer armed on it on armed. A report that
+// finds its channel full, or nil, is dropped.
 type spyClock struct {
 	*clock.Fake
 	now   chan time.Time
@@ -19,11 +19,21 @@ type spyClock struct {
 
 func (c spyClock) Now() time.Time {
 	t := c.Fake.Now()
+	c.report(t)
+	return t
+}
+
+func (c spyClock) Stamp() (time.Time, time.Duration) {
+	t, mono := c.Fake.Stamp()
+	c.report(t)
+	return t, mono
+}
+
+func (c spyClock) report(t time.Time) {
 	select {
 	case c.now <- t:
 	default:
 	}
-	return t
 }
 
 func (c spyClock) AfterFunc(d time.Duration, f func()) *clock.Timer {

@@ -113,33 +113,38 @@ func (s *Server) handle(nc net.Conn) {
 			}
 			return // EOF or closed socket
 		}
+		// Each valid request is a traced unit: dispatch and write spans
+		// always; deep stage spans (PUBLISH history/fan-out/derive) hang
+		// off c.trc. t is nil with tracing off — every call on it no-ops
+		// and tid is 0. One goroutine at a time works on t (StartOwned):
+		// this one until the reply frame is enqueued, then whoever
+		// settles the frame, which finishes (and may recycle) the trace,
+		// so only the ID is read after the enqueue.
+		t := s.trc.StartOwned("request", req.Op)
 		// Service latency clock: decode done → reply enqueued. The
 		// socket write happens on the writer goroutine; what this
 		// histogram isolates is the dispatch cost itself, per op and
 		// codec, so a regressed allocator solve or tsdb query shows up
-		// under its own op instead of smearing into socket noise.
+		// under its own op instead of smearing into socket noise. The
+		// reading also starts the dispatch span, and one reading ends
+		// dispatch and starts the write span, which the trace's finish
+		// ends.
 		t0 := s.cfg.clock.Mono()
-		// Each valid request is a traced unit: dispatch and write spans
-		// always; deep stage spans (PUBLISH history/fan-out/derive) hang
-		// off c.trc. t is nil with tracing off — every call on it no-ops
-		// and tid is 0. Only the ID is read after the frame is enqueued:
-		// the writer goroutine finishes (and may recycle) the trace.
-		t := s.trc.Start("request", req.Op)
 		tid := t.ID()
 		t.AnnotateInt(tracing.NoSpan, "conn", int64(c.id))
 		if req.Session != 0 {
 			t.AnnotateInt(tracing.NoSpan, "session", int64(req.Session))
 		}
 		c.trc = t
-		dsp := t.StartSpan(tracing.NoSpan, "dispatch")
+		dsp := s.spanStart(t, "dispatch", t0)
 		resp := s.dispatch(c, &req)
-		t.EndSpan(dsp)
+		wr := t.NextSpan(dsp, tracing.NoSpan, "write")
 		c.trc = nil
 		if !resp.OK && resp.Error != "" {
 			t.SetError(resp.Error)
 		}
 		resp.TraceID = tid
-		ok := c.sendTraced(resp, t, t.StartSpan(tracing.NoSpan, "write"))
+		ok := c.sendTraced(resp, t, wr)
 		c.goLive()
 		elapsed := s.cfg.clock.Mono() - t0
 		s.m.observeOp(req.Op, c.codecNow(), elapsed)

@@ -79,11 +79,13 @@ func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 			// store and every subscriber see the session's rows in seq
 			// order. The stage spans go on the request trace (all no-ops
 			// untraced): a slow PUBLISH shows whether the WAL append, the
-			// fan-out, or the derive evaluation ate the budget.
-			now := s.cfg.clock.Now().UnixMicro()
-			t := c.reqTrace()
-			s.appendRows(t, []wal.Row{{Session: sess.id, TS: now, Events: snap.Events, Vals: snap.Values}})
-			s.fanout(t, sess, &snap, now, s.cfg.clock.Mono())
+			// fan-out, or the derive evaluation ate the budget. One
+			// reading gives the row its timestamp and starts its
+			// recorder's chain, which the spans share.
+			wall, mono := s.cfg.clock.Stamp()
+			now, t, r := wall.UnixMicro(), c.reqTrace(), s.reqRec(mono)
+			s.appendRows(t, []wal.Row{{Session: sess.id, TS: now, Events: snap.Events, Vals: snap.Values}}, &r)
+			s.fanout(t, sess, &snap, now, &r)
 			return wire.Response{Op: req.Op, OK: true, Session: sess.id, Seq: snap.Seq}
 		})
 	case wire.OpStop:

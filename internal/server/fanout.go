@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/telemetry/tracing"
 	"repro/internal/wire"
@@ -53,25 +52,26 @@ type subscriber struct {
 // session's rows reach every subscriber, every view's delta baseline
 // and the engine in seq order.
 //
-// Both halves are timed on the stage histograms, the first from start,
-// a reading of the server clock's Mono. t is the PUBLISH request's
-// trace, which takes a fanout and a derive span, each marked with its
-// half's faults, or nil: a tick's rows are stage-timed only, and fanout
-// returns what the row went wrong with for the tick to mark its own
-// trace.
-func (s *Server) fanout(t *tracing.Trace, sess *session, snap *wire.Response, now int64, start time.Duration) (f faults) {
-	fs := t.StartSpan(tracing.NoSpan, "fanout")
+// r records the row: both halves are timed on the stage histograms
+// from r's latest reading on, and every frame count goes on r's
+// stripe. t is the PUBLISH request's trace, which takes a fanout and a
+// derive span, each marked with its half's faults and bounded by the
+// readings that end the stages, or nil: a tick's rows are stage-timed
+// only, and fanout returns what the row went wrong with for the tick
+// to mark its own trace.
+func (s *Server) fanout(t *tracing.Trace, sess *session, snap *wire.Response, now int64, r *rec) (f faults) {
+	start := r.last
+	fs := s.spanStart(t, "fanout", start)
 	t.AnnotateInt(fs, "views", int64(len(sess.views)))
-	for _, v := range sess.views {
-		f.encodes += s.fanoutView(v, snap)
+	for i := range sess.views {
+		f.encodes += s.fanoutView(r, &sess.views[i], snap)
 	}
 	f.mark(t, fs)
-	t.EndSpan(fs)
-	start = s.stageDone(stageFanout, start)
-	ds := t.StartSpan(tracing.NoSpan, "derive")
-	d := s.fanoutDerived(sess, snap, now, start)
+	s.stageFrom(r, stageFanout, start)
+	ds := s.spanNext(t, fs, "derive", r.last)
+	d := s.fanoutDerived(r, sess, snap, now)
 	d.mark(t, ds)
-	t.EndSpan(ds)
+	s.spanEnd(t, ds, r.last)
 	return faults{alerts: d.alerts, encodes: f.encodes + d.encodes}
 }
 
@@ -100,17 +100,17 @@ func (f faults) mark(t *tracing.Trace, sp tracing.SpanRef) {
 // cadence — and otherwise a DELTA of everything that drifted from the
 // keyframe. An empty delta sends nothing at all. It returns the
 // frame encodes that failed.
-func (s *Server) fanoutView(v viewSubs, snap *wire.Response) int {
+func (s *Server) fanoutView(r *rec, v *viewSubs, snap *wire.Response) int {
 	vs := v.vs
 	if vs.filter == nil && !vs.delta {
-		return s.deliverAll(snap, kindSnapshot, v.subs) // nothing to project
+		return s.deliverAll(r, snap, kindSnapshot, v.subs) // nothing to project
 	}
 	rekeyed := vs.project(snap)
 	if len(vs.events) == 0 {
 		return 0 // the filter matches none of this session's events
 	}
 	if !vs.delta {
-		return s.deliverAll(vs.projected(snap), kindSnapshot, v.subs)
+		return s.deliverAll(r, vs.projected(snap), kindSnapshot, v.subs)
 	}
 	needKey := slices.ContainsFunc(v.subs, func(sub *subscriber) bool { return sub.needKey.Load() })
 	vs.sinceKey++
@@ -119,7 +119,7 @@ func (s *Server) fanoutView(v viewSubs, snap *wire.Response) int {
 		vs.keySeq = snap.Seq
 		vs.keyVals = append(vs.keyVals[:0], vs.cur...)
 		vs.sinceKey = 0
-		return s.deliverAll(vs.projected(snap), kindKeyframe, v.subs)
+		return s.deliverAll(r, vs.projected(snap), kindKeyframe, v.subs)
 	}
 	vs.changed = vs.changed[:0]
 	vs.cvals = vs.cvals[:0]
@@ -132,19 +132,37 @@ func (s *Server) fanoutView(v viewSubs, snap *wire.Response) int {
 	if len(vs.changed) == 0 {
 		return 0
 	}
-	return s.deliverAll(&wire.Response{Op: wire.OpDelta, OK: true, Session: snap.Session,
+	return s.deliverAll(r, &wire.Response{Op: wire.OpDelta, OK: true, Session: snap.Session,
 		Seq: snap.Seq, Base: vs.keySeq, Idx: vs.changed, Values: vs.cvals}, kindDelta, v.subs)
 }
 
-// deliverAll encodes one view frame at most once per codec and delivers
-// it to every subscriber of the view. It returns the encodes that
-// failed.
-func (s *Server) deliverAll(resp *wire.Response, kind frameKind, subs []*subscriber) int {
+// deliverAll encodes one view frame at most once per codec — every
+// codec its live subscribers read, back to back, before any push — and
+// delivers it to every subscriber of the view, counting the frames
+// sent once for the view. It returns the encodes that failed.
+func (s *Server) deliverAll(r *rec, resp *wire.Response, kind frameKind, subs []*subscriber) int {
 	var enc encCache
-	for _, sub := range subs {
-		s.deliver(&enc, resp, kind, sub)
-	}
+	enc.want(subs)
+	enc.encode(s, r, resp, kindNames[kind])
+	s.pushAll(&enc, r, resp, kind, subs)
 	return enc.done()
+}
+
+// pushAll delivers the frame enc holds to every subscriber in subs and
+// counts those it pushed, once.
+func (s *Server) pushAll(enc *encCache, r *rec, resp *wire.Response, kind frameKind, subs []*subscriber) {
+	n := uint64(0)
+	for _, sub := range subs {
+		if s.deliver(enc, r, resp, kind, sub) {
+			n++
+		}
+	}
+	if n > 0 {
+		r.add(s.m.sent[kind], n)
+		if kind == kindKeyframe {
+			r.add(s.m.keyframes, n)
+		}
+	}
 }
 
 // fanoutDerived is fanout's second half: it evaluates the session's
@@ -152,13 +170,16 @@ func (s *Server) deliverAll(resp *wire.Response, kind frameKind, subs []*subscri
 // to every subscriber of every view, encode-once like the views'
 // frames. Evaluation runs even with no subscriber — threshold rules
 // alert server-side regardless of who is watching. It returns the
-// threshold alerts the row fired and the encodes that failed; the
-// derive stage is timed from start.
-func (s *Server) fanoutDerived(sess *session, snap *wire.Response, ts int64, start time.Duration) (f faults) {
+// threshold alerts the row fired and the encodes that failed. The
+// derive stage runs from r's latest reading to a reading after the
+// pushes; when there is a frame to encode, one more reading ends the
+// evaluation, so the encodes time the encodes alone.
+func (s *Server) fanoutDerived(r *rec, sess *session, snap *wire.Response, ts int64) (f faults) {
 	groups := sess.derivedGroups(s.defGroups)
 	if len(groups) == 0 {
 		return faults{}
 	}
+	start := r.last
 	f.alerts = s.derive.Tick(sess.id, snap.Events, snap.Values, ts, groups,
 		func(metrics, units []string, vals []float64) {
 			// The emit slices are engine-owned and reused next tick;
@@ -168,13 +189,18 @@ func (s *Server) fanoutDerived(sess *session, snap *wire.Response, ts int64, sta
 				Seq: snap.Seq, Metrics: metrics, Units: units, DValues: vals}
 			var enc encCache
 			for _, v := range sess.views {
-				for _, sub := range v.subs {
-					s.deliver(&enc, &resp, kindDerived, sub)
-				}
+				enc.want(v.subs)
+			}
+			if enc.wanted != ([2]bool{}) {
+				r.last = s.cfg.clock.Mono()
+				enc.encode(s, r, &resp, kindNames[kindDerived])
+			}
+			for _, v := range sess.views {
+				s.pushAll(&enc, r, &resp, kindDerived, v.subs)
 			}
 			f.encodes += enc.done()
 		})
-	s.stageDone(stageDerive, start)
+	s.stageFrom(r, stageDerive, start)
 	return f
 }
 
@@ -184,30 +210,55 @@ func (s *Server) fanoutDerived(sess *session, snap *wire.Response, ts int64, sta
 // one leaks its argument, and every frame would escape to the heap.
 var encodeFault error
 
-// encCache lazily serializes one response at most once per codec and
-// hands out the shared bytes — the encode-once fan-out path. The
-// buffers are pooled, reference-counted sharedBufs (tick.go): the
-// cache holds one reference across the fan-out, each enqueued frame
-// takes its own, and done() drops the cache's when the fan-out ends.
-// A failed encode is negative-cached for the rest of the fan-out:
-// logged and counted once, with every later subscriber on that codec
-// just recording its dropped frame instead of re-attempting the
-// encode and re-logging each tick.
+// encCache serializes one response at most once per codec and hands
+// out the shared bytes — the encode-once fan-out path. want marks the
+// codecs a frame's live subscribers read and encode serializes them
+// back to back before the first push, so a frame's encodes chain on one
+// recorder's readings with nothing between them; get still encodes a
+// codec nobody wanted on first use. The buffers are pooled,
+// reference-counted sharedBufs: the cache holds one reference across
+// the fan-out, each enqueued frame takes its own, and done() drops the
+// cache's when the fan-out ends. A failed encode is negative-cached for
+// the rest of the fan-out: logged and counted once, with every later
+// subscriber on that codec just recording its dropped frame instead of
+// re-attempting the encode and re-logging each tick.
 //
-// The response is not a field: every get of one cache passes the same
+// The response is not a field: every call on one cache passes the same
 // one. Escape analysis does not tell one field of a struct from
 // another, and the buffers reach the pool, so a response held here
 // would be moved to the heap — one allocation per frame.
 type encCache struct {
 	shared [2]*sharedBuf // indexed by wire.Codec
 	failed [2]bool
+	wanted [2]bool
 }
 
-// get returns the encoded frame for codec, serializing on first use.
-// ok is false when the encode failed (now or earlier this fan-out);
-// deliver counts the drop for its frame kind. An ok buffer stays valid
-// until done(); a caller enqueuing it must sb.ref() first.
-func (e *encCache) get(s *Server, resp *wire.Response, what string, codec wire.Codec) (sb *sharedBuf, ok bool) {
+// want marks the codec of every live subscriber in subs. The caller
+// holds the session's lock, which goLive takes to open a stream, so no
+// subscriber goes live between want and the pushes.
+func (e *encCache) want(subs []*subscriber) {
+	for _, sub := range subs {
+		if sub.live.Load() {
+			e.wanted[sub.c.codecNow()] = true
+		}
+	}
+}
+
+// encode serializes resp for every wanted codec, back to back.
+func (e *encCache) encode(s *Server, r *rec, resp *wire.Response, what string) {
+	for codec, w := range e.wanted {
+		if w {
+			e.get(s, r, resp, what, wire.Codec(codec))
+		}
+	}
+}
+
+// get returns the encoded frame for codec, serializing on first use:
+// the encode is timed as its codec's encode stage from r's latest
+// reading. ok is false when the encode failed (now or earlier this
+// fan-out); deliver counts the drop for its frame kind. An ok buffer
+// stays valid until done(); a caller enqueuing it must sb.ref() first.
+func (e *encCache) get(s *Server, r *rec, resp *wire.Response, what string, codec wire.Codec) (sb *sharedBuf, ok bool) {
 	if e.failed[codec] {
 		return nil, false
 	}
@@ -215,12 +266,11 @@ func (e *encCache) get(s *Server, resp *wire.Response, what string, codec wire.C
 		return sb, true
 	}
 	sb = newSharedBuf()
-	start := s.cfg.clock.Mono()
 	p, err := sb.buf[:0], encodeFault
 	if err == nil {
 		p, err = wire.AppendResponse(p, codec, resp)
 	}
-	s.stageDone(stageEncode+stage(codec), start)
+	s.lap(r, stageEncode+stage(codec))
 	if err != nil {
 		sb.release()
 		e.failed[codec] = true
@@ -253,24 +303,23 @@ func (e *encCache) done() (failed int) {
 
 // deliver is the one fan-out push site: it hands sub its frame of the
 // encode-once payload by pushing straight into the owning connection's
-// write queue, and counts the frame sent. Every way the frame can then
-// fail to reach the socket — an encode failure here, eviction from the
-// full queue, a closed or abandoned queue — ends in frame.drop, which
-// counts it against the same kind and marks a delta view for re-key.
-func (s *Server) deliver(enc *encCache, resp *wire.Response, kind frameKind, sub *subscriber) {
+// write queue, and reports whether it did; the caller counts the frames
+// sent. Every way the frame can then fail to reach the socket — an
+// encode failure here, eviction from the full queue, a closed or
+// abandoned queue — ends in frame.drop, which counts it against the
+// same kind and marks a delta view for re-key.
+func (s *Server) deliver(enc *encCache, r *rec, resp *wire.Response, kind frameKind, sub *subscriber) bool {
 	if !sub.live.Load() {
-		return // not acked yet: the stream starts after its SUBSCRIBE reply
+		return false // not acked yet: the stream starts after its SUBSCRIBE reply
 	}
 	codec := sub.c.codecNow()
 	f := frame{codec: codec, kind: kind, sub: sub}
-	sb, ok := enc.get(s, resp, kindNames[kind], codec)
+	sb, ok := enc.get(s, r, resp, kindNames[kind], codec)
 	if !ok {
 		f.drop(s.m)
-		return
+		return false
 	}
-	s.m.sent[kind].Inc()
 	if kind == kindKeyframe {
-		s.m.keyframes.Inc()
 		// Cleared before the push, never after: a concurrent eviction of
 		// this very keyframe sets the flag again, and a clear landing
 		// after that set would lose the resync.
@@ -279,6 +328,7 @@ func (s *Server) deliver(enc *encCache, resp *wire.Response, kind frameKind, sub
 	sb.ref()
 	f.payload, f.shared = sb.buf, sb
 	sub.c.q.push(f)
+	return true
 }
 
 // maxPooledFrame bounds what the frame-buffer pool retains; a rare

@@ -44,30 +44,16 @@ type frame struct {
 	// a fan-out encode shared with other connections' frames, or a
 	// reply's own; this frame holds one reference and release drops it.
 	shared *sharedBuf
-	// trace, when non-nil, carries a request trace whose "write" span
-	// stays open until this frame is consumed: release ends the span
-	// and finishes the trace, so a traced reply's duration includes
-	// its queue wait and socket write.
-	trace *traceDone
+	// trace, when non-nil, is a request trace whose "write" span stays
+	// open until this frame is settled: release finishes the trace,
+	// which ends the span, so a traced reply's duration includes its
+	// queue wait and socket write. Whoever settles the frame owns the
+	// trace from then on; the producing goroutine must not touch it
+	// again.
+	trace *tracing.Trace
 }
 
 func (f *frame) droppable() bool { return f.kind != kindReply }
-
-// traceDone defers a request trace's completion to whoever consumes
-// its reply frame — the writer after the socket write, or any discard
-// path (jam, closed queue, writer exit). After handing one to a frame,
-// the producing goroutine must not touch the trace again: the writer
-// may finish and recycle it concurrently.
-type traceDone struct {
-	tr *tracing.Tracer
-	t  *tracing.Trace
-	sp tracing.SpanRef
-}
-
-func (td *traceDone) done() {
-	td.t.EndSpan(td.sp)
-	td.tr.Finish(td.t)
-}
 
 // release drops the frame's buffer reference and finishes a riding
 // trace. Every frame ends here exactly once: directly after its socket
@@ -78,7 +64,7 @@ func (f *frame) release() {
 		f.shared = nil
 	}
 	if f.trace != nil {
-		f.trace.done()
+		f.trace.Finish()
 		f.trace = nil
 	}
 }
@@ -300,15 +286,7 @@ func (c *conn) writeLoop() {
 			c.nc.SetWriteDeadline(c.srv.cfg.clock.Now().Add(d))
 		}
 		n, err := c.nc.Write(out)
-		for i := range batch {
-			f := &batch[i]
-			if n -= len(f.payload); n >= 0 {
-				c.written(f)
-			} else {
-				f.drop(c.srv.m)
-			}
-			*f = frame{}
-		}
+		c.settle(batch, n)
 		if cap(buf) > maxPooledFrame {
 			buf = nil
 		}
@@ -325,12 +303,29 @@ func (c *conn) writeLoop() {
 	}
 }
 
-// written settles a frame the socket took whole: counted sent on its
-// codec, then released.
-func (c *conn) written(f *frame) {
-	c.srv.m.framesSent[f.codec].Inc()
-	c.srv.m.bytesSent[f.codec].Add(uint64(len(f.payload)))
-	f.release()
+// settle settles the frames of one socket write that took n bytes:
+// each the socket took whole is released, the rest dropped, and the
+// frames and bytes written are counted once per codec for the write.
+// The batch's slots are cleared.
+func (c *conn) settle(batch []frame, n int) {
+	var frames, bytes [2]uint64
+	for i := range batch {
+		f := &batch[i]
+		if n -= len(f.payload); n >= 0 {
+			frames[f.codec]++
+			bytes[f.codec] += uint64(len(f.payload))
+			f.release()
+		} else {
+			f.drop(c.srv.m)
+		}
+		*f = frame{}
+	}
+	for codec, k := range frames {
+		if k > 0 {
+			c.srv.m.framesSent[codec].Add(k)
+			c.srv.m.bytesSent[codec].Add(bytes[codec])
+		}
+	}
 }
 
 // send serializes a reply frame with the connection's codec and
@@ -342,11 +337,11 @@ func (c *conn) send(resp wire.Response) bool {
 	return c.sendTraced(resp, nil, tracing.NoSpan)
 }
 
-// sendTraced is send carrying a request trace: the open write span wr
-// rides the frame (traceDone) and whoever consumes the frame ends it
-// and finishes the trace. The caller must not touch t after this
-// returns — the writer goroutine may already have finished and
-// recycled it. A nil t is plain send.
+// sendTraced is send carrying a request trace: the trace, its write
+// span wr open, rides the frame, and whoever settles the frame
+// finishes it. The caller must not touch t after this returns — the
+// writer goroutine may already have finished and recycled it. A nil t
+// is plain send.
 func (c *conn) sendTraced(resp wire.Response, t *tracing.Trace, wr tracing.SpanRef) bool {
 	codec := c.codecNow()
 	sb := newSharedBuf()
@@ -356,17 +351,14 @@ func (c *conn) sendTraced(resp wire.Response, t *tracing.Trace, wr tracing.SpanR
 		c.srv.m.dropped[kindReply].Inc()
 		if t != nil {
 			t.SetError("reply encode: " + err.Error())
-			c.srv.trc.Finish(t)
+			t.Finish()
 		}
 		c.evict("reply encode", err)
 		return false
 	}
 	sb.buf = payload
-	f := frame{payload: payload, codec: codec, shared: sb}
-	if t != nil {
-		t.AnnotateInt(wr, "bytes", int64(len(payload)))
-		f.trace = &traceDone{tr: c.srv.trc, t: t, sp: wr}
-	}
+	f := frame{payload: payload, codec: codec, shared: sb, trace: t}
+	t.AnnotateInt(wr, "bytes", int64(len(payload)))
 	if c.q.push(f) {
 		return true
 	}

@@ -120,7 +120,7 @@ func (c *conn) popAll() []string {
 			return out
 		}
 		out = append(out, string(f.payload))
-		c.written(&f)
+		c.settle([]frame{f}, len(f.payload))
 	}
 }
 

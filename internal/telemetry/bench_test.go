@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"io"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -43,6 +45,22 @@ func BenchmarkTelemetryHistogram(b *testing.B) {
 			v := int64(1000)
 			for pb.Next() {
 				h.Observe(v)
+				v += 31
+			}
+		})
+	})
+	// Each parallel recorder observes into a cell of its own, as
+	// papid's sweep workers do; against observe-parallel this is what
+	// the shared bucket lines cost.
+	cells := reg.NewLatencyHistogramCells(Opts{Name: "bench_cells_seconds", Key: "cells"}, runtime.GOMAXPROCS(0))
+	b.Run("observe-parallel-cells", func(b *testing.B) {
+		b.ReportAllocs()
+		var next atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			cell := int(next.Add(1)-1) % runtime.GOMAXPROCS(0)
+			v := int64(1000)
+			for pb.Next() {
+				cells.ObserveAt(cell, v)
 				v += 31
 			}
 		})

@@ -79,7 +79,7 @@ func writeHistogram(bw *bufio.Writer, name string, labels []Label, h *Histogram)
 	bw.WriteString("_sum")
 	bw.WriteString(labelString(labels))
 	bw.WriteByte(' ')
-	bw.WriteString(strconv.FormatFloat(float64(h.sum.Load())*h.scale, 'g', -1, 64))
+	bw.WriteString(strconv.FormatFloat(float64(h.sumAll())*h.scale, 'g', -1, 64))
 	bw.WriteByte('\n')
 	bw.WriteString(name)
 	bw.WriteString("_count")

@@ -12,6 +12,13 @@
 // and two atomic adds. The count is the buckets' sum, read when it is
 // wanted: recorders that share a histogram across CPUs contend on one
 // line fewer.
+//
+// A histogram is one or more cells, each a whole bucket array with its
+// own sum and extremes. Recorders that run on different CPUs all the
+// time (papid's sweep workers) each observe into a cell of their own,
+// so none writes a cache line another writes; every read sums the
+// cells, the way Count already sums the buckets, so the exposition
+// cannot tell one cell from many.
 package telemetry
 
 import (
@@ -38,16 +45,26 @@ type Histogram struct {
 	// (1e-9 for nanosecond recordings exposed as seconds).
 	scale float64
 
+	cells []histCell
+}
+
+// histCell is one recorder's share of a histogram.
+type histCell struct {
 	buckets [numBuckets]atomic.Uint64
 	sum     atomic.Int64
 	min     atomic.Int64
 	max     atomic.Int64
+	// The pad keeps the next cell's first buckets off the line this
+	// cell's sum and extremes end on.
+	_ [64]byte
 }
 
-func newHistogram(d desc, scale float64) *Histogram {
-	h := &Histogram{desc: d, scale: scale}
-	h.min.Store(math.MaxInt64)
-	h.max.Store(math.MinInt64) // so clamped negatives report their true max
+func newHistogram(d desc, scale float64, cells int) *Histogram {
+	h := &Histogram{desc: d, scale: scale, cells: make([]histCell, max(cells, 1))}
+	for i := range h.cells {
+		h.cells[i].min.Store(math.MaxInt64)
+		h.cells[i].max.Store(math.MinInt64) // so clamped negatives report their true max
+	}
 	return h
 }
 
@@ -90,19 +107,25 @@ func bucketLower(i int) int64 {
 	return bucketUpper(i-1) + 1
 }
 
-// Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	h.buckets[bucketFor(v)].Add(1)
-	h.sum.Add(v)
+// Observe records one value in the histogram's first cell.
+func (h *Histogram) Observe(v int64) { h.cells[0].observe(v) }
+
+// ObserveAt records one value in cell i, which must be below the cell
+// count the histogram was registered with.
+func (h *Histogram) ObserveAt(i int, v int64) { h.cells[i].observe(v) }
+
+func (c *histCell) observe(v int64) {
+	c.buckets[bucketFor(v)].Add(1)
+	c.sum.Add(v)
 	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
+		cur := c.min.Load()
+		if v >= cur || c.min.CompareAndSwap(cur, v) {
 			break
 		}
 	}
 	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
+		cur := c.max.Load()
+		if v <= cur || c.max.CompareAndSwap(cur, v) {
 			break
 		}
 	}
@@ -110,10 +133,39 @@ func (h *Histogram) Observe(v int64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() (n uint64) {
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
+	for c := range h.cells {
+		for i := range h.cells[c].buckets {
+			n += h.cells[c].buckets[i].Load()
+		}
 	}
 	return n
+}
+
+// sumAll is the sum of every observation, over the cells.
+func (h *Histogram) sumAll() (sum int64) {
+	for c := range h.cells {
+		sum += h.cells[c].sum.Load()
+	}
+	return sum
+}
+
+// counts writes the cells' summed buckets into counts and returns
+// their total.
+func (h *Histogram) counts(counts *[numBuckets]uint64) (total uint64) {
+	first := &h.cells[0].buckets
+	for i := range first {
+		counts[i] = first[i].Load()
+		total += counts[i]
+	}
+	for c := 1; c < len(h.cells); c++ {
+		b := &h.cells[c].buckets
+		for i := range b {
+			n := b[i].Load()
+			counts[i] += n
+			total += n
+		}
+	}
+	return total
 }
 
 // Summary is the compact distribution view that rides the wire STATS
@@ -145,15 +197,15 @@ func (s Summary) Mean() float64 {
 // be partially included, which monitoring tolerates by construction.
 func (h *Histogram) Summary() Summary {
 	var counts [numBuckets]uint64
-	var total uint64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
+	total := h.counts(&counts)
 	if total == 0 {
 		return Summary{}
 	}
-	s := Summary{Count: total, Sum: h.sum.Load(), Min: h.min.Load(), Max: h.max.Load()}
+	s := Summary{Count: total, Sum: h.sumAll(), Min: math.MaxInt64, Max: math.MinInt64}
+	for c := range h.cells {
+		s.Min = min(s.Min, h.cells[c].min.Load())
+		s.Max = max(s.Max, h.cells[c].max.Load())
+	}
 	s.P50 = quantile(&counts, total, 0.50, s.Max)
 	s.P90 = quantile(&counts, total, 0.90, s.Max)
 	s.P99 = quantile(&counts, total, 0.99, s.Max)
@@ -190,9 +242,10 @@ func quantile(counts *[numBuckets]uint64, total uint64, q float64, observedMax i
 // these into _bucket{le=...} lines. It returns the total, the
 // observation count the visits add up to.
 func (h *Histogram) forBuckets(visit func(upper int64, cum uint64)) (total uint64) {
+	var counts [numBuckets]uint64
+	h.counts(&counts)
 	var cum uint64
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
+	for i, c := range counts {
 		if c == 0 {
 			continue
 		}

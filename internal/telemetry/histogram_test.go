@@ -4,12 +4,13 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
 
 func testHist() *Histogram {
-	return newHistogram(desc{name: "test"}, 1)
+	return newHistogram(desc{name: "test"}, 1, 1)
 }
 
 // TestBucketLayout pins the log-linear scheme: buckets tile int64
@@ -185,5 +186,101 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 	if s := h.Summary(); s.Count != workers*per {
 		t.Errorf("histogram count = %d, want %d", s.Count, workers*per)
+	}
+}
+
+// TestHistogramCellsAreOneHistogram: values observed concurrently into
+// per-recorder cells read back exactly as the same values observed into
+// one shared histogram — the same summary and the same Prometheus
+// bucket lines — while a scraper reads the cells mid-recording (under
+// -race, that read is clean), and observing into a cell allocates
+// nothing.
+func TestHistogramCellsAreOneHistogram(t *testing.T) {
+	const workers, per = 4, 5000
+	vals := make([][]int64, workers)
+	rng := rand.New(rand.NewSource(46))
+	for w := range vals {
+		vals[w] = make([]int64, per)
+		for i := range vals[w] {
+			vals[w][i] = int64(math.Exp(rng.Float64()*25)) - 3 // a few negatives too
+		}
+	}
+	sharedReg, cellsReg := NewRegistry(), NewRegistry()
+	opts := Opts{Name: "papid_stage_seconds", Help: "h", Key: "stage",
+		Labels: []Label{{Name: "stage", Value: "encode/json"}}}
+	shared := sharedReg.NewLatencyHistogram(opts)
+	cells := cellsReg.NewLatencyHistogramCells(opts, workers)
+
+	var wg sync.WaitGroup
+	for w := range vals {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for _, v := range vals[w] {
+				cells.ObserveAt(w, v)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for _, v := range vals[w] {
+				shared.Observe(v)
+			}
+		}()
+	}
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for i := 0; i < 50; i++ {
+			var sb strings.Builder
+			if err := cellsReg.WritePrometheus(&sb); err != nil {
+				t.Error(err)
+			}
+			if s := cells.Summary(); s.Count > workers*per {
+				t.Errorf("mid-recording count %d above the %d values fed", s.Count, workers*per)
+			}
+		}
+	}()
+	wg.Wait()
+	<-scraped
+
+	if got, want := cells.Summary(), shared.Summary(); got != want {
+		t.Errorf("cells summary %+v, shared %+v", got, want)
+	}
+	if got, want := cells.Count(), shared.Count(); got != want || got != workers*per {
+		t.Errorf("cells count %d, shared %d, want %d", got, want, workers*per)
+	}
+	var a, b strings.Builder
+	if err := sharedReg.WritePrometheus(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := cellsReg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Errorf("exposition differs:\nshared:\n%s\ncells:\n%s", a.String(), b.String())
+	}
+	if !strings.Contains(a.String(), `papid_stage_seconds_bucket{stage="encode/json",le=`) {
+		t.Errorf("no bucket lines in:\n%s", a.String())
+	}
+	if n := testing.AllocsPerRun(1000, func() { cells.ObserveAt(workers-1, 12345) }); n != 0 {
+		t.Errorf("ObserveAt allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { shared.Observe(12345) }); n != 0 {
+		t.Errorf("Observe allocates %.1f times, want 0", n)
+	}
+}
+
+// TestCounterAddAtOwnStripe: AddAt lands on the named stripe alone, and
+// Value sums it with the random-stripe adds.
+func TestCounterAddAtOwnStripe(t *testing.T) {
+	c := NewRegistry().NewCounter(Opts{Name: "c_total"})
+	c.AddAt(3, 5)
+	c.AddAt(3+stripes, 2) // modulo the stripe count
+	if got := c.Stripe(3); got != 7 {
+		t.Errorf("stripe 3 = %d, want 7", got)
+	}
+	c.Add(10)
+	if got := c.Value(); got != 17 {
+		t.Errorf("Value = %d, want 17", got)
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // stripes is the cell count of a striped Counter. 16 padded cells keep
@@ -70,6 +69,15 @@ func (c *Counter) Inc() { c.cells[stripeIdx()].v.Add(1) }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.cells[stripeIdx()].v.Add(n) }
+
+// AddAt adds n to stripe i (modulo the stripe count): a recorder that
+// runs beside others on a CPU of its own, a sweep worker, names its own
+// stripe instead of drawing one at random for every add.
+func (c *Counter) AddAt(i int, n uint64) { c.cells[i&(stripes-1)].v.Add(n) }
+
+// Stripe reads stripe i (modulo the stripe count) alone — how a test
+// checks which recorder added to a counter.
+func (c *Counter) Stripe(i int) uint64 { return c.cells[i&(stripes-1)].v.Load() }
 
 // Value sums the stripes. The sum is not an atomic snapshot across
 // stripes — fine for monitoring, where each stripe is itself monotone.
@@ -262,7 +270,15 @@ func (r *Registry) NewGaugeFunc(o Opts, f func() float64) {
 // durations, exposed in Prometheus output in seconds (the convention
 // for *_seconds families). Wire summaries stay in nanoseconds.
 func (r *Registry) NewLatencyHistogram(o Opts) *Histogram {
-	h := newHistogram(o.desc(), 1e-9)
+	return r.NewLatencyHistogramCells(o, 1)
+}
+
+// NewLatencyHistogramCells is NewLatencyHistogram with cells bucket
+// arrays instead of one: each recorder that runs beside the others
+// observes into its own with ObserveAt, and every read sums them. A
+// cell costs about 2 KiB.
+func (r *Registry) NewLatencyHistogramCells(o Opts, cells int) *Histogram {
+	h := newHistogram(o.desc(), 1e-9, cells)
 	r.register(&instrument{desc: h.desc, kind: kindHistogram, hist: h})
 	return h
 }
@@ -309,7 +325,3 @@ func (r *Registry) Stats() map[string]uint64 {
 	}
 	return out
 }
-
-// Since returns the nanoseconds elapsed since t0 — the unit every
-// latency histogram records.
-func Since(t0 time.Time) int64 { return int64(time.Since(t0)) }

@@ -25,8 +25,8 @@ func BenchmarkTraceSpan(b *testing.B) {
 }
 
 // BenchmarkTraceStartFinish is the per-unit floor for an unretained
-// trace (the common case: neither slow nor errored): pool get, two
-// clock reads, pool put.
+// trace (the common case: neither slow nor errored): pool get, one
+// clock read at each end, pool put.
 func BenchmarkTraceStartFinish(b *testing.B) {
 	tr := NewTracer(Config{Ring: 8})
 	b.ReportAllocs()

@@ -24,6 +24,13 @@
 // All methods are nil-receiver safe: a disabled Tracer returns nil
 // traces and every Span/Trace method on nil is a no-op, so call sites
 // stay branchless.
+//
+// A tracer reads one clock (NewTracerOn; NewTracer's is the wall
+// clock), and reads it once per boundary: Start takes the unit's wall
+// stamp and its origin from one reading, NextSpan ends one span and
+// opens the next at one reading, and a caller that has just read the
+// same clock hands its reading to StartSpanAt and EndSpanAt instead of
+// paying for another.
 package tracing
 
 import (
@@ -31,6 +38,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // SpanRef names a span within its trace (an index into Trace.spans).
@@ -68,14 +77,17 @@ type Span struct {
 // the Span methods (safe from concurrent goroutines — the tick's
 // parallel sweep workers append spans to the same trace), sealed by
 // Tracer.Finish. After Finish a retained trace is immutable and may
-// be read without locks.
+// be read without locks. A trace from StartOwned is worked on by one
+// goroutine at a time and takes no lock at all.
 type Trace struct {
 	id      uint64
 	kind    string
 	name    string
 	sampled bool // head-sampled: retained unconditionally
+	owned   bool // StartOwned's: one goroutine at a time, no locking
 	wallUS  int64
-	t0      time.Time
+	t0      time.Duration // the tracer clock's Mono at Start
+	tr      *Tracer
 
 	mu       sync.Mutex
 	spans    []Span
@@ -87,6 +99,23 @@ type Trace struct {
 	retained bool
 	keptWhy  string
 }
+
+// lock and unlock guard a shared trace's mutable state; an owned
+// trace's owner is its only user.
+func (t *Trace) lock() {
+	if !t.owned {
+		t.mu.Lock()
+	}
+}
+
+func (t *Trace) unlock() {
+	if !t.owned {
+		t.mu.Unlock()
+	}
+}
+
+// since is the offset of a fresh reading of the tracer's clock.
+func (t *Trace) since() int64 { return int64(t.tr.clock.Mono() - t.t0) }
 
 // ID returns the trace's identifier. IDs are rendered in hex (see
 // FormatID) in log lines, replies and URLs. Immutable after Start, so
@@ -104,12 +133,12 @@ func (t *Trace) SetName(name string) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
+	t.lock()
 	t.name = name
 	if len(t.spans) > 0 {
 		t.spans[0].Name = name
 	}
-	t.mu.Unlock()
+	t.unlock()
 }
 
 // SetError marks the trace failed, which forces tail retention at
@@ -118,12 +147,12 @@ func (t *Trace) SetError(msg string) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
+	t.lock()
 	if !t.hasErr {
 		t.hasErr = true
 		t.errMsg = msg
 	}
-	t.mu.Unlock()
+	t.unlock()
 }
 
 // StartSpan opens a child span under parent (NoSpan parents to the
@@ -132,11 +161,34 @@ func (t *Trace) StartSpan(parent SpanRef, name string) SpanRef {
 	if t == nil {
 		return NoSpan
 	}
-	start := time.Since(t.t0).Nanoseconds()
-	t.mu.Lock()
+	return t.startSpan(parent, name, t.since())
+}
+
+// StartSpanAt is StartSpan at at, a reading of the tracer's clock's
+// Mono the caller has already taken.
+func (t *Trace) StartSpanAt(parent SpanRef, name string, at time.Duration) SpanRef {
+	if t == nil {
+		return NoSpan
+	}
+	return t.startSpan(parent, name, int64(at-t.t0))
+}
+
+// NextSpan ends span end and opens name under parent at the same
+// reading: adjacent spans share their boundary.
+func (t *Trace) NextSpan(end, parent SpanRef, name string) SpanRef {
+	if t == nil {
+		return NoSpan
+	}
+	at := t.since()
+	t.endSpan(end, at)
+	return t.startSpan(parent, name, at)
+}
+
+func (t *Trace) startSpan(parent SpanRef, name string, start int64) SpanRef {
+	t.lock()
+	defer t.unlock()
 	if len(t.spans) >= maxSpans {
 		t.lost++
-		t.mu.Unlock()
 		return NoSpan
 	}
 	if parent == NoSpan && len(t.spans) > 0 {
@@ -145,7 +197,6 @@ func (t *Trace) StartSpan(parent SpanRef, name string) SpanRef {
 	ref := SpanRef(len(t.spans))
 	t.spans = append(t.spans, Span{Name: name, Parent: parent, Start: start, Dur: -1,
 		Attrs: t.slotAttrs(int(ref))})
-	t.mu.Unlock()
 	return ref
 }
 
@@ -166,12 +217,36 @@ func (t *Trace) EndSpan(ref SpanRef) {
 	if t == nil || ref < 0 {
 		return
 	}
-	end := time.Since(t.t0).Nanoseconds()
-	t.mu.Lock()
+	t.endSpan(ref, t.since())
+}
+
+// EndSpanAt is EndSpan at at, a reading of the tracer's clock's Mono
+// the caller has already taken.
+func (t *Trace) EndSpanAt(ref SpanRef, at time.Duration) {
+	if t == nil || ref < 0 {
+		return
+	}
+	t.endSpan(ref, int64(at-t.t0))
+}
+
+// endSpan closes span ref at offset end; NoSpan is a no-op.
+func (t *Trace) endSpan(ref SpanRef, end int64) {
+	if ref < 0 {
+		return
+	}
+	t.lock()
 	if int(ref) < len(t.spans) && t.spans[ref].Dur < 0 {
 		t.spans[ref].Dur = end - t.spans[ref].Start
 	}
-	t.mu.Unlock()
+	t.unlock()
+}
+
+// Finish is t's Tracer's Finish: whoever ends a request's unit needs
+// the trace alone.
+func (t *Trace) Finish() {
+	if t != nil {
+		t.tr.Finish(t)
+	}
 }
 
 // Annotate attaches a string annotation to the span (NoSpan targets
@@ -192,14 +267,14 @@ func (t *Trace) AnnotateInt(ref SpanRef, key string, val int64) {
 }
 
 func (t *Trace) annotate(ref SpanRef, a Attr) {
-	t.mu.Lock()
+	t.lock()
 	if ref < 0 {
 		ref = 0
 	}
 	if int(ref) < len(t.spans) {
 		t.spans[ref].Attrs = append(t.spans[ref].Attrs, a)
 	}
-	t.mu.Unlock()
+	t.unlock()
 }
 
 // Config sizes a Tracer.
@@ -221,6 +296,7 @@ type Config struct {
 type Tracer struct {
 	sample int
 	slow   time.Duration
+	clock  clock.Clock
 
 	seq atomic.Uint64 // head-sampling counter
 	ids atomic.Uint64 // trace-ID allocator
@@ -238,28 +314,43 @@ type Tracer struct {
 	keptErr  atomic.Uint64
 }
 
-// NewTracer builds a Tracer, or returns nil (disabled) when
-// cfg.Ring <= 0.
-func NewTracer(cfg Config) *Tracer {
+// NewTracer builds a Tracer on the wall clock, or returns nil
+// (disabled) when cfg.Ring <= 0.
+func NewTracer(cfg Config) *Tracer { return NewTracerOn(clock.Real{}, cfg) }
+
+// NewTracerOn is NewTracer reading time from c. When c is also the
+// clock a caller times its own work on — in papid, the wall clock for
+// both — the two can share readings.
+func NewTracerOn(c clock.Clock, cfg Config) *Tracer {
 	if cfg.Ring <= 0 {
 		return nil
 	}
 	tr := &Tracer{
 		sample: cfg.Sample,
 		slow:   cfg.Slow,
+		clock:  c,
 		ring:   make([]*Trace, cfg.Ring),
 	}
 	tr.pool.New = func() any { return &Trace{} }
 	// Seed IDs from the wall clock so IDs from successive daemon runs
 	// do not collide in operators' notes.
-	tr.ids.Store(uint64(time.Now().UnixNano()) << 12)
+	tr.ids.Store(uint64(c.Now().UnixNano()) << 12)
 	return tr
 }
 
 // Start begins a trace of one unit. kind groups traces in /tracez
 // ("tick", "request", "wal"); name is the unit label (the op name, or
 // "tick"). Returns nil when the tracer is disabled.
-func (tr *Tracer) Start(kind, name string) *Trace {
+func (tr *Tracer) Start(kind, name string) *Trace { return tr.start(kind, name, false) }
+
+// StartOwned is Start for a unit one goroutine works on at a time — a
+// wire request, which its connection's reader dispatches and then
+// hands, riding its reply, to the connection's writer. The trace takes
+// no lock; each handoff must order the goroutines, as a mutex-guarded
+// queue does.
+func (tr *Tracer) StartOwned(kind, name string) *Trace { return tr.start(kind, name, true) }
+
+func (tr *Tracer) start(kind, name string, owned bool) *Trace {
 	if tr == nil {
 		return nil
 	}
@@ -268,8 +359,11 @@ func (tr *Tracer) Start(kind, name string) *Trace {
 	t.kind = kind
 	t.name = name
 	t.sampled = tr.sample > 0 && tr.seq.Add(1)%uint64(tr.sample) == 0
-	t.wallUS = time.Now().UnixMicro()
-	t.t0 = time.Now()
+	t.owned = owned
+	t.tr = tr
+	wall, mono := tr.clock.Stamp()
+	t.wallUS = wall.UnixMicro()
+	t.t0 = mono
 	t.spans = append(t.spans[:0], Span{Name: name, Parent: NoSpan, Dur: -1, Attrs: t.slotAttrs(0)})
 	t.lost = 0
 	t.hasErr = false
@@ -292,8 +386,8 @@ func (tr *Tracer) Finish(t *Trace) {
 	if tr == nil || t == nil || !t.finished.CompareAndSwap(false, true) {
 		return
 	}
-	dur := time.Since(t.t0).Nanoseconds()
-	t.mu.Lock()
+	dur := t.since()
+	t.lock()
 	t.dur = dur
 	for i := range t.spans {
 		if t.spans[i].Dur < 0 {
@@ -313,7 +407,7 @@ func (tr *Tracer) Finish(t *Trace) {
 	}
 	t.retained = why != ""
 	t.keptWhy = why
-	t.mu.Unlock()
+	t.unlock()
 
 	if !t.retained {
 		// Not worth keeping: recycle the span storage.

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func TestSpanTree(t *testing.T) {
@@ -389,4 +391,62 @@ func TestFinishIdempotent(t *testing.T) {
 	if st := tr.TracerStats(); st.Retained != 1 {
 		t.Fatalf("retained counter = %d, want 1", st.Retained)
 	}
+}
+
+// readCounter is a Fake clock that counts its reads: a Stamp, a Now or
+// a Mono is one each.
+type readCounter struct {
+	*clock.Fake
+	reads int
+}
+
+func (c *readCounter) Now() time.Time      { c.reads++; return c.Fake.Now() }
+func (c *readCounter) Mono() time.Duration { c.reads++; return c.Fake.Mono() }
+func (c *readCounter) Stamp() (time.Time, time.Duration) {
+	c.reads++
+	return c.Fake.Stamp()
+}
+
+// TestOneReadPerBoundary: on the tracer's own clock, Start takes one
+// reading for its wall stamp and its origin, NextSpan one for the two
+// spans it joins, the At forms none, and Finish one, which also closes
+// the span still open — so a request shaped root → dispatch → write
+// costs four readings, and its spans meet exactly.
+func TestOneReadPerBoundary(t *testing.T) {
+	fk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	c := &readCounter{Fake: fk}
+	tr := NewTracerOn(c, Config{Sample: 1, Ring: 4})
+	c.reads = 0
+	fk.Advance(time.Second)
+	trc := tr.StartOwned("request", "READ")
+	at := fk.Mono() // a reading the caller took for itself (uncounted)
+	fk.Advance(3 * time.Millisecond)
+	dsp := trc.StartSpanAt(NoSpan, "dispatch", at)
+	fk.Advance(5 * time.Millisecond)
+	wr := trc.NextSpan(dsp, NoSpan, "write")
+	fk.Advance(7 * time.Millisecond)
+	id := trc.ID()
+	trc.Finish()
+	if c.reads != 3 {
+		t.Errorf("Start, NextSpan and Finish took %d clock readings, want 3", c.reads)
+	}
+	v := tr.Get(id).View()
+	if v.StartUS != time.Unix(1_700_000_001, 0).UnixMicro() {
+		t.Errorf("wall stamp %d, want the Start reading's", v.StartUS)
+	}
+	sp := v.Spans
+	if len(sp) != 3 || sp[dsp].Start != 0 || sp[dsp].Dur != int64(8*time.Millisecond) ||
+		sp[wr].Start != int64(8*time.Millisecond) || sp[wr].Dur != int64(7*time.Millisecond) ||
+		sp[0].Dur != int64(15*time.Millisecond) {
+		t.Errorf("spans %+v: want dispatch [0, 8ms), write [8ms, 15ms) and a 15ms root", sp)
+	}
+	shared := tr.Start("tick", "tick")
+	at = fk.Mono()
+	s1 := shared.StartSpanAt(NoSpan, "shard", at)
+	fk.Advance(time.Millisecond)
+	shared.EndSpanAt(s1, fk.Mono())
+	if v := shared.View(); v.Spans[1].Dur != int64(time.Millisecond) {
+		t.Errorf("At span lasted %d, want 1ms", v.Spans[1].Dur)
+	}
+	shared.Finish()
 }

@@ -131,9 +131,10 @@ func (s *Store) InstallSealed(sb SealedBlock) {
 	s.bytes.Add(delta)
 }
 
-// InstallRow re-appends a journaled row during replay: AppendBatchSeq
-// without the byte budget, which replay applies once, after its
-// retention sweep (EnforceBudget), as it does to installed blocks.
+// InstallRow re-appends a journaled row during replay: AppendRows of
+// one row without its timing and the byte budget, which replay applies
+// once, after its retention sweep (EnforceBudget), as it does to
+// installed blocks.
 // Applied row by row, it would let rows the sweep is about to expire
 // push out blocks the live store kept.
 func (s *Store) InstallRow(session uint64, ts int64, events []string, vals []int64, seq uint64) {

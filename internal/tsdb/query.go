@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sort"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // Query selects a downsampled range of one session's series.
@@ -71,7 +69,7 @@ func (s *Store) Query(session uint64, q Query) []Series {
 		return nil
 	}
 	if s.queryLat != nil {
-		defer func(t0 time.Time) { s.queryLat.Observe(telemetry.Since(t0)) }(time.Now())
+		defer func(t0 time.Duration) { s.queryLat.Observe(int64(s.clock.Mono() - t0)) }(s.clock.Mono())
 	}
 	from, to := q.grid()
 	var width int64
