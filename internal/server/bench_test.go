@@ -364,7 +364,6 @@ func BenchmarkTickFanout(b *testing.B) {
 		if resp := srv.dispatch(c, &wire.Request{Op: wire.OpSubscribe, Sessions: ids}); !resp.OK {
 			b.Fatal(resp.Error)
 		}
-		c.goLive()
 		conns = append(conns, c)
 	}
 	b.ReportAllocs()

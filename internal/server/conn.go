@@ -1,8 +1,9 @@
 // The connection lifecycle: handle is a connection's reader goroutine —
 // it decodes requests under the read-idle deadline, dispatches them
-// (dispatch.go), queues each reply and then opens the streams the
-// request registered (goLive); evict and teardown are how a connection
-// ends. Its writer goroutine is writeLoop (frame.go).
+// (dispatch.go) and queues each reply (reply, which a SUBSCRIBE calls
+// itself, inside the session hold that opens its stream); evict and
+// teardown are how a connection ends. Its writer goroutine is writeLoop
+// (frame.go).
 package server
 
 import (
@@ -38,12 +39,13 @@ type conn struct {
 	codec   atomic.Uint32
 	evicted atomic.Bool
 
-	// trc is the in-flight request's trace, set by handle around
-	// dispatch so deep dispatch paths (PUBLISH fan-out) can hang stage
-	// spans on it without changing the dispatch signature. Requests on
-	// a connection are handled serially by the reader goroutine, so a
-	// plain field suffices.
+	// The request in flight, set by handle before dispatch: its trace,
+	// on which deep dispatch paths (PUBLISH fan-out) hang stage spans
+	// without changing the dispatch signature, and its dispatch span,
+	// which reply ends. Requests on a connection are handled serially
+	// by the reader goroutine, so plain fields suffice.
 	trc *tracing.Trace
+	dsp tracing.SpanRef
 
 	mu   sync.Mutex
 	subs []*subscriber
@@ -135,17 +137,11 @@ func (s *Server) handle(nc net.Conn) {
 		if req.Session != 0 {
 			t.AnnotateInt(tracing.NoSpan, "session", int64(req.Session))
 		}
-		c.trc = t
-		dsp := s.spanStart(t, "dispatch", t0)
+		c.trc, c.dsp = t, s.spanStart(t, "dispatch", t0)
 		resp := s.dispatch(c, &req)
-		wr := t.NextSpan(dsp, tracing.NoSpan, "write")
-		c.trc = nil
-		if !resp.OK && resp.Error != "" {
-			t.SetError(resp.Error)
-		}
-		resp.TraceID = tid
-		ok := c.sendTraced(resp, t, wr)
-		c.goLive()
+		// A SUBSCRIBE that registered has queued its ack already, inside
+		// the session hold that opened its stream.
+		ok := resp.Op == wire.OpSubscribe && resp.OK || c.reply(resp)
 		elapsed := s.cfg.clock.Mono() - t0
 		s.m.observeOp(req.Op, c.codecNow(), elapsed)
 		if d := s.cfg.SlowOp; d > 0 && elapsed >= d {
@@ -156,15 +152,12 @@ func (s *Server) handle(nc net.Conn) {
 			c.log.Warn("papid: slow op", attrs...)
 			s.slowOps.record(req.Op, req.Session, elapsed.Nanoseconds(), tid)
 		}
-		if !ok {
-			return
-		}
-		if req.Op == wire.OpBye {
+		if !ok || req.Op == wire.OpBye {
 			return
 		}
 		if resp.Op == wire.OpHello && resp.Codec == wire.CodecNameBinary {
-			// The upgrade confirmation was enqueued (in JSON, by the
-			// send above); every frame from here on — ours and the
+			// The upgrade confirmation was enqueued (in JSON, by
+			// reply above); every frame from here on — ours and the
 			// peer's — is binary. The peer cannot have pipelined binary
 			// bytes earlier: it switches only after reading our reply.
 			c.codec.Store(uint32(wire.CodecBinary))
@@ -173,33 +166,30 @@ func (s *Server) handle(nc net.Conn) {
 	}
 }
 
-// subscribing reports whether the connection holds live
-// subscriptions, which exempts it from the read-idle deadline.
+// reply queues the answer to the request in flight — the one reply
+// path: the frame carries the request's trace ID, one reading ends the
+// dispatch span and starts the write span, and the trace rides the
+// frame to whoever settles it, so only its ID is read after the push.
+// It runs once per request: from a SUBSCRIBE inside the session hold
+// that opens its stream (dispatch.go), or else from handle once
+// dispatch returns. It reports whether the frame was queued.
+func (c *conn) reply(resp wire.Response) bool {
+	t := c.trc
+	c.trc = nil
+	wr := t.NextSpan(c.dsp, tracing.NoSpan, "write")
+	if !resp.OK && resp.Error != "" {
+		t.SetError(resp.Error)
+	}
+	resp.TraceID = t.ID()
+	return c.sendTraced(resp, t, wr)
+}
+
+// subscribing reports whether the connection holds subscriptions,
+// which exempts it from the read-idle deadline.
 func (c *conn) subscribing() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.subs) > 0
-}
-
-// goLive opens the streams of the subscriptions the request just
-// answered registered — the not-yet-live tail of c.subs; handle calls
-// it once the reply is queued. Each opens under its session's lock, so
-// between two of the session's rows: a subscriber gets all of a row's
-// frames or none, never a DERIVED without the SNAPSHOT before it. c.mu
-// is dropped first (lock order: sess.mu before c.mu).
-func (c *conn) goLive() {
-	c.mu.Lock()
-	i := len(c.subs)
-	for i > 0 && !c.subs[i-1].live.Load() {
-		i--
-	}
-	opening := slices.Clone(c.subs[i:])
-	c.mu.Unlock()
-	for _, sub := range opening {
-		sub.sess.mu.Lock()
-		sub.live.Store(true)
-		sub.sess.mu.Unlock()
-	}
 }
 
 // evict cuts the connection loose: the queue closes (stopping the

@@ -158,7 +158,14 @@ func errResp(req *wire.Request, err error) wire.Response {
 // subscribe answers an OpSubscribe: the single-session form
 // (Session != 0) with optional derive groups, or the wildcard form
 // (Sessions / Labels) that registers one subscriber on every matched
-// session. Both forms accept the event filter and delta mode.
+// session. Both forms accept the event filter and delta mode. A
+// subscription and its ack are one critical section: the subscriber is
+// registered and the ack queued (conn.reply) while its session's lock
+// is held, which every fan-out of the session holds too. So no frame
+// overtakes the ack, every row numbered after the hold reaches the
+// subscriber or is counted dropped, and the stream opens between two
+// rows. A SUBSCRIBE answered OK has queued its ack when subscribe
+// returns; a refused one registers nothing, and handle replies.
 func (s *Server) subscribe(c *conn, req *wire.Request) wire.Response {
 	if len(req.Sessions) == 0 && len(req.Labels) == 0 {
 		return s.withSession(req, func(sess *session) wire.Response {
@@ -171,7 +178,9 @@ func (s *Server) subscribe(c *conn, req *wire.Request) wire.Response {
 				}
 			}
 			s.addSubscriber(c, sess, req)
-			return wire.Response{Op: req.Op, OK: true, Session: sess.id, Events: sess.names}
+			resp := wire.Response{Op: req.Op, OK: true, Session: sess.id, Events: sess.names}
+			c.reply(resp)
+			return resp
 		})
 	}
 	// Wildcard form. Validate everything before touching any session: a
@@ -194,20 +203,28 @@ func (s *Server) subscribe(c *conn, req *wire.Request) wire.Response {
 			matched = append(matched, sess)
 		}
 	})
+	// Every matched session is held at once, locked in ascending id (the
+	// one path that holds several session locks, so two wildcards cannot
+	// wait on each other), until the ack is queued.
 	slices.SortFunc(matched, func(a, b *session) int { return cmp.Compare(a.id, b.id) })
 	var ids []uint64
+	held := matched[:0]
 	for _, sess := range matched {
-		if !sess.lockOpen() {
-			continue // closed between the registry scan and here
+		if sess.lockOpen() { // else closed since the registry scan
+			held = append(held, sess)
+			s.addSubscriber(c, sess, req)
+			ids = append(ids, sess.id)
 		}
-		s.addSubscriber(c, sess, req)
-		sess.mu.Unlock()
-		ids = append(ids, sess.id)
 	}
 	if len(ids) == 0 {
 		return errResp(req, errors.New("wildcard SUBSCRIBE matched no live session"))
 	}
-	return wire.Response{Op: req.Op, OK: true, Sessions: ids}
+	resp := wire.Response{Op: req.Op, OK: true, Sessions: ids}
+	c.reply(resp)
+	for _, sess := range held {
+		sess.mu.Unlock()
+	}
+	return resp
 }
 
 // addSubscriber registers c on sess — locked by the caller — with the

@@ -33,12 +33,6 @@ type subscriber struct {
 	// session's next fan-out: set at subscribe (the first frame anchors
 	// the stream) and by frame.drop on any lost frame.
 	needKey atomic.Bool
-	// live opens the stream: fan-out skips the subscription until its
-	// SUBSCRIBE reply is queued, so with fan-out pushing straight into
-	// the connection's queue no frame can overtake the ack that tells
-	// the client which sessions it now follows. goLive sets it under the
-	// session's lock, so the stream opens between two rows.
-	live atomic.Bool
 }
 
 // fanout delivers one numbered row of the session — a tick's or a
@@ -137,7 +131,7 @@ func (s *Server) fanoutView(r *rec, v *viewSubs, snap *wire.Response) int {
 }
 
 // deliverAll encodes one view frame at most once per codec — every
-// codec its live subscribers read, back to back, before any push — and
+// codec its subscribers read, back to back, before any push — and
 // delivers it to every subscriber of the view, counting the frames
 // sent once for the view. It returns the encodes that failed.
 func (s *Server) deliverAll(r *rec, resp *wire.Response, kind frameKind, subs []*subscriber) int {
@@ -212,7 +206,7 @@ var encodeFault error
 
 // encCache serializes one response at most once per codec and hands
 // out the shared bytes — the encode-once fan-out path. want marks the
-// codecs a frame's live subscribers read and encode serializes them
+// codecs a frame's subscribers read and encode serializes them
 // back to back before the first push, so a frame's encodes chain on one
 // recorder's readings with nothing between them; get still encodes a
 // codec nobody wanted on first use. The buffers are pooled,
@@ -233,14 +227,10 @@ type encCache struct {
 	wanted [2]bool
 }
 
-// want marks the codec of every live subscriber in subs. The caller
-// holds the session's lock, which goLive takes to open a stream, so no
-// subscriber goes live between want and the pushes.
+// want marks the codec of every subscriber in subs.
 func (e *encCache) want(subs []*subscriber) {
 	for _, sub := range subs {
-		if sub.live.Load() {
-			e.wanted[sub.c.codecNow()] = true
-		}
+		e.wanted[sub.c.codecNow()] = true
 	}
 }
 
@@ -309,9 +299,6 @@ func (e *encCache) done() (failed int) {
 // abandoned queue — ends in frame.drop, which counts it against the
 // same kind and marks a delta view for re-key.
 func (s *Server) deliver(enc *encCache, r *rec, resp *wire.Response, kind frameKind, sub *subscriber) bool {
-	if !sub.live.Load() {
-		return false // not acked yet: the stream starts after its SUBSCRIBE reply
-	}
 	codec := sub.c.codecNow()
 	f := frame{codec: codec, kind: kind, sub: sub}
 	sb, ok := enc.get(s, r, resp, kindNames[kind], codec)

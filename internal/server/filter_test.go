@@ -730,12 +730,13 @@ func TestViewMembershipChurn(t *testing.T) {
 	}
 }
 
-// TestStreamOpensBetweenRows: a subscription goes live between two of
-// its session's rows, never inside one, so its stream opens with a row's
-// first frame and every DERIVED follows its own row's SNAPSHOT. goLive
-// used to flip the flag under no session lock, and a row's SNAPSHOT could
-// pass a subscriber by while its DERIVED reached it (papistorm: "DERIVED
-// seq 2 after SNAPSHOT seq 0").
+// TestStreamOpensBetweenRows: a SUBSCRIBE opens its stream between two
+// of its session's rows, never inside one, right behind its ack: the
+// stream's first frame is a row's SNAPSHOT and every DERIVED follows its
+// own row's SNAPSHOT. A stream once opened under no session lock, and a
+// row's SNAPSHOT could pass a subscriber by while its DERIVED reached it
+// (papistorm: "DERIVED seq 2 after SNAPSHOT seq 0"). Each stream opens
+// through dispatch, as a connection's SUBSCRIBE does.
 func TestStreamOpensBetweenRows(t *testing.T) {
 	srv := New(Config{TickInterval: time.Hour, TSDBMaxBytes: -1, Groups: []string{"ipc"}})
 	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Workload: "none"})
@@ -754,14 +755,19 @@ func TestStreamOpensBetweenRows(t *testing.T) {
 	}()
 	for i := 0; i < 1000 && !t.Failed(); i++ {
 		c := testConn(srv, 1<<20) // never full: nothing is dropped before the pop
-		c.follow(t, sess, nil, false)
-		for c.q.len() < 4 {
+		if resp := srv.dispatch(c, &wire.Request{Op: wire.OpSubscribe, Session: sess.id}); !resp.OK {
+			t.Fatal(resp.Error)
+		}
+		for c.q.len() < 5 {
 			runtime.Gosched()
 		}
 		frames := c.popResponses(t)
 		c.teardown()
+		if frames[0].Op != wire.OpSubscribe {
+			t.Fatalf("stream %d: %s seq %d ahead of the SUBSCRIBE ack", i, frames[0].Op, frames[0].Seq)
+		}
 		var snap uint64
-		for j, f := range frames {
+		for j, f := range frames[1:] {
 			switch {
 			case j == 0 && f.Op != wire.OpSnapshot:
 				t.Errorf("stream %d opens with %s seq %d, want a SNAPSHOT", i, f.Op, f.Seq)

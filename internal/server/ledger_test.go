@@ -5,9 +5,10 @@
 // Sync and Compact, and a clean restart by hand. The schedule has
 // PUBLISHes from several connections at once to the same sessions (and
 // PUBLISHes that must be refused), SUBSCRIBEs of every shape on both
-// codecs, hand ticks, QUERYs at every step and READs, faced by healthy
-// subscribers (some of them held back, so their queues overflow),
-// stalled ones and ones that hang up.
+// codecs, before the traffic and while a PUBLISH burst is in flight,
+// hand ticks, QUERYs at every step, READs and CLOSE_SESSIONs of
+// followed sessions, faced by healthy subscribers (some of them held
+// back, so their queues overflow), stalled ones and ones that hang up.
 //
 // The model is plain maps with no clock and no goroutines: session →
 // seq → acked row, and each subscription's view of it. On every seed:
@@ -15,6 +16,12 @@
 //     to the model's row projected through its filter, and miss nothing
 //     the server did not count dropped; once the pressure ends its next
 //     row reassembles, so a delta view re-keys after a drop;
+//   - a SUBSCRIBE that races a burst gets its ack before any frame of
+//     its streams, each stream opens between two rows, and every row
+//     PUBLISHed after the subscriber read its ack is delivered or
+//     counted dropped; no row acked before it sent the SUBSCRIBE is;
+//   - no frame of a closed session carries a seq past its last row, and
+//     a PUBLISH to it is refused;
 //   - each DERIVED frame sits behind its own row and carries the
 //     model's ipc;
 //   - a refused PUBLISH uses up no seq, and READ answers the last acked
@@ -172,11 +179,17 @@ func (s *modelSession) query(from, to, step int64) []tsdb.Series {
 }
 
 // modelSub is one subscription of a peer: the filter it asked for and
-// how many rows its session had when the stream opened.
+// how many rows its session had when the stream opened. One opened
+// while a burst was in flight knows only bounds, until checkPeer finds
+// its first row: the stream must open after row lo, whose ack was read
+// before the SUBSCRIBE was sent, and at or before row hi, the first
+// PUBLISHed after the subscriber read its ack.
 type modelSub struct {
 	events        []string // nil = every event
 	delta, derive bool
 	after         uint64
+	join          int32 // which of its joiner's SUBSCRIBEs opened it, from 1; 0: none
+	lo, hi        uint64
 }
 
 // peer is one subscriber connection and how it behaves.
@@ -251,6 +264,7 @@ type runner struct {
 	wseen   int   // the witness frames the model has taken in
 
 	ticked, published []uint64
+	closed            []uint64
 	driven            driven
 	sched             []string
 }
@@ -317,6 +331,12 @@ func (d *runner) subscribe(role string, f faultnet.Faults, binary bool, subs map
 		sub.events, sub.after = canonEvents(sub.events), uint64(len(s.rows))
 		subs[id] = sub
 	}
+	d.addPeer(p)
+	return p
+}
+
+// addPeer files p with the runner, and with the server's conn behind it.
+func (d *runner) addPeer(p *peer) {
 	d.srv.connsMu.Lock()
 	for c := range d.srv.conns {
 		if c.nc == net.Conn(p.rec) {
@@ -325,7 +345,105 @@ func (d *runner) subscribe(role string, f faultnet.Faults, binary bool, subs map
 	}
 	d.srv.connsMu.Unlock()
 	d.peers = append(d.peers, p)
-	return p
+}
+
+// joiner is a peer whose SUBSCRIBEs race a PUBLISH burst. Which rows
+// its streams owe is known only against the order in which the two
+// sides saw their replies: sent counts the SUBSCRIBEs it has sent,
+// acked those whose ack it has read.
+type joiner struct {
+	p           *peer
+	reqs        []wire.Request
+	sent, acked atomic.Int32
+	done        chan struct{} // every ack read
+}
+
+// join draws the peer for the next burst: a healthy reader, on either
+// codec, subscribing to a random set of the open sessions in every
+// shape — a wildcard over some of them among them, and derive groups
+// where the row that primes them is known: on a ticked session, which
+// the burst leaves alone, or one already primed.
+func (d *runner) join() *joiner {
+	rng := d.rng
+	f := faultnet.Faults{}
+	if rng.Intn(3) == 0 {
+		f.ChunkSize = 16 + rng.Intn(200)
+	}
+	p := &peer{role: "healthy", subs: make(map[uint64]modelSub), done: make(chan struct{})}
+	p.cl, p.rec = d.dial(f, true, rng.Intn(3) == 0)
+	j := &joiner{p: p, done: make(chan struct{})}
+	wild := wire.Request{Op: wire.OpSubscribe, Delta: rng.Intn(2) == 0}
+	if rng.Intn(2) == 0 { // a filter every session can match
+		wild.Events = ledgerEvents[rng.Intn(2):2]
+	}
+	for _, id := range slices.Concat(d.ticked, d.published) {
+		shape := rng.Intn(6) // plain, events, delta, events+delta, derive, wildcard
+		if rng.Intn(3) == 0 && id != d.published[0] {
+			continue
+		}
+		s := d.m[id]
+		if shape == 5 {
+			wild.Sessions = append(wild.Sessions, id)
+			continue
+		}
+		req := wire.Request{Op: wire.OpSubscribe, Session: id, Delta: shape == 2 || shape == 3}
+		if shape == 1 || shape == 3 {
+			for _, k := range rng.Perm(len(s.names))[:1+rng.Intn(len(s.names))] {
+				req.Events = append(req.Events, s.names[k])
+			}
+		}
+		if shape == 4 && (s.primed != 0 || slices.Contains(d.ticked, id)) {
+			req.Derive = []string{"ipc"}
+			if s.primed == 0 {
+				s.primed = uint64(len(s.rows)) + 1
+			}
+		}
+		j.reqs = append(j.reqs, req)
+	}
+	if len(wild.Sessions) > 0 {
+		j.reqs = append(j.reqs, wild)
+	}
+	for i, req := range j.reqs {
+		sub := modelSub{events: canonEvents(req.Events), delta: req.Delta, derive: req.Derive != nil, join: int32(i + 1)}
+		for _, id := range append(req.Sessions, req.Session) {
+			if id != 0 {
+				p.subs[id] = sub
+			}
+		}
+	}
+	d.addPeer(p)
+	d.note("peer %d joins: binary %v, faults %+v, %+v", len(d.peers)-1, p.cl.PreferBinary, f, j.reqs)
+	return j
+}
+
+// subscribe sends the joiner's SUBSCRIBEs one by one, each while the
+// burst flows, and then reads its streams as any healthy peer does. A
+// frame that reaches it before the ack of its subscription overtook
+// the ack.
+func (j *joiner) subscribe(t *testing.T) {
+	p, acked := j.p, make(map[uint64]bool)
+	early := func(f wire.Response) {
+		if !acked[f.Session] {
+			t.Errorf("joiner: %s seq %d of session %d overtook its SUBSCRIBE ack", f.Op, f.Seq, f.Session)
+		}
+		p.mu.Lock()
+		p.got = append(p.got, f)
+		p.mu.Unlock()
+	}
+	p.cl.OnSnapshot, p.cl.OnDelta, p.cl.OnDerived = early, early, early
+	for _, req := range j.reqs {
+		j.sent.Add(1)
+		resp, err := p.cl.Do(req)
+		j.acked.Add(1)
+		if err != nil {
+			t.Errorf("joiner SUBSCRIBE %+v: %v", req, err)
+		}
+		for _, id := range append(resp.Sessions, resp.Session) {
+			acked[id] = true
+		}
+	}
+	close(j.done)
+	p.read()
 }
 
 // shutdown lets every held reader go and stops the server, once.
@@ -379,7 +497,7 @@ func driveSeed(t *testing.T, seed int64, width int) map[uint64][]string {
 	d.setup()
 
 	d.tick()
-	d.publish()
+	d.publish(nil)
 	if durable {
 		d.bulk()
 	}
@@ -389,22 +507,26 @@ func driveSeed(t *testing.T, seed int64, width int) map[uint64][]string {
 			step = time.Duration(1+rng.Intn(20)) * time.Second
 		}
 		d.fk.Advance(step)
-		switch r := rng.Intn(20); {
+		switch r := rng.Intn(21); {
 		case r < 6:
 			d.tick()
+		case r < 10:
+			d.publish(nil)
 		case r < 12:
-			d.publish()
-		case r < 15 || (r >= 18 && !durable):
+			d.publish(d.join())
+		case r < 13 && len(d.ticked)+len(d.published) > 3:
+			d.closeOne()
+		case r < 16 || (r >= 19 && !durable):
 			d.query()
-		case r < 16:
+		case r < 17:
 			d.read(d.published[rng.Intn(len(d.published))])
-		case r < 18:
+		case r < 19:
 			i, held := 1+rng.Intn(len(d.peers)-1), rng.Intn(2) == 0 // not the witness
 			if p := d.peers[i]; p.role == "healthy" {
 				d.note("hold peer %d: %v", i, held)
 				p.setHeld(held)
 			}
-		case r == 18:
+		case r == 19:
 			d.note("Sync")
 			d.srv.wal.Sync()
 		default:
@@ -432,7 +554,9 @@ func driveSeed(t *testing.T, seed int64, width int) map[uint64][]string {
 // each, 2–4 publishers, the witness and 2–5 more peers, every
 // subscription in place before the first tick or PUBLISH. The first of
 // those peers is healthy and follows the first ticked session's ipc and
-// the first publish-only session in delta mode, so every seed has both.
+// the first publish-only session in delta mode, so every seed has both;
+// the second follows that session's ipc, so each of its rows, which the
+// publishers race on, is a SNAPSHOT and a DERIVED frame.
 func (d *runner) setup() {
 	rng := d.rng
 	d.ctl, _ = d.dial(faultnet.Faults{}, true, rng.Intn(2) == 0)
@@ -473,7 +597,7 @@ func (d *runner) setup() {
 		subs := make(map[uint64]modelSub)
 		for j, id := range slices.Concat(d.ticked, d.published) {
 			shape := rng.Intn(5) // plain, events, delta, events+delta, derive
-			if i == 0 && j == 0 {
+			if (i == 0 && j == 0) || (i == 1 && id == d.published[0]) {
 				shape = 4
 			} else if i == 0 && id == d.published[0] {
 				shape = 2
@@ -555,11 +679,20 @@ func (d *runner) publishOne(id uint64) {
 // publish is one burst: every publisher sends 2–13 PUBLISHes at once,
 // half of them to the first publish-only session, so the connections
 // race on it, and some refused — a value short, or no such session.
-// The acks' seqs must number each session's new rows with no gap.
-func (d *runner) publish() {
+// The acks' seqs must number each session's new rows with no gap. j,
+// when not nil, subscribes while the burst is in flight; each ack
+// notes how many of j's SUBSCRIBE acks were read before its PUBLISH was
+// sent, and how many SUBSCRIBEs were sent before it was read.
+func (d *runner) publish(j *joiner) {
 	type ack struct {
-		id, seq uint64
-		k       int64
+		id, seq     uint64
+		k           int64
+		acked, sent int32
+	}
+	if j == nil {
+		j = &joiner{} // no one joins: its counts stay 0
+	} else {
+		go j.subscribe(d.t)
 	}
 	var mu sync.Mutex
 	var acks []ack
@@ -589,7 +722,9 @@ func (d *runner) publish() {
 					k = d.m[id].lastK.Add(1)
 					req.Values = rowOf(k)
 				}
+				acked := j.acked.Load()
 				resp, err := pub.Do(req)
+				sent := j.sent.Load()
 				if (err == nil) != (k != 0) {
 					d.t.Errorf("PUBLISH %+v: %+v, %v", req, resp, err)
 					return
@@ -598,14 +733,39 @@ func (d *runner) publish() {
 					continue // refused, as it must be
 				}
 				mu.Lock()
-				acks = append(acks, ack{id, resp.Seq, k})
+				acks = append(acks, ack{id, resp.Seq, k, acked, sent})
 				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
+	if j.p != nil {
+		<-j.done
+	}
 	d.note("publish burst at %d: %d acked", d.fk.Now().UnixMicro(), len(acks))
 	slices.SortFunc(acks, func(a, b ack) int { return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.seq, b.seq)) })
+	if j.p != nil {
+		// Rows are owed from the first PUBLISHed after the ack was read,
+		// and from the next row after the burst at the latest.
+		for id, sub := range j.p.subs {
+			end := uint64(len(d.m[id].rows))
+			sub.lo, sub.hi = end, math.MaxUint64
+			for _, a := range acks {
+				if a.id != id {
+					continue
+				}
+				end++
+				if a.sent < sub.join {
+					sub.lo = a.seq
+				}
+				if a.acked >= sub.join {
+					sub.hi = min(sub.hi, a.seq)
+				}
+			}
+			sub.hi = min(sub.hi, end+1)
+			j.p.subs[id] = sub
+		}
+	}
 	for _, a := range acks {
 		s := d.m[a.id]
 		if a.seq != uint64(len(s.rows))+1 {
@@ -644,11 +804,32 @@ func (d *runner) bulk() {
 	d.driven.publishes += 65 * 8
 }
 
+// closeOne closes one session other than the first ticked and the
+// first two publish-only ones, which every seed keeps: its subscribers'
+// connections forget it, its streams end at its last row, and a PUBLISH
+// to it is refused with no seq used. Its history stays queryable.
+func (d *runner) closeOne() {
+	open := slices.Concat(d.ticked[1:], d.published[2:])
+	id := open[d.rng.Intn(len(open))]
+	d.note("CLOSE_SESSION %d", id)
+	d.do(d.ctl, wire.Request{Op: wire.OpCloseSession, Session: id})
+	if resp, err := d.ctl.Do(wire.Request{Op: wire.OpPublish, Session: id, Events: ledgerEvents,
+		Values: rowOf(1)}); err == nil {
+		d.t.Errorf("PUBLISH to closed session %d acked: %+v", id, resp)
+	}
+	isID := func(x uint64) bool { return x == id }
+	d.ticked, d.published = slices.DeleteFunc(d.ticked, isID), slices.DeleteFunc(d.published, isID)
+	d.closed = append(d.closed, id)
+}
+
+// sessions is every session the schedule created, closed ones too.
+func (d *runner) sessions() []uint64 { return slices.Concat(d.ticked, d.published, d.closed) }
+
 // query asks for one session's history over a window whose edges sit
 // on or beside row timestamps, where an off-by-one shows, or over all
 // of it.
 func (d *runner) query() {
-	all := slices.Concat(d.ticked, d.published)
+	all := d.sessions()
 	id := all[d.rng.Intn(len(all))]
 	step := queryStep[d.rng.Intn(len(queryStep))]
 	from, to := int64(0), int64(1<<62)
@@ -707,7 +888,7 @@ func (d *runner) finish() {
 		d.read(id)
 	}
 	var series, samples int
-	for _, id := range slices.Concat(d.ticked, d.published) {
+	for _, id := range d.sessions() {
 		for _, step := range queryStep {
 			d.checkQuery(d.ctl, id, 0, 1<<62, step)
 		}
@@ -790,7 +971,9 @@ func (d *runner) check() {
 // every DERIVED frame, each DERIVED straight behind its row; one under
 // pressure holds a rising subsequence whose delta frames reassemble
 // once a keyframe anchors them. Either ends with the last row of each
-// session it follows.
+// session it follows, but one under pressure need not reach a closed
+// session's. A stream opened during a burst starts at its first row,
+// which must lie in the bounds the burst set (modelSub).
 func (d *runner) checkPeer(i int, p *peer) uint64 {
 	t := d.t
 	type stream struct {
@@ -799,7 +982,21 @@ func (d *runner) checkPeer(i int, p *peer) uint64 {
 	}
 	streams := make(map[uint64]*stream)
 	var owed uint64
+	got := p.frames()
 	for id, sub := range p.subs {
+		if sub.join != 0 {
+			first := uint64(len(d.m[id].rows)) + 1
+			if k := slices.IndexFunc(got, func(f wire.Response) bool {
+				return f.Session == id && f.Op != wire.OpDerived
+			}); k >= 0 {
+				first = got[k].Seq
+			}
+			if first <= sub.lo {
+				t.Errorf("peer %d session %d: the stream opens at row %d, acked before the SUBSCRIBE was sent (after %d)",
+					i, id, first, sub.lo)
+			}
+			sub.after = min(first, sub.hi) - 1
+		}
 		streams[id] = &stream{row: sub.after}
 		for seq := sub.after + 1; seq <= uint64(len(d.m[id].rows)); seq++ {
 			if _, ok := d.m[id].ipc(seq); ok {
@@ -808,7 +1005,6 @@ func (d *runner) checkPeer(i int, p *peer) uint64 {
 			owed++
 		}
 	}
-	got := p.frames()
 	lossless := uint64(len(got)) == owed
 	if !lossless && (p == d.witness || d.cfg.WriteQueueDepth == deepQueue) {
 		t.Errorf("peer %d: %d frames, owed %d, and nothing could drop", i, len(got), owed)
@@ -820,6 +1016,9 @@ func (d *runner) checkPeer(i int, p *peer) uint64 {
 			t.Fatalf("peer %d: %s for session %d it never subscribed to", i, f.Op, f.Session)
 		}
 		s, st := d.m[f.Session], streams[f.Session]
+		if f.Seq > uint64(len(s.rows)) {
+			t.Fatalf("peer %d session %d: %s seq %d, but the session has %d rows", i, f.Session, f.Op, f.Seq, len(s.rows))
+		}
 		if f.Op == wire.OpDerived {
 			want, ok := s.ipc(f.Seq)
 			behind := f.Seq > st.derived && f.Seq >= st.row && (!lossless || st.rowLast && f.Seq == st.row)
@@ -851,7 +1050,10 @@ func (d *runner) checkPeer(i int, p *peer) uint64 {
 		}
 	}
 	for id, st := range streams {
-		if st.unanchored || st.row != uint64(len(d.m[id].rows)) {
+		// A closed session has no last row after the pressure to catch
+		// a lossy stream up with; the ledger holds it to what it lost.
+		closed := slices.Contains(d.closed, id)
+		if (!closed || lossless) && (st.unanchored || st.row != uint64(len(d.m[id].rows))) {
 			t.Errorf("peer %d session %d: the stream ends at seq %d (unanchored %v), the last row is %d",
 				i, id, st.row, st.unanchored, len(d.m[id].rows))
 		}
@@ -872,7 +1074,7 @@ func (d *runner) restart() {
 		d.t.Errorf("restart after a clean shutdown: %+v, wal_clean_start %d", rs, stat(d.t, d.srv, "wal_clean_start"))
 	}
 	cl, _ := d.dial(faultnet.Faults{}, true, false)
-	for _, id := range slices.Concat(d.ticked, d.published) {
+	for _, id := range d.sessions() {
 		for _, step := range queryStep {
 			d.checkQuery(cl, id, 0, 1<<62, step)
 		}

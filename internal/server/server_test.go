@@ -97,17 +97,15 @@ func testConn(srv *Server, depth int) *conn {
 	return &conn{srv: srv, q: newWriteQueue(depth, srv.m)}
 }
 
-// follow subscribes the connection to sess exactly as SUBSCRIBE does,
-// reply already queued.
+// follow subscribes the connection to sess as SUBSCRIBE does, less
+// the ack: the stream opens between two of the session's rows.
 func (c *conn) follow(tb testing.TB, sess *session, events []string, delta bool) *subscriber {
 	tb.Helper()
 	if !sess.lockOpen() {
 		tb.Fatal(errSessionClosed)
 	}
-	sub := c.srv.addSubscriber(c, sess, &wire.Request{Events: events, Delta: delta})
-	sess.mu.Unlock()
-	c.goLive()
-	return sub
+	defer sess.mu.Unlock()
+	return c.srv.addSubscriber(c, sess, &wire.Request{Events: events, Delta: delta})
 }
 
 // popAll empties the connection's queue as its writer would, each
@@ -405,9 +403,9 @@ func TestSlowConsumerDropsViaTick(t *testing.T) {
 }
 
 // TestFramesWaitForSubscribeReply: fan-out pushes straight into the
-// connection's queue, so a tick racing a SUBSCRIBE could put a frame
-// ahead of the reply that tells the client what it subscribed to. A
-// registered subscription stays silent until its reply is queued.
+// connection's queue, so a SUBSCRIBE queues its ack in the hold that
+// registers it. The ack is the first frame in the queue, and the first
+// tick after dispatch returns is delivered and counted.
 func TestFramesWaitForSubscribeReply(t *testing.T) {
 	srv := New(Config{TickInterval: time.Hour})
 	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
@@ -416,14 +414,9 @@ func TestFramesWaitForSubscribeReply(t *testing.T) {
 		t.Fatal(resp.Error)
 	}
 	c := testConn(srv, 8)
-	req := &wire.Request{Op: wire.OpSubscribe, Session: created.Session}
-	reply := srv.dispatch(c, req) // what handle does, step by step
-	srv.tick()
-	if n := c.q.len(); n != 0 {
-		t.Fatalf("%d frames queued ahead of the SUBSCRIBE reply", n)
+	if resp := srv.dispatch(c, &wire.Request{Op: wire.OpSubscribe, Session: created.Session}); !resp.OK {
+		t.Fatal(resp.Error)
 	}
-	c.send(reply)
-	c.goLive()
 	srv.tick()
 	var ops []string
 	for _, resp := range c.popResponses(t) {
@@ -433,7 +426,7 @@ func TestFramesWaitForSubscribeReply(t *testing.T) {
 		t.Errorf("queue holds %v, want %v", ops, want)
 	}
 	if sent, dropped := stat(t, srv, "snapshots_sent"), stat(t, srv, "snapshots_dropped"); sent != 1 || dropped != 0 {
-		t.Errorf("sent=%d dropped=%d, want 1/0: the silent tick must count nothing", sent, dropped)
+		t.Errorf("sent=%d dropped=%d, want 1/0", sent, dropped)
 	}
 }
 

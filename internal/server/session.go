@@ -18,7 +18,7 @@ import (
 //
 // mu is the session's one lock, and an op on the session is one
 // critical section: whoever reaches a session — withSession for a
-// request, tickSession for the sweep, the wildcard-SUBSCRIBE loop —
+// request, tickSession for the sweep, a wildcard SUBSCRIBE —
 // locks it, finds it open (lockOpen) and calls the methods below under
 // that hold; only removeSubscriber and close, which a closed session
 // must also answer, lock for themselves. A row is numbered (snapshot,
@@ -28,7 +28,9 @@ import (
 // serializes every touch of the papi stack, which is not
 // goroutine-safe. Lock order (DESIGN.md §8): mu comes before
 // wal.Log.mu, a store shard, a derive stripe, conn.mu and conn.q.mu,
-// and nothing that holds one of those takes a session's mu.
+// and nothing that holds one of those takes a session's mu. Only a
+// wildcard SUBSCRIBE holds several sessions' mu at once, locked in
+// ascending id.
 type session struct {
 	id       uint64
 	platform string

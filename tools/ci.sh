@@ -94,11 +94,15 @@ go test -race -count=20 -run '^(TestRowInSweepDropWindowSurvivesCrash|TestSweepR
 # race on one session, and every subscriber, the derive engine and
 # history must see its rows in seq order (its -short seeds,
 # each at sweep width 1 and 8); a torn-down connection must be pushed
-# nothing more, and a new subscription must open between two rows. The
-# tick's delivery and advance passes commute per session, so the rows
-# they make must equal a direct Run → Read sequence at any sweep width,
-# and a restarted session must run its first chunk again.
-go test -short -race -count=20 -run '^(TestLedgerBalances|TestViewMembershipChurn|TestStreamOpensBetweenRows|TestAdvanceAheadKeepsRows|TestRestartRunsFirstChunk)$' ./internal/server
+# nothing more, and a new subscription must open between two rows,
+# behind its ack, owing every row published after the ack was read
+# (the model test's SUBSCRIBEs during PUBLISH bursts, and
+# TestDeltaKeyframeCadence, which hung when a row slipped past a
+# subscription being opened). The tick's delivery and advance passes
+# commute per session, so the rows they make must equal a direct Run →
+# Read sequence at any sweep width, and a restarted session must run its
+# first chunk again. The timeout makes a hang fail in minutes.
+go test -short -race -count=20 -timeout 5m -run '^(TestLedgerBalances|TestViewMembershipChurn|TestStreamOpensBetweenRows|TestAdvanceAheadKeepsRows|TestRestartRunsFirstChunk|TestDeltaKeyframeCadence)$' ./internal/server
 # Server benches once with -benchmem: the encode-once fan-out's
 # allocation profile is a correctness property here — this catches a
 # reintroduced per-subscriber serialization as an allocs/op jump even
