@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -176,38 +177,44 @@ func FuzzBinaryDecode(f *testing.F) {
 	})
 }
 
-// FuzzBinaryRoundTrip: any Request assembled from fuzzed fields must
-// survive encode → decode unchanged, and a well-formed frame appended
-// after it must still decode (the recoverable path never desyncs).
+// FuzzBinaryRoundTrip: a Request and a Response whose fields, chosen
+// by bit i of mask for field i, are filled from fuzzed strings,
+// integers and float bits must survive encode → decode DeepEqual (byte
+// for byte on re-encoding, which a NaN needs), and a well-formed frame
+// appended after them must still decode (the recoverable path never
+// desyncs). The fields are set by reflection, so a field added later
+// is fuzzed too.
 func FuzzBinaryRoundTrip(f *testing.F) {
-	f.Add("HELLO", uint64(0), "linux-x86", "ev1,ev2", int64(3), int64(-9), 7)
-	f.Add("", uint64(1<<63), "", "", int64(0), int64(1<<62), 0)
-	f.Add("CREATE_SESSION", uint64(42), "aix-power3", "PAPI_FP_INS", int64(-1), int64(1), -12)
-	f.Fuzz(func(t *testing.T, op string, session uint64, platform, events string, v1, v2 int64, n int) {
-		want := Request{Op: op, Session: session, Platform: platform,
-			Values: []int64{v1, v2}, N: n}
-		if events != "" {
-			want.Events = strings.Split(events, ",")
-		}
-		stream, err := AppendFrame(nil, CodecBinary, &want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream, err = AppendFrame(stream, CodecBinary, &Request{Op: OpBye})
-		if err != nil {
-			t.Fatal(err)
-		}
+	f.Add("HELLO", "linux-x86", uint64(0), int64(3), math.Float64bits(0.5), uint64(0x7))
+	f.Add("", "", uint64(1<<63), int64(1<<62), uint64(0), uint64(0))
+	f.Add("CREATE_SESSION", "PAPI_FP_INS", uint64(42), int64(-1), math.Float64bits(math.NaN()), uint64(math.MaxUint64))
+	f.Add("\xff", "a\x00b", uint64(math.MaxUint64), int64(math.MinInt64), math.Float64bits(math.Inf(-1)), uint64(0xa5a5a5))
+	f.Fuzz(func(t *testing.T, a, b string, u uint64, i int64, fbits uint64, mask uint64) {
+		fl := &filler{strs: [2]string{a, b}, u: u, i: i, f: math.Float64frombits(fbits)}
+		req := maskedMessage[Request](t, fl, mask)
+		resp := maskedMessage[Response](t, fl, mask)
+		stream := binFrame(t, &req)
+		stream = append(stream, binFrame(t, &resp)...)
+		stream = append(stream, binFrame(t, &Request{Op: OpBye})...)
+
 		dec := NewDecoder(bytes.NewReader(stream))
 		dec.SetCodec(CodecBinary)
-		var got Request
-		if err := dec.Decode(&got); err != nil {
-			t.Fatalf("decode: %v", err)
+		var gotReq Request
+		var gotResp Response
+		if err := dec.Decode(&gotReq); err != nil {
+			t.Fatalf("decode request: %v", err)
 		}
-		if got.Op != want.Op || got.Session != want.Session || got.Platform != want.Platform ||
-			got.N != want.N || len(got.Values) != len(want.Values) ||
-			got.Values[0] != want.Values[0] || got.Values[1] != want.Values[1] ||
-			len(got.Events) != len(want.Events) {
-			t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+		if err := dec.Decode(&gotResp); err != nil {
+			t.Fatalf("decode response: %v", err)
+		}
+		if again := append(binFrame(t, &gotReq), binFrame(t, &gotResp)...); !bytes.Equal(again, stream[:len(again)]) {
+			t.Fatalf("re-encoded frames differ:\n got %x\nwant %x", again, stream[:len(again)])
+		}
+		if !reflect.DeepEqual(gotReq, req) {
+			t.Fatalf("request round trip:\n got %+v\nwant %+v", gotReq, req)
+		}
+		if !math.IsNaN(fl.f) && !reflect.DeepEqual(gotResp, resp) {
+			t.Fatalf("response round trip:\n got %+v\nwant %+v", gotResp, resp)
 		}
 		var bye Request
 		if err := dec.Decode(&bye); err != nil || bye.Op != OpBye {

@@ -179,3 +179,41 @@ func BenchmarkAppendFrame(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodeFrame prices decoding one binary frame of each
+// per-tick shape, and of a PUBLISH request, through a Decoder whose
+// reader yields one frame per Read: what a binary subscriber pays per
+// frame, and papid per binary request.
+func BenchmarkDecodeFrame(b *testing.B) {
+	publish := Request{Op: OpPublish, Session: 17, Events: snapshotShape.Events, Values: snapshotShape.Values}
+	for _, shape := range []struct {
+		name     string
+		msg, dst any
+	}{
+		{"snapshot", &snapshotShape, new(Response)},
+		{"delta", &deltaShape, new(Response)},
+		{"derived", &derivedShape, new(Response)},
+		{"publish", &publish, new(Request)},
+	} {
+		b.Run("binary/"+shape.name, func(b *testing.B) {
+			frame, err := AppendFrame(nil, CodecBinary, shape.msg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dec := NewDecoder(frameLoop{frame})
+			dec.SetCodec(CodecBinary)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := dec.Decode(shape.dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(frame)), "bytes/frame")
+		})
+	}
+}
+
+// frameLoop is a reader that yields its one frame on every Read.
+type frameLoop struct{ frame []byte }
+
+func (l frameLoop) Read(p []byte) (int, error) { return copy(p, l.frame), nil }
