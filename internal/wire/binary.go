@@ -13,6 +13,18 @@
 // Peers that never ask — or servers that never confirm — stay on JSON
 // lines and never meet a binary byte.
 //
+// A payload is a uvarint presence bitmap, then the value of each field
+// whose bit is set, in bit order. Each message has one encoder
+// (appendRequest, appendResponse) and one decoder (readRequest,
+// readResponse), and each lists the message's fields once, in wire
+// order: a field's bit is its place in that list. So a new field goes
+// at the end of both lists and is never inserted, which would renumber
+// every field after it. A bool field is its bit alone. A bit past the
+// last field's names a field this side does not know and cannot skip:
+// the decoder refuses the frame with a recoverable error, which an
+// older papid answers with an ERROR reply on a connection that lives
+// on.
+//
 // Framing errors are classified by recoverability: a payload that
 // fails to decode inside a well-delimited frame is an ordinary
 // MalformedFrameError (the next frame starts at a known offset), while
@@ -61,533 +73,357 @@ func (c Codec) String() string {
 const MaxFrameBytes = 4 << 20
 
 // appendBinaryFrame appends one length-prefixed binary frame for v,
-// which must be a *Request or *Response (the only types on the papid
+// which must be a Request or Response (the only types on the papid
 // wire; perfometer's point stream stays on JSON).
 func appendBinaryFrame(dst []byte, v any) ([]byte, error) {
-	bp := getBuf()
-	payload, err := appendBinaryPayload((*bp)[:0], v)
-	if err != nil {
-		putBuf(bp)
-		return dst, err
+	switch m := v.(type) {
+	case *Request:
+		return appendBinaryRequest(dst, m), nil
+	case Request:
+		return appendBinaryRequest(dst, &m), nil
+	case Response: // a *Response takes AppendResponse
+		return appendBinaryResponse(dst, &m), nil
 	}
-	return framed(dst, bp, payload), nil
+	return dst, fmt.Errorf("binary codec cannot encode %T", v)
+}
+
+func appendBinaryRequest(dst []byte, r *Request) []byte {
+	bp := getBuf()
+	body, bits := appendRequest((*bp)[:0], r)
+	return framed(dst, bp, bits, body)
 }
 
 // appendBinaryResponse is appendBinaryFrame for a *Response, typed so
 // that r does not escape.
 func appendBinaryResponse(dst []byte, r *Response) []byte {
 	bp := getBuf()
-	return framed(dst, bp, appendResponse((*bp)[:0], r))
+	body, bits := appendResponse((*bp)[:0], r)
+	return framed(dst, bp, bits, body)
 }
 
-// framed appends payload, encoded into the pooled scratch *bp, to dst
-// behind its uvarint length, and returns the scratch to the pool. The
-// payload goes to scratch first because its length is the prefix: a
-// QUERY reply encoded in place would grow dst one doubling at a time.
-func framed(dst []byte, bp *[]byte, payload []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	*bp = payload[:0]
+// framed appends the payload — the presence bitmap bits, then body,
+// encoded into the pooled scratch *bp — to dst behind its uvarint
+// length, and returns the scratch to the pool. The body goes to scratch
+// first because the bitmap is only known once every field was looked
+// at, and the payload's length is the prefix: a QUERY reply encoded in
+// place would grow dst one doubling at a time.
+func framed(dst []byte, bp *[]byte, bits uint64, body []byte) []byte {
+	var head [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(head[:], bits)
+	dst = binary.AppendUvarint(dst, uint64(n+len(body)))
+	dst = append(dst, head[:n]...)
+	dst = append(dst, body...)
+	*bp = body[:0]
 	putBuf(bp)
 	return dst
-}
-
-func appendBinaryPayload(dst []byte, v any) ([]byte, error) {
-	switch m := v.(type) {
-	case *Request:
-		return appendRequest(dst, m), nil
-	case Request:
-		return appendRequest(dst, &m), nil
-	case *Response:
-		return appendResponse(dst, m), nil
-	case Response:
-		return appendResponse(dst, &m), nil
-	}
-	return dst, fmt.Errorf("binary codec cannot encode %T", v)
 }
 
 // decodeBinaryPayload decodes one frame's payload into v. Any error is
 // a content error within a known frame boundary — recoverable.
 func decodeBinaryPayload(payload []byte, v any) error {
 	r := binReader{buf: payload}
-	var err error
 	switch m := v.(type) {
 	case *Request:
-		err = readRequest(&r, m)
+		readRequest(&r, m)
 	case *Response:
-		err = readResponse(&r, m)
+		readResponse(&r, m)
 	default:
 		return fmt.Errorf("binary codec cannot decode into %T", v)
 	}
-	if err != nil {
-		return err
-	}
-	if len(r.buf) != 0 {
+	if r.err == nil && len(r.buf) != 0 {
 		return fmt.Errorf("%d trailing bytes after payload", len(r.buf))
 	}
-	return nil
+	return r.err
 }
 
-// Request field presence bits, in encoding order. reqDelta carries the
-// boolean itself, like respOK: the bit set means Delta == true.
-const (
-	reqOp = 1 << iota
-	reqSession
-	reqPlatform
-	reqEvents
-	reqWorkload
-	reqN
-	reqValues
-	reqLabel
-	reqVersion
-	reqCodec
-	reqFrom
-	reqTo
-	reqStep
-	reqDerive
-	reqSessions
-	reqLabels
-	reqDelta
-
-	reqKnown = reqDelta<<1 - 1
-)
-
-func appendRequest(dst []byte, r *Request) []byte {
-	var bits uint64
-	setIf := func(cond bool, bit uint64) {
-		if cond {
+// appendRequest appends m's set fields to dst and returns their
+// presence bitmap; has takes the next bit for each field.
+func appendRequest(dst []byte, m *Request) ([]byte, uint64) {
+	var bits, bit uint64 = 0, 1
+	has := func(set bool) bool {
+		if set {
 			bits |= bit
 		}
+		bit <<= 1
+		return set
 	}
-	setIf(r.Op != "", reqOp)
-	setIf(r.Session != 0, reqSession)
-	setIf(r.Platform != "", reqPlatform)
-	setIf(len(r.Events) > 0, reqEvents)
-	setIf(r.Workload != "", reqWorkload)
-	setIf(r.N != 0, reqN)
-	setIf(len(r.Values) > 0, reqValues)
-	setIf(r.Label != "", reqLabel)
-	setIf(r.Version != 0, reqVersion)
-	setIf(r.Codec != "", reqCodec)
-	setIf(r.From != 0, reqFrom)
-	setIf(r.To != 0, reqTo)
-	setIf(r.Step != 0, reqStep)
-	setIf(len(r.Derive) > 0, reqDerive)
-	setIf(len(r.Sessions) > 0, reqSessions)
-	setIf(len(r.Labels) > 0, reqLabels)
-	setIf(r.Delta, reqDelta)
-
-	dst = binary.AppendUvarint(dst, bits)
-	if bits&reqOp != 0 {
-		dst = appendStr(dst, r.Op)
-	}
-	if bits&reqSession != 0 {
-		dst = binary.AppendUvarint(dst, r.Session)
-	}
-	if bits&reqPlatform != 0 {
-		dst = appendStr(dst, r.Platform)
-	}
-	if bits&reqEvents != 0 {
-		dst = appendStrs(dst, r.Events)
-	}
-	if bits&reqWorkload != 0 {
-		dst = appendStr(dst, r.Workload)
-	}
-	if bits&reqN != 0 {
-		dst = appendZigzag(dst, int64(r.N))
-	}
-	if bits&reqValues != 0 {
-		dst = appendI64s(dst, r.Values)
-	}
-	if bits&reqLabel != 0 {
-		dst = appendStr(dst, r.Label)
-	}
-	if bits&reqVersion != 0 {
-		dst = appendZigzag(dst, int64(r.Version))
-	}
-	if bits&reqCodec != 0 {
-		dst = appendStr(dst, r.Codec)
-	}
-	if bits&reqFrom != 0 {
-		dst = appendZigzag(dst, r.From)
-	}
-	if bits&reqTo != 0 {
-		dst = appendZigzag(dst, r.To)
-	}
-	if bits&reqStep != 0 {
-		dst = appendZigzag(dst, r.Step)
-	}
-	if bits&reqDerive != 0 {
-		dst = appendStrs(dst, r.Derive)
-	}
-	if bits&reqSessions != 0 {
-		dst = appendU64s(dst, r.Sessions)
-	}
-	if bits&reqLabels != 0 {
-		dst = appendStrs(dst, r.Labels)
-	}
-	return dst
-}
-
-func readRequest(r *binReader, m *Request) error {
-	bits, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if bits&^uint64(reqKnown) != 0 {
-		return fmt.Errorf("unknown request field bits %#x", bits&^uint64(reqKnown))
-	}
-	*m = Request{Delta: bits&reqDelta != 0}
-	if bits&reqOp != 0 {
-		if m.Op, err = r.str(); err != nil {
-			return err
-		}
-	}
-	if bits&reqSession != 0 {
-		if m.Session, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if bits&reqPlatform != 0 {
-		if m.Platform, err = r.str(); err != nil {
-			return err
-		}
-	}
-	if bits&reqEvents != 0 {
-		if m.Events, err = r.strs(); err != nil {
-			return err
-		}
-	}
-	if bits&reqWorkload != 0 {
-		if m.Workload, err = r.str(); err != nil {
-			return err
-		}
-	}
-	if bits&reqN != 0 {
-		n, err := r.zigzag()
-		if err != nil {
-			return err
-		}
-		m.N = int(n)
-	}
-	if bits&reqValues != 0 {
-		if m.Values, err = r.i64s(); err != nil {
-			return err
-		}
-	}
-	if bits&reqLabel != 0 {
-		if m.Label, err = r.str(); err != nil {
-			return err
-		}
-	}
-	if bits&reqVersion != 0 {
-		v, err := r.zigzag()
-		if err != nil {
-			return err
-		}
-		m.Version = int(v)
-	}
-	if bits&reqCodec != 0 {
-		if m.Codec, err = r.str(); err != nil {
-			return err
-		}
-	}
-	if bits&reqFrom != 0 {
-		if m.From, err = r.zigzag(); err != nil {
-			return err
-		}
-	}
-	if bits&reqTo != 0 {
-		if m.To, err = r.zigzag(); err != nil {
-			return err
-		}
-	}
-	if bits&reqStep != 0 {
-		if m.Step, err = r.zigzag(); err != nil {
-			return err
-		}
-	}
-	if bits&reqDerive != 0 {
-		if m.Derive, err = r.strs(); err != nil {
-			return err
-		}
-	}
-	if bits&reqSessions != 0 {
-		if m.Sessions, err = r.u64s(); err != nil {
-			return err
-		}
-	}
-	if bits&reqLabels != 0 {
-		if m.Labels, err = r.strs(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Response field presence bits, in encoding order. respOK carries the
-// boolean itself: the bit set means OK == true.
-const (
-	respOp = 1 << iota
-	respOK
-	respError
-	respSession
-	respPlatform
-	respEvents
-	respValues
-	respRealUsec
-	respSeq
-	respProtocol
-	respSource
-	respStats
-	respSeries
-	respCodec
-	respHists
-	respMetrics
-	respUnits
-	respDValues
-	respDerived
-	respSessions
-	respIdx
-	respBase
-	respTrace
-	respSlow
-
-	respKnown = respSlow<<1 - 1
-)
-
-func appendResponse(dst []byte, m *Response) []byte {
-	var bits uint64
-	setIf := func(cond bool, bit uint64) {
-		if cond {
-			bits |= bit
-		}
-	}
-	setIf(m.Op != "", respOp)
-	setIf(m.OK, respOK)
-	setIf(m.Error != "", respError)
-	setIf(m.Session != 0, respSession)
-	setIf(m.Platform != "", respPlatform)
-	setIf(len(m.Events) > 0, respEvents)
-	setIf(len(m.Values) > 0, respValues)
-	setIf(m.RealUsec != 0, respRealUsec)
-	setIf(m.Seq != 0, respSeq)
-	setIf(m.Protocol != 0, respProtocol)
-	setIf(m.Source != "", respSource)
-	setIf(len(m.Stats) > 0, respStats)
-	setIf(len(m.Series) > 0, respSeries)
-	setIf(m.Codec != "", respCodec)
-	setIf(len(m.Hists) > 0, respHists)
-	setIf(len(m.Metrics) > 0, respMetrics)
-	setIf(len(m.Units) > 0, respUnits)
-	setIf(len(m.DValues) > 0, respDValues)
-	setIf(len(m.Derived) > 0, respDerived)
-	setIf(len(m.Sessions) > 0, respSessions)
-	setIf(len(m.Idx) > 0, respIdx)
-	setIf(m.Base != 0, respBase)
-	setIf(m.TraceID != 0, respTrace)
-	setIf(len(m.Slow) > 0, respSlow)
-
-	dst = binary.AppendUvarint(dst, bits)
-	if bits&respOp != 0 {
+	if has(m.Op != "") {
 		dst = appendStr(dst, m.Op)
 	}
-	if bits&respError != 0 {
-		dst = appendStr(dst, m.Error)
-	}
-	if bits&respSession != 0 {
+	if has(m.Session != 0) {
 		dst = binary.AppendUvarint(dst, m.Session)
 	}
-	if bits&respPlatform != 0 {
+	if has(m.Platform != "") {
 		dst = appendStr(dst, m.Platform)
 	}
-	if bits&respEvents != 0 {
+	if has(len(m.Events) > 0) {
 		dst = appendStrs(dst, m.Events)
 	}
-	if bits&respValues != 0 {
+	if has(m.Workload != "") {
+		dst = appendStr(dst, m.Workload)
+	}
+	if has(m.N != 0) {
+		dst = appendZigzag(dst, int64(m.N))
+	}
+	if has(len(m.Values) > 0) {
 		dst = appendI64s(dst, m.Values)
 	}
-	if bits&respRealUsec != 0 {
-		dst = binary.AppendUvarint(dst, m.RealUsec)
+	if has(m.Label != "") {
+		dst = appendStr(dst, m.Label)
 	}
-	if bits&respSeq != 0 {
-		dst = binary.AppendUvarint(dst, m.Seq)
+	if has(m.Version != 0) {
+		dst = appendZigzag(dst, int64(m.Version))
 	}
-	if bits&respProtocol != 0 {
-		dst = appendZigzag(dst, int64(m.Protocol))
-	}
-	if bits&respSource != 0 {
-		dst = appendStr(dst, m.Source)
-	}
-	if bits&respStats != 0 {
-		dst = appendStats(dst, m.Stats)
-	}
-	if bits&respSeries != 0 {
-		dst = appendSeries(dst, m.Series)
-	}
-	if bits&respCodec != 0 {
+	if has(m.Codec != "") {
 		dst = appendStr(dst, m.Codec)
 	}
-	if bits&respHists != 0 {
-		dst = appendHists(dst, m.Hists)
+	if has(m.From != 0) {
+		dst = appendZigzag(dst, m.From)
 	}
-	if bits&respMetrics != 0 {
-		dst = appendStrs(dst, m.Metrics)
+	if has(m.To != 0) {
+		dst = appendZigzag(dst, m.To)
 	}
-	if bits&respUnits != 0 {
-		dst = appendStrs(dst, m.Units)
+	if has(m.Step != 0) {
+		dst = appendZigzag(dst, m.Step)
 	}
-	if bits&respDValues != 0 {
-		dst = appendF64s(dst, m.DValues)
+	if has(len(m.Derive) > 0) {
+		dst = appendStrs(dst, m.Derive)
 	}
-	if bits&respDerived != 0 {
-		dst = appendDerived(dst, m.Derived)
-	}
-	if bits&respSessions != 0 {
+	if has(len(m.Sessions) > 0) {
 		dst = appendU64s(dst, m.Sessions)
 	}
-	if bits&respIdx != 0 {
-		dst = appendU32s(dst, m.Idx)
+	if has(len(m.Labels) > 0) {
+		dst = appendStrs(dst, m.Labels)
 	}
-	if bits&respBase != 0 {
-		dst = binary.AppendUvarint(dst, m.Base)
-	}
-	if bits&respTrace != 0 {
-		dst = binary.AppendUvarint(dst, m.TraceID)
-	}
-	if bits&respSlow != 0 {
-		dst = appendSlow(dst, m.Slow)
-	}
-	return dst
+	has(m.Delta)
+	return dst, bits
 }
 
-func readResponse(r *binReader, m *Response) error {
-	bits, err := r.uvarint()
-	if err != nil {
-		return err
+// readRequest is appendRequest's inverse, field for field.
+func readRequest(r *binReader, m *Request) {
+	bits, bit := r.uvarint(), uint64(1)
+	has := func() bool {
+		set := bits&bit != 0
+		bit <<= 1
+		return set
 	}
-	if bits&^uint64(respKnown) != 0 {
-		return fmt.Errorf("unknown response field bits %#x", bits&^uint64(respKnown))
+	*m = Request{}
+	if has() {
+		m.Op = r.str()
 	}
-	*m = Response{OK: bits&respOK != 0}
-	if bits&respOp != 0 {
-		if m.Op, err = r.str(); err != nil {
-			return err
+	if has() {
+		m.Session = r.uvarint()
+	}
+	if has() {
+		m.Platform = r.str()
+	}
+	if has() {
+		m.Events = r.strs()
+	}
+	if has() {
+		m.Workload = r.str()
+	}
+	if has() {
+		m.N = int(r.zigzag())
+	}
+	if has() {
+		m.Values = r.i64s()
+	}
+	if has() {
+		m.Label = r.str()
+	}
+	if has() {
+		m.Version = int(r.zigzag())
+	}
+	if has() {
+		m.Codec = r.str()
+	}
+	if has() {
+		m.From = r.zigzag()
+	}
+	if has() {
+		m.To = r.zigzag()
+	}
+	if has() {
+		m.Step = r.zigzag()
+	}
+	if has() {
+		m.Derive = r.strs()
+	}
+	if has() {
+		m.Sessions = r.u64s()
+	}
+	if has() {
+		m.Labels = r.strs()
+	}
+	m.Delta = has()
+	r.known(bits, bit, "request")
+}
+
+// appendResponse appends m's set fields to dst and returns their
+// presence bitmap; has takes the next bit for each field.
+func appendResponse(dst []byte, m *Response) ([]byte, uint64) {
+	var bits, bit uint64 = 0, 1
+	has := func(set bool) bool {
+		if set {
+			bits |= bit
 		}
+		bit <<= 1
+		return set
 	}
-	if bits&respError != 0 {
-		if m.Error, err = r.str(); err != nil {
-			return err
-		}
+	if has(m.Op != "") {
+		dst = appendStr(dst, m.Op)
 	}
-	if bits&respSession != 0 {
-		if m.Session, err = r.uvarint(); err != nil {
-			return err
-		}
+	has(m.OK)
+	if has(m.Error != "") {
+		dst = appendStr(dst, m.Error)
 	}
-	if bits&respPlatform != 0 {
-		if m.Platform, err = r.str(); err != nil {
-			return err
-		}
+	if has(m.Session != 0) {
+		dst = binary.AppendUvarint(dst, m.Session)
 	}
-	if bits&respEvents != 0 {
-		if m.Events, err = r.strs(); err != nil {
-			return err
-		}
+	if has(m.Platform != "") {
+		dst = appendStr(dst, m.Platform)
 	}
-	if bits&respValues != 0 {
-		if m.Values, err = r.i64s(); err != nil {
-			return err
-		}
+	if has(len(m.Events) > 0) {
+		dst = appendStrs(dst, m.Events)
 	}
-	if bits&respRealUsec != 0 {
-		if m.RealUsec, err = r.uvarint(); err != nil {
-			return err
-		}
+	if has(len(m.Values) > 0) {
+		dst = appendI64s(dst, m.Values)
 	}
-	if bits&respSeq != 0 {
-		if m.Seq, err = r.uvarint(); err != nil {
-			return err
-		}
+	if has(m.RealUsec != 0) {
+		dst = binary.AppendUvarint(dst, m.RealUsec)
 	}
-	if bits&respProtocol != 0 {
-		p, err := r.zigzag()
-		if err != nil {
-			return err
-		}
-		m.Protocol = int(p)
+	if has(m.Seq != 0) {
+		dst = binary.AppendUvarint(dst, m.Seq)
 	}
-	if bits&respSource != 0 {
-		if m.Source, err = r.str(); err != nil {
-			return err
-		}
+	if has(m.Protocol != 0) {
+		dst = appendZigzag(dst, int64(m.Protocol))
 	}
-	if bits&respStats != 0 {
-		if m.Stats, err = r.stats(); err != nil {
-			return err
-		}
+	if has(m.Source != "") {
+		dst = appendStr(dst, m.Source)
 	}
-	if bits&respSeries != 0 {
-		if m.Series, err = r.series(); err != nil {
-			return err
-		}
+	if has(len(m.Stats) > 0) {
+		dst = appendStats(dst, m.Stats)
 	}
-	if bits&respCodec != 0 {
-		if m.Codec, err = r.str(); err != nil {
-			return err
-		}
+	if has(len(m.Series) > 0) {
+		dst = appendSeries(dst, m.Series)
 	}
-	if bits&respHists != 0 {
-		if m.Hists, err = r.hists(); err != nil {
-			return err
-		}
+	if has(m.Codec != "") {
+		dst = appendStr(dst, m.Codec)
 	}
-	if bits&respMetrics != 0 {
-		if m.Metrics, err = r.strs(); err != nil {
-			return err
-		}
+	if has(len(m.Hists) > 0) {
+		dst = appendHists(dst, m.Hists)
 	}
-	if bits&respUnits != 0 {
-		if m.Units, err = r.strs(); err != nil {
-			return err
-		}
+	if has(len(m.Metrics) > 0) {
+		dst = appendStrs(dst, m.Metrics)
 	}
-	if bits&respDValues != 0 {
-		if m.DValues, err = r.f64s(); err != nil {
-			return err
-		}
+	if has(len(m.Units) > 0) {
+		dst = appendStrs(dst, m.Units)
 	}
-	if bits&respDerived != 0 {
-		if m.Derived, err = r.derived(); err != nil {
-			return err
-		}
+	if has(len(m.DValues) > 0) {
+		dst = appendF64s(dst, m.DValues)
 	}
-	if bits&respSessions != 0 {
-		if m.Sessions, err = r.u64s(); err != nil {
-			return err
-		}
+	if has(len(m.Derived) > 0) {
+		dst = appendDerived(dst, m.Derived)
 	}
-	if bits&respIdx != 0 {
-		if m.Idx, err = r.u32s(); err != nil {
-			return err
-		}
+	if has(len(m.Sessions) > 0) {
+		dst = appendU64s(dst, m.Sessions)
 	}
-	if bits&respBase != 0 {
-		if m.Base, err = r.uvarint(); err != nil {
-			return err
-		}
+	if has(len(m.Idx) > 0) {
+		dst = appendU32s(dst, m.Idx)
 	}
-	if bits&respTrace != 0 {
-		if m.TraceID, err = r.uvarint(); err != nil {
-			return err
-		}
+	if has(m.Base != 0) {
+		dst = binary.AppendUvarint(dst, m.Base)
 	}
-	if bits&respSlow != 0 {
-		if m.Slow, err = r.slow(); err != nil {
-			return err
-		}
+	if has(m.TraceID != 0) {
+		dst = binary.AppendUvarint(dst, m.TraceID)
 	}
-	return nil
+	if has(len(m.Slow) > 0) {
+		dst = appendSlow(dst, m.Slow)
+	}
+	return dst, bits
+}
+
+// readResponse is appendResponse's inverse, field for field.
+func readResponse(r *binReader, m *Response) {
+	bits, bit := r.uvarint(), uint64(1)
+	has := func() bool {
+		set := bits&bit != 0
+		bit <<= 1
+		return set
+	}
+	*m = Response{}
+	if has() {
+		m.Op = r.str()
+	}
+	m.OK = has()
+	if has() {
+		m.Error = r.str()
+	}
+	if has() {
+		m.Session = r.uvarint()
+	}
+	if has() {
+		m.Platform = r.str()
+	}
+	if has() {
+		m.Events = r.strs()
+	}
+	if has() {
+		m.Values = r.i64s()
+	}
+	if has() {
+		m.RealUsec = r.uvarint()
+	}
+	if has() {
+		m.Seq = r.uvarint()
+	}
+	if has() {
+		m.Protocol = int(r.zigzag())
+	}
+	if has() {
+		m.Source = r.str()
+	}
+	if has() {
+		m.Stats = r.stats()
+	}
+	if has() {
+		m.Series = r.series()
+	}
+	if has() {
+		m.Codec = r.str()
+	}
+	if has() {
+		m.Hists = r.hists()
+	}
+	if has() {
+		m.Metrics = r.strs()
+	}
+	if has() {
+		m.Units = r.strs()
+	}
+	if has() {
+		m.DValues = r.f64s()
+	}
+	if has() {
+		m.Derived = r.derived()
+	}
+	if has() {
+		m.Sessions = r.u64s()
+	}
+	if has() {
+		m.Idx = r.u32s()
+	}
+	if has() {
+		m.Base = r.uvarint()
+	}
+	if has() {
+		m.TraceID = r.uvarint()
+	}
+	if has() {
+		m.Slow = r.slow()
+	}
+	r.known(bits, bit, "response")
 }
 
 func appendStr(dst []byte, s string) []byte {
@@ -630,11 +466,7 @@ func appendU32s(dst []byte, vs []uint32) []byte {
 // appendStats writes the map key-sorted so identical responses encode
 // identically — byte-for-byte determinism keeps tests and diffs sane.
 func appendStats(dst []byte, st map[string]uint64) []byte {
-	keys := make([]string, 0, len(st))
-	for k := range st {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(st)
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
 		dst = appendStr(dst, k)
@@ -646,11 +478,7 @@ func appendStats(dst []byte, st map[string]uint64) []byte {
 // appendHists writes the histogram-summary map key-sorted, like
 // appendStats: counts and sums as uvarints, quantiles zigzagged.
 func appendHists(dst []byte, hists map[string]telemetry.Summary) []byte {
-	keys := make([]string, 0, len(hists))
-	for k := range hists {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(hists)
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
 		h := hists[k]
@@ -664,6 +492,15 @@ func appendHists(dst []byte, hists map[string]telemetry.Summary) []byte {
 		dst = appendZigzag(dst, h.P99)
 	}
 	return dst
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func appendSeries(dst []byte, series []tsdb.Series) []byte {
@@ -732,284 +569,164 @@ func appendSlow(dst []byte, ss []SlowSample) []byte {
 
 var errTruncated = errors.New("truncated binary payload")
 
-// binReader is a bounds-checked cursor over one frame's payload. Every
-// count it reads is sanity-checked against the bytes remaining (each
-// element costs at least one byte), so a corrupt count cannot demand
-// an allocation larger than the frame that carried it.
+// binReader is a bounds-checked cursor over one frame's payload, with a
+// sticky error: the first failure is kept and empties the cursor, so
+// every later read returns a zero value at once and a decoder checks
+// err once, at the end. Every count it reads is sanity-checked against
+// the bytes remaining (each element costs at least one byte), so a
+// corrupt count cannot demand an allocation larger than the frame that
+// carried it.
 type binReader struct {
 	buf []byte
+	err error
 }
 
-func (r *binReader) uvarint() (uint64, error) {
+func (r *binReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.buf = nil
+}
+
+// known fails the read when bits holds a bit at or past next, the bit
+// after the last field's: a field of a newer peer, whose bytes this
+// side cannot skip. It overrides any earlier error, so such a frame is
+// always reported as what it is.
+func (r *binReader) known(bits, next uint64, msg string) {
+	if unknown := bits &^ (next - 1); unknown != 0 {
+		r.err = fmt.Errorf("unknown %s field bits %#x", msg, unknown)
+	}
+}
+
+func (r *binReader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.buf)
 	if n <= 0 {
-		return 0, errTruncated
+		r.fail(errTruncated)
+		return 0
 	}
 	r.buf = r.buf[n:]
-	return v, nil
+	return v
 }
 
-func (r *binReader) zigzag() (int64, error) {
-	u, err := r.uvarint()
-	return int64(u>>1) ^ -int64(u&1), err
+func (r *binReader) zigzag() int64 {
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
-func (r *binReader) count() (int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
+func (r *binReader) f64() float64 { return math.Float64frombits(r.uvarint()) }
+
+func (r *binReader) count() int {
+	n := r.uvarint()
 	if n > uint64(len(r.buf)) {
-		return 0, fmt.Errorf("count %d exceeds %d payload bytes", n, len(r.buf))
+		r.fail(fmt.Errorf("count %d exceeds %d payload bytes", n, len(r.buf)))
+		return 0
 	}
-	return int(n), nil
+	return int(n)
 }
 
-func (r *binReader) str() (string, error) {
-	n, err := r.count()
-	if err != nil {
-		return "", err
-	}
+func (r *binReader) str() string {
+	n := r.count()
 	s := string(r.buf[:n])
 	r.buf = r.buf[n:]
-	return s, nil
+	return s
 }
 
-func (r *binReader) strs() ([]string, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, n)
+func (r *binReader) strs() []string {
+	out := make([]string, r.count())
 	for i := range out {
-		if out[i], err = r.str(); err != nil {
-			return nil, err
-		}
+		out[i] = r.str()
 	}
-	return out, nil
+	return out
 }
 
-func (r *binReader) u64s() ([]uint64, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
+func (r *binReader) u64s() []uint64 {
+	out := make([]uint64, r.count())
 	for i := range out {
-		if out[i], err = r.uvarint(); err != nil {
-			return nil, err
-		}
+		out[i] = r.uvarint()
 	}
-	return out, nil
+	return out
 }
 
-func (r *binReader) u32s() ([]uint32, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint32, n)
+func (r *binReader) u32s() []uint32 {
+	out := make([]uint32, r.count())
 	for i := range out {
-		v, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		v := r.uvarint()
 		if v > math.MaxUint32 {
-			return nil, fmt.Errorf("index %d overflows uint32", v)
+			r.fail(fmt.Errorf("index %d overflows uint32", v))
 		}
 		out[i] = uint32(v)
 	}
-	return out, nil
+	return out
 }
 
-func (r *binReader) i64s() ([]int64, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, n)
+func (r *binReader) i64s() []int64 {
+	out := make([]int64, r.count())
 	for i := range out {
-		if out[i], err = r.zigzag(); err != nil {
-			return nil, err
-		}
+		out[i] = r.zigzag()
 	}
-	return out, nil
+	return out
 }
 
-func (r *binReader) stats() (map[string]uint64, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
+func (r *binReader) f64s() []float64 {
+	out := make([]float64, r.count())
+	for i := range out {
+		out[i] = r.f64()
 	}
+	return out
+}
+
+func (r *binReader) stats() map[string]uint64 {
+	n := r.count()
 	out := make(map[string]uint64, n)
 	for i := 0; i < n; i++ {
-		k, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
+		k := r.str()
+		out[k] = r.uvarint()
 	}
-	return out, nil
+	return out
 }
 
-func (r *binReader) hists() (map[string]telemetry.Summary, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
+func (r *binReader) hists() map[string]telemetry.Summary {
+	n := r.count()
 	out := make(map[string]telemetry.Summary, n)
 	for i := 0; i < n; i++ {
-		k, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		var h telemetry.Summary
-		if h.Count, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if h.Sum, err = r.zigzag(); err != nil {
-			return nil, err
-		}
-		if h.Min, err = r.zigzag(); err != nil {
-			return nil, err
-		}
-		if h.Max, err = r.zigzag(); err != nil {
-			return nil, err
-		}
-		if h.P50, err = r.zigzag(); err != nil {
-			return nil, err
-		}
-		if h.P90, err = r.zigzag(); err != nil {
-			return nil, err
-		}
-		if h.P99, err = r.zigzag(); err != nil {
-			return nil, err
-		}
-		out[k] = h
+		k := r.str()
+		out[k] = telemetry.Summary{Count: r.uvarint(), Sum: r.zigzag(), Min: r.zigzag(),
+			Max: r.zigzag(), P50: r.zigzag(), P90: r.zigzag(), P99: r.zigzag()}
 	}
-	return out, nil
+	return out
 }
 
-func (r *binReader) series() ([]tsdb.Series, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]tsdb.Series, n)
+func (r *binReader) series() []tsdb.Series {
+	out := make([]tsdb.Series, r.count())
 	for i := range out {
-		if out[i].Event, err = r.str(); err != nil {
-			return nil, err
+		sr := &out[i]
+		sr.Event, sr.Width = r.str(), r.zigzag()
+		sr.Buckets = make([]tsdb.Bucket, r.count())
+		for j := range sr.Buckets {
+			sr.Buckets[j] = tsdb.Bucket{Start: r.zigzag(), Count: r.uvarint(), Min: r.zigzag(),
+				Max: r.zigzag(), Sum: r.zigzag(), Last: r.zigzag()}
 		}
-		if out[i].Width, err = r.zigzag(); err != nil {
-			return nil, err
-		}
-		nb, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		buckets := make([]tsdb.Bucket, nb)
-		for j := range buckets {
-			bk := &buckets[j]
-			if bk.Start, err = r.zigzag(); err != nil {
-				return nil, err
-			}
-			if bk.Count, err = r.uvarint(); err != nil {
-				return nil, err
-			}
-			if bk.Min, err = r.zigzag(); err != nil {
-				return nil, err
-			}
-			if bk.Max, err = r.zigzag(); err != nil {
-				return nil, err
-			}
-			if bk.Sum, err = r.zigzag(); err != nil {
-				return nil, err
-			}
-			if bk.Last, err = r.zigzag(); err != nil {
-				return nil, err
-			}
-		}
-		out[i].Buckets = buckets
 	}
-	return out, nil
+	return out
 }
 
-func (r *binReader) f64() (float64, error) {
-	u, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(u), nil
-}
-
-func (r *binReader) f64s() ([]float64, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
+func (r *binReader) derived() []DerivedSeries {
+	out := make([]DerivedSeries, r.count())
 	for i := range out {
-		if out[i], err = r.f64(); err != nil {
-			return nil, err
+		ds := &out[i]
+		ds.Metric, ds.Unit = r.str(), r.str()
+		ds.Points = make([]DerivedPoint, r.count())
+		for j := range ds.Points {
+			ds.Points[j] = DerivedPoint{Start: r.zigzag(), Value: r.f64()}
 		}
 	}
-	return out, nil
+	return out
 }
 
-func (r *binReader) derived() ([]DerivedSeries, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]DerivedSeries, n)
+func (r *binReader) slow() []SlowSample {
+	out := make([]SlowSample, r.count())
 	for i := range out {
-		if out[i].Metric, err = r.str(); err != nil {
-			return nil, err
-		}
-		if out[i].Unit, err = r.str(); err != nil {
-			return nil, err
-		}
-		np, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		points := make([]DerivedPoint, np)
-		for j := range points {
-			if points[j].Start, err = r.zigzag(); err != nil {
-				return nil, err
-			}
-			if points[j].Value, err = r.f64(); err != nil {
-				return nil, err
-			}
-		}
-		out[i].Points = points
+		out[i] = SlowSample{Op: r.str(), Session: r.uvarint(), NS: r.zigzag(), TraceID: r.uvarint()}
 	}
-	return out, nil
-}
-
-func (r *binReader) slow() ([]SlowSample, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SlowSample, n)
-	for i := range out {
-		if out[i].Op, err = r.str(); err != nil {
-			return nil, err
-		}
-		if out[i].Session, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if out[i].NS, err = r.zigzag(); err != nil {
-			return nil, err
-		}
-		if out[i].TraceID, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return out
 }

@@ -14,7 +14,7 @@
 # BENCH_trace.json instead of overwriting them: a fresh measurement goes
 # to a temp file and `benchjson -diff` gates on the serving-path, tick,
 # simulator, row-append, history-query, WAL append and replay,
-# frame-encode, counter and histogram, and span benchmarks (not
+# frame-encode and -decode, counter and histogram, and span benchmarks (not
 # WALAppend/always, which prices the disk's fsync, not the code). Every gate
 # runs and prints its verdict — a noisy Server* row does not hide the
 # stages behind it — and the script exits non-zero when any gated ns/op
@@ -51,8 +51,8 @@ if [ "${1:-}" = "compare" ]; then
     gate TSDB BENCH_tsdb.json 'TSDBAppendBatch/batched|TSDBQuery'
     go run ./cmd/benchjson -benchmem -out "$tmp" -bench 'WAL|Replay' ./internal/tsdb/wal
     gate WAL BENCH_wal.json 'WALAppend/(interval|off)|Replay'
-    go run ./cmd/benchjson -benchmem -out "$tmp" -bench 'AppendFrame' ./internal/wire
-    gate Wire BENCH_wire.json 'AppendFrame'
+    go run ./cmd/benchjson -benchmem -out "$tmp" -bench 'AppendFrame|DecodeFrame' ./internal/wire
+    gate Wire BENCH_wire.json 'AppendFrame|DecodeFrame'
     go run ./cmd/benchjson -benchmem -out "$tmp" -bench 'Telemetry|PrometheusScrape' ./internal/telemetry
     gate Telemetry BENCH_telemetry.json 'TelemetryHistogram|TelemetryCounter'
     go run ./cmd/benchjson -benchmem -benchtime 3s -out "$tmp" -bench 'Trace' ./internal/telemetry/tracing ./internal/server
@@ -68,8 +68,11 @@ go run ./cmd/benchjson -benchmem -out BENCH_wal.json -bench 'WAL|Replay' ./inter
 # One frame of each per-tick shape (SNAPSHOT, DELTA, DERIVED) on each
 # codec: the encode a fan-out pays once per codec per view. The JSON rows
 # are wire.AppendJSON's; a shape that starts falling back to json.Marshal
-# shows here as a 4-7x ns/op jump and an allocation per frame.
-go run ./cmd/benchjson -benchmem -out BENCH_wire.json -bench 'AppendFrame' ./internal/wire
+# shows here as a 4-7x ns/op jump and an allocation per frame. The
+# DecodeFrame rows decode the same shapes and a PUBLISH request from the
+# binary codec: papid decodes every request, and papistorm's own decode
+# is part of the host gauge that scales its time-based metrics.
+go run ./cmd/benchjson -benchmem -out BENCH_wire.json -bench 'AppendFrame|DecodeFrame' ./internal/wire
 # The throughput benchmark runs a tick of the snapshot fan-out, on a
 # goroutine of its own, per fixed number of synchronous READs (the
 # number a 1 ms ticker made, per row), so its allocs/op do not depend
