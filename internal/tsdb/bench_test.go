@@ -71,14 +71,7 @@ func BenchmarkTSDBDecode(b *testing.B) {
 	b.ResetTimer()
 	var sink int64
 	for i := 0; i < b.N; i++ {
-		it := blk.iter()
-		for {
-			_, v, ok := it.next()
-			if !ok {
-				break
-			}
-			sink += v
-		}
+		IterBlock(blk.buf, blk.n, func(_, v int64) bool { sink += v; return true })
 	}
 	_ = sink
 }
@@ -164,24 +157,41 @@ func BenchmarkTSDBQuery(b *testing.B) {
 // BenchmarkTSDBQueryRawRange measures the raw-decoded range query —
 // what `perfometer -step 1s` and derive-mode QUERY send, since no
 // rollup width divides a step under 10s: a whole-history step=1s read
-// of one session of 8 events x 4,000 rows. "burst" packs the rows
-// 250us apart (a preload: ~1s of history, a handful of windows);
-// "tick-50ms" spaces them like a live session (200 windows). B/op is
-// the guard: it must follow the windows returned, not the 32,000
-// samples scanned.
+// of one session of 8 events. "burst" packs 4,000 rows 250us apart (a
+// preload: ~1s of history, a handful of windows); "tick-50ms" spaces
+// 4,000 rows like a live session (200 windows); "publish" is a
+// publish_fanout session as papistorm drives it, a 200-row preload
+// burst and then 8.5s of its share of 5,000 rows/s over 64 sessions:
+// ~78 rows/s, one or two 9ms publish periods apart (9 windows, 860
+// rows). B/op is the guard: it must follow the windows returned, not
+// the samples decoded.
 func BenchmarkTSDBQueryRawRange(b *testing.B) {
 	events := benchEvents
 	for _, sp := range []struct {
-		name   string
-		period int64
-	}{{"burst", 250}, {"tick-50ms", 50_000}} {
+		name string
+		rows int
+		gap  func(row int, rng *rand.Rand) int64 // µs before the row
+	}{
+		{"burst", 4000, func(_ int, rng *rand.Rand) int64 { return 250 + rng.Int63n(31) }},
+		{"tick-50ms", 4000, func(_ int, rng *rand.Rand) int64 { return 50_000 + rng.Int63n(31) }},
+		{"publish", 860, func(row int, rng *rand.Rand) int64 {
+			if row < 200 {
+				return 1_250 + rng.Int63n(31)
+			}
+			gap := 9_000 + rng.Int63n(200)
+			if rng.Intn(45) < 19 { // 45 rows a period over 64 sessions
+				gap += 9_000
+			}
+			return gap
+		}},
+	} {
 		b.Run(sp.name, func(b *testing.B) {
 			st := New(Config{MaxBytes: 1 << 30, MaxAge: -1})
 			rng := rand.New(rand.NewSource(3))
 			row := make([]int64, len(events))
 			var ts int64
-			for i := 0; i < 4000; i++ {
-				ts += sp.period + rng.Int63n(31)
+			for i := 0; i < sp.rows; i++ {
+				ts += sp.gap(i, rng)
 				for e := range row {
 					row[e] += 1_000_000 + rng.Int63n(997)
 				}

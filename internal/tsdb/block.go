@@ -1,6 +1,9 @@
 package tsdb
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // block is one append-only compressed run of (timestamp, value) samples
 // for a single series. The layout is Gorilla-inspired, adapted to
@@ -27,9 +30,16 @@ import "encoding/binary"
 // an approximation, does not change, so every budget keeps the blocks
 // it kept.
 //
-// A block is mutable only through append; once sealed (capacity
-// reached) it is immutable and may be read without any lock by anyone
-// holding a reference.
+// A block is mutable only through appendSample, and appendSample only
+// ever appends: no write touches buf below its current length. So the
+// prefix buf[:len:len], taken under the shard lock with the n, bounds
+// and summary beside it, is an immutable block of its own. A Query
+// captures the active block that way, sharing its bytes instead of
+// copying them (series.capture); the capped capacity keeps any append
+// to the prefix from writing into the live buffer, and the writer's
+// next append either writes past the prefix or moves to a new array.
+// Once sealed (capacity reached) the whole block is immutable and may
+// be read without any lock by anyone holding a reference.
 type block struct {
 	buf []byte
 	n   int // samples encoded
@@ -93,11 +103,13 @@ func (b *block) summary() Bucket {
 	return Bucket{Count: uint64(b.n), Min: b.min, Max: b.max, Sum: b.sum, Last: b.lastV}
 }
 
-// inWindow reports whether every sample of b lies in [from, to) and in
-// one step window, so that folding b's summary into that window is
-// folding its samples. Windows are floor-aligned, as Query aligns them.
+// inWindow reports whether b holds samples, every one of them in
+// [from, to) and in one step window, so that folding b's summary into
+// that window is folding its samples. (A block replay read back from
+// damaged bytes may hold none.) Windows are floor-aligned, as Query
+// aligns them.
 func (b *block) inWindow(from, to, step int64) bool {
-	return b.minTS >= from && b.maxTS < to &&
+	return b.n > 0 && b.minTS >= from && b.maxTS < to &&
 		b.minTS-mod(b.minTS, step) == b.maxTS-mod(b.maxTS, step)
 }
 
@@ -113,82 +125,135 @@ func (b *block) bytes() int64 {
 // fields + slice header) charged against the memory budget.
 const blockOverhead = 96
 
-// blockIter decodes a block sequentially. Decoding state mirrors the
-// encoder exactly; a sealed block can be iterated concurrently by any
-// number of iterators.
-type blockIter struct {
-	buf []byte
-	n   int // samples remaining
-	i   int // decoded so far
-
-	ts, tsDelta int64
-	v, vDelta   int64
-}
-
-func (b *block) iter() blockIter {
-	return blockIter{buf: b.buf, n: b.n}
-}
-
-// next returns the next sample; ok is false when the block is
-// exhausted, or when its bytes run out or hold an overlong varint —
-// IterBlock is fed segment bytes read back from disk, so corrupt input
-// must end the iteration, not panic or invent samples.
-func (it *blockIter) next() (ts, v int64, ok bool) {
-	if it.i >= it.n {
-		return 0, 0, false
-	}
-	switch it.i {
-	case 0:
-		it.ts = it.readZigzag()
-		it.v = it.readZigzag()
-	case 1:
-		it.tsDelta = it.readZigzag()
-		it.vDelta = it.readZigzag()
-		it.ts += it.tsDelta
-		it.v += it.vDelta
-	default:
-		it.tsDelta += it.readZigzag()
-		it.vDelta += it.readZigzag()
-		it.ts += it.tsDelta
-		it.v += it.vDelta
-	}
-	if it.n == 0 { // readZigzag hit bad bytes
-		return 0, 0, false
-	}
-	it.i++
-	return it.ts, it.v, true
-}
-
-// readZigzag decodes one varint. On a truncated buffer (n == 0) or an
-// overlong varint (n < 0) it stops the iterator by zeroing it.n.
-func (it *blockIter) readZigzag() int64 {
-	u, n := binary.Uvarint(it.buf)
-	if n <= 0 {
-		it.n = 0
-		return 0
-	}
-	it.buf = it.buf[n:]
-	return unzigzag(u)
-}
-
 func appendZigzag(dst []byte, v int64) []byte {
 	return binary.AppendUvarint(dst, zigzag(v))
+}
+
+// fold is the store's one block decoder and the sink it decodes into.
+// block decodes a block's samples in one loop and hands each to one of
+// three sinks:
+//
+//   - yield, when given: every sample, in the order it decodes
+//     (IterBlock, which replay's summary rebuild and compaction's
+//     re-fold run on);
+//   - step 0: each sample in [from, to) appended to out as a raw bucket;
+//   - step > 0: each sample in [from, to) merged in place into its step
+//     window: the open window, which is out's last bucket, or a new one
+//     opened after it.
+//
+// For a step, from and to lie on the step grid (Query.grid), so a sample
+// inside the open window is inside the range. A window opens whenever
+// a sample falls outside the open one, earlier or later, so the fold
+// gives what merging the samples one at a time would give, in whatever
+// order they decode. A Query fills out with windows and raw buckets
+// only, so what it allocates follows what it returns, not the samples
+// it decodes.
+type fold struct {
+	from, to, step int64
+	out            []Bucket
+	start, end     int64 // the open window [start, end); empty until one opens
+}
+
+// block decodes the n samples of buf into yield, or into f's buckets
+// when yield is nil. (yield is a parameter, not a field, so that a
+// closure handed to IterBlock stays on its caller's stack.) Bytes that
+// run out or hold an overlong varint end the block, as if it held only
+// the samples before them; the caller goes on with its next block.
+// Short varints, the one- and two-byte forms a steady counter stream is
+// made of, are decoded inline; longer ones go through binary.Uvarint.
+// block reports false when yield asked to stop.
+func (f *fold) block(buf []byte, n int, yield func(ts, v int64) bool) bool {
+	out, start, end, step := f.out, f.start, f.end, f.step
+	var ts, tsDelta, v, vDelta int64
+	p, more := 0, true
+samples:
+	for i := 0; i < n; i++ {
+		var d [2]int64 // the sample's time and value fields
+		for k := range d {
+			var u uint64
+			switch {
+			case p < len(buf) && buf[p] < 0x80:
+				u = uint64(buf[p])
+				p++
+			case p+1 < len(buf) && buf[p+1] < 0x80:
+				u = uint64(buf[p]&0x7f) | uint64(buf[p+1])<<7
+				p += 2
+			default:
+				var m int
+				if u, m = binary.Uvarint(buf[p:]); m <= 0 {
+					break samples
+				}
+				p += m
+			}
+			d[k] = unzigzag(u)
+		}
+		if i == 0 {
+			ts, v = d[0], d[1]
+		} else {
+			tsDelta += d[0]
+			vDelta += d[1]
+			ts += tsDelta
+			v += vDelta
+		}
+		switch {
+		case ts >= start && ts < end:
+			bk := &out[len(out)-1]
+			bk.Min, bk.Max = min(bk.Min, v), max(bk.Max, v)
+			bk.Sum += v
+			bk.Last = v
+			bk.Count++
+		case yield != nil:
+			if !yield(ts, v) {
+				more = false
+				break samples
+			}
+		case ts < f.from || ts >= f.to:
+		default:
+			w := ts
+			if step > 0 {
+				start, end = window(ts, step)
+				w = start
+			}
+			out = append(out, Bucket{Start: w, Count: 1, Min: v, Max: v, Sum: v, Last: v})
+		}
+	}
+	f.out, f.start, f.end = out, start, end
+	return more
+}
+
+// summary folds b whole from its value summary into the step window
+// holding it; b.inWindow(f.from, f.to, f.step) must hold.
+func (f *fold) summary(b *block) {
+	if b.minTS < f.start || b.minTS >= f.end {
+		f.start, f.end = window(b.minTS, f.step)
+		f.out = append(f.out, Bucket{Start: f.start})
+	}
+	f.out[len(f.out)-1].mergeBucket(b.summary())
+}
+
+// window returns the bounds of the step window holding ts; the end is
+// math.MaxInt64 when the window runs past the end of time, since every
+// sample folded is below a range's end.
+func window(ts, step int64) (start, end int64) {
+	start = ts - mod(ts, step)
+	end = start + step
+	if end < start {
+		end = math.MaxInt64
+	}
+	return start, end
 }
 
 // IterBlock decodes a delta-of-delta encoded block buffer (the exact
 // bytes a sealed block holds and the wal layer persists verbatim) and
 // calls yield for each of the n samples in time order, stopping early
-// if yield returns false. It is the exported twin of blockIter for the
-// durability layer, which re-folds persisted blocks into rollups at
-// replay and compaction time.
+// if yield returns false. The durability layer re-folds persisted
+// blocks into rollups with it at replay and compaction time. It runs on
+// the store's one decoder (fold.block), so bytes read back from disk
+// that run out or hold an overlong varint end the iteration; they
+// never panic or invent samples.
 func IterBlock(buf []byte, n int, yield func(ts, v int64) bool) {
-	it := blockIter{buf: buf, n: n}
-	for {
-		ts, v, ok := it.next()
-		if !ok || !yield(ts, v) {
-			return
-		}
-	}
+	var f fold
+	f.block(buf, n, yield)
 }
 
 // zigzag maps signed to unsigned so small negatives stay small on the

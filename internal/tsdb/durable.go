@@ -101,7 +101,11 @@ func (s *Store) MarkPersisted(sb SealedBlock) {
 // sb.Buf, so it owns its bytes and the caller's buffer — a whole file,
 // typically — is not pinned by whichever of its blocks the budget keeps.
 // The block's samples are folded into the series' rollup levels as live
-// appends would have folded them, and its value summary is rebuilt.
+// appends would have folded them, and its sample count, time bounds and
+// value summary are rebuilt from what decodes: bytes that end early
+// leave a block of the samples before them, one that reads as none
+// keeps sb's bounds, so the series' watermark (LastSeq) stays in ring
+// order.
 func (s *Store) InstallSealed(sb SealedBlock) {
 	sh := s.shardFor(sb.Key.Session)
 	sh.mu.Lock()
@@ -109,25 +113,28 @@ func (s *Store) InstallSealed(sb SealedBlock) {
 	before := sr.mutableBytes()
 	// Replay installs only blocks read back from segment files, so by
 	// construction every installed block is persisted.
-	b := &block{buf: bytes.Clone(sb.Buf), n: sb.N, minTS: sb.MinTS, maxTS: sb.MaxTS, persisted: true, lastSeq: sb.LastSeq,
+	b := &block{buf: bytes.Clone(sb.Buf), minTS: sb.MinTS, maxTS: sb.MaxTS, persisted: true, lastSeq: sb.LastSeq,
 		min: math.MaxInt64, max: math.MinInt64}
-	sr.sealed = append(sr.sealed, b)
-	sr.samples += uint64(sb.N)
-	if sb.MaxTS > sr.lastTS {
-		sr.lastTS = sb.MaxTS
-	}
-	// The one decode pass folds the rollups and rebuilds the block's
-	// value summary, which segments do not store.
 	IterBlock(sb.Buf, sb.N, func(ts, v int64) bool {
 		for i := range sr.levels {
 			sr.levels[i].append(ts, v)
 		}
+		if b.n == 0 {
+			b.minTS, b.maxTS = ts, ts
+		}
+		b.minTS, b.maxTS = min(b.minTS, ts), max(b.maxTS, ts)
 		b.min, b.max, b.sum, b.lastV = min(b.min, v), max(b.max, v), b.sum+v, v
+		b.n++
 		return true
 	})
+	if b.n > 0 && (sr.samples == 0 || b.maxTS > sr.lastTS) {
+		sr.lastTS = b.maxTS
+	}
+	sr.sealed = append(sr.sealed, b)
+	sr.samples += uint64(b.n)
 	delta := b.bytes() + sr.mutableBytes() - before
 	sh.mu.Unlock()
-	s.samples.Add(uint64(sb.N))
+	s.samples.Add(uint64(b.n))
 	s.bytes.Add(delta)
 }
 

@@ -141,20 +141,22 @@ func (s *Store) pickWidth(step int64) int64 {
 
 // capture is what Query takes of one series under the shard read lock:
 // either immutable refs to the sealed blocks overlapping the range
-// plus a copy of the active block, bytes and summary, or a copy of one
-// rollup level's buckets in range — nothing that grows with the
-// samples stored.
+// plus the active block's prefix and summary, or a copy of one rollup
+// level's buckets in range. It copies no block bytes and nothing that
+// grows with the samples stored.
 type capture struct {
 	event  string
 	blocks []*block // raw path, time-ordered
-	n      int      // samples blocks hold: an upper bound on what a scan yields
+	n      int      // samples blocks hold: an upper bound on what a fold yields
+	lo, hi int64    // the span the blocks cover inside the range, inclusive
 	src    []Bucket // rollup path
 }
 
 // capture snapshots sr for [from, to): rollup level `level`, or the
 // raw blocks when level is negative. The caller holds the shard's read
 // lock. sealed is time-ordered: the first overlap is binary-searched
-// and the walk stops at the first block past to.
+// and the walk stops at the first block past to. The active block is
+// taken as its prefix, which no append writes to (block).
 func (sr *series) capture(level int, from, to int64) capture {
 	c := capture{event: sr.key.Event}
 	if level >= 0 {
@@ -168,12 +170,27 @@ func (sr *series) capture(level int, from, to int64) capture {
 	}
 	c.blocks = append(make([]*block, 0, hi-lo+1), sr.sealed[lo:hi]...)
 	if a := sr.active; a != nil && a.n > 0 && a.maxTS >= from && a.minTS < to {
-		cp := *a // bounds and value summary
-		cp.buf = append([]byte(nil), a.buf...)
+		cp := *a // n, bounds and value summary, as of the prefix below
+		cp.buf = a.buf[:len(a.buf):len(a.buf)]
 		c.blocks = append(c.blocks, &cp)
 		c.n += a.n
 	}
+	if len(c.blocks) > 0 {
+		c.lo, c.hi = max(from, c.blocks[0].minTS), min(to-1, c.blocks[len(c.blocks)-1].maxTS)
+	}
 	return c
+}
+
+// size bounds the buckets a raw fold of c returns, so the fold
+// allocates its output once: one per sample for step 0; for a step, one
+// per window the captured span crosses, and never more than the
+// samples.
+func (c *capture) size(step int64) int {
+	if step <= 0 || c.hi < c.lo {
+		return c.n
+	}
+	windows := (uint64(c.hi)-uint64(c.lo))/uint64(step) + 2
+	return int(min(windows, uint64(c.n)))
 }
 
 // fold turns a capture into q's buckets, with no lock held; width is
@@ -200,58 +217,20 @@ func (c *capture) fold(q Query, width, from, to int64) []Bucket {
 		}
 		return out
 	}
-	if q.Step <= 0 {
-		// Raw samples, no windowing: one bucket per sample, allocated
-		// once at the overlapping blocks' sample count.
-		sc := blockScan{blocks: c.blocks, from: from, to: to}
-		out := make([]Bucket, 0, c.n)
-		for ts, v, ok := sc.next(); ok; ts, v, ok = sc.next() {
-			out = append(out, Bucket{Start: ts, Count: 1, Min: v, Max: v, Sum: v, Last: v})
+	// No rollup divides the step, or there is none: raw samples, one
+	// bucket each, or step windows folded from them. A block that lies
+	// inside one window of the range folds whole from its value
+	// summary; every other block goes through the decoder, each sample
+	// merged into its window as it decodes.
+	f := fold{from: from, to: to, step: q.Step, out: make([]Bucket, 0, c.size(q.Step))}
+	for _, b := range c.blocks {
+		if q.Step > 0 && b.inWindow(from, to, q.Step) {
+			f.summary(b)
+		} else {
+			f.block(b.buf, b.n, nil)
 		}
-		return out
 	}
-	// No rollup divides the step. A block that lies inside one window
-	// of the range folds whole from its value summary; each run of
-	// blocks between streams through blockScan, every sample folded
-	// into its window as it decodes. Blocks and samples arrive in time
-	// order, so only the last window is open and memory is O(windows).
-	var out []Bucket
-	var end int64 // exclusive end of the open window
-	for i := 0; i < len(c.blocks); {
-		if b := c.blocks[i]; b.inWindow(from, to, q.Step) {
-			if len(out) == 0 || b.minTS >= end {
-				out, end = openWindow(out, b.minTS, q.Step)
-			}
-			out[len(out)-1].mergeBucket(b.summary())
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(c.blocks) && !c.blocks[j].inWindow(from, to, q.Step) {
-			j++
-		}
-		sc := blockScan{blocks: c.blocks[i:j], from: from, to: to}
-		for ts, v, ok := sc.next(); ok; ts, v, ok = sc.next() {
-			if len(out) == 0 || ts >= end {
-				out, end = openWindow(out, ts, q.Step)
-			}
-			out[len(out)-1].merge(v)
-		}
-		i = j
-	}
-	return out
-}
-
-// openWindow appends the empty step window holding ts to out and
-// returns its exclusive end — math.MaxInt64 when the window runs past
-// the end of time, since every sample folded is below to.
-func openWindow(out []Bucket, ts, step int64) ([]Bucket, int64) {
-	w := ts - mod(ts, step)
-	end := w + step
-	if end < w {
-		end = math.MaxInt64
-	}
-	return append(out, Bucket{Start: w}), end
+	return f.out
 }
 
 // mod is a floor modulo for window alignment that behaves for negative

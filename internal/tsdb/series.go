@@ -6,8 +6,9 @@ package tsdb
 // (sessionSeries, tsdb.go), beside the session's other series and
 // under the one shard lock that guards them all: a tick row is
 // appended to every series it touches, and a Query captures every
-// series it reads, under a single hold of that lock. Sealed blocks are
-// immutable and safe to decode after the lock is released.
+// series it reads, under a single hold of that lock. Sealed blocks, and
+// the prefix of the active block a Query captures, are immutable and
+// safe to decode after the lock is released.
 type series struct {
 	key     SeriesKey
 	active  *block
@@ -139,34 +140,4 @@ func (sr *series) evictExpired(cutoff int64) (freed int64, events uint64) {
 		}
 	}
 	return freed, events
-}
-
-// blockScan streams the raw samples in [from, to) out of a series'
-// time-ordered blocks, one at a time. The blocks come from a capture
-// (query.go), so no lock is held while decoding.
-type blockScan struct {
-	blocks   []*block // still to be decoded
-	it       blockIter
-	from, to int64
-}
-
-// next returns the next in-range sample; ok is false once a sample at
-// or past to is met or the blocks run out.
-func (sc *blockScan) next() (ts, v int64, ok bool) {
-	for {
-		ts, v, ok = sc.it.next()
-		switch {
-		case !ok:
-			if len(sc.blocks) == 0 {
-				return 0, 0, false
-			}
-			sc.it = sc.blocks[0].iter()
-			sc.blocks = sc.blocks[1:]
-		case ts >= sc.to:
-			sc.blocks, sc.it = nil, blockIter{}
-			return 0, 0, false
-		case ts >= sc.from:
-			return ts, v, true
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -328,7 +329,10 @@ func TestConcurrentAppendQuery(t *testing.T) {
 // raw samples, windows folded from rollup buckets — every event of the
 // session has the same number of samples in it and ends in the same
 // bucket. Every event of a row carries the same value, so equal
-// buckets mean the same rows.
+// buckets mean the same rows. And every bucket holds exactly the rows
+// appended (wholeRows): a torn read of the active block's bytes, which
+// a Query shares with the writer, fails the test even when every event
+// is torn alike.
 func TestQuerySeesWholeRows(t *testing.T) {
 	st := New(Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: 64,
 		Rollups: []time.Duration{time.Millisecond}})
@@ -370,8 +374,44 @@ func TestQuerySeesWholeRows(t *testing.T) {
 					n, q, res[0].Event, samples, last, sr.Event, s, l)
 			}
 		}
+		for _, sr := range res {
+			if err := wholeRows(q, sr.Buckets); err != nil {
+				t.Fatalf("reply %d %+v, %s: %v", n, q, sr.Event, err)
+			}
+		}
 		from = max(0, last.Start-7_000) // keep the replies short and the querier fast
 	}
+}
+
+// wholeRows checks a reply to q against TestQuerySeesWholeRows' rows,
+// row i holding i² at ts i·100, of which some prefix has landed: the
+// buckets must hold every row from the first one in range on, in order,
+// each window all the rows it spans but the last, which may stop early,
+// and each bucket's count, min, max, sum and last must be those rows'.
+func wholeRows(q Query, bks []Bucket) error {
+	squares := func(b int64) int64 { return b * (b + 1) * (2*b + 1) / 6 } // Σ i² over 0..b
+	step := max(q.Step, 1)
+	from, _ := q.grid()
+	next := (from + 99) / 100 // the first row in range
+	for k, bk := range bks {
+		lo, hi := bk.Start, bk.Start+step-1 // the bucket's window, inclusive
+		if q.Step > 0 && (mod(lo, q.Step) != 0 || lo < from) {
+			return fmt.Errorf("bucket %d %+v is off the step grid", k, bk)
+		}
+		a := (lo + 99) / 100 // the window's first row
+		b := a + int64(bk.Count) - 1
+		switch {
+		case a != next:
+			return fmt.Errorf("bucket %d %+v starts at row %d, want row %d", k, bk, a, next)
+		case bk.Count == 0 || b*100 > hi || (k < len(bks)-1 && (b+1)*100 <= hi):
+			return fmt.Errorf("bucket %d %+v holds %d rows of window [%d, %d]", k, bk, bk.Count, lo, hi)
+		case bk.Min != a*a || bk.Max != b*b || bk.Last != b*b || bk.Sum != squares(b)-squares(a-1):
+			return fmt.Errorf("bucket %d %+v: rows %d..%d hold min %d max %d sum %d last %d",
+				k, bk, a, b, a*a, b*b, squares(b)-squares(a-1), b*b)
+		}
+		next = b + 1
+	}
+	return nil
 }
 
 // TestAppendBatchEquivalence: a batched row must leave the store in
@@ -649,10 +689,13 @@ func TestQueryWindowPastEndOfTime(t *testing.T) {
 // TestQueryRawRangeAllocs is the timing-free guard against a per-sample
 // intermediate coming back on the raw-decoded range path: eight times
 // the samples in the same four windows must cost exactly the same
-// allocations, and a handful at that.
+// allocations, and a handful at that. With every sample in the active
+// block, whose bytes a Query shares instead of copying, they must cost
+// the same bytes too; over sealed blocks the list of block refs grows
+// with the samples, so only the allocations are pinned there.
 func TestQueryRawRangeAllocs(t *testing.T) {
-	allocs := func(samples int) float64 {
-		st := New(Config{MaxBytes: 1 << 30, MaxAge: -1})
+	cost := func(blockSamples, samples int) (allocs, bytes float64) {
+		st := New(Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: blockSamples})
 		for i := 0; i < samples; i++ {
 			st.Append(1, "PAPI_TOT_CYC", int64(i)*4_000_000/int64(samples), int64(i)*1000)
 		}
@@ -660,12 +703,36 @@ func TestQueryRawRangeAllocs(t *testing.T) {
 		if res := st.Query(1, q); len(res) != 1 || res[0].Width != 0 || len(res[0].Buckets) != 4 {
 			t.Fatalf("%d samples: want one raw-decoded series of 4 windows, got %+v", samples, res)
 		}
-		return testing.AllocsPerRun(20, func() { st.Query(1, q) })
+		// Whatever else the process allocates meanwhile only adds bytes,
+		// so the least of five rounds is the queries' own.
+		const runs = 20
+		bytes = math.Inf(1)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				st.Query(1, q)
+			}
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return testing.AllocsPerRun(runs, func() { st.Query(1, q) }), bytes
 	}
-	sparse, dense := allocs(2_100), allocs(16_800)
-	if sparse != dense || dense > 8 {
-		t.Errorf("allocs per query: %v over 2,100 samples, %v over 16,800, both in 4 windows; want equal and <= 8",
-			sparse, dense)
+	for _, tc := range []struct {
+		name         string
+		blockSamples int
+		sameBytes    bool
+	}{{"sealed blocks", 0, false}, {"active block", 1 << 15, true}} {
+		sparseAllocs, sparseBytes := cost(tc.blockSamples, 2_100)
+		denseAllocs, denseBytes := cost(tc.blockSamples, 16_800)
+		if sparseAllocs != denseAllocs || denseAllocs > 8 {
+			t.Errorf("%s: allocs per query: %v over 2,100 samples, %v over 16,800, both in 4 windows; want equal and <= 8",
+				tc.name, sparseAllocs, denseAllocs)
+		}
+		if tc.sameBytes && sparseBytes != denseBytes {
+			t.Errorf("%s: bytes per query: %v over 2,100 samples, %v over 16,800, both in 4 windows; want equal",
+				tc.name, sparseBytes, denseBytes)
+		}
 	}
 }
 

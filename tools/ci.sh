@@ -42,8 +42,11 @@ go test -race -timeout 2m -run 'TestChaos|TestDoTimeout|TestReconn|TestDialRetry
 go test -run='^$' -bench=. -benchtime=1x ./...
 # A few seconds of fuzzing on the block decoder, which replay and
 # compaction feed with bytes read back from segment files: truncated
-# or corrupt input must end the iteration, never panic.
+# or corrupt input must end the iteration, never panic. The same
+# decoder folds QUERY replies: damaged bytes installed between good
+# blocks must end their own block only, every reply equal to brute force.
 go test -run='^$' -fuzz='^FuzzIterBlock$' -fuzztime=5s ./internal/tsdb
+go test -run='^$' -fuzz='^FuzzFoldBlock$' -fuzztime=5s ./internal/tsdb
 # The same for the two parsers Open and replay run over files found on
 # disk: a segment's records and footer, and a WAL row record — and for
 # Open and Start over a whole data directory two flipped bytes, cuts or
