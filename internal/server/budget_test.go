@@ -37,9 +37,10 @@ const (
 	readsPerRow = 9
 	// A READ: the trace's start, the latency clock's start (the dispatch
 	// span's too), the boundary between the dispatch and write spans, the
-	// latency clock's end, the trace's finish, and the read and write
-	// deadlines.
-	readsPerRead = 7
+	// latency clock's end (which the read-idle deadline measures from; it
+	// is armed once per connection), the trace's finish, and the write
+	// deadline.
+	readsPerRead = 6
 	// A PUBLISH with no subscriber adds to a READ's: one reading for the
 	// row's timestamp and its chain's start, the store's two around the
 	// row, the end of the history append, the fan-out's end and the

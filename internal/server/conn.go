@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/telemetry/tracing"
 	"repro/internal/wire"
@@ -76,17 +77,28 @@ func (s *Server) handle(nc net.Conn) {
 	go c.writeLoop()
 	defer c.teardown()
 
+	// The read-idle deadline is armed once, here, and not per request:
+	// last is the reading that ended the newest request (or this one),
+	// and a deadline that trips sooner than idle after it is moved to
+	// idle after it, so a connection is evicted exactly idle after the
+	// last request it sent.
 	dec := wire.NewDecoder(nc)
+	idle := s.cfg.ReadIdleTimeout
+	var last time.Duration
+	if idle > 0 {
+		var now time.Time
+		now, last = s.cfg.clock.Stamp()
+		nc.SetReadDeadline(now.Add(idle))
+	}
 	for {
-		if d := s.cfg.ReadIdleTimeout; d > 0 {
-			nc.SetReadDeadline(s.cfg.clock.Now().Add(d))
-		}
 		var req wire.Request
 		if err := dec.Decode(&req); err != nil {
 			switch {
 			case wire.IsMalformed(err):
 				// One bad frame must not kill the connection: reply
 				// with an error frame and resume at the next boundary.
+				// It counts as traffic for the idle deadline.
+				last = s.cfg.clock.Mono()
 				s.m.resyncs.Inc()
 				c.log.Warn("papid: malformed frame", "err", err)
 				if !c.send(wire.Response{Op: wire.OpError, Error: err.Error()}) {
@@ -104,10 +116,16 @@ func (s *Server) handle(nc net.Conn) {
 				}
 				continue
 			case wire.IsTimeout(err):
-				if c.subscribing() {
+				now, mono := s.cfg.clock.Stamp()
+				rest := idle - (mono - last)
+				if rest <= 0 && c.subscribing() {
 					// A subscriber stream legitimately sends nothing:
 					// the fan-out writes are its liveness, and the
 					// write deadline evicts it if it stops reading.
+					rest = idle
+				}
+				if rest > 0 {
+					nc.SetReadDeadline(now.Add(rest))
 					continue
 				}
 				c.evict("read idle", err)
@@ -142,7 +160,8 @@ func (s *Server) handle(nc net.Conn) {
 		// A SUBSCRIBE that registered has queued its ack already, inside
 		// the session hold that opened its stream.
 		ok := resp.Op == wire.OpSubscribe && resp.OK || c.reply(resp)
-		elapsed := s.cfg.clock.Mono() - t0
+		last = s.cfg.clock.Mono()
+		elapsed := last - t0
 		s.m.observeOp(req.Op, c.codecNow(), elapsed)
 		if d := s.cfg.SlowOp; d > 0 && elapsed >= d {
 			attrs := []any{"op", req.Op, "session", req.Session, "dur", elapsed.String()}

@@ -437,9 +437,9 @@ func TestFramesWaitForSubscribeReply(t *testing.T) {
 // stay in its connection's subscription list and hold the socket, the
 // reader and the writer for good.
 //
-// The connection's read deadline is on a fake clock: the only timers it
-// arms are that deadline, once before each request the server waits
-// for (the write deadline is off).
+// The connection's read deadline is on a fake clock: the only timer it
+// arms is that deadline, once when the connection opens (the write
+// deadline is off).
 func TestClosedSessionEndsReadIdleExemption(t *testing.T) {
 	clk := spyClock{Fake: clock.NewFake(time.Unix(1_700_000_000, 0)), armed: make(chan time.Duration, 8)}
 	srv, addr := startServer(t, Config{TickInterval: time.Hour, ReadIdleTimeout: 100 * time.Millisecond,
@@ -455,11 +455,65 @@ func TestClosedSessionEndsReadIdleExemption(t *testing.T) {
 	if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpCloseSession, Session: created.Session}); !resp.OK {
 		t.Fatal(resp.Error)
 	}
-	<-clk.armed // for the SUBSCRIBE
-	<-clk.armed // for whatever comes next: the server is waiting
+	<-clk.armed // at the connection's start, before the SUBSCRIBE
 	clk.Advance(100 * time.Millisecond)
 	if _, err := sub.Next(); err == nil {
 		t.Fatal("the subscriber of a closed session read a frame after its idle deadline; want the connection closed")
+	}
+	if n := stat(t, srv, "evictions"); n != 1 {
+		t.Errorf("evictions %d, want 1", n)
+	}
+	if n := stat(t, srv, "deadline_trips"); n != 1 {
+		t.Errorf("deadline_trips %d, want 1", n)
+	}
+}
+
+// TestReadIdleEvictsExactlyIdleAfterLastRequest: the read-idle
+// deadline is armed once per connection, not before every request, and
+// still evicts a connection exactly ReadIdleTimeout after the last
+// request it sent. The deadline armed when the connection opened trips
+// inside the window a later request opened; it is moved to that
+// window's end and evicts there, not a microsecond sooner.
+//
+// The deadline runs on a fake clock, and it is the only timer the
+// connection arms (the write deadline is off).
+func TestReadIdleEvictsExactlyIdleAfterLastRequest(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	clk := spyClock{Fake: clock.NewFake(time.Unix(1_700_000_000, 0)), armed: make(chan time.Duration, 8)}
+	srv, addr := startServer(t, Config{TickInterval: time.Hour, ReadIdleTimeout: idle, WriteTimeout: -1, clock: clk})
+	cl := dialT(t, addr)
+	if d := <-clk.armed; d != idle {
+		t.Fatalf("the connection armed its read deadline %v ahead, want %v", d, idle)
+	}
+	clk.Advance(60 * time.Millisecond)
+	if resp, err := cl.Do(wire.Request{Op: wire.OpCreate, Workload: "none"}); err != nil || !resp.OK {
+		t.Fatal(resp.Error, err)
+	}
+	// The reader takes the reading the idle window runs from just
+	// before it times the request, so once the CREATE is timed the
+	// window runs from 60 ms.
+	timed := func() uint64 {
+		sums := srv.Telemetry().Summaries()
+		return sums["op/CREATE_SESSION/json"].Count + sums["op/CREATE_SESSION/binary"].Count
+	}
+	for deadline := time.Now().Add(10 * time.Second); timed() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the CREATE was never timed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	clk.Advance(40 * time.Millisecond) // the first deadline trips, 40 ms into the window
+	if d := <-clk.armed; d != 60*time.Millisecond {
+		t.Fatalf("the tripped deadline was moved %v ahead, want the 60 ms left of the window", d)
+	}
+	clk.Advance(59 * time.Millisecond)
+	time.Sleep(10 * time.Millisecond)
+	if n := stat(t, srv, "evictions"); n != 0 {
+		t.Fatalf("evicted %d connections 99 ms after the last request; want none before %v", n, idle)
+	}
+	clk.Advance(time.Millisecond)
+	if _, err := cl.Next(); err == nil {
+		t.Fatal("read a frame after the idle deadline; want the connection closed")
 	}
 	if n := stat(t, srv, "evictions"); n != 1 {
 		t.Errorf("evictions %d, want 1", n)
