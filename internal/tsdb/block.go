@@ -3,6 +3,7 @@ package tsdb
 import (
 	"encoding/binary"
 	"math"
+	"sync/atomic"
 )
 
 // block is one append-only compressed run of (timestamp, value) samples
@@ -40,6 +41,11 @@ import (
 // next append either writes past the prefix or moves to a new array.
 // Once sealed (capacity reached) the whole block is immutable and may
 // be read without any lock by anyone holding a reference.
+//
+// The same argument makes a fold of a block's first samples final: no
+// append changes them, so their step windows can be kept and reused
+// (foldMemo). memo points at the block's one memo slot, which the live
+// block and every prefix a Query captures of it share.
 type block struct {
 	buf []byte
 	n   int // samples encoded
@@ -66,6 +72,10 @@ type block struct {
 
 	// The summary of the samples' values.
 	min, max, sum int64
+
+	// memo holds the block's last step fold (foldMemo), or nil before
+	// the first; a block made without a slot is never memoized.
+	memo *atomic.Pointer[foldMemo]
 }
 
 // appendSample encodes one sample. Timestamps must be non-decreasing;
@@ -154,20 +164,33 @@ type fold struct {
 	start, end     int64 // the open window [start, end); empty until one opens
 }
 
-// block decodes the n samples of buf into yield, or into f's buckets
-// when yield is nil. (yield is a parameter, not a field, so that a
+// cursor is where the decoder stands in a block: the index and byte
+// offset of the next sample, and the delta chain as the sample before
+// it left it. The zero cursor is the block's start.
+type cursor struct {
+	i, p                   int
+	ts, tsDelta, v, vDelta int64
+}
+
+// block decodes samples c.i to n-1 of buf, the first of them c.p
+// bytes in, into yield, or into f's buckets when yield is nil; the zero
+// cursor decodes the whole block, and a cursor block returned resumes
+// where it stopped. (yield is a parameter, not a field, so that a
 // closure handed to IterBlock stays on its caller's stack.) Bytes that
 // run out or hold an overlong varint end the block, as if it held only
 // the samples before them; the caller goes on with its next block.
-// Short varints, the one- and two-byte forms a steady counter stream is
-// made of, are decoded inline; longer ones go through binary.Uvarint.
-// block reports false when yield asked to stop.
-func (f *fold) block(buf []byte, n int, yield func(ts, v int64) bool) bool {
+// block returns the cursor after the last sample it decoded — at n
+// unless the bytes ended first or yield asked to stop — and reports
+// false when yield asked to stop. It is the store's one decode loop:
+// short varints, the one- and two-byte forms a steady counter stream is
+// made of, are decoded inline, and longer ones go through
+// binary.Uvarint.
+func (f *fold) block(buf []byte, n int, c cursor, yield func(ts, v int64) bool) (cursor, bool) {
 	out, start, end, step := f.out, f.start, f.end, f.step
-	var ts, tsDelta, v, vDelta int64
-	p, more := 0, true
+	ts, tsDelta, v, vDelta := c.ts, c.tsDelta, c.v, c.vDelta
+	i, p, more := c.i, c.p, true
 samples:
-	for i := 0; i < n; i++ {
+	for ; i < n; i++ {
 		var d [2]int64 // the sample's time and value fields
 		for k := range d {
 			var u uint64
@@ -218,7 +241,7 @@ samples:
 		}
 	}
 	f.out, f.start, f.end = out, start, end
-	return more
+	return cursor{i: i, p: p, ts: ts, tsDelta: tsDelta, v: v, vDelta: vDelta}, more
 }
 
 // summary folds b whole from its value summary into the step window
@@ -229,6 +252,119 @@ func (f *fold) summary(b *block) {
 		f.out = append(f.out, Bucket{Start: f.start})
 	}
 	f.out[len(f.out)-1].mergeBucket(b.summary())
+}
+
+// foldMemo is a block's first at.i samples folded into the windows of
+// one step on the unbounded grid, as a fold with no range bounds folds
+// them, and the decoder's cursor after them. No append changes those
+// samples (block), so the memo stays exact for as long as its block
+// lives: it is published whole through the block's memo slot, never
+// written after, and dropped with the block. A raw step fold takes a
+// memoized block's windows instead of decoding it, and decodes on from
+// the memo's cursor when the block (the active one) has grown since
+// (fold.memo).
+type foldMemo struct {
+	step int64
+	at   cursor
+	out  []Bucket // time order, each Start on the step grid
+}
+
+// memoWindows reports how many windows of step b's samples span, the
+// most buckets a memo of b at step holds, and whether b may keep such a
+// memo: it has a slot and samples, and those windows cost no more than
+// the encoded bytes they stand for, so memos never hold more than the
+// blocks they fold. A block whose first window would start below the
+// beginning of time is not memoized.
+func (b *block) memoWindows(step int64) (int, bool) {
+	lo := b.minTS - mod(b.minTS, step)
+	if b.memo == nil || b.n == 0 || lo > b.minTS {
+		return 0, false
+	}
+	w := (uint64(b.maxTS)-uint64(lo))/uint64(step) + 1
+	if w > uint64(len(b.buf))/bucketBytes {
+		return 0, false
+	}
+	return int(w), true
+}
+
+// memoBytes is what b's memo holds, its windows' bytes.
+func (b *block) memoBytes() int64 {
+	if b.memo == nil {
+		return 0
+	}
+	if m := b.memo.Load(); m != nil {
+		return int64(cap(m.out)) * bucketBytes
+	}
+	return 0
+}
+
+// memo folds b into f through b's memo: the memo's windows that lie in
+// f's range, merged as decoding their samples would merge them, after
+// the samples b holds past the memo are decoded into them. A memo at
+// another step, or of more samples than b holds (published by a Query
+// that captured more of the active block), is not used, and b is
+// decoded whole. What was decoded becomes b's memo, unless another
+// Query published one meanwhile or b holds fewer samples than its
+// memo. f's from and to must lie on its step grid (to may be
+// math.MaxInt64), so every window lies wholly inside the range or
+// wholly outside it, and b.memoWindows(f.step) must hold, giving
+// windows. memo reports whether a memo was used and how many samples it
+// decoded.
+func (f *fold) memo(b *block, windows int) (hit bool, decoded int) {
+	old := b.memo.Load()
+	hit = old != nil && old.step == f.step && old.at.i <= b.n
+	if hit && old.at.i == b.n {
+		f.windows(old.out)
+		return true, 0
+	}
+	g := fold{from: math.MinInt64, to: math.MaxInt64, step: f.step, out: make([]Bucket, 0, windows)}
+	var at cursor
+	if hit {
+		g.out = append(g.out, old.out...)
+		if len(g.out) > 0 {
+			g.start, g.end = window(g.out[len(g.out)-1].Start, f.step)
+		}
+		at = old.at
+	}
+	end, _ := g.block(b.buf, b.n, at, nil)
+	decoded = end.i - at.i
+	if end.i < b.n || !ascending(g.out) {
+		// Bytes that end early, or samples out of time order: a damaged
+		// block read back from disk. Fold it as if it had no memo.
+		end, _ = f.block(b.buf, b.n, cursor{}, nil)
+		return hit, decoded + end.i
+	}
+	if old == nil || old.at.i <= b.n {
+		b.memo.CompareAndSwap(old, &foldMemo{step: f.step, at: end, out: g.out})
+	}
+	f.windows(g.out)
+	return hit, decoded
+}
+
+// windows folds a memo's windows into f: those in f's range, the first
+// merged into the open window when it is that window.
+func (f *fold) windows(ws []Bucket) {
+	for _, w := range ws {
+		switch {
+		case w.Start < f.from || w.Start >= f.to:
+		case w.Start >= f.start && w.Start < f.end:
+			f.out[len(f.out)-1].mergeBucket(w)
+		default:
+			f.out = append(f.out, w)
+			f.start, f.end = window(w.Start, f.step)
+		}
+	}
+}
+
+// ascending reports whether the windows' starts strictly increase, as
+// the windows of samples in time order do.
+func ascending(ws []Bucket) bool {
+	for i := 1; i < len(ws); i++ {
+		if ws[i].Start <= ws[i-1].Start {
+			return false
+		}
+	}
+	return true
 }
 
 // window returns the bounds of the step window holding ts; the end is
@@ -253,7 +389,7 @@ func window(ts, step int64) (start, end int64) {
 // never panic or invent samples.
 func IterBlock(buf []byte, n int, yield func(ts, v int64) bool) {
 	var f fold
-	f.block(buf, n, yield)
+	f.block(buf, n, cursor{}, yield)
 }
 
 // zigzag maps signed to unsigned so small negatives stay small on the

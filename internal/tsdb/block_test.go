@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func TestBlockRoundTrip(t *testing.T) {
@@ -233,5 +234,98 @@ func FuzzFoldBlock(f *testing.F) {
 				sameBuckets(t, fmt.Sprintf("%d-byte block of %d samples, query %+v", len(data), len(bad), q), got, want)
 			}
 		}
+	})
+}
+
+// FuzzQueryMemo runs random interleavings of what can change a block
+// or its memo on one store: appends whose gaps take one-, two- and
+// three-byte varints, step queries at two raw-fold steps over the whole
+// history and over sub-ranges, a rollup step, Sweep, budget eviction
+// (the budget is small) and InstallSealed. Whatever the store still
+// holds of a series must be a suffix of what was appended or installed,
+// and every reply must equal brute force over that suffix, whether its
+// blocks fold from a memo, resume one, or decode. A rollup query must
+// leave the memos alone.
+func FuzzQueryMemo(f *testing.F) {
+	f.Add(append([]byte{100}, bytes.Repeat([]byte{3, 4, 0, 0, 4, 1, 4, 5, 2, 4, 6, 7, 4}, 8)...))
+	f.Add(append([]byte{70}, bytes.Repeat([]byte{3, 0, 1, 2, 4, 4, 8, 4, 5, 4}, 10)...))
+	f.Add(append([]byte{250}, bytes.Repeat([]byte{3, 3, 4, 0, 4, 8, 4, 2, 2, 4, 6, 5}, 10)...))
+	f.Add([]byte{0, 0, 1, 2, 4, 8, 4, 5, 6, 7})
+
+	steps := []int64{1_000_000, 700_000} // no default rollup width divides either
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		st := New(Config{MaxBytes: 2048 + int64(ops[0])*64, MaxAge: 40 * time.Second,
+			BlockSamples: 24 + int(ops[0]%104)})
+		rng := rand.New(rand.NewSource(int64(ops[0])))
+		model := map[string][]sample{}
+		var ts, gap, v, dv int64  // "E": appended rows
+		its := int64(-30_000_000) // "I": installed blocks, from before the rows on
+		check := func(label string, q Query) {
+			for _, ev := range []string{"E", "I"} {
+				raw := st.Query(1, Query{Events: []string{ev}, From: math.MinInt64, To: math.MaxInt64})
+				var held []Bucket
+				if len(raw) > 0 {
+					held = raw[0].Buckets
+				}
+				m := model[ev]
+				if len(held) > len(m) {
+					t.Fatalf("%s: %s holds %d samples of the %d put in", label, ev, len(held), len(m))
+				}
+				m = m[len(m)-len(held):]
+				sameBuckets(t, label+" "+ev+" raw", held, bruteRaw(m, math.MinInt64, math.MaxInt64))
+				model[ev] = m
+				var got []Bucket
+				if res := st.Query(1, Query{Events: []string{ev}, From: q.From, To: q.To, Step: q.Step}); len(res) > 0 {
+					got = res[0].Buckets
+				}
+				sameBuckets(t, fmt.Sprintf("%s %s %+v", label, ev, q), got, bruteQuery(m, q.From, q.To, q.Step))
+			}
+		}
+		for k, op := range ops[1:] {
+			label := fmt.Sprintf("op %d (%d)", k, op)
+			switch op % 9 {
+			case 0, 1, 2: // a row, its time and value gaps one, two or three varint bytes away from the last
+				jitter := []int64{40, 5_000, 400_000}[op%3]
+				gap = max(0, 20_000+rng.Int63n(2*jitter)-jitter)
+				dv = 1_000_000 + rng.Int63n(2*jitter) - jitter
+				ts, v = ts+gap, v+dv
+				st.Append(1, "E", ts, v)
+				model["E"] = append(model["E"], sample{ts, v})
+			case 3: // a burst of rows, enough to seal a block
+				for range 40 {
+					ts, v = ts+20_000+rng.Int63n(31), v+1_000_000+rng.Int63n(997)
+					st.Append(1, "E", ts, v)
+					model["E"] = append(model["E"], sample{ts, v})
+				}
+			case 4, 5: // the whole history, as a repeated range QUERY asks it
+				check(label, Query{From: -1 << 40, To: math.MaxInt64, Step: steps[op%2]})
+			case 6: // a sub-range, on the step grid or not
+				step := steps[rng.Intn(2)]
+				from := ts - rng.Int63n(8_000_000)
+				check(label, Query{From: from, To: from + 1 + rng.Int63n(6_000_000), Step: step})
+			case 7: // a rollup step: no memo is used, made or counted
+				hits, misses, memo := st.memoHits.Load(), st.memoMisses.Load(), st.memoBytes()
+				st.Query(1, Query{From: -1 << 40, To: math.MaxInt64, Step: 10_000_000})
+				if st.memoHits.Load() != hits || st.memoMisses.Load() != misses || st.memoBytes() != memo {
+					t.Fatalf("%s: a rollup query touched the memos", label)
+				}
+			case 8: // Sweep, or a block installed as replay installs one
+				if rng.Intn(2) == 0 {
+					st.Sweep(ts + rng.Int63n(20_000_000))
+					continue
+				}
+				var b block
+				for range 8 + rng.Intn(32) {
+					its += 1 + rng.Int63n(900_000)
+					b.appendSample(its, rng.Int63n(1<<40))
+				}
+				st.InstallSealed(SealedBlock{Key: SeriesKey{Session: 1, Event: "I"}, Buf: b.buf, N: b.n, MinTS: b.minTS, MaxTS: b.maxTS})
+				model["I"] = append(model["I"], decodeAll(b.buf, b.n)...)
+			}
+		}
+		check("end", Query{From: -1 << 40, To: math.MaxInt64, Step: steps[0]})
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // This file is the store's durability surface: the persist queue a
@@ -114,7 +115,7 @@ func (s *Store) InstallSealed(sb SealedBlock) {
 	// Replay installs only blocks read back from segment files, so by
 	// construction every installed block is persisted.
 	b := &block{buf: bytes.Clone(sb.Buf), minTS: sb.MinTS, maxTS: sb.MaxTS, persisted: true, lastSeq: sb.LastSeq,
-		min: math.MaxInt64, max: math.MinInt64}
+		min: math.MaxInt64, max: math.MinInt64, memo: new(atomic.Pointer[foldMemo])}
 	IterBlock(sb.Buf, sb.N, func(ts, v int64) bool {
 		for i := range sr.levels {
 			sr.levels[i].append(ts, v)

@@ -99,12 +99,32 @@ func (s *Store) Query(session uint64, q Query) []Series {
 	sh.mu.RUnlock()
 
 	out := make([]Series, 0, len(caps))
+	var n foldCount
 	for i := range caps {
-		if bks := caps[i].fold(q, width, from, to); len(bks) > 0 {
+		if bks := caps[i].fold(q, width, from, to, &n); len(bks) > 0 {
 			out = append(out, Series{Event: caps[i].event, Width: width, Buckets: bks})
 		}
 	}
+	s.count(n)
 	return out
+}
+
+// foldCount is what a Query's raw folds did: the samples they decoded,
+// and the blocks they could fold through a memo (fold.memo) that found
+// one at the query's step (hits) or found none (misses).
+type foldCount struct{ decoded, hits, misses uint64 }
+
+// count adds a Query's foldCount to the store's counters.
+func (s *Store) count(n foldCount) {
+	if n.decoded > 0 {
+		s.decoded.Add(n.decoded)
+	}
+	if n.hits > 0 {
+		s.memoHits.Add(n.hits)
+	}
+	if n.misses > 0 {
+		s.memoMisses.Add(n.misses)
+	}
 }
 
 // Events lists the event names the store holds history for under the
@@ -195,8 +215,9 @@ func (c *capture) size(step int64) int {
 
 // fold turns a capture into q's buckets, with no lock held; width is
 // the rollup width captured (0: raw blocks) and from and to are q's
-// range aligned to its step grid, as capture was given them.
-func (c *capture) fold(q Query, width, from, to int64) []Bucket {
+// range aligned to its step grid, as capture was given them. A raw fold
+// adds what it did to n.
+func (c *capture) fold(q Query, width, from, to int64, n *foldCount) []Bucket {
 	if width > 0 {
 		// Fold grid-aligned source buckets into step windows. Source
 		// buckets arrive in time order and each lies wholly inside one
@@ -220,15 +241,31 @@ func (c *capture) fold(q Query, width, from, to int64) []Bucket {
 	// No rollup divides the step, or there is none: raw samples, one
 	// bucket each, or step windows folded from them. A block that lies
 	// inside one window of the range folds whole from its value
-	// summary; every other block goes through the decoder, each sample
-	// merged into its window as it decodes.
+	// summary. Any other block folds through its memo when it may keep
+	// one and the range lies on the step grid, which it does unless its
+	// alignment wrapped; every other block goes through the decoder,
+	// each sample merged into its window as it decodes.
 	f := fold{from: from, to: to, step: q.Step, out: make([]Bucket, 0, c.size(q.Step))}
+	memo := q.Step > 0 && mod(from, q.Step) == 0 && (mod(to, q.Step) == 0 || to == math.MaxInt64)
 	for _, b := range c.blocks {
 		if q.Step > 0 && b.inWindow(from, to, q.Step) {
 			f.summary(b)
-		} else {
-			f.block(b.buf, b.n, nil)
+			continue
 		}
+		if memo {
+			if windows, ok := b.memoWindows(q.Step); ok {
+				hit, decoded := f.memo(b, windows)
+				n.decoded += uint64(decoded)
+				if hit {
+					n.hits++
+				} else {
+					n.misses++
+				}
+				continue
+			}
+		}
+		end, _ := f.block(b.buf, b.n, cursor{}, nil)
+		n.decoded += uint64(end.i)
 	}
 	return f.out
 }

@@ -1,5 +1,7 @@
 package tsdb
 
+import "sync/atomic"
+
 // series holds one (session, event) stream: an active append block,
 // the time-ordered ring of sealed blocks behind it, and one rollupLevel
 // per configured resolution. It lives in its session's entry
@@ -38,7 +40,7 @@ func (sr *series) append(ts, v int64, blockSamples int, seq uint64) (deltaBytes 
 	}
 	before := sr.mutableBytes()
 	if sr.active == nil {
-		sr.active = &block{firstSeq: seq}
+		sr.active = &block{firstSeq: seq, memo: new(atomic.Pointer[foldMemo])}
 	}
 	sr.active.appendSample(ts, v)
 	sr.active.lastSeq = max(sr.active.lastSeq, seq)

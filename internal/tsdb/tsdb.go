@@ -105,6 +105,10 @@ type Store struct {
 	samples   atomic.Uint64
 	evictions atomic.Uint64
 
+	// What raw QUERY folds did (foldCount): samples decoded, and blocks
+	// folded through a memo at the query's step or without one.
+	decoded, memoHits, memoMisses atomic.Uint64
+
 	// appendLat/queryLat, when non-nil, record per-call latency
 	// (appendLat once per row, not per sample), read from clock.
 	appendLat *telemetry.Histogram
@@ -188,8 +192,48 @@ func NewOn(c clock.Clock, cfg Config) *Store {
 			Help: "History eviction events (budget and retention)."}, func() uint64 {
 			return s.evictions.Load()
 		})
+		reg.NewCounterFunc(telemetry.Opts{Name: "papid_tsdb_query_decoded_samples_total",
+			Help: "Samples raw history queries decoded."}, func() uint64 {
+			return s.decoded.Load()
+		})
+		reg.NewCounterFunc(telemetry.Opts{Name: "papid_tsdb_memo_hits_total",
+			Help: "Blocks a step query folded from their memo at its step."}, func() uint64 {
+			return s.memoHits.Load()
+		})
+		reg.NewCounterFunc(telemetry.Opts{Name: "papid_tsdb_memo_misses_total",
+			Help: "Blocks a step query could fold from a memo and found none at its step."}, func() uint64 {
+			return s.memoMisses.Load()
+		})
+		reg.NewGaugeFunc(telemetry.Opts{Name: "papid_tsdb_memo_bytes",
+			Help: "Bytes the history blocks' step-fold memos hold."}, func() float64 {
+			return float64(s.memoBytes())
+		})
 	}
 	return s
+}
+
+// memoBytes sums what the fold memos of the blocks the store holds take
+// (block.memoBytes). Memos are not charged to the budget: they are
+// recounted here, from the blocks, so a memo dropped with its block is
+// never counted again.
+func (s *Store) memoBytes() int64 {
+	var n int64
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, e := range sh.m {
+			for _, sr := range e.series {
+				for _, b := range sr.sealed {
+					n += b.memoBytes()
+				}
+				if sr.active != nil {
+					n += sr.active.memoBytes()
+				}
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return n
 }
 
 // shardFor returns the shard that holds every series of the session.

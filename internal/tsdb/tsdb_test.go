@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -383,6 +384,52 @@ func TestQuerySeesWholeRows(t *testing.T) {
 	}
 }
 
+// TestQueriesRefoldGrowingBlock races queriers that share fold memos
+// against a writer appending to the block they fold: two queriers at
+// each of two raw-fold steps, so memos are extended, replaced and
+// published at once, over an active block that grows until it seals.
+// Every reply must hold exactly the rows appended (wholeRows), and the
+// queries must have folded blocks from memos, or the test would check
+// only the decoder.
+func TestQueriesRefoldGrowingBlock(t *testing.T) {
+	st := New(Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: 2048})
+	row := make([]int64, 2)
+	st.AppendBatch(1, 0, benchEvents[:2], row)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(1); i <= 8_000; i++ {
+			row[0], row[1] = i*i, i*i
+			st.AppendBatch(1, i*100, benchEvents[:2], row)
+		}
+	}()
+	var wg sync.WaitGroup
+	for g, step := range []int64{70_000, 70_000, 100_000, 100_000} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				q := Query{From: int64(g) * 10_000, To: math.MaxInt64, Step: step}
+				for _, sr := range st.Query(1, q) {
+					if err := wholeRows(q, sr.Buckets); err != nil {
+						t.Errorf("querier %d, reply %d %+v, %s: %v", g, n, q, sr.Event, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st.memoHits.Load() == 0 {
+		t.Errorf("no block folded from a memo (%d misses)", st.memoMisses.Load())
+	}
+}
+
 // wholeRows checks a reply to q against TestQuerySeesWholeRows' rows,
 // row i holding i² at ts i·100, of which some prefix has landed: the
 // buckets must hold every row from the first one in range on, in order,
@@ -733,6 +780,66 @@ func TestQueryRawRangeAllocs(t *testing.T) {
 			t.Errorf("%s: bytes per query: %v over 2,100 samples, %v over 16,800, both in 4 windows; want equal",
 				tc.name, sparseBytes, denseBytes)
 		}
+	}
+}
+
+// TestRequeryDecodesOnlyNewRows: a range QUERY asked again at the step
+// it was last folded at decodes only the samples appended since — none
+// when nothing was — and folds every other block from its memo; a query
+// at another step decodes everything again, and so does the first step
+// after it, whose memos it replaced. The memos' bytes stay under the
+// blocks'.
+func TestRequeryDecodesOnlyNewRows(t *testing.T) {
+	st := New(Config{MaxBytes: 1 << 30, MaxAge: -1})
+	model := map[string][]sample{}
+	rng := rand.New(rand.NewSource(5))
+	row := make([]int64, len(benchEvents))
+	var ts int64
+	appendRows := func(n int) {
+		for range n {
+			ts += 12_000 + rng.Int63n(300)
+			for e, ev := range benchEvents {
+				row[e] += 1_000_000 + rng.Int63n(997)
+				model[ev] = append(model[ev], sample{ts, row[e]})
+			}
+			st.AppendBatch(1, ts, benchEvents, row)
+		}
+	}
+	query := func(step int64) (decoded, hits, misses uint64) {
+		d, h, m := st.decoded.Load(), st.memoHits.Load(), st.memoMisses.Load()
+		q := Query{From: 0, To: math.MaxInt64, Step: step}
+		res := st.Query(1, q)
+		if len(res) != len(benchEvents) {
+			t.Fatalf("step %d: %d series", step, len(res))
+		}
+		for _, sr := range res {
+			sameBuckets(t, fmt.Sprintf("step %d %s", step, sr.Event), sr.Buckets, bruteQuery(model[sr.Event], q.From, q.To, step))
+		}
+		return st.decoded.Load() - d, st.memoHits.Load() - h, st.memoMisses.Load() - m
+	}
+	appendRows(2000) // 3 sealed blocks and the active one per event
+	all := uint64(len(benchEvents) * 2000)
+	const blocks = 4 * 8
+	for _, tc := range []struct {
+		name                  string
+		rows                  int
+		step                  int64
+		decoded, hits, misses uint64
+	}{
+		{"first", 0, 1_000_000, all, 0, blocks},
+		{"again", 0, 1_000_000, 0, blocks, 0},
+		{"10 rows later", 10, 1_000_000, 80, blocks, 0},
+		{"another step", 0, 700_000, all + 80, 0, blocks},
+		{"the first step again", 0, 1_000_000, all + 80, 0, blocks},
+	} {
+		appendRows(tc.rows)
+		if d, h, m := query(tc.step); d != tc.decoded || h != tc.hits || m != tc.misses {
+			t.Errorf("%s: decoded %d samples, %d memo hits, %d misses; want %d, %d, %d",
+				tc.name, d, h, m, tc.decoded, tc.hits, tc.misses)
+		}
+	}
+	if memo, held := st.memoBytes(), st.Stats().Bytes; memo == 0 || memo > held {
+		t.Errorf("memos hold %d bytes, the store %d; want some, and no more than the blocks", memo, held)
 	}
 }
 
