@@ -74,7 +74,7 @@ type block struct {
 	min, max, sum int64
 
 	// memo holds the block's last step fold (foldMemo), or nil before
-	// the first; a block made without a slot is never memoized.
+	// the first. Every block the store holds has the slot.
 	memo *atomic.Pointer[foldMemo]
 }
 
@@ -246,12 +246,16 @@ samples:
 
 // summary folds b whole from its value summary into the step window
 // holding it; b.inWindow(f.from, f.to, f.step) must hold.
-func (f *fold) summary(b *block) {
-	if b.minTS < f.start || b.minTS >= f.end {
-		f.start, f.end = window(b.minTS, f.step)
+func (f *fold) summary(b *block) { f.merge(b.minTS, b.summary()) }
+
+// merge folds bk, whose samples lie in the step window holding ts, into
+// that window: the open one, or a new one opened after it.
+func (f *fold) merge(ts int64, bk Bucket) {
+	if ts < f.start || ts >= f.end {
+		f.start, f.end = window(ts, f.step)
 		f.out = append(f.out, Bucket{Start: f.start})
 	}
-	f.out[len(f.out)-1].mergeBucket(b.summary())
+	f.out[len(f.out)-1].mergeBucket(bk)
 }
 
 // foldMemo is a block's first at.i samples folded into the windows of
@@ -271,13 +275,13 @@ type foldMemo struct {
 
 // memoWindows reports how many windows of step b's samples span, the
 // most buckets a memo of b at step holds, and whether b may keep such a
-// memo: it has a slot and samples, and those windows cost no more than
-// the encoded bytes they stand for, so memos never hold more than the
-// blocks they fold. A block whose first window would start below the
-// beginning of time is not memoized.
+// memo: it has samples, and those windows cost no more than the encoded
+// bytes they stand for, so memos never hold more than the blocks they
+// fold. A block whose first window would start below the beginning of
+// time is not memoized.
 func (b *block) memoWindows(step int64) (int, bool) {
 	lo := b.minTS - mod(b.minTS, step)
-	if b.memo == nil || b.n == 0 || lo > b.minTS {
+	if b.n == 0 || lo > b.minTS {
 		return 0, false
 	}
 	w := (uint64(b.maxTS)-uint64(lo))/uint64(step) + 1
@@ -289,9 +293,6 @@ func (b *block) memoWindows(step int64) (int, bool) {
 
 // memoBytes is what b's memo holds, its windows' bytes.
 func (b *block) memoBytes() int64 {
-	if b.memo == nil {
-		return 0
-	}
 	if m := b.memo.Load(); m != nil {
 		return int64(cap(m.out)) * bucketBytes
 	}
@@ -341,17 +342,11 @@ func (f *fold) memo(b *block, windows int) (hit bool, decoded int) {
 	return hit, decoded
 }
 
-// windows folds a memo's windows into f: those in f's range, the first
-// merged into the open window when it is that window.
+// windows folds the windows of a memo that lie in f's range into f.
 func (f *fold) windows(ws []Bucket) {
 	for _, w := range ws {
-		switch {
-		case w.Start < f.from || w.Start >= f.to:
-		case w.Start >= f.start && w.Start < f.end:
-			f.out[len(f.out)-1].mergeBucket(w)
-		default:
-			f.out = append(f.out, w)
-			f.start, f.end = window(w.Start, f.step)
+		if w.Start >= f.from && w.Start < f.to {
+			f.merge(w.Start, w)
 		}
 	}
 }

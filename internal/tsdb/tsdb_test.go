@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -390,17 +391,24 @@ func TestQuerySeesWholeRows(t *testing.T) {
 // published at once, over an active block that grows until it seals.
 // Every reply must hold exactly the rows appended (wholeRows), and the
 // queries must have folded blocks from memos, or the test would check
-// only the decoder.
+// only the decoder. The writer waits for four more queries every 100
+// rows, so the queries interleave with the appends however the
+// goroutines are scheduled.
 func TestQueriesRefoldGrowingBlock(t *testing.T) {
 	st := New(Config{MaxBytes: 1 << 30, MaxAge: -1, BlockSamples: 2048})
 	row := make([]int64, 2)
 	st.AppendBatch(1, 0, benchEvents[:2], row)
+	var queries atomic.Int64
+	var failed atomic.Bool
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := int64(1); i <= 8_000; i++ {
 			row[0], row[1] = i*i, i*i
 			st.AppendBatch(1, i*100, benchEvents[:2], row)
+			for want := i / 100 * 4; i%100 == 0 && queries.Load() < want && !failed.Load(); {
+				runtime.Gosched()
+			}
 		}
 	}()
 	var wg sync.WaitGroup
@@ -418,9 +426,11 @@ func TestQueriesRefoldGrowingBlock(t *testing.T) {
 				for _, sr := range st.Query(1, q) {
 					if err := wholeRows(q, sr.Buckets); err != nil {
 						t.Errorf("querier %d, reply %d %+v, %s: %v", g, n, q, sr.Event, err)
+						failed.Store(true)
 						return
 					}
 				}
+				queries.Add(1)
 			}
 		}()
 	}

@@ -47,6 +47,10 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 # blocks must end their own block only, every reply equal to brute force.
 go test -run='^$' -fuzz='^FuzzIterBlock$' -fuzztime=5s ./internal/tsdb
 go test -run='^$' -fuzz='^FuzzFoldBlock$' -fuzztime=5s ./internal/tsdb
+# And the fold memos a re-query reuses: appends, step queries, Sweep,
+# budget eviction and installed blocks interleaved at random, every
+# reply equal to brute force over what the store still holds.
+go test -run='^$' -fuzz='^FuzzQueryMemo$' -fuzztime=5s ./internal/tsdb
 # The same for the two parsers Open and replay run over files found on
 # disk: a segment's records and footer, and a WAL row record — and for
 # Open and Start over a whole data directory two flipped bytes, cuts or
@@ -81,9 +85,11 @@ go test -run='^$' -fuzz='^FuzzFoldEqualsPerInstruction$' -fuzztime=5s ./internal
 # report it frozen, so never replay it.
 go test -count=20 -run '^(TestFoldEqualsPerInstruction|TestReplayEngages|TestRewrittenSliceIsNeverFrozen)$/^replay' ./internal/hwsim
 # The store's reader-against-writer gate again, many times over: a
-# QUERY racing appends must never return part of a tick row. It is
+# QUERY racing appends must never return part of a tick row, nor may
+# queries that extend and publish the fold memos of the active block a
+# writer is growing return anything but the rows appended. It is
 # interleaving-dependent, so one pass in the suite above is thin.
-go test -race -count=20 -run '^TestQuerySeesWholeRows$' ./internal/tsdb
+go test -race -count=20 -run '^(TestQuerySeesWholeRows|TestQueriesRefoldGrowingBlock)$' ./internal/tsdb
 # The WAL against the store's sweep: a row journaled while Sweep drops
 # its series must keep its WAL file until the store holds it on disk —
 # once by construction (a row appended right after the sweep, before
